@@ -36,7 +36,10 @@
 # reordered-vs-canonical tolerance sweep at ranks {1,2,4,7}, the
 # bitwise thread-invariance grid per (reorder, layout) point, the
 # AoS-vs-SoA bitwise parity checks, and checkpoint/resume and
-# supervise-repartition under a renumbered mesh.
+# supervise-repartition under a renumbered mesh. It also races the
+# set-up pipeline under it — connectivity derivation and the
+# decomposition against their map-based references — and, ten times,
+# the per-rank concurrent fleet construction against a serial build.
 # tier2-serve races the serving layer end to end: the bleaf-served job
 # API over httptest — submit→poll→result bitwise parity with a direct
 # run, malformed-deck 400s, cancel slot reclamation, N concurrent jobs
@@ -65,6 +68,10 @@
 # BenchmarkStepGrid reorder × layout sweep — so a locality regression
 # anywhere on the grid's frontier fails even if every named benchmark
 # individually squeaks under the threshold.
+# bench-check vets and tests the benchmark harness under bench/, a
+# module of its own that tier1 does not compile: a change to an
+# internal/ signature it calls breaks the benchmark's build, not tier1.
+# Run it before any change to internal/ lands (about 2 s).
 # fuzz gives the deck-parser and HTTP-submission fuzz targets a short
 # budget each; lengthen with FUZZTIME=5m for a real session.
 
@@ -72,7 +79,7 @@ GO ?= go
 FUZZTIME ?= 30s
 THRESHOLD ?= 0.10
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race test bench bench-all bench-compare fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race test bench bench-all bench-compare bench-check fuzz clean
 
 all: build
 
@@ -114,8 +121,9 @@ tier2-fuse:
 	GOMAXPROCS=4 $(GO) test -race ./internal/hydro -run 'StepZeroAllocs|Timers' -count=1
 
 tier2-order:
-	$(GO) test -race ./internal/order -count=1
+	$(GO) test -race ./internal/order ./internal/mesh ./internal/partition -count=1
 	$(GO) test -race . -run 'Reorder|Layout' -count=1
+	$(GO) test -race . -run 'FleetConstruction' -count=10
 
 tier2-serve:
 	$(GO) test -race ./internal/serve -count=1
@@ -163,6 +171,9 @@ bench-compare:
 	    | $(GO) run ./cmd/bleaf-bench -o $$tmp >/dev/null && \
 	  { $(GO) run ./cmd/bleaf-bench -compare -threshold $(THRESHOLD) BENCH_step.json $$tmp; \
 	    status=$$?; rm -f $$tmp; exit $$status; }
+
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 clean:
 	$(GO) clean ./...

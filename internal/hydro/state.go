@@ -349,6 +349,45 @@ func (s *State) gatherVel(e int, uArr, vArr []float64, u, v *[4]float64) {
 	}
 }
 
+// InitialTotals returns the TotalEnergy and TotalMass that a state built
+// by NewState(m, opt, rho, ein) and given nodal velocities (u, v)
+// reports at t = 0, to the last bit — the same products summed in the
+// same order — without building the state. The parallel driver anchors
+// its conservation audit on the global mesh with it, where no global
+// state otherwise exists.
+func InitialTotals(m *mesh.Mesh, rho, ein, u, v []float64) (energy, mass float64, err error) {
+	if len(rho) != m.NEl || len(ein) != m.NEl || len(u) != m.NNd || len(v) != m.NNd {
+		return 0, 0, fmt.Errorf("hydro: initial fields sized %d/%d/%d/%d, mesh has %d elements, %d nodes",
+			len(rho), len(ein), len(u), len(v), m.NEl, m.NNd)
+	}
+	// The float64 conversions stand where NewState stores to Mass and
+	// CMass: they round there, so no product may fuse into a later sum.
+	ndMass := make([]float64, m.NNd)
+	var x, y, sv [4]float64
+	var ie float64
+	for e := 0; e < m.NEl; e++ {
+		m.GatherCoords(e, &x, &y)
+		vol := geom.Area(&x, &y)
+		if vol <= 0 {
+			return 0, 0, &ErrTangled{Element: e, Volume: vol}
+		}
+		geom.SubVolumes(&x, &y, &sv)
+		for k := 0; k < 4; k++ {
+			ndMass[m.ElNd[e][k]] += float64(rho[e] * sv[k])
+		}
+		if e < m.NOwnEl {
+			elMass := float64(rho[e] * vol)
+			mass += elMass
+			ie += elMass * ein[e]
+		}
+	}
+	var ke float64
+	for n := 0; n < m.NOwnNd; n++ {
+		ke += 0.5 * ndMass[n] * (u[n]*u[n] + v[n]*v[n])
+	}
+	return ie + ke, mass, nil
+}
+
 // TotalMass returns the mass of owned elements.
 func (s *State) TotalMass() float64 {
 	var m float64

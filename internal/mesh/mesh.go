@@ -123,9 +123,22 @@ func (m *Mesh) ElementsAround(n int) (els, corners []int) {
 	return m.NdElList[lo:hi], m.NdElCorner[lo:hi]
 }
 
-// BuildConnectivity derives ElEl, Faces and the node→element CSR from
-// ElNd. Generators and the partitioner call this after assembling ElNd,
-// X, Y.
+// BuildConnectivity derives the node→element CSR, ElEl and Faces from
+// ElNd, in time linear in the mesh and with a fixed number of
+// allocations. Generators, the reorderer and the partitioner call this
+// after assembling ElNd, X, Y.
+//
+// An edge finds its other element through the CSR: side k of element e
+// runs n1→n2, and the neighbour is the element around n1, other than e,
+// that holds n2 next to n1 (in either orientation).
+//
+// The order of Faces is a contract. Interior faces come first, one per
+// (e, k) in ascending order whose neighbour has the lower index, with
+// Left that lower element and N1→N2 its side; boundary faces follow in
+// ascending (element, side). The remap replays each element's incident
+// faces in face-index order to reproduce the serial flux sums bitwise
+// (ElemFaces, DESIGN.md §11), so a different interior order changes
+// results in the last bit.
 func (m *Mesh) BuildConnectivity() {
 	m.NEl = len(m.ElNd)
 	m.NNd = len(m.X)
@@ -137,73 +150,81 @@ func (m *Mesh) BuildConnectivity() {
 	}
 
 	// Node→element CSR.
-	counts := make([]int, m.NNd+1)
+	start := make([]int, m.NNd+1)
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
-			counts[m.ElNd[e][k]+1]++
+			start[m.ElNd[e][k]+1]++
 		}
 	}
 	for n := 0; n < m.NNd; n++ {
-		counts[n+1] += counts[n]
+		start[n+1] += start[n]
 	}
-	m.NdElStart = counts
-	total := counts[m.NNd]
+	m.NdElStart = start
+	total := start[m.NNd]
 	m.NdElList = make([]int, total)
 	m.NdElCorner = make([]int, total)
 	m.NdCorner = make([]int, total)
-	fill := make([]int, m.NNd)
+	// Fill by advancing each node's start, then shift the starts back.
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			n := m.ElNd[e][k]
-			idx := m.NdElStart[n] + fill[n]
+			idx := start[n]
 			m.NdElList[idx] = e
 			m.NdElCorner[idx] = k
 			m.NdCorner[idx] = 4*e + k
-			fill[n]++
+			start[n]++
 		}
 	}
+	copy(start[1:], start[:m.NNd])
+	start[0] = 0
 
-	// Element↔element adjacency and face list via an edge map keyed on
-	// the (min,max) node pair.
-	type edgeKey struct{ a, b int }
-	type edgeVal struct{ el, side int }
-	edges := make(map[edgeKey]edgeVal, 2*m.NEl)
+	// A planar mesh has NNd + NEl - χ edges, so this holds every face of
+	// a mesh without holes.
 	m.ElEl = make([][4]int, m.NEl)
+	if cap(m.Faces) < m.NNd+m.NEl {
+		m.Faces = make([]Face, 0, m.NNd+m.NEl)
+	}
 	m.Faces = m.Faces[:0]
 	for e := range m.ElNd {
+		nd := &m.ElNd[e]
 		for k := 0; k < 4; k++ {
-			m.ElEl[e][k] = -1
+			n1, n2 := nd[k], nd[(k+1)&3]
+			nb, side := -1, 0
+			for i := start[n1]; i < start[n1+1]; i++ {
+				o := m.NdElList[i]
+				if o == e {
+					continue
+				}
+				c := m.NdElCorner[i]
+				if m.ElNd[o][(c+3)&3] == n2 {
+					nb, side = o, (c+3)&3
+					break
+				}
+				if m.ElNd[o][(c+1)&3] == n2 {
+					nb, side = o, c
+					break
+				}
+			}
+			m.ElEl[e][k] = nb
+			if nb >= 0 && nb < e {
+				m.Faces = append(m.Faces, Face{N1: m.ElNd[nb][side], N2: m.ElNd[nb][(side+1)&3], Left: nb, Right: e})
+			}
 		}
 	}
-	for e := range m.ElNd {
+	for e := range m.ElEl {
 		for k := 0; k < 4; k++ {
-			n1 := m.ElNd[e][k]
-			n2 := m.ElNd[e][(k+1)&3]
-			key := edgeKey{n1, n2}
-			if key.a > key.b {
-				key.a, key.b = key.b, key.a
-			}
-			if prev, ok := edges[key]; ok {
-				m.ElEl[e][k] = prev.el
-				m.ElEl[prev.el][prev.side] = e
-				m.Faces = append(m.Faces, Face{N1: m.ElNd[prev.el][prev.side], N2: m.ElNd[prev.el][(prev.side+1)&3], Left: prev.el, Right: e})
-				delete(edges, key)
-			} else {
-				edges[key] = edgeVal{e, k}
+			if m.ElEl[e][k] < 0 {
+				m.Faces = append(m.Faces, Face{N1: m.ElNd[e][k], N2: m.ElNd[e][(k+1)&3], Left: e, Right: -1})
 			}
 		}
-	}
-	// Remaining edges are boundary faces.
-	for key, v := range edges {
-		_ = key
-		m.Faces = append(m.Faces, Face{N1: m.ElNd[v.el][v.side], N2: m.ElNd[v.el][(v.side+1)&3], Left: v.el, Right: -1})
 	}
 }
 
 // Check validates mesh invariants: index ranges, positive element areas,
-// symmetric element adjacency, node→element inverse consistency, and
-// the Euler characteristic V - E + F = 1 for a simply-connected planar
-// mesh (faces not counting the outer region).
+// symmetric element adjacency, node→element inverse consistency, and,
+// on a mesh that owns all of its entities, the Euler characteristic
+// V - E + F = 1 of a simply-connected planar mesh (faces not counting
+// the outer region).
 func (m *Mesh) Check() error {
 	if m.NEl != len(m.ElNd) || m.NNd != len(m.X) || len(m.X) != len(m.Y) {
 		return fmt.Errorf("mesh: size mismatch NEl=%d len(ElNd)=%d NNd=%d len(X)=%d len(Y)=%d",
@@ -255,19 +276,27 @@ func (m *Mesh) Check() error {
 			}
 		}
 	}
-	// Euler characteristic (serial simply-connected meshes only).
-	if m.GlobalEl == nil {
-		edges := make(map[[2]int]struct{}, 2*m.NEl)
-		for e := range m.ElNd {
-			for k := 0; k < 4; k++ {
-				a, b := m.ElNd[e][k], m.ElNd[e][(k+1)&3]
-				if a > b {
-					a, b = b, a
+	// Euler characteristic. A reordered mesh carries GlobalEl but is
+	// still the whole domain; a sub-mesh with a ghost layer is not. The
+	// edge count does not read ElEl or Faces: each element around node a
+	// contributes its two edges at a, and the edge to a higher node b is
+	// counted the first time b is stamped with a.
+	if m.NOwnEl == m.NEl && m.NOwnNd == m.NNd {
+		stamp := make([]int, m.NNd)
+		edges := 0
+		for a := 0; a < m.NNd; a++ {
+			els, corners := m.ElementsAround(a)
+			for i, e := range els {
+				c := corners[i]
+				for _, b := range [2]int{m.ElNd[e][(c+1)&3], m.ElNd[e][(c+3)&3]} {
+					if b > a && stamp[b] != a+1 {
+						stamp[b] = a + 1
+						edges++
+					}
 				}
-				edges[[2]int{a, b}] = struct{}{}
 			}
 		}
-		if chi := m.NNd - len(edges) + m.NEl; chi != 1 {
+		if chi := m.NNd - edges + m.NEl; chi != 1 {
 			return fmt.Errorf("mesh: Euler characteristic V-E+F = %d, want 1", chi)
 		}
 	}

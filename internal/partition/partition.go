@@ -12,8 +12,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"bookleaf/internal/mesh"
 )
@@ -154,17 +156,65 @@ func rcbSplit(cx, cy []float64, idx []int, base, k int, part []int) {
 	}
 	kl := k / 2
 	kr := k - kl
-	// Sort by the chosen coordinate (ties broken by index for
-	// determinism) and split proportionally to kl:kr.
-	sort.Slice(idx, func(a, b int) bool {
-		if coord[idx[a]] != coord[idx[b]] {
-			return coord[idx[a]] < coord[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
+	// Split proportionally to kl:kr under the total order (coordinate,
+	// ties broken by index for determinism). Each half is re-ordered by
+	// its own recursion, so only which points fall on which side
+	// matters: a selection, not a sort.
 	split := len(idx) * kl / k
+	selectSmallest(coord, idx, split)
 	rcbSplit(cx, cy, idx[:split], base, kl, part)
 	rcbSplit(cx, cy, idx[split:], base+kl, kr, part)
+}
+
+// selectSmallest rearranges idx so that idx[:k] holds its k smallest
+// entries under the (coord, index) order. It is a quickselect with a
+// median-of-three pivot that sorts what is left if the pivots keep
+// splitting badly, so the worst case stays O(n log n).
+func selectSmallest(coord []float64, idx []int, k int) {
+	less := func(a, b int) bool {
+		return coord[a] < coord[b] || (coord[a] == coord[b] && a < b)
+	}
+	// Everything in idx[:lo] is below everything in idx[lo:hi], which is
+	// below everything in idx[hi:], and lo <= k <= hi.
+	lo, hi := 0, len(idx)
+	for budget := 2 * bits.Len(uint(len(idx))); lo < k && k < hi; budget-- {
+		if budget == 0 {
+			slices.SortFunc(idx[lo:hi], func(a, b int) int {
+				return cmp.Or(cmp.Compare(coord[a], coord[b]), cmp.Compare(a, b))
+			})
+			return
+		}
+		// Median of first, middle, last to idx[lo] as the pivot.
+		m, l := lo+(hi-lo)/2, hi-1
+		if less(idx[m], idx[lo]) != less(idx[m], idx[l]) {
+			idx[lo], idx[m] = idx[m], idx[lo]
+		} else if less(idx[l], idx[lo]) != less(idx[l], idx[m]) {
+			idx[lo], idx[l] = idx[l], idx[lo]
+		}
+		pv := idx[lo]
+		// Entries are distinct, so each is strictly below or above pv.
+		i, j := lo+1, hi-1
+		for {
+			for i <= j && less(idx[i], pv) {
+				i++
+			}
+			for i <= j && less(pv, idx[j]) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			idx[i], idx[j] = idx[j], idx[i]
+			i++
+			j--
+		}
+		idx[lo], idx[j] = idx[j], pv
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
 }
 
 // RCBMesh runs RCB over a mesh's element centroids.

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"bookleaf/internal/mesh"
 )
@@ -34,21 +36,29 @@ type SubMesh struct {
 // Split decomposes a global mesh according to part (per-element rank)
 // into nparts local sub-meshes with ghost layers and matching exchange
 // lists. Every part must be non-empty.
+//
+// The work and the scratch memory are linear in the global mesh, not in
+// nparts times it: owned entities are bucketed per part in one counting
+// pass, and the per-rank "seen" and global→local tables are two arrays
+// shared by all ranks, reset by walking only the entries a rank touched.
+// That indexing is serial; the ranks' local connectivity is then derived
+// concurrently.
 func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 	if len(part) != global.NEl {
 		return nil, fmt.Errorf("partition: part length %d != NEl %d", len(part), global.NEl)
 	}
-	counts := make([]int, nparts)
+	elStart := make([]int, nparts+1)
 	for e, p := range part {
 		if p < 0 || p >= nparts {
 			return nil, fmt.Errorf("partition: element %d assigned to invalid part %d", e, p)
 		}
-		counts[p]++
+		elStart[p+1]++
 	}
-	for p, c := range counts {
-		if c == 0 {
+	for p := 0; p < nparts; p++ {
+		if elStart[p+1] == 0 {
 			return nil, fmt.Errorf("partition: part %d is empty", p)
 		}
+		elStart[p+1] += elStart[p]
 	}
 
 	// Node owner = min part over adjacent elements.
@@ -64,81 +74,77 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 			}
 		}
 	}
+	ndStart := make([]int, nparts+2) // bucket nparts: nodes no element touches
+	for _, p := range ndOwner {
+		ndStart[p+1]++
+	}
+	for p := 0; p <= nparts; p++ {
+		ndStart[p+1] += ndStart[p]
+	}
+
+	// Owned entities bucketed per part, ascending global id within each
+	// bucket. Owned entities lead a rank's local numbering in that same
+	// order, so an entity's position in its bucket is its local index on
+	// its owner — which is all the send-list wiring needs to know.
+	elOf, elOwnIdx := bucket(part, elStart)
+	ndOf, ndOwnIdx := bucket(ndOwner, ndStart)
+
+	// Scratch shared by the ranks. elSeen[e] == r marks e as already
+	// listed among rank r's ghosts; ndLocal[n] is n's local index on the
+	// rank being built and -1 otherwise, put back to -1 by walking that
+	// rank's nodes once its ElNd is written.
+	elSeen := make([]int, global.NEl)
+	ndLocal := make([]int, global.NNd)
+	for i := range elSeen {
+		elSeen[i] = -1
+	}
+	for i := range ndLocal {
+		ndLocal[i] = -1
+	}
+	var ghostEls, ghostNds []int
 
 	subs := make([]*SubMesh, nparts)
-	// Global element -> local index per rank, for wiring send lists.
-	elLocal := make([]map[int]int, nparts)
-	ndLocal := make([]map[int]int, nparts)
-
 	for r := 0; r < nparts; r++ {
-		// Owned elements in global order.
-		var owned []int
-		for e := 0; e < global.NEl; e++ {
-			if part[e] == r {
-				owned = append(owned, e)
-			}
-		}
+		owned := elOf[elStart[r]:elStart[r+1]]
+		ownNodes := ndOf[ndStart[r]:ndStart[r+1]]
+
 		// Ghost elements: share a node with an owned element.
-		ghostSet := make(map[int]bool)
+		ghostEls = ghostEls[:0]
 		for _, e := range owned {
 			for k := 0; k < 4; k++ {
-				n := global.ElNd[e][k]
-				els, _ := global.ElementsAround(n)
+				els, _ := global.ElementsAround(global.ElNd[e][k])
 				for _, nb := range els {
-					if part[nb] != r {
-						ghostSet[nb] = true
+					if part[nb] != r && elSeen[nb] != r {
+						elSeen[nb] = r
+						ghostEls = append(ghostEls, nb)
 					}
 				}
 			}
 		}
-		ghosts := make([]int, 0, len(ghostSet))
-		for e := range ghostSet {
-			ghosts = append(ghosts, e)
+		sortByOwner(ghostEls, part)
+		allEls := append(append(make([]int, 0, len(owned)+len(ghostEls)), owned...), ghostEls...)
+
+		// Ghost nodes: the local elements' nodes this rank does not own.
+		// Walking the ghost elements finds them all: a node of an owned
+		// element that a lower rank owns is also a node of one of that
+		// rank's elements, which is then a ghost here.
+		for i, n := range ownNodes {
+			ndLocal[n] = i
 		}
-		sort.Slice(ghosts, func(a, b int) bool {
-			if part[ghosts[a]] != part[ghosts[b]] {
-				return part[ghosts[a]] < part[ghosts[b]]
-			}
-			return ghosts[a] < ghosts[b]
-		})
-
-		allEls := append(append([]int(nil), owned...), ghosts...)
-
-		// Local node set: owned nodes (owner == r) then ghost nodes,
-		// each sorted by (owner, global id).
-		ndSet := make(map[int]bool)
-		for _, e := range allEls {
+		ghostNds = ghostNds[:0]
+		for _, e := range ghostEls {
 			for k := 0; k < 4; k++ {
-				ndSet[global.ElNd[e][k]] = true
+				if n := global.ElNd[e][k]; ndLocal[n] < 0 {
+					ndLocal[n] = 0
+					ghostNds = append(ghostNds, n)
+				}
 			}
 		}
-		var ownNodes, ghostNodes []int
-		for n := range ndSet {
-			if ndOwner[n] == r {
-				ownNodes = append(ownNodes, n)
-			} else {
-				ghostNodes = append(ghostNodes, n)
-			}
+		sortByOwner(ghostNds, ndOwner)
+		for i, n := range ghostNds {
+			ndLocal[n] = len(ownNodes) + i
 		}
-		sort.Ints(ownNodes)
-		sort.Slice(ghostNodes, func(a, b int) bool {
-			if ndOwner[ghostNodes[a]] != ndOwner[ghostNodes[b]] {
-				return ndOwner[ghostNodes[a]] < ndOwner[ghostNodes[b]]
-			}
-			return ghostNodes[a] < ghostNodes[b]
-		})
-		allNds := append(append([]int(nil), ownNodes...), ghostNodes...)
-
-		e2l := make(map[int]int, len(allEls))
-		for i, e := range allEls {
-			e2l[e] = i
-		}
-		n2l := make(map[int]int, len(allNds))
-		for i, n := range allNds {
-			n2l[n] = i
-		}
-		elLocal[r] = e2l
-		ndLocal[r] = n2l
+		allNds := append(append(make([]int, 0, len(ownNodes)+len(ghostNds)), ownNodes...), ghostNds...)
 
 		lm := &mesh.Mesh{
 			ElNd:     make([][4]int, len(allEls)),
@@ -153,7 +159,7 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		}
 		for i, e := range allEls {
 			for k := 0; k < 4; k++ {
-				lm.ElNd[i][k] = n2l[global.ElNd[e][k]]
+				lm.ElNd[i][k] = ndLocal[global.ElNd[e][k]]
 			}
 			lm.Region[i] = global.Region[e]
 		}
@@ -161,9 +167,8 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 			lm.X[i] = global.X[n]
 			lm.Y[i] = global.Y[n]
 			lm.BCs[i] = global.BCs[n]
+			ndLocal[n] = -1
 		}
-		lm.BuildConnectivity()
-
 		sm := &SubMesh{
 			M:      lm,
 			Rank:   r,
@@ -185,29 +190,32 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		subs[r] = sm
 	}
 
+	// Each rank's local connectivity, on one goroutine per rank — the
+	// width the run is about to use. A derivation reads and writes only
+	// its own sub-mesh.
+	var wg sync.WaitGroup
+	for _, sm := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sm.M.BuildConnectivity()
+		}()
+	}
+	wg.Wait()
+
 	// Wire send lists to mirror each receiver's order.
 	for r := 0; r < nparts; r++ {
 		for src, recvIdx := range subs[r].ElRecv {
 			send := make([]int, len(recvIdx))
 			for i, li := range recvIdx {
-				ge := subs[r].M.GlobalEl[li]
-				sl, ok := elLocal[src][ge]
-				if !ok || sl >= subs[src].M.NOwnEl {
-					return nil, fmt.Errorf("partition: ghost element %d of rank %d not owned by rank %d", ge, r, src)
-				}
-				send[i] = sl
+				send[i] = elOwnIdx[subs[r].M.GlobalEl[li]]
 			}
 			subs[src].ElSend[r] = send
 		}
 		for src, recvIdx := range subs[r].NdRecv {
 			send := make([]int, len(recvIdx))
 			for i, li := range recvIdx {
-				gn := subs[r].M.GlobalNd[li]
-				sl, ok := ndLocal[src][gn]
-				if !ok || sl >= subs[src].M.NOwnNd {
-					return nil, fmt.Errorf("partition: ghost node %d of rank %d not owned by rank %d", gn, r, src)
-				}
-				send[i] = sl
+				send[i] = ndOwnIdx[subs[r].M.GlobalNd[li]]
 			}
 			subs[src].NdSend[r] = send
 		}
@@ -247,7 +255,30 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		for s := range nb {
 			subs[r].Neighbours = append(subs[r].Neighbours, s)
 		}
-		sort.Ints(subs[r].Neighbours)
+		slices.Sort(subs[r].Neighbours)
 	}
 	return subs, nil
+}
+
+// bucket groups the ids 0..len(owner)-1 by owner, ascending within each
+// group: of[start[p]:start[p+1]] lists the ids whose owner is p, and
+// pos[id] is the id's position in its group. start is the prefix sum of
+// the group sizes.
+func bucket(owner, start []int) (of, pos []int) {
+	of = make([]int, len(owner))
+	pos = make([]int, len(owner))
+	next := append([]int(nil), start...)
+	for id, p := range owner {
+		of[next[p]] = id
+		pos[id] = next[p] - start[p]
+		next[p]++
+	}
+	return of, pos
+}
+
+// sortByOwner sorts a rank's ghost ids by (owner, global id).
+func sortByOwner(ids, owner []int) {
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(owner[a], owner[b]), cmp.Compare(a, b))
+	})
 }

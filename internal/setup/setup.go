@@ -35,21 +35,9 @@ type Problem struct {
 }
 
 // NewState instantiates a hydro state for the problem on its mesh
-// (serial use; parallel drivers restrict the fields per rank). Rho and
-// Ein are kept in canonical generation order; when the mesh has been
-// renumbered for locality (Mesh.GlobalEl non-nil, see internal/order)
-// the fields restrict through the carried permutation, exactly as the
-// parallel drivers restrict them per rank.
+// (serial use; parallel drivers restrict the fields per rank).
 func (p *Problem) NewState() (*hydro.State, error) {
-	rho, ein := p.Rho, p.Ein
-	if p.Mesh.GlobalEl != nil {
-		rho = make([]float64, p.Mesh.NEl)
-		ein = make([]float64, p.Mesh.NEl)
-		for i, ge := range p.Mesh.GlobalEl {
-			rho[i] = p.Rho[ge]
-			ein[i] = p.Ein[ge]
-		}
-	}
+	rho, ein := p.fields()
 	s, err := hydro.NewState(p.Mesh, p.Opt, rho, ein)
 	if err != nil {
 		return nil, err
@@ -58,30 +46,64 @@ func (p *Problem) NewState() (*hydro.State, error) {
 	return s, nil
 }
 
-// ApplyVelocities sets the initial nodal velocities and piston state.
+// fields returns the initial density and energy in the mesh's element
+// order. Rho and Ein are kept in canonical generation order; when the
+// mesh has been renumbered for locality (Mesh.GlobalEl non-nil, see
+// internal/order) the fields restrict through the carried permutation,
+// exactly as the parallel drivers restrict them per rank.
+func (p *Problem) fields() (rho, ein []float64) {
+	if p.Mesh.GlobalEl == nil {
+		return p.Rho, p.Ein
+	}
+	rho = make([]float64, p.Mesh.NEl)
+	ein = make([]float64, p.Mesh.NEl)
+	for i, ge := range p.Mesh.GlobalEl {
+		rho[i] = p.Rho[ge]
+		ein[i] = p.Ein[ge]
+	}
+	return rho, ein
+}
+
+// InitialAudit returns the problem's total energy and mass at t = 0 on
+// its mesh — bitwise the TotalEnergy and TotalMass of NewState's state —
+// without building that state.
+func (p *Problem) InitialAudit() (e0, mass0 float64, err error) {
+	m := p.Mesh
+	u := make([]float64, m.NNd)
+	v := make([]float64, m.NNd)
+	for n := range u {
+		u[n], v[n] = p.velocityAt(m.X[n], m.Y[n], m.BCs[n])
+	}
+	rho, ein := p.fields()
+	return hydro.InitialTotals(m, rho, ein, u, v)
+}
+
+// ApplyVelocities sets the initial nodal velocities and piston state of
+// a freshly built state.
 func (p *Problem) ApplyVelocities(s *hydro.State) {
-	if p.InitVel != nil {
-		for n := 0; n < s.Mesh.NNd; n++ {
-			s.U[n], s.V[n] = p.InitVel(s.X[n], s.Y[n])
-		}
-		// Respect fixed-wall conditions at t=0.
-		for n := 0; n < s.Mesh.NNd; n++ {
-			if s.Mesh.BCs[n]&mesh.FixU != 0 {
-				s.U[n] = 0
-			}
-			if s.Mesh.BCs[n]&mesh.FixV != 0 {
-				s.V[n] = 0
-			}
-		}
+	for n := range s.U {
+		s.U[n], s.V[n] = p.velocityAt(s.X[n], s.Y[n], s.Mesh.BCs[n])
 	}
 	s.PistonU, s.PistonV = p.PistonU, p.PistonV
-	if p.PistonU != 0 || p.PistonV != 0 {
-		for n := 0; n < s.Mesh.NNd; n++ {
-			if s.Mesh.BCs[n]&mesh.Piston != 0 {
-				s.U[n], s.V[n] = p.PistonU, p.PistonV
-			}
+}
+
+// velocityAt is the initial velocity of a node at (x, y) with boundary
+// flags bc: the problem's field with fixed-wall components zeroed,
+// overridden by the piston velocity on piston nodes.
+func (p *Problem) velocityAt(x, y float64, bc mesh.BC) (u, v float64) {
+	if p.InitVel != nil {
+		u, v = p.InitVel(x, y)
+		if bc&mesh.FixU != 0 {
+			u = 0
+		}
+		if bc&mesh.FixV != 0 {
+			v = 0
 		}
 	}
+	if (p.PistonU != 0 || p.PistonV != 0) && bc&mesh.Piston != 0 {
+		u, v = p.PistonU, p.PistonV
+	}
+	return u, v
 }
 
 // centroids fills per-element centroid coordinates.

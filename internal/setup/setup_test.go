@@ -1,10 +1,13 @@
 package setup
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"bookleaf/internal/hydro"
 	"bookleaf/internal/mesh"
+	"bookleaf/internal/order"
 )
 
 func TestSodRegionsAndStates(t *testing.T) {
@@ -165,22 +168,52 @@ func TestByName(t *testing.T) {
 
 func TestProblemsStartConsistent(t *testing.T) {
 	// Every problem must produce a valid state whose initial energy is
-	// finite and positive density everywhere.
-	for _, name := range []string{"sod", "noh", "sedov", "saltzmann", "waterair"} {
-		p, err := ByName(name, 12, 6, 0)
-		if err != nil {
-			t.Fatal(err)
+	// finite and positive density everywhere, and InitialAudit must
+	// report that state's totals bitwise without building it — on the
+	// generated mesh and on a renumbered one.
+	for _, name := range []string{"sod", "noh", "nohdisc", "sedov", "saltzmann", "waterair"} {
+		for _, kind := range []order.Kind{order.None, order.Hilbert} {
+			p, err := ByName(name, 12, 6, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.NewState()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if e := s.TotalEnergy(); math.IsNaN(e) || e < 0 {
+				t.Fatalf("%s: initial energy %v", name, e)
+			}
+			if m := s.TotalMass(); m <= 0 {
+				t.Fatalf("%s: initial mass %v", name, m)
+			}
+			e0, mass0, err := p.InitialAudit()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if e0 != s.TotalEnergy() || mass0 != s.TotalMass() {
+				t.Fatalf("%s/%s: InitialAudit = (%v, %v), the state reports (%v, %v)",
+					name, kind, e0, mass0, s.TotalEnergy(), s.TotalMass())
+			}
 		}
-		s, err := p.NewState()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if e := s.TotalEnergy(); math.IsNaN(e) || e < 0 {
-			t.Fatalf("%s: initial energy %v", name, e)
-		}
-		if m := s.TotalMass(); m <= 0 {
-			t.Fatalf("%s: initial mass %v", name, m)
-		}
+	}
+}
+
+// TestInitialAuditReportsTangledMesh: the parallel driver returns the
+// audit's error instead of running on with E0 = Mass0 = 0.
+func TestInitialAuditReportsTangledMesh(t *testing.T) {
+	p, err := Sod(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := p.Mesh.ElNd[3]
+	p.Mesh.X[nd[0]], p.Mesh.X[nd[1]] = p.Mesh.X[nd[1]], p.Mesh.X[nd[0]]
+	var tangled *hydro.ErrTangled
+	if _, _, err := p.InitialAudit(); !errors.As(err, &tangled) {
+		t.Fatalf("InitialAudit on a tangled mesh: %v, want ErrTangled", err)
 	}
 }
 

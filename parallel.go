@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"bookleaf/internal/ale"
@@ -104,6 +105,10 @@ type parRun struct {
 	// prob.Mesh when no reordering is active.
 	canon *mesh.Mesh
 	tEnd  float64
+
+	// e0, mass0 anchor the conservation audit: the problem's totals at
+	// t = 0 on the global mesh, taken once before any rank exists.
+	e0, mass0 float64
 
 	gsnap *checkpoint.Snapshot
 	// ctlSnap receives the collective in-memory gather when an attached
@@ -215,8 +220,14 @@ func runParallel(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("bookleaf: %w", err)
 	}
 
+	e0, mass0, err := p.InitialAudit()
+	if err != nil {
+		return nil, fmt.Errorf("bookleaf: initial audit: %w", err)
+	}
+
 	pr := &parRun{
 		cfg: cfg, pol: pol, prob: p, canon: canon, tEnd: tEnd,
+		e0: e0, mass0: mass0,
 		start:   time.Now(),
 		tracers: make(map[int]*obs.Tracer),
 		probes:  make(map[int]*obs.InvariantProbe),
@@ -237,24 +248,23 @@ func runParallel(cfg Config) (*Result, error) {
 	}
 	defer pr.closeSlots()
 
-	for i, sub := range subs {
-		slot, err := pr.newSlot(i, sub)
-		if err != nil {
-			return nil, fmt.Errorf("bookleaf: rank %d: %w", i, err)
+	pr.slots, err = pr.newSlots(subs, func(sl *rankSlot) error {
+		if resume == nil {
+			return nil
 		}
-		if resume != nil {
-			if err := resume.Restore(slot.s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
-				slot.s.Pool.Close()
-				return nil, fmt.Errorf("bookleaf: rank %d resume: %w", i, err)
-			}
-			// The snapshot stores the global (rank-summed) audit
-			// accumulators; keep them on rank 0 only so the final
-			// re-summation stays correct.
-			if i != 0 {
-				slot.s.ExternalWork, slot.s.FloorEnergy = 0, 0
-			}
+		if err := resume.Restore(sl.s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
+			return fmt.Errorf("resume: %w", err)
 		}
-		pr.slots = append(pr.slots, slot)
+		// The snapshot stores the global (rank-summed) audit
+		// accumulators; keep them on rank 0 only so the final
+		// re-summation stays correct.
+		if sl.id != 0 {
+			sl.s.ExternalWork, sl.s.FloorEnergy = 0, 0
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bookleaf: %w", err)
 	}
 
 	for {
@@ -303,6 +313,38 @@ func runParallel(cfg Config) (*Result, error) {
 			return nil, pr.abortWithCheckpoint(rootErr)
 		}
 	}
+}
+
+// newSlots builds a fleet over subs, one goroutine per rank — the width
+// the run is about to use; the problem and the sub-meshes are only read
+// and each rank writes only its own slot. finish completes a rank's
+// fresh slot (a resume, a migration). On failure the fleet's pools are
+// closed and the lowest failing rank's error is returned.
+func (pr *parRun) newSlots(subs []*partition.SubMesh, finish func(*rankSlot) error) ([]*rankSlot, error) {
+	slots := make([]*rankSlot, len(subs))
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if slots[i], errs[i] = pr.newSlot(i, sub); errs[i] == nil {
+				errs[i] = finish(slots[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			for _, sl := range slots {
+				if sl != nil {
+					sl.s.Pool.Close()
+				}
+			}
+			return nil, fmt.Errorf("rank %d: %w", i, err)
+		}
+	}
+	return slots, nil
 }
 
 // newSlot builds the persistent driver-side state of one rank: the
@@ -618,23 +660,11 @@ func (pr *parRun) doRepart() error {
 	}
 
 	tmpl := pr.slots[0]
-	fresh := make([]*rankSlot, 0, n)
-	fail := func(err error) error {
-		for _, sl := range fresh {
-			sl.s.Pool.Close()
-		}
-		return err
-	}
-	for i, sub := range subs {
-		sl, err := pr.newSlot(i, sub)
-		if err != nil {
-			return fail(fmt.Errorf("rank %d: %w", i, err))
-		}
+	fresh, err := pr.newSlots(subs, func(sl *rankSlot) error {
 		if err := world.Restore(sl.s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
-			sl.s.Pool.Close()
-			return fail(fmt.Errorf("rank %d: %w", i, err))
+			return err
 		}
-		if i != 0 {
+		if sl.id != 0 {
 			sl.s.ExternalWork, sl.s.FloorEnergy = 0, 0
 		}
 		lm := sl.sub.M
@@ -652,7 +682,10 @@ func (pr *parRun) doRepart() error {
 		if sl.budget > 0 {
 			sl.s.Save(&sl.roll)
 		}
-		fresh = append(fresh, sl)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, sl := range pr.slots {
 		pr.retired = append(pr.retired, sl.reg)
@@ -1417,11 +1450,7 @@ func (pr *parRun) finalize() (*Result, error) {
 		res.Calls[n] = maxT.Count(n)
 	}
 	res.CommMsgs, res.CommWords = pr.commMsgs, pr.commWords
-	// Initial audits from a cheap serial state on the global mesh.
-	if s0g, err := p.NewState(); err == nil {
-		res.E0 = s0g.TotalEnergy()
-		res.Mass0 = s0g.TotalMass()
-	}
+	res.E0, res.Mass0 = pr.e0, pr.mass0
 
 	// Merge the per-rank observability state: counters and histograms
 	// sum across ranks and incarnations, gauges come from the rank
