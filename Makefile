@@ -4,7 +4,9 @@
 # tier2-fault runs the parallel / fault-injection / checkpoint matrix
 # under the race detector — slower, but it is the tier that exercises
 # the abort paths, rollback-retry and the collective checkpoint
-# protocol with real goroutine interleavings.
+# protocol with real goroutine interleavings. The one-rank tests
+# (Serial, OneRank, History) are in it: a one-rank run is a goroutine
+# rank, a typhon.Comm and the status reduction like any other.
 # tier2-par races the threading substrate and the hydro kernels at
 # several GOMAXPROCS settings, so the persistent worker pool's
 # channel-based synchronisation is exercised under both starved and
@@ -97,7 +99,7 @@ tier1: build vet
 	$(GO) test ./...
 
 tier2-fault:
-	$(GO) test -race ./... -run 'Parallel|Typhon|Fault|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted' -count=1
+	$(GO) test -race ./... -run 'Parallel|Serial|OneRank|History|Typhon|Fault|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted' -count=1
 
 tier2-par:
 	GOMAXPROCS=1 $(GO) test -race ./internal/par ./internal/hydro -count=1

@@ -26,7 +26,6 @@
 package bookleaf
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,9 +38,7 @@ import (
 	"bookleaf/internal/obs"
 	"bookleaf/internal/order"
 	"bookleaf/internal/par"
-	"bookleaf/internal/setup"
 	"bookleaf/internal/supervise"
-	"bookleaf/internal/timers"
 	"bookleaf/internal/typhon"
 )
 
@@ -97,14 +94,14 @@ type Config struct {
 	// data dependency).
 	ScatterAcc bool
 
-	// Overlap switches the two Lagrangian-step halo exchanges of
-	// parallel runs to the phased schedule: sends are posted, the
-	// interior portion of the dependent kernels runs while messages are
-	// in flight, then the receives complete and the boundary band
-	// finishes. Results are bitwise identical to the synchronous
-	// schedule at every rank count (see DESIGN.md §10). Ignored by
-	// serial runs, which have no halos. Incompatible with ScatterAcc,
-	// whose whole-range scatter has no interior/boundary split.
+	// Overlap switches the two Lagrangian-step halo exchanges to the
+	// phased schedule: sends are posted, the interior portion of the
+	// dependent kernels runs while messages are in flight, then the
+	// receives complete and the boundary band finishes. Results are bitwise identical to the synchronous
+	// schedule at every rank count (see DESIGN.md §10); a one-rank run
+	// has no neighbours to overlap with but runs the same banded
+	// schedule. Incompatible with ScatterAcc, whose whole-range scatter
+	// has no interior/boundary split.
 	Overlap bool
 
 	// NoFuse switches the Lagrangian step from the default fused
@@ -152,8 +149,9 @@ type Config struct {
 	// own — the serving daemon's warm-fleet path, which amortises pool
 	// spin-up across many small jobs. The caller keeps ownership and
 	// must not drive the pool from elsewhere while the run is active.
-	// Serial runs only (parallel ranks each own a pool); overrides
-	// Threads with the pool's width.
+	// A one-rank lease: Ranks must be 1, and if a repartition widens
+	// the fleet its ranks each own a pool. Overrides Threads with the
+	// pool's width.
 	Pool *par.Pool
 
 	// RollbackEvery is the cadence, in steps, of the rolling in-memory
@@ -169,7 +167,7 @@ type Config struct {
 	RetryBudget int
 
 	// HistoryEvery records a StepRecord every n steps into
-	// Result.History (0 = off). Serial runs only.
+	// Result.History (0 = off).
 	HistoryEvery int
 
 	// Trace, when set, is the prefix of per-rank Chrome trace_event
@@ -209,9 +207,9 @@ type Config struct {
 	// rollback-retry tests.
 	testFault func(rank, step int, s *hydro.State)
 	// testFaultPlan arms message-level fault injection in the typhon
-	// layer of parallel runs.
+	// layer (a one-rank run sends no messages for them to ride on).
 	testFaultPlan *typhon.FaultPlan
-	// testRecvTimeout bounds typhon Recv waits on parallel runs so
+	// testRecvTimeout bounds typhon Recv waits so
 	// dropped-message faults are detected instead of deadlocking.
 	testRecvTimeout time.Duration
 }
@@ -257,7 +255,7 @@ func (c *Config) normalise() error {
 		return fmt.Errorf("bookleaf: Overlap requires the gather acceleration (ScatterAcc sweeps all elements at once and has no interior/boundary split)")
 	}
 	if c.Pool != nil && c.Ranks > 1 {
-		return fmt.Errorf("bookleaf: Pool is serial-only (parallel ranks each own a pool)")
+		return fmt.Errorf("bookleaf: Pool is a one-rank lease (the ranks of a wider fleet each own a pool)")
 	}
 	if c.Pool != nil {
 		c.Threads = c.Pool.Threads
@@ -281,7 +279,7 @@ func (c Config) Validate() error {
 // for the budgets, negative disables (the Config idiom RetryBudget
 // already uses).
 type SuperviseConfig struct {
-	// Enabled turns the recovery ladder on for parallel runs: transient
+	// Enabled turns the recovery ladder on: transient
 	// faults retry with backoff, persistent rank-local faults replace
 	// the rank from its last in-memory Memento, fatal faults checkpoint
 	// then abort. Off, any epoch fault is fatal (today's behaviour);
@@ -478,7 +476,7 @@ type Result struct {
 	SedovEnergy float64
 
 	// CommMsgs and CommWords are the total messages and float64 words
-	// sent through the Typhon layer (zero for serial runs).
+	// sent through the Typhon layer (zero for one-rank runs).
 	CommMsgs, CommWords int64
 
 	// Rollbacks counts the rollback-retries the run spent recovering
@@ -529,19 +527,23 @@ func (r *Result) EnergyDrift() float64 {
 	return math.Abs(r.EFinal-r.E0-r.ExternalWork-r.FloorEnergy) / math.Max(math.Abs(r.E0), 1e-300)
 }
 
-// Run executes the configured problem to completion.
+// Run executes the configured problem to completion. Every run, at any
+// rank count, is the one driver of driver.go stepping a fleet of rank
+// loops (rankloop.go); a one-rank fleet's rank 0 is the whole mesh.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
-	if cfg.Ranks > 1 {
-		return runParallel(cfg)
+	d, err := newDriver(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return runSerial(cfg)
+	defer d.closeSlots()
+	return d.run()
 }
 
 // loadSnapshot reads and validates a resume dump against the run's
-// identity and global mesh sizes. Drivers call it before any ranks
+// identity and global mesh sizes. The driver calls it before any ranks
 // spawn, so a missing, truncated or incompatible dump fails the run
 // with a clear error instead of a mid-flight collapse.
 func loadSnapshot(path, problem string, nx, ny, nel, nnd int) (*checkpoint.Snapshot, error) {
@@ -631,265 +633,4 @@ func writeSnapshotFile(path string, sn *checkpoint.Snapshot) error {
 		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return nil
-}
-
-// scatterCanon copies src into a fresh slice, permuted to canonical
-// generation order through gids (src[i] lands at gids[i]). A nil gids
-// means the mesh was never renumbered and src is already canonical.
-func scatterCanon(src []float64, gids []int) []float64 {
-	if gids == nil {
-		return append([]float64(nil), src...)
-	}
-	dst := make([]float64, len(src))
-	for i, g := range gids {
-		dst[g] = src[i]
-	}
-	return dst
-}
-
-func runSerial(cfg Config) (*Result, error) {
-	pol, err := cfg.supervisePolicy()
-	if err != nil {
-		return nil, err
-	}
-	p, err := setup.ByName(cfg.Problem, cfg.NX, cfg.NY, cfg.SedovEnergy)
-	if err != nil {
-		return nil, err
-	}
-	cfg.applyOverrides(&p.Opt)
-	canon := p.Mesh
-	if kind, _ := order.Parse(cfg.Reorder); kind != order.None {
-		// Renumber the mesh for locality; results, checkpoints and
-		// golden metrics stay in canonical generation order via the
-		// GlobalEl/GlobalNd maps the reordered mesh carries.
-		if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
-		}
-	}
-	s, err := p.NewState()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Pool != nil {
-		// Warm-fleet lease: the caller owns the pool and its lifecycle.
-		s.Pool = cfg.Pool
-	} else {
-		s.Pool = par.New(cfg.Threads)
-		defer s.Pool.Close()
-	}
-
-	tEnd := p.TEnd
-	if cfg.TEnd > 0 {
-		tEnd = cfg.TEnd
-	}
-	var remap *ale.Remapper
-	if a := cfg.aleOptions(); a != nil {
-		remap = ale.NewRemapper(*a, s)
-	}
-
-	// Initial audits come from the fresh t=0 state, before any resume
-	// restore: the snapshot carries the external-work and floor-energy
-	// accumulators from t=0, so the drift identity (and bitwise parity
-	// with an uninterrupted run) needs the t=0 anchors. The parallel
-	// driver computes them the same way.
-	e0, mass0 := s.TotalEnergy(), s.TotalMass()
-
-	if snap, err := cfg.resumeSnapshot(p.Mesh.NEl, p.Mesh.NNd); err != nil {
-		return nil, fmt.Errorf("bookleaf: %w", err)
-	} else if snap != nil {
-		if err := snap.Restore(s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
-			return nil, fmt.Errorf("bookleaf: resume: %w", err)
-		}
-	}
-
-	writeCheckpoint := func() error {
-		return writeSnapshotFile(cfg.Checkpoint, checkpoint.Capture(s, cfg.Problem, cfg.NX, cfg.NY))
-	}
-
-	start := time.Now()
-	tm := timers.NewSet()
-	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if cfg.Trace != "" {
-		tracer = obs.NewTracer(0, start)
-		tm.SetSink(tracer)
-	}
-	var probe *obs.InvariantProbe
-	if cfg.ProbeEvery > 0 {
-		probe = obs.NewInvariantProbe(cfg.ProbeEvery, cfg.ProbeMaxDrift, reg)
-	}
-	ctrSteps := reg.Counter("steps_total")
-	ctrRemaps := reg.Counter("remaps_total")
-	ctrRollbacks := reg.Counter("rollbacks_total")
-	dtCause := dtCauseCounters(reg)
-	dtCap := math.Inf(1)
-	hooks := &hydro.Hooks{
-		ReduceDt: func(dt float64, e int) (float64, int) {
-			if dt > dtCap {
-				dt = dtCap
-			}
-			if s.Time+dt > tEnd {
-				dt = tEnd - s.Time
-			}
-			return dt, e
-		},
-	}
-	res := &Result{
-		Problem: p.Name, Ranks: 1, FinalRanks: 1, Threads: cfg.Threads,
-		NEl: p.Mesh.NEl, NNd: p.Mesh.NNd,
-		E0: e0, Mass0: mass0,
-		// Result fields are scattered back to canonical generation
-		// order below, so they present on the canonical mesh.
-		Mesh: canon, TEnd: tEnd, Gamma: p.Gamma, SedovEnergy: p.SedovEnergy,
-	}
-	rollEvery := cfg.rollbackEvery()
-	budget := cfg.retryBudget()
-	if rollEvery == 0 {
-		budget = 0
-	}
-	var roll hydro.Memento
-	if budget > 0 {
-		s.Save(&roll) // cover steps before the first cadence point
-	}
-	ctl := cfg.Control
-	for s.Time < tEnd-1e-12 {
-		if cfg.MaxSteps > 0 && s.StepCount >= cfg.MaxSteps {
-			break
-		}
-		// Control requests are honoured at step boundaries, so a
-		// preempted leg restarts exactly where an uninterrupted run
-		// would have stepped next.
-		switch ctl.poll() {
-		case ctlCancel:
-			return nil, fmt.Errorf("bookleaf: step %d (t=%v): %w", s.StepCount, s.Time, ErrCanceled)
-		case ctlPreempt:
-			return nil, &PreemptedError{
-				Snapshot: checkpoint.Capture(s, cfg.Problem, cfg.NX, cfg.NY),
-				Step:     s.StepCount, Time: s.Time,
-				Obs: reg.Snapshot(),
-			}
-		}
-		if budget > 0 && s.StepCount%rollEvery == 0 {
-			s.Save(&roll)
-		}
-		stepErr := func() error {
-			if _, err := s.Step(tm, hooks); err != nil {
-				return err
-			}
-			if remap != nil && s.StepCount%cfg.ALEFreq == 0 {
-				tm.Start(hydro.TimerALE)
-				err := remap.Apply(s, tm, nil)
-				tm.Stop(hydro.TimerALE)
-				if err != nil {
-					return fmt.Errorf("remap: %w", err)
-				}
-				ctrRemaps.Inc()
-			}
-			if cfg.testFault != nil {
-				cfg.testFault(0, s.StepCount, s)
-			}
-			return s.CheckFinite()
-		}()
-		if stepErr != nil {
-			if budget > 0 && hydro.Retryable(stepErr) {
-				// The health sentinel routes its finding through the
-				// probe so corruption is flagged even when the
-				// rollback below erases the corrupted state.
-				var nf *hydro.ErrNonFinite
-				if errors.As(stepErr, &nf) {
-					probe.NoteNonFinite(s.StepCount, s.Time)
-				}
-				budget--
-				res.Rollbacks++
-				ctrRollbacks.Inc()
-				tracer.Instant("rollback", nil)
-				s.Load(&roll)
-				// Back the timestep cap off below the last dt taken
-				// from the restored point (factor [supervise]
-				// dt_backoff, default 2); GetDt will re-grow it via
-				// DtGrowth once steps succeed again.
-				dtCap = math.Min(dtCap, s.DtPrev) / pol.DtBackoff
-				continue
-			}
-			return nil, fmt.Errorf("bookleaf: step %d (t=%v): %w", s.StepCount, s.Time, stepErr)
-		}
-		ctrSteps.Inc()
-		dtCause[s.DtCause].Inc()
-		ctl.noteProgress(s.StepCount, s.Time, tEnd)
-		if ctl.snapshotDue(s.StepCount) {
-			ctl.publishMetrics(reg.Snapshot())
-		}
-		if probe.Due(s.StepCount) {
-			rec := probe.Sample(s.StepCount, s.Time,
-				s.TotalMass(), s.TotalEnergy(), s.ExternalWork, s.FloorEnergy, true)
-			if rec.Violation {
-				tracer.Instant("probe_violation", nil)
-			}
-		}
-		if !math.IsInf(dtCap, 1) {
-			dtCap *= s.Opt.DtGrowth
-		}
-		if cfg.Checkpoint != "" && cfg.CheckpointEvery > 0 && s.StepCount%cfg.CheckpointEvery == 0 {
-			if err := writeCheckpoint(); err != nil {
-				return nil, fmt.Errorf("bookleaf: %w", err)
-			}
-		}
-		if cfg.HistoryEvery > 0 && s.StepCount%cfg.HistoryEvery == 0 {
-			res.History = append(res.History, StepRecord{
-				Step: s.StepCount, Time: s.Time, Dt: s.DtPrev,
-				Energy: s.TotalEnergy(), Kinetic: s.KineticEnergy(),
-			})
-		}
-	}
-	if cfg.Checkpoint != "" {
-		if err := writeCheckpoint(); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
-		}
-	}
-	res.Steps = s.StepCount
-	res.Time = s.Time
-	res.Timers = tm.Snapshot()
-	res.TimerSum = tm.Snapshot()
-	res.Calls = map[string]int64{}
-	for _, n := range tm.Names() {
-		res.Calls[n] = tm.Count(n)
-	}
-	// Present fields in canonical generation order: on a reordered mesh
-	// the permutation maps scatter each local value to its canonical
-	// slot; with no reordering they are plain copies.
-	res.Rho = scatterCanon(s.Rho, p.Mesh.GlobalEl)
-	res.Ein = scatterCanon(s.Ein, p.Mesh.GlobalEl)
-	res.P = scatterCanon(s.P, p.Mesh.GlobalEl)
-	res.U = scatterCanon(s.U, p.Mesh.GlobalNd)
-	res.V = scatterCanon(s.V, p.Mesh.GlobalNd)
-	res.X = scatterCanon(s.X, p.Mesh.GlobalNd)
-	res.Y = scatterCanon(s.Y, p.Mesh.GlobalNd)
-	res.EFinal = s.TotalEnergy()
-	res.ExternalWork = s.ExternalWork
-	res.FloorEnergy = s.FloorEnergy
-	res.MassFinal = s.TotalMass()
-	if remap != nil {
-		// ALESTEP phase breakdown as counters, mirroring the parallel
-		// driver's per-rank publication.
-		reg.Counter("ale_getmesh_ns").Add(tm.Elapsed("alegetmesh").Nanoseconds())
-		reg.Counter("ale_getfvol_ns").Add(tm.Elapsed("alegetfvol").Nanoseconds())
-		reg.Counter("ale_advect_ns").Add(tm.Elapsed("aleadvect").Nanoseconds())
-		reg.Counter("ale_update_ns").Add(tm.Elapsed("aleupdate").Nanoseconds())
-	}
-	res.Obs = reg.Snapshot()
-	if probe != nil {
-		res.Probes = probe.Records
-		res.ProbeViolations = probe.Violations
-	}
-	if tracer != nil {
-		if err := tracer.WriteFile(cfg.Trace); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
-		}
-	}
-	if cfg.Metrics != "" {
-		if err := writeMetricsFile(cfg.Metrics, cfg, res, time.Since(start).Seconds()); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
-		}
-	}
-	return res, nil
 }

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"math"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// summary is what a run prints that must not depend on the rank count.
+type summary struct {
+	steps           int
+	e0, e, mass0, m float64
+	history         int
+}
+
+// runCLI runs the built binary and parses its summary and history block.
+func runCLI(t *testing.T, bin string, args ...string) summary {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("bookleaf %v: %v\n%s", args, err, stderr.String())
+	}
+	var s summary
+	inHistory := false
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		line := sc.Text()
+		var t0, work, drift float64
+		switch {
+		case strings.HasPrefix(line, "steps "):
+			fmt.Sscanf(line, "steps %d to t=%g", &s.steps, &t0)
+		case strings.HasPrefix(line, "energy "):
+			fmt.Sscanf(line, "energy E0=%g E=%g work=%g drift=%g", &s.e0, &s.e, &work, &drift)
+		case strings.HasPrefix(line, "mass "):
+			fmt.Sscanf(line, "mass M0=%g M=%g", &s.mass0, &s.m)
+		case line == "step history:":
+			inHistory = true
+			sc.Scan() // column header
+		case inHistory && strings.TrimSpace(line) == "":
+			inHistory = false
+		case inHistory:
+			s.history++
+		}
+	}
+	if s.steps == 0 || s.e == 0 || s.m == 0 {
+		t.Fatalf("bookleaf %v: summary not found in output:\n%s", args, out)
+	}
+	return s
+}
+
+// TestOneDriverAtTheCLI is the user-visible statement that there is one
+// driver: the same problem at -ranks 1 and -ranks 2 takes the same
+// steps, prints the same audit, and — with -history, which used to be
+// a one-rank feature — the same number of step records.
+func TestOneDriverAtTheCLI(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "bookleaf")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	agree := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(a) }
+	for _, tc := range []struct {
+		history string
+		records int
+	}{{"0", 0}, {"5", 4}} {
+		t.Run("history="+tc.history, func(t *testing.T) {
+			common := []string{"-problem", "sod", "-nx", "64", "-ny", "4", "-maxsteps", "20", "-quiet", "-history", tc.history}
+			r1 := runCLI(t, bin, append(common, "-ranks", "1")...)
+			r2 := runCLI(t, bin, append(common, "-ranks", "2")...)
+			if r1.steps != 20 || r2.steps != r1.steps {
+				t.Errorf("steps: %d at one rank, %d at two, want 20", r1.steps, r2.steps)
+			}
+			if !agree(r1.e0, r2.e0) || !agree(r1.e, r2.e) {
+				t.Errorf("energy: E0 %v / %v, E %v / %v", r1.e0, r2.e0, r1.e, r2.e)
+			}
+			if !agree(r1.mass0, r2.mass0) || !agree(r1.m, r2.m) {
+				t.Errorf("mass: M0 %v / %v, M %v / %v", r1.mass0, r2.mass0, r1.m, r2.m)
+			}
+			if r1.history != tc.records || r2.history != tc.records {
+				t.Errorf("history records: %d at one rank, %d at two, want %d", r1.history, r2.history, tc.records)
+			}
+		})
+	}
+}

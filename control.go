@@ -16,7 +16,7 @@ var ErrCanceled = errors.New("run canceled")
 
 // PreemptedError is the error Run returns when an attached Control's
 // Preempt request was observed. It is not a failure: the run stopped at
-// a step boundary (a collective healthy point on parallel runs) and
+// a step boundary (a collective healthy point of the rank loop) and
 // carries everything needed to continue later — an in-memory
 // checkpoint-v2 snapshot (partition-independent, so the resumed leg may
 // use any rank count) and the metrics the interrupted leg accumulated.
@@ -60,21 +60,21 @@ type RunStatus struct {
 // Config.Control before calling Run; a Control is single-use — make a
 // fresh one for every Run (including resumed legs).
 //
-// All methods are safe for concurrent use and nil-safe, so the drivers
-// wire them unconditionally: with no Control attached the steady-state
+// All methods are safe for concurrent use and nil-safe, so the driver
+// wires them unconditionally: with no Control attached the steady-state
 // step stays allocation-free.
 //
-// Requests are observed at step boundaries — on parallel runs at the
-// next collective healthy point, so every rank stops at the same step.
-// Cancel makes Run return an error matching ErrCanceled; Preempt makes
-// it return a *PreemptedError carrying an in-memory checkpoint-v2
-// snapshot to resume from.
+// Requests are observed at step boundaries — the next collective
+// healthy point, so every rank stops at the same step. Cancel makes Run
+// return an error matching ErrCanceled; Preempt makes it return a
+// *PreemptedError carrying an in-memory checkpoint-v2 snapshot to
+// resume from.
 type Control struct {
 	// SnapshotEvery is the step cadence of mid-run metrics snapshots
-	// published through Metrics (0 = default 16; negative = off). On
-	// parallel runs the published snapshot is rank 0's registry — the
-	// rank that also owns the probe records — not the cross-rank merge,
-	// which only exists after the run. Set before Run; read-only after.
+	// published through Metrics (0 = default 16; negative = off). The
+	// published snapshot is rank 0's registry — the rank that also owns
+	// the probe records — not the cross-rank merge, which only exists
+	// after the run. Set before Run; read-only after.
 	SnapshotEvery int
 
 	action  atomic.Int32
@@ -130,8 +130,8 @@ func (c *Control) poll() int32 {
 	return c.action.Load()
 }
 
-// noteProgress publishes a progress report; called by the drivers after
-// each completed step (rank 0 at the healthy point on parallel runs).
+// noteProgress publishes a progress report; called by rank 0 at every
+// healthy point.
 func (c *Control) noteProgress(step int, t, tEnd float64) {
 	if c == nil {
 		return
@@ -156,8 +156,8 @@ func (c *Control) snapshotDue(step int) bool {
 }
 
 // publishMetrics publishes a mid-run snapshot; the caller must own the
-// registry the snapshot came from (drivers call it from the goroutine
-// that owns reg, so the export itself never races).
+// registry the snapshot came from (the rank loop calls it from the
+// goroutine that owns reg, so the export itself never races).
 func (c *Control) publishMetrics(s *obs.Snapshot) {
 	if c == nil {
 		return

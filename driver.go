@@ -1,0 +1,861 @@
+package bookleaf
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"sync"
+	"time"
+
+	"bookleaf/internal/checkpoint"
+	"bookleaf/internal/hydro"
+	"bookleaf/internal/mesh"
+	"bookleaf/internal/obs"
+	"bookleaf/internal/order"
+	"bookleaf/internal/par"
+	"bookleaf/internal/partition"
+	"bookleaf/internal/setup"
+	"bookleaf/internal/supervise"
+	"bookleaf/internal/timers"
+	"bookleaf/internal/typhon"
+)
+
+// lockstep is the loop bookkeeping that changes only at collective
+// points, so every slot of a fleet holds the same values: the rollback
+// state (timestep cap, retry budget, rollbacks spent) and, per cadence,
+// the last step served — which keeps a point from being served twice
+// when a recovered epoch re-enters the healthy point it left from. A
+// replacement rank and a repartitioned fleet inherit it whole.
+type lockstep struct {
+	dtCap     float64
+	budget    int
+	rollbacks int
+
+	lastCk, lastProbe, lastBal, lastHist int
+}
+
+// How a rank left an epoch without finishing the run.
+const (
+	parkNone = iota
+	parkPreempt
+	parkRepart
+)
+
+// rankSlot is the driver-side identity of one goroutine rank. It owns
+// everything that must survive a supervision epoch boundary: the
+// sub-mesh, the hydro state and its thread pool, the rank's metrics
+// registry, the rolling rollback memento, the per-step healthy-point
+// memento the recovery ladder restores from, and the lockstep
+// bookkeeping. A slot is touched only by its own rank's goroutine while
+// an epoch runs and only by the driver between epochs; the
+// communicator's start/finish edges order the two.
+type rankSlot struct {
+	id  int
+	sub *partition.SubMesh
+	s   *hydro.State
+	// ownsPool is false when s.Pool is the caller's lease (Config.Pool),
+	// which the run must hand back open.
+	ownsPool bool
+	reg      *obs.Registry
+	// incarnation is the replacement generation of this slot's rank
+	// (0 = original), mirrored from the supervisor.
+	incarnation int
+
+	// roll backs in-epoch collective rollback-retry (cadence
+	// Config.RollbackEvery); stepStart is the supervised per-step
+	// healthy-point snapshot the ladder's retry/replace restore.
+	roll      hydro.Memento
+	stepStart hydro.Memento
+
+	lockstep
+
+	// workAcc accumulates this rank's per-step compute seconds
+	// (stepping minus halo waits) since the last imbalance check.
+	workAcc float64
+
+	// Epoch outcome, read by the driver after the communicator drains.
+	err  error
+	park int
+}
+
+// closePool releases the slot's thread pool, unless it is a lease.
+func (sl *rankSlot) closePool() {
+	if sl.s == nil || sl.s.Pool == nil {
+		return
+	}
+	if sl.ownsPool {
+		sl.s.Pool.Close()
+	}
+	sl.s.Pool = nil
+}
+
+// driver is the state of a run across supervision epochs: the problem,
+// the resolved policy, the rank slots, the supervisor, and the
+// observability objects that are keyed by rank id so they survive
+// replacement (same rank, fresh incarnation) and repartitioning (new
+// fleet, reused ids).
+//
+// A run steps a fleet of goroutine ranks with the Typhon-style
+// communication schedule the paper describes: ghost nodal kinematics
+// refreshed for the viscosity limiter, ghost corner forces refreshed
+// immediately before the acceleration calculation, and a single global
+// MINLOC reduction per step for the timestep. A fleet of one is the
+// same loop over the whole mesh: its exchanges have no neighbours and
+// its reductions no peers (see decompose).
+//
+// Fault tolerance wraps that schedule in two layers. Inside an epoch, a
+// status reduction at the top of every iteration classifies the step as
+// ok, retryable or fatal; retryable failures (timestep collapse,
+// tangled element, non-finite field) trigger a collective rollback to a
+// rolling in-memory snapshot with a reduced timestep cap, bounded by
+// Config.RetryBudget. Communication faults poison the Comm through its
+// abort path: every blocked rank unblocks with an error matching
+// typhon.ErrAborted and the epoch ends with the root cause, not a
+// deadlock.
+//
+// Around the epochs sits the supervision ladder (Config.Supervise,
+// DESIGN.md §12): epoch failures are classified transient /
+// rank-persistent / fatal; transients retry the epoch from every rank's
+// last healthy-point memento with backoff, persistent rank-local faults
+// replace just the offending rank from that same in-memory memento (no
+// filesystem round trip, no collective rollback), and fatal faults
+// write a final checkpoint before aborting. At healthy collective
+// points the driver may also repartition online — re-running RCB/METIS
+// on the current (moved) mesh and migrating state through the
+// checkpoint-v2 gather/scatter — growing or shrinking the rank count.
+// With supervision off (the default) there is exactly one epoch.
+type driver struct {
+	cfg  Config
+	pol  supervise.Policy
+	prob *setup.Problem
+	// canon is the canonical generation-order mesh, kept when the
+	// problem mesh has been renumbered for locality (prob.Mesh is then
+	// the reordered view); results present on this mesh. Equal to
+	// prob.Mesh when no reordering is active.
+	canon *mesh.Mesh
+	tEnd  float64
+
+	// e0, mass0 anchor the conservation audit: the problem's totals at
+	// t = 0 on the global mesh, before any resume restore — a snapshot
+	// carries the external-work and floor-energy accumulators from
+	// t = 0, so the drift identity (and bitwise parity with an
+	// uninterrupted run) needs the t = 0 anchors.
+	e0, mass0 float64
+
+	// gsnap is the shared global snapshot checkpoints gather into (nil
+	// without Config.Checkpoint); ctlSnap the one an attached Control's
+	// preemption gathers into, allocated by the first rank to reach the
+	// preemption point (most controlled runs are never preempted). The
+	// owned slots of the ranks are disjoint, and the collective protocol
+	// of gatherSnapshot orders the gathers before anyone reads the
+	// result.
+	gsnap, ctlSnap *checkpoint.Snapshot
+	ctlSnapOnce    sync.Once
+	start          time.Time
+
+	sup    *supervise.Supervisor
+	supReg *obs.Registry
+
+	slots []*rankSlot
+	// retired holds the registries of replaced incarnations and
+	// pre-repartition fleets; each is merged into the final snapshot
+	// exactly once, so a replaced rank's pre-fault totals are counted
+	// without double-counting its replayed steps (which were never
+	// confirmed into the retired registry — see rankLoop's pending
+	// counters).
+	retired []*obs.Registry
+
+	tracers map[int]*obs.Tracer
+	probes  map[int]*obs.InvariantProbe
+	tms     map[int]*timers.Set
+
+	// history is Result.History in the making, written by rank 0 at
+	// healthy points.
+	history []StepRecord
+
+	// Cumulative typhon traffic across epochs (each epoch builds a
+	// fresh communicator).
+	commMsgs, commWords int64
+
+	// Repartition bookkeeping, written between epochs only.
+	lastRepart   int
+	forcedRepart bool
+}
+
+// newDriver builds the problem, resolves everything the configuration
+// leaves to defaults, validates the resume source and constructs the
+// initial fleet. A missing, truncated or incompatible dump fails here,
+// before any rank exists, instead of collapsing ranks mid-flight.
+func newDriver(cfg Config) (*driver, error) {
+	pol, err := cfg.supervisePolicy()
+	if err != nil {
+		return nil, err
+	}
+	p, err := setup.ByName(cfg.Problem, cfg.NX, cfg.NY, cfg.SedovEnergy)
+	if err != nil {
+		return nil, err
+	}
+	cfg.applyOverrides(&p.Opt)
+	canon := p.Mesh
+	if kind, _ := order.Parse(cfg.Reorder); kind != order.None {
+		// Renumber the global mesh for locality before any partitioning;
+		// the renumbered mesh and every sub-mesh cut from it carry the
+		// permutation in GlobalEl/GlobalNd, so checkpoints and results
+		// stay in canonical generation order. Repartitions re-split the
+		// same reordered mesh, so the locality order survives them.
+		if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
+			return nil, fmt.Errorf("bookleaf: %w", err)
+		}
+	}
+	resume, err := cfg.resumeSnapshot(p.Mesh.NEl, p.Mesh.NNd)
+	if err != nil {
+		return nil, fmt.Errorf("bookleaf: %w", err)
+	}
+
+	d := &driver{
+		cfg: cfg, pol: pol, prob: p, canon: canon, tEnd: p.TEnd,
+		start:   time.Now(),
+		tracers: make(map[int]*obs.Tracer),
+		probes:  make(map[int]*obs.InvariantProbe),
+		tms:     make(map[int]*timers.Set),
+	}
+	if cfg.TEnd > 0 {
+		d.tEnd = cfg.TEnd
+	}
+	if cfg.Checkpoint != "" {
+		d.gsnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, p.Mesh.NEl, p.Mesh.NNd)
+	}
+	if pol.Enabled {
+		d.supReg = obs.NewRegistry()
+		d.sup = supervise.New(pol, d.supReg)
+	}
+	if err := d.buildFleet(resume); err != nil {
+		return nil, fmt.Errorf("bookleaf: %w", err)
+	}
+	return d, nil
+}
+
+// decompose cuts the problem mesh into n ranks' sub-meshes. A fleet of
+// one is not cut: its rank 0 is the problem mesh itself, with empty
+// exchange lists — no partitioner, no Split, no copy. world, when
+// non-nil, holds the current node positions of a moving mesh (an online
+// repartition); RCB then bisects those instead of the generated ones.
+func (d *driver) decompose(n int, world *checkpoint.Snapshot) ([]*partition.SubMesh, error) {
+	m := d.prob.Mesh
+	if n == 1 {
+		return []*partition.SubMesh{{M: m}}, nil
+	}
+	var part []int
+	var err error
+	switch {
+	case d.cfg.Partitioner == "metis":
+		// The multilevel partitioner works on the dual graph, which the
+		// moving mesh never changes (topology is static).
+		part, err = partition.MultilevelMesh(m, n)
+	case world == nil:
+		part, err = partition.RCBMesh(m, n)
+	default:
+		cx := make([]float64, m.NEl)
+		cy := make([]float64, m.NEl)
+		for e, nds := range m.ElNd {
+			var sx, sy float64
+			for _, nd := range nds {
+				gn := m.GlobalNdID(nd) // world is in canonical generation order
+				sx += world.X[gn]
+				sy += world.Y[gn]
+			}
+			cx[e], cy[e] = 0.25*sx, 0.25*sy
+		}
+		part, err = partition.RCB(cx, cy, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return partition.Split(m, part, n)
+}
+
+// buildFleet constructs the initial fleet, anchors the conservation
+// audit and applies the resume snapshot.
+func (d *driver) buildFleet(resume *checkpoint.Snapshot) error {
+	cfg := &d.cfg
+	subs, err := d.decompose(cfg.Ranks, nil)
+	if err != nil {
+		return err
+	}
+	whole := len(subs) == 1
+	if !whole {
+		if d.e0, d.mass0, err = d.prob.InitialAudit(); err != nil {
+			return fmt.Errorf("initial audit: %w", err)
+		}
+	}
+	d.slots, err = d.newSlots(subs, func(sl *rankSlot) error {
+		if whole {
+			// The one slot's fresh state is the problem at t = 0: its
+			// totals are bitwise InitialAudit's, without a second pass
+			// over the mesh.
+			d.e0, d.mass0 = sl.s.TotalEnergy(), sl.s.TotalMass()
+		}
+		if resume == nil {
+			return nil
+		}
+		if err := resume.Restore(sl.s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
+		// The snapshot stores the global (rank-summed) audit
+		// accumulators; keep them on rank 0 only so the final
+		// re-summation stays correct.
+		if sl.id != 0 {
+			sl.s.ExternalWork, sl.s.FloorEnergy = 0, 0
+		}
+		return nil
+	})
+	return err
+}
+
+// newSlots builds a fleet over subs, one goroutine per rank — the width
+// the run is about to use; the problem and the sub-meshes are only read
+// and each rank writes only its own slot. finish completes a rank's
+// fresh slot (a resume, a migration). On failure the fleet's pools are
+// closed and the lowest failing rank's error is returned.
+func (d *driver) newSlots(subs []*partition.SubMesh, finish func(*rankSlot) error) ([]*rankSlot, error) {
+	slots := make([]*rankSlot, len(subs))
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if slots[i], errs[i] = d.newSlot(i, sub, len(subs)); errs[i] == nil {
+				errs[i] = finish(slots[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			for _, sl := range slots {
+				if sl != nil {
+					sl.closePool()
+				}
+			}
+			return nil, fmt.Errorf("rank %d: %w", i, err)
+		}
+	}
+	return slots, nil
+}
+
+// newSlot builds the persistent driver-side state of one rank of a
+// width-wide fleet: a fresh hydro state with the problem's initial
+// fields restricted to the rank's mesh, its thread pool, and a fresh
+// metrics registry for this incarnation. Config.Pool is a one-rank
+// lease: a fleet of one runs on it, the ranks of a wider fleet each own
+// a pool (one pool cannot serve two ranks at once).
+func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, error) {
+	s, err := d.prob.NewStateOn(sub.M)
+	if err != nil {
+		return nil, err
+	}
+	sl := &rankSlot{
+		id: id, sub: sub, s: s, reg: obs.NewRegistry(),
+		lockstep: lockstep{
+			dtCap: math.Inf(1), budget: d.cfg.retryBudget(),
+			lastCk: -1, lastProbe: -1, lastBal: -1, lastHist: -1,
+		},
+	}
+	if d.cfg.rollbackEvery() == 0 {
+		sl.budget = 0
+	}
+	if d.cfg.Pool != nil && width == 1 {
+		s.Pool = d.cfg.Pool
+	} else {
+		s.Pool, sl.ownsPool = par.New(d.cfg.Threads), true
+	}
+	return sl, nil
+}
+
+// closeSlots releases the thread pools of the current fleet (retired
+// incarnations close theirs when they are replaced).
+func (d *driver) closeSlots() {
+	for _, sl := range d.slots {
+		sl.closePool()
+	}
+}
+
+// run drives supervision epochs until the run completes, is preempted
+// or canceled, or fails past what the ladder may recover.
+func (d *driver) run() (*Result, error) {
+	for {
+		runErr, err := d.runEpoch()
+		if err != nil {
+			return nil, fmt.Errorf("bookleaf: %w", err)
+		}
+		rootErr, rank := d.rootCause(runErr)
+		if rootErr == nil {
+			if d.parkedFor(parkPreempt) {
+				return nil, d.preemptError()
+			}
+			if d.parkedFor(parkRepart) {
+				if err := d.doRepart(); err != nil {
+					return nil, fmt.Errorf("bookleaf: repartition: %w", err)
+				}
+				continue
+			}
+			return d.finalize()
+		}
+		if errors.Is(rootErr, ErrCanceled) {
+			// A cancel is a request honoured, not a fault: it bypasses
+			// the supervision ladder (there is nothing to recover).
+			return nil, fmt.Errorf("bookleaf: %w", rootErr)
+		}
+		if d.sup == nil {
+			// Supervision off: any epoch fault is fatal.
+			return nil, fmt.Errorf("bookleaf: %w", rootErr)
+		}
+		dec := d.sup.Decide(rootErr, rank)
+		d.noteDecision(dec)
+		if dec.Backoff > 0 {
+			time.Sleep(dec.Backoff)
+		}
+		switch dec.Action {
+		case supervise.ActionRetry:
+			if err := d.restoreHealthy(); err != nil {
+				return nil, d.abortWithCheckpoint(fmt.Errorf("%w (retry impossible: %v)", rootErr, err))
+			}
+		case supervise.ActionReplace:
+			if err := d.replaceRank(dec.Rank); err != nil {
+				return nil, d.abortWithCheckpoint(fmt.Errorf("%w (replacement failed: %v)", rootErr, err))
+			}
+		default:
+			return nil, d.abortWithCheckpoint(rootErr)
+		}
+	}
+}
+
+// runEpoch builds a fresh communicator over the current fleet and runs
+// every rank until the run completes, the fleet parks, or a fault
+// surfaces. It returns the communicator's panic error (if any) and a
+// driver-level setup error.
+func (d *driver) runEpoch() (error, error) {
+	cfg, pol := &d.cfg, d.pol
+	n := len(d.slots)
+	comm, err := typhon.NewComm(n)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.testFaultPlan != nil {
+		comm.InjectFaults(cfg.testFaultPlan)
+	}
+	if pol.RecvTimeout > 0 {
+		comm.SetRecvTimeout(pol.RecvTimeout)
+	}
+	regs := make([]*obs.Registry, n)
+	for i, sl := range d.slots {
+		regs[i] = sl.reg
+		sl.err = nil
+		sl.park = parkNone
+	}
+	comm.AttachObs(regs)
+	// Per-id observability objects are created here, before the rank
+	// goroutines spawn, so the maps are read-only while they run.
+	for _, sl := range d.slots {
+		if cfg.Trace != "" && d.tracers[sl.id] == nil {
+			d.tracers[sl.id] = obs.NewTracer(sl.id, d.start)
+		}
+		if cfg.ProbeEvery > 0 && d.probes[sl.id] == nil {
+			d.probes[sl.id] = obs.NewInvariantProbe(cfg.ProbeEvery, cfg.ProbeMaxDrift, sl.reg)
+		}
+		if d.tms[sl.id] == nil {
+			d.tms[sl.id] = timers.NewSet()
+		}
+	}
+	runErr := comm.Run(func(rk *typhon.Rank) { d.newRankLoop(rk).run() })
+	m, w := comm.Stats()
+	d.commMsgs += m
+	d.commWords += w
+	return runErr, nil
+}
+
+// rootCause picks the epoch's root-cause error and the rank it surfaced
+// on: prefer the rank error that is not a peer-abort echo (a timeout,
+// size mismatch, or hydro failure carries the cause; AbortError
+// wrappers on the other ranks are consequences), then the recovered
+// panic, then the first echo.
+func (d *driver) rootCause(runErr error) (error, int) {
+	var abortedErr error
+	abortedRank := -1
+	for _, sl := range d.slots {
+		e := sl.err
+		if e == nil {
+			continue
+		}
+		if errors.Is(e, typhon.ErrAborted) {
+			if abortedErr == nil {
+				abortedErr = e
+				var ab *typhon.AbortError
+				if errors.As(e, &ab) {
+					abortedRank = ab.Rank
+				}
+			}
+			continue
+		}
+		return e, sl.id
+	}
+	if runErr != nil {
+		return runErr, -1
+	}
+	return abortedErr, abortedRank
+}
+
+// parkedFor reports whether the epoch ended with the fleet parked for
+// the given reason. Both park verdicts are pure functions of reduced
+// values, so every rank parked or none did.
+func (d *driver) parkedFor(why int) bool {
+	for _, sl := range d.slots {
+		if sl.park != why {
+			return false
+		}
+	}
+	return len(d.slots) > 0
+}
+
+// mergedObs merges the run's observability state: counters and
+// histograms sum across ranks and incarnations, gauges come from the
+// rank that published them (the probe gauges live on rank 0; current
+// incarnations merge after retired ones, so their gauges win), and the
+// supervisor's own registry goes last. The rank goroutines have
+// drained, so reading their registries is safe.
+func (d *driver) mergedObs() *obs.Snapshot {
+	merged := obs.NewRegistry()
+	for _, r := range d.retired {
+		merged.Merge(r)
+	}
+	for _, sl := range d.slots {
+		merged.Merge(sl.reg)
+	}
+	if d.supReg != nil {
+		merged.Merge(d.supReg)
+	}
+	return merged.Snapshot()
+}
+
+// preemptError assembles the PreemptedError for a parked fleet: the
+// collective in-memory gather the ranks filled before exiting, plus the
+// merged metrics of everything the interrupted run accumulated.
+func (d *driver) preemptError() *PreemptedError {
+	return &PreemptedError{
+		Snapshot: d.ctlSnap,
+		Step:     d.ctlSnap.StepCount, Time: d.ctlSnap.Time,
+		Obs: d.mergedObs(),
+	}
+}
+
+// restoreHealthy reinstates every rank's last healthy-point memento —
+// the state all ranks held at the top of the last fully collective
+// iteration — clearing any half-stepped or ghost-corrupted fields a
+// failing epoch left behind. Not a rollback: the timestep cap and the
+// retry budget are untouched.
+func (d *driver) restoreHealthy() error {
+	for _, sl := range d.slots {
+		if !sl.stepStart.Valid() {
+			return fmt.Errorf("supervise: rank %d has no healthy-point snapshot", sl.id)
+		}
+		sl.s.Load(&sl.stepStart)
+		if sl.budget > 0 {
+			// Re-anchor the rollback memento at the resume point so an
+			// in-epoch rollback cannot rewind past the recovery.
+			sl.s.Save(&sl.roll)
+		}
+		sl.err = nil
+		sl.park = parkNone
+		sl.workAcc = 0
+		// A rank that died mid-kernel left its timers started; the
+		// replay must be free to start them again.
+		d.tms[sl.id].Abandon()
+	}
+	return nil
+}
+
+// replaceRank spawns a fresh incarnation of the failed rank from the
+// collective's last in-memory healthy-point memento — no filesystem
+// round trip — and restores its peers to the same point. The old
+// incarnation's registry is retired (merged once at the end), its
+// thread pool released, and the neighbour patterns rebuild naturally
+// when the next epoch constructs its communicator.
+func (d *driver) replaceRank(rank int) error {
+	if rank < 0 || rank >= len(d.slots) {
+		return fmt.Errorf("supervise: cannot replace rank %d of %d", rank, len(d.slots))
+	}
+	old := d.slots[rank]
+	if !old.stepStart.Valid() {
+		return fmt.Errorf("supervise: rank %d has no healthy-point snapshot to respawn from", rank)
+	}
+	fresh, err := d.newSlot(rank, old.sub, len(d.slots))
+	if err != nil {
+		return fmt.Errorf("supervise: respawn rank %d: %w", rank, err)
+	}
+	fresh.s.Load(&old.stepStart)
+	fresh.s.Save(&fresh.stepStart)
+	fresh.incarnation = d.sup.Incarnation(rank)
+	fresh.lockstep = old.lockstep
+	d.retired = append(d.retired, old.reg)
+	old.closePool()
+	d.slots[rank] = fresh
+	return d.restoreHealthy()
+}
+
+// gatherParked fills snap from a fleet parked between epochs, every
+// rank at the same healthy point: owned entities, the clock, and the
+// rank-summed audit accumulators.
+func (d *driver) gatherParked(snap *checkpoint.Snapshot) error {
+	var work, floor float64
+	for _, sl := range d.slots {
+		if err := snap.Gather(sl.s); err != nil {
+			return err
+		}
+		work += sl.s.ExternalWork
+		floor += sl.s.FloorEnergy
+	}
+	s0 := d.slots[0].s
+	snap.SetClock(s0.Time, s0.DtPrev, s0.StepCount, work, floor)
+	return nil
+}
+
+// doRepart migrates the run onto a fresh partition of the current
+// (moved) mesh, optionally changing the rank count: gather the world
+// state through the checkpoint-v2 any-rank-count machinery, decompose
+// again, and scatter the state onto the new fleet. Runs between epochs,
+// with every rank parked at the same healthy point.
+func (d *driver) doRepart() error {
+	cfg, m := &d.cfg, d.prob.Mesh
+	world := checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, m.NEl, m.NNd)
+	if err := d.gatherParked(world); err != nil {
+		return err
+	}
+	// QEdge — the edge viscous-damper coefficients — is the one
+	// evolving field the partition-independent snapshot omits (it is
+	// not needed for restart-file compatibility, only for exact
+	// continuation). Migrating it through a driver-side global array
+	// keeps the post-repartition step on the trajectory the unperturbed
+	// run would have taken.
+	gq := make([]float64, 4*m.NEl)
+	for _, sl := range d.slots {
+		lm := sl.sub.M
+		cs := sl.s.CornerStride()
+		for i := 0; i < lm.NOwnEl; i++ {
+			ge := lm.GlobalElID(i)
+			copy(gq[4*ge:4*ge+4], sl.s.QEdge[cs*i:cs*i+4])
+		}
+	}
+
+	n := len(d.slots)
+	if d.pol.RepartRanks > 0 {
+		n = d.pol.RepartRanks
+	}
+	if d.pol.RanksMax > 0 && n > d.pol.RanksMax {
+		n = d.pol.RanksMax
+	}
+	n = max(1, min(n, m.NEl))
+	subs, err := d.decompose(n, world)
+	if err != nil {
+		return err
+	}
+
+	tmpl := d.slots[0]
+	fresh, err := d.newSlots(subs, func(sl *rankSlot) error {
+		if err := world.Restore(sl.s, cfg.Problem, cfg.NX, cfg.NY); err != nil {
+			return err
+		}
+		if sl.id != 0 {
+			sl.s.ExternalWork, sl.s.FloorEnergy = 0, 0
+		}
+		lm := sl.sub.M
+		cs := sl.s.CornerStride()
+		for j := 0; j < lm.NEl; j++ { // owned and ghost alike
+			ge := lm.GlobalElID(j)
+			copy(sl.s.QEdge[cs*j:cs*j+4], gq[4*ge:4*ge+4])
+		}
+		sl.lockstep = tmpl.lockstep
+		sl.s.Save(&sl.stepStart)
+		if sl.budget > 0 {
+			sl.s.Save(&sl.roll)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, sl := range d.slots {
+		d.retired = append(d.retired, sl.reg)
+		sl.closePool()
+	}
+	d.slots = fresh
+	d.lastRepart = world.StepCount
+	if d.pol.RepartAtStep > 0 && world.StepCount >= d.pol.RepartAtStep {
+		d.forcedRepart = true
+	}
+	d.sup.NoteRepart()
+	d.tracers[0].Instant("supervise_repart", nil)
+	return nil
+}
+
+// abortWithCheckpoint is the ladder's last rung: park the fleet at its
+// last healthy point, write a final restart dump (when the run has a
+// checkpoint path), and surface the root cause.
+func (d *driver) abortWithCheckpoint(root error) error {
+	if d.gsnap != nil {
+		err := d.restoreHealthy()
+		if err == nil {
+			err = d.gatherParked(d.gsnap)
+		}
+		if err == nil {
+			err = writeSnapshotFile(d.cfg.Checkpoint, d.gsnap)
+		}
+		if err != nil {
+			return fmt.Errorf("bookleaf: %w (final checkpoint failed: %v)", root, err)
+		}
+	}
+	return fmt.Errorf("bookleaf: %w", root)
+}
+
+// noteDecision drops a trace instant for a ladder decision on the
+// attributed rank's timeline.
+func (d *driver) noteDecision(dec supervise.Decision) {
+	id := dec.Rank
+	if id < 0 || id >= len(d.slots) {
+		id = 0
+	}
+	tr := d.tracers[id]
+	switch dec.Action {
+	case supervise.ActionRetry:
+		tr.Instant("supervise_retry", nil)
+	case supervise.ActionReplace:
+		tr.Instant("supervise_replace", nil)
+	default:
+		tr.Instant("supervise_abort", nil)
+	}
+}
+
+// finalize assembles the Result from the parked fleet after a clean
+// run: the global field gather in canonical generation order, timer
+// merges, audit sums, and the merged observability snapshot.
+func (d *driver) finalize() (*Result, error) {
+	cfg, p := &d.cfg, d.prob
+	res := &Result{
+		Problem: p.Name, Ranks: cfg.Ranks, FinalRanks: len(d.slots), Threads: cfg.Threads,
+		NEl: p.Mesh.NEl, NNd: p.Mesh.NNd,
+		// Fields gather through the canonical GlobalEl/GlobalNd ids, so
+		// the mesh they present on is the canonical one.
+		Mesh: d.canon, TEnd: d.tEnd, Gamma: p.Gamma, SedovEnergy: p.SedovEnergy,
+		Rho:     make([]float64, p.Mesh.NEl),
+		Ein:     make([]float64, p.Mesh.NEl),
+		P:       make([]float64, p.Mesh.NEl),
+		U:       make([]float64, p.Mesh.NNd),
+		V:       make([]float64, p.Mesh.NNd),
+		X:       make([]float64, p.Mesh.NNd),
+		Y:       make([]float64, p.Mesh.NNd),
+		History: d.history,
+	}
+	for _, sl := range d.slots {
+		lm := sl.sub.M
+		s := sl.s
+		for i := 0; i < lm.NOwnEl; i++ {
+			ge := lm.GlobalElID(i)
+			res.Rho[ge] = s.Rho[i]
+			res.Ein[ge] = s.Ein[i]
+			res.P[ge] = s.P[i]
+		}
+		for i := 0; i < lm.NOwnNd; i++ {
+			gn := lm.GlobalNdID(i)
+			res.U[gn] = s.U[i]
+			res.V[gn] = s.V[i]
+			res.X[gn] = s.X[i]
+			res.Y[gn] = s.Y[i]
+		}
+		res.ExternalWork += s.ExternalWork
+		res.FloorEnergy += s.FloorEnergy
+		res.EFinal += s.TotalEnergy()
+		res.MassFinal += s.TotalMass()
+	}
+	s0 := d.slots[0]
+	res.Steps = s0.s.StepCount
+	res.Time = s0.s.Time
+	res.Rollbacks = s0.rollbacks
+	if d.sup != nil {
+		res.SupRetries = d.sup.Retries()
+		res.Replacements = d.sup.Replaces()
+		res.Repartitions = d.sup.Reparts()
+		for _, sl := range d.slots {
+			if sl.incarnation > 0 {
+				d.supReg.Gauge(fmt.Sprintf("supervise_incarnation_rank%d", sl.id)).Set(float64(sl.incarnation))
+			}
+		}
+	}
+	if cfg.aleOptions() != nil {
+		// Publish the ALESTEP phase breakdown as counters so
+		// metrics.json carries the remap cost split without
+		// consumers having to parse the timer table.
+		for _, sl := range d.slots {
+			tm := d.tms[sl.id]
+			sl.reg.Counter("ale_getmesh_ns").Add(tm.Elapsed("alegetmesh").Nanoseconds())
+			sl.reg.Counter("ale_getfvol_ns").Add(tm.Elapsed("alegetfvol").Nanoseconds())
+			sl.reg.Counter("ale_advect_ns").Add(tm.Elapsed("aleadvect").Nanoseconds())
+			sl.reg.Counter("ale_update_ns").Add(tm.Elapsed("aleupdate").Nanoseconds())
+		}
+	}
+
+	maxT := timers.NewSet()
+	sumT := timers.NewSet()
+	for _, tm := range d.tms {
+		maxT.MergeMax(tm)
+		sumT.Merge(tm)
+	}
+	res.Timers = maxT.Snapshot()
+	res.TimerSum = sumT.Snapshot()
+	res.Calls = map[string]int64{}
+	for _, n := range maxT.Names() {
+		res.Calls[n] = maxT.Count(n)
+	}
+	res.CommMsgs, res.CommWords = d.commMsgs, d.commWords
+	res.E0, res.Mass0 = d.e0, d.mass0
+	res.Obs = d.mergedObs()
+
+	ids := make([]int, 0, len(d.probes))
+	for id := range d.probes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		pb := d.probes[id]
+		res.ProbeViolations += pb.Violations
+		if id == 0 {
+			res.Probes = append(res.Probes, pb.Records...)
+			continue
+		}
+		// Conservation samples are recorded on rank 0 only; other
+		// ranks contribute their non-finite notes.
+		for _, rec := range pb.Records {
+			if rec.Violation && !rec.Finite {
+				res.Probes = append(res.Probes, rec)
+			}
+		}
+	}
+	if cfg.Trace != "" {
+		ids = ids[:0]
+		for id := range d.tracers {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			if err := d.tracers[id].WriteFile(cfg.Trace); err != nil {
+				return nil, fmt.Errorf("bookleaf: %w", err)
+			}
+		}
+	}
+	if cfg.Metrics != "" {
+		if err := writeMetricsFile(cfg.Metrics, *cfg, res, time.Since(d.start).Seconds()); err != nil {
+			return nil, fmt.Errorf("bookleaf: %w", err)
+		}
+	}
+	return res, nil
+}

@@ -5,6 +5,7 @@ package bookleaf
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // A rank that hits a timestep collapse mid-run must bring the whole
 // parallel run down cleanly — an error return, not a deadlock. The
-// compensation protocol in runParallel keeps the halo-exchange schedule
+// compensation protocol in rankLoop.advance keeps the halo-exchange schedule
 // symmetric while the ranks agree to abort. RetryBudget is disabled so
 // the collapse is immediately fatal.
 func TestParallelFailurePropagatesCleanly(t *testing.T) {
@@ -228,22 +229,57 @@ func TestDroppedHaloMessageTimesOut(t *testing.T) {
 	}
 }
 
+// The step history is one record per recorded step, strictly increasing
+// in step and time, at any rank count — also when a rollback rewinds
+// past steps that were already recorded (their records go; the replay
+// records them afresh).
 func TestHistoryRecorded(t *testing.T) {
-	res, err := Run(Config{Problem: "sod", NX: 32, NY: 2, MaxSteps: 20, HistoryEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != 4 {
-		t.Fatalf("history entries = %d, want 4", len(res.History))
-	}
-	prevT := -1.0
-	for _, h := range res.History {
-		if h.Time <= prevT {
-			t.Fatalf("history time not increasing: %+v", h)
-		}
-		prevT = h.Time
-		if h.Dt <= 0 || h.Energy <= 0 {
-			t.Fatalf("bad history record: %+v", h)
+	for _, tc := range []struct {
+		name            string
+		every, rollback int
+		faultStep       int // 0 = none
+		rollbacks, want int
+	}{
+		{"no-fault", 5, 0, 0, 0, 4},
+		{"one-rollback", 1, 5, 8, 1, 20},
+	} {
+		for _, ranks := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/ranks=%d", tc.name, ranks), func(t *testing.T) {
+				injected := false // only touched by rank 0's goroutine
+				cfg := Config{
+					Problem: "sod", NX: 32, NY: 2, MaxSteps: 20, Ranks: ranks,
+					HistoryEvery: tc.every, RollbackEvery: tc.rollback,
+				}
+				if tc.faultStep > 0 {
+					cfg.testFault = func(rank, step int, s *hydro.State) {
+						if rank == 0 && step == tc.faultStep && !injected {
+							injected = true
+							s.Rho[3] = math.NaN()
+						}
+					}
+				}
+				res, err := runBoundedResult(t, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Rollbacks != tc.rollbacks {
+					t.Fatalf("rollbacks = %d, want %d", res.Rollbacks, tc.rollbacks)
+				}
+				if len(res.History) != tc.want {
+					t.Fatalf("history entries = %d, want %d: %+v", len(res.History), tc.want, res.History)
+				}
+				for i, h := range res.History {
+					if h.Step != (i+1)*tc.every {
+						t.Fatalf("record %d is step %d, want %d", i, h.Step, (i+1)*tc.every)
+					}
+					if i > 0 && h.Time <= res.History[i-1].Time {
+						t.Fatalf("history time not increasing: %+v after %+v", h, res.History[i-1])
+					}
+					if h.Dt <= 0 || h.Energy <= 0 {
+						t.Fatalf("bad history record: %+v", h)
+					}
+				}
+			})
 		}
 	}
 }

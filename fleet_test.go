@@ -44,7 +44,7 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 				}
 			}
 
-			pr := &parRun{cfg: Config{Problem: "noh", Ranks: ranks, Threads: 1}, prob: p}
+			pr := &driver{cfg: Config{Problem: "noh", Ranks: ranks, Threads: 1}, prob: p}
 			mark := func(sl *rankSlot) error { sl.lastCk = 100 + sl.id; return nil }
 			fleet, err := pr.newSlots(subs, mark)
 			if err != nil {
@@ -53,7 +53,7 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 			pr.slots = fleet
 			defer pr.closeSlots()
 			for i, sub := range subs {
-				want, err := pr.newSlot(i, sub)
+				want, err := pr.newSlot(i, sub, ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,5 +73,47 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneRankFleetIsTheMesh: a one-rank run is the rank loop over a
+// fleet of one whose rank 0 is the problem mesh itself — no Split, no
+// copy — with the audit anchors read off its fresh state, bitwise what
+// InitialAudit's separate pass would give, and nothing to send.
+func TestOneRankFleetIsTheMesh(t *testing.T) {
+	for _, problem := range []string{"sod", "noh", "sedov", "saltzmann", "waterair", "nohdisc"} {
+		for _, reorder := range []string{"none", "hilbert", "rcm"} {
+			t.Run(problem+"/"+reorder, func(t *testing.T) {
+				cfg := Config{Problem: problem, NX: 12, NY: 10, Reorder: reorder, MaxSteps: 3}
+				if err := cfg.normalise(); err != nil {
+					t.Fatal(err)
+				}
+				d, err := newDriver(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.closeSlots()
+				if len(d.slots) != 1 || d.slots[0].sub.M != d.prob.Mesh {
+					t.Fatalf("%d slots; rank 0's mesh is not the problem mesh", len(d.slots))
+				}
+				e0, mass0, err := d.prob.InitialAudit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.e0 != e0 || d.mass0 != mass0 {
+					t.Fatalf("audit anchors (%x, %x) are not InitialAudit's (%x, %x)", d.e0, d.mass0, e0, mass0)
+				}
+				res, err := d.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Steps != 3 || res.E0 != e0 || res.Mass0 != mass0 {
+					t.Fatalf("steps %d, E0 %x, Mass0 %x", res.Steps, res.E0, res.Mass0)
+				}
+				if res.CommMsgs != 0 || res.CommWords != 0 {
+					t.Fatalf("a fleet of one sent %d messages, %d words", res.CommMsgs, res.CommWords)
+				}
+			})
+		}
 	}
 }

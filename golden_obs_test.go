@@ -58,13 +58,15 @@ func compareOrUpdate(t *testing.T, goldenPath string, got []byte) {
 	}
 }
 
-func TestGoldenMetricsSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	cfg := goldenConfig(dir)
+// normalisedMetrics runs cfg and returns its metrics.json with the
+// wall-clock fields zeroed; the keys stay, so the snapshot still pins
+// which timers and duration counters exist. Counters ending in _ns are
+// wall-clock by convention (halo_wait_ns, halo_overlap_ns).
+func normalisedMetrics(t *testing.T, cfg bookleaf.Config) []byte {
+	t.Helper()
 	if _, err := bookleaf.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-
 	raw, err := os.ReadFile(cfg.Metrics)
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +75,6 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("metrics.json is not valid JSON: %v", err)
 	}
-	// Zero the wall-clock fields; keep the keys so the snapshot still
-	// pins which timers and duration counters exist. Counters ending in
-	// _ns are wall-clock by convention (halo_wait_ns, halo_overlap_ns).
 	m.Meta.WallSeconds = 0
 	for k := range m.Timers {
 		m.Timers[k] = 0
@@ -89,7 +88,27 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 	if err := obs.WriteMetrics(&buf, &m); err != nil {
 		t.Fatal(err)
 	}
-	compareOrUpdate(t, filepath.Join("testdata", "golden_metrics.json"), buf.Bytes())
+	return buf.Bytes()
+}
+
+// TestGoldenMetricsSnapshot pins metrics.json at two ranks and at one.
+// The one-rank snapshot carries the same metric names — there is one
+// driver, so one schema — with the traffic counters reading zero.
+func TestGoldenMetricsSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ranks  int
+		golden string
+	}{
+		{"ranks-2", 2, "golden_metrics.json"},
+		{"ranks-1", 1, "golden_metrics_ranks1.json"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := goldenConfig(t.TempDir())
+			cfg.Ranks = tc.ranks
+			compareOrUpdate(t, filepath.Join("testdata", tc.golden), normalisedMetrics(t, cfg))
+		})
+	}
 }
 
 // TestGoldenMetricsSnapshotSupervised pins the metrics schema of a
@@ -97,35 +116,9 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 // appear (at zero — the run is fault-free) alongside the unsupervised
 // snapshot's metrics, whose values must be unchanged by supervision.
 func TestGoldenMetricsSnapshotSupervised(t *testing.T) {
-	dir := t.TempDir()
-	cfg := goldenConfig(dir)
+	cfg := goldenConfig(t.TempDir())
 	cfg.Supervise = &bookleaf.SuperviseConfig{Enabled: true}
-	if _, err := bookleaf.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(cfg.Metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m obs.MetricsFile
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("metrics.json is not valid JSON: %v", err)
-	}
-	m.Meta.WallSeconds = 0
-	for k := range m.Timers {
-		m.Timers[k] = 0
-	}
-	for k := range m.Counters {
-		if strings.HasSuffix(k, "_ns") {
-			m.Counters[k] = 0
-		}
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteMetrics(&buf, &m); err != nil {
-		t.Fatal(err)
-	}
-	compareOrUpdate(t, filepath.Join("testdata", "golden_metrics_supervised.json"), buf.Bytes())
+	compareOrUpdate(t, filepath.Join("testdata", "golden_metrics_supervised.json"), normalisedMetrics(t, cfg))
 }
 
 func TestGoldenMergedTraceSnapshot(t *testing.T) {

@@ -71,22 +71,6 @@ func New(problem string, nx, ny, nel, nnd int) *Snapshot {
 	}
 }
 
-// globalEl returns the global id of local element i on s's mesh.
-func globalEl(s *hydro.State, i int) int {
-	if s.Mesh.GlobalEl == nil {
-		return i
-	}
-	return s.Mesh.GlobalEl[i]
-}
-
-// globalNd returns the global id of local node i on s's mesh.
-func globalNd(s *hydro.State, i int) int {
-	if s.Mesh.GlobalNd == nil {
-		return i
-	}
-	return s.Mesh.GlobalNd[i]
-}
-
 // Gather writes the owned entities of s into their global slots. On a
 // partitioned run every rank Gathers into a shared snapshot (the owned
 // slots are disjoint); a serial state fills the whole snapshot.
@@ -94,7 +78,7 @@ func (sn *Snapshot) Gather(s *hydro.State) error {
 	m := s.Mesh
 	cs := s.CornerStride()
 	for i := 0; i < m.NOwnEl; i++ {
-		ge := globalEl(s, i)
+		ge := m.GlobalElID(i)
 		if ge < 0 || ge >= sn.NEl {
 			return fmt.Errorf("checkpoint: local element %d maps to global %d outside [0,%d)", i, ge, sn.NEl)
 		}
@@ -112,7 +96,7 @@ func (sn *Snapshot) Gather(s *hydro.State) error {
 		}
 	}
 	for i := 0; i < m.NOwnNd; i++ {
-		gn := globalNd(s, i)
+		gn := m.GlobalNdID(i)
 		if gn < 0 || gn >= sn.NNd {
 			return fmt.Errorf("checkpoint: local node %d maps to global %d outside [0,%d)", i, gn, sn.NNd)
 		}
@@ -190,7 +174,7 @@ func (sn *Snapshot) Restore(s *hydro.State, problem string, nx, ny int) error {
 			sn.NNd, m.NNd, sn.NEl, m.NEl)
 	}
 	for i := 0; i < m.NEl; i++ {
-		ge := globalEl(s, i)
+		ge := m.GlobalElID(i)
 		if ge < 0 || ge >= sn.NEl {
 			return fmt.Errorf("checkpoint: local element %d maps to global %d outside [0,%d)", i, ge, sn.NEl)
 		}
@@ -206,7 +190,7 @@ func (sn *Snapshot) Restore(s *hydro.State, problem string, nx, ny int) error {
 		}
 	}
 	for i := 0; i < m.NNd; i++ {
-		gn := globalNd(s, i)
+		gn := m.GlobalNdID(i)
 		if gn < 0 || gn >= sn.NNd {
 			return fmt.Errorf("checkpoint: local node %d maps to global %d outside [0,%d)", i, gn, sn.NNd)
 		}

@@ -45,11 +45,7 @@ func (s *State) CheckFinite() error {
 	for _, f := range elFields {
 		for e := 0; e < m.NOwnEl; e++ {
 			if v := f.a[e]; math.IsNaN(v) || math.IsInf(v, 0) {
-				ge := e
-				if m.GlobalEl != nil {
-					ge = m.GlobalEl[e]
-				}
-				return &ErrNonFinite{Field: f.name, Index: e, Global: ge, Value: v}
+				return &ErrNonFinite{Field: f.name, Index: e, Global: m.GlobalElID(e), Value: v}
 			}
 		}
 	}
@@ -60,11 +56,7 @@ func (s *State) CheckFinite() error {
 	for _, f := range ndFields {
 		for n := 0; n < m.NOwnNd; n++ {
 			if v := f.a[n]; math.IsNaN(v) || math.IsInf(v, 0) {
-				gn := n
-				if m.GlobalNd != nil {
-					gn = m.GlobalNd[n]
-				}
-				return &ErrNonFinite{Field: f.name, Index: n, Global: gn, Value: v}
+				return &ErrNonFinite{Field: f.name, Index: n, Global: m.GlobalNdID(n), Value: v}
 			}
 		}
 	}

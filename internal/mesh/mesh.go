@@ -88,8 +88,26 @@ type Mesh struct {
 	NOwnEl, NOwnNd int
 
 	// GlobalEl / GlobalNd map local indices to global ones for
-	// partitioned meshes; nil on serial meshes.
+	// partitioned or renumbered meshes; nil means the identity (read
+	// them through GlobalElID / GlobalNdID).
 	GlobalEl, GlobalNd []int
+}
+
+// GlobalElID returns the global id of local element i: GlobalEl[i], or
+// i itself on a mesh that was never partitioned or renumbered.
+func (m *Mesh) GlobalElID(i int) int {
+	if m.GlobalEl == nil {
+		return i
+	}
+	return m.GlobalEl[i]
+}
+
+// GlobalNdID is GlobalElID for nodes.
+func (m *Mesh) GlobalNdID(i int) int {
+	if m.GlobalNd == nil {
+		return i
+	}
+	return m.GlobalNd[i]
 }
 
 // GatherCoords copies the coordinates of element e's nodes into x, y.

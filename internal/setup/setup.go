@@ -34,11 +34,16 @@ type Problem struct {
 	SedovEnergy float64
 }
 
-// NewState instantiates a hydro state for the problem on its mesh
-// (serial use; parallel drivers restrict the fields per rank).
+// NewState instantiates a hydro state for the problem on its mesh.
 func (p *Problem) NewState() (*hydro.State, error) {
-	rho, ein := p.fields()
-	s, err := hydro.NewState(p.Mesh, p.Opt, rho, ein)
+	return p.NewStateOn(p.Mesh)
+}
+
+// NewStateOn instantiates the problem's t = 0 state on m: the problem
+// mesh itself, or one rank's sub-mesh of it.
+func (p *Problem) NewStateOn(m *mesh.Mesh) (*hydro.State, error) {
+	rho, ein := p.fields(m)
+	s, err := hydro.NewState(m, p.Opt, rho, ein)
 	if err != nil {
 		return nil, err
 	}
@@ -46,18 +51,17 @@ func (p *Problem) NewState() (*hydro.State, error) {
 	return s, nil
 }
 
-// fields returns the initial density and energy in the mesh's element
-// order. Rho and Ein are kept in canonical generation order; when the
-// mesh has been renumbered for locality (Mesh.GlobalEl non-nil, see
-// internal/order) the fields restrict through the carried permutation,
-// exactly as the parallel drivers restrict them per rank.
-func (p *Problem) fields() (rho, ein []float64) {
-	if p.Mesh.GlobalEl == nil {
+// fields returns the initial density and energy in m's element order.
+// Rho and Ein are kept in canonical generation order; a mesh that was
+// renumbered for locality or cut out by the partitioner (GlobalEl
+// non-nil) restricts them through the ids it carries.
+func (p *Problem) fields(m *mesh.Mesh) (rho, ein []float64) {
+	if m.GlobalEl == nil {
 		return p.Rho, p.Ein
 	}
-	rho = make([]float64, p.Mesh.NEl)
-	ein = make([]float64, p.Mesh.NEl)
-	for i, ge := range p.Mesh.GlobalEl {
+	rho = make([]float64, m.NEl)
+	ein = make([]float64, m.NEl)
+	for i, ge := range m.GlobalEl {
 		rho[i] = p.Rho[ge]
 		ein[i] = p.Ein[ge]
 	}
@@ -74,7 +78,7 @@ func (p *Problem) InitialAudit() (e0, mass0 float64, err error) {
 	for n := range u {
 		u[n], v[n] = p.velocityAt(m.X[n], m.Y[n], m.BCs[n])
 	}
-	rho, ein := p.fields()
+	rho, ein := p.fields(m)
 	return hydro.InitialTotals(m, rho, ein, u, v)
 }
 

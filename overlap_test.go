@@ -160,7 +160,7 @@ func TestOverlapDelayedHaloMessageCompletes(t *testing.T) {
 }
 
 // --- stepCluster: a minimal multi-rank step driver for the allocation
-// pin and BenchmarkParallelStep. It reproduces runParallel's
+// pin and BenchmarkParallelStep. It reproduces the rank loop's
 // communication schedule (dt MINLOC + the two Lagrangian halo points,
 // blocking or phased) without checkpointing, probes or rollback, and
 // steps on demand so the measurement loop controls exactly what runs.
@@ -210,17 +210,10 @@ func startStepCluster(tb testing.TB, problem string, nx, ny, nranks int, overlap
 		cl.finish <- comm.Run(func(rk *typhon.Rank) {
 			sm := subs[rk.ID()]
 			lm := sm.M
-			rho := make([]float64, lm.NEl)
-			ein := make([]float64, lm.NEl)
-			for i, ge := range lm.GlobalEl {
-				rho[i] = p.Rho[ge]
-				ein[i] = p.Ein[ge]
-			}
-			s, err := hydro.NewState(lm, p.Opt, rho, ein)
+			s, err := p.NewStateOn(lm)
 			if err != nil {
 				panic(err) // test harness: surfaces as RankPanicError
 			}
-			p.ApplyVelocities(s)
 			s.Pool = par.New(1)
 			defer s.Pool.Close()
 			elHalo := typhon.NewHalo(sm.ElSend, sm.ElRecv)
@@ -357,9 +350,11 @@ func (cl *stepCluster) stop(tb testing.TB) {
 // exchange buffer pool is saturated, a full multi-rank Lagrangian step
 // — kernels, dt reduction and both halo exchanges, blocking or phased
 // — performs zero heap allocations across all rank goroutines
-// (AllocsPerRun counts process-wide mallocs).
+// (AllocsPerRun counts process-wide mallocs). ranks-1 is the same step
+// through a communicator of one: reductions without peers, exchanges
+// without neighbours.
 func TestParallelStepZeroAllocs(t *testing.T) {
-	for _, nranks := range []int{2, 4} {
+	for _, nranks := range []int{1, 2, 4} {
 		for _, overlap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("ranks-%d/overlap-%v", nranks, overlap), func(t *testing.T) {
 				cl := startStepCluster(t, "noh", 16, 16, nranks, overlap)

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"bookleaf/internal/checkpoint"
+	"bookleaf/internal/hydro"
+	"bookleaf/internal/par"
 	"bookleaf/internal/typhon"
 )
 
@@ -25,9 +27,11 @@ import (
 // rollbacks, and the final state must match the unfaulted run bitwise:
 // replacement restores from the collective's last in-memory Memento,
 // which covers every evolving field including ghosts, so the replay is
-// exact.
+// exact. A fleet of one sends no messages for a message fault to ride
+// on, so there rank 0 panics from the step hook instead — and runs on a
+// leased pool, which the replacement must hand back usable.
 func TestSuperviseReplacementSweep(t *testing.T) {
-	for _, ranks := range []int{2, 4, 7} {
+	for _, ranks := range []int{1, 2, 4, 7} {
 		for _, overlap := range []bool{false, true} {
 			name := fmt.Sprintf("ranks=%d/overlap=%v", ranks, overlap)
 			t.Run(name, func(t *testing.T) {
@@ -42,12 +46,38 @@ func TestSuperviseReplacementSweep(t *testing.T) {
 
 				cfg := base
 				cfg.Supervise = &SuperviseConfig{Enabled: true}
-				cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
-					{Rank: 1, Msg: 7, Kind: typhon.FaultPanic, Once: true},
-				}}
+				victim := 1
+				if ranks > 1 {
+					cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
+						{Rank: victim, Msg: 7, Kind: typhon.FaultPanic, Once: true},
+					}}
+				} else {
+					victim = 0
+					fired := false // touched by one incarnation of rank 0 at a time
+					cfg.testFault = func(rank, step int, s *hydro.State) {
+						if step == 4 && !fired {
+							fired = true
+							panic("injected rank fault")
+						}
+					}
+					cfg.Pool = par.New(2)
+					defer cfg.Pool.Close()
+				}
 				res, err := runBoundedResult(t, cfg)
 				if err != nil {
 					t.Fatalf("supervised run: %v", err)
+				}
+				if cfg.Pool != nil {
+					// The lease outlives the incarnation that died on it.
+					again := base
+					again.Pool = cfg.Pool
+					res2, err := runBoundedResult(t, again)
+					if err != nil {
+						t.Fatalf("run on the pool handed back: %v", err)
+					}
+					if i := firstDiff(res2.Rho, ref.Rho); i >= 0 {
+						t.Errorf("run on the pool handed back: rho[%d] = %x, want %x", i, res2.Rho[i], ref.Rho[i])
+					}
 				}
 
 				if res.Replacements != 1 || res.SupRetries != 0 {
@@ -84,8 +114,8 @@ func TestSuperviseReplacementSweep(t *testing.T) {
 				if got := res.Obs.Counters["supervise_replace_total"]; got != 1 {
 					t.Errorf("supervise_replace_total = %d, want 1", got)
 				}
-				if res.Obs.Gauges["supervise_incarnation_rank1"] != 1 {
-					t.Errorf("incarnation gauge = %v, want 1", res.Obs.Gauges["supervise_incarnation_rank1"])
+				if g := res.Obs.Gauges[fmt.Sprintf("supervise_incarnation_rank%d", victim)]; g != 1 {
+					t.Errorf("incarnation gauge of rank %d = %v, want 1", victim, g)
 				}
 			})
 		}
@@ -193,24 +223,34 @@ func TestSuperviseLadderExhaustion(t *testing.T) {
 // remaining steps; 1e-6 pins it well inside the established bound while
 // leaving round-off headroom. Conservation stays at round-off.
 func TestSuperviseForcedRepartition(t *testing.T) {
-	base := Config{
-		Problem: "noh", NX: 16, NY: 16, MaxSteps: 24,
-		Ranks: 4, ALE: "smoothed", ALEFreq: 2,
-	}
-	ref, err := runBoundedResult(t, base)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
 	for _, tc := range []struct {
-		name     string
-		newRanks int
+		name            string
+		ranks, newRanks int
+		lease           bool
 	}{
-		{"grow-4-to-7", 7},
-		{"shrink-4-to-2", 2},
-		{"same-count", 0}, // re-decompose the moved mesh on 4 ranks
+		{"grow-4-to-7", 4, 7, false},
+		{"shrink-4-to-2", 4, 2, false},
+		{"same-count", 4, 0, false}, // re-decompose the moved mesh on 4 ranks
+		{"grow-1-to-3", 1, 3, false},
+		// Config.Pool is a one-rank lease: the three ranks each own a
+		// pool instead of sharing the leased one.
+		{"grow-1-to-3-leased", 1, 3, true},
+		{"shrink-4-to-1", 4, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			base := Config{
+				Problem: "noh", NX: 16, NY: 16, MaxSteps: 24,
+				Ranks: tc.ranks, ALE: "smoothed", ALEFreq: 2,
+			}
+			ref, err := runBoundedResult(t, base)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
 			cfg := base
+			if tc.lease {
+				cfg.Pool = par.New(2)
+				defer cfg.Pool.Close()
+			}
 			cfg.Supervise = &SuperviseConfig{
 				Enabled:      true,
 				RepartAtStep: 12,
