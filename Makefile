@@ -10,7 +10,9 @@
 # tier2-par races the threading substrate and the hydro kernels at
 # several GOMAXPROCS settings, so the persistent worker pool's
 # channel-based synchronisation is exercised under both starved and
-# oversubscribed schedulers.
+# oversubscribed schedulers. The hydro package's reference battery
+# (rewritten kernels vs the verbatim old loop bodies, the limiter-reuse
+# and stale-limiter checks, at pools {1,2,4}) runs in it.
 # tier2-overlap races the phased-exchange machinery: the typhon
 # Start/Finish path and its fault matrix, the overlap-vs-sync bitwise
 # determinism sweep, and the multi-rank zero-allocation pins — the
@@ -29,9 +31,8 @@
 # and same-count re-decomposition of the moved mesh).
 # tier2-fuse races the fused element passes: the fused-vs-unfused
 # bitwise battery (Noh and Sod across the overlap × threads grid, the
-# tile-width invariance sweep, the float32 ablation) plus the hydro
-# zero-alloc and timer pins at a 4-thread scheduler — the suite that
-# guards the default step path.
+# tile-width invariance sweep) plus the hydro zero-alloc and timer pins
+# at a 4-thread scheduler — the suite that guards the default step path.
 # tier2-order races the mesh-locality layer: the order package's
 # permutation property suite (round-trip, first-touch node renumbering,
 # Hilbert/RCM validity) plus the driver-level reorder battery — the
@@ -119,7 +120,7 @@ tier2-supervise:
 	$(GO) test -race . -run 'Supervise' -count=1
 
 tier2-fuse:
-	$(GO) test -race . -run 'Fuse|Float32Aux' -count=1
+	$(GO) test -race . -run 'Fuse' -count=1
 	GOMAXPROCS=4 $(GO) test -race ./internal/hydro -run 'StepZeroAllocs|Timers' -count=1
 
 tier2-order:

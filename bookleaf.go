@@ -114,11 +114,6 @@ type Config struct {
 	// FuseTile overrides the fused sweeps' tile width (elements per
 	// body invocation); 0 derives it from the per-core cache budget.
 	FuseTile int
-	// Float32Aux stores the corner-mass and edge-viscosity auxiliary
-	// streams as float32, halving their traffic in the force kernel —
-	// an opt-in accuracy/bandwidth ablation; results are no longer
-	// bitwise-comparable to float64 runs.
-	Float32Aux bool
 
 	// SedovEnergy overrides the Sedov blast energy when positive.
 	SedovEnergy float64
@@ -428,7 +423,6 @@ func (c *Config) applyOverrides(opt *hydro.Options) {
 	opt.ScatterAcc = c.ScatterAcc
 	opt.Fuse = !c.NoFuse
 	opt.FuseTile = c.FuseTile
-	opt.Float32Aux = c.Float32Aux
 	// Layout was validated by normalise(); the zero value (AoS) covers
 	// the empty string.
 	opt.Layout, _ = hydro.ParseLayout(c.Layout)

@@ -60,7 +60,6 @@ func run() error {
 		overlap     = flag.Bool("overlap", false, "phased halo exchanges overlapped with interior computation (multi-rank runs)")
 		fuse        = flag.Bool("fuse", true, "fused element passes (bitwise-identical; -fuse=false selects the paper's one-kernel-per-phase ablation)")
 		fuseTile    = flag.Int("fuse-tile", 0, "fused-sweep tile width in elements (0 = derive from the per-core cache budget)")
-		f32aux      = flag.Bool("f32aux", false, "store corner-mass/edge-viscosity streams as float32 (accuracy/bandwidth ablation)")
 		sedovE      = flag.Float64("sedov-energy", 0, "Sedov blast energy override")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -137,7 +136,7 @@ func run() error {
 			Reorder: *reorder, Layout: *layout,
 			ALE: *aleMode, ALEFreq: *aleFreq, Hourglass: *hourglass,
 			ScatterAcc: *scatterAcc, Overlap: *overlap, SedovEnergy: *sedovE,
-			NoFuse: !*fuse, FuseTile: *fuseTile, Float32Aux: *f32aux,
+			NoFuse: !*fuse, FuseTile: *fuseTile,
 			Checkpoint: *ckpt, CheckpointEvery: *ckptEvery, Resume: *resume,
 			RollbackEvery: *rollEvery, RetryBudget: *retryBudget,
 			HistoryEvery: *history,
@@ -156,8 +155,6 @@ func run() error {
 			cfg.NoFuse = !*fuse
 		case "fuse-tile":
 			cfg.FuseTile = *fuseTile
-		case "f32aux":
-			cfg.Float32Aux = *f32aux
 		case "reorder":
 			cfg.Reorder = *reorder
 		case "layout":

@@ -44,9 +44,6 @@ func ConfigFromDeck(d *config.Deck) (Config, error) {
 	if cfg.FuseTile, err = d.Int("control", "fuse_tile", 0); err != nil {
 		return cfg, err
 	}
-	if cfg.Float32Aux, err = d.Bool("hydro", "float32aux", false); err != nil {
-		return cfg, err
-	}
 	cfg.Checkpoint = d.String("control", "checkpoint", "")
 	if cfg.CheckpointEvery, err = d.Int("control", "checkpoint_every", 0); err != nil {
 		return cfg, err

@@ -632,22 +632,6 @@ func (d *driver) doRepart() error {
 	if err := d.gatherParked(world); err != nil {
 		return err
 	}
-	// QEdge — the edge viscous-damper coefficients — is the one
-	// evolving field the partition-independent snapshot omits (it is
-	// not needed for restart-file compatibility, only for exact
-	// continuation). Migrating it through a driver-side global array
-	// keeps the post-repartition step on the trajectory the unperturbed
-	// run would have taken.
-	gq := make([]float64, 4*m.NEl)
-	for _, sl := range d.slots {
-		lm := sl.sub.M
-		cs := sl.s.CornerStride()
-		for i := 0; i < lm.NOwnEl; i++ {
-			ge := lm.GlobalElID(i)
-			copy(gq[4*ge:4*ge+4], sl.s.QEdge[cs*i:cs*i+4])
-		}
-	}
-
 	n := len(d.slots)
 	if d.pol.RepartRanks > 0 {
 		n = d.pol.RepartRanks
@@ -668,12 +652,6 @@ func (d *driver) doRepart() error {
 		}
 		if sl.id != 0 {
 			sl.s.ExternalWork, sl.s.FloorEnergy = 0, 0
-		}
-		lm := sl.sub.M
-		cs := sl.s.CornerStride()
-		for j := 0; j < lm.NEl; j++ { // owned and ghost alike
-			ge := lm.GlobalElID(j)
-			copy(sl.s.QEdge[cs*j:cs*j+4], gq[4*ge:4*ge+4])
 		}
 		sl.lockstep = tmpl.lockstep
 		sl.s.Save(&sl.stepStart)

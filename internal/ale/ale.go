@@ -461,7 +461,6 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 		}
 	}
 	pool.For(nel, r.kb.massEnergy)
-	s.RefreshAux() // corner masses changed; rebuild the float32 shadow
 	pool.For(nnd, r.kb.stash)
 	pool.For(nnd, r.kb.ndMass)
 	if min, _ := pool.ReduceMin(nnd, r.kb.ndMassAt); min <= 0 {

@@ -205,7 +205,6 @@ func (sn *Snapshot) Restore(s *hydro.State, problem string, nx, ny int) error {
 	s.StepCount = sn.StepCount
 	s.ExternalWork = sn.ExternalWork
 	s.FloorEnergy = sn.FloorEnergy
-	s.RefreshAux()
 	return nil
 }
 

@@ -16,7 +16,16 @@ import "math"
 // ordering) by the shoelace formula, which is exact for the bilinear
 // element.
 func Area(x, y *[4]float64) float64 {
-	return 0.5 * ((x[2]-x[0])*(y[3]-y[1]) - (x[3]-x[1])*(y[2]-y[0]))
+	return QuadArea(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
+}
+
+// QuadArea is Area on eight scalars. The per-element hot loops call the
+// scalar forms (QuadArea, MinLength, Divergence) on values they have
+// already gathered: the Go compiler keeps named scalars in registers,
+// whereas a [4]float64 local always lives on the stack and its k-loops
+// are not unrolled.
+func QuadArea(x0, x1, x2, x3, y0, y1, y2, y3 float64) float64 {
+	return 0.5 * ((x2-x0)*(y3-y1) - (x3-x1)*(y2-y0))
 }
 
 // Centroid returns the vertex-average centre of the quad. BookLeaf uses
@@ -62,36 +71,35 @@ func SideLengths(x, y *[4]float64, l *[4]float64) {
 // while the true acoustic transit scale collapses with the area, and a
 // CFL timestep based on midpoints alone lets the explicit update blow
 // up before the timestep control can react.
-func MinLength(x, y *[4]float64) float64 {
+func MinLength(x0, x1, x2, x3, y0, y1, y2, y3 float64) float64 {
 	// All candidate lengths are compared as squares and only the winner
 	// is rooted: sqrt is monotone and correctly rounded, so
 	// sqrt(min(a², b²)) is bit-for-bit min(sqrt(a²), sqrt(b²)) — one
 	// square root per element instead of six on the timestep kernel's
 	// hot path.
-	dx := 0.5*(x[2]+x[3]) - 0.5*(x[0]+x[1])
-	dy := 0.5*(y[2]+y[3]) - 0.5*(y[0]+y[1])
-	d2 := dx*dx + dy*dy
-	dx = 0.5*(x[3]+x[0]) - 0.5*(x[1]+x[2])
-	dy = 0.5*(y[3]+y[0]) - 0.5*(y[1]+y[2])
-	if e2 := dx*dx + dy*dy; e2 < d2 {
+	d2 := len2(0.5*(x2+x3)-0.5*(x0+x1), 0.5*(y2+y3)-0.5*(y0+y1))
+	if e2 := len2(0.5*(x3+x0)-0.5*(x1+x2), 0.5*(y3+y0)-0.5*(y1+y2)); e2 < d2 {
 		d2 = e2
 	}
 	l := math.Sqrt(d2)
-	var longest2 float64
-	for k := 0; k < 4; k++ {
-		kp := (k + 1) & 3
-		ex := x[kp] - x[k]
-		ey := y[kp] - y[k]
-		if s2 := ex*ex + ey*ey; s2 > longest2 {
-			longest2 = s2
-		}
-	}
+	longest2 := longer(longer(longer(longer(0, x1-x0, y1-y0), x2-x1, y2-y1), x3-x2, y3-y2), x0-x3, y0-y3)
 	if longest := math.Sqrt(longest2); longest > 0 {
-		if thin := Area(x, y) / longest; thin > 0 && thin < l {
+		if thin := QuadArea(x0, x1, x2, x3, y0, y1, y2, y3) / longest; thin > 0 && thin < l {
 			l = thin
 		}
 	}
 	return l
+}
+
+func len2(dx, dy float64) float64 { return dx*dx + dy*dy }
+
+// longer returns the larger of l2 and the squared length of (dx, dy); a
+// NaN length never wins.
+func longer(l2, dx, dy float64) float64 {
+	if s2 := len2(dx, dy); s2 > l2 {
+		return s2
+	}
+	return l2
 }
 
 // SubVolumes fills sv with the four corner sub-zone areas. Corner k is
@@ -141,16 +149,16 @@ var HourglassVector = [4]float64{1, -1, 1, -1}
 
 // Divergence returns the discrete velocity divergence of the element,
 // (dA/dt)/A, given nodal velocities. Returns 0 for degenerate area.
-func Divergence(x, y *[4]float64, u, v *[4]float64) float64 {
-	a := Area(x, y)
+func Divergence(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3 float64) float64 {
+	a := QuadArea(x0, x1, x2, x3, y0, y1, y2, y3)
 	if a <= 0 {
 		return 0
 	}
-	var ax, ay [4]float64
-	BasisGrad(x, y, &ax, &ay)
+	// Σ_k ∂A/∂x_k·u_k + ∂A/∂y_k·v_k (see BasisGrad), corner by corner.
 	var dAdt float64
-	for k := 0; k < 4; k++ {
-		dAdt += ax[k]*u[k] + ay[k]*v[k]
-	}
+	dAdt += 0.5*(y1-y3)*u0 + 0.5*(x3-x1)*v0
+	dAdt += 0.5*(y2-y0)*u1 + 0.5*(x0-x2)*v1
+	dAdt += 0.5*(y3-y1)*u2 + 0.5*(x1-x3)*v2
+	dAdt += 0.5*(y0-y2)*u3 + 0.5*(x2-x0)*v3
 	return dAdt / a
 }

@@ -125,7 +125,7 @@ func TestMinLengthRectangle(t *testing.T) {
 	// 2 x 0.5 rectangle: characteristic length is the short side 0.5.
 	x := [4]float64{0, 2, 2, 0}
 	y := [4]float64{0, 0, 0.5, 0.5}
-	if l := MinLength(&x, &y); math.Abs(l-0.5) > 1e-14 {
+	if l := MinLength(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3]); math.Abs(l-0.5) > 1e-14 {
 		t.Fatalf("MinLength = %v, want 0.5", l)
 	}
 }
@@ -181,7 +181,7 @@ func TestDivergenceUniformExpansion(t *testing.T) {
 		u[k] = x[k] - 0.5
 		v[k] = y[k] - 0.5
 	}
-	if d := Divergence(&x, &y, &u, &v); math.Abs(d-2) > 1e-14 {
+	if d := Divergence(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], u[0], u[1], u[2], u[3], v[0], v[1], v[2], v[3]); math.Abs(d-2) > 1e-14 {
 		t.Fatalf("divergence = %v, want 2", d)
 	}
 }
@@ -193,7 +193,7 @@ func TestDivergenceZeroForTranslation(t *testing.T) {
 		x, y := randomConvexQuad(r)
 		u := [4]float64{uu, uu, uu, uu}
 		v := [4]float64{vv, vv, vv, vv}
-		return math.Abs(Divergence(&x, &y, &u, &v)) < 1e-10
+		return math.Abs(Divergence(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], u[0], u[1], u[2], u[3], v[0], v[1], v[2], v[3])) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestDivergenceZeroForRotation(t *testing.T) {
 		u[k] = -(y[k] - 0.5)
 		v[k] = x[k] - 0.5
 	}
-	if d := Divergence(&x, &y, &u, &v); math.Abs(d) > 1e-14 {
+	if d := Divergence(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], u[0], u[1], u[2], u[3], v[0], v[1], v[2], v[3]); math.Abs(d) > 1e-14 {
 		t.Fatalf("rotation divergence = %v, want 0", d)
 	}
 }
@@ -235,7 +235,7 @@ func TestDegenerateElementDivergenceSafe(t *testing.T) {
 	y := [4]float64{2, 2, 2, 2}
 	u := [4]float64{1, 2, 3, 4}
 	v := [4]float64{4, 3, 2, 1}
-	if d := Divergence(&x, &y, &u, &v); d != 0 {
+	if d := Divergence(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], u[0], u[1], u[2], u[3], v[0], v[1], v[2], v[3]); d != 0 {
 		t.Fatalf("degenerate divergence = %v, want 0", d)
 	}
 }

@@ -17,23 +17,28 @@ import (
 func TestStepZeroAllocs(t *testing.T) {
 	for _, fuse := range []bool{true, false} {
 		for _, threads := range []int{1, 4} {
-			name := "unfused"
-			if fuse {
-				name = "fused"
+			// The EdgeQForces row pins the lazily sized QEdge: the
+			// warm-up step allocates it, no later step does.
+			for _, edgeQ := range []bool{false, true} {
+				name := "unfused"
+				if fuse {
+					name = "fused"
+				}
+				t.Run(fmt.Sprintf("%s/pool-%d/edgeq-%v", name, threads, edgeQ), func(t *testing.T) {
+					testStepZeroAllocs(t, fuse, threads, edgeQ)
+				})
 			}
-			t.Run(fmt.Sprintf("%s/pool-%d", name, threads), func(t *testing.T) {
-				testStepZeroAllocs(t, fuse, threads)
-			})
 		}
 	}
 }
 
-func testStepZeroAllocs(t *testing.T, fuse bool, threads int) {
+func testStepZeroAllocs(t *testing.T, fuse bool, threads int, edgeQ bool) {
 	{
 		m := boxMesh(t, 16, 16)
 		g, _ := eos.NewIdealGas(1.4)
 		opt := DefaultOptions(g)
 		opt.Fuse = fuse
+		opt.EdgeQForces = edgeQ
 		rho := make([]float64, m.NEl)
 		ein := make([]float64, m.NEl)
 		for e := range rho {

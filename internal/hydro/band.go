@@ -57,11 +57,9 @@ func (s *State) VolList(list []int) {
 
 func (s *State) volListBody(plo, phi int) {
 	list := s.ka.list
-	var x, y [4]float64
 	for i := plo; i < phi; i++ {
 		e := list[i]
-		s.gatherCoords(e, &x, &y)
-		s.Vol[e] = geom.Area(&x, &y)
+		s.Vol[e] = geom.QuadArea(gather8(s.X, s.Y, &s.Mesh.ElNd[e]))
 	}
 }
 
@@ -111,13 +109,8 @@ func (s *State) einListBody(chunk, plo, phi int) {
 	var added float64
 	for i := plo; i < phi; i++ {
 		e := list[i]
-		nd := &m.ElNd[e]
-		base := s.cs * e
-		var w float64
-		for k := 0; k < 4; k++ {
-			w += s.FX[base+k]*uArr[nd[k]] + s.FY[base+k]*vArr[nd[k]]
-		}
-		ein := s.Ein0[e] - dt*w/s.Mass[e]
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, &m.ElNd[e])
+		ein := s.Ein0[e] - dt*s.cornerWork(e, u0, u1, u2, u3, v0, v1, v2, v3)/s.Mass[e]
 		if ein < 0 && mats[m.Region[e]].EnergyDependent() {
 			added += -ein * s.Mass[e]
 			ein = 0
@@ -139,8 +132,6 @@ func (s *State) pcListBody(plo, phi int) {
 	list := s.ka.list
 	for i := plo; i < phi; i++ {
 		e := list[i]
-		mat := mats[reg[e]]
-		s.P[e] = mat.Pressure(s.Rho[e], s.Ein[e])
-		s.Csq[e] = mat.SoundSpeed2(s.Rho[e], s.Ein[e])
+		s.P[e], s.Csq[e] = pressureCsq(mats[reg[e]], s.Rho[e], s.Ein[e])
 	}
 }

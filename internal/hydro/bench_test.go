@@ -146,13 +146,22 @@ func BenchmarkStepFusion(b *testing.B) {
 }
 
 // BenchmarkQForceFusion isolates the q+force fusion: one merged sweep
-// against the getq/getforce kernel pair over the same state.
+// against the getq/getforce kernel pair over the same state, and the
+// corrector's form of the merged sweep, which reads the limiter back.
 func BenchmarkQForceFusion(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		s := benchStateFuse(b, 120, 1, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.GetQForce(0, s.Mesh.NEl, s.U0, s.V0)
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		s := benchStateFuse(b, 120, 1, true)
+		s.GetQForce(0, s.Mesh.NEl, s.U0, s.V0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.getQForce(0, s.Mesh.NEl, s.U0, s.V0, true)
 		}
 	})
 	b.Run("unfused", func(b *testing.B) {

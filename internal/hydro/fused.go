@@ -18,14 +18,17 @@ import (
 // getgeom/getrho/getein/getpc re-read ElNd, Vol, Rho, Mass and the
 // corner forces that a neighbouring kernel just produced. Both fusions
 // are valid per element because no kernel in either pair reads another
-// element's output: getforce consumes only its own element's Q/QEdge
-// (just computed), and vol→rho→ein→pc is a straight-line dataflow on
+// element's output: getforce consumes only its own element's Q (just
+// computed), and vol→rho→ein→pc is a straight-line dataflow on
 // element-local values once the nodes have moved. Each fused body
-// therefore performs the exact per-element floating-point sequence of
-// its unfused kernels back to back — same gathered operands, same
-// operation order — which is what makes the fused path bitwise-
-// identical to the unfused one at every thread count (pinned by the
-// fused-vs-unfused battery in fuse_test.go).
+// calls the per-element functions of its unfused kernels back to back
+// (elemQ then elemForce; geom.QuadArea, cornerWork and pressureCsq) — same
+// gathered operands, same operation order — which is what makes the
+// fused path bitwise-identical to the unfused one at every thread
+// count (pinned by the fused-vs-unfused battery in fuse_test.go). The
+// one thing only the fused step does is evaluate the viscosity limiter
+// once: its corrector sweep reads what its predictor sweep stored (see
+// elemQ), where the unfused kernels evaluate it in both.
 //
 // The sweeps dispatch over par.ForChunksTiled: each body invocation
 // covers at most fuseTile elements, so the slab of every streamed
@@ -36,7 +39,8 @@ import (
 // is derived from: the fused update streams ElNd (32 B) + 4 nodes of
 // X/Y/U/V (amortised ~64 B), FX/FY (64 B), and ~10 element-scalar
 // streams (80 B) ≈ 256 B per element; the fused q+force pass is the
-// same order (QEdge + neighbour touches in place of Ein0/Mass).
+// same order (the CMass|limiter record and the neighbour touches in
+// place of Ein0/Mass).
 const fusedBytesPerElem = 256
 
 // Fused-path timer names. The fused step deliberately reports the
@@ -53,142 +57,31 @@ const (
 // elements [lo, hi) in one sweep — the fusion of GetQ and GetForce.
 // uArr, vArr supply the velocity field (U0 in both the predictor and
 // the corrector, where U is still bitwise-equal to its start-of-step
-// copy — nothing writes U between the copy and GetAcc).
+// copy — nothing writes U between the copy and GetAcc). It is always a
+// full evaluation: it stores the limiter and never trusts a stored one.
 func (s *State) GetQForce(lo, hi int, uArr, vArr []float64) {
-	s.ka.lo = lo
-	s.ka.u, s.ka.v = uArr, vArr
+	s.getQForce(lo, hi, uArr, vArr, false)
+}
+
+// getQForce is GetQForce with the limiter-reuse switch (see elemQ).
+func (s *State) getQForce(lo, hi int, uArr, vArr []float64, reuse bool) {
+	s.viscArgs(lo, uArr, vArr, reuse)
 	s.Pool.ForChunksTiled(hi-lo, s.fuseTile, s.kb.qforce)
 }
 
+// qforceBody runs getq then getforce per element (elemQ, elemForce —
+// the bodies of qBody and forceBody) on one gather.
 func (s *State) qforceBody(_, plo, phi int) {
-	m := s.Mesh
-	cq1, cq2 := s.Opt.CQ1, s.Opt.CQ2
 	lo := s.ka.lo
 	uArr, vArr := s.ka.u, s.ka.v
-	f32 := s.Opt.Float32Aux
-	var x, y, u, v [4]float64
-	var ax, ay [4]float64
-	var qe [4]float64
 	for e := lo + plo; e < lo+phi; e++ {
-		nd := &m.ElNd[e]
-		for k := 0; k < 4; k++ {
-			x[k] = s.X[nd[k]]
-			y[k] = s.Y[nd[k]]
-			u[k] = uArr[nd[k]]
-			v[k] = vArr[nd[k]]
-		}
-		rho := s.Rho[e]
-		csq := s.Csq[e]
-		cs := math.Sqrt(csq)
-		// Corner-array record of e (stride s.cs, layout-dependent); the
-		// facing table stays at stride 4 — it is topology, not state.
-		base := s.cs * e
-
-		// --- getq: edge viscosity with the two-ring limiter (the
-		// per-element body of qBody, on the shared gathers).
-		var qsum float64
-		for k := 0; k < 4; k++ {
-			kp := (k + 1) & 3
-			dux := u[kp] - u[k]
-			duy := v[kp] - v[k]
-			dxx := x[kp] - x[k]
-			dxy := y[kp] - y[k]
-			if dux*dxx+duy*dxy >= 0 {
-				qe[k] = 0
-				continue
-			}
-			du2 := dux*dux + duy*duy
-			if du2 == 0 {
-				qe[k] = 0
-				continue
-			}
-			du := math.Sqrt(du2)
-			ko2 := (k + 2) & 3
-			ko2p := (ko2 + 1) & 3
-			odux := -(u[ko2p] - u[ko2])
-			oduy := -(v[ko2p] - v[ko2])
-			r := (odux*dux + oduy*duy) / du2
-			if nb := m.ElEl[e][k]; nb >= 0 {
-				kk := int(s.facing[4*e+k])
-				if kk < 0 {
-					panic("hydro: element adjacency not symmetric")
-				}
-				ko := (kk + 2) & 3
-				kop := (ko + 1) & 3
-				nbnd := &m.ElNd[nb]
-				ndux := -(uArr[nbnd[kop]] - uArr[nbnd[ko]])
-				nduy := -(vArr[nbnd[kop]] - vArr[nbnd[ko]])
-				rNb := (ndux*dux + nduy*duy) / du2
-				r = min(rNb, r)
-			}
-			psi := 0.0
-			if r > 0 {
-				psi = min(1.0, r)
-			}
-			qEdge := (1 - psi) * rho * (cq2*du2 + cq1*cs*du)
-			qsum += qEdge
-			edgeLen := math.Sqrt(dxx*dxx + dxy*dxy)
-			qe[k] = qEdge * edgeLen / du
-		}
-		q := 0.25 * qsum
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, nd)
+		rho, csq := s.Rho[e], s.Csq[e]
+		q := s.elemQ(e, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, math.Sqrt(csq))
 		s.Q[e] = q
-		if f32 {
-			for k := 0; k < 4; k++ {
-				s.qedge32[base+k] = float32(qe[k])
-				qe[k] = float64(s.qedge32[base+k])
-			}
-		} else {
-			for k := 0; k < 4; k++ {
-				s.QEdge[base+k] = qe[k]
-			}
-		}
-
-		// --- getforce: pressure + viscosity force and hourglass
-		// control (the per-element body of forceBody), reusing the
-		// gathered x/y/u/v and the q just computed.
-		geom.BasisGrad(&x, &y, &ax, &ay)
-		pq := s.P[e] + q
-		for k := 0; k < 4; k++ {
-			s.FX[base+k] = pq * ax[k]
-			s.FY[base+k] = pq * ay[k]
-		}
-		if s.Opt.EdgeQForces {
-			for k := 0; k < 4; k++ {
-				s.FX[base+k] -= q * ax[k]
-				s.FY[base+k] -= q * ay[k]
-			}
-			for k := 0; k < 4; k++ {
-				kappa := qe[k]
-				if kappa == 0 {
-					continue
-				}
-				kp := (k + 1) & 3
-				fx := kappa * (u[kp] - u[k])
-				fy := kappa * (v[kp] - v[k])
-				s.FX[base+k] += fx
-				s.FY[base+k] += fy
-				s.FX[base+kp] -= fx
-				s.FY[base+kp] -= fy
-			}
-		}
-		switch s.Opt.Hourglass {
-		case HGFilter:
-			var hu, hv float64
-			for k := 0; k < 4; k++ {
-				hu += geom.HourglassVector[k] * u[k]
-				hv += geom.HourglassVector[k] * v[k]
-			}
-			hu *= 0.25
-			hv *= 0.25
-			area := s.Vol[e]
-			coef := s.Opt.HGKappa * rho * (cs + math.Sqrt(hu*hu+hv*hv)) * math.Sqrt(area)
-			for k := 0; k < 4; k++ {
-				s.FX[base+k] -= coef * hu * geom.HourglassVector[k]
-				s.FY[base+k] -= coef * hv * geom.HourglassVector[k]
-			}
-		case HGSubzonal:
-			s.subzonalForce(e, &x, &y, rho, csq, q, f32)
-		}
+		s.elemForce(e, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, csq, q)
 	}
 }
 
@@ -244,9 +137,8 @@ func (s *State) updateBody(chunk, plo, phi int) {
 	lo, dt := s.ka.lo, s.ka.dt
 	uArr, vArr := s.ka.u, s.ka.v
 	fl := &s.ka.floors[floorStride*chunk]
-	var x, y [4]float64
 	for e := lo + plo; e < lo+phi; e++ {
-		s.fusedElem(e, dt, uArr, vArr, &x, &y, mats, reg, fl)
+		s.fusedElem(e, dt, uArr, vArr, mats, reg, fl)
 	}
 }
 
@@ -278,43 +170,33 @@ func (s *State) updateListBody(chunk, plo, phi int) {
 	list := s.ka.list
 	uArr, vArr := s.ka.u, s.ka.v
 	fl := &s.ka.floors[floorStride*chunk]
-	var x, y [4]float64
 	for i := plo; i < phi; i++ {
-		s.fusedElem(list[i], dt, uArr, vArr, &x, &y, mats, reg, fl)
+		s.fusedElem(list[i], dt, uArr, vArr, mats, reg, fl)
 	}
 }
 
 // fusedElem is the per-element vol→rho→ein→pc chain both fused update
-// bodies share: the exact floating-point sequence of volBody, rhoBody,
+// bodies share: the per-element expressions of volBody, rhoBody,
 // einBody and pcBody back to back. The floor partial accumulates into
 // the chunk's padded slot per element (not via a tile-local temporary)
 // so the addition order matches the unfused einBody's local
 // accumulator bit for bit.
-func (s *State) fusedElem(e int, dt float64, uArr, vArr []float64, x, y *[4]float64, mats []eos.Material, reg []int, fl *float64) {
+func (s *State) fusedElem(e int, dt float64, uArr, vArr []float64, mats []eos.Material, reg []int, fl *float64) {
 	nd := &s.Mesh.ElNd[e]
-	base := s.cs * e
-	for k := 0; k < 4; k++ {
-		x[k] = s.X[nd[k]]
-		y[k] = s.Y[nd[k]]
-	}
-	vol := geom.Area(x, y)
+	vol := geom.QuadArea(gather8(s.X, s.Y, nd))
 	s.Vol[e] = vol
 	mass := s.Mass[e]
 	rho := mass / vol
 	s.Rho[e] = rho
-	var w float64
-	for k := 0; k < 4; k++ {
-		w += s.FX[base+k]*uArr[nd[k]] + s.FY[base+k]*vArr[nd[k]]
-	}
-	ein := s.Ein0[e] - dt*w/mass
+	u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, nd)
+	ein := s.Ein0[e] - dt*s.cornerWork(e, u0, u1, u2, u3, v0, v1, v2, v3)/mass
 	mat := mats[reg[e]]
 	if ein < 0 && mat.EnergyDependent() {
 		*fl += -ein * mass
 		ein = 0
 	}
 	s.Ein[e] = ein
-	s.P[e] = mat.Pressure(rho, ein)
-	s.Csq[e] = mat.SoundSpeed2(rho, ein)
+	s.P[e], s.Csq[e] = pressureCsq(mat, rho, ein)
 }
 
 // correctorSyncFused is correctorSync on the fused passes: the same two
@@ -324,7 +206,7 @@ func (s *State) correctorSyncFused(tm *timers.Set, hooks *Hooks, dt float64) err
 	nel := s.Mesh.NOwnEl
 
 	tm.Start(TimerQForce)
-	s.GetQForce(0, nel, s.U0, s.V0)
+	s.getQForce(0, nel, s.U0, s.V0, true)
 	tm.Stop(TimerQForce)
 
 	if hooks != nil && hooks.ExchangeForces != nil {
@@ -368,7 +250,7 @@ func (s *State) correctorOverlapFused(tm *timers.Set, hooks *Hooks, dt float64) 
 	b := hooks.Band
 
 	tm.Start(TimerQForce)
-	s.GetQForce(0, nel, s.U0, s.V0)
+	s.getQForce(0, nel, s.U0, s.V0, true)
 	tm.Stop(TimerQForce)
 
 	tm.Start(TimerComms)

@@ -92,7 +92,6 @@ func Retryable(err error) bool {
 type Memento struct {
 	x, y, u, v, ndMass        []float64
 	rho, ein, p, q, csq, vol  []float64
-	qEdge                     []float64
 	mass, cMass               []float64
 	time, dtPrev              float64
 	stepCount                 int
@@ -121,11 +120,6 @@ func (s *State) Save(m *Memento) {
 	cp(&m.ein, s.Ein)
 	cp(&m.p, s.P)
 	cp(&m.q, s.Q)
-	// In the AoS layout qEdge and cMass are overlapping views of one
-	// interleaved backing, so these two copies overlap; both are taken
-	// at the same instant, so restoring both rewrites the shared slots
-	// with identical values.
-	cp(&m.qEdge, s.QEdge)
 	cp(&m.csq, s.Csq)
 	cp(&m.vol, s.Vol)
 	cp(&m.mass, s.Mass)
@@ -154,7 +148,6 @@ func (s *State) Load(m *Memento) {
 	copy(s.Ein, m.ein)
 	copy(s.P, m.p)
 	copy(s.Q, m.q)
-	copy(s.QEdge, m.qEdge)
 	copy(s.Csq, m.csq)
 	copy(s.Vol, m.vol)
 	copy(s.Mass, m.mass)
@@ -162,5 +155,4 @@ func (s *State) Load(m *Memento) {
 	s.Time, s.DtPrev = m.time, m.dtPrev
 	s.StepCount = m.stepCount
 	s.ExternalWork, s.FloorEnergy = m.externalWork, m.floorEnergy
-	s.RefreshAux()
 }

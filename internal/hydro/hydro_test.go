@@ -224,7 +224,7 @@ func TestPressureForcePushesOutward(t *testing.T) {
 	s.GetPC(0, m.NEl)
 	s.GetForce(0, m.NEl, s.U0, s.V0)
 	var x, y [4]float64
-	s.gatherCoords(centre, &x, &y)
+	m.GatherCoords(centre, &x, &y) // nothing has moved
 	cx := 0.25 * (x[0] + x[1] + x[2] + x[3])
 	cy := 0.25 * (y[0] + y[1] + y[2] + y[3])
 	for k := 0; k < 4; k++ {

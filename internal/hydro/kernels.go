@@ -3,6 +3,7 @@ package hydro
 import (
 	"math"
 
+	"bookleaf/internal/eos"
 	"bookleaf/internal/geom"
 	"bookleaf/internal/mesh"
 )
@@ -19,9 +20,13 @@ type kernelArgs struct {
 	lo int
 	// dt is the timestep operand of the acc/geom/ein bodies.
 	dt float64
-	// u, v are the nodal velocity operands of the force/geom/ein
-	// bodies (U0 in the predictor, UBar in the corrector).
+	// u, v are the nodal velocity operands of the viscosity/force/
+	// geom/ein bodies (U0 in the predictor, UBar in the corrector).
 	u, v []float64
+	// reuse lets the viscosity sweep read the limiter its predecessor
+	// stored instead of evaluating it (see elemQ); only Step's fused
+	// correctors set it.
+	reuse bool
 	// nlo is the node offset of the current move call; the move body
 	// receives chunk-relative ranges and adds it back.
 	nlo int
@@ -63,46 +68,27 @@ type kernelBodies struct {
 // bindKernels creates the pre-bound kernel bodies. Called once from
 // NewState.
 func (s *State) bindKernels() {
+	// Timestep operands. The fused one feeds both conditions from one
+	// coordinate/velocity gather; each component is the unfused body's
+	// expression, so ReduceMin2 returns the same (min, argmin) pairs as
+	// the two separate ReduceMin sweeps.
 	s.kb.cfl = func(e int) float64 {
-		var x, y [4]float64
-		s.gatherCoords(e, &x, &y)
-		l := geom.MinLength(&x, &y)
-		sig2 := s.Csq[e] + 2*s.Q[e]/s.Rho[e]
-		if sig2 <= 0 {
-			return math.Inf(1)
-		}
-		return s.Opt.CFL * l / math.Sqrt(sig2)
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		return s.cflDt(e, x0, x1, x2, x3, y0, y1, y2, y3)
 	}
 	s.kb.div = func(e int) float64 {
-		var x, y, u, v [4]float64
-		s.gatherCoords(e, &x, &y)
-		s.gatherVel(e, s.U, s.V, &u, &v)
-		d := math.Abs(geom.Divergence(&x, &y, &u, &v))
-		if d == 0 {
-			return math.Inf(1)
-		}
-		return s.Opt.DivSafety / d
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(s.U, s.V, nd)
+		return s.divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3)
 	}
-	// Fused CFL + divergence operand: one coordinate/velocity gather
-	// feeds both conditions. Each component's expression matches its
-	// unfused body exactly, so ReduceMin2 returns the same (min, argmin)
-	// pairs as the two separate ReduceMin sweeps.
 	s.kb.cflDiv = func(e int) (float64, float64) {
-		var x, y, u, v [4]float64
-		s.gatherCoords(e, &x, &y)
-		s.gatherVel(e, s.U, s.V, &u, &v)
-		l := geom.MinLength(&x, &y)
-		sig2 := s.Csq[e] + 2*s.Q[e]/s.Rho[e]
-		cfl := math.Inf(1)
-		if sig2 > 0 {
-			cfl = s.Opt.CFL * l / math.Sqrt(sig2)
-		}
-		d := math.Abs(geom.Divergence(&x, &y, &u, &v))
-		div := math.Inf(1)
-		if d != 0 {
-			div = s.Opt.DivSafety / d
-		}
-		return cfl, div
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(s.U, s.V, nd)
+		return s.cflDt(e, x0, x1, x2, x3, y0, y1, y2, y3),
+			s.divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3)
 	}
 	s.kb.q = s.qBody
 	s.kb.force = s.forceBody
@@ -199,6 +185,25 @@ func (s *State) GetDt() (dt float64, controller int) {
 	return dt, controller
 }
 
+// cflDt is element e's sound-speed condition CFL·L/sqrt(c² + 2q/ρ); a
+// signal speed that is not positive (or not a number) imposes none.
+func (s *State) cflDt(e int, x0, x1, x2, x3, y0, y1, y2, y3 float64) float64 {
+	sig2 := s.Csq[e] + 2*s.Q[e]/s.Rho[e]
+	if !(sig2 > 0) {
+		return math.Inf(1)
+	}
+	return s.Opt.CFL * geom.MinLength(x0, x1, x2, x3, y0, y1, y2, y3) / math.Sqrt(sig2)
+}
+
+// divDt is an element's volume-change condition DivSafety/|div u|.
+func (s *State) divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3 float64) float64 {
+	d := math.Abs(geom.Divergence(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3))
+	if d == 0 {
+		return math.Inf(1)
+	}
+	return s.Opt.DivSafety / d
+}
+
 // GetQ computes the edge-centred artificial viscosity of elements
 // [lo, hi) following Caramana et al.: each compressive edge contributes
 // a quadratic + linear term scaled by a monotonic limiter built from
@@ -209,114 +214,180 @@ func (s *State) GetDt() (dt float64, controller int) {
 // element it gathers two neighbour rings, takes square roots and
 // evaluates limiters.
 func (s *State) GetQ(lo, hi int) {
-	s.ka.lo = lo
+	s.viscArgs(lo, s.U, s.V, false)
 	s.Pool.For(hi-lo, s.kb.q)
 }
 
+// viscArgs stages the operands of a viscosity sweep starting at element
+// lo, sizing the ablation-only QEdge on its first use.
+func (s *State) viscArgs(lo int, uArr, vArr []float64, reuse bool) {
+	s.ka.lo = lo
+	s.ka.u, s.ka.v = uArr, vArr
+	s.ka.reuse = reuse
+	if s.Opt.EdgeQForces && len(s.QEdge) == 0 {
+		s.QEdge = make([]float64, 4*s.Mesh.NEl)
+	}
+}
+
 func (s *State) qBody(plo, phi int) {
-	m := s.Mesh
-	cq1, cq2 := s.Opt.CQ1, s.Opt.CQ2
 	lo := s.ka.lo
-	f32 := s.Opt.Float32Aux
-	stride := s.cs
-	var x, y, u, v [4]float64
+	uArr, vArr := s.ka.u, s.ka.v
 	for e := lo + plo; e < lo+phi; e++ {
-		s.gatherCoords(e, &x, &y)
-		s.gatherVel(e, s.U, s.V, &u, &v)
-		rho := s.Rho[e]
-		cs := math.Sqrt(s.Csq[e])
-		base := stride * e
-		var qsum float64
-		for k := 0; k < 4; k++ {
-			kp := (k + 1) & 3
-			dux := u[kp] - u[k]
-			duy := v[kp] - v[k]
-			dxx := x[kp] - x[k]
-			dxy := y[kp] - y[k]
-			// Only compressive edges (shortening) contribute.
-			if dux*dxx+duy*dxy >= 0 {
-				s.putQEdge(base+k, 0, f32)
-				continue
-			}
-			du2 := dux*dux + duy*duy
-			if du2 == 0 {
-				s.putQEdge(base+k, 0, f32)
-				continue
-			}
-			du := math.Sqrt(du2)
-			// Limiter: ratios of the projections of the
-			// cross-edge velocity differences onto this edge's,
-			// from (a) the neighbour across this edge and (b)
-			// this element's own opposite edge. Smooth fields
-			// give ratios near 1 (q off); extrema give negative
-			// ratios (full q). At boundaries only the one-sided
-			// (own-edge) ratio is available — using it keeps
-			// smoothly compressing boundary cells viscosity-free
-			// (a hard zero there seeds spurious boundary jets in
-			// cold converging flow).
-			// Own opposite edge, negated for orientation.
-			ko2 := (k + 2) & 3
-			ko2p := (ko2 + 1) & 3
-			odux := -(u[ko2p] - u[ko2])
-			oduy := -(v[ko2p] - v[ko2])
-			r := (odux*dux + oduy*duy) / du2
-			if nb := m.ElEl[e][k]; nb >= 0 {
-				// Neighbour's matching edge: the side of nb
-				// facing e, traversed in nb's CCW order, runs
-				// opposite to ours; its opposite edge (k'+2)
-				// runs parallel to ours again after negation. The
-				// side comes from the precomputed facing table
-				// (static topology), and only the two nodes of
-				// that edge are loaded — the limiter never needs
-				// the neighbour's other corners.
-				kk := int(s.facing[4*e+k])
-				if kk < 0 {
-					// Asymmetric adjacency on an owned element
-					// would be a partitioning bug.
-					panic("hydro: element adjacency not symmetric")
-				}
-				ko := (kk + 2) & 3
-				kop := (ko + 1) & 3
-				nbnd := &m.ElNd[nb]
-				ndux := -(s.U[nbnd[kop]] - s.U[nbnd[ko]])
-				nduy := -(s.V[nbnd[kop]] - s.V[nbnd[ko]])
-				rNb := (ndux*dux + nduy*duy) / du2
-				r = min(rNb, r)
-			}
-			psi := 0.0
-			if r > 0 {
-				psi = min(1.0, r)
-			}
-			qEdge := (1 - psi) * rho * (cq2*du2 + cq1*cs*du)
-			qsum += qEdge
-			// Damper coefficient: force = QEdge * Δu along the
-			// edge pair, i.e. an edge pressure q acting over the
-			// edge length.
-			edgeLen := math.Sqrt(dxx*dxx + dxy*dxy)
-			s.putQEdge(base+k, qEdge*edgeLen/du, f32)
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, nd)
+		s.Q[e] = s.elemQ(e, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, s.Rho[e], math.Sqrt(s.Csq[e]))
+	}
+}
+
+// noPsi marks a stored limiter slot whose edge was not compressive when
+// the sweep that wrote it ran (a limiter itself lies in [0, 1]).
+const noPsi = -1
+
+// elemQ returns the viscosity of element e — the mean of its four edge
+// contributions — from its gathered coordinates and velocities. Edge k
+// joins corner k to corner k+1.
+//
+// The sixteen gathered values, the edge differences and the four
+// contributions are named scalars, and each formula is one small helper
+// called once per edge: the Go compiler keeps scalars in registers,
+// whereas a [4]float64 indexed by a loop variable lives on the stack,
+// its loop is not unrolled and every access is bounds-checked. The
+// helpers (compressive, nbProj, limit, edgeVisc) are each within the
+// inliner's budget, so the four edges compile to straight-line code;
+// check with -gcflags=-m before growing one.
+//
+// The limiter ψ depends on the sweep's velocity field alone — which
+// edges are compressive depends on the coordinates too. Step's
+// predictor and corrector sweeps both take the start-of-step copy
+// U0/V0, which nothing writes between them (GetAcc, the first writer,
+// follows the corrector's sweep), so the corrector (ka.reuse) reads the
+// ψ the predictor stored and evaluates only where it finds noPsi: an
+// edge the half-step geometry has turned compressive. Every other
+// sweep starts from noPsi everywhere and so evaluates every edge it
+// needs.
+func (s *State) elemQ(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, cs float64) float64 {
+	psis := s.psi[s.cs*e : s.cs*e+4]
+	if !s.ka.reuse {
+		psis[0], psis[1], psis[2], psis[3] = noPsi, noPsi, noPsi, noPsi
+	}
+	nbs, facing := &s.Mesh.ElEl[e], s.facing[4*e:4*e+4]
+	rq2, rq1 := s.Opt.CQ2, s.Opt.CQ1*cs
+	dux0, duy0 := u1-u0, v1-v0
+	dux1, duy1 := u2-u1, v2-v1
+	dux2, duy2 := u3-u2, v3-v2
+	dux3, duy3 := u0-u3, v0-v3
+	var q0, q1, q2, q3 float64
+	if du2 := compressive(dux0, duy0, x1-x0, y1-y0); du2 != 0 {
+		if psis[0] < 0 {
+			psis[0] = limit(s.nbProj(nbs[0], facing[0], dux0, duy0, -dux2*dux0+-duy2*duy0), du2)
 		}
-		s.Q[e] = 0.25 * qsum
+		q0 = edgeVisc(psis[0], rho, rq2, rq1, du2)
 	}
+	if du2 := compressive(dux1, duy1, x2-x1, y2-y1); du2 != 0 {
+		if psis[1] < 0 {
+			psis[1] = limit(s.nbProj(nbs[1], facing[1], dux1, duy1, -dux3*dux1+-duy3*duy1), du2)
+		}
+		q1 = edgeVisc(psis[1], rho, rq2, rq1, du2)
+	}
+	if du2 := compressive(dux2, duy2, x3-x2, y3-y2); du2 != 0 {
+		if psis[2] < 0 {
+			psis[2] = limit(s.nbProj(nbs[2], facing[2], dux2, duy2, -dux0*dux2+-duy0*duy2), du2)
+		}
+		q2 = edgeVisc(psis[2], rho, rq2, rq1, du2)
+	}
+	if du2 := compressive(dux3, duy3, x0-x3, y0-y3); du2 != 0 {
+		if psis[3] < 0 {
+			psis[3] = limit(s.nbProj(nbs[3], facing[3], dux3, duy3, -dux1*dux3+-duy1*duy3), du2)
+		}
+		q3 = edgeVisc(psis[3], rho, rq2, rq1, du2)
+	}
+	if s.Opt.EdgeQForces {
+		s.dampers(e, x0, x1, x2, x3, y0, y1, y2, y3, q0, q1, q2, q3, dux0, duy0, dux1, duy1, dux2, duy2, dux3, duy3)
+	}
+	return 0.25 * (0 + q0 + q1 + q2 + q3)
 }
 
-// putQEdge stores an edge damper coefficient into the active QEdge
-// stream — the float32 shadow under the Float32Aux ablation (f32),
-// the float64 array otherwise. The flag is passed in so callers hoist
-// the Options load out of their loops.
-func (s *State) putQEdge(i int, v float64, f32 bool) {
-	if f32 {
-		s.qedge32[i] = float32(v)
-	} else {
-		s.QEdge[i] = v
+// compressive returns the squared velocity difference |Δu|² along an
+// edge whose velocity and position differences are (dux, duy) and
+// (dxx, dxy) if the edge is shortening, and zero if it is not: only
+// compressive edges carry viscosity.
+func compressive(dux, duy, dxx, dxy float64) float64 {
+	if dux*dxx+duy*dxy >= 0 {
+		return 0
 	}
+	return dux*dux + duy*duy
 }
 
-// getQEdge loads an edge damper coefficient from the active stream.
-func (s *State) getQEdge(i int, f32 bool) float64 {
-	if f32 {
-		return float64(s.qedge32[i])
+// edgeVisc is the edge viscosity (1-ψ)·ρ·(cq2·Δu² + cq1·c·|Δu|), with
+// rq2 = cq2 and rq1 = cq1·c.
+func edgeVisc(psi, rho, rq2, rq1, du2 float64) float64 {
+	return (1 - psi) * rho * (rq2*du2 + rq1*math.Sqrt(du2))
+}
+
+// nbProj and limit evaluate the monotonic limiter of an edge with
+// velocity difference (dux, duy): ratios of the projections of the
+// cross-edge velocity differences onto this edge's, from (a) the
+// neighbour across this edge and (b) this element's own opposite edge.
+// Smooth fields give ratios near 1 (q off); extrema give negative ratios
+// (full q). At boundaries only the one-sided (own-edge) ratio is
+// available — using it keeps smoothly compressing boundary cells
+// viscosity-free (a hard zero there seeds spurious boundary jets in cold
+// converging flow).
+//
+// nbProj returns the smaller of proj — the own-edge projection — and
+// the projection from neighbour nb, whose side kk faces this element.
+// That side, traversed in nb's CCW order, runs opposite to ours; its
+// opposite edge (kk+2) runs parallel to ours again after negation. kk
+// comes from the precomputed facing table (static topology), and only
+// the two nodes of that edge are loaded — the limiter never needs the
+// neighbour's other corners.
+func (s *State) nbProj(nb int, kk int8, dux, duy, proj float64) float64 {
+	if nb < 0 {
+		return proj
 	}
-	return s.QEdge[i]
+	if kk < 0 {
+		// Asymmetric adjacency on an owned element would be a
+		// partitioning bug.
+		panic("hydro: element adjacency not symmetric")
+	}
+	nd := &s.Mesh.ElNd[nb]
+	n0, n1 := nd[(kk+2)&3], nd[(kk+3)&3]
+	return min(-(s.ka.u[n1]-s.ka.u[n0])*dux+-(s.ka.v[n1]-s.ka.v[n0])*duy, proj)
+}
+
+// limit turns the smaller projection into ψ = clamp(proj/Δu², 0, 1).
+// Both ratios share the divisor Δu² > 0, and division by a positive
+// number is monotone and correctly rounded, so min(a/Δu², b/Δu²) is
+// min(a, b)/Δu² to the bit: one divide, and none at all when the
+// smaller projection is not positive (ψ = 0 either way).
+func limit(proj, du2 float64) float64 {
+	if proj > 0 {
+		if r := proj / du2; r > 0 {
+			return min(1.0, r)
+		}
+	}
+	return 0
+}
+
+// dampers fills element e's QEdge for the EdgeQForces ablation from its
+// four edge viscosities: each edge's viscous pressure acting over the
+// edge length, per unit |Δu|. The edge length, a second square root and
+// a divide per edge have no other consumer, so they are formed here and
+// for nobody else.
+func (s *State) dampers(e int, x0, x1, x2, x3, y0, y1, y2, y3, q0, q1, q2, q3, dux0, duy0, dux1, duy1, dux2, duy2, dux3, duy3 float64) {
+	qe := s.QEdge[4*e : 4*e+4]
+	qe[0] = damper(q0, x1-x0, y1-y0, dux0, duy0)
+	qe[1] = damper(q1, x2-x1, y2-y1, dux1, duy1)
+	qe[2] = damper(q2, x3-x2, y3-y2, dux2, duy2)
+	qe[3] = damper(q3, x0-x3, y0-y3, dux3, duy3)
+}
+
+func damper(q, dxx, dxy, dux, duy float64) float64 {
+	if q == 0 {
+		return 0
+	}
+	return q * math.Sqrt(dxx*dxx+dxy*dxy) / math.Sqrt(dux*dux+duy*duy)
 }
 
 // GetForce assembles corner forces for elements [lo, hi): the
@@ -332,140 +403,145 @@ func (s *State) GetForce(lo, hi int, uArr, vArr []float64) {
 func (s *State) forceBody(plo, phi int) {
 	lo := s.ka.lo
 	uArr, vArr := s.ka.u, s.ka.v
-	f32 := s.Opt.Float32Aux
-	stride := s.cs
-	// Only the edge-damper ablation and the hourglass filter act on
-	// nodal velocities; the default sub-zonal path never reads them, so
-	// the gather is skipped (values are unchanged either way).
-	needVel := s.Opt.EdgeQForces || s.Opt.Hourglass == HGFilter
-	var x, y, u, v [4]float64
-	var ax, ay [4]float64
 	for e := lo + plo; e < lo+phi; e++ {
-		s.gatherCoords(e, &x, &y)
-		geom.BasisGrad(&x, &y, &ax, &ay)
-		pq := s.P[e] + s.Q[e]
-		base := stride * e
-		for k := 0; k < 4; k++ {
-			s.FX[base+k] = pq * ax[k]
-			s.FY[base+k] = pq * ay[k]
-		}
-		if needVel {
-			s.gatherVel(e, uArr, vArr, &u, &v)
-		}
-		if s.Opt.EdgeQForces {
-			// Ablation: apply the viscosity as equal-and-opposite
-			// dampers along each compressing edge instead of the
-			// isotropic contribution above (subtract it back).
-			for k := 0; k < 4; k++ {
-				s.FX[base+k] -= s.Q[e] * ax[k]
-				s.FY[base+k] -= s.Q[e] * ay[k]
-			}
-			for k := 0; k < 4; k++ {
-				kappa := s.getQEdge(base+k, f32)
-				if kappa == 0 {
-					continue
-				}
-				kp := (k + 1) & 3
-				fx := kappa * (u[kp] - u[k])
-				fy := kappa * (v[kp] - v[k])
-				s.FX[base+k] += fx
-				s.FY[base+k] += fy
-				s.FX[base+kp] -= fx
-				s.FY[base+kp] -= fy
-			}
-		}
-		switch s.Opt.Hourglass {
-		case HGFilter:
-			// Hancock-style viscous filter: damp the velocity
-			// component along the hourglass pattern Γ.
-			var hu, hv float64
-			for k := 0; k < 4; k++ {
-				hu += geom.HourglassVector[k] * u[k]
-				hv += geom.HourglassVector[k] * v[k]
-			}
-			hu *= 0.25
-			hv *= 0.25
-			area := s.Vol[e]
-			coef := s.Opt.HGKappa * s.Rho[e] * (math.Sqrt(s.Csq[e]) + math.Sqrt(hu*hu+hv*hv)) * math.Sqrt(area)
-			for k := 0; k < 4; k++ {
-				s.FX[base+k] -= coef * hu * geom.HourglassVector[k]
-				s.FY[base+k] -= coef * hv * geom.HourglassVector[k]
-			}
-		case HGSubzonal:
-			s.subzonalForce(e, &x, &y, s.Rho[e], s.Csq[e], s.Q[e], f32)
-		}
+		nd := &s.Mesh.ElNd[e]
+		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, nd)
+		s.elemForce(e, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, s.Rho[e], s.Csq[e], s.Q[e])
 	}
 }
 
-// subzonalForce adds the Caramana sub-zonal pressure forces of element
-// e to its corner forces: each corner carries a pressure perturbation
-// dp = c²·(ρ_corner - ρ) from its fixed sub-zonal mass and current
-// sub-zone volume, and exerts dp·∇(sub-zone volume) on every node of
-// the element — the exact force of Caramana & Shashkov's formulation,
-// which resists hourglass and sliver distortions that leave the total
-// element volume unchanged. Momentum conserving by construction (each
-// ∇ sums to zero over nodes).
-//
-// Shared by the unfused forceBody and the fused qforceBody so the two
-// paths provably run identical floating-point sequences. The sub-zone
-// quad's basis gradients are expanded algebraically: for the quad
-// (node k, edge-k midpoint, centroid, edge-(k-1) midpoint) the four
-// ∂A/∂ values collapse onto ±two independent components per axis
-// (negation and power-of-two scaling are exact in IEEE, so the
-// expansion is bit-identical to calling geom.BasisGrad on the
-// constructed quad), and the chain-rule weights — midpoints couple to
-// their two edge nodes with 1/2, the centroid to all four with 1/4 —
-// fold into four fused per-corner updates.
-func (s *State) subzonalForce(e int, x, y *[4]float64, rho, csq, q float64, f32 bool) {
+// elemForce assembles the corner forces of element e from its gathered
+// coordinates and velocities and its viscosity q. The eight forces
+// accumulate in named scalars and are stored once at the end.
+func (s *State) elemForce(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, csq, q float64) {
 	base := s.cs * e
-	cx, cy := geom.Centroid(x, y)
-	var mx, my [4]float64
-	for k := 0; k < 4; k++ {
-		kp := (k + 1) & 3
-		mx[k] = 0.5 * (x[k] + x[kp])
-		my[k] = 0.5 * (y[k] + y[kp])
+	pq := s.P[e] + q
+	fx0, fy0 := gradForce(pq, x3, y3, x1, y1)
+	fx1, fy1 := gradForce(pq, x0, y0, x2, y2)
+	fx2, fy2 := gradForce(pq, x1, y1, x3, y3)
+	fx3, fy3 := gradForce(pq, x2, y2, x0, y0)
+	if s.Opt.EdgeQForces {
+		// Ablation: apply the viscosity as equal-and-opposite dampers
+		// along each compressing edge instead of the isotropic
+		// contribution above (subtract it back).
+		gx0, gy0 := gradForce(q, x3, y3, x1, y1)
+		gx1, gy1 := gradForce(q, x0, y0, x2, y2)
+		gx2, gy2 := gradForce(q, x1, y1, x3, y3)
+		gx3, gy3 := gradForce(q, x2, y2, x0, y0)
+		fx0, fy0, fx1, fy1 = fx0-gx0, fy0-gy0, fx1-gx1, fy1-gy1
+		fx2, fy2, fx3, fy3 = fx2-gx2, fy2-gy2, fx3-gx3, fy3-gy3
+		qe := s.QEdge[4*e : 4*e+4]
+		fx0, fy0, fx1, fy1 = damp(qe[0], u1-u0, v1-v0, fx0, fy0, fx1, fy1)
+		fx1, fy1, fx2, fy2 = damp(qe[1], u2-u1, v2-v1, fx1, fy1, fx2, fy2)
+		fx2, fy2, fx3, fy3 = damp(qe[2], u3-u2, v3-v2, fx2, fy2, fx3, fy3)
+		fx3, fy3, fx0, fy0 = damp(qe[3], u0-u3, v0-v3, fx3, fy3, fx0, fy0)
 	}
-	// Floor crushed corners: a corner at (or through) zero volume
-	// feels the maximal restoring pressure.
-	svFloor := 0.01 * s.Vol[e]
-	// Stiffness scales with the full signal speed — including the
-	// viscous 2q/ρ term — so sub-zonal pressures keep restoring shape
-	// in cold shocked gas where the bare sound speed vanishes.
-	sig2 := csq + 2*q/rho
-	for k := 0; k < 4; k++ {
-		km := (k + 3) & 3
-		// Sub-zone area by the same shoelace expression
-		// geom.SubVolumes evaluates on the constructed quad.
-		svk := 0.5 * ((cx-x[k])*(my[km]-my[k]) - (mx[km]-mx[k])*(cy-y[k]))
-		if svk < svFloor {
-			svk = svFloor
+	switch s.Opt.Hourglass {
+	case HGFilter:
+		// Hancock-style viscous filter: damp the velocity component
+		// along the hourglass pattern Γ = (+1, -1, +1, -1).
+		hu := 0.25 * (0 + u0 - u1 + u2 - u3)
+		hv := 0.25 * (0 + v0 - v1 + v2 - v3)
+		coef := s.Opt.HGKappa * rho * (math.Sqrt(csq) + math.Sqrt(hu*hu+hv*hv)) * math.Sqrt(s.Vol[e])
+		tx, ty := coef*hu, coef*hv
+		fx0, fy0, fx1, fy1 = fx0-tx, fy0-ty, fx1+tx, fy1+ty
+		fx2, fy2, fx3, fy3 = fx2-tx, fy2-ty, fx3+tx, fy3+ty
+	case HGSubzonal:
+		// Caramana sub-zonal pressures: each corner carries a pressure
+		// perturbation dp = c²·(ρ_corner - ρ) from its fixed sub-zonal
+		// mass and current sub-zone volume, and exerts dp·∇(sub-zone
+		// volume) on every node of the element — the exact force of
+		// Caramana & Shashkov's formulation, which resists hourglass
+		// and sliver distortions that leave the total element volume
+		// unchanged. Momentum conserving by construction (each ∇ sums to
+		// zero over nodes).
+		//
+		// The sub-zone of corner k is the quad (node k, edge-k midpoint,
+		// centroid, edge-(k-1) midpoint). Its basis gradients are
+		// expanded algebraically: the four ∂A/∂ values collapse onto
+		// ±two independent components per axis (negation and
+		// power-of-two scaling are exact in IEEE, so the expansion is
+		// bit-identical to calling geom.BasisGrad on the constructed
+		// quad), and the chain-rule weights — midpoints couple to their
+		// two edge nodes with 1/2, the centroid to all four with 1/4 —
+		// fold into four fused per-corner updates (subzonalPush, once
+		// per axis).
+		cx, cy := 0.25*(x0+x1+x2+x3), 0.25*(y0+y1+y2+y3)
+		// Floor crushed corners: a corner at (or through) zero volume
+		// feels the maximal restoring pressure.
+		svFloor := 0.01 * s.Vol[e]
+		// Stiffness scales with the full signal speed — including the
+		// viscous 2q/ρ term — so sub-zonal pressures keep restoring
+		// shape in cold shocked gas where the bare sound speed vanishes.
+		stiff := s.Opt.HGSubMerit * (csq + 2*q/rho)
+		mx0, my0 := 0.5*(x0+x1), 0.5*(y0+y1)
+		mx1, my1 := 0.5*(x1+x2), 0.5*(y1+y2)
+		mx2, my2 := 0.5*(x2+x3), 0.5*(y2+y3)
+		mx3, my3 := 0.5*(x3+x0), 0.5*(y3+y0)
+		cm := s.CMass[base : base+4]
+		if dp := subzonalDp(cx, cy, x0, y0, mx0, my0, mx3, my3, svFloor, stiff, cm[0], rho); dp != 0 {
+			fx0, fx1, fx3, fx2 = subzonalPush(dp, my0, my3, cy, y0, fx0, fx1, fx3, fx2)
+			fy0, fy1, fy3, fy2 = subzonalPush(dp, mx3, mx0, x0, cx, fy0, fy1, fy3, fy2)
 		}
-		cm := s.CMass[base+k]
-		if f32 {
-			cm = float64(s.cmass32[base+k])
+		if dp := subzonalDp(cx, cy, x1, y1, mx1, my1, mx0, my0, svFloor, stiff, cm[1], rho); dp != 0 {
+			fx1, fx2, fx0, fx3 = subzonalPush(dp, my1, my0, cy, y1, fx1, fx2, fx0, fx3)
+			fy1, fy2, fy0, fy3 = subzonalPush(dp, mx0, mx1, x1, cx, fy1, fy2, fy0, fy3)
 		}
-		dp := s.Opt.HGSubMerit * sig2 * (cm/svk - rho)
-		if dp == 0 {
-			continue
+		if dp := subzonalDp(cx, cy, x2, y2, mx2, my2, mx1, my1, svFloor, stiff, cm[2], rho); dp != 0 {
+			fx2, fx3, fx1, fx0 = subzonalPush(dp, my2, my1, cy, y2, fx2, fx3, fx1, fx0)
+			fy2, fy3, fy1, fy0 = subzonalPush(dp, mx1, mx2, x2, cx, fy2, fy3, fy1, fy0)
 		}
-		kp := (k + 1) & 3
-		ko := (k + 2) & 3
-		// Independent basis components: bx0/by0 belong to node k's
-		// own ∂, bx1/by1 to the centroid direction; the other two
-		// quad gradients are their exact negations.
-		bx0 := 0.5 * (my[k] - my[km])
-		by0 := 0.5 * (mx[km] - mx[k])
-		bx1 := 0.5 * (cy - y[k])
-		by1 := 0.5 * (x[k] - cx)
-		s.FX[base+k] += dp * (bx0 - 0.25*bx0)
-		s.FY[base+k] += dp * (by0 - 0.25*by0)
-		s.FX[base+kp] += dp * (0.5*bx1 - 0.25*bx0)
-		s.FY[base+kp] += dp * (0.5*by1 - 0.25*by0)
-		s.FX[base+km] += dp * (-0.5*bx1 - 0.25*bx0)
-		s.FY[base+km] += dp * (-0.5*by1 - 0.25*by0)
-		s.FX[base+ko] -= dp * 0.25 * bx0
-		s.FY[base+ko] -= dp * 0.25 * by0
+		if dp := subzonalDp(cx, cy, x3, y3, mx3, my3, mx2, my2, svFloor, stiff, cm[3], rho); dp != 0 {
+			fx3, fx0, fx2, fx1 = subzonalPush(dp, my3, my2, cy, y3, fx3, fx0, fx2, fx1)
+			fy3, fy0, fy2, fy1 = subzonalPush(dp, mx2, mx3, x3, cx, fy3, fy0, fy2, fy1)
+		}
 	}
+	fx, fy := s.FX[base:base+4], s.FY[base:base+4]
+	fx[0], fx[1], fx[2], fx[3] = fx0, fx1, fx2, fx3
+	fy[0], fy[1], fy[2], fy[3] = fy0, fy1, fy2, fy3
+}
+
+// gradForce returns p·∇A at a corner whose previous and next corners
+// are (xm, ym) and (xp, yp): ∇A = ½(y₊ - y₋, x₋ - x₊), one corner of
+// geom.BasisGrad.
+func gradForce(p, xm, ym, xp, yp float64) (fx, fy float64) {
+	return p * (0.5 * (yp - ym)), p * (0.5 * (xm - xp))
+}
+
+// damp adds the damper force kappa·Δu of one edge to its first corner's
+// force (fxa, fya) and subtracts it from its second's (fxb, fyb).
+func damp(kappa, du, dv, fxa, fya, fxb, fyb float64) (float64, float64, float64, float64) {
+	if kappa == 0 {
+		return fxa, fya, fxb, fyb
+	}
+	fx, fy := kappa*du, kappa*dv
+	return fxa + fx, fya + fy, fxb - fx, fyb - fy
+}
+
+// subzonalDp returns the pressure perturbation of the corner at node
+// (xk, yk), with edge midpoints (mxk, myk) ahead and (mxm, mym) behind,
+// centroid (cx, cy) and sub-zonal mass cm: stiff·(cm/sub-zone area - ρ).
+func subzonalDp(cx, cy, xk, yk, mxk, myk, mxm, mym, svFloor, stiff, cm, rho float64) float64 {
+	// Sub-zone area by the same shoelace expression geom.SubVolumes
+	// evaluates on the constructed quad.
+	svk := 0.5 * ((cx-xk)*(mym-myk) - (mxm-mxk)*(cy-yk))
+	if svk < svFloor {
+		svk = svFloor
+	}
+	return stiff * (cm/svk - rho)
+}
+
+// subzonalPush applies, along one axis, the force a corner's pressure
+// perturbation dp exerts on the four nodes: its own (fk), the next (fp),
+// the previous (fm) and the opposite one (fo). b0 = ½(a-b) is the
+// sub-zone's basis component at the corner's own node, b1 = ½(c-d) the
+// one in the centroid direction; the other two quad gradients are their
+// exact negations. For x pass (myk, mym, cy, yk), for y (mxm, mxk, xk,
+// cx).
+func subzonalPush(dp, a, b, c, d, fk, fp, fm, fo float64) (float64, float64, float64, float64) {
+	b0, b1 := 0.5*(a-b), 0.5*(c-d)
+	return fk + dp*(b0-0.25*b0), fp + dp*(0.5*b1-0.25*b0), fm + dp*(-0.5*b1-0.25*b0), fo - dp*0.25*b0
 }
 
 // GetAcc is the acceleration calculation: corner forces are summed to
@@ -608,10 +684,8 @@ func (s *State) moveBody(plo, phi int) {
 
 func (s *State) volBody(plo, phi int) {
 	lo := s.ka.lo
-	var x, y [4]float64
 	for e := lo + plo; e < lo+phi; e++ {
-		s.gatherCoords(e, &x, &y)
-		s.Vol[e] = geom.Area(&x, &y)
+		s.Vol[e] = geom.QuadArea(gather8(s.X, s.Y, &s.Mesh.ElNd[e]))
 	}
 }
 
@@ -671,13 +745,8 @@ func (s *State) einBody(chunk, plo, phi int) {
 	uArr, vArr := s.ka.u, s.ka.v
 	var added float64
 	for e := lo + plo; e < lo+phi; e++ {
-		nd := &m.ElNd[e]
-		base := s.cs * e
-		var w float64
-		for k := 0; k < 4; k++ {
-			w += s.FX[base+k]*uArr[nd[k]] + s.FY[base+k]*vArr[nd[k]]
-		}
-		ein := s.Ein0[e] - dt*w/s.Mass[e]
+		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(uArr, vArr, &m.ElNd[e])
+		ein := s.Ein0[e] - dt*s.cornerWork(e, u0, u1, u2, u3, v0, v1, v2, v3)/s.Mass[e]
 		// Floor only energy-dependent materials: for barotropic
 		// forms (Tait, void) a negative tracked energy is elastic
 		// bookkeeping, not a pressure pathology.
@@ -688,6 +757,14 @@ func (s *State) einBody(chunk, plo, phi int) {
 		s.Ein[e] = ein
 	}
 	s.ka.floors[floorStride*chunk] = added
+}
+
+// cornerWork returns ΣF·u over the corners of element e: the rate of
+// work its corner forces do on its nodes' gathered velocities.
+func (s *State) cornerWork(e int, u0, u1, u2, u3, v0, v1, v2, v3 float64) float64 {
+	base := s.cs * e
+	fx, fy := s.FX[base:base+4], s.FY[base:base+4]
+	return 0 + (fx[0]*u0 + fy[0]*v0) + (fx[1]*u1 + fy[1]*v1) + (fx[2]*u2 + fy[2]*v2) + (fx[3]*u3 + fy[3]*v3)
 }
 
 // GetPC evaluates the equation of state of elements [lo, hi): pressure
@@ -702,8 +779,17 @@ func (s *State) pcBody(plo, phi int) {
 	reg := s.Mesh.Region
 	lo := s.ka.lo
 	for e := lo + plo; e < lo+phi; e++ {
-		mat := mats[reg[e]]
-		s.P[e] = mat.Pressure(s.Rho[e], s.Ein[e])
-		s.Csq[e] = mat.SoundSpeed2(s.Rho[e], s.Ein[e])
+		s.P[e], s.Csq[e] = pressureCsq(mats[reg[e]], s.Rho[e], s.Ein[e])
 	}
+}
+
+// pressureCsq evaluates a material's equation of state. The ideal gas —
+// every region of the paper's problems — is reached by a type assertion,
+// so its two one-line forms inline instead of costing two interface
+// calls per element.
+func pressureCsq(mat eos.Material, rho, ein float64) (p, csq float64) {
+	if g, ok := mat.(eos.IdealGas); ok {
+		return g.Pressure(rho, ein), g.SoundSpeed2(rho, ein)
+	}
+	return mat.Pressure(rho, ein), mat.SoundSpeed2(rho, ein)
 }

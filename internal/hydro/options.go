@@ -35,12 +35,12 @@ func (h HourglassControl) String() string {
 }
 
 // Layout selects the memory layout of the hot corner-indexed arrays
-// (the FX/FY force pair and the CMass/QEdge auxiliary pair).
+// (the FX/FY force pair and the CMass/limiter auxiliary pair).
 type Layout int
 
 const (
 	// LayoutAoS interleaves each pair into one per-element record
-	// (FX[0..3]|FY[0..3], CMass[0..3]|QEdge[0..3] — a 64-byte line per
+	// (FX[0..3]|FY[0..3], CMass[0..3]|psi[0..3] — a 64-byte line per
 	// element per pair), so the force writes, the acceleration gather
 	// and the energy dot products touch one cache line where SoA
 	// touches two. The default: results are bitwise-identical to SoA
@@ -130,13 +130,6 @@ type Options struct {
 	// working-set estimate. A tunable for machines whose per-core cache
 	// differs from the par.L2PerCore assumption.
 	FuseTile int
-	// Float32Aux stores the widest auxiliary element streams — the
-	// fixed corner masses (CMass) and the per-edge viscous damper
-	// coefficients (QEdge) — as float32, halving their memory traffic
-	// in the force kernel. An opt-in accuracy/bandwidth ablation: the
-	// evolved fields stay float64, but forces see rounded inputs, so
-	// results are no longer bitwise-comparable to the float64 runs.
-	Float32Aux bool
 	// Layout selects the corner-array memory layout: interleaved AoS
 	// records (the zero value, the default) or the parallel SoA slices
 	// (the ablation). Bitwise-identical either way.

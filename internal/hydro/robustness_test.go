@@ -193,11 +193,14 @@ func TestQEdgeZeroWithoutCompression(t *testing.T) {
 	for n := range s.U {
 		s.U[n] = 0.2 * (s.X[n] - 0.5) // expansion
 	}
+	if s.GetQ(0, m.NEl); s.QEdge != nil {
+		t.Fatal("QEdge allocated without the EdgeQForces ablation")
+	}
+	s.Opt.EdgeQForces = true
 	s.GetQ(0, m.NEl)
-	cs := s.CornerStride()
 	for e := 0; e < m.NEl; e++ {
 		for k := 0; k < 4; k++ {
-			if q := s.QEdge[cs*e+k]; q != 0 {
+			if q := s.QEdge[4*e+k]; q != 0 {
 				t.Fatalf("expansion produced edge damper %d/%d = %v", e, k, q)
 			}
 		}

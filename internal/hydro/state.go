@@ -37,13 +37,13 @@ func (e *ErrDtCollapse) Error() string {
 
 // State holds the evolving hydrodynamic state on a (possibly local,
 // ghost-bearing) mesh. Element arrays have length NEl, node arrays
-// NNd. The corner arrays (FX/FY, CMass/QEdge) are indexed cs*e+k where
+// NNd. The corner arrays (FX/FY, CMass/psi) are indexed cs*e+k where
 // cs is the corner stride CornerStride(): 4 in the SoA layout (each
 // array dense and separate, the paper's layout), 8 in the default AoS
 // layout, where each pair shares one interleaved backing — FX and FY
 // are overlapping views offset by 4, so element e's record
 // FX[0..3]|FY[0..3] is one contiguous 64-byte cache line, and the same
-// for CMass|QEdge. Indexing is layout-uniform: FX[cs*e+k], FY[cs*e+k].
+// for CMass|psi. Indexing is layout-uniform: FX[cs*e+k], FY[cs*e+k].
 type State struct {
 	Mesh *mesh.Mesh
 	Opt  Options
@@ -59,11 +59,13 @@ type State struct {
 
 	// Element state.
 	Rho, Ein, P, Q, Csq, Vol []float64
-	// QEdge holds the per-edge viscous damper coefficients computed
-	// by GetQ (edge k of element e at 4*e+k); GetForce turns them
-	// into equal-and-opposite forces along each compressing edge —
-	// the edge-centred Caramana force that keeps cells from being
-	// splayed into slivers by an isotropic q.
+	// QEdge holds the per-edge viscous damper coefficients (edge k of
+	// element e at 4*e+k, dense in either layout) that the
+	// Options.EdgeQForces ablation's GetForce turns into
+	// equal-and-opposite forces along each compressing edge. Nobody
+	// else reads it, so it exists only under that option: the viscosity
+	// launchers size it on first use, and every sweep rewrites it in
+	// full before the force reads it — it is never saved or migrated.
 	QEdge []float64
 	// Mass is the fixed element mass; CMass the fixed corner
 	// (sub-zonal) masses.
@@ -119,16 +121,15 @@ type State struct {
 	// par.TileFor(fusedBytesPerElem) when unset.
 	fuseTile int
 
-	// cmass32/qedge32 are the float32 shadow streams of the
-	// Options.Float32Aux ablation: the force kernel reads corner masses
-	// and edge damper coefficients from these (half the traffic), while
-	// the float64 arrays keep checkpoint/migration formats unchanged.
-	// qedge32 is rewritten by every GetQ before GetForce reads it;
-	// cmass32 must be refreshed whenever CMass mutates outside the step
-	// (see RefreshAux). Both nil unless the ablation is on. In the AoS
-	// layout they share one interleaved backing exactly like their
-	// float64 counterparts.
-	cmass32, qedge32 []float32
+	// psi[cs*e+k] is the viscosity limiter of edge k of owned element
+	// e as the last full evaluation left it, or noPsi where that sweep
+	// found the edge not compressive. The limiter is a function of the
+	// frozen start-of-step velocities alone, so a step's corrector sweep
+	// reads what its predictor sweep stored (see elemQ). Step scratch:
+	// never saved, checkpointed or migrated. In the AoS layout it is the
+	// second half of the CMass record, a cache line the sub-zonal force
+	// loads anyway.
+	psi []float64
 
 	// cs is the corner stride: the distance in any corner array between
 	// element e's record and element e+1's. 4 for LayoutSoA (dense
@@ -198,7 +199,7 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 	// Corner arrays, per layout. SoA: four dense stride-4 slices. AoS:
 	// FX/FY are overlapping views (offset 4) of one interleaved stride-8
 	// backing, so FX[8e..8e+3]|FY[8e..8e+3] is one contiguous record;
-	// CMass/QEdge pair up the same way. The views alias, which is the
+	// CMass/psi pair up the same way. The views alias, which is the
 	// point — and is harmless, since no kernel writes one member of a
 	// pair through the other's slots.
 	switch opt.Layout {
@@ -207,16 +208,16 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 		s.FX = make([]float64, 4*nel)
 		s.FY = make([]float64, 4*nel)
 		s.CMass = make([]float64, 4*nel)
-		s.QEdge = make([]float64, 4*nel)
+		s.psi = make([]float64, 4*m.NOwnEl)
 	default: // LayoutAoS
 		s.cs = 8
 		fxy := make([]float64, 8*nel)
 		aux := make([]float64, 8*nel)
 		s.FX, s.FY = fxy, fxy
-		s.CMass, s.QEdge = aux, aux
+		s.CMass, s.psi = aux, aux
 		if nel > 0 {
 			s.FY = fxy[4:]
-			s.QEdge = aux[4:]
+			s.psi = aux[4:]
 		}
 	}
 	cs := s.cs
@@ -225,7 +226,7 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 	var x, y [4]float64
 	var sv [4]float64
 	for e := 0; e < nel; e++ {
-		s.gatherCoords(e, &x, &y)
+		m.GatherCoords(e, &x, &y) // s.X, s.Y are still the mesh's
 		vol := geom.Area(&x, &y)
 		if vol <= 0 {
 			return nil, &ErrTangled{Element: e, Volume: vol}
@@ -270,19 +271,6 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 			}
 		}
 	}
-	if opt.Float32Aux {
-		if cs == 8 {
-			aux32 := make([]float32, 8*nel)
-			s.cmass32, s.qedge32 = aux32, aux32
-			if nel > 0 {
-				s.qedge32 = aux32[4:]
-			}
-		} else {
-			s.cmass32 = make([]float32, 4*nel)
-			s.qedge32 = make([]float32, 4*nel)
-		}
-	}
-	s.RefreshAux()
 	s.fuseTile = opt.FuseTile
 	if s.fuseTile == 0 {
 		s.fuseTile = par.TileFor(fusedBytesPerElem)
@@ -292,22 +280,8 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 	return s, nil
 }
 
-// RefreshAux rebuilds the float32 shadow of the fixed corner masses
-// after CMass mutates outside the Lagrangian step — the ALE corner-mass
-// update, a checkpoint restore, or a memento rollback. A no-op unless
-// the Options.Float32Aux ablation is on. (The qedge32 shadow needs no
-// refresh: every GetQ rewrites it in full before GetForce reads it.)
-func (s *State) RefreshAux() {
-	if !s.Opt.Float32Aux {
-		return
-	}
-	for i, v := range s.CMass {
-		s.cmass32[i] = float32(v)
-	}
-}
-
 // CornerStride returns the distance in the corner arrays (FX, FY,
-// CMass, QEdge) between consecutive elements' records: 4 in the SoA
+// CMass) between consecutive elements' records: 4 in the SoA
 // layout, 8 in the AoS layout. Corner k of element e lives at
 // CornerStride()*e+k in every corner array regardless of layout.
 func (s *State) CornerStride() int { return s.cs }
@@ -330,23 +304,10 @@ func (s *State) ForceHalo() (fields [][]float64, width int) {
 	return [][]float64{s.FX, s.FY}, 4
 }
 
-// gatherCoords loads the current coordinates of element e's nodes.
-func (s *State) gatherCoords(e int, x, y *[4]float64) {
-	nd := &s.Mesh.ElNd[e]
-	for k := 0; k < 4; k++ {
-		x[k] = s.X[nd[k]]
-		y[k] = s.Y[nd[k]]
-	}
-}
-
-// gatherVel loads velocities of element e's nodes from the given
-// nodal arrays.
-func (s *State) gatherVel(e int, uArr, vArr []float64, u, v *[4]float64) {
-	nd := &s.Mesh.ElNd[e]
-	for k := 0; k < 4; k++ {
-		u[k] = uArr[nd[k]]
-		v[k] = vArr[nd[k]]
-	}
+// gather8 loads a pair of nodal arrays — coordinates or velocities — at
+// an element's four nodes.
+func gather8(a, b []float64, nd *[4]int) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
+	return a[nd[0]], a[nd[1]], a[nd[2]], a[nd[3]], b[nd[0]], b[nd[1]], b[nd[2]], b[nd[3]]
 }
 
 // InitialTotals returns the TotalEnergy and TotalMass that a state built

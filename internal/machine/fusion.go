@@ -32,11 +32,15 @@ type Fusion struct {
 // 8 bytes per float64 and discounted the same way the Kernels table
 // discounts cache-resident traffic.
 var Fusions = []Fusion{
-	// getq computes q and the four edge dampers, getforce immediately
-	// consumes them. Fused, Q and QEdge stay in registers (5 values:
-	// one 8-byte write + re-read each, 40 B effective after the
-	// half-charge cache discount) and the force half reuses the
-	// coordinate/velocity gather (48 B effective of its 80).
+	// getq computes q, getforce immediately consumes it. The table
+	// charges the unfused pair a hand-over of five values — Q and one
+	// per edge — at one 8-byte write + re-read each (40 B effective
+	// after the half-charge cache discount), and the force half its own
+	// coordinate/velocity gather (48 B effective of its 80); fused, Q
+	// stays in a register and the gather is shared. The per-edge values
+	// are the paper's edge dampers: internal/hydro forms them (QEdge)
+	// only under its EdgeQForces ablation and otherwise streams the
+	// stored limiter there, from the fused and the unfused sweep alike.
 	{Name: "qforce", Replaces: []string{"getq", "getforce"},
 		SavedBytes: 88, SavedOps: 40},
 	// getgeom→getrho→getein→getpc is a straight per-element dataflow
