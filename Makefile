@@ -18,8 +18,10 @@
 # determinism sweep, and the multi-rank zero-allocation pins — the
 # suite that guards the communication/computation overlap feature.
 # tier2-ale races the parallel remap: the ale package's kernel suite
-# (CSR round-trip, smoothed rank-independence, zero-alloc pins at
-# several pool sizes) plus the driver-level Threads x Ranks x Mode
+# (the bitwise comparison against the pre-rewrite reference bodies over
+# mode x order x layout x threads x hooks, the failure contract, CSR
+# round-trip, smoothed rank-independence, zero-alloc pins at several
+# pool sizes) plus the driver-level Threads x Ranks x Mode
 # sweep — the seed-fidelity thread sweep, the overlap-vs-sync ALE
 # bitwise check, the smoothed rank cross-check and the
 # rollback-across-remap lockstep regression.
@@ -61,6 +63,11 @@
 # complement to tier2-fault's targeted matrix, catching races in code
 # the fault-injection name filter never reaches (obs counters, probe
 # reductions, trace writers).
+# shape asks the compiler whether the scalar helpers the per-element
+# sweeps are built from still fit its inline budget (TestCompilerShape's
+# committed list, keyed to the toolchain it was read from): an edit that
+# pushes one out of line fails here, with the cost, before it reaches a
+# benchmark. Tier 2: it shells out to go build -gcflags=-m=2.
 # bench records the perf trajectory to BENCH_step.json so future
 # changes can be judged against it (see CHANGES.md for the cadence).
 # bench-compare is the perf gate: it re-runs the step benchmarks and
@@ -82,7 +89,7 @@ GO ?= go
 FUZZTIME ?= 30s
 THRESHOLD ?= 0.10
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race test bench bench-all bench-compare bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape test bench bench-all bench-compare bench-check fuzz clean
 
 all: build
 
@@ -139,7 +146,10 @@ tier2-race:
 	GOMAXPROCS=1 $(GO) test -race ./... -count=1
 	GOMAXPROCS=8 $(GO) test -race ./... -count=1
 
-test: tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race
+shape:
+	BOOKLEAF_SHAPE=1 $(GO) test . -run 'CompilerShape' -count=1 -v
+
+test: tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape
 
 # Native fuzzing: the deck parser (seed corpus: decks/ plus the
 # regression inputs under internal/config/testdata/fuzz), the

@@ -21,14 +21,23 @@
 // nodal momentum and masses (the mesh's NdElList/NdCorner transpose),
 // ascending face index for cell-boundary fluxes (ElemFaces) — so the
 // result is bitwise identical to the serial remap at any thread count.
-// Steady-state Apply performs no heap allocations: all scratch lives
-// in the Remapper and the kernel bodies are bound once in NewRemapper.
+//
+// Each quantity is formed once per remap. A snapshot sweep caches the
+// pre-remap cell density, energy and centroid, and every later reader
+// (gradient stencil, reconstruction, sub-face centroid) loads them; one
+// gradient sweep builds the least-squares matrix and the face-midpoint
+// offsets once for both fields; the per-element bodies work on named
+// scalars through helpers small enough for the compiler to inline
+// (make shape checks that); and the three failure guards are flags set
+// by the sweeps that already hold the guarded value. Steady-state Apply
+// performs no heap allocations: all scratch lives in the Remapper and
+// the kernel bodies are bound once in NewRemapper.
 package ale
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync/atomic"
 
 	"bookleaf/internal/geom"
 	"bookleaf/internal/hydro"
@@ -121,10 +130,13 @@ func (h *Hooks) phased() bool {
 		h.StartVelocities != nil && h.FinishVelocities != nil
 }
 
-// ErrRemap reports a remap failure (a flux emptied a corner mass, which
-// means the mesh moved more than a cell width in one remap). It is
-// detected before the deltas are committed, so the state still holds
-// the pre-remap fields when Apply returns it.
+// ErrRemap reports a remap failure: a flux emptied a corner mass (the
+// mesh moved more than a cell width in one remap; Element and Corner
+// name it), a target element has no positive volume (Corner is -1), or
+// a node was left without mass (Element is -1, Corner the node). It
+// names the lowest failing index at any thread count. The corner and
+// volume failures are found before anything is written, so the state
+// still holds the pre-remap fields when Apply returns them.
 type ErrRemap struct {
 	Element int
 	Corner  int
@@ -145,13 +157,16 @@ func (e *ErrRemap) Transient() bool { return true }
 type Remapper struct {
 	Opt Options
 
-	xT, yT         []float64 // target coordinates
+	// Target coordinates. Eulerian mode never writes them: they alias
+	// the mesh's generated X/Y. Smoothed mode owns them.
+	xT, yT         []float64
+	cx, cy         []float64 // pre-remap cell centroids (snapshot)
+	cRho, cEin     []float64 // cell density/energy snapshots
 	gradRX, gradRY []float64 // limited density gradient
 	gradEX, gradEY []float64 // limited energy gradient
-	cRho, cEin     []float64 // cell density/energy snapshots
 	dCMass         []float64 // corner mass deltas
 	dEnergy        []float64 // cell internal-energy deltas
-	dPx, dPy       []float64 // nodal momentum deltas, then stashed totals
+	dPx, dPy       []float64 // nodal momentum deltas, then total momenta
 
 	// Node -> neighbour-node adjacency in CSR form (Smoothed mode),
 	// built in global element order so the smoothing sum order is
@@ -170,6 +185,12 @@ type Remapper struct {
 
 	volT []float64 // target-mesh volumes, checked before commit
 
+	// Guard flags, each set by the sweep that forms the guarded value
+	// when it finds one <= 0. Whether a flag ends up set does not depend
+	// on which worker saw which index, so the verdict is the same at
+	// every thread count; a serial ascending rescan names the offender.
+	badCorner, badVol, badNode atomic.Bool
+
 	uvStarted bool // a phased velocity exchange is in flight
 
 	ra remapArgs
@@ -180,32 +201,19 @@ type Remapper struct {
 // (rather than closure captures) keeps the steady-state remap free of
 // heap allocations, mirroring the hydro kernels' kernelArgs.
 type remapArgs struct {
-	s           *hydro.State
-	list        []int // element list for list-dispatched kernels
-	base        int   // range offset for offset-dispatched kernels
-	phi, gx, gy []float64
+	s    *hydro.State
+	list []int // element list for list-dispatched kernels
+	base int   // range offset for offset-dispatched kernels
 }
 
 // remapBodies holds the pool bodies, bound once in NewRemapper so
 // dispatching them allocates nothing.
 type remapBodies struct {
-	smooth       func(lo, hi int)
-	pin          func(lo, hi int)
-	grad         func(lo, hi int)
-	subFaces     func(lo, hi int)
-	subFacesList func(lo, hi int)
-	faceFlux     func(lo, hi int)
-	faceGather   func(lo, hi int)
-	momGather    func(lo, hi int)
-	massEnergy   func(lo, hi int)
-	stash        func(lo, hi int)
-	ndMass       func(lo, hi int)
-	vel          func(lo, hi int)
-	vols         func(lo, hi int)
-	commit       func(lo, hi int)
-	cmassAt      func(i int) float64
-	ndMassAt     func(i int) float64
-	volAt        func(i int) float64
+	smooth, pin                      func(lo, hi int)
+	snapshot, grad                   func(lo, hi int)
+	subFaces, subFacesList, faceFlux func(lo, hi int)
+	faceGather, momGather            func(lo, hi int)
+	vols, massEnergy, ndMass, vel    func(lo, hi int)
 }
 
 // NewRemapper allocates a remapper for the given state.
@@ -214,14 +222,14 @@ func NewRemapper(opt Options, s *hydro.State) *Remapper {
 	nel, nnd := m.NEl, m.NNd
 	r := &Remapper{
 		Opt:     opt,
-		xT:      make([]float64, nnd),
-		yT:      make([]float64, nnd),
+		cx:      make([]float64, nel),
+		cy:      make([]float64, nel),
+		cRho:    make([]float64, nel),
+		cEin:    make([]float64, nel),
 		gradRX:  make([]float64, nel),
 		gradRY:  make([]float64, nel),
 		gradEX:  make([]float64, nel),
 		gradEY:  make([]float64, nel),
-		cRho:    make([]float64, nel),
-		cEin:    make([]float64, nel),
 		dCMass:  make([]float64, 4*nel),
 		dEnergy: make([]float64, nel),
 		dPx:     make([]float64, nnd),
@@ -236,94 +244,83 @@ func NewRemapper(opt Options, s *hydro.State) *Remapper {
 	}
 	r.efStart, r.efList = m.ElemFaces()
 	if opt.Mode == Smoothed {
+		r.xT = make([]float64, nnd)
+		r.yT = make([]float64, nnd)
 		r.adjStart, r.adjList = buildAdjacency(m)
 	}
 	r.kb = remapBodies{
 		smooth:       r.smoothRange,
 		pin:          r.pinRange,
+		snapshot:     r.snapshotRange,
 		grad:         r.gradRange,
 		subFaces:     r.subFacesRange,
 		subFacesList: r.subFacesListBody,
 		faceFlux:     r.faceFluxRange,
 		faceGather:   r.faceGatherRange,
 		momGather:    r.momGatherRange,
+		vols:         r.volsRange,
 		massEnergy:   r.massEnergyRange,
-		stash:        r.stashRange,
 		ndMass:       r.ndMassRange,
 		vel:          r.velRange,
-		vols:         r.volsRange,
-		commit:       r.commitRange,
-		cmassAt:      r.cmassAt,
-		ndMassAt:     r.ndMassAt,
-		volAt:        r.volAt,
 	}
 	return r
 }
 
-// nodeAdjacency is the original map-deduplicated [][]int adjacency
-// builder, kept as the reference the CSR flattening is tested against.
-func nodeAdjacency(m *mesh.Mesh) [][]int {
-	adj := make([][]int, m.NNd)
-	seen := make(map[[2]int]bool)
-	for e := 0; e < m.NEl; e++ {
-		appendEdges(m, e, adj, seen)
-	}
-	return adj
-}
-
-// appendEdges records element e's four edges into adj, deduplicating
-// shared edges: each undirected edge is appended only when first seen,
-// so neighbour order is a pure function of the element visit order.
-func appendEdges(m *mesh.Mesh, e int, adj [][]int, seen map[[2]int]bool) {
-	for k := 0; k < 4; k++ {
-		a := m.ElNd[e][k]
-		b := m.ElNd[e][(k+1)&3]
-		key := [2]int{a, b}
-		if a > b {
-			key = [2]int{b, a}
-		}
-		if !seen[key] {
-			seen[key] = true
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-	}
-}
-
-// buildAdjacency flattens the node→neighbour adjacency to CSR form
-// (offsets + one flat list). Elements are visited in global index
-// order, so a node's neighbour sequence — and therefore the order of
-// the smoothing sum — matches the one the undecomposed mesh produces
-// no matter how a partition renumbered the local elements. Combined
-// with the one-element-deep ghost layer (every element around an owned
-// node is local), this makes the smoothed targets of owned nodes
-// bitwise rank-independent.
+// buildAdjacency builds the node→neighbour adjacency in CSR form
+// (offsets + one flat list) from the node→element CSR, counting then
+// filling. A node's neighbours are listed in the order an element sweep
+// in global index order would first meet its edges: ring elements by
+// ascending global id, each element's two edges at the node by
+// ascending edge index. That sequence — and therefore the order of the
+// smoothing sum — matches the one the undecomposed mesh produces no
+// matter how a partition renumbered the local elements. Combined with
+// the one-element-deep ghost layer (every element around an owned node
+// is local), this makes the smoothed targets of owned nodes bitwise
+// rank-independent.
 func buildAdjacency(m *mesh.Mesh) (start, list []int) {
-	adj := make([][]int, m.NNd)
-	seen := make(map[[2]int]bool)
-	if m.GlobalEl == nil {
-		for e := 0; e < m.NEl; e++ {
-			appendEdges(m, e, adj, seen)
+	// neighbours returns node n's sequence in a buffer reused across
+	// calls; ring is its node→element CSR positions sorted by global
+	// element id (a handful, already sorted when GlobalEl is nil).
+	var ring, nb []int
+	neighbours := func(n int) []int {
+		ring, nb = ring[:0], nb[:0]
+		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
+			g := m.GlobalElID(m.NdElList[i])
+			j := len(ring)
+			ring = append(ring, i)
+			for ; j > 0 && m.GlobalElID(m.NdElList[ring[j-1]]) > g; j-- {
+				ring[j] = ring[j-1]
+			}
+			ring[j] = i
 		}
-	} else {
-		order := make([]int, m.NEl)
-		for e := range order {
-			order[e] = e
+		for _, i := range ring {
+			nd := &m.ElNd[m.NdElList[i]]
+			c := m.NdElCorner[i]
+			// Edge c-1 ends at corner c and edge c starts there; at corner
+			// 0 those are edges 3 and 0, so edge 0's far node comes first.
+			first, second := nd[(c+3)&3], nd[(c+1)&3]
+			if c == 0 {
+				first, second = second, first
+			}
+			for _, b := range [2]int{first, second} {
+				seen := false
+				for _, o := range nb {
+					seen = seen || o == b
+				}
+				if !seen {
+					nb = append(nb, b)
+				}
+			}
 		}
-		sort.Slice(order, func(i, j int) bool {
-			return m.GlobalEl[order[i]] < m.GlobalEl[order[j]]
-		})
-		for _, e := range order {
-			appendEdges(m, e, adj, seen)
-		}
+		return nb
 	}
 	start = make([]int, m.NNd+1)
-	for n, nb := range adj {
-		start[n+1] = start[n] + len(nb)
+	for n := 0; n < m.NNd; n++ {
+		start[n+1] = start[n] + len(neighbours(n))
 	}
 	list = make([]int, start[m.NNd])
-	for n, nb := range adj {
-		copy(list[start[n]:], nb)
+	for n := 0; n < m.NNd; n++ {
+		copy(list[start[n]:], neighbours(n))
 	}
 	return start, list
 }
@@ -331,8 +328,14 @@ func buildAdjacency(m *mesh.Mesh) (start, list []int) {
 // Apply performs one remap of s onto the target mesh, updating
 // coordinates, masses, density, energy and velocity in place. The
 // phases are timed under "alestep" sub-names to mirror the paper's
-// ALESTEP breakdown. Failures are detected before any state is
-// mutated, so an ErrRemap return leaves s on the pre-remap mesh.
+// ALESTEP breakdown.
+//
+// The two guards that can fire on a connected mesh — a corner mass
+// driven non-positive by its fluxes, a target element of non-positive
+// volume — are checked before the first write to s, so an ErrRemap from
+// either leaves s bitwise the pre-remap state. The nodal-mass guard
+// runs after masses and energies are rewritten; once the corner guard
+// has passed it can only fire for a node with an empty element ring.
 func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	m := s.Mesh
 	nel, nnd := m.NEl, m.NNd
@@ -343,16 +346,19 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	r.ra.s = s
 	r.ra.base = 0
 	r.uvStarted = false
+	r.badCorner.Store(false)
+	r.badVol.Store(false)
+	r.badNode.Store(false)
 	phased := hooks.phased()
 
 	// --- ALEGETMESH: choose target coordinates.
 	tm.Start("alegetmesh")
 	switch r.Opt.Mode {
 	case Eulerian:
-		// The generated coordinates are static, so ghost entries of
-		// m.X are already correct: no exchange needed.
-		copy(r.xT, m.X)
-		copy(r.yT, m.Y)
+		// The generated coordinates are static, so they serve as the
+		// target unchanged and their ghost entries are already correct:
+		// no copy, no exchange.
+		r.xT, r.yT = m.X, m.Y
 	case Smoothed:
 		// Smooth owned nodes only: every element around an owned node
 		// is local, so the stencil is complete. Ghost targets come
@@ -378,10 +384,11 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	}
 	tm.Stop("alegetmesh")
 
-	// --- ALEGETFVOL: reconstruction gradients (second order).
+	// --- ALEGETFVOL: snapshot, then reconstruction gradients (second
+	// order). The snapshot covers ghosts too: their centroids are local
+	// geometry, and their density and energy stand until the exchange.
 	tm.Start("alegetfvol")
-	copy(r.cRho, s.Rho)
-	copy(r.cEin, s.Ein)
+	pool.For(nel, r.kb.snapshot)
 	cellExch := hooks != nil && (phased || hooks.ExchangeCellFields != nil)
 	gn := nel
 	if cellExch {
@@ -391,16 +398,12 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 		gn = m.NOwnEl
 	}
 	if r.Opt.FirstOrder {
-		zero(r.gradRX)
-		zero(r.gradRY)
-		zero(r.gradEX)
-		zero(r.gradEY)
+		clear(r.gradRX)
+		clear(r.gradRY)
+		clear(r.gradEX)
+		clear(r.gradEY)
 	} else {
-		r.ra.phi, r.ra.gx, r.ra.gy = r.cRho, r.gradRX, r.gradRY
 		pool.For(gn, r.kb.grad)
-		r.ra.phi, r.ra.gx, r.ra.gy = r.cEin, r.gradEX, r.gradEY
-		pool.For(gn, r.kb.grad)
-		r.ra.phi, r.ra.gx, r.ra.gy = nil, nil, nil
 	}
 	if !phased && cellExch {
 		hooks.ExchangeCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
@@ -446,31 +449,23 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 
 	// --- ALEUPDATE: guard, apply deltas, rebuild dependent variables.
 	tm.Start("aleupdate")
-	// Corner-mass guard before any state is touched: a swept flux
-	// exceeding its donor corner's mass (the mesh moved more than a
-	// cell width, typically because the target mesh tangled) would
-	// otherwise drive density negative mid-commit.
-	if min, _ := pool.ReduceMin(4*nel, r.kb.cmassAt); min <= 0 {
-		cs := s.CornerStride()
-		for i := 0; i < 4*nel; i++ {
-			if v := s.CMass[(i>>2)*cs+(i&3)] + r.dCMass[i]; v <= 0 {
-				r.exchangeUV(s, hooks)
-				tm.Stop("aleupdate")
-				return &ErrRemap{Element: i / 4, Corner: i & 3, Mass: v}
-			}
-		}
+	// Target volumes depend on the target coordinates alone, so they and
+	// the corner masses the gather just finished are judged before any
+	// state is touched: a swept flux exceeding its donor corner's mass
+	// (the mesh moved more than a cell width, typically because the
+	// target mesh tangled) would otherwise drive density negative
+	// mid-commit.
+	pool.For(nel, r.kb.vols)
+	err := r.guardFailure(s)
+	if err == nil {
+		pool.For(nel, r.kb.massEnergy)
+		pool.For(nnd, r.kb.ndMass)
+		err = r.guardFailure(s) // only the nodal flag can be up now
 	}
-	pool.For(nel, r.kb.massEnergy)
-	pool.For(nnd, r.kb.stash)
-	pool.For(nnd, r.kb.ndMass)
-	if min, _ := pool.ReduceMin(nnd, r.kb.ndMassAt); min <= 0 {
-		for n := 0; n < nnd; n++ {
-			if s.NdMass[n] <= 0 {
-				r.exchangeUV(s, hooks)
-				tm.Stop("aleupdate")
-				return &ErrRemap{Element: -1, Corner: n, Mass: s.NdMass[n]}
-			}
-		}
+	if err != nil {
+		r.exchangeUV(s, hooks)
+		tm.Stop("aleupdate")
+		return err
 	}
 	velN := nnd
 	if hooks != nil && (phased || hooks.ExchangeVelocities != nil) {
@@ -479,27 +474,45 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	}
 	pool.For(velN, r.kb.vel)
 	if phased {
-		// Ghost velocities travel while volumes, density and EoS
-		// rebuild — none of which read U or V.
+		// Ghost velocities travel while the coordinates are committed
+		// and the EoS rebuilds — neither reads U or V.
 		hooks.StartVelocities(s.U, s.V)
 		r.uvStarted = true
 	}
-	pool.For(nel, r.kb.vols)
-	if min, _ := pool.ReduceMin(nel, r.kb.volAt); min <= 0 {
-		for e := 0; e < nel; e++ {
-			if v := r.volT[e]; v <= 0 {
-				r.exchangeUV(s, hooks)
-				tm.Stop("aleupdate")
+	copy(s.X, r.xT)
+	copy(s.Y, r.yT)
+	s.GetPC(0, m.NOwnEl)
+	r.exchangeUV(s, hooks)
+	tm.Stop("aleupdate")
+	return nil
+}
+
+// guardFailure turns a raised guard flag into the error naming the
+// lowest offending index: corner masses first, then target volumes,
+// then (once ndMassRange has run) nodal masses.
+func (r *Remapper) guardFailure(s *hydro.State) error {
+	if r.badCorner.Load() {
+		cs := s.CornerStride()
+		for i, d := range r.dCMass {
+			if v := s.CMass[(i>>2)*cs+(i&3)] + d; v <= 0 {
+				return &ErrRemap{Element: i / 4, Corner: i & 3, Mass: v}
+			}
+		}
+	}
+	if r.badVol.Load() {
+		for e, v := range r.volT {
+			if v <= 0 {
 				return &ErrRemap{Element: e, Corner: -1, Mass: v}
 			}
 		}
 	}
-	copy(s.X, r.xT)
-	copy(s.Y, r.yT)
-	pool.For(nel, r.kb.commit)
-	s.GetPC(0, m.NOwnEl)
-	r.exchangeUV(s, hooks)
-	tm.Stop("aleupdate")
+	if r.badNode.Load() {
+		for n, v := range s.NdMass {
+			if v <= 0 {
+				return &ErrRemap{Element: -1, Corner: n, Mass: v}
+			}
+		}
+	}
 	return nil
 }
 
@@ -594,78 +607,127 @@ func (r *Remapper) pinRange(lo, hi int) {
 	}
 }
 
-// --- ALEGETFVOL kernel --------------------------------------------------
+// --- ALEGETFVOL kernels -------------------------------------------------
 
-// gradRange fills the bound (gx, gy) with least-squares cell gradients
-// of the bound phi over face neighbours, limited Barth-Jespersen style
-// so reconstructed face-centroid values stay within the neighbour
-// min/max (the monotonicity-enforcing limiter the paper cites via van
-// Leer).
+// snapshotRange caches what every later phase reads of the pre-remap
+// state per cell: density, energy and the vertex-average centroid. The
+// coordinates do not move until the remap commits, so a cached centroid
+// has the bits a fresh evaluation of the same expression would.
+func (r *Remapper) snapshotRange(lo, hi int) {
+	s := r.ra.s
+	m := s.Mesh
+	for e := lo; e < hi; e++ {
+		nd := &m.ElNd[e]
+		r.cRho[e] = s.Rho[e]
+		r.cEin[e] = s.Ein[e]
+		r.cx[e] = avg4(s.X[nd[0]], s.X[nd[1]], s.X[nd[2]], s.X[nd[3]])
+		r.cy[e] = avg4(s.Y[nd[0]], s.Y[nd[1]], s.Y[nd[2]], s.Y[nd[3]])
+	}
+}
+
+// gradRange fills the density and energy gradients: least-squares cell
+// gradients over face neighbours, limited Barth-Jespersen style so
+// reconstructed face-midpoint values stay within the neighbour min/max
+// (the monotonicity-enforcing limiter the paper cites via van Leer).
+// The normal matrix and the midpoint offsets are geometry, formed once
+// and shared by the two fields.
 func (r *Remapper) gradRange(lo, hi int) {
 	s := r.ra.s
 	m := s.Mesh
-	phi, gx, gy := r.ra.phi, r.ra.gx, r.ra.gy
 	for e := lo; e < hi; e++ {
-		cx, cy := cellCentroid(s, e)
+		cx, cy := r.cx[e], r.cy[e]
+		rho, ein := r.cRho[e], r.cEin[e]
 		// Least squares normal equations.
-		var sxx, sxy, syy, sxp, syp float64
-		min, max := phi[e], phi[e]
+		var sxx, sxy, syy, rxp, ryp, exp, eyp float64
+		rmin, rmax, emin, emax := rho, rho, ein, ein
 		nNb := 0
-		for k := 0; k < 4; k++ {
-			nb := m.ElEl[e][k]
+		for _, nb := range &m.ElEl[e] {
 			if nb < 0 {
 				continue
 			}
 			nNb++
-			nx, ny := cellCentroid(s, nb)
-			dx, dy := nx-cx, ny-cy
-			dp := phi[nb] - phi[e]
+			dx, dy := r.cx[nb]-cx, r.cy[nb]-cy
+			rn, en := r.cRho[nb], r.cEin[nb]
+			dr, de := rn-rho, en-ein
 			sxx += dx * dx
 			sxy += dx * dy
 			syy += dy * dy
-			sxp += dx * dp
-			syp += dy * dp
-			if phi[nb] < min {
-				min = phi[nb]
+			rxp += dx * dr
+			ryp += dy * dr
+			exp += dx * de
+			eyp += dy * de
+			if rn < rmin {
+				rmin = rn
 			}
-			if phi[nb] > max {
-				max = phi[nb]
+			if rn > rmax {
+				rmax = rn
+			}
+			if en < emin {
+				emin = en
+			}
+			if en > emax {
+				emax = en
 			}
 		}
 		det := sxx*syy - sxy*sxy
 		if nNb < 2 || math.Abs(det) < 1e-300 {
-			gx[e], gy[e] = 0, 0
+			r.gradRX[e], r.gradRY[e] = 0, 0
+			r.gradEX[e], r.gradEY[e] = 0, 0
 			continue
 		}
-		gxe := (sxp*syy - syp*sxy) / det
-		gye := (syp*sxx - sxp*sxy) / det
-		// Barth-Jespersen limiting at edge midpoints.
-		alpha := 1.0
+		// Edge midpoints relative to the centroid, where the limiter
+		// samples the reconstruction.
 		nd := &m.ElNd[e]
-		for k := 0; k < 4; k++ {
-			kp := (k + 1) & 3
-			fx := 0.5*(s.X[nd[k]]+s.X[nd[kp]]) - cx
-			fy := 0.5*(s.Y[nd[k]]+s.Y[nd[kp]]) - cy
-			d := gxe*fx + gye*fy
-			var a float64
-			switch {
-			case d > 0:
-				a = (max - phi[e]) / d
-			case d < 0:
-				a = (min - phi[e]) / d
-			default:
-				continue
-			}
-			if a < alpha {
-				alpha = a
-			}
+		x0, x1, x2, x3 := s.X[nd[0]], s.X[nd[1]], s.X[nd[2]], s.X[nd[3]]
+		y0, y1, y2, y3 := s.Y[nd[0]], s.Y[nd[1]], s.Y[nd[2]], s.Y[nd[3]]
+		fx0, fy0 := 0.5*(x0+x1)-cx, 0.5*(y0+y1)-cy
+		fx1, fy1 := 0.5*(x1+x2)-cx, 0.5*(y1+y2)-cy
+		fx2, fy2 := 0.5*(x2+x3)-cx, 0.5*(y2+y3)-cy
+		fx3, fy3 := 0.5*(x3+x0)-cx, 0.5*(y3+y0)-cy
+
+		gx := (rxp*syy - ryp*sxy) / det
+		gy := (ryp*sxx - rxp*sxy) / det
+		up, dn := rmax-rho, rmin-rho
+		a := bjLimit(1, gx*fx0+gy*fy0, up, dn)
+		a = bjLimit(a, gx*fx1+gy*fy1, up, dn)
+		a = bjLimit(a, gx*fx2+gy*fy2, up, dn)
+		a = bjLimit(a, gx*fx3+gy*fy3, up, dn)
+		if a < 0 {
+			a = 0
 		}
-		if alpha < 0 {
-			alpha = 0
+		r.gradRX[e], r.gradRY[e] = a*gx, a*gy
+
+		gx = (exp*syy - eyp*sxy) / det
+		gy = (eyp*sxx - exp*sxy) / det
+		up, dn = emax-ein, emin-ein
+		a = bjLimit(1, gx*fx0+gy*fy0, up, dn)
+		a = bjLimit(a, gx*fx1+gy*fy1, up, dn)
+		a = bjLimit(a, gx*fx2+gy*fy2, up, dn)
+		a = bjLimit(a, gx*fx3+gy*fy3, up, dn)
+		if a < 0 {
+			a = 0
 		}
-		gx[e] = alpha * gxe
-		gy[e] = alpha * gye
+		r.gradEX[e], r.gradEY[e] = a*gx, a*gy
 	}
+}
+
+// bjLimit lowers the Barth-Jespersen factor alpha to what one sample
+// point allows: d is the unlimited reconstruction's excursion there,
+// up and dn the room to the neighbourhood maximum and minimum.
+func bjLimit(alpha, d, up, dn float64) float64 {
+	var a float64
+	switch {
+	case d > 0:
+		a = up / d
+	case d < 0:
+		a = dn / d
+	default:
+		return alpha
+	}
+	if a < alpha {
+		return a
+	}
+	return alpha
 }
 
 // --- ALEADVECT kernels --------------------------------------------------
@@ -690,51 +752,66 @@ func (r *Remapper) subFacesListBody(lo, hi int) {
 // accumulated here in the serial loop's edge order and assigned; the
 // momentum fluxes are staged per edge for momGatherRange to replay.
 func (r *Remapper) subFaceEl(s *hydro.State, e int) {
-	m := s.Mesh
-	nd := &m.ElNd[e]
-	var xo, yo, xn, yn [4]float64
-	for k := 0; k < 4; k++ {
-		xo[k] = s.X[nd[k]]
-		yo[k] = s.Y[nd[k]]
-		xn[k] = r.xT[nd[k]]
-		yn[k] = r.yT[nd[k]]
+	nd := &s.Mesh.ElNd[e]
+	n0, n1, n2, n3 := nd[0], nd[1], nd[2], nd[3]
+	xo0, xo1, xo2, xo3 := s.X[n0], s.X[n1], s.X[n2], s.X[n3]
+	yo0, yo1, yo2, yo3 := s.Y[n0], s.Y[n1], s.Y[n2], s.Y[n3]
+	xn0, xn1, xn2, xn3 := r.xT[n0], r.xT[n1], r.xT[n2], r.xT[n3]
+	yn0, yn1, yn2, yn3 := r.yT[n0], r.yT[n1], r.yT[n2], r.yT[n3]
+	cxo, cyo := r.cx[e], r.cy[e]
+	cxn, cyn := avg4(xn0, xn1, xn2, xn3), avg4(yn0, yn1, yn2, yn3)
+
+	g, ex, ey := subFace(0.5*(xo0+xo1), 0.5*(yo0+yo1), 0.5*(xn0+xn1), 0.5*(yn0+yn1), cxo, cyo, cxn, cyn)
+	mf0 := r.stageEdge(s, 4*e+0, g, r.reconRho(e, ex, ey), n0, n1)
+	g, ex, ey = subFace(0.5*(xo1+xo2), 0.5*(yo1+yo2), 0.5*(xn1+xn2), 0.5*(yn1+yn2), cxo, cyo, cxn, cyn)
+	mf1 := r.stageEdge(s, 4*e+1, g, r.reconRho(e, ex, ey), n1, n2)
+	g, ex, ey = subFace(0.5*(xo2+xo3), 0.5*(yo2+yo3), 0.5*(xn2+xn3), 0.5*(yn2+yn3), cxo, cyo, cxn, cyn)
+	mf2 := r.stageEdge(s, 4*e+2, g, r.reconRho(e, ex, ey), n2, n3)
+	g, ex, ey = subFace(0.5*(xo3+xo0), 0.5*(yo3+yo0), 0.5*(xn3+xn0), 0.5*(yn3+yn0), cxo, cyo, cxn, cyn)
+	mf3 := r.stageEdge(s, 4*e+3, g, r.reconRho(e, ex, ey), n3, n0)
+
+	// Edge k's flux enters corner k and leaves corner k+1, added in
+	// edge order; an empty edge contributes an exact zero.
+	var d0, d1, d2, d3 float64
+	d0 += mf0
+	d1 -= mf0
+	d1 += mf1
+	d2 -= mf1
+	d2 += mf2
+	d3 -= mf2
+	d3 += mf3
+	d0 -= mf3
+	r.dCMass[4*e+0] = d0
+	r.dCMass[4*e+1] = d1
+	r.dCMass[4*e+2] = d2
+	r.dCMass[4*e+3] = d3
+}
+
+// subFace returns the volume a corner annexes from the next one across
+// their shared sub-face — the segment from the midpoint (mx, my) of the
+// edge between them to the cell centroid, CCW for the annexing corner —
+// as the cell moves from the old (o) to the new (n) coordinates, and
+// the centre of the swept quad, where the donor density is sampled.
+func subFace(mxo, myo, mxn, myn, cxo, cyo, cxn, cyn float64) (gain, ex, ey float64) {
+	gain = -sweptArea(mxo, myo, cxo, cyo, mxn, myn, cxn, cyn)
+	return gain, avg4(mxo, cxo, mxn, cxn), avg4(myo, cyo, myn, cyn)
+}
+
+// stageEdge records one sub-face in its edge slot and returns the mass
+// it carries from the corner at node b to the corner at node a (zero
+// for an empty slot), given the density rho reconstructed at the swept
+// quad's centre. Nodal momentum is upwinded: the donor node is the
+// corner the mass leaves.
+func (r *Remapper) stageEdge(s *hydro.State, slot int, gain, rho float64, a, b int) float64 {
+	r.eGain[slot] = gain
+	if gain == 0 {
+		return 0
 	}
-	cxo, cyo := geom.Centroid(&xo, &yo)
-	cxn, cyn := geom.Centroid(&xn, &yn)
-	var d [4]float64
-	for k := 0; k < 4; k++ {
-		kp := (k + 1) & 3
-		// Midpoint of edge k, old and new.
-		mxo := 0.5 * (xo[k] + xo[kp])
-		myo := 0.5 * (yo[k] + yo[kp])
-		mxn := 0.5 * (xn[k] + xn[kp])
-		myn := 0.5 * (yn[k] + yn[kp])
-		// Segment (M_k -> C) is CCW for corner k: gain is the
-		// volume corner k annexes from corner k+1.
-		gain := -sweptArea(mxo, myo, cxo, cyo, mxn, myn, cxn, cyn)
-		r.eGain[4*e+k] = gain
-		if gain == 0 {
-			continue
-		}
-		ex := 0.25 * (mxo + cxo + mxn + cxn)
-		ey := 0.25 * (myo + cyo + myn + cyn)
-		rho := r.reconRho(e, ex, ey, s)
-		mf := gain * rho
-		d[k] += mf
-		d[kp] -= mf
-		// Upwind nodal momentum: donor node is the corner the mass
-		// leaves.
-		donor := nd[kp]
-		if gain < 0 {
-			donor = nd[k]
-		}
-		r.ePx[4*e+k] = mf * s.U[donor]
-		r.ePy[4*e+k] = mf * s.V[donor]
-	}
-	r.dCMass[4*e+0] = d[0]
-	r.dCMass[4*e+1] = d[1]
-	r.dCMass[4*e+2] = d[2]
-	r.dCMass[4*e+3] = d[3]
+	mf := gain * rho
+	donor := upwind(gain, a, b)
+	r.ePx[slot] = mf * s.U[donor]
+	r.ePy[slot] = mf * s.V[donor]
+	return mf
 }
 
 // faceFluxRange stages the cell-boundary half-face fluxes, which move
@@ -753,76 +830,84 @@ func (r *Remapper) faceFluxRange(lo, hi int) {
 			r.fGain[2*i+1] = 0
 			continue
 		}
-		l, rt := f.Left, f.Right
 		n1, n2 := f.N1, f.N2
 		x1o, y1o := s.X[n1], s.Y[n1]
 		x2o, y2o := s.X[n2], s.Y[n2]
 		x1n, y1n := r.xT[n1], r.yT[n1]
 		x2n, y2n := r.xT[n2], r.yT[n2]
-		mxo := 0.5 * (x1o + x2o)
-		myo := 0.5 * (y1o + y2o)
-		mxn := 0.5 * (x1n + x2n)
-		myn := 0.5 * (y1n + y2n)
-		for half := 0; half < 2; half++ {
-			var axo, ayo, bxo, byo, axn, ayn, bxn, byn float64
-			if half == 0 {
-				axo, ayo, bxo, byo = x1o, y1o, mxo, myo
-				axn, ayn, bxn, byn = x1n, y1n, mxn, myn
-			} else {
-				axo, ayo, bxo, byo = mxo, myo, x2o, y2o
-				axn, ayn, bxn, byn = mxn, myn, x2n, y2n
-			}
-			gain := -sweptArea(axo, ayo, bxo, byo, axn, ayn, bxn, byn)
-			r.fGain[2*i+half] = gain
-			if gain == 0 {
-				continue
-			}
-			donor := rt
-			if gain < 0 {
-				donor = l
-			}
-			ex := 0.25 * (axo + bxo + axn + bxn)
-			ey := 0.25 * (ayo + byo + ayn + byn)
-			rho := r.reconRho(donor, ex, ey, s)
-			ein := r.reconEin(donor, ex, ey, s)
-			mf := gain * rho
-			r.fMass[2*i+half] = mf
-			r.fEn[2*i+half] = mf * ein
+		mxo, myo := 0.5*(x1o+x2o), 0.5*(y1o+y2o)
+		mxn, myn := 0.5*(x1n+x2n), 0.5*(y1n+y2n)
+		g0 := -sweptArea(x1o, y1o, mxo, myo, x1n, y1n, mxn, myn)
+		g1 := -sweptArea(mxo, myo, x2o, y2o, mxn, myn, x2n, y2n)
+		r.fGain[2*i], r.fGain[2*i+1] = g0, g1
+		// A non-empty half carries the mass and energy reconstructed in
+		// its donor cell at the centre of the swept quad.
+		if g0 != 0 {
+			donor, ex, ey := upwind(g0, f.Left, f.Right), avg4(x1o, mxo, x1n, mxn), avg4(y1o, myo, y1n, myn)
+			mf := g0 * r.reconRho(donor, ex, ey)
+			r.fMass[2*i] = mf
+			r.fEn[2*i] = mf * r.reconEin(donor, ex, ey)
+		}
+		if g1 != 0 {
+			donor, ex, ey := upwind(g1, f.Left, f.Right), avg4(mxo, x2o, mxn, x2n), avg4(myo, y2o, myn, y2n)
+			mf := g1 * r.reconRho(donor, ex, ey)
+			r.fMass[2*i+1] = mf
+			r.fEn[2*i+1] = mf * r.reconEin(donor, ex, ey)
 		}
 	}
+}
+
+// upwind returns the donor of a flux whose gain is counted for a: b
+// when a gains volume, a when it loses.
+func upwind(gain float64, a, b int) int {
+	if gain < 0 {
+		return a
+	}
+	return b
 }
 
 // faceGatherRange replays each element's staged half-face fluxes in
 // ascending (face, half) order — the order the serial face loop added
 // them — on top of the internal sub-face deltas, keeping every corner
 // slot's accumulation sequence bitwise identical to the serial remap.
+// That finishes the corner-mass deltas, so the corner guard is judged
+// here.
 func (r *Remapper) faceGatherRange(lo, hi int) {
 	s := r.ra.s
 	m := s.Mesh
+	cs := s.CornerStride()
+	bad := false
 	for e := lo; e < hi; e++ {
+		nd := &m.ElNd[e]
+		d := r.dCMass[4*e : 4*e+4 : 4*e+4]
 		var den float64
-		for idx := r.efStart[e]; idx < r.efStart[e+1]; idx++ {
-			i := r.efList[idx]
+		for _, i := range r.efList[r.efStart[e]:r.efStart[e+1]] {
+			g0, g1 := r.fGain[2*i], r.fGain[2*i+1]
+			if g0 == 0 && g1 == 0 {
+				continue
+			}
 			f := &m.Faces[i]
-			for half := 0; half < 2; half++ {
-				if r.fGain[2*i+half] == 0 {
-					continue
-				}
-				node := f.N1
-				if half == 1 {
-					node = f.N2
-				}
-				k := cornerOf(m.ElNd[e], node)
-				if e == f.Left {
-					r.dCMass[4*e+k] += r.fMass[2*i+half]
-					den += r.fEn[2*i+half]
-				} else {
-					r.dCMass[4*e+k] -= r.fMass[2*i+half]
-					den -= r.fEn[2*i+half]
-				}
+			sign := 1.0
+			if e != f.Left {
+				sign = -1
+			}
+			if g0 != 0 {
+				d[cornerOf(nd, f.N1)] += sign * r.fMass[2*i]
+				den += sign * r.fEn[2*i]
+			}
+			if g1 != 0 {
+				d[cornerOf(nd, f.N2)] += sign * r.fMass[2*i+1]
+				den += sign * r.fEn[2*i+1]
 			}
 		}
 		r.dEnergy[e] = den
+		c := s.CMass[cs*e : cs*e+4 : cs*e+4]
+		if c[0]+d[0] <= 0 || c[1]+d[1] <= 0 || c[2]+d[2] <= 0 || c[3]+d[3] <= 0 {
+			bad = true
+		}
+	}
+	if bad {
+		r.badCorner.Store(true)
 	}
 }
 
@@ -867,45 +952,73 @@ func (r *Remapper) momGatherRange(lo, hi int) {
 
 // --- ALEUPDATE kernels --------------------------------------------------
 
+// volsRange computes the target-mesh volumes into volT and judges the
+// volume guard, so tangled targets are detected before anything is
+// committed.
+func (r *Remapper) volsRange(lo, hi int) {
+	m := r.ra.s.Mesh
+	bad := false
+	for e := lo; e < hi; e++ {
+		nd := &m.ElNd[e]
+		n0, n1, n2, n3 := nd[0], nd[1], nd[2], nd[3]
+		v := geom.QuadArea(r.xT[n0], r.xT[n1], r.xT[n2], r.xT[n3], r.yT[n0], r.yT[n1], r.yT[n2], r.yT[n3])
+		r.volT[e] = v
+		if v <= 0 {
+			bad = true
+		}
+	}
+	if bad {
+		r.badVol.Store(true)
+	}
+}
+
+// massEnergyRange applies the deltas to the independent variables and
+// rebuilds the cell's dependent ones on the target volume — the first
+// writes to the state.
 func (r *Remapper) massEnergyRange(lo, hi int) {
 	s := r.ra.s
 	cs := s.CornerStride()
 	for e := lo; e < hi; e++ {
-		oldMass := s.Mass[e]
-		var newMass float64
-		for k := 0; k < 4; k++ {
-			s.CMass[cs*e+k] += r.dCMass[4*e+k]
-			newMass += s.CMass[cs*e+k]
-		}
-		energy := oldMass*s.Ein[e] + r.dEnergy[e]
+		c := s.CMass[cs*e : cs*e+4 : cs*e+4]
+		d := r.dCMass[4*e : 4*e+4 : 4*e+4]
+		c0, c1, c2, c3 := c[0]+d[0], c[1]+d[1], c[2]+d[2], c[3]+d[3]
+		c[0], c[1], c[2], c[3] = c0, c1, c2, c3
+		// The corner guard passed, so every term is positive and the
+		// sum from zero is the sum from c0.
+		newMass := c0 + c1 + c2 + c3
+		energy := s.Mass[e]*s.Ein[e] + r.dEnergy[e]
+		vol := r.volT[e]
 		s.Mass[e] = newMass
 		s.Ein[e] = energy / newMass
+		s.Vol[e] = vol
+		s.Rho[e] = newMass / vol
 	}
 }
 
-// stashRange turns the momentum deltas into total momenta using the
-// pre-remap nodal masses, before ndMassRange rebuilds them.
-func (r *Remapper) stashRange(lo, hi int) {
-	s := r.ra.s
-	for n := lo; n < hi; n++ {
-		r.dPx[n] = s.NdMass[n]*s.U[n] + r.dPx[n]
-		r.dPy[n] = s.NdMass[n]*s.V[n] + r.dPy[n]
-	}
-}
-
-// ndMassRange rebuilds each nodal mass as the sum of its corner masses
-// over the node's element ring (ascending, matching the serial
-// element-scatter's accumulation order).
+// ndMassRange turns each node's momentum delta into its total momentum
+// using the pre-remap nodal mass, then rebuilds that mass as the sum of
+// its corner masses over the node's element ring (ascending, matching
+// the serial element-scatter's accumulation order) and judges the
+// nodal-mass guard.
 func (r *Remapper) ndMassRange(lo, hi int) {
 	s := r.ra.s
 	m := s.Mesh
 	slots := s.NdSlots()
+	bad := false
 	for n := lo; n < hi; n++ {
+		r.dPx[n] = s.NdMass[n]*s.U[n] + r.dPx[n]
+		r.dPy[n] = s.NdMass[n]*s.V[n] + r.dPy[n]
 		var sum float64
-		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			sum += s.CMass[slots[i]]
+		for _, c := range slots[m.NdElStart[n]:m.NdElStart[n+1]] {
+			sum += s.CMass[c]
 		}
 		s.NdMass[n] = sum
+		if sum <= 0 {
+			bad = true
+		}
+	}
+	if bad {
+		r.badNode.Store(true)
 	}
 }
 
@@ -927,39 +1040,6 @@ func (r *Remapper) velRange(lo, hi int) {
 	}
 }
 
-// volsRange computes the target-mesh volumes into volT, so tangled
-// targets are detected before the coordinates are committed.
-func (r *Remapper) volsRange(lo, hi int) {
-	s := r.ra.s
-	m := s.Mesh
-	var x, y [4]float64
-	for e := lo; e < hi; e++ {
-		nd := &m.ElNd[e]
-		for k := 0; k < 4; k++ {
-			x[k] = r.xT[nd[k]]
-			y[k] = r.yT[nd[k]]
-		}
-		r.volT[e] = geom.Area(&x, &y)
-	}
-}
-
-func (r *Remapper) commitRange(lo, hi int) {
-	s := r.ra.s
-	for e := lo; e < hi; e++ {
-		s.Vol[e] = r.volT[e]
-		s.Rho[e] = s.Mass[e] / r.volT[e]
-	}
-}
-
-// --- guard probes (deterministic ReduceMin bodies) ----------------------
-
-func (r *Remapper) cmassAt(i int) float64 {
-	s := r.ra.s
-	return s.CMass[(i>>2)*s.CornerStride()+(i&3)] + r.dCMass[i]
-}
-func (r *Remapper) ndMassAt(i int) float64 { return r.ra.s.NdMass[i] }
-func (r *Remapper) volAt(i int) float64    { return r.volT[i] }
-
 // --- geometry helpers ---------------------------------------------------
 
 // sweptArea returns the shoelace area of the quad (aOld, bOld, bNew,
@@ -969,8 +1049,12 @@ func sweptArea(axo, ayo, bxo, byo, axn, ayn, bxn, byn float64) float64 {
 	return 0.5 * ((bxn-axo)*(ayn-byo) - (axn-bxo)*(byn-ayo))
 }
 
+// avg4 is the vertex average of one coordinate of a quad — its centroid
+// in the sense of geom.Centroid, on four scalars.
+func avg4(a, b, c, d float64) float64 { return 0.25 * (a + b + c + d) }
+
 // cornerOf returns which corner of elNd holds node n.
-func cornerOf(elNd [4]int, n int) int {
+func cornerOf(elNd *[4]int, n int) int {
 	for k := 0; k < 4; k++ {
 		if elNd[k] == n {
 			return k
@@ -980,10 +1064,10 @@ func cornerOf(elNd [4]int, n int) int {
 }
 
 // reconRho evaluates the limited linear density reconstruction of cell
-// e at point (px, py).
-func (r *Remapper) reconRho(e int, px, py float64, s *hydro.State) float64 {
-	cx, cy := cellCentroid(s, e)
-	v := r.cRho[e] + r.gradRX[e]*(px-cx) + r.gradRY[e]*(py-cy)
+// e at point (px, py), falling back to the cell mean where the linear
+// value is not positive.
+func (r *Remapper) reconRho(e int, px, py float64) float64 {
+	v := r.cRho[e] + r.gradRX[e]*(px-r.cx[e]) + r.gradRY[e]*(py-r.cy[e])
 	if v <= 0 {
 		return r.cRho[e]
 	}
@@ -992,19 +1076,6 @@ func (r *Remapper) reconRho(e int, px, py float64, s *hydro.State) float64 {
 
 // reconEin evaluates the limited linear energy reconstruction of cell
 // e at point (px, py).
-func (r *Remapper) reconEin(e int, px, py float64, s *hydro.State) float64 {
-	cx, cy := cellCentroid(s, e)
-	return r.cEin[e] + r.gradEX[e]*(px-cx) + r.gradEY[e]*(py-cy)
-}
-
-func cellCentroid(s *hydro.State, e int) (float64, float64) {
-	nd := &s.Mesh.ElNd[e]
-	return 0.25 * (s.X[nd[0]] + s.X[nd[1]] + s.X[nd[2]] + s.X[nd[3]]),
-		0.25 * (s.Y[nd[0]] + s.Y[nd[1]] + s.Y[nd[2]] + s.Y[nd[3]])
-}
-
-func zero(a []float64) {
-	for i := range a {
-		a[i] = 0
-	}
+func (r *Remapper) reconEin(e int, px, py float64) float64 {
+	return r.cEin[e] + r.gradEX[e]*(px-r.cx[e]) + r.gradEY[e]*(py-r.cy[e])
 }

@@ -1,12 +1,15 @@
 package ale
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"bookleaf/internal/eos"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/mesh"
+	"bookleaf/internal/par"
 )
 
 // testState builds a box of ideal gas and optionally drags its nodes
@@ -315,19 +318,78 @@ func TestSmoothedModeImprovesMeshQuality(t *testing.T) {
 }
 
 func TestRemapErrorOnCatastrophicTarget(t *testing.T) {
-	// Force a target mesh wildly different from the current one: the
-	// remap must fail loudly (negative corner mass or volume), not
-	// silently produce garbage.
-	s := testState(t, 4, 4, func(cx, cy float64) float64 { return 1 }, func(cx, cy float64) float64 { return 1 })
-	// Drag the current mesh far away from the initial positions.
-	for n := 0; n < s.Mesh.NNd; n++ {
-		if s.Mesh.BCs[n] == mesh.BCNone {
-			s.X[n] += 0.9
-		}
+	// A remap that cannot succeed must fail loudly, not silently produce
+	// garbage — and, for the two guards judged before the first write,
+	// leave the state bitwise as it found it, name the lowest failing
+	// index at every thread count (the serial reference's), and still
+	// fire its one velocity exchange.
+	builds := map[string]func() *hydro.State{
+		// The current mesh dragged far from its target: fluxes empty
+		// whole corners.
+		"corner": func() *hydro.State {
+			s := testState(t, 4, 4, func(cx, cy float64) float64 { return 1 }, func(cx, cy float64) float64 { return 1 })
+			for n := 0; n < s.Mesh.NNd; n++ {
+				if s.Mesh.BCs[n] == mesh.BCNone {
+					s.X[n] += 0.9
+				}
+			}
+			return s
+		},
+		// A target with two interior nodes exchanged, so elements around
+		// them invert, under corner masses inflated until no flux can
+		// empty one: only the volume guard can fire.
+		"volume": func() *hydro.State {
+			s := testState(t, 6, 6, func(cx, cy float64) float64 { return 1 + cx }, func(cx, cy float64) float64 { return 2 - cy })
+			displaceInterior(s, 0.02)
+			m := s.Mesh
+			a, b := m.ElNd[14][0], m.ElNd[14][2]
+			m.X[a], m.X[b] = m.X[b], m.X[a]
+			m.Y[a], m.Y[b] = m.Y[b], m.Y[a]
+			for i := range s.CMass {
+				s.CMass[i] *= 1e6
+			}
+			return s
+		},
 	}
-	r := NewRemapper(DefaultOptions(), s)
-	if err := r.Apply(s, nil, nil); err == nil {
-		t.Fatal("catastrophic remap did not error")
+	for name, build := range builds {
+		sRef := build()
+		var want *ErrRemap
+		if err := newRefRemap(DefaultOptions(), sRef).apply(sRef, nil); !errors.As(err, &want) {
+			t.Fatalf("%s: reference remap returned %v, want an ErrRemap", name, err)
+		}
+		if (name == "volume") != (want.Corner == -1) || want.Element < 0 {
+			t.Fatalf("%s: reference tripped the wrong guard: %+v", name, want)
+		}
+		for _, threads := range []int{1, 4} {
+			s := build()
+			if threads > 1 {
+				s.Pool = par.New(threads)
+				t.Cleanup(s.Pool.Close)
+			}
+			before := build()
+			exchanges := 0
+			hooks := &Hooks{ExchangeVelocities: func(u, v []float64) { exchanges++ }}
+			var got *ErrRemap
+			if err := NewRemapper(DefaultOptions(), s).Apply(s, nil, hooks); !errors.As(err, &got) {
+				t.Fatalf("%s threads=%d: remap returned %v, want an ErrRemap", name, threads, err)
+			}
+			if *got != *want {
+				t.Errorf("%s threads=%d: failure %+v, want the lowest index %+v", name, threads, *got, *want)
+			}
+			if exchanges != 1 {
+				t.Errorf("%s threads=%d: %d velocity exchanges on the error path, want 1", name, threads, exchanges)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"X", s.X, before.X}, {"Y", s.Y, before.Y}, {"U", s.U, before.U}, {"V", s.V, before.V},
+				{"CMass", s.CMass, before.CMass}, {"Mass", s.Mass, before.Mass}, {"Ein", s.Ein, before.Ein},
+				{"Rho", s.Rho, before.Rho}, {"Vol", s.Vol, before.Vol}, {"NdMass", s.NdMass, before.NdMass},
+			} {
+				sameBits(t, fmt.Sprintf("%s threads=%d: %s after the error", name, threads, f.name), f.got, f.want)
+			}
+		}
 	}
 }
 

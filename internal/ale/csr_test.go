@@ -11,6 +11,58 @@ import (
 	"bookleaf/internal/partition"
 )
 
+// nodeAdjacency is the original map-deduplicated [][]int adjacency
+// builder, kept as the reference the CSR build is tested against.
+func nodeAdjacency(m *mesh.Mesh) [][]int {
+	adj := make([][]int, m.NNd)
+	seen := make(map[[2]int]bool)
+	for e := 0; e < m.NEl; e++ {
+		appendEdges(m, e, adj, seen)
+	}
+	return adj
+}
+
+// globalOrderAdjacency is the pre-CSR-build buildAdjacency: the
+// reference builder visiting elements in ascending global id, whose
+// neighbour sequence the counting build must reproduce exactly.
+func globalOrderAdjacency(m *mesh.Mesh) [][]int {
+	if m.GlobalEl == nil {
+		return nodeAdjacency(m)
+	}
+	adj := make([][]int, m.NNd)
+	seen := make(map[[2]int]bool)
+	order := make([]int, m.NEl)
+	for e := range order {
+		order[e] = e
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return m.GlobalEl[order[i]] < m.GlobalEl[order[j]]
+	})
+	for _, e := range order {
+		appendEdges(m, e, adj, seen)
+	}
+	return adj
+}
+
+// appendEdges records element e's four edges into adj, deduplicating
+// shared edges: each undirected edge is appended only when first seen,
+// so neighbour order is a pure function of the element visit order.
+func appendEdges(m *mesh.Mesh, e int, adj [][]int, seen map[[2]int]bool) {
+	for k := 0; k < 4; k++ {
+		a := m.ElNd[e][k]
+		b := m.ElNd[e][(k+1)&3]
+		key := [2]int{a, b}
+		if a > b {
+			key = [2]int{b, a}
+		}
+		if !seen[key] {
+			seen[key] = true
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+	}
+}
+
 // adjFromCSR expands a CSR adjacency back to per-node slices so it can
 // be compared against the reference [][]int builder.
 func adjFromCSR(start, list []int, nnd int) [][]int {
@@ -45,9 +97,11 @@ func TestCSRMatchesReferenceOnGlobalMesh(t *testing.T) {
 }
 
 // TestCSRMatchesReferenceOnSubmeshes checks the CSR builder against the
-// reference on RCB- and METIS-style partitioned submeshes. The CSR
-// build deliberately reorders the element visit by global index, so the
-// per-node neighbour *sets* must agree while the order may differ.
+// references on RCB- and METIS-style partitioned submeshes. The CSR
+// build orders neighbours as an element visit by global index would, so
+// against the local-order reference the per-node neighbour *sets* must
+// agree while the order may differ, and against the global-order
+// reference the sequences must be equal.
 func TestCSRMatchesReferenceOnSubmeshes(t *testing.T) {
 	m, err := mesh.Rect(mesh.RectSpec{NX: 12, NY: 10, X0: 0, X1: 1, Y0: 0, Y1: 1, Walls: mesh.DefaultWalls()})
 	if err != nil {
@@ -72,6 +126,12 @@ func TestCSRMatchesReferenceOnSubmeshes(t *testing.T) {
 				want := nodeAdjacency(lm)
 				start, list := buildAdjacency(lm)
 				got := adjFromCSR(start, list, lm.NNd)
+				for n, w := range globalOrderAdjacency(lm) {
+					if len(w)+len(got[n]) > 0 && !reflect.DeepEqual(got[n], w) {
+						t.Fatalf("%s/%d rank %d node %d: CSR %v != global-order reference %v",
+							name, nparts, sub.Rank, n, got[n], w)
+					}
+				}
 				for n := range want {
 					ws := append([]int(nil), want[n]...)
 					gs := append([]int(nil), got[n]...)
@@ -90,9 +150,9 @@ func TestCSRMatchesReferenceOnSubmeshes(t *testing.T) {
 	}
 }
 
-// TestCSRDeterministic is a regression guard on neighbour ordering: the
-// builder iterates a map internally, and a leak of that iteration order
-// into the output would make the smoothing sum non-deterministic.
+// TestCSRDeterministic is a regression guard on neighbour ordering: two
+// builds of one mesh must agree, or the smoothing sum would not be
+// deterministic.
 func TestCSRDeterministic(t *testing.T) {
 	m, err := mesh.Rect(mesh.RectSpec{NX: 12, NY: 10, X0: 0, X1: 1, Y0: 0, Y1: 1, Walls: mesh.DefaultWalls()})
 	if err != nil {
