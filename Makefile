@@ -1,6 +1,10 @@
 # BookLeaf-in-Go build and test entry points.
 #
-# tier1 is the correctness gate every change must keep green.
+# tier1 is the correctness gate every change must keep green. It
+# includes bench-check: the benchmark harness under bench/ is a module of
+# its own that go build ./... does not compile, so tier1 compiles, vets
+# and tests it too — a change that deletes an exported internal/ name
+# the harness calls fails here, not in the benchmark.
 # tier2-fault runs the parallel / fault-injection / checkpoint matrix
 # under the race detector — slower, but it is the tier that exercises
 # the abort paths, rollback-retry and the collective checkpoint
@@ -78,10 +82,9 @@
 # BenchmarkStepGrid reorder × layout sweep — so a locality regression
 # anywhere on the grid's frontier fails even if every named benchmark
 # individually squeaks under the threshold.
-# bench-check vets and tests the benchmark harness under bench/, a
-# module of its own that tier1 does not compile: a change to an
-# internal/ signature it calls breaks the benchmark's build, not tier1.
-# Run it before any change to internal/ lands (about 2 s).
+# bench-check vets and tests the benchmark harness under bench/ (about
+# 2 s); tier1 depends on it, so it runs before any change to internal/
+# lands.
 # fuzz gives the deck-parser and HTTP-submission fuzz targets a short
 # budget each; lengthen with FUZZTIME=5m for a real session.
 
@@ -103,7 +106,7 @@ vet:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 	  echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-tier1: build vet
+tier1: build vet bench-check
 	$(GO) test ./...
 
 tier2-fault:

@@ -64,7 +64,8 @@ type rankSlot struct {
 
 	// roll backs in-epoch collective rollback-retry (cadence
 	// Config.RollbackEvery); stepStart is the supervised per-step
-	// healthy-point snapshot the ladder's retry/replace restore.
+	// healthy-point snapshot the ladder's retry/replace restore. Both
+	// carry masses iff the run remaps (newSlot), the only writer of them.
 	roll      hydro.Memento
 	stepStart hydro.Memento
 
@@ -356,8 +357,10 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 	if err != nil {
 		return nil, err
 	}
+	masses := d.cfg.aleOptions() != nil // only a remap writes them
 	sl := &rankSlot{
 		id: id, sub: sub, s: s, reg: obs.NewRegistry(),
+		roll: hydro.Memento{Masses: masses}, stepStart: hydro.Memento{Masses: masses},
 		lockstep: lockstep{
 			dtCap: math.Inf(1), budget: d.cfg.retryBudget(),
 			lastCk: -1, lastProbe: -1, lastBal: -1, lastHist: -1,

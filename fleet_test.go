@@ -38,7 +38,11 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 				lm := sm.M
 				serial := &mesh.Mesh{ElNd: lm.ElNd, X: lm.X, Y: lm.Y, NOwnEl: lm.NOwnEl, NOwnNd: lm.NOwnNd}
 				serial.BuildConnectivity()
-				if !reflect.DeepEqual(serial.ElEl, lm.ElEl) || !reflect.DeepEqual(serial.Faces, lm.Faces) ||
+				// Nobody has asked either side for faces yet; derive them
+				// on both so the comparison is of two lists, not two nils.
+				serial.BuildFaces()
+				lm.BuildFaces()
+				if len(lm.Faces) == 0 || !reflect.DeepEqual(serial.ElEl, lm.ElEl) || !reflect.DeepEqual(serial.Faces, lm.Faces) ||
 					!reflect.DeepEqual(serial.NdElStart, lm.NdElStart) || !reflect.DeepEqual(serial.NdCorner, lm.NdCorner) {
 					t.Fatalf("rank %d: concurrently derived connectivity differs from a serial build", sm.Rank)
 				}
@@ -73,6 +77,51 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFacesBelongToTheRemap: the face list is built by the first
+// remapper of a rank's mesh and by nobody else, so a Lagrangian run ends
+// with none on any rank mesh, and an ALE run with exactly one — asking
+// again leaves the same backing array. The same configuration bit
+// decides whether the rank's mementos carry masses.
+func TestFacesBelongToTheRemap(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		for _, ale := range []string{"", "eulerian"} {
+			t.Run(fmt.Sprintf("ranks=%d/ale=%q", ranks, ale), func(t *testing.T) {
+				cfg := Config{Problem: "sod", NX: 32, NY: 4, Ranks: ranks, ALE: ale, MaxSteps: 4}
+				if err := cfg.normalise(); err != nil {
+					t.Fatal(err)
+				}
+				d, err := newDriver(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.closeSlots()
+				if _, err := d.run(); err != nil {
+					t.Fatal(err)
+				}
+				for _, sl := range d.slots {
+					if remaps := ale != ""; sl.roll.Masses != remaps || sl.stepStart.Masses != remaps {
+						t.Errorf("rank %d: mementos carry masses %v/%v in a run that remaps: %v", sl.id, sl.roll.Masses, sl.stepStart.Masses, remaps)
+					}
+					m := sl.sub.M
+					if ale == "" {
+						if m.Faces != nil {
+							t.Errorf("rank %d: a Lagrangian run built %d faces", sl.id, len(m.Faces))
+						}
+						continue
+					}
+					if len(m.Faces) == 0 {
+						t.Fatalf("rank %d: the remap ran without a face list", sl.id)
+					}
+					first := &m.Faces[0]
+					if m.BuildFaces(); &m.Faces[0] != first {
+						t.Errorf("rank %d: a second BuildFaces built a second list", sl.id)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -18,9 +18,11 @@
 // a parallel pass stages each flux once (per element edge, per face
 // half), and a parallel gather replays each entity's contributions in
 // the exact order the serial loop added them — ascending elements for
-// nodal momentum and masses (the mesh's NdElList/NdCorner transpose),
-// ascending face index for cell-boundary fluxes (ElemFaces) — so the
-// result is bitwise identical to the serial remap at any thread count.
+// nodal momentum and masses (the mesh's NdCorner transpose), ascending
+// face index for cell-boundary fluxes (ElemFaces) — so the result is
+// bitwise identical to the serial remap at any thread count. The face
+// list is the remap's alone: NewRemapper has the mesh build it
+// (mesh.BuildFaces), and a run without a remapper never holds one.
 //
 // Each quantity is formed once per remap. A snapshot sweep caches the
 // pre-remap cell density, energy and centroid, and every later reader
@@ -216,9 +218,11 @@ type remapBodies struct {
 	vols, massEnergy, ndMass, vel    func(lo, hi int)
 }
 
-// NewRemapper allocates a remapper for the given state.
+// NewRemapper allocates a remapper for the given state, building the
+// mesh's face list if this is the mesh's first remapper.
 func NewRemapper(opt Options, s *hydro.State) *Remapper {
 	m := s.Mesh
+	m.BuildFaces()
 	nel, nnd := m.NEl, m.NNd
 	r := &Remapper{
 		Opt:     opt,
@@ -279,23 +283,22 @@ func NewRemapper(opt Options, s *hydro.State) *Remapper {
 // rank-independent.
 func buildAdjacency(m *mesh.Mesh) (start, list []int) {
 	// neighbours returns node n's sequence in a buffer reused across
-	// calls; ring is its node→element CSR positions sorted by global
-	// element id (a handful, already sorted when GlobalEl is nil).
+	// calls; ring is its corner slots sorted by global element id (a
+	// handful, already sorted when GlobalEl is nil).
 	var ring, nb []int
 	neighbours := func(n int) []int {
 		ring, nb = ring[:0], nb[:0]
-		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			g := m.GlobalElID(m.NdElList[i])
+		for _, c := range m.CornersAround(n) {
+			g := m.GlobalElID(c >> 2)
 			j := len(ring)
-			ring = append(ring, i)
-			for ; j > 0 && m.GlobalElID(m.NdElList[ring[j-1]]) > g; j-- {
+			ring = append(ring, c)
+			for ; j > 0 && m.GlobalElID(ring[j-1]>>2) > g; j-- {
 				ring[j] = ring[j-1]
 			}
-			ring[j] = i
+			ring[j] = c
 		}
-		for _, i := range ring {
-			nd := &m.ElNd[m.NdElList[i]]
-			c := m.NdElCorner[i]
+		for _, slot := range ring {
+			nd, c := &m.ElNd[slot>>2], slot&3
 			// Edge c-1 ends at corner c and edge c starts there; at corner
 			// 0 those are edges 3 and 0, so edge 0's far node comes first.
 			first, second := nd[(c+3)&3], nd[(c+1)&3]
@@ -912,7 +915,7 @@ func (r *Remapper) faceGatherRange(lo, hi int) {
 }
 
 // momGatherRange gathers each node's staged momentum fluxes over its
-// element ring (the NdElList transpose, ascending by element). Within
+// element ring (the NdCorner transpose, ascending by element). Within
 // one element, corner 0 receives edge 0's flux before edge 3's and
 // corner k>0 receives edge k-1's before edge k's — exactly the serial
 // k-loop's add order — and empty slots (gain 0) are skipped just as
@@ -922,9 +925,8 @@ func (r *Remapper) momGatherRange(lo, hi int) {
 	m := s.Mesh
 	for n := lo; n < hi; n++ {
 		var px, py float64
-		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			e := m.NdElList[i]
-			c := m.NdElCorner[i]
+		for _, slot := range m.CornersAround(n) {
+			e, c := slot>>2, slot&3
 			if c == 0 {
 				if r.eGain[4*e+0] != 0 {
 					px += r.ePx[4*e+0]

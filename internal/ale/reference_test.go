@@ -50,6 +50,7 @@ type refRemap struct {
 
 func newRefRemap(opt Options, s *hydro.State) *refRemap {
 	m := s.Mesh
+	m.BuildFaces() // the oracle may be the mesh's first remapper
 	nel, nnd := m.NEl, m.NNd
 	r := &refRemap{
 		Opt:     opt,
@@ -446,7 +447,7 @@ func (r *refRemap) faceGatherRange(lo, hi int) {
 }
 
 // momGatherRange gathers each node's staged momentum fluxes over its
-// element ring (the NdElList transpose, ascending by element). Within
+// element ring (the NdCorner transpose, ascending by element). Within
 // one element, corner 0 receives edge 0's flux before edge 3's and
 // corner k>0 receives edge k-1's before edge k's — exactly the serial
 // k-loop's add order — and empty slots (gain 0) are skipped just as
@@ -457,8 +458,7 @@ func (r *refRemap) momGatherRange(lo, hi int) {
 	for n := lo; n < hi; n++ {
 		var px, py float64
 		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			e := m.NdElList[i]
-			c := m.NdElCorner[i]
+			e, c := m.NdCorner[i]>>2, m.NdCorner[i]&3
 			if c == 0 {
 				if r.eGain[4*e+0] != 0 {
 					px += r.ePx[4*e+0]

@@ -84,15 +84,22 @@ func Retryable(err error) bool {
 	return errors.As(err, &tr) && tr.Transient()
 }
 
-// Memento is an in-memory copy of the evolving fields of a State —
-// owned and ghost entities alike — taken by Save and reinstated by
-// Load. The parallel driver keeps one per rank as its rolling rollback
-// snapshot: because ghosts are saved too, a Load needs no halo refresh
-// and is bit-exact.
+// Memento is an in-memory copy of what moves in a State — owned and
+// ghost entities alike — taken by Save and reinstated by Load. The
+// parallel driver keeps one per rank as its rolling rollback snapshot:
+// because ghosts are saved too, a Load needs no halo refresh and is
+// bit-exact.
 type Memento struct {
-	x, y, u, v, ndMass        []float64
+	// Masses makes the memento carry Mass, CMass and NdMass as well.
+	// Only a remap writes them, so whoever owns the memento sets this,
+	// before the first Save, iff the run remaps. Save and Load obey the
+	// memento, not the state: a replacement rank's fresh state, which no
+	// remapper has touched, must still be given the remapped masses.
+	Masses bool
+
+	x, y, u, v                []float64
 	rho, ein, p, q, csq, vol  []float64
-	mass, cMass               []float64
+	mass, cMass, ndMass       []float64
 	time, dtPrev              float64
 	stepCount                 int
 	externalWork, floorEnergy float64
@@ -115,15 +122,17 @@ func (s *State) Save(m *Memento) {
 	cp(&m.y, s.Y)
 	cp(&m.u, s.U)
 	cp(&m.v, s.V)
-	cp(&m.ndMass, s.NdMass)
 	cp(&m.rho, s.Rho)
 	cp(&m.ein, s.Ein)
 	cp(&m.p, s.P)
 	cp(&m.q, s.Q)
 	cp(&m.csq, s.Csq)
 	cp(&m.vol, s.Vol)
-	cp(&m.mass, s.Mass)
-	cp(&m.cMass, s.CMass)
+	if m.Masses {
+		cp(&m.mass, s.Mass)
+		cp(&m.cMass, s.CMass)
+		cp(&m.ndMass, s.NdMass)
+	}
 	m.time, m.dtPrev = s.Time, s.DtPrev
 	m.stepCount = s.StepCount
 	m.externalWork, m.floorEnergy = s.ExternalWork, s.FloorEnergy
@@ -143,15 +152,17 @@ func (s *State) Load(m *Memento) {
 	copy(s.Y, m.y)
 	copy(s.U, m.u)
 	copy(s.V, m.v)
-	copy(s.NdMass, m.ndMass)
 	copy(s.Rho, m.rho)
 	copy(s.Ein, m.ein)
 	copy(s.P, m.p)
 	copy(s.Q, m.q)
 	copy(s.Csq, m.csq)
 	copy(s.Vol, m.vol)
-	copy(s.Mass, m.mass)
-	copy(s.CMass, m.cMass)
+	if m.Masses {
+		copy(s.Mass, m.mass)
+		copy(s.CMass, m.cMass)
+		copy(s.NdMass, m.ndMass)
+	}
 	s.Time, s.DtPrev = m.time, m.dtPrev
 	s.StepCount = m.stepCount
 	s.ExternalWork, s.FloorEnergy = m.externalWork, m.floorEnergy

@@ -119,3 +119,126 @@ func TestMementoRollbackIsBitExact(t *testing.T) {
 		}
 	}
 }
+
+// evolved returns a small state a few steps into a converging flow, in
+// the given layout.
+func evolved(t *testing.T, layout Layout) *State {
+	t.Helper()
+	g, err := eos.NewIdealGas(1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions(g)
+	opt.Layout = layout
+	m := boxMesh(t, 6, 5)
+	rho := make([]float64, m.NEl)
+	ein := make([]float64, m.NEl)
+	for e := range rho {
+		rho[e], ein[e] = 1+0.01*float64(e), 1
+	}
+	s, err := NewState(m, opt, rho, ein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range s.U {
+		s.U[n] = -0.1 * s.X[n]
+		s.V[n] = -0.1 * s.Y[n]
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Step(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestLagrangianMementoHoldsNoMasses: nothing in a Lagrangian run
+// writes a mass, so the memento of one holds none — and restores
+// everything that does move, the clock included, leaving the masses
+// exactly as it finds them.
+func TestLagrangianMementoHoldsNoMasses(t *testing.T) {
+	s := evolved(t, LayoutAoS)
+	var mem Memento
+	s.Save(&mem)
+	if mem.mass != nil || mem.cMass != nil || mem.ndMass != nil {
+		t.Fatalf("a memento without Masses holds %d/%d/%d mass words", len(mem.mass), len(mem.cMass), len(mem.ndMass))
+	}
+	moving := func() map[string][]float64 {
+		return map[string][]float64{
+			"X": s.X, "Y": s.Y, "U": s.U, "V": s.V, "Rho": s.Rho, "Ein": s.Ein,
+			"P": s.P, "Q": s.Q, "Csq": s.Csq, "Vol": s.Vol,
+		}
+	}
+	want := map[string][]float64{}
+	for name, f := range moving() {
+		want[name] = append([]float64(nil), f...)
+	}
+	clock := [5]float64{s.Time, s.DtPrev, float64(s.StepCount), s.ExternalWork, s.FloorEnergy}
+
+	for _, f := range moving() {
+		for i := range f {
+			f[i] = -7
+		}
+	}
+	for _, f := range [][]float64{s.Mass, s.CMass, s.NdMass} {
+		for i := range f {
+			f[i] = 42
+		}
+	}
+	s.Time, s.DtPrev, s.StepCount, s.ExternalWork, s.FloorEnergy = 9, 9, 9, 9, 9
+	s.Load(&mem)
+
+	for name, f := range moving() {
+		if i := bitsDiffer(f, want[name]); i >= 0 {
+			t.Errorf("%s[%d] = %v after Load, saved %v", name, i, f[i], want[name][i])
+		}
+	}
+	if got := [5]float64{s.Time, s.DtPrev, float64(s.StepCount), s.ExternalWork, s.FloorEnergy}; got != clock {
+		t.Errorf("clock %v after Load, saved %v", got, clock)
+	}
+	for name, f := range map[string][]float64{"Mass": s.Mass, "CMass": s.CMass, "NdMass": s.NdMass} {
+		for i := range f {
+			if f[i] != 42 {
+				t.Fatalf("Load wrote %s[%d] = %v from a memento that carries no masses", name, i, f[i])
+			}
+		}
+	}
+}
+
+// TestMassesMementoRestoresFreshState is the replaceRank shape: a
+// memento that carries masses, loaded into a freshly built state that
+// no remapper ever touched, must hand it the remapped masses — Load
+// obeys the memento, never the state — in either corner layout.
+func TestMassesMementoRestoresFreshState(t *testing.T) {
+	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
+		old := evolved(t, layout)
+		// What a remap does to the masses, as far as a memento can tell.
+		for e := range old.Mass {
+			old.Mass[e] *= 1 + 0.03*float64(e%5)
+			for k := 0; k < 4; k++ {
+				old.CMass[old.cs*e+k] *= 1 + 0.01*float64(k+e%3)
+			}
+		}
+		for n := range old.NdMass {
+			old.NdMass[n] *= 1 - 0.02*float64(n%4)
+		}
+		mem := Memento{Masses: true}
+		old.Save(&mem)
+
+		fresh := evolved(t, layout)
+		fresh.Load(&mem)
+		if i := bitsDiffer(fresh.Mass, old.Mass); i >= 0 {
+			t.Errorf("layout %v: Mass[%d] = %v, saved %v", layout, i, fresh.Mass[i], old.Mass[i])
+		}
+		if i := bitsDiffer(fresh.NdMass, old.NdMass); i >= 0 {
+			t.Errorf("layout %v: NdMass[%d] = %v, saved %v", layout, i, fresh.NdMass[i], old.NdMass[i])
+		}
+		for e := range old.Mass {
+			for k := 0; k < 4; k++ {
+				if c := old.cs*e + k; math.Float64bits(fresh.CMass[c]) != math.Float64bits(old.CMass[c]) {
+					t.Fatalf("layout %v: CMass of element %d corner %d = %v, saved %v", layout, e, k, fresh.CMass[c], old.CMass[c])
+				}
+			}
+		}
+	}
+}

@@ -571,6 +571,9 @@ func (s *State) GetAcc(dt float64) {
 	}
 	// Reference scatter formulation over all local elements (ghost
 	// corner forces included so owned-node sums are complete).
+	if len(s.fxnd) == 0 {
+		s.fxnd, s.fynd = make([]float64, m.NNd), make([]float64, m.NNd)
+	}
 	fxn, fyn := s.fxnd, s.fynd
 	for n := range fxn {
 		fxn[n] = 0

@@ -73,7 +73,8 @@ type State struct {
 
 	// Corner forces (per corner x/y), rebuilt by GetForce.
 	FX, FY []float64
-	// Nodal force accumulators, scratch for the acceleration scatter.
+	// Nodal force accumulators, scratch for the Options.ScatterAcc
+	// ablation's acceleration scatter, which sizes them on first use.
 	fxnd, fynd []float64
 
 	// Step scratch: start-of-step state saved by Step.
@@ -182,9 +183,6 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 
 		Mass:   make([]float64, nel),
 		NdMass: make([]float64, nnd),
-
-		fxnd: make([]float64, nnd),
-		fynd: make([]float64, nnd),
 
 		X0:   make([]float64, nnd),
 		Y0:   make([]float64, nnd),

@@ -45,8 +45,8 @@ func (m *Mesh) BoundaryBand() *Band {
 	}
 	for n := 0; n < m.NOwnNd; n++ {
 		ghost := false
-		for _, e := range m.NdElList[m.NdElStart[n]:m.NdElStart[n+1]] {
-			if e >= m.NOwnEl {
+		for _, c := range m.CornersAround(n) {
+			if c>>2 >= m.NOwnEl {
 				ghost = true
 				break
 			}

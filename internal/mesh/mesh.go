@@ -1,7 +1,9 @@
 // Package mesh implements BookLeaf's unstructured 2-D quadrilateral
-// mesh: storage, connectivity (element↔node, node→element, element↔
-// element across faces, explicit face list), boundary-condition flags,
-// generators for the four test problems, and consistency checking.
+// mesh: storage, connectivity (element→node, its node→corner transpose,
+// element↔element across faces), boundary-condition flags, generators
+// for the four test problems, and consistency checking. Each fact is
+// stored once and only where it is read: the explicit face list is the
+// remap's and is built on its demand (BuildFaces).
 //
 // The mesh is "unstructured" in the BookLeaf sense: although the
 // generators produce logically rectangular meshes, nothing downstream
@@ -54,24 +56,22 @@ type Mesh struct {
 	// ElEl lists, for each element, the neighbouring element across
 	// edge k (node k to node k+1), or -1 at a boundary.
 	ElEl [][4]int
-	// Faces is the unique face list.
+	// Faces is the unique face list, nil until BuildFaces: only the
+	// remap reads it.
 	Faces []Face
 
-	// Node→element adjacency in CSR form: the elements around node n
-	// are NdElList[NdElStart[n]:NdElStart[n+1]], with NdElCorner
-	// giving the corner index of n within each such element.
-	NdElStart  []int
-	NdElList   []int
-	NdElCorner []int
-	// NdCorner aligns with NdElList: entry i is the flat corner-slot
-	// index 4*NdElList[i] + NdElCorner[i], i.e. the node→corner CSR
-	// transpose of ElNd. The acceleration gather sums a node's incident
-	// corner forces with one indexed read per corner through this
-	// array. Entries for a node ascend in (element, corner) order —
-	// the same order an element-ordered scatter would accumulate them —
-	// so gather sums are bitwise-identical to the reference scatter at
-	// any thread count.
-	NdCorner []int
+	// Node→corner adjacency in CSR form, the transpose of ElNd: the
+	// corners at node n are NdCorner[NdElStart[n]:NdElStart[n+1]], each
+	// the flat slot 4*e + k of corner k of element e — so the element is
+	// c>>2 and the corner c&3, a shift and a mask on a value already
+	// loaded. The acceleration gather sums a node's incident corner
+	// forces with one indexed read per corner through this array.
+	// Entries for a node ascend in (element, corner) order — the same
+	// order an element-ordered scatter would accumulate them — so gather
+	// sums are bitwise-identical to the reference scatter at any thread
+	// count.
+	NdElStart []int
+	NdCorner  []int
 
 	// X, Y are node coordinates.
 	X, Y []float64
@@ -135,28 +135,19 @@ func (m *Mesh) TotalVolume() float64 {
 	return sum
 }
 
-// ElementsAround returns the (elements, corners) adjacency of node n.
-func (m *Mesh) ElementsAround(n int) (els, corners []int) {
-	lo, hi := m.NdElStart[n], m.NdElStart[n+1]
-	return m.NdElList[lo:hi], m.NdElCorner[lo:hi]
+// CornersAround returns the corner slots 4*e + k at node n, ascending.
+func (m *Mesh) CornersAround(n int) []int {
+	return m.NdCorner[m.NdElStart[n]:m.NdElStart[n+1]]
 }
 
-// BuildConnectivity derives the node→element CSR, ElEl and Faces from
-// ElNd, in time linear in the mesh and with a fixed number of
-// allocations. Generators, the reorderer and the partitioner call this
-// after assembling ElNd, X, Y.
+// BuildConnectivity derives the node→corner CSR and ElEl from ElNd, in
+// time linear in the mesh and with a fixed number of allocations.
+// Generators, the reorderer and the partitioner call this after
+// assembling ElNd, X, Y.
 //
 // An edge finds its other element through the CSR: side k of element e
 // runs n1→n2, and the neighbour is the element around n1, other than e,
 // that holds n2 next to n1 (in either orientation).
-//
-// The order of Faces is a contract. Interior faces come first, one per
-// (e, k) in ascending order whose neighbour has the lower index, with
-// Left that lower element and N1→N2 its side; boundary faces follow in
-// ascending (element, side). The remap replays each element's incident
-// faces in face-index order to reproduce the serial flux sums bitwise
-// (ElemFaces, DESIGN.md §11), so a different interior order changes
-// results in the last bit.
 func (m *Mesh) BuildConnectivity() {
 	m.NEl = len(m.ElNd)
 	m.NNd = len(m.X)
@@ -178,55 +169,69 @@ func (m *Mesh) BuildConnectivity() {
 		start[n+1] += start[n]
 	}
 	m.NdElStart = start
-	total := start[m.NNd]
-	m.NdElList = make([]int, total)
-	m.NdElCorner = make([]int, total)
-	m.NdCorner = make([]int, total)
+	m.NdCorner = make([]int, start[m.NNd])
 	// Fill by advancing each node's start, then shift the starts back.
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			n := m.ElNd[e][k]
-			idx := start[n]
-			m.NdElList[idx] = e
-			m.NdElCorner[idx] = k
-			m.NdCorner[idx] = 4*e + k
+			m.NdCorner[start[n]] = 4*e + k
 			start[n]++
 		}
 	}
 	copy(start[1:], start[:m.NNd])
 	start[0] = 0
 
-	// A planar mesh has NNd + NEl - χ edges, so this holds every face of
-	// a mesh without holes.
 	m.ElEl = make([][4]int, m.NEl)
-	if cap(m.Faces) < m.NNd+m.NEl {
-		m.Faces = make([]Face, 0, m.NNd+m.NEl)
-	}
-	m.Faces = m.Faces[:0]
+	m.Faces = nil // of the connectivity this call replaces
 	for e := range m.ElNd {
 		nd := &m.ElNd[e]
 		for k := 0; k < 4; k++ {
 			n1, n2 := nd[k], nd[(k+1)&3]
-			nb, side := -1, 0
-			for i := start[n1]; i < start[n1+1]; i++ {
-				o := m.NdElList[i]
-				if o == e {
-					continue
-				}
-				c := m.NdElCorner[i]
-				if m.ElNd[o][(c+3)&3] == n2 {
-					nb, side = o, (c+3)&3
-					break
-				}
-				if m.ElNd[o][(c+1)&3] == n2 {
-					nb, side = o, c
+			nb := -1
+			for _, c := range m.CornersAround(n1) {
+				o := &m.ElNd[c>>2]
+				if c>>2 != e && (o[(c+3)&3] == n2 || o[(c+1)&3] == n2) {
+					nb = c >> 2
 					break
 				}
 			}
 			m.ElEl[e][k] = nb
-			if nb >= 0 && nb < e {
-				m.Faces = append(m.Faces, Face{N1: m.ElNd[nb][side], N2: m.ElNd[nb][(side+1)&3], Left: nb, Right: e})
+		}
+	}
+}
+
+// BuildFaces derives the unique face list from ElEl, once: a mesh that
+// has its faces keeps them. The remap is the only reader, so
+// ale.NewRemapper is the only caller and a Lagrangian run never pays
+// for them; a mesh belongs to one rank, so the call takes no lock.
+//
+// The order of Faces is a contract. Interior faces come first, one per
+// (e, k) in ascending order whose neighbour has the lower index, with
+// Left that lower element and N1→N2 its side; boundary faces follow in
+// ascending (element, side). The remap replays each element's incident
+// faces in face-index order to reproduce the serial flux sums bitwise
+// (ElemFaces, DESIGN.md §11), so a different interior order changes
+// results in the last bit.
+func (m *Mesh) BuildFaces() {
+	if m.Faces != nil {
+		return
+	}
+	// A planar mesh has NNd + NEl - χ edges, so this holds every face of
+	// a mesh without holes.
+	m.Faces = make([]Face, 0, m.NNd+m.NEl)
+	for e := range m.ElEl {
+		for k := 0; k < 4; k++ {
+			nb := m.ElEl[e][k]
+			if nb < 0 || nb >= e {
+				continue
 			}
+			// The lower element's side on these two nodes, as it runs there.
+			n1, n2 := m.ElNd[e][k], m.ElNd[e][(k+1)&3]
+			o, s := &m.ElNd[nb], 0
+			for s < 3 && !(o[s] == n2 && o[(s+1)&3] == n1 || o[s] == n1 && o[(s+1)&3] == n2) {
+				s++
+			}
+			m.Faces = append(m.Faces, Face{N1: o[s], N2: o[(s+1)&3], Left: nb, Right: e})
 		}
 	}
 	for e := range m.ElEl {
@@ -239,10 +244,10 @@ func (m *Mesh) BuildConnectivity() {
 }
 
 // Check validates mesh invariants: index ranges, positive element areas,
-// symmetric element adjacency, node→element inverse consistency, and,
-// on a mesh that owns all of its entities, the Euler characteristic
-// V - E + F = 1 of a simply-connected planar mesh (faces not counting
-// the outer region).
+// symmetric element adjacency, a node→corner CSR that is well-formed
+// and the inverse of ElNd, and, on a mesh that owns all of its entities,
+// the Euler characteristic V - E + F = 1 of a simply-connected planar
+// mesh (faces not counting the outer region).
 func (m *Mesh) Check() error {
 	if m.NEl != len(m.ElNd) || m.NNd != len(m.X) || len(m.X) != len(m.Y) {
 		return fmt.Errorf("mesh: size mismatch NEl=%d len(ElNd)=%d NNd=%d len(X)=%d len(Y)=%d",
@@ -276,20 +281,29 @@ func (m *Mesh) Check() error {
 			}
 		}
 	}
-	if len(m.NdCorner) != len(m.NdElList) {
-		return fmt.Errorf("mesh: NdCorner sized %d, NdElList %d", len(m.NdCorner), len(m.NdElList))
+	// The CSR is validated before it indexes anything: starts run
+	// non-decreasing from 0 to the slot count, every slot names a real
+	// corner, and that corner holds the node (the inverse of ElNd).
+	if len(m.NdElStart) != m.NNd+1 {
+		return fmt.Errorf("mesh: node→corner CSR has %d starts for %d nodes", len(m.NdElStart), m.NNd)
+	}
+	if m.NdElStart[0] != 0 || m.NdElStart[m.NNd] != len(m.NdCorner) {
+		return fmt.Errorf("mesh: node→corner CSR spans [%d,%d) of %d slots", m.NdElStart[0], m.NdElStart[m.NNd], len(m.NdCorner))
 	}
 	for n := 0; n < m.NNd; n++ {
-		els, corners := m.ElementsAround(n)
-		lo := m.NdElStart[n]
-		for i, e := range els {
-			if m.ElNd[e][corners[i]] != n {
-				return fmt.Errorf("mesh: node %d CSR entry (el %d corner %d) inconsistent", n, e, corners[i])
+		lo, hi := m.NdElStart[n], m.NdElStart[n+1]
+		if lo > hi || hi > len(m.NdCorner) {
+			return fmt.Errorf("mesh: node %d CSR range [%d,%d) not within [0,%d]", n, lo, hi, len(m.NdCorner))
+		}
+		for i := lo; i < hi; i++ {
+			c := m.NdCorner[i]
+			if c < 0 || c >= 4*m.NEl {
+				return fmt.Errorf("mesh: node %d corner slot %d outside [0,%d)", n, c, 4*m.NEl)
 			}
-			if m.NdCorner[lo+i] != 4*e+corners[i] {
-				return fmt.Errorf("mesh: node %d corner-slot entry %d = %d, want %d", n, i, m.NdCorner[lo+i], 4*e+corners[i])
+			if m.ElNd[c>>2][c&3] != n {
+				return fmt.Errorf("mesh: node %d CSR entry (el %d corner %d) inconsistent", n, c>>2, c&3)
 			}
-			if i > 0 && m.NdCorner[lo+i] <= m.NdCorner[lo+i-1] {
+			if i > lo && c <= m.NdCorner[i-1] {
 				return fmt.Errorf("mesh: node %d corner slots not ascending", n)
 			}
 		}
@@ -303,10 +317,9 @@ func (m *Mesh) Check() error {
 		stamp := make([]int, m.NNd)
 		edges := 0
 		for a := 0; a < m.NNd; a++ {
-			els, corners := m.ElementsAround(a)
-			for i, e := range els {
-				c := corners[i]
-				for _, b := range [2]int{m.ElNd[e][(c+1)&3], m.ElNd[e][(c+3)&3]} {
+			for _, c := range m.CornersAround(a) {
+				nd := &m.ElNd[c>>2]
+				for _, b := range [2]int{nd[(c+1)&3], nd[(c+3)&3]} {
 					if b > a && stamp[b] != a+1 {
 						stamp[b] = a + 1
 						edges++
@@ -451,8 +464,6 @@ func (m *Mesh) Clone() *Mesh {
 	c.ElEl = append([][4]int(nil), m.ElEl...)
 	c.Faces = append([]Face(nil), m.Faces...)
 	c.NdElStart = append([]int(nil), m.NdElStart...)
-	c.NdElList = append([]int(nil), m.NdElList...)
-	c.NdElCorner = append([]int(nil), m.NdElCorner...)
 	c.NdCorner = append([]int(nil), m.NdCorner...)
 	c.X = append([]float64(nil), m.X...)
 	c.Y = append([]float64(nil), m.Y...)

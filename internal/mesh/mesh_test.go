@@ -23,8 +23,11 @@ func TestRectCounts(t *testing.T) {
 	if m.NNd != 20 {
 		t.Fatalf("NNd = %d, want 20", m.NNd)
 	}
+	if m.Faces != nil {
+		t.Fatalf("a generated mesh carries %d faces before anyone asked for them", len(m.Faces))
+	}
 	// horizontal edges: nx*(ny+1)=16, vertical edges: (nx+1)*ny=15.
-	if len(m.Faces) != 31 {
+	if m.BuildFaces(); len(m.Faces) != 31 {
 		t.Fatalf("faces = %d, want 31", len(m.Faces))
 	}
 }
@@ -84,14 +87,48 @@ func TestAdjacencySymmetricAndInterior(t *testing.T) {
 func TestNodeElementCSR(t *testing.T) {
 	m := mustRect(t, 4, 4)
 	// Corner node 0 has 1 element, edge nodes 2, interior nodes 4.
-	els, corners := m.ElementsAround(0)
-	if len(els) != 1 || m.ElNd[els[0]][corners[0]] != 0 {
-		t.Fatalf("corner node adjacency wrong: %v %v", els, corners)
+	ring := m.CornersAround(0)
+	if len(ring) != 1 || m.ElNd[ring[0]>>2][ring[0]&3] != 0 {
+		t.Fatalf("corner node adjacency wrong: %v", ring)
 	}
 	// Interior node: pick node at (2,2) = 2*(4+1)+... node index j*(nx+1)+i = 2*5+2 = 12.
-	els, _ = m.ElementsAround(12)
-	if len(els) != 4 {
-		t.Fatalf("interior node has %d elements, want 4", len(els))
+	if ring = m.CornersAround(12); len(ring) != 4 {
+		t.Fatalf("interior node has %d elements, want 4", len(ring))
+	}
+}
+
+// TestCheckRejectsCorruptCSR: Check validates the node→corner CSR
+// before it indexes through it, so a corrupt start or slot comes back
+// as an error from the function whose job that is, not as a panic.
+func TestCheckRejectsCorruptCSR(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Mesh)
+	}{
+		{"slot out of range", func(m *Mesh) { m.NdCorner[5] = 4 * m.NEl }},
+		{"negative slot", func(m *Mesh) { m.NdCorner[5] = -1 }},
+		{"start past the end", func(m *Mesh) { m.NdElStart[3] = len(m.NdCorner) + 7 }},
+		{"start decreasing", func(m *Mesh) { m.NdElStart[3] = m.NdElStart[2] - 1 }},
+		{"first start not zero", func(m *Mesh) { m.NdElStart[0] = 1 }},
+		{"last start short of the slots", func(m *Mesh) { m.NdElStart[m.NNd]-- }},
+		{"starts truncated", func(m *Mesh) { m.NdElStart = m.NdElStart[:m.NNd] }},
+		{"duplicate slot", func(m *Mesh) { r := m.CornersAround(6); r[1] = r[0] }},
+		{"slot of another node", func(m *Mesh) { r := m.CornersAround(6); r[0] = m.CornersAround(0)[0] }},
+		{"ring not ascending", func(m *Mesh) { r := m.CornersAround(6); r[0], r[1] = r[1], r[0] }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := mustRect(t, 4, 3) // node 6 is interior: a ring of four
+			c.corrupt(m)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Check panicked: %v", p)
+				}
+			}()
+			if err := m.Check(); err == nil {
+				t.Fatal("Check accepted the corrupt CSR")
+			}
+		})
 	}
 }
 
@@ -282,16 +319,16 @@ func TestNdCornerTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuildConnectivityAllocsFixed pins that connectivity derivation
-// allocates a fixed number of arrays, nothing per element. (The count
-// is a truncated mean over the runs, so a stray runtime allocation does
-// not show.)
+// TestBuildConnectivityAllocsFixed pins that connectivity derivation,
+// the face list included, allocates a fixed number of arrays, nothing
+// per element. (The count is a truncated mean over the runs, so a stray
+// runtime allocation does not show.)
 func TestBuildConnectivityAllocsFixed(t *testing.T) {
 	allocs := func(n int) float64 {
 		m := mustRect(t, n, n)
 		return testing.AllocsPerRun(20, func() {
-			m.Faces = nil
 			m.BuildConnectivity()
+			m.BuildFaces() // rebuilt: BuildConnectivity drops the old list
 		})
 	}
 	small, large := allocs(32), allocs(256)
@@ -305,7 +342,6 @@ func BenchmarkBuildConnectivity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Faces = nil
 		m.BuildConnectivity()
 	}
 }

@@ -13,9 +13,10 @@ import (
 
 // refConnectivity is the edge-map derivation of ElEl and Faces that
 // BuildConnectivity used before it matched edges through the
-// node→element CSR, kept verbatim as the reference the CSR version must
-// reproduce: ElEl, and the interior faces in order. (Its boundary faces
-// come out in map-iteration order, so those compare as a set.)
+// node→corner CSR, kept verbatim as the reference BuildConnectivity and
+// BuildFaces must reproduce: ElEl, and the interior faces in order.
+// (Its boundary faces come out in map-iteration order, so those compare
+// as a set.)
 func refConnectivity(m *mesh.Mesh) (elEl [][4]int, faces []mesh.Face) {
 	type edgeKey struct{ a, b int }
 	type edgeVal struct{ el, side int }
@@ -123,8 +124,9 @@ func connectivityCases(t *testing.T) []meshCase {
 // contract: each face is a counter-clockwise edge of its Left element;
 // ElEl and the interior faces, in order, are those of the edge-map
 // reference; the boundary faces are the reference's as a set and come
-// in ascending (element, side); and a second build of the same ElNd
-// gives the same list.
+// in ascending (element, side); a second build of the same ElNd gives
+// the same list; and no mesh has faces before BuildFaces, nor a second
+// list after a second call.
 func TestFaceListConsistency(t *testing.T) {
 	sideOf := func(m *mesh.Mesh, f mesh.Face) int {
 		for k := 0; k < 4; k++ {
@@ -142,6 +144,14 @@ func TestFaceListConsistency(t *testing.T) {
 	}
 	for _, c := range connectivityCases(t) {
 		m := c.m
+		if m.Faces != nil {
+			t.Fatalf("%s: %d faces before BuildFaces", c.name, len(m.Faces))
+		}
+		m.BuildFaces()
+		first := &m.Faces[0]
+		if m.BuildFaces(); &m.Faces[0] != first {
+			t.Fatalf("%s: a second BuildFaces built a second list", c.name)
+		}
 		interior := 0
 		for i, f := range m.Faces {
 			if f.Left < 0 || f.Left >= m.NEl {
@@ -188,6 +198,7 @@ func TestFaceListConsistency(t *testing.T) {
 
 		again := &mesh.Mesh{ElNd: m.ElNd, X: m.X, Y: m.Y, NOwnEl: m.NOwnEl, NOwnNd: m.NOwnNd}
 		again.BuildConnectivity()
+		again.BuildFaces()
 		if !reflect.DeepEqual(again.Faces, m.Faces) {
 			t.Fatalf("%s: two builds of the same ElNd give different Faces", c.name)
 		}

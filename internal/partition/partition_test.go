@@ -226,9 +226,8 @@ func TestSplitGhostRuleComplete(t *testing.T) {
 		}
 		for i := 0; i < sm.M.NOwnNd; i++ {
 			gn := sm.M.GlobalNd[i]
-			els, _ := m.ElementsAround(gn)
-			for _, ge := range els {
-				if !local[ge] {
+			for _, c := range m.CornersAround(gn) {
+				if ge := c >> 2; !local[ge] {
 					t.Fatalf("rank %d owned node %d missing adjacent element %d", sm.Rank, gn, ge)
 				}
 			}

@@ -128,9 +128,8 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		for _, e := range owned {
 			for k := 0; k < 4; k++ {
 				n := global.ElNd[e][k]
-				els, _ := global.ElementsAround(n)
-				for _, nb := range els {
-					if part[nb] != r {
+				for _, c := range global.CornersAround(n) {
+					if nb := c >> 2; part[nb] != r {
 						ghostSet[nb] = true
 					}
 				}

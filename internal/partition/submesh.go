@@ -112,9 +112,8 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		ghostEls = ghostEls[:0]
 		for _, e := range owned {
 			for k := 0; k < 4; k++ {
-				els, _ := global.ElementsAround(global.ElNd[e][k])
-				for _, nb := range els {
-					if part[nb] != r && elSeen[nb] != r {
+				for _, c := range global.CornersAround(global.ElNd[e][k]) {
+					if nb := c >> 2; part[nb] != r && elSeen[nb] != r {
 						elSeen[nb] = r
 						ghostEls = append(ghostEls, nb)
 					}

@@ -138,6 +138,58 @@ func TestRollbackAcrossRemapStepStaysLockstep(t *testing.T) {
 	}
 }
 
+// TestRollbackRestoresRemappedMasses: only the remap writes masses, so
+// an ALE run's rollback memento must carry them. The snapshot at step 8
+// holds the masses of the step-5 remap; the step-10 remap rewrites them;
+// a NaN after step 11 rolls every rank back to step 8. Step 9 is
+// Lagrangian and leaves masses alone, so what a rank holds after its
+// second step 9 must be bitwise what it held after its first.
+func TestRollbackRestoresRemappedMasses(t *testing.T) {
+	masses := func(s *hydro.State) []float64 {
+		out := append(append([]float64(nil), s.Mass...), s.NdMass...)
+		for e, cs := 0, s.CornerStride(); e < s.Mesh.NEl; e++ {
+			out = append(out, s.CMass[cs*e:cs*e+4]...)
+		}
+		return out
+	}
+	// Indexed by rank; each entry is touched by that rank's goroutine only.
+	var step9 [2][][]float64
+	var step10 [2][]float64
+	injected := false
+	res, err := runBoundedResult(t, Config{
+		Problem: "sod", NX: 32, NY: 4, Ranks: 2, MaxSteps: 15,
+		ALE: "eulerian", ALEFreq: 5, RollbackEvery: 4,
+		testFault: func(rank, step int, s *hydro.State) {
+			switch {
+			case step == 9:
+				step9[rank] = append(step9[rank], masses(s))
+			case step == 10 && step10[rank] == nil:
+				step10[rank] = masses(s)
+			case rank == 1 && step == 11 && !injected:
+				injected = true
+				s.U[2] = math.NaN()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rollbacks != 1 || res.Steps != 15 {
+		t.Fatalf("rollbacks = %d, steps = %d, want 1, 15", res.Rollbacks, res.Steps)
+	}
+	for rank := range step9 {
+		if len(step9[rank]) != 2 {
+			t.Fatalf("rank %d passed step 9 %d times, want 2", rank, len(step9[rank]))
+		}
+		if firstDiff(step9[rank][0], step10[rank]) < 0 {
+			t.Fatalf("rank %d: the step-10 remap changed no mass; the test has nothing to restore", rank)
+		}
+		if i := firstDiff(step9[rank][1], step9[rank][0]); i >= 0 {
+			t.Errorf("rank %d: mass word %d = %x after the rollback, %x before", rank, i, step9[rank][1][i], step9[rank][0][i])
+		}
+	}
+}
+
 // runBoundedResult is runBounded returning the Result too, for tests
 // that assert on recovery bookkeeping as well as deadlock freedom.
 func runBoundedResult(t *testing.T, cfg Config) (*Result, error) {

@@ -29,134 +29,164 @@ import (
 // which covers every evolving field including ghosts, so the replay is
 // exact. A fleet of one sends no messages for a message fault to ride
 // on, so there rank 0 panics from the step hook instead — and runs on a
-// leased pool, which the replacement must hand back usable.
+// leased pool, which the replacement must hand back usable. The one ALE
+// row faults well after the remap has started rewriting masses: the
+// replacement's fresh state has the t = 0 masses, and only a memento
+// that carries the remapped ones makes its replay exact.
 func TestSuperviseReplacementSweep(t *testing.T) {
+	type row struct {
+		ranks   int
+		overlap bool
+		ale     string
+		msg     int64 // the victim's send that panics
+	}
+	var rows []row
 	for _, ranks := range []int{1, 2, 4, 7} {
 		for _, overlap := range []bool{false, true} {
-			name := fmt.Sprintf("ranks=%d/overlap=%v", ranks, overlap)
-			t.Run(name, func(t *testing.T) {
-				base := Config{
-					Problem: "sod", NX: 64, NY: 4, MaxSteps: 20,
-					Ranks: ranks, Overlap: overlap,
-				}
-				ref, err := runBoundedResult(t, base)
-				if err != nil {
-					t.Fatalf("reference run: %v", err)
-				}
-
-				cfg := base
-				cfg.Supervise = &SuperviseConfig{Enabled: true}
-				victim := 1
-				if ranks > 1 {
-					cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
-						{Rank: victim, Msg: 7, Kind: typhon.FaultPanic, Once: true},
-					}}
-				} else {
-					victim = 0
-					fired := false // touched by one incarnation of rank 0 at a time
-					cfg.testFault = func(rank, step int, s *hydro.State) {
-						if step == 4 && !fired {
-							fired = true
-							panic("injected rank fault")
-						}
-					}
-					cfg.Pool = par.New(2)
-					defer cfg.Pool.Close()
-				}
-				res, err := runBoundedResult(t, cfg)
-				if err != nil {
-					t.Fatalf("supervised run: %v", err)
-				}
-				if cfg.Pool != nil {
-					// The lease outlives the incarnation that died on it.
-					again := base
-					again.Pool = cfg.Pool
-					res2, err := runBoundedResult(t, again)
-					if err != nil {
-						t.Fatalf("run on the pool handed back: %v", err)
-					}
-					if i := firstDiff(res2.Rho, ref.Rho); i >= 0 {
-						t.Errorf("run on the pool handed back: rho[%d] = %x, want %x", i, res2.Rho[i], ref.Rho[i])
-					}
-				}
-
-				if res.Replacements != 1 || res.SupRetries != 0 {
-					t.Errorf("replacements=%d retries=%d, want 1/0 (panic goes straight to replacement)",
-						res.Replacements, res.SupRetries)
-				}
-				if res.Rollbacks != 0 {
-					t.Errorf("rollbacks=%d, want 0: replacement must not consume the rollback ladder",
-						res.Rollbacks)
-				}
-				if res.Steps != ref.Steps || res.Time != ref.Time {
-					t.Fatalf("steps/time (%d, %v) differ from unfaulted (%d, %v)",
-						res.Steps, res.Time, ref.Steps, ref.Time)
-				}
-				for field, pair := range map[string][2][]float64{
-					"rho": {res.Rho, ref.Rho}, "ein": {res.Ein, ref.Ein},
-					"p": {res.P, ref.P},
-					"u": {res.U, ref.U}, "v": {res.V, ref.V},
-					"x": {res.X, ref.X}, "y": {res.Y, ref.Y},
-				} {
-					if i := firstDiff(pair[0], pair[1]); i >= 0 {
-						t.Errorf("%s[%d] = %x, unfaulted %x", field, i, pair[0][i], pair[1][i])
-					}
-				}
-
-				// The replaced rank's confirmed work is merged from its
-				// retired registry and the replayed steps were only
-				// pending (never confirmed) when the epoch died, so the
-				// merged step counter is exact — no double counting.
-				if got, want := res.Obs.Counters["steps_total"], int64(res.Steps*ranks); got != want {
-					t.Errorf("merged steps_total = %d, want %d (replayed steps must not double-count)",
-						got, want)
-				}
-				if got := res.Obs.Counters["supervise_replace_total"]; got != 1 {
-					t.Errorf("supervise_replace_total = %d, want 1", got)
-				}
-				if g := res.Obs.Gauges[fmt.Sprintf("supervise_incarnation_rank%d", victim)]; g != 1 {
-					t.Errorf("incarnation gauge of rank %d = %v, want 1", victim, g)
-				}
-			})
+			rows = append(rows, row{ranks, overlap, "", 7})
 		}
+	}
+	rows = append(rows, row{2, false, "eulerian", 60})
+	for _, r := range rows {
+		ranks, overlap := r.ranks, r.overlap
+		name := fmt.Sprintf("ranks=%d/overlap=%v", ranks, overlap)
+		if r.ale != "" {
+			name += "/ale=" + r.ale
+		}
+		t.Run(name, func(t *testing.T) {
+			base := Config{
+				Problem: "sod", NX: 64, NY: 4, MaxSteps: 20,
+				Ranks: ranks, Overlap: overlap, ALE: r.ale,
+			}
+			ref, err := runBoundedResult(t, base)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+
+			cfg := base
+			cfg.Supervise = &SuperviseConfig{Enabled: true}
+			victim := 1
+			if ranks > 1 {
+				cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
+					{Rank: victim, Msg: r.msg, Kind: typhon.FaultPanic, Once: true},
+				}}
+			} else {
+				victim = 0
+				fired := false // touched by one incarnation of rank 0 at a time
+				cfg.testFault = func(rank, step int, s *hydro.State) {
+					if step == 4 && !fired {
+						fired = true
+						panic("injected rank fault")
+					}
+				}
+				cfg.Pool = par.New(2)
+				defer cfg.Pool.Close()
+			}
+			res, err := runBoundedResult(t, cfg)
+			if err != nil {
+				t.Fatalf("supervised run: %v", err)
+			}
+			if cfg.Pool != nil {
+				// The lease outlives the incarnation that died on it.
+				again := base
+				again.Pool = cfg.Pool
+				res2, err := runBoundedResult(t, again)
+				if err != nil {
+					t.Fatalf("run on the pool handed back: %v", err)
+				}
+				if i := firstDiff(res2.Rho, ref.Rho); i >= 0 {
+					t.Errorf("run on the pool handed back: rho[%d] = %x, want %x", i, res2.Rho[i], ref.Rho[i])
+				}
+			}
+
+			if res.Replacements != 1 || res.SupRetries != 0 {
+				t.Errorf("replacements=%d retries=%d, want 1/0 (panic goes straight to replacement)",
+					res.Replacements, res.SupRetries)
+			}
+			if res.Rollbacks != 0 {
+				t.Errorf("rollbacks=%d, want 0: replacement must not consume the rollback ladder",
+					res.Rollbacks)
+			}
+			if res.Steps != ref.Steps || res.Time != ref.Time {
+				t.Fatalf("steps/time (%d, %v) differ from unfaulted (%d, %v)",
+					res.Steps, res.Time, ref.Steps, ref.Time)
+			}
+			for field, pair := range map[string][2][]float64{
+				"rho": {res.Rho, ref.Rho}, "ein": {res.Ein, ref.Ein},
+				"p": {res.P, ref.P},
+				"u": {res.U, ref.U}, "v": {res.V, ref.V},
+				"x": {res.X, ref.X}, "y": {res.Y, ref.Y},
+			} {
+				if i := firstDiff(pair[0], pair[1]); i >= 0 {
+					t.Errorf("%s[%d] = %x, unfaulted %x", field, i, pair[0][i], pair[1][i])
+				}
+			}
+
+			// The replaced rank's confirmed work is merged from its
+			// retired registry and the replayed steps were only
+			// pending (never confirmed) when the epoch died, so the
+			// merged step counter is exact — no double counting.
+			if got, want := res.Obs.Counters["steps_total"], int64(res.Steps*ranks); got != want {
+				t.Errorf("merged steps_total = %d, want %d (replayed steps must not double-count)",
+					got, want)
+			}
+			if got := res.Obs.Counters["supervise_replace_total"]; got != 1 {
+				t.Errorf("supervise_replace_total = %d, want 1", got)
+			}
+			if g := res.Obs.Gauges[fmt.Sprintf("supervise_incarnation_rank%d", victim)]; g != 1 {
+				t.Errorf("incarnation gauge of rank %d = %v, want 1", victim, g)
+			}
+		})
 	}
 }
 
 // TestSuperviseTransientRetry: a one-shot truncated halo message is a
 // transient communication fault — one epoch retry from the healthy
-// point, no replacement, and a bitwise-identical answer.
+// point, no replacement, and a bitwise-identical answer. Under ALE the
+// fault comes after several remaps, so the healthy point every rank
+// returns to includes masses the remap has rewritten since.
 func TestSuperviseTransientRetry(t *testing.T) {
-	base := Config{Problem: "sod", NX: 64, NY: 4, MaxSteps: 20, Ranks: 4}
-	ref, err := runBoundedResult(t, base)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
+	for _, tc := range []struct {
+		ale string
+		msg int64
+	}{{"", 5}, {"eulerian", 60}} {
+		t.Run("ale="+tc.ale, func(t *testing.T) {
+			base := Config{Problem: "sod", NX: 64, NY: 4, MaxSteps: 20, Ranks: 4, ALE: tc.ale}
+			ref, err := runBoundedResult(t, base)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
 
-	cfg := base
-	cfg.Supervise = &SuperviseConfig{Enabled: true}
-	cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
-		{Rank: 1, Msg: 5, Kind: typhon.FaultTruncate, Once: true},
-	}}
-	res, err := runBoundedResult(t, cfg)
-	if err != nil {
-		t.Fatalf("supervised run: %v", err)
-	}
-	if res.SupRetries != 1 || res.Replacements != 0 || res.Rollbacks != 0 {
-		t.Errorf("retries=%d replacements=%d rollbacks=%d, want 1/0/0",
-			res.SupRetries, res.Replacements, res.Rollbacks)
-	}
-	if res.Steps != ref.Steps {
-		t.Fatalf("steps %d differ from unfaulted %d", res.Steps, ref.Steps)
-	}
-	for field, pair := range map[string][2][]float64{
-		"rho": {res.Rho, ref.Rho}, "ein": {res.Ein, ref.Ein}, "u": {res.U, ref.U},
-	} {
-		if i := firstDiff(pair[0], pair[1]); i >= 0 {
-			t.Errorf("%s[%d] = %x, unfaulted %x", field, i, pair[0][i], pair[1][i])
-		}
-	}
-	if got := res.Obs.Counters["supervise_retry_total"]; got != 1 {
-		t.Errorf("supervise_retry_total = %d, want 1", got)
+			cfg := base
+			cfg.Supervise = &SuperviseConfig{Enabled: true}
+			cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
+				{Rank: 1, Msg: tc.msg, Kind: typhon.FaultTruncate, Once: true},
+			}}
+			res, err := runBoundedResult(t, cfg)
+			if err != nil {
+				t.Fatalf("supervised run: %v", err)
+			}
+			if res.SupRetries != 1 || res.Replacements != 0 || res.Rollbacks != 0 {
+				t.Errorf("retries=%d replacements=%d rollbacks=%d, want 1/0/0",
+					res.SupRetries, res.Replacements, res.Rollbacks)
+			}
+			if res.Steps != ref.Steps {
+				t.Fatalf("steps %d differ from unfaulted %d", res.Steps, ref.Steps)
+			}
+			for field, pair := range map[string][2][]float64{
+				"rho": {res.Rho, ref.Rho}, "ein": {res.Ein, ref.Ein}, "u": {res.U, ref.U},
+			} {
+				if i := firstDiff(pair[0], pair[1]); i >= 0 {
+					t.Errorf("%s[%d] = %x, unfaulted %x", field, i, pair[0][i], pair[1][i])
+				}
+			}
+			if res.MassFinal != ref.MassFinal {
+				t.Errorf("final mass %x, unfaulted %x", res.MassFinal, ref.MassFinal)
+			}
+			if got := res.Obs.Counters["supervise_retry_total"]; got != 1 {
+				t.Errorf("supervise_retry_total = %d, want 1", got)
+			}
+		})
 	}
 }
 
