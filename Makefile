@@ -17,38 +17,34 @@
 # oversubscribed schedulers. The hydro package's reference battery
 # (rewritten kernels vs the verbatim old loop bodies, the limiter-reuse
 # and stale-limiter checks, at pools {1,2,4}) runs in it.
-# tier2-overlap races the phased-exchange machinery: the typhon
-# Start/Finish path and its fault matrix, the overlap-vs-sync bitwise
-# determinism sweep, and the multi-rank zero-allocation pins — the
-# suite that guards the communication/computation overlap feature.
 # tier2-ale races the parallel remap: the ale package's kernel suite
 # (the bitwise comparison against the pre-rewrite reference bodies over
-# mode x order x layout x threads x hooks, the failure contract, CSR
-# round-trip, smoothed rank-independence, zero-alloc pins at several
-# pool sizes) plus the driver-level Threads x Ranks x Mode
-# sweep — the seed-fidelity thread sweep, the overlap-vs-sync ALE
-# bitwise check, the smoothed rank cross-check and the
+# mode x order x threads, whole-mesh and through a two-rank split's
+# exchange hooks, the failure contract, CSR round-trip, smoothed
+# rank-independence, zero-alloc pins at several pool sizes) plus the
+# driver-level seed-fidelity thread sweep, the smoothed rank
+# cross-check, the remap failure path across ranks and the
 # rollback-across-remap lockstep regression.
 # tier2-supervise races the rank-supervision layer: the supervise
 # package's ladder/backoff/imbalance unit suite plus the end-to-end
-# fault-class x ranks {2,4,7} x overlap sweep — replacement from the
+# fault-class x ranks {1,2,4,7} sweep — replacement from the
 # in-memory Memento, transient epoch retry, ladder exhaustion with a
 # final checkpoint, and online elastic repartitioning (grow, shrink
 # and same-count re-decomposition of the moved mesh).
 # tier2-fuse races the fused element passes: the fused-vs-unfused
-# bitwise battery (Noh and Sod across the overlap × threads grid, the
-# tile-width invariance sweep) plus the hydro zero-alloc and timer pins
-# at a 4-thread scheduler — the suite that guards the default step path.
+# bitwise battery (Noh and Sod across the ranks {1,2} x threads
+# {1,2,4,7} grid) plus the hydro zero-alloc and timer pins at a
+# 4-thread scheduler — the suite that guards the default step path.
 # tier2-order races the mesh-locality layer: the order package's
 # permutation property suite (round-trip, first-touch node renumbering,
 # Hilbert/RCM validity) plus the driver-level reorder battery — the
 # reordered-vs-canonical tolerance sweep at ranks {1,2,4,7}, the
-# bitwise thread-invariance grid per (reorder, layout) point, the
-# AoS-vs-SoA bitwise parity checks, and checkpoint/resume and
-# supervise-repartition under a renumbered mesh. It also races the
-# set-up pipeline under it — connectivity derivation and the
-# decomposition against their map-based references — and, ten times,
-# the per-rank concurrent fleet construction against a serial build.
+# bitwise thread-invariance check per renumbering, and
+# checkpoint/resume and supervise-repartition under a renumbered mesh.
+# It also races the set-up pipeline under it — connectivity derivation
+# and the decomposition against their map-based references — and, ten
+# times, the per-rank concurrent fleet construction against a serial
+# build.
 # tier2-serve races the serving layer end to end: the bleaf-served job
 # API over httptest — submit→poll→result bitwise parity with a direct
 # run, malformed-deck 400s, cancel slot reclamation, N concurrent jobs
@@ -62,6 +58,11 @@
 # against uninterrupted runs), calibration and terminal-state
 # persistence, journal-corruption recovery, per-client quota 429s and
 # fair queue ordering.
+# tier2-list guards the name filters of the targets above: it lists
+# the tests of each filtered package set once (go test -list) and fails
+# on any alternative of a -run pattern that selects no test, so a
+# deleted or renamed test cannot leave a target that passes by running
+# nothing.
 # tier2-race runs the FULL tier-1 suite under the race detector at a
 # starved and an oversubscribed scheduler — the whole-program
 # complement to tier2-fault's targeted matrix, catching races in code
@@ -79,7 +80,7 @@
 # bleaf-bench -compare, failing when a benchmark slows by more than
 # THRESHOLD (fraction, default 0.10) or allocates more. The gate
 # includes the step_ns_per_el headline — the best point of the
-# BenchmarkStepGrid reorder × layout sweep — so a locality regression
+# BenchmarkStepGrid reorder sweep — so a locality regression
 # anywhere on the grid's frontier fails even if every named benchmark
 # individually squeaks under the threshold.
 # bench-check vets and tests the benchmark harness under bench/ (about
@@ -92,7 +93,19 @@ GO ?= go
 FUZZTIME ?= 30s
 THRESHOLD ?= 0.10
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape test bench bench-all bench-compare bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape test bench bench-all bench-compare bench-check fuzz clean
+
+# The -run filters of the tier-2 targets, shared with tier2-list.
+RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
+RUN_ALE      := RemapSeedFixture|SmoothedALERankIndependent|RollbackAcrossRemapStep|ParallelFailureWithRemap
+RUN_SUP      := Supervise
+RUN_FUSE     := Fuse
+RUN_FUSE_HY  := StepZeroAllocs|Timers
+RUN_ORDER    := Reorder
+RUN_FLEET    := FleetConstruction
+RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus
+RUN_CALIB    := Calibrator
+RUN_SHAPE    := CompilerShape
 
 all: build
 
@@ -110,49 +123,56 @@ tier1: build vet bench-check
 	$(GO) test ./...
 
 tier2-fault:
-	$(GO) test -race ./... -run 'Parallel|Serial|OneRank|History|Typhon|Fault|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted' -count=1
+	$(GO) test -race ./... -run '$(RUN_FAULT)' -count=1
 
 tier2-par:
 	GOMAXPROCS=1 $(GO) test -race ./internal/par ./internal/hydro -count=1
 	GOMAXPROCS=2 $(GO) test -race ./internal/par ./internal/hydro -count=1
 	GOMAXPROCS=8 $(GO) test -race ./internal/par ./internal/hydro -count=1
 
-tier2-overlap:
-	$(GO) test -race ./internal/typhon -run 'Phased|HaloOrder|Exchange' -count=1
-	$(GO) test -race . -run 'Overlap|ParallelStepZeroAllocs' -count=1
-
 tier2-ale:
 	$(GO) test -race ./internal/ale -count=1
-	$(GO) test -race . -run 'RemapSeedFixture|OverlapBitwiseDeterminismWithALE|SmoothedALERankIndependent|RollbackAcrossRemapStep|ParallelFailureWithRemap' -count=1
+	$(GO) test -race . -run '$(RUN_ALE)' -count=1
 
 tier2-supervise:
 	$(GO) test -race ./internal/supervise -count=1
-	$(GO) test -race . -run 'Supervise' -count=1
+	$(GO) test -race . -run '$(RUN_SUP)' -count=1
 
 tier2-fuse:
-	$(GO) test -race . -run 'Fuse' -count=1
-	GOMAXPROCS=4 $(GO) test -race ./internal/hydro -run 'StepZeroAllocs|Timers' -count=1
+	$(GO) test -race . -run '$(RUN_FUSE)' -count=1
+	GOMAXPROCS=4 $(GO) test -race ./internal/hydro -run '$(RUN_FUSE_HY)' -count=1
 
 tier2-order:
 	$(GO) test -race ./internal/order ./internal/mesh ./internal/partition -count=1
-	$(GO) test -race . -run 'Reorder|Layout' -count=1
-	$(GO) test -race . -run 'FleetConstruction' -count=10
+	$(GO) test -race . -run '$(RUN_ORDER)' -count=1
+	$(GO) test -race . -run '$(RUN_FLEET)' -count=10
 
 tier2-serve:
 	$(GO) test -race ./internal/serve -count=1
 
 tier2-durable:
-	$(GO) test -race ./internal/serve -run 'Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus|CalibratorStateRestore' -count=1
-	$(GO) test -race ./internal/machine -run 'Calibrator' -count=1
+	$(GO) test -race ./internal/serve -run '$(RUN_DURABLE)' -count=1
+	$(GO) test -race ./internal/machine -run '$(RUN_CALIB)' -count=1
+
+# Each spec is packages=pattern; every |-alternative must name a test.
+tier2-list:
+	@status=0; \
+	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_FUSE)|$(RUN_ORDER)|$(RUN_FLEET)|$(RUN_SHAPE)' \
+	    './internal/hydro=$(RUN_FUSE_HY)' './internal/serve=$(RUN_DURABLE)' './internal/machine=$(RUN_CALIB)'; do \
+	  pkgs=$${spec%%=*}; names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Example|Fuzz)') || status=1; \
+	  for alt in $$(echo "$${spec#*=}" | tr '|' ' '); do \
+	    echo "$$names" | grep -qE "$$alt" || { echo "tier2-list: -run '$$alt' selects no test in $$pkgs"; status=1; }; \
+	  done; \
+	done; exit $$status
 
 tier2-race:
 	GOMAXPROCS=1 $(GO) test -race ./... -count=1
 	GOMAXPROCS=8 $(GO) test -race ./... -count=1
 
 shape:
-	BOOKLEAF_SHAPE=1 $(GO) test . -run 'CompilerShape' -count=1 -v
+	BOOKLEAF_SHAPE=1 $(GO) test . -run '$(RUN_SHAPE)' -count=1 -v
 
-test: tier1 tier2-fault tier2-par tier2-overlap tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape
+test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape
 
 # Native fuzzing: the deck parser (seed corpus: decks/ plus the
 # regression inputs under internal/config/testdata/fuzz), the
@@ -168,13 +188,13 @@ fuzz:
 # The step-path benchmarks, 5 repetitions each, aggregated into
 # BENCH_step.json (min ns/op, max allocs/op per name). -merge keeps
 # entries from earlier bench runs that this recipe no longer re-runs,
-# so the record only ever gains axes (e.g. the ranks × overlap grid of
+# so the record only ever gains axes (e.g. the rank axis of
 # BenchmarkParallelStep).
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkLagrangianStep$$|BenchmarkRemap$$' -benchmem -count=5 . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStepGrid' -benchmem -benchtime=20x -count=7 -timeout 30m . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkParallelStep' -benchmem -count=5 -timeout 30m . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkStepThreads|BenchmarkStepFusion|BenchmarkQForceFusion|BenchmarkLagUpdateFusion|BenchmarkDtReduceFusion' -benchmem -count=5 -timeout 30m ./internal/hydro ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkStepThreads|BenchmarkStepFusion|BenchmarkQForceFusion|BenchmarkLagUpdateFusion' -benchmem -count=5 -timeout 30m ./internal/hydro ; } \
 	  | $(GO) run ./cmd/bleaf-bench -merge -o BENCH_step.json
 
 bench-all:

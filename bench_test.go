@@ -245,11 +245,11 @@ func BenchmarkRemap(b *testing.B) {
 	}
 }
 
-// BenchmarkStepGrid sweeps the full reorder×layout grid and reports ns
-// per element-step — the record headline (step_ns_per_el in
-// BENCH_step.json) is the best point of this grid.
-// reorder=none/layout=soa is the seed configuration; hilbert/aos is the
-// locality overhaul the roofline's reuse proxy predicts.
+// BenchmarkStepGrid sweeps the mesh numberings and reports ns per
+// element-step — the record headline (step_ns_per_el in
+// BENCH_step.json) is the best point of this grid. reorder=none is the
+// seed configuration; hilbert is the locality overhaul the roofline's
+// reuse proxy predicts.
 //
 // The mesh is a wide Sod strong-scaling geometry (8192×8): at that
 // width the generator's row-major sweep streams ~4 MB of element state
@@ -260,43 +260,38 @@ func BenchmarkRemap(b *testing.B) {
 // bleaf-tables -reorder for the model-side version of both regimes.
 func BenchmarkStepGrid(b *testing.B) {
 	for _, ro := range []string{"none", "hilbert", "rcm"} {
-		for _, lay := range []string{"soa", "aos"} {
-			b.Run("reorder="+ro+"/layout="+lay, func(b *testing.B) {
-				p, err := setup.Sod(8192, 8)
-				if err != nil {
+		b.Run("reorder="+ro, func(b *testing.B) {
+			p, err := setup.Sod(8192, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kind, err := order.Parse(ro)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
+				b.Fatal(err)
+			}
+			s, err := p.NewState()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := s.Step(nil, nil); err != nil {
 					b.Fatal(err)
 				}
-				kind, err := order.Parse(ro)
-				if err != nil {
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Step(nil, nil); err != nil {
 					b.Fatal(err)
 				}
-				if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
-					b.Fatal(err)
-				}
-				if p.Opt.Layout, err = hydro.ParseLayout(lay); err != nil {
-					b.Fatal(err)
-				}
-				s, err := p.NewState()
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < 5; i++ {
-					if _, err := s.Step(nil, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Step(nil, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(
-					float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Mesh.NEl),
-					"ns/el")
-			})
-		}
+			}
+			b.ReportMetric(
+				float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Mesh.NEl),
+				"ns/el")
+		})
 	}
 }
 

@@ -82,11 +82,6 @@ type Config struct {
 	// the dual graph). Results, checkpoints and dumps stay in canonical
 	// generation order whatever the setting (see internal/order).
 	Reorder string
-	// Layout selects the corner-array memory layout of the hot state:
-	// "aos" (default — FX/FY and CMass/QEdge interleaved per element)
-	// or "soa" (the paper's parallel slices, kept as the ablation).
-	// Bitwise-identical either way.
-	Layout string
 
 	// ScatterAcc switches the acceleration kernel from the default
 	// race-free gather back to the reference implementation's serial
@@ -94,26 +89,13 @@ type Config struct {
 	// data dependency).
 	ScatterAcc bool
 
-	// Overlap switches the two Lagrangian-step halo exchanges to the
-	// phased schedule: sends are posted, the interior portion of the
-	// dependent kernels runs while messages are in flight, then the
-	// receives complete and the boundary band finishes. Results are bitwise identical to the synchronous
-	// schedule at every rank count (see DESIGN.md §10); a one-rank run
-	// has no neighbours to overlap with but runs the same banded
-	// schedule. Incompatible with ScatterAcc, whose whole-range scatter
-	// has no interior/boundary split.
-	Overlap bool
-
 	// NoFuse switches the Lagrangian step from the default fused
 	// element passes (viscosity+force and the geometry→density→energy→
-	// EOS chain each as one cache-tiled sweep) back to the paper's
+	// EOS chain each as one sweep) back to the paper's
 	// one-kernel-per-phase structure. Fields are bitwise identical
 	// either way (see DESIGN.md §13); unfused is the ablation that
 	// reproduces the paper's Table II timer breakdown.
 	NoFuse bool
-	// FuseTile overrides the fused sweeps' tile width (elements per
-	// body invocation); 0 derives it from the per-core cache budget.
-	FuseTile int
 
 	// SedovEnergy overrides the Sedov blast energy when positive.
 	SedovEnergy float64
@@ -242,12 +224,6 @@ func (c *Config) normalise() error {
 	}
 	if _, err := order.Parse(c.Reorder); err != nil {
 		return fmt.Errorf("bookleaf: %w", err)
-	}
-	if _, err := hydro.ParseLayout(c.Layout); err != nil {
-		return fmt.Errorf("bookleaf: %w", err)
-	}
-	if c.Overlap && c.ScatterAcc {
-		return fmt.Errorf("bookleaf: Overlap requires the gather acceleration (ScatterAcc sweeps all elements at once and has no interior/boundary split)")
 	}
 	if c.Pool != nil && c.Ranks > 1 {
 		return fmt.Errorf("bookleaf: Pool is a one-rank lease (the ranks of a wider fleet each own a pool)")
@@ -422,10 +398,6 @@ func (c *Config) applyOverrides(opt *hydro.Options) {
 	}
 	opt.ScatterAcc = c.ScatterAcc
 	opt.Fuse = !c.NoFuse
-	opt.FuseTile = c.FuseTile
-	// Layout was validated by normalise(); the zero value (AoS) covers
-	// the empty string.
-	opt.Layout, _ = hydro.ParseLayout(c.Layout)
 	if c.testDtMin > 0 {
 		opt.DtMin = c.testDtMin
 	}

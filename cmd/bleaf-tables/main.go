@@ -124,7 +124,7 @@ func roofline() {
 
 // reorderReadout prints the mesh-renumbering locality readout on the
 // BenchmarkStepGrid mesh (Noh 192x192, the same mesh BENCH_step.json's
-// reorder x layout grid measures): the reuse-distance proxy of each
+// reorder grid measures): the reuse-distance proxy of each
 // numbering, the gather derate it implies against the generator's
 // row-major sweep, and the predicted step speedup on the
 // bandwidth-bound CPU platforms. EXPERIMENTS.md pairs these with the

@@ -52,14 +52,11 @@ func run() error {
 		threads     = flag.Int("threads", 1, "threads per rank (OpenMP analogue)")
 		partitioner = flag.String("partitioner", "rcb", "rcb or metis")
 		reorder     = flag.String("reorder", "", "mesh renumbering for locality: none, hilbert, rcm (default none)")
-		layout      = flag.String("layout", "", "corner-array layout: aos (interleaved, default) or soa (paper ablation)")
 		aleMode     = flag.String("ale", "", "ALE mode: eulerian, smoothed (default Lagrangian)")
 		aleFreq     = flag.Int("alefreq", 1, "remap every n steps")
 		hourglass   = flag.String("hourglass", "", "override: none, filter, subzonal")
 		scatterAcc  = flag.Bool("scatteracc", false, "reference serial acceleration scatter (paper-fidelity ablation)")
-		overlap     = flag.Bool("overlap", false, "phased halo exchanges overlapped with interior computation (multi-rank runs)")
 		fuse        = flag.Bool("fuse", true, "fused element passes (bitwise-identical; -fuse=false selects the paper's one-kernel-per-phase ablation)")
-		fuseTile    = flag.Int("fuse-tile", 0, "fused-sweep tile width in elements (0 = derive from the per-core cache budget)")
 		sedovE      = flag.Float64("sedov-energy", 0, "Sedov blast energy override")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -133,19 +130,13 @@ func run() error {
 		cfg = bookleaf.Config{
 			Problem: *problem, NX: *nx, NY: *ny, TEnd: *tend, MaxSteps: *maxSteps,
 			Ranks: *ranks, Threads: *threads, Partitioner: *partitioner,
-			Reorder: *reorder, Layout: *layout,
-			ALE: *aleMode, ALEFreq: *aleFreq, Hourglass: *hourglass,
-			ScatterAcc: *scatterAcc, Overlap: *overlap, SedovEnergy: *sedovE,
-			NoFuse: !*fuse, FuseTile: *fuseTile,
+			Reorder: *reorder,
+			ALE:     *aleMode, ALEFreq: *aleFreq, Hourglass: *hourglass,
+			ScatterAcc: *scatterAcc, SedovEnergy: *sedovE, NoFuse: !*fuse,
 			Checkpoint: *ckpt, CheckpointEvery: *ckptEvery, Resume: *resume,
 			RollbackEvery: *rollEvery, RetryBudget: *retryBudget,
 			HistoryEvery: *history,
 		}
-	}
-	// -overlap composes with decks the same way the observability flags
-	// do: setting it on the command line wins over the deck key.
-	if *overlap {
-		cfg.Overlap = true
 	}
 	// -fuse defaults to true, so only an explicit command-line setting
 	// may override the deck's [control] fuse key.
@@ -153,12 +144,8 @@ func run() error {
 		switch f.Name {
 		case "fuse":
 			cfg.NoFuse = !*fuse
-		case "fuse-tile":
-			cfg.FuseTile = *fuseTile
 		case "reorder":
 			cfg.Reorder = *reorder
-		case "layout":
-			cfg.Layout = *layout
 		}
 	})
 	// Observability flags compose with decks: a flag set on the command

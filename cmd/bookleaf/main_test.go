@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -16,6 +18,16 @@ type summary struct {
 	steps           int
 	e0, e, mass0, m float64
 	history         int
+}
+
+// buildCLI builds the command into a test temp dir.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "bookleaf")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // runCLI runs the built binary and parses its summary and history block.
@@ -61,10 +73,7 @@ func runCLI(t *testing.T, bin string, args ...string) summary {
 // steps, prints the same audit, and — with -history, which used to be
 // a one-rank feature — the same number of step records.
 func TestOneDriverAtTheCLI(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "bookleaf")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 	agree := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(a) }
 	for _, tc := range []struct {
 		history string
@@ -88,4 +97,43 @@ func TestOneDriverAtTheCLI(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRemovedSwitchesFailLoudly: the overlap, layout and fuse-tile
+// switches are gone. A deck that still sets their keys runs, but the
+// unused-keys warning names every one of them; the old flag is an
+// unknown flag, which the flag package rejects with exit status 2.
+func TestRemovedSwitchesFailLoudly(t *testing.T) {
+	bin := buildCLI(t)
+	t.Run("deck-keys", func(t *testing.T) {
+		deck := filepath.Join(t.TempDir(), "old.deck")
+		const text = "[control]\nproblem = sod\nnx = 16\nny = 2\nmaxsteps = 2\n" +
+			"overlap = true\nlayout = soa\nfuse_tile = 64\n"
+		if err := os.WriteFile(deck, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, "-deck", deck, "-quiet")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("run: %v\n%s", err, stderr.String())
+		}
+		const want = "warning: unused deck keys: [control.fuse_tile control.layout control.overlap]"
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q lacks %q", stderr.String(), want)
+		}
+	})
+	t.Run("overlap-flag", func(t *testing.T) {
+		cmd := exec.Command(bin, "-overlap", "-maxsteps", "1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("-overlap: err %v, want exit status 2\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: -overlap") {
+			t.Errorf("stderr %q does not name the unknown flag", stderr.String())
+		}
+	})
 }

@@ -122,54 +122,8 @@ func TestObsCountersCrossCheckCommStats(t *testing.T) {
 	if h.Count != res.CommMsgs || int64(h.Sum) != res.CommWords {
 		t.Fatalf("histogram count/sum = %d/%v, Stats = %d/%d", h.Count, h.Sum, res.CommMsgs, res.CommWords)
 	}
-}
-
-// The phased (overlapped) exchange path routes through the same send
-// site as the blocking one, so the obs-vs-Stats cross-check must hold
-// with overlap on — and the phased schedule must move exactly the same
-// messages and words as the blocking schedule, since it only changes
-// when the receives complete, not what travels.
-func TestObsCountersCrossCheckCommStatsOverlap(t *testing.T) {
-	base := bookleaf.Config{Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 30}
-	ref := run(t, base)
-	cfg := base
-	cfg.Overlap = true
-	res := run(t, cfg)
-	if res.Obs == nil {
-		t.Fatal("no obs snapshot on result")
-	}
-	if res.CommMsgs != ref.CommMsgs || res.CommWords != ref.CommWords {
-		t.Fatalf("overlap traffic %d msgs / %d words, blocking %d / %d — schedules must move identical data",
-			res.CommMsgs, res.CommWords, ref.CommMsgs, ref.CommWords)
-	}
-	if got := res.Obs.Counters["comm_msgs_total"]; got != res.CommMsgs {
-		t.Fatalf("obs comm_msgs_total = %d, typhon Stats = %d", got, res.CommMsgs)
-	}
-	if got := res.Obs.Counters["comm_words_total"]; got != res.CommWords {
-		t.Fatalf("obs comm_words_total = %d, typhon Stats = %d", got, res.CommWords)
-	}
-	phases := res.Obs.Counters["halo_msgs_forces"] +
-		res.Obs.Counters["halo_msgs_velocities"] +
-		res.Obs.Counters["halo_msgs_remap"]
-	if phases != res.CommMsgs {
-		t.Fatalf("phase msg counters sum to %d, total is %d", phases, res.CommMsgs)
-	}
-	words := res.Obs.Counters["halo_words_forces"] +
-		res.Obs.Counters["halo_words_velocities"] +
-		res.Obs.Counters["halo_words_remap"]
-	if words != res.CommWords {
-		t.Fatalf("phase word counters sum to %d, total is %d", words, res.CommWords)
-	}
-	// The duration split exists and the overlapped schedule actually
-	// recorded in-flight windows.
 	if _, ok := res.Obs.Counters["halo_wait_ns"]; !ok {
 		t.Fatal("halo_wait_ns counter missing")
-	}
-	if v := res.Obs.Counters["halo_overlap_ns"]; v <= 0 {
-		t.Fatalf("halo_overlap_ns = %d, want > 0 on an overlapped run", v)
-	}
-	if v, ok := ref.Obs.Counters["halo_overlap_ns"]; ok && v != 0 {
-		t.Fatalf("blocking run recorded halo_overlap_ns = %d, want absent or zero", v)
 	}
 }
 

@@ -32,18 +32,11 @@ func ConfigFromDeck(d *config.Deck) (Config, error) {
 	}
 	cfg.Partitioner = d.String("control", "partitioner", "rcb")
 	cfg.Reorder = d.String("control", "reorder", "")
-	cfg.Layout = d.String("control", "layout", "")
-	if cfg.Overlap, err = d.Bool("control", "overlap", false); err != nil {
-		return cfg, err
-	}
 	fuseOn, err := d.Bool("control", "fuse", true)
 	if err != nil {
 		return cfg, err
 	}
 	cfg.NoFuse = !fuseOn
-	if cfg.FuseTile, err = d.Int("control", "fuse_tile", 0); err != nil {
-		return cfg, err
-	}
 	cfg.Checkpoint = d.String("control", "checkpoint", "")
 	if cfg.CheckpointEvery, err = d.Int("control", "checkpoint_every", 0); err != nil {
 		return cfg, err

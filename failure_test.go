@@ -229,6 +229,47 @@ func TestDroppedHaloMessageTimesOut(t *testing.T) {
 	}
 }
 
+// A corrupted ghost (NaN payload) is caught by the health sentinel and,
+// with retries disabled, fails the run with non-finite context rather
+// than propagating silently.
+func TestCorruptedHaloMessageCaught(t *testing.T) {
+	err := runBounded(t, Config{
+		Problem: "sod", NX: 64, NY: 4, Ranks: 4,
+		RollbackEvery: -1, RetryBudget: -1,
+		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
+			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt},
+		}},
+	})
+	if err == nil {
+		t.Fatal("expected a non-finite failure")
+	}
+	var nf *hydro.ErrNonFinite
+	if !errors.As(err, &nf) {
+		t.Fatalf("error lacks health context: %v", err)
+	}
+}
+
+// A delayed message stalls the receiving exchange briefly but the run
+// still completes with correct physics.
+func TestDelayedHaloMessageCompletes(t *testing.T) {
+	base := Config{Problem: "sod", NX: 32, NY: 4, Ranks: 2, MaxSteps: 10}
+	ref, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	cfg.testFaultPlan = &typhon.FaultPlan{Faults: []typhon.Fault{
+		{Rank: 0, Msg: 2, Kind: typhon.FaultDelay, Delay: 20 * time.Millisecond},
+	}}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := firstDiff(res.Rho, ref.Rho); i >= 0 {
+		t.Errorf("rho[%d] = %x, want %x despite delay", i, res.Rho[i], ref.Rho[i])
+	}
+}
+
 // The step history is one record per recorded step, strictly increasing
 // in step and time, at any rank count — also when a rollback rewinds
 // past steps that were already recorded (their records go; the replay

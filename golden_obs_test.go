@@ -61,7 +61,7 @@ func compareOrUpdate(t *testing.T, goldenPath string, got []byte) {
 // normalisedMetrics runs cfg and returns its metrics.json with the
 // wall-clock fields zeroed; the keys stay, so the snapshot still pins
 // which timers and duration counters exist. Counters ending in _ns are
-// wall-clock by convention (halo_wait_ns, halo_overlap_ns).
+// wall-clock by convention (halo_wait_ns).
 func normalisedMetrics(t *testing.T, cfg bookleaf.Config) []byte {
 	t.Helper()
 	if _, err := bookleaf.Run(cfg); err != nil {

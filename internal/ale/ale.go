@@ -86,11 +86,9 @@ func DefaultOptions() Options {
 	return Options{Mode: Eulerian, SmoothWeight: 0.5}
 }
 
-// Hooks extend the remap to distributed meshes. The blocking variants
-// refresh ghost entries of the given fields; nil (or a nil hook) means
-// serial operation. When all six Start/Finish variants plus Band are
-// set, Apply hides each exchange behind independent interior work (the
-// phased overlap schedule).
+// Hooks extend the remap to distributed meshes: each refreshes ghost
+// entries of the given fields; nil (or a nil hook) means serial
+// operation.
 //
 // Apply performs its exchanges in a fixed order — node targets
 // (Smoothed mode only), cell fields, then exactly one velocity
@@ -109,27 +107,6 @@ type Hooks struct {
 	// ExchangeVelocities refreshes ghost-node velocities after the
 	// remap rebuilds them.
 	ExchangeVelocities func(u, v []float64)
-
-	// Phased variants: Start posts the sends, Finish blocks until
-	// ghost entries have landed. All-or-nothing with Band.
-	StartCellFields  func(fields ...[]float64)
-	FinishCellFields func()
-	StartNodeFields  func(x, y []float64)
-	FinishNodeFields func()
-	StartVelocities  func(u, v []float64)
-	FinishVelocities func()
-
-	// Band is the interior/boundary split (mesh.BoundaryBand of the
-	// local mesh) the overlap schedule dispatches over.
-	Band *mesh.Band
-}
-
-// phased reports whether the full overlap schedule is available.
-func (h *Hooks) phased() bool {
-	return h != nil && h.Band != nil &&
-		h.StartCellFields != nil && h.FinishCellFields != nil &&
-		h.StartNodeFields != nil && h.FinishNodeFields != nil &&
-		h.StartVelocities != nil && h.FinishVelocities != nil
 }
 
 // ErrRemap reports a remap failure: a flux emptied a corner mass (the
@@ -193,29 +170,22 @@ type Remapper struct {
 	// every thread count; a serial ascending rescan names the offender.
 	badCorner, badVol, badNode atomic.Bool
 
-	uvStarted bool // a phased velocity exchange is in flight
-
-	ra remapArgs
+	// s is the state of the Apply in progress, the one operand the
+	// pre-bound bodies read from the Remapper rather than a closure
+	// capture — which keeps the steady-state remap free of heap
+	// allocations, mirroring the hydro kernels' kernelArgs.
+	s  *hydro.State
 	kb remapBodies
-}
-
-// remapArgs carries per-dispatch kernel parameters. A single arena
-// (rather than closure captures) keeps the steady-state remap free of
-// heap allocations, mirroring the hydro kernels' kernelArgs.
-type remapArgs struct {
-	s    *hydro.State
-	list []int // element list for list-dispatched kernels
-	base int   // range offset for offset-dispatched kernels
 }
 
 // remapBodies holds the pool bodies, bound once in NewRemapper so
 // dispatching them allocates nothing.
 type remapBodies struct {
-	smooth, pin                      func(lo, hi int)
-	snapshot, grad                   func(lo, hi int)
-	subFaces, subFacesList, faceFlux func(lo, hi int)
-	faceGather, momGather            func(lo, hi int)
-	vols, massEnergy, ndMass, vel    func(lo, hi int)
+	smooth, pin                   func(lo, hi int)
+	snapshot, grad                func(lo, hi int)
+	subFaces, faceFlux            func(lo, hi int)
+	faceGather, momGather         func(lo, hi int)
+	vols, massEnergy, ndMass, vel func(lo, hi int)
 }
 
 // NewRemapper allocates a remapper for the given state, building the
@@ -253,19 +223,18 @@ func NewRemapper(opt Options, s *hydro.State) *Remapper {
 		r.adjStart, r.adjList = buildAdjacency(m)
 	}
 	r.kb = remapBodies{
-		smooth:       r.smoothRange,
-		pin:          r.pinRange,
-		snapshot:     r.snapshotRange,
-		grad:         r.gradRange,
-		subFaces:     r.subFacesRange,
-		subFacesList: r.subFacesListBody,
-		faceFlux:     r.faceFluxRange,
-		faceGather:   r.faceGatherRange,
-		momGather:    r.momGatherRange,
-		vols:         r.volsRange,
-		massEnergy:   r.massEnergyRange,
-		ndMass:       r.ndMassRange,
-		vel:          r.velRange,
+		smooth:     r.smoothRange,
+		pin:        r.pinRange,
+		snapshot:   r.snapshotRange,
+		grad:       r.gradRange,
+		subFaces:   r.subFacesRange,
+		faceFlux:   r.faceFluxRange,
+		faceGather: r.faceGatherRange,
+		momGather:  r.momGatherRange,
+		vols:       r.volsRange,
+		massEnergy: r.massEnergyRange,
+		ndMass:     r.ndMassRange,
+		vel:        r.velRange,
 	}
 	return r
 }
@@ -346,13 +315,10 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	if pool == nil {
 		pool = par.Serial
 	}
-	r.ra.s = s
-	r.ra.base = 0
-	r.uvStarted = false
+	r.s = s
 	r.badCorner.Store(false)
 	r.badVol.Store(false)
 	r.badNode.Store(false)
-	phased := hooks.phased()
 
 	// --- ALEGETMESH: choose target coordinates.
 	tm.Start("alegetmesh")
@@ -369,20 +335,13 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 		// halo-truncated stencils and make results rank-dependent.
 		own := m.NOwnNd
 		pool.For(own, r.kb.smooth)
-		switch {
-		case phased:
-			hooks.StartNodeFields(r.xT, r.yT)
-			// FinishNodeFields runs in the advect phase, after the
-			// interior sub-face fluxes that need no ghost target.
-		case hooks != nil && hooks.ExchangeNodeFields != nil:
+		if hooks != nil && hooks.ExchangeNodeFields != nil {
 			hooks.ExchangeNodeFields(r.xT, r.yT)
-		default:
+		} else {
 			// No exchange available (serial meshes have no ghosts;
 			// hookless local meshes keep their stale coordinates
 			// pinned rather than smoothed by a truncated stencil).
-			r.ra.base = own
 			pool.For(nnd-own, r.kb.pin)
-			r.ra.base = 0
 		}
 	}
 	tm.Stop("alegetmesh")
@@ -392,12 +351,11 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	// geometry, and their density and energy stand until the exchange.
 	tm.Start("alegetfvol")
 	pool.For(nel, r.kb.snapshot)
-	cellExch := hooks != nil && (phased || hooks.ExchangeCellFields != nil)
+	cellExch := hooks != nil && hooks.ExchangeCellFields != nil
 	gn := nel
 	if cellExch {
 		// Ghost entries arrive from their owners; computing them
-		// locally would be dead work (and, phased, a data race with
-		// the in-flight receive).
+		// locally would be dead work.
 		gn = m.NOwnEl
 	}
 	if r.Opt.FirstOrder {
@@ -408,43 +366,14 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 	} else {
 		pool.For(gn, r.kb.grad)
 	}
-	if !phased && cellExch {
+	if cellExch {
 		hooks.ExchangeCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
 	}
 	tm.Stop("alegetfvol")
 
 	// --- ALEADVECT: stage sub-face swept-volume fluxes, then gather.
 	tm.Start("aleadvect")
-	ownEl := m.NOwnEl
-	switch {
-	case phased && r.Opt.Mode == Smoothed:
-		// Interior elements touch no ghost node: their internal
-		// sub-face fluxes proceed while the smoothed ghost targets
-		// travel. Boundary elements follow once the targets land,
-		// hidden behind the cell-field exchange they don't read.
-		r.ra.list = hooks.Band.IntEls
-		pool.For(len(hooks.Band.IntEls), r.kb.subFacesList)
-		hooks.FinishNodeFields()
-		hooks.StartCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
-		r.ra.list = hooks.Band.BndEls
-		pool.For(len(hooks.Band.BndEls), r.kb.subFacesList)
-		r.ra.list = nil
-		hooks.FinishCellFields()
-		r.ra.base = ownEl
-		pool.For(nel-ownEl, r.kb.subFaces)
-		r.ra.base = 0
-	case phased:
-		// Owned elements read only their own reconstruction, so the
-		// whole owned pass hides the ghost cell-field exchange.
-		hooks.StartCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
-		pool.For(ownEl, r.kb.subFaces)
-		hooks.FinishCellFields()
-		r.ra.base = ownEl
-		pool.For(nel-ownEl, r.kb.subFaces)
-		r.ra.base = 0
-	default:
-		pool.For(nel, r.kb.subFaces)
-	}
+	pool.For(nel, r.kb.subFaces)
 	pool.For(len(m.Faces), r.kb.faceFlux)
 	pool.For(nel, r.kb.faceGather)
 	pool.For(nnd, r.kb.momGather)
@@ -471,17 +400,11 @@ func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
 		return err
 	}
 	velN := nnd
-	if hooks != nil && (phased || hooks.ExchangeVelocities != nil) {
+	if hooks != nil && hooks.ExchangeVelocities != nil {
 		// Ghost velocities come from their owners via the exchange.
 		velN = m.NOwnNd
 	}
 	pool.For(velN, r.kb.vel)
-	if phased {
-		// Ghost velocities travel while the coordinates are committed
-		// and the EoS rebuilds — neither reads U or V.
-		hooks.StartVelocities(s.U, s.V)
-		r.uvStarted = true
-	}
 	copy(s.X, r.xT)
 	copy(s.Y, r.yT)
 	s.GetPC(0, m.NOwnEl)
@@ -519,26 +442,12 @@ func (r *Remapper) guardFailure(s *hydro.State) error {
 	return nil
 }
 
-// exchangeUV performs the one velocity exchange Apply owes its peers:
-// finishing the phased exchange if one is in flight, otherwise a
-// blocking exchange of the current velocities. Every Apply (and
-// ExchangeScratch) fires exactly one on every path, including error
-// returns — the cross-rank remap schedule depends on it.
+// exchangeUV performs the one velocity exchange Apply owes its peers.
+// Every Apply (and ExchangeScratch) fires exactly one on every path,
+// including error returns — the cross-rank remap schedule depends on
+// it.
 func (r *Remapper) exchangeUV(s *hydro.State, hooks *Hooks) {
-	if hooks == nil {
-		return
-	}
-	if r.uvStarted {
-		r.uvStarted = false
-		hooks.FinishVelocities()
-		return
-	}
-	if hooks.phased() {
-		hooks.StartVelocities(s.U, s.V)
-		hooks.FinishVelocities()
-		return
-	}
-	if hooks.ExchangeVelocities != nil {
+	if hooks != nil && hooks.ExchangeVelocities != nil {
 		hooks.ExchangeVelocities(s.U, s.V)
 	}
 }
@@ -554,30 +463,19 @@ func (r *Remapper) ExchangeScratch(s *hydro.State, hooks *Hooks) {
 	if hooks == nil {
 		return
 	}
-	phased := hooks.phased()
-	if r.Opt.Mode == Smoothed {
-		switch {
-		case phased:
-			hooks.StartNodeFields(r.xT, r.yT)
-			hooks.FinishNodeFields()
-		case hooks.ExchangeNodeFields != nil:
-			hooks.ExchangeNodeFields(r.xT, r.yT)
-		}
+	if r.Opt.Mode == Smoothed && hooks.ExchangeNodeFields != nil {
+		hooks.ExchangeNodeFields(r.xT, r.yT)
 	}
-	if phased {
-		hooks.StartCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
-		hooks.FinishCellFields()
-	} else if hooks.ExchangeCellFields != nil {
+	if hooks.ExchangeCellFields != nil {
 		hooks.ExchangeCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
 	}
-	r.uvStarted = false
 	r.exchangeUV(s, hooks)
 }
 
 // --- ALEGETMESH kernels -------------------------------------------------
 
 func (r *Remapper) smoothRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	for n := lo; n < hi; n++ {
 		r.smoothNode(s, n)
 	}
@@ -602,9 +500,12 @@ func (r *Remapper) smoothNode(s *hydro.State, n int) {
 	r.yT[n] = (1-w)*s.Y[n] + w*ay*inv
 }
 
+// pinRange holds the targets of non-owned nodes [NOwnNd+lo, NOwnNd+hi)
+// at their current coordinates.
 func (r *Remapper) pinRange(lo, hi int) {
-	s := r.ra.s
-	for n := lo + r.ra.base; n < hi+r.ra.base; n++ {
+	s := r.s
+	own := s.Mesh.NOwnNd
+	for n := own + lo; n < own+hi; n++ {
 		r.xT[n] = s.X[n]
 		r.yT[n] = s.Y[n]
 	}
@@ -617,7 +518,7 @@ func (r *Remapper) pinRange(lo, hi int) {
 // coordinates do not move until the remap commits, so a cached centroid
 // has the bits a fresh evaluation of the same expression would.
 func (r *Remapper) snapshotRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	for e := lo; e < hi; e++ {
 		nd := &m.ElNd[e]
@@ -635,7 +536,7 @@ func (r *Remapper) snapshotRange(lo, hi int) {
 // The normal matrix and the midpoint offsets are geometry, formed once
 // and shared by the two fields.
 func (r *Remapper) gradRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	for e := lo; e < hi; e++ {
 		cx, cy := r.cx[e], r.cy[e]
@@ -736,15 +637,8 @@ func bjLimit(alpha, d, up, dn float64) float64 {
 // --- ALEADVECT kernels --------------------------------------------------
 
 func (r *Remapper) subFacesRange(lo, hi int) {
-	s := r.ra.s
-	for e := lo + r.ra.base; e < hi+r.ra.base; e++ {
-		r.subFaceEl(s, e)
-	}
-}
-
-func (r *Remapper) subFacesListBody(lo, hi int) {
-	s := r.ra.s
-	for _, e := range r.ra.list[lo:hi] {
+	s := r.s
+	for e := lo; e < hi; e++ {
 		r.subFaceEl(s, e)
 	}
 }
@@ -822,7 +716,7 @@ func (r *Remapper) stageEdge(s *hydro.State, slot int, gain, rho float64, a, b i
 // cells, so no momentum transfer). Half 0 is (n1 -> M), half 1 is
 // (M -> n2), both CCW for the Left element.
 func (r *Remapper) faceFluxRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	for i := lo; i < hi; i++ {
 		f := &m.Faces[i]
@@ -876,7 +770,7 @@ func upwind(gain float64, a, b int) int {
 // That finishes the corner-mass deltas, so the corner guard is judged
 // here.
 func (r *Remapper) faceGatherRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	cs := s.CornerStride()
 	bad := false
@@ -921,7 +815,7 @@ func (r *Remapper) faceGatherRange(lo, hi int) {
 // k-loop's add order — and empty slots (gain 0) are skipped just as
 // the serial loop skipped them, so the sums match bit for bit.
 func (r *Remapper) momGatherRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	for n := lo; n < hi; n++ {
 		var px, py float64
@@ -958,7 +852,7 @@ func (r *Remapper) momGatherRange(lo, hi int) {
 // volume guard, so tangled targets are detected before anything is
 // committed.
 func (r *Remapper) volsRange(lo, hi int) {
-	m := r.ra.s.Mesh
+	m := r.s.Mesh
 	bad := false
 	for e := lo; e < hi; e++ {
 		nd := &m.ElNd[e]
@@ -978,7 +872,7 @@ func (r *Remapper) volsRange(lo, hi int) {
 // rebuilds the cell's dependent ones on the target volume — the first
 // writes to the state.
 func (r *Remapper) massEnergyRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	cs := s.CornerStride()
 	for e := lo; e < hi; e++ {
 		c := s.CMass[cs*e : cs*e+4 : cs*e+4]
@@ -1003,7 +897,7 @@ func (r *Remapper) massEnergyRange(lo, hi int) {
 // the serial element-scatter's accumulation order) and judges the
 // nodal-mass guard.
 func (r *Remapper) ndMassRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	slots := s.NdSlots()
 	bad := false
@@ -1025,7 +919,7 @@ func (r *Remapper) ndMassRange(lo, hi int) {
 }
 
 func (r *Remapper) velRange(lo, hi int) {
-	s := r.ra.s
+	s := r.s
 	m := s.Mesh
 	for n := lo; n < hi; n++ {
 		u := r.dPx[n] / s.NdMass[n]

@@ -191,7 +191,7 @@ func TestSmoothedTargetsRankIndependent(t *testing.T) {
 	displaceInterior(sG, 0.02)
 	opt := Options{Mode: Smoothed, SmoothWeight: 0.8}
 	rG := NewRemapper(opt, sG)
-	rG.ra.s = sG
+	rG.s = sG
 	rG.kb.smooth(0, sG.Mesh.NNd)
 
 	g, _ := eos.NewIdealGas(1.4)
@@ -223,7 +223,7 @@ func TestSmoothedTargetsRankIndependent(t *testing.T) {
 				sL.Y[n] = sG.Y[lm.GlobalNd[n]]
 			}
 			rL := NewRemapper(opt, sL)
-			rL.ra.s = sL
+			rL.s = sL
 			rL.kb.smooth(0, lm.NOwnNd)
 			for n := 0; n < lm.NOwnNd; n++ {
 				gn := lm.GlobalNd[n]
@@ -233,5 +233,44 @@ func TestSmoothedTargetsRankIndependent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSmoothedHooklessLocalMeshPinsGhosts: with no exchange to bring
+// the non-owned targets from their owners, Apply on a partitioned mesh
+// leaves its ghost nodes where they are instead of smoothing them with
+// halo-truncated stencils.
+func TestSmoothedHooklessLocalMeshPinsGhosts(t *testing.T) {
+	sG := testState(t, 10, 8,
+		func(cx, cy float64) float64 { return 1 + 0.3*cx },
+		func(cx, cy float64) float64 { return 1 + 0.2*cy })
+	displaceInterior(sG, 0.02)
+	part, err := partition.RCBMesh(sG.Mesh, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := partition.Split(sG.Mesh, part, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := subs[0].M
+	s := localState(t, sG, lm)
+	x0 := append([]float64(nil), s.X...)
+	y0 := append([]float64(nil), s.Y...)
+	if err := NewRemapper(Options{Mode: Smoothed, SmoothWeight: 0.8}, s).Apply(s, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for n := 0; n < lm.NNd; n++ {
+		if s.X[n] == x0[n] && s.Y[n] == y0[n] {
+			continue
+		}
+		if n >= lm.NOwnNd {
+			t.Fatalf("ghost node %d moved to (%v,%v) from (%v,%v)", n, s.X[n], s.Y[n], x0[n], y0[n])
+		}
+		moved++
+	}
+	if moved == 0 {
+		t.Fatal("no owned node moved: the smoothing did not run")
 	}
 }

@@ -617,7 +617,7 @@ func refCellCentroid(s *hydro.State, e int) (float64, float64) {
 // only, so every centroid keeps x = 0.5 and the least-squares matrix is
 // singular; its end cells have one neighbour. Same arguments, same
 // state, bit for bit.
-func refState(t testing.TB, nx, ny int, layout hydro.Layout) *hydro.State {
+func refState(t testing.TB, nx, ny int) *hydro.State {
 	t.Helper()
 	m, err := mesh.Rect(mesh.RectSpec{NX: nx, NY: ny, X0: 0, X1: 1, Y0: 0, Y1: 1, Walls: mesh.DefaultWalls(),
 		RegionOf: func(cx, cy float64) int {
@@ -633,7 +633,6 @@ func refState(t testing.TB, nx, ny int, layout hydro.Layout) *hydro.State {
 	g1, _ := eos.NewIdealGas(5.0 / 3.0)
 	opt := hydro.DefaultOptions(g0)
 	opt.Materials = []eos.Material{g0, g1}
-	opt.Layout = layout
 	rng := rand.New(rand.NewSource(int64(1000*nx + ny)))
 	rho := make([]float64, m.NEl)
 	ein := make([]float64, m.NEl)
@@ -719,16 +718,13 @@ func sameRemap(t *testing.T, r *Remapper, s *hydro.State, ref *refRemap, sRef *h
 
 // ownerFill stands in for a rank's peers: every exchange fills the
 // local ghost entries from an undecomposed run of the same remap, which
-// is what the owning ranks would send. The phased variants record the
-// arrays at Start and fill at Finish.
+// is what the owning ranks would send.
 type ownerFill struct {
-	lm          *mesh.Mesh
-	cell        [6][]float64 // cRho, cEin, gradRX, gradRY, gradEX, gradEY
-	xT, yT      []float64
-	u, v        []float64
-	pendingCell [][]float64
-	pendingNode [2][]float64
-	calls       []string
+	lm     *mesh.Mesh
+	cell   [6][]float64 // cRho, cEin, gradRX, gradRY, gradEX, gradEY
+	xT, yT []float64
+	u, v   []float64
+	calls  []string
 }
 
 func (o *ownerFill) cells(fields ...[]float64) {
@@ -747,22 +743,12 @@ func (o *ownerFill) nodes(name string, gx, gy, x, y []float64) {
 	}
 }
 
-func (o *ownerFill) hooks(phased bool) *Hooks {
-	h := &Hooks{
+func (o *ownerFill) hooks() *Hooks {
+	return &Hooks{
 		ExchangeCellFields: o.cells,
 		ExchangeNodeFields: func(x, y []float64) { o.nodes("node", o.xT, o.yT, x, y) },
 		ExchangeVelocities: func(u, v []float64) { o.nodes("vel", o.u, o.v, u, v) },
 	}
-	if phased {
-		h.Band = o.lm.BoundaryBand()
-		h.StartCellFields = func(fields ...[]float64) { o.pendingCell = fields }
-		h.FinishCellFields = func() { o.cells(o.pendingCell...) }
-		h.StartNodeFields = func(x, y []float64) { o.pendingNode = [2][]float64{x, y} }
-		h.FinishNodeFields = func() { o.nodes("node", o.xT, o.yT, o.pendingNode[0], o.pendingNode[1]) }
-		h.StartVelocities = func(u, v []float64) { o.pendingNode = [2][]float64{u, v} }
-		h.FinishVelocities = func() { o.nodes("vel", o.u, o.v, o.pendingNode[0], o.pendingNode[1]) }
-	}
-	return h
 }
 
 // localState cuts rank sub's state out of the undecomposed pre-remap
@@ -789,8 +775,8 @@ func localState(t testing.TB, g *hydro.State, lm *mesh.Mesh) *hydro.State {
 
 // TestRemapMatchesReference holds the remap to the pre-rewrite bodies
 // bit for bit, in every scratch array and every state array, across
-// mode x order x layout x threads, on the whole mesh and on a two-rank
-// split driven through blocking and phased hooks.
+// mode x order x threads, on the whole mesh and on a two-rank split
+// driven through the exchange hooks.
 func TestRemapMatchesReference(t *testing.T) {
 	withPool := func(s *hydro.State, threads int) func() {
 		if threads == 1 {
@@ -803,84 +789,80 @@ func TestRemapMatchesReference(t *testing.T) {
 		for _, firstOrder := range []bool{false, true} {
 			opt := mode
 			opt.FirstOrder = firstOrder
-			for _, layout := range []hydro.Layout{hydro.LayoutAoS, hydro.LayoutSoA} {
-				for _, shape := range [][2]int{{12, 10}, {1, 12}} {
-					nx, ny := shape[0], shape[1]
-					tag := fmt.Sprintf("%v/firstorder=%v/%v/%dx%d", opt.Mode, firstOrder, layout, nx, ny)
+			for _, shape := range [][2]int{{12, 10}, {1, 12}} {
+				nx, ny := shape[0], shape[1]
+				tag := fmt.Sprintf("%v/firstorder=%v/%dx%d", opt.Mode, firstOrder, nx, ny)
 
-					// The undecomposed reference run, which also plays
-					// the owning ranks of the split below.
-					g0 := refState(t, nx, ny, layout)
-					gRef := refState(t, nx, ny, layout)
-					ref := newRefRemap(opt, gRef)
-					if err := ref.apply(gRef, nil); err != nil {
-						t.Fatalf("%s: reference: %v", tag, err)
+				// The undecomposed reference run, which also plays
+				// the owning ranks of the split below.
+				g0 := refState(t, nx, ny)
+				gRef := refState(t, nx, ny)
+				ref := newRefRemap(opt, gRef)
+				if err := ref.apply(gRef, nil); err != nil {
+					t.Fatalf("%s: reference: %v", tag, err)
+				}
+				c := ref.cover
+				if !firstOrder {
+					if nx == 1 && (c.fewNb == 0 || c.singular == 0) {
+						t.Fatalf("%s: strip misses a gradient bail-out: %+v", tag, c)
 					}
-					c := ref.cover
-					if !firstOrder {
-						if nx == 1 && (c.fewNb == 0 || c.singular == 0) {
-							t.Fatalf("%s: strip misses a gradient bail-out: %+v", tag, c)
-						}
-						if nx > 1 && (c.flatSample == 0 || c.fallback == 0) {
-							t.Fatalf("%s: box misses a limiter or reconstruction case: %+v", tag, c)
-						}
+					if nx > 1 && (c.flatSample == 0 || c.fallback == 0) {
+						t.Fatalf("%s: box misses a limiter or reconstruction case: %+v", tag, c)
 					}
-					if c.wallFace == 0 || c.fixed == 0 || (nx > 1 && (c.emptyEdge == 0 || c.emptyHalf == 0)) {
-						t.Fatalf("%s: mesh misses a flux or boundary case: %+v", tag, c)
-					}
+				}
+				if c.wallFace == 0 || c.fixed == 0 || (nx > 1 && (c.emptyEdge == 0 || c.emptyHalf == 0)) {
+					t.Fatalf("%s: mesh misses a flux or boundary case: %+v", tag, c)
+				}
 
+				for _, threads := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/threads=%d", tag, threads), func(t *testing.T) {
+						s := refState(t, nx, ny)
+						defer withPool(s, threads)()
+						r := NewRemapper(opt, s)
+						if err := r.Apply(s, nil, nil); err != nil {
+							t.Fatal(err)
+						}
+						sameRemap(t, r, s, ref, gRef)
+					})
+				}
+				if nx == 1 {
+					continue
+				}
+
+				part, err := partition.RCBMesh(g0.Mesh, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs, err := partition.Split(g0.Mesh, part, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sub := range subs {
+					fill := func() *ownerFill {
+						return &ownerFill{lm: sub.M,
+							cell: [6][]float64{ref.cRho, ref.cEin, ref.gradRX, ref.gradRY, ref.gradEX, ref.gradEY},
+							xT:   ref.xT, yT: ref.yT, u: gRef.U, v: gRef.V}
+					}
+					sRef := localState(t, g0, sub.M)
+					lref := newRefRemap(opt, sRef)
+					oRef := fill()
+					if err := lref.apply(sRef, oRef.hooks()); err != nil {
+						t.Fatalf("%s rank %d: reference: %v", tag, sub.Rank, err)
+					}
 					for _, threads := range []int{1, 2, 4} {
-						t.Run(fmt.Sprintf("%s/threads=%d", tag, threads), func(t *testing.T) {
-							s := refState(t, nx, ny, layout)
+						t.Run(fmt.Sprintf("%s/rank=%d/threads=%d", tag, sub.Rank, threads), func(t *testing.T) {
+							s := localState(t, g0, sub.M)
 							defer withPool(s, threads)()
+							o := fill()
 							r := NewRemapper(opt, s)
-							if err := r.Apply(s, nil, nil); err != nil {
+							if err := r.Apply(s, nil, o.hooks()); err != nil {
 								t.Fatal(err)
 							}
-							sameRemap(t, r, s, ref, gRef)
-						})
-					}
-					if nx == 1 {
-						continue
-					}
-
-					part, err := partition.RCBMesh(g0.Mesh, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					subs, err := partition.Split(g0.Mesh, part, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, sub := range subs {
-						fill := func() *ownerFill {
-							return &ownerFill{lm: sub.M,
-								cell: [6][]float64{ref.cRho, ref.cEin, ref.gradRX, ref.gradRY, ref.gradEX, ref.gradEY},
-								xT:   ref.xT, yT: ref.yT, u: gRef.U, v: gRef.V}
-						}
-						sRef := localState(t, g0, sub.M)
-						lref := newRefRemap(opt, sRef)
-						oRef := fill()
-						if err := lref.apply(sRef, oRef.hooks(false)); err != nil {
-							t.Fatalf("%s rank %d: reference: %v", tag, sub.Rank, err)
-						}
-						for _, phased := range []bool{false, true} {
-							for _, threads := range []int{1, 2, 4} {
-								t.Run(fmt.Sprintf("%s/rank=%d/phased=%v/threads=%d", tag, sub.Rank, phased, threads), func(t *testing.T) {
-									s := localState(t, g0, sub.M)
-									defer withPool(s, threads)()
-									o := fill()
-									r := NewRemapper(opt, s)
-									if err := r.Apply(s, nil, o.hooks(phased)); err != nil {
-										t.Fatal(err)
-									}
-									sameRemap(t, r, s, lref, sRef)
-									if fmt.Sprint(o.calls) != fmt.Sprint(oRef.calls) {
-										t.Fatalf("exchange order %v, reference %v", o.calls, oRef.calls)
-									}
-								})
+							sameRemap(t, r, s, lref, sRef)
+							if fmt.Sprint(o.calls) != fmt.Sprint(oRef.calls) {
+								t.Fatalf("exchange order %v, reference %v", o.calls, oRef.calls)
 							}
-						}
+						})
 					}
 				}
 			}

@@ -89,8 +89,8 @@ func (sn *Snapshot) Gather(s *hydro.State) error {
 		sn.Csq[ge] = s.Csq[i]
 		sn.Vol[ge] = s.Vol[i]
 		sn.Mass[ge] = s.Mass[i]
-		// The snapshot keeps the fixed stride-4 corner format whatever
-		// the in-memory layout — the on-disk format is layout-blind.
+		// The snapshot keeps the dense stride-4 corner format, not the
+		// in-memory corner stride.
 		for k := 0; k < 4; k++ {
 			sn.CMass[4*ge+k] = s.CMass[cs*i+k]
 		}

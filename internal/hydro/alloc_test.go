@@ -17,28 +17,33 @@ import (
 func TestStepZeroAllocs(t *testing.T) {
 	for _, fuse := range []bool{true, false} {
 		for _, threads := range []int{1, 4} {
-			// The EdgeQForces row pins the lazily sized QEdge: the
-			// warm-up step allocates it, no later step does.
-			for _, edgeQ := range []bool{false, true} {
+			// The EdgeQForces row pins the lazily sized QEdge and the
+			// ScatterAcc row the lazily sized nodal accumulators: the
+			// warm-up step allocates them, no later step does.
+			for _, ablation := range []string{"", "edgeq", "scatteracc"} {
 				name := "unfused"
 				if fuse {
 					name = "fused"
 				}
-				t.Run(fmt.Sprintf("%s/pool-%d/edgeq-%v", name, threads, edgeQ), func(t *testing.T) {
-					testStepZeroAllocs(t, fuse, threads, edgeQ)
+				if ablation != "" {
+					name += "/" + ablation
+				}
+				t.Run(fmt.Sprintf("%s/pool-%d", name, threads), func(t *testing.T) {
+					testStepZeroAllocs(t, fuse, threads, ablation)
 				})
 			}
 		}
 	}
 }
 
-func testStepZeroAllocs(t *testing.T, fuse bool, threads int, edgeQ bool) {
+func testStepZeroAllocs(t *testing.T, fuse bool, threads int, ablation string) {
 	{
 		m := boxMesh(t, 16, 16)
 		g, _ := eos.NewIdealGas(1.4)
 		opt := DefaultOptions(g)
 		opt.Fuse = fuse
-		opt.EdgeQForces = edgeQ
+		opt.EdgeQForces = ablation == "edgeq"
+		opt.ScatterAcc = ablation == "scatteracc"
 		rho := make([]float64, m.NEl)
 		ein := make([]float64, m.NEl)
 		for e := range rho {

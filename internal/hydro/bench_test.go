@@ -200,22 +200,3 @@ func BenchmarkLagUpdateFusion(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkDtReduceFusion isolates the timestep fusion: the paired
-// CFL+divergence reduction in one sweep against two separate
-// reductions over the same data.
-func BenchmarkDtReduceFusion(b *testing.B) {
-	for _, fuse := range []bool{true, false} {
-		name := "unfused"
-		if fuse {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := benchStateFuse(b, 120, 1, fuse)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.GetDt()
-			}
-		})
-	}
-}

@@ -120,16 +120,14 @@ func TestMementoRollbackIsBitExact(t *testing.T) {
 	}
 }
 
-// evolved returns a small state a few steps into a converging flow, in
-// the given layout.
-func evolved(t *testing.T, layout Layout) *State {
+// evolved returns a small state a few steps into a converging flow.
+func evolved(t *testing.T) *State {
 	t.Helper()
 	g, err := eos.NewIdealGas(1.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions(g)
-	opt.Layout = layout
 	m := boxMesh(t, 6, 5)
 	rho := make([]float64, m.NEl)
 	ein := make([]float64, m.NEl)
@@ -157,7 +155,7 @@ func evolved(t *testing.T, layout Layout) *State {
 // everything that does move, the clock included, leaving the masses
 // exactly as it finds them.
 func TestLagrangianMementoHoldsNoMasses(t *testing.T) {
-	s := evolved(t, LayoutAoS)
+	s := evolved(t)
 	var mem Memento
 	s.Save(&mem)
 	if mem.mass != nil || mem.cMass != nil || mem.ndMass != nil {
@@ -208,36 +206,34 @@ func TestLagrangianMementoHoldsNoMasses(t *testing.T) {
 // TestMassesMementoRestoresFreshState is the replaceRank shape: a
 // memento that carries masses, loaded into a freshly built state that
 // no remapper ever touched, must hand it the remapped masses — Load
-// obeys the memento, never the state — in either corner layout.
+// obeys the memento, never the state.
 func TestMassesMementoRestoresFreshState(t *testing.T) {
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		old := evolved(t, layout)
-		// What a remap does to the masses, as far as a memento can tell.
-		for e := range old.Mass {
-			old.Mass[e] *= 1 + 0.03*float64(e%5)
-			for k := 0; k < 4; k++ {
-				old.CMass[old.cs*e+k] *= 1 + 0.01*float64(k+e%3)
-			}
+	old := evolved(t)
+	// What a remap does to the masses, as far as a memento can tell.
+	for e := range old.Mass {
+		old.Mass[e] *= 1 + 0.03*float64(e%5)
+		for k := 0; k < 4; k++ {
+			old.CMass[cornerStride*e+k] *= 1 + 0.01*float64(k+e%3)
 		}
-		for n := range old.NdMass {
-			old.NdMass[n] *= 1 - 0.02*float64(n%4)
-		}
-		mem := Memento{Masses: true}
-		old.Save(&mem)
+	}
+	for n := range old.NdMass {
+		old.NdMass[n] *= 1 - 0.02*float64(n%4)
+	}
+	mem := Memento{Masses: true}
+	old.Save(&mem)
 
-		fresh := evolved(t, layout)
-		fresh.Load(&mem)
-		if i := bitsDiffer(fresh.Mass, old.Mass); i >= 0 {
-			t.Errorf("layout %v: Mass[%d] = %v, saved %v", layout, i, fresh.Mass[i], old.Mass[i])
-		}
-		if i := bitsDiffer(fresh.NdMass, old.NdMass); i >= 0 {
-			t.Errorf("layout %v: NdMass[%d] = %v, saved %v", layout, i, fresh.NdMass[i], old.NdMass[i])
-		}
-		for e := range old.Mass {
-			for k := 0; k < 4; k++ {
-				if c := old.cs*e + k; math.Float64bits(fresh.CMass[c]) != math.Float64bits(old.CMass[c]) {
-					t.Fatalf("layout %v: CMass of element %d corner %d = %v, saved %v", layout, e, k, fresh.CMass[c], old.CMass[c])
-				}
+	fresh := evolved(t)
+	fresh.Load(&mem)
+	if i := bitsDiffer(fresh.Mass, old.Mass); i >= 0 {
+		t.Errorf("Mass[%d] = %v, saved %v", i, fresh.Mass[i], old.Mass[i])
+	}
+	if i := bitsDiffer(fresh.NdMass, old.NdMass); i >= 0 {
+		t.Errorf("NdMass[%d] = %v, saved %v", i, fresh.NdMass[i], old.NdMass[i])
+	}
+	for e := range old.Mass {
+		for k := 0; k < 4; k++ {
+			if c := cornerStride*e + k; math.Float64bits(fresh.CMass[c]) != math.Float64bits(old.CMass[c]) {
+				t.Fatalf("CMass of element %d corner %d = %v, saved %v", e, k, fresh.CMass[c], old.CMass[c])
 			}
 		}
 	}

@@ -25,14 +25,8 @@ type kernelArgs struct {
 	u, v []float64
 	// reuse lets the viscosity sweep read the limiter its predecessor
 	// stored instead of evaluating it (see elemQ); only Step's fused
-	// correctors set it.
+	// corrector sets it.
 	reuse bool
-	// nlo is the node offset of the current move call; the move body
-	// receives chunk-relative ranges and adds it back.
-	nlo int
-	// list is the index-list operand of the band-dispatch bodies used
-	// by the overlapped schedule (see band.go).
-	list []int
 	// floors holds per-chunk floor-energy partials at stride
 	// floorStride (cache-line padded); sized lazily to the pool width.
 	floors []float64
@@ -49,63 +43,23 @@ const floorStride = 8
 // what makes the Lagrangian step zero-allocation at any thread count
 // (asserted by the AllocsPerRun regression tests).
 type kernelBodies struct {
-	q, force, acc      func(lo, hi int)
-	move, vol, rho, pc func(lo, hi int)
-	ein                func(chunk, lo, hi int)
-	cfl, div           func(e int) float64
-	// List-dispatch twins of acc/vol/rho/pc/ein for the overlapped
-	// schedule's interior/boundary bands (see band.go).
-	accList, volList, rhoList, pcList func(lo, hi int)
-	einList                           func(chunk, lo, hi int)
-	// Fused-path bodies (see fused.go): the q+force sweep, the
-	// vol→rho→ein→pc update sweep and its list twin (all dispatched
-	// over the cache-tiled schedule), and the single-sweep operand of
-	// the fused CFL/divergence timestep reduction.
-	qforce, update, updateList func(chunk, lo, hi int)
-	cflDiv                     func(e int) (float64, float64)
+	q, force, acc, qforce func(lo, hi int)
+	move, vol, rho, pc    func(lo, hi int)
+	ein, update           func(chunk, lo, hi int)
+	scatter, scatterAcc   func(lo, hi int)
+	cflDiv                func(e int) (float64, float64)
 }
 
 // bindKernels creates the pre-bound kernel bodies. Called once from
 // NewState.
 func (s *State) bindKernels() {
-	// Timestep operands. The fused one feeds both conditions from one
-	// coordinate/velocity gather; each component is the unfused body's
-	// expression, so ReduceMin2 returns the same (min, argmin) pairs as
-	// the two separate ReduceMin sweeps.
-	s.kb.cfl = func(e int) float64 {
-		nd := &s.Mesh.ElNd[e]
-		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
-		return s.cflDt(e, x0, x1, x2, x3, y0, y1, y2, y3)
+	s.kb = kernelBodies{
+		q: s.qBody, force: s.forceBody, acc: s.accBody, qforce: s.qforceBody,
+		move: s.moveBody, vol: s.volBody, rho: s.rhoBody, pc: s.pcBody,
+		ein: s.einBody, update: s.updateBody,
+		scatter: s.scatterBody, scatterAcc: s.scatterAccBody,
+		cflDiv: s.cflDivOperand,
 	}
-	s.kb.div = func(e int) float64 {
-		nd := &s.Mesh.ElNd[e]
-		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
-		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(s.U, s.V, nd)
-		return s.divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3)
-	}
-	s.kb.cflDiv = func(e int) (float64, float64) {
-		nd := &s.Mesh.ElNd[e]
-		x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
-		u0, u1, u2, u3, v0, v1, v2, v3 := gather8(s.U, s.V, nd)
-		return s.cflDt(e, x0, x1, x2, x3, y0, y1, y2, y3),
-			s.divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3)
-	}
-	s.kb.q = s.qBody
-	s.kb.force = s.forceBody
-	s.kb.acc = s.accBody
-	s.kb.move = s.moveBody
-	s.kb.vol = s.volBody
-	s.kb.rho = s.rhoBody
-	s.kb.pc = s.pcBody
-	s.kb.ein = s.einBody
-	s.kb.accList = s.accListBody
-	s.kb.volList = s.volListBody
-	s.kb.rhoList = s.rhoListBody
-	s.kb.pcList = s.pcListBody
-	s.kb.einList = s.einListBody
-	s.kb.qforce = s.qforceBody
-	s.kb.update = s.updateBody
-	s.kb.updateList = s.updateListBody
 }
 
 // DtCause identifies which condition controlled the last GetDt result
@@ -153,21 +107,13 @@ func (c DtCause) String() string {
 // to this rank; the global controller's cause lives on the rank that
 // wins the MINLOC).
 func (s *State) GetDt() (dt float64, controller int) {
-	nel := s.Mesh.NOwnEl
 	// CFL condition: dt_e = CFL * L / sqrt(c² + 2q/rho), and the
-	// divergence condition dt_e = DivSafety / |div u| — each an
-	// explicit parallel min-reduction (the expanded MINVAL/MINLOC loop
-	// the paper describes). The fused path evaluates both conditions
-	// from one coordinate/velocity gather per element (ReduceMin2);
-	// the unfused ablation keeps the two separate sweeps.
-	var cflMin, divMin float64
-	var cflArg, divArg int
-	if s.Opt.Fuse {
-		cflMin, cflArg, divMin, divArg = s.Pool.ReduceMin2(nel, s.kb.cflDiv)
-	} else {
-		cflMin, cflArg = s.Pool.ReduceMin(nel, s.kb.cfl)
-		divMin, divArg = s.Pool.ReduceMin(nel, s.kb.div)
-	}
+	// divergence condition dt_e = DivSafety / |div u| — an explicit
+	// parallel min-reduction of each (the expanded MINVAL/MINLOC loop
+	// the paper describes), both fed from one coordinate/velocity
+	// gather per element. par guarantees ReduceMin2 returns the (min,
+	// argmin) bits of two separate ReduceMin sweeps.
+	cflMin, cflArg, divMin, divArg := s.Pool.ReduceMin2(s.Mesh.NOwnEl, s.kb.cflDiv)
 	dt, controller = cflMin, cflArg
 	s.DtCause = DtCauseCFL
 	if divMin < dt {
@@ -183,6 +129,16 @@ func (s *State) GetDt() (dt float64, controller int) {
 		s.DtCause = DtCauseMax
 	}
 	return dt, controller
+}
+
+// cflDivOperand is GetDt's reduction operand: element e's CFL and
+// divergence conditions from one gather.
+func (s *State) cflDivOperand(e int) (float64, float64) {
+	nd := &s.Mesh.ElNd[e]
+	x0, x1, x2, x3, y0, y1, y2, y3 := gather8(s.X, s.Y, nd)
+	u0, u1, u2, u3, v0, v1, v2, v3 := gather8(s.U, s.V, nd)
+	return s.cflDt(e, x0, x1, x2, x3, y0, y1, y2, y3),
+		s.divDt(x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3)
 }
 
 // cflDt is element e's sound-speed condition CFL·L/sqrt(c² + 2q/ρ); a
@@ -267,7 +223,7 @@ const noPsi = -1
 // sweep starts from noPsi everywhere and so evaluates every edge it
 // needs.
 func (s *State) elemQ(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, cs float64) float64 {
-	psis := s.psi[s.cs*e : s.cs*e+4]
+	psis := s.psi[cornerStride*e : cornerStride*e+4]
 	if !s.ka.reuse {
 		psis[0], psis[1], psis[2], psis[3] = noPsi, noPsi, noPsi, noPsi
 	}
@@ -415,7 +371,7 @@ func (s *State) forceBody(plo, phi int) {
 // coordinates and velocities and its viscosity q. The eight forces
 // accumulate in named scalars and are stored once at the end.
 func (s *State) elemForce(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0, v1, v2, v3, rho, csq, q float64) {
-	base := s.cs * e
+	base := cornerStride * e
 	pq := s.P[e] + q
 	fx0, fy0 := gradForce(pq, x3, y3, x1, y1)
 	fx1, fy1 := gradForce(pq, x0, y0, x2, y2)
@@ -563,10 +519,9 @@ func subzonalPush(dp, a, b, c, d, fk, fp, fm, fo float64) (float64, float64, flo
 // performance" — the paper). It exists as the paper-fidelity ablation.
 func (s *State) GetAcc(dt float64) {
 	m := s.Mesh
-	nnd := m.NOwnNd
+	s.ka.dt = dt
 	if !s.Opt.ScatterAcc {
-		s.ka.dt = dt
-		s.Pool.For(nnd, s.kb.acc)
+		s.Pool.For(m.NOwnNd, s.kb.acc)
 		return
 	}
 	// Reference scatter formulation over all local elements (ghost
@@ -574,26 +529,28 @@ func (s *State) GetAcc(dt float64) {
 	if len(s.fxnd) == 0 {
 		s.fxnd, s.fynd = make([]float64, m.NNd), make([]float64, m.NNd)
 	}
-	fxn, fyn := s.fxnd, s.fynd
-	for n := range fxn {
-		fxn[n] = 0
-		fyn[n] = 0
+	clear(s.fxnd)
+	clear(s.fynd)
+	s.Pool.Serial(m.NEl, s.kb.scatter)
+	s.Pool.For(m.NOwnNd, s.kb.scatterAcc)
+}
+
+func (s *State) scatterBody(lo, hi int) {
+	for e := lo; e < hi; e++ {
+		nd := &s.Mesh.ElNd[e]
+		base := cornerStride * e
+		for k := 0; k < 4; k++ {
+			s.fxnd[nd[k]] += s.FX[base+k]
+			s.fynd[nd[k]] += s.FY[base+k]
+		}
 	}
-	s.Pool.Serial(m.NEl, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			nd := &m.ElNd[e]
-			base := s.cs * e
-			for k := 0; k < 4; k++ {
-				fxn[nd[k]] += s.FX[base+k]
-				fyn[nd[k]] += s.FY[base+k]
-			}
-		}
-	})
-	s.Pool.For(nnd, func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			s.applyAccel(n, fxn[n], fyn[n], dt)
-		}
-	})
+}
+
+func (s *State) scatterAccBody(lo, hi int) {
+	dt := s.ka.dt
+	for n := lo; n < hi; n++ {
+		s.applyAccel(n, s.fxnd[n], s.fynd[n], dt)
+	}
 }
 
 func (s *State) accBody(lo, hi int) {
@@ -656,7 +613,6 @@ func (s *State) applyAccel(n int, fx, fy, dt float64) {
 func (s *State) GetGeom(dt float64, uArr, vArr []float64, lo, hi int) error {
 	s.ka.dt = dt
 	s.ka.u, s.ka.v = uArr, vArr
-	s.ka.nlo = 0
 	s.Pool.For(s.Mesh.NNd, s.kb.move)
 	s.ka.lo = lo
 	s.Pool.For(hi-lo, s.kb.vol)
@@ -675,11 +631,10 @@ func (s *State) scanTangled(lo, hi int) error {
 	return nil
 }
 
-func (s *State) moveBody(plo, phi int) {
+func (s *State) moveBody(lo, hi int) {
 	dt := s.ka.dt
 	uArr, vArr := s.ka.u, s.ka.v
-	nlo := s.ka.nlo
-	for n := nlo + plo; n < nlo+phi; n++ {
+	for n := lo; n < hi; n++ {
 		s.X[n] = s.X0[n] + dt*uArr[n]
 		s.Y[n] = s.Y0[n] + dt*vArr[n]
 	}
@@ -723,7 +678,16 @@ func (s *State) rhoBody(plo, phi int) {
 // last bit across thread counts; the evolved fields themselves stay
 // bitwise-identical because the flooring decision is per-element.)
 func (s *State) GetEin(dt float64, uArr, vArr []float64, lo, hi int) float64 {
-	t := s.Pool.NumChunks(hi - lo)
+	s.ka.lo, s.ka.dt = lo, dt
+	s.ka.u, s.ka.v = uArr, vArr
+	return s.floorSweep(hi-lo, s.kb.ein)
+}
+
+// floorSweep dispatches an n-element body that leaves its chunk's
+// floor-energy partial in ka.floors, and returns the partials summed in
+// chunk order.
+func (s *State) floorSweep(n int, body func(chunk, lo, hi int)) float64 {
+	t := s.Pool.NumChunks(n)
 	if t < 1 {
 		return 0
 	}
@@ -731,9 +695,7 @@ func (s *State) GetEin(dt float64, uArr, vArr []float64, lo, hi int) float64 {
 		s.ka.floors = make([]float64, floorStride*t)
 	}
 	s.ka.floors = s.ka.floors[:floorStride*t]
-	s.ka.lo, s.ka.dt = lo, dt
-	s.ka.u, s.ka.v = uArr, vArr
-	s.Pool.ForChunks(hi-lo, s.kb.ein)
+	s.Pool.ForChunks(n, body)
 	var total float64
 	for c := 0; c < t; c++ {
 		total += s.ka.floors[floorStride*c]
@@ -765,7 +727,7 @@ func (s *State) einBody(chunk, plo, phi int) {
 // cornerWork returns ΣF·u over the corners of element e: the rate of
 // work its corner forces do on its nodes' gathered velocities.
 func (s *State) cornerWork(e int, u0, u1, u2, u3, v0, v1, v2, v3 float64) float64 {
-	base := s.cs * e
+	base := cornerStride * e
 	fx, fy := s.FX[base:base+4], s.FY[base:base+4]
 	return 0 + (fx[0]*u0 + fy[0]*v0) + (fx[1]*u1 + fy[1]*v1) + (fx[2]*u2 + fy[2]*v2) + (fx[3]*u3 + fy[3]*v3)
 }

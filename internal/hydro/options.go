@@ -34,46 +34,6 @@ func (h HourglassControl) String() string {
 	}
 }
 
-// Layout selects the memory layout of the hot corner-indexed arrays
-// (the FX/FY force pair and the CMass/limiter auxiliary pair).
-type Layout int
-
-const (
-	// LayoutAoS interleaves each pair into one per-element record
-	// (FX[0..3]|FY[0..3], CMass[0..3]|psi[0..3] — a 64-byte line per
-	// element per pair), so the force writes, the acceleration gather
-	// and the energy dot products touch one cache line where SoA
-	// touches two. The default: results are bitwise-identical to SoA
-	// because only addressing changes, never the arithmetic order.
-	LayoutAoS Layout = iota
-	// LayoutSoA keeps the paper's parallel-array layout (stride 4),
-	// retained as the ablation baseline for the layout benchmarks.
-	LayoutSoA
-)
-
-func (l Layout) String() string {
-	switch l {
-	case LayoutAoS:
-		return "aos"
-	case LayoutSoA:
-		return "soa"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// ParseLayout maps a -layout / [control] layout value onto a Layout.
-// The empty string selects the AoS default.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "aos":
-		return LayoutAoS, nil
-	case "soa":
-		return LayoutSoA, nil
-	}
-	return LayoutAoS, fmt.Errorf("hydro: unknown layout %q (want aos or soa)", s)
-}
-
 // Options are the numerical controls of the Lagrangian step; the zero
 // value is not usable — call DefaultOptions and override.
 type Options struct {
@@ -118,22 +78,13 @@ type Options struct {
 
 	// Fuse runs the step on the fused element passes: the viscosity +
 	// corner-force pair and the geometry→density→energy→EOS update
-	// chain each become a single cache-tiled pool sweep that streams
-	// X/Y/U/V once per element instead of re-gathering them per kernel
-	// (see DESIGN.md §13). Bitwise-identical to the unfused kernels at
-	// any thread count; on by default (DefaultOptions) — switching it
-	// off selects the paper's one-kernel-per-phase structure as the
+	// chain each become a single pool sweep that streams X/Y/U/V once
+	// per element instead of re-gathering them per kernel (see
+	// DESIGN.md §13). Bitwise-identical to the unfused kernels at any
+	// thread count; on by default (DefaultOptions) — switching it off
+	// selects the paper's one-kernel-per-phase structure as the
 	// ablation.
 	Fuse bool
-	// FuseTile overrides the fused sweeps' tile width in elements per
-	// body invocation; 0 derives it from par.TileFor and the fused
-	// working-set estimate. A tunable for machines whose per-core cache
-	// differs from the par.L2PerCore assumption.
-	FuseTile int
-	// Layout selects the corner-array memory layout: interleaved AoS
-	// records (the zero value, the default) or the parallel SoA slices
-	// (the ablation). Bitwise-identical either way.
-	Layout Layout
 }
 
 // DefaultOptions returns the standard BookLeaf-style controls for the
@@ -173,8 +124,6 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("hydro: viscosity coefficients must be non-negative (cq1=%v cq2=%v)", o.CQ1, o.CQ2)
 	case len(o.Materials) == 0:
 		return fmt.Errorf("hydro: no materials configured")
-	case o.FuseTile < 0:
-		return fmt.Errorf("hydro: FuseTile = %v, must be non-negative", o.FuseTile)
 	}
 	for i, m := range o.Materials {
 		if m == nil {

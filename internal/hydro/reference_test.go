@@ -54,7 +54,7 @@ func refQForceBody(s *State, lo, hi int, uArr, vArr []float64) {
 		rho := s.Rho[e]
 		csq := s.Csq[e]
 		cs := math.Sqrt(csq)
-		base := s.cs * e
+		base := cornerStride * e
 
 		var qsum float64
 		for k := 0; k < 4; k++ {
@@ -153,7 +153,7 @@ func refQForceBody(s *State, lo, hi int, uArr, vArr []float64) {
 }
 
 func refSubzonalForce(s *State, e int, x, y *[4]float64, rho, csq, q float64) {
-	base := s.cs * e
+	base := cornerStride * e
 	cx, cy := geom.Centroid(x, y)
 	var mx, my [4]float64
 	for k := 0; k < 4; k++ {
@@ -193,7 +193,7 @@ func refSubzonalForce(s *State, e int, x, y *[4]float64, rho, csq, q float64) {
 
 func refFusedElem(s *State, e int, dt float64, uArr, vArr []float64, x, y *[4]float64, mats []eos.Material, reg []int, fl *float64) {
 	nd := &s.Mesh.ElNd[e]
-	base := s.cs * e
+	base := cornerStride * e
 	for k := 0; k < 4; k++ {
 		x[k] = s.X[nd[k]]
 		y[k] = s.Y[nd[k]]
@@ -287,12 +287,8 @@ func refClone(s *State) *State {
 	cp := func(a []float64) []float64 { return append([]float64(nil), a...) }
 	r.Q, r.Vol, r.Rho, r.Ein, r.P, r.Csq = cp(s.Q), cp(s.Vol), cp(s.Rho), cp(s.Ein), cp(s.P), cp(s.Csq)
 	r.QEdge = make([]float64, 4*s.Mesh.NEl)
-	if s.cs == 8 {
-		fxy := append([]float64(nil), s.FX...)
-		r.FX, r.FY = fxy, fxy[4:]
-	} else {
-		r.FX, r.FY = cp(s.FX), cp(s.FY)
-	}
+	fxy := cp(s.FX)
+	r.FX, r.FY = fxy, fxy[4:]
 	return &r
 }
 
@@ -305,7 +301,7 @@ func refClone(s *State) *State {
 // sig2 = 0 in the CFL condition) and with c² < 0 (sig2 < 0), cold
 // elements the energy floor catches, and Tait and void regions that
 // take the EOS fallback beside the ideal gas that takes the fast path.
-func refState(t testing.TB, n int, layout Layout, hg HourglassControl, edgeQ bool, seed int64) *State {
+func refState(t testing.TB, n int, hg HourglassControl, edgeQ bool, seed int64) *State {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m, err := mesh.Rect(mesh.RectSpec{NX: n, NY: n, X0: 0, X1: 1, Y0: 0, Y1: 1, Walls: mesh.DefaultWalls()})
@@ -325,7 +321,7 @@ func refState(t testing.TB, n int, layout Layout, hg HourglassControl, edgeQ boo
 		m.Region[e] = e % 3
 	}
 	opt := DefaultOptions(gas, water, eos.Void{})
-	opt.Layout, opt.Hourglass, opt.EdgeQForces = layout, hg, edgeQ
+	opt.Hourglass, opt.EdgeQForces = hg, edgeQ
 	rho := make([]float64, m.NEl)
 	ein := make([]float64, m.NEl)
 	for e := range rho {
@@ -403,79 +399,71 @@ func compareFields(t *testing.T, what string, got, want *State, names ...string)
 // operand to the reference bodies, bitwise, on every output.
 func TestKernelsMatchReference(t *testing.T) {
 	const n = 12
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		for _, hg := range []HourglassControl{HGNone, HGFilter, HGSubzonal} {
-			for _, edgeQ := range []bool{false, true} {
-				for _, threads := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%v/%v/edgeq=%v/threads=%d", layout, hg, edgeQ, threads)
-					t.Run(name, func(t *testing.T) {
-						s := refState(t, n, layout, hg, edgeQ, 42)
-						s.Pool = par.New(threads)
-						defer s.Pool.Close()
-						nel := s.Mesh.NOwnEl
+	for _, hg := range []HourglassControl{HGNone, HGFilter, HGSubzonal} {
+		for _, edgeQ := range []bool{false, true} {
+			for _, threads := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%v/edgeq=%v/threads=%d", hg, edgeQ, threads)
+				t.Run(name, func(t *testing.T) {
+					s := refState(t, n, hg, edgeQ, 42)
+					s.Pool = par.New(threads)
+					defer s.Pool.Close()
+					nel := s.Mesh.NOwnEl
 
-						// q + force, on the crushed geometry and stale Vol.
-						want := refClone(s)
-						refQForceBody(want, 0, nel, s.U0, s.V0)
-						outs := []string{"Q", "FX", "FY"}
-						if edgeQ {
-							outs = append(outs, "QEdge")
-						}
-						s.GetQForce(0, nel, s.U0, s.V0)
-						compareFields(t, "GetQForce", s, want, outs...)
-						clear(s.Q)
-						clear(s.FX)
-						clear(s.FY)
-						s.GetQ(0, nel) // reads U, V — equal to U0, V0 here
-						s.GetForce(0, nel, s.U0, s.V0)
-						compareFields(t, "GetQ+GetForce", s, want, outs...)
+					// q + force, on the crushed geometry and stale Vol.
+					want := refClone(s)
+					refQForceBody(want, 0, nel, s.U0, s.V0)
+					outs := []string{"Q", "FX", "FY"}
+					if edgeQ {
+						outs = append(outs, "QEdge")
+					}
+					s.GetQForce(0, nel, s.U0, s.V0)
+					compareFields(t, "GetQForce", s, want, outs...)
+					clear(s.Q)
+					clear(s.FX)
+					clear(s.FY)
+					s.GetQ(0, nel) // reads U, V — equal to U0, V0 here
+					s.GetForce(0, nel, s.U0, s.V0)
+					compareFields(t, "GetQ+GetForce", s, want, outs...)
 
-						// Timestep operand, element by element and reduced.
-						ref := refCflDiv(s)
-						for e := 0; e < nel; e++ {
-							gc, gd := s.kb.cflDiv(e)
-							wc, wd := ref(e)
-							if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gd) != math.Float64bits(wd) {
-								t.Fatalf("cflDiv(%d) = (%v, %v), reference (%v, %v)", e, gc, gd, wc, wd)
-							}
-							if c := s.kb.cfl(e); math.Float64bits(c) != math.Float64bits(wc) {
-								t.Fatalf("cfl(%d) = %v, reference %v", e, c, wc)
-							}
-							if d := s.kb.div(e); math.Float64bits(d) != math.Float64bits(wd) {
-								t.Fatalf("div(%d) = %v, reference %v", e, d, wd)
-							}
+					// Timestep operand, element by element and reduced.
+					ref := refCflDiv(s)
+					for e := 0; e < nel; e++ {
+						gc, gd := s.kb.cflDiv(e)
+						wc, wd := ref(e)
+						if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gd) != math.Float64bits(wd) {
+							t.Fatalf("cflDiv(%d) = (%v, %v), reference (%v, %v)", e, gc, gd, wc, wd)
 						}
-						gc, gci, gd, gdi := s.Pool.ReduceMin2(nel, s.kb.cflDiv)
-						wc, wci, wd, wdi := s.Pool.ReduceMin2(nel, ref)
-						if gc != wc || gci != wci || gd != wd || gdi != wdi {
-							t.Errorf("ReduceMin2 = (%v,%d,%v,%d), reference (%v,%d,%v,%d)", gc, gci, gd, gdi, wc, wci, wd, wdi)
-						}
+					}
+					gc, gci, gd, gdi := s.Pool.ReduceMin2(nel, s.kb.cflDiv)
+					wc, wci, wd, wdi := s.Pool.ReduceMin2(nel, ref)
+					if gc != wc || gci != wci || gd != wd || gdi != wdi {
+						t.Errorf("ReduceMin2 = (%v,%d,%v,%d), reference (%v,%d,%v,%d)", gc, gci, gd, gdi, wc, wci, wd, wdi)
+					}
 
-						// Fused update, floor total included. The node move is
-						// the sweep's own; the reference runs after it, on the
-						// coordinates both then share.
-						const dt = 1e-3
-						gotFloor, err := s.FusedUpdate(dt, s.U0, s.V0, 0, nel)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var x, y [4]float64
-						var wantFloor float64
-						for e := 0; e < nel; e++ {
-							refFusedElem(want, e, dt, s.U0, s.V0, &x, &y, s.Opt.Materials, s.Mesh.Region, &wantFloor)
-						}
-						if wantFloor == 0 {
-							t.Fatal("the energy floor never fired: the case is not covered")
-						}
-						compareFields(t, "FusedUpdate", s, want, "Vol", "Rho", "Ein", "P", "Csq")
-						if threads == 1 && gotFloor != wantFloor {
-							t.Errorf("floor total %x, reference %x", math.Float64bits(gotFloor), math.Float64bits(wantFloor))
-						}
-						if d := math.Abs(gotFloor - wantFloor); d > 1e-12*wantFloor {
-							t.Errorf("floor total %v, reference %v", gotFloor, wantFloor)
-						}
-					})
-				}
+					// Fused update, floor total included. The node move is
+					// the sweep's own; the reference runs after it, on the
+					// coordinates both then share.
+					const dt = 1e-3
+					gotFloor, err := s.FusedUpdate(dt, s.U0, s.V0, 0, nel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var x, y [4]float64
+					var wantFloor float64
+					for e := 0; e < nel; e++ {
+						refFusedElem(want, e, dt, s.U0, s.V0, &x, &y, s.Opt.Materials, s.Mesh.Region, &wantFloor)
+					}
+					if wantFloor == 0 {
+						t.Fatal("the energy floor never fired: the case is not covered")
+					}
+					compareFields(t, "FusedUpdate", s, want, "Vol", "Rho", "Ein", "P", "Csq")
+					if threads == 1 && gotFloor != wantFloor {
+						t.Errorf("floor total %x, reference %x", math.Float64bits(gotFloor), math.Float64bits(wantFloor))
+					}
+					if d := math.Abs(gotFloor - wantFloor); d > 1e-12*wantFloor {
+						t.Errorf("floor total %v, reference %v", gotFloor, wantFloor)
+					}
+				})
 			}
 		}
 	}
@@ -486,59 +474,57 @@ func TestKernelsMatchReference(t *testing.T) {
 // a full evaluation there — also on the edges the first sweep found not
 // compressive and the second does, which it has to evaluate itself.
 func TestLimiterReuse(t *testing.T) {
-	for _, layout := range []Layout{LayoutAoS, LayoutSoA} {
-		for _, threads := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/threads=%d", layout, threads), func(t *testing.T) {
-				s := refState(t, 12, layout, HGSubzonal, false, 7)
-				s.Pool = par.New(threads)
-				defer s.Pool.Close()
-				nel := s.Mesh.NOwnEl
-				s.GetQForce(0, nel, s.U0, s.V0)
-				first := append([]float64(nil), s.psi...)
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			s := refState(t, 12, HGSubzonal, false, 7)
+			s.Pool = par.New(threads)
+			defer s.Pool.Close()
+			nel := s.Mesh.NOwnEl
+			s.GetQForce(0, nel, s.U0, s.V0)
+			first := append([]float64(nil), s.psi...)
 
-				// The half step moves the nodes; the velocities stay.
-				rng := rand.New(rand.NewSource(8))
-				for nd := range s.X {
-					s.X[nd] += 0.02 * (2*rng.Float64() - 1)
-					s.Y[nd] += 0.02 * (2*rng.Float64() - 1)
-				}
-				want := refClone(s)
-				refQForceBody(want, 0, nel, s.U0, s.V0)
-				s.getQForce(0, nel, s.U0, s.V0, true)
-				compareFields(t, "reusing sweep", s, want, "Q", "FX", "FY")
-				var fellBack, reused int
-				for e := 0; e < nel; e++ {
-					for k := 0; k < 4; k++ {
-						switch i := s.cs*e + k; {
-						case first[i] == noPsi && s.psi[i] != noPsi:
-							fellBack++
-						case first[i] != noPsi:
-							reused++
-						}
+			// The half step moves the nodes; the velocities stay.
+			rng := rand.New(rand.NewSource(8))
+			for nd := range s.X {
+				s.X[nd] += 0.02 * (2*rng.Float64() - 1)
+				s.Y[nd] += 0.02 * (2*rng.Float64() - 1)
+			}
+			want := refClone(s)
+			refQForceBody(want, 0, nel, s.U0, s.V0)
+			s.getQForce(0, nel, s.U0, s.V0, true)
+			compareFields(t, "reusing sweep", s, want, "Q", "FX", "FY")
+			var fellBack, reused int
+			for e := 0; e < nel; e++ {
+				for k := 0; k < 4; k++ {
+					switch i := cornerStride*e + k; {
+					case first[i] == noPsi && s.psi[i] != noPsi:
+						fellBack++
+					case first[i] != noPsi:
+						reused++
 					}
 				}
-				if fellBack == 0 || reused == 0 {
-					t.Fatalf("%d edges fell back to evaluating, %d had a stored limiter: the case is not covered", fellBack, reused)
-				}
+			}
+			if fellBack == 0 || reused == 0 {
+				t.Fatalf("%d edges fell back to evaluating, %d had a stored limiter: the case is not covered", fellBack, reused)
+			}
 
-				// And it does read what is stored: with every limiter at
-				// 1 the viscosity vanishes.
-				for e := 0; e < nel; e++ {
-					for k := 0; k < 4; k++ {
-						s.psi[s.cs*e+k] = 1
-					}
+			// And it does read what is stored: with every limiter at
+			// 1 the viscosity vanishes.
+			for e := 0; e < nel; e++ {
+				for k := 0; k < 4; k++ {
+					s.psi[cornerStride*e+k] = 1
 				}
-				s.getQForce(0, nel, s.U0, s.V0, true)
-				for e := 0; e < nel; e++ {
-					if s.Csq[e] >= 0 && s.Q[e] != 0 { // c² < 0 makes q NaN at any ψ
-						t.Fatalf("Q[%d] = %v with every stored limiter at 1", e, s.Q[e])
-					}
+			}
+			s.getQForce(0, nel, s.U0, s.V0, true)
+			for e := 0; e < nel; e++ {
+				if s.Csq[e] >= 0 && s.Q[e] != 0 { // c² < 0 makes q NaN at any ψ
+					t.Fatalf("Q[%d] = %v with every stored limiter at 1", e, s.Q[e])
 				}
-				// A standalone sweep never trusts it.
-				s.GetQForce(0, nel, s.U0, s.V0)
-				compareFields(t, "full sweep over a poisoned limiter", s, want, "Q", "FX", "FY")
-			})
-		}
+			}
+			// A standalone sweep never trusts it.
+			s.GetQForce(0, nel, s.U0, s.V0)
+			compareFields(t, "full sweep over a poisoned limiter", s, want, "Q", "FX", "FY")
+		})
 	}
 }
 
@@ -575,7 +561,7 @@ func TestStaleLimiterNeverRead(t *testing.T) {
 	rolled.Load(&mem)
 	for e := 0; e < rolled.Mesh.NOwnEl; e++ {
 		for k := 0; k < 4; k++ {
-			rolled.psi[rolled.cs*e+k] = math.NaN()
+			rolled.psi[cornerStride*e+k] = math.NaN()
 		}
 	}
 	replaced := build()

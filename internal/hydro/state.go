@@ -35,15 +35,20 @@ func (e *ErrDtCollapse) Error() string {
 	return fmt.Sprintf("hydro: timestep %v collapsed below minimum (element %d)", e.Dt, e.Element)
 }
 
+// cornerStride is the distance in every corner array between element
+// e's record and element e+1's: corner k of element e lives at
+// cornerStride*e+k. Each pair of corner arrays shares one interleaved
+// backing — FX and FY are overlapping views offset by 4, so element e's
+// record FX[0..3]|FY[0..3] is one contiguous 64-byte cache line, and
+// the same for CMass|psi — so the force writes, the acceleration gather
+// and the energy dot products touch one line where the paper's
+// parallel arrays touch two (DESIGN.md §15).
+const cornerStride = 8
+
 // State holds the evolving hydrodynamic state on a (possibly local,
 // ghost-bearing) mesh. Element arrays have length NEl, node arrays
-// NNd. The corner arrays (FX/FY, CMass/psi) are indexed cs*e+k where
-// cs is the corner stride CornerStride(): 4 in the SoA layout (each
-// array dense and separate, the paper's layout), 8 in the default AoS
-// layout, where each pair shares one interleaved backing — FX and FY
-// are overlapping views offset by 4, so element e's record
-// FX[0..3]|FY[0..3] is one contiguous 64-byte cache line, and the same
-// for CMass|psi. Indexing is layout-uniform: FX[cs*e+k], FY[cs*e+k].
+// NNd; the corner arrays (FX/FY, CMass/psi) are indexed
+// cornerStride*e+k.
 type State struct {
 	Mesh *mesh.Mesh
 	Opt  Options
@@ -60,7 +65,7 @@ type State struct {
 	// Element state.
 	Rho, Ein, P, Q, Csq, Vol []float64
 	// QEdge holds the per-edge viscous damper coefficients (edge k of
-	// element e at 4*e+k, dense in either layout) that the
+	// element e at 4*e+k, dense, not at the corner stride) that the
 	// Options.EdgeQForces ablation's GetForce turns into
 	// equal-and-opposite forces along each compressing edge. Nobody
 	// else reads it, so it exists only under that option: the viscosity
@@ -117,31 +122,20 @@ type State struct {
 	// used to run (sideFacing) with one precomputed byte.
 	facing []int8
 
-	// fuseTile is the tile width (elements per fused-body invocation)
-	// the cache-tiled fused sweeps dispatch over: Options.FuseTile, or
-	// par.TileFor(fusedBytesPerElem) when unset.
-	fuseTile int
-
-	// psi[cs*e+k] is the viscosity limiter of edge k of owned element
-	// e as the last full evaluation left it, or noPsi where that sweep
-	// found the edge not compressive. The limiter is a function of the
-	// frozen start-of-step velocities alone, so a step's corrector sweep
-	// reads what its predictor sweep stored (see elemQ). Step scratch:
-	// never saved, checkpointed or migrated. In the AoS layout it is the
-	// second half of the CMass record, a cache line the sub-zonal force
-	// loads anyway.
+	// psi[cornerStride*e+k] is the viscosity limiter of edge k of owned
+	// element e as the last full evaluation left it, or noPsi where that
+	// sweep found the edge not compressive. The limiter is a function of
+	// the frozen start-of-step velocities alone, so a step's corrector
+	// sweep reads what its predictor sweep stored (see elemQ). Step
+	// scratch: never saved, checkpointed or migrated. It is the second
+	// half of the CMass record, a cache line the sub-zonal force loads
+	// anyway.
 	psi []float64
 
-	// cs is the corner stride: the distance in any corner array between
-	// element e's record and element e+1's. 4 for LayoutSoA (dense
-	// separate arrays), 8 for LayoutAoS (each array is a view of a
-	// shared interleaved backing and only uses 4 of every 8 slots).
-	cs int
 	// ndSlots mirrors Mesh.NdCorner with corner ids pre-converted to
-	// the layout's slot offsets: ndSlots[i] = (c>>2)*cs + (c&3) for
-	// c = Mesh.NdCorner[i]. The acceleration/energy node gathers index
-	// FX/FY (and band replicas) through this instead of re-deriving the
-	// slot per access. Identical to NdCorner when cs == 4.
+	// slot offsets: ndSlots[i] = (c>>2)*cornerStride + (c&3) for
+	// c = Mesh.NdCorner[i]. The acceleration node gathers index FX/FY
+	// through this instead of re-deriving the slot per access.
 	ndSlots []int32
 }
 
@@ -194,31 +188,20 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 
 		DtPrev: opt.DtInitial,
 	}
-	// Corner arrays, per layout. SoA: four dense stride-4 slices. AoS:
-	// FX/FY are overlapping views (offset 4) of one interleaved stride-8
-	// backing, so FX[8e..8e+3]|FY[8e..8e+3] is one contiguous record;
-	// CMass/psi pair up the same way. The views alias, which is the
-	// point — and is harmless, since no kernel writes one member of a
-	// pair through the other's slots.
-	switch opt.Layout {
-	case LayoutSoA:
-		s.cs = 4
-		s.FX = make([]float64, 4*nel)
-		s.FY = make([]float64, 4*nel)
-		s.CMass = make([]float64, 4*nel)
-		s.psi = make([]float64, 4*m.NOwnEl)
-	default: // LayoutAoS
-		s.cs = 8
-		fxy := make([]float64, 8*nel)
-		aux := make([]float64, 8*nel)
-		s.FX, s.FY = fxy, fxy
-		s.CMass, s.psi = aux, aux
-		if nel > 0 {
-			s.FY = fxy[4:]
-			s.psi = aux[4:]
-		}
+	// Corner arrays: FX/FY are overlapping views (offset 4) of one
+	// interleaved backing, so FX[8e..8e+3]|FY[8e..8e+3] is one
+	// contiguous record; CMass/psi pair up the same way. The views
+	// alias, which is the point — and is harmless, since no kernel
+	// writes one member of a pair through the other's slots.
+	const cs = cornerStride
+	fxy := make([]float64, cs*nel)
+	aux := make([]float64, cs*nel)
+	s.FX, s.FY = fxy, fxy
+	s.CMass, s.psi = aux, aux
+	if nel > 0 {
+		s.FY = fxy[4:]
+		s.psi = aux[4:]
 	}
-	cs := s.cs
 
 	// Volumes, masses, sub-zonal corner masses.
 	var x, y [4]float64
@@ -243,7 +226,7 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 			s.NdMass[m.ElNd[e][k]] += s.CMass[cs*e+k]
 		}
 	}
-	// Layout-converted NdCorner: canonical corner id c = 4*e+k becomes
+	// Slot-converted NdCorner: canonical corner id c = 4*e+k becomes
 	// slot cs*e+k.
 	s.ndSlots = make([]int32, len(m.NdCorner))
 	for i, c := range m.NdCorner {
@@ -269,37 +252,26 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 			}
 		}
 	}
-	s.fuseTile = opt.FuseTile
-	if s.fuseTile == 0 {
-		s.fuseTile = par.TileFor(fusedBytesPerElem)
-	}
 	s.bindKernels()
 	s.GetPC(0, nel)
 	return s, nil
 }
 
 // CornerStride returns the distance in the corner arrays (FX, FY,
-// CMass) between consecutive elements' records: 4 in the SoA
-// layout, 8 in the AoS layout. Corner k of element e lives at
-// CornerStride()*e+k in every corner array regardless of layout.
-func (s *State) CornerStride() int { return s.cs }
+// CMass) between consecutive elements' records: corner k of element e
+// lives at CornerStride()*e+k.
+func (s *State) CornerStride() int { return cornerStride }
 
 // NdSlots returns Mesh.NdCorner with each flat corner id converted to
-// the current layout's slot offset (identical to NdCorner at stride 4).
-// Callers gathering corner forces per node should index FX/FY through
-// this.
+// its slot offset in the corner arrays. Callers gathering corner
+// masses or forces per node should index through this.
 func (s *State) NdSlots() []int32 { return s.ndSlots }
 
-// ForceHalo returns the corner-force arrays a ghost-element halo
-// exchange must transfer, with the per-element record width. SoA: the
-// FX and FY slices at 4 words each. AoS: the single interleaved
-// backing (the FX view spans it in full) at 8 words — one record
-// carries both components, so total traffic is identical.
+// ForceHalo returns the corner-force array a ghost-element halo
+// exchange must transfer — the interleaved FX|FY backing, which the FX
+// view spans in full — with its per-element record width.
 func (s *State) ForceHalo() (fields [][]float64, width int) {
-	if s.cs == 8 {
-		return [][]float64{s.FX}, 8
-	}
-	return [][]float64{s.FX, s.FY}, 4
+	return [][]float64{s.FX}, cornerStride
 }
 
 // gather8 loads a pair of nodal arrays — coordinates or velocities — at

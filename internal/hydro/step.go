@@ -22,30 +22,6 @@ type Hooks struct {
 	// ExchangeVelocities refreshes ghost-node U, V, UBar, VBar after
 	// the acceleration update.
 	ExchangeVelocities func(s *State)
-
-	// Phased variants for the overlapped schedule: StartForces posts
-	// the ghost corner-force sends and FinishForces drains the matching
-	// receives; the velocity pair does the same for ghost nodal
-	// kinematics. When all four are set (plus Band), Step overlaps each
-	// exchange with the interior portion of the dependent kernels
-	// instead of calling the blocking pair above. A Start must always
-	// be balanced by its Finish in the same step.
-	StartForces      func(s *State)
-	FinishForces     func(s *State)
-	StartVelocities  func(s *State)
-	FinishVelocities func(s *State)
-	// Band is the interior/boundary split the overlapped schedule
-	// dispatches over, computed once per partition by
-	// mesh.BoundaryBand.
-	Band *mesh.Band
-}
-
-// overlapped reports whether the phased-exchange schedule is fully
-// wired. Safe on a nil receiver.
-func (h *Hooks) overlapped() bool {
-	return h != nil && h.Band != nil &&
-		h.StartForces != nil && h.FinishForces != nil &&
-		h.StartVelocities != nil && h.FinishVelocities != nil
 }
 
 // Kernel timer names, matching the paper's Table II breakdown.
@@ -68,8 +44,6 @@ const (
 // heap allocations (see kernelBodies), a property the AllocsPerRun
 // regression tests pin down.
 func (s *State) Step(tm *timers.Set, hooks *Hooks) (float64, error) {
-	nel := s.Mesh.NOwnEl
-
 	// Timestep: the paper's Algorithm 1 skips GETDT on the first step.
 	var dt float64
 	var controller int
@@ -98,89 +72,16 @@ func (s *State) Step(tm *timers.Set, hooks *Hooks) (float64, error) {
 	copy(s.Ein0, s.Ein)
 
 	// --- Predictor: evolve to the half step with start-of-step
-	// velocities (no acceleration, per Algorithm 1). The fused path
-	// (Options.Fuse, default) runs the same per-element arithmetic as
-	// two cache-tiled sweeps — q+force, then vol→rho→ein→pc — instead
-	// of six kernels (see fused.go); fields are bitwise-identical.
-	var err error
-	if s.Opt.Fuse {
-		tm.Start(TimerQForce)
-		s.GetQForce(0, nel, s.U0, s.V0)
-		tm.Stop(TimerQForce)
-
-		tm.Start(TimerLagUpdate)
-		_, err = s.FusedUpdate(0.5*dt, s.U0, s.V0, 0, nel) // half-step floor is transient
-		tm.Stop(TimerLagUpdate)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		tm.Start(TimerGetQ)
-		s.GetQ(0, nel)
-		tm.Stop(TimerGetQ)
-
-		tm.Start(TimerGetForce)
-		s.GetForce(0, nel, s.U0, s.V0)
-		tm.Stop(TimerGetForce)
-
-		tm.Start(TimerGetGeom)
-		err = s.GetGeom(0.5*dt, s.U0, s.V0, 0, nel)
-		tm.Stop(TimerGetGeom)
-		if err != nil {
-			return 0, err
-		}
-
-		tm.Start(TimerGetRho)
-		s.GetRho(0, nel)
-		tm.Stop(TimerGetRho)
-
-		tm.Start(TimerGetEin)
-		s.GetEin(0.5*dt, s.U0, s.V0, 0, nel) // half-step floor is transient
-		tm.Stop(TimerGetEin)
-
-		tm.Start(TimerGetPC)
-		s.GetPC(0, nel)
-		tm.Stop(TimerGetPC)
-	}
-
-	// --- Corrector: forces from the half-step state, acceleration,
-	// time-centred geometry and energy. The overlapped schedule hides
-	// each halo exchange behind the interior portion of the dependent
-	// kernels; all four schedules (sync/overlap x fused/unfused)
-	// produce bitwise-identical fields (see DESIGN.md §10, §13).
-	switch {
-	case s.Opt.Fuse && hooks.overlapped():
-		err = s.correctorOverlapFused(tm, hooks, dt)
-	case s.Opt.Fuse:
-		err = s.correctorSyncFused(tm, hooks, dt)
-	case hooks.overlapped():
-		err = s.correctorOverlap(tm, hooks, dt)
-	default:
-		err = s.correctorSync(tm, hooks, dt)
-	}
-	if err != nil {
+	// velocities (no acceleration, per Algorithm 1).
+	s.forcePhase(tm, false)
+	if _, err := s.updatePhase(tm, 0.5*dt, s.U0, s.V0); err != nil { // half-step floor is transient
 		return 0, err
 	}
 
-	s.Time += dt
-	s.DtPrev = dt
-	s.StepCount++
-	return dt, nil
-}
-
-// correctorSync is the reference corrector: blocking halo exchanges at
-// the paper's two communication points.
-func (s *State) correctorSync(tm *timers.Set, hooks *Hooks, dt float64) error {
-	nel := s.Mesh.NOwnEl
-
-	tm.Start(TimerGetQ)
-	s.GetQ(0, nel)
-	tm.Stop(TimerGetQ)
-
-	tm.Start(TimerGetForce)
-	s.GetForce(0, nel, s.U0, s.V0)
-	tm.Stop(TimerGetForce)
-
+	// --- Corrector: forces from the half-step state, acceleration,
+	// time-centred geometry and energy, with blocking halo exchanges at
+	// the paper's two communication points (DESIGN.md §10).
+	s.forcePhase(tm, true)
 	if hooks != nil && hooks.ExchangeForces != nil {
 		tm.Start(TimerComms)
 		hooks.ExchangeForces(s)
@@ -190,6 +91,7 @@ func (s *State) correctorSync(tm *timers.Set, hooks *Hooks, dt float64) error {
 	tm.Start(TimerGetAcc)
 	s.GetAcc(dt)
 	tm.Stop(TimerGetAcc)
+	// pistonWork reads ghost corner forces, so it follows the exchange.
 	s.ExternalWork += -dt * s.pistonWork()
 
 	if hooks != nil && hooks.ExchangeVelocities != nil {
@@ -198,43 +100,32 @@ func (s *State) correctorSync(tm *timers.Set, hooks *Hooks, dt float64) error {
 		tm.Stop(TimerComms)
 	}
 
-	tm.Start(TimerGetGeom)
-	err := s.GetGeom(dt, s.UBar, s.VBar, 0, nel)
-	tm.Stop(TimerGetGeom)
+	fl, err := s.updatePhase(tm, dt, s.UBar, s.VBar)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	s.FloorEnergy += fl
 
-	tm.Start(TimerGetRho)
-	s.GetRho(0, nel)
-	tm.Stop(TimerGetRho)
-
-	tm.Start(TimerGetEin)
-	s.FloorEnergy += s.GetEin(dt, s.UBar, s.VBar, 0, nel)
-	tm.Stop(TimerGetEin)
-
-	tm.Start(TimerGetPC)
-	s.GetPC(0, nel)
-	tm.Stop(TimerGetPC)
-	return nil
+	s.Time += dt
+	s.DtPrev = dt
+	s.StepCount++
+	return dt, nil
 }
 
-// correctorOverlap runs the corrector with phased halo exchanges
-// hidden behind interior work. Correctness rests on two disjointness
-// facts: interior nodes (Band.IntNds) read no ghost corner force, and
-// interior elements (Band.IntEls) read no ghost node — so the interior
-// kernels touch nothing an in-flight exchange will write. Within each
-// kernel the per-entity updates are pure, so splitting the owned range
-// into two band passes reproduces the synchronous values bit for bit.
-// The tangle scan runs over the full owned range, ascending, after
-// both volume passes, so the reported element matches the synchronous
-// schedule; the floor-energy total is only committed once the scan
-// passes, matching the synchronous failure semantics.
-func (s *State) correctorOverlap(tm *timers.Set, hooks *Hooks, dt float64) error {
-	m := s.Mesh
-	nel := m.NOwnEl
-	b := hooks.Band
-
+// forcePhase computes viscosity and corner forces of the owned
+// elements from the start-of-step velocities: one fused sweep
+// (Options.Fuse, the default; see fused.go) or the paper's getq and
+// getforce kernels. Fields are bitwise-identical either way. corrector
+// lets the fused sweep reuse the limiter its predictor sweep stored
+// (see elemQ); the unfused kernels evaluate it in both.
+func (s *State) forcePhase(tm *timers.Set, corrector bool) {
+	nel := s.Mesh.NOwnEl
+	if s.Opt.Fuse {
+		tm.Start(TimerQForce)
+		s.getQForce(0, nel, s.U0, s.V0, corrector)
+		tm.Stop(TimerQForce)
+		return
+	}
 	tm.Start(TimerGetQ)
 	s.GetQ(0, nel)
 	tm.Stop(TimerGetQ)
@@ -242,76 +133,41 @@ func (s *State) correctorOverlap(tm *timers.Set, hooks *Hooks, dt float64) error
 	tm.Start(TimerGetForce)
 	s.GetForce(0, nel, s.U0, s.V0)
 	tm.Stop(TimerGetForce)
+}
 
-	// Ghost corner forces travel while interior nodes accelerate.
-	tm.Start(TimerComms)
-	hooks.StartForces(s)
-	tm.Stop(TimerComms)
-
-	tm.Start(TimerGetAcc)
-	s.GetAccList(b.IntNds, dt)
-	tm.Stop(TimerGetAcc)
-
-	tm.Start(TimerComms)
-	hooks.FinishForces(s)
-	tm.Stop(TimerComms)
-
-	tm.Start(TimerGetAcc)
-	s.GetAccList(b.BndNds, dt)
-	tm.Stop(TimerGetAcc)
-	// pistonWork reads ghost corner forces, so it must follow
-	// FinishForces (it does in the synchronous schedule too).
-	s.ExternalWork += -dt * s.pistonWork()
-
-	// Ghost velocities travel while owned nodes move and interior
-	// elements update geometry, density, energy and EOS.
-	tm.Start(TimerComms)
-	hooks.StartVelocities(s)
-	tm.Stop(TimerComms)
-
+// updatePhase moves the nodes by dt at velocities (uArr, vArr) and
+// brings the owned elements' volume, density, energy and EOS up to
+// date: one fused sweep or the getgeom, getrho, getein and getpc
+// kernels. It returns the energy the floor added (see GetEin), and
+// commits nothing past a tangle: the unfused chain stops at getgeom,
+// the fused sweep returns before its floor total.
+func (s *State) updatePhase(tm *timers.Set, dt float64, uArr, vArr []float64) (float64, error) {
+	nel := s.Mesh.NOwnEl
+	if s.Opt.Fuse {
+		tm.Start(TimerLagUpdate)
+		fl, err := s.FusedUpdate(dt, uArr, vArr, 0, nel)
+		tm.Stop(TimerLagUpdate)
+		return fl, err
+	}
 	tm.Start(TimerGetGeom)
-	s.MoveNodes(dt, s.UBar, s.VBar, 0, m.NOwnNd)
-	s.VolList(b.IntEls)
-	tm.Stop(TimerGetGeom)
-
-	tm.Start(TimerGetRho)
-	s.RhoList(b.IntEls)
-	tm.Stop(TimerGetRho)
-
-	tm.Start(TimerGetEin)
-	fl := s.EinList(dt, s.UBar, s.VBar, b.IntEls)
-	tm.Stop(TimerGetEin)
-
-	tm.Start(TimerGetPC)
-	s.PCList(b.IntEls)
-	tm.Stop(TimerGetPC)
-
-	tm.Start(TimerComms)
-	hooks.FinishVelocities(s)
-	tm.Stop(TimerComms)
-
-	tm.Start(TimerGetGeom)
-	s.MoveNodes(dt, s.UBar, s.VBar, m.NOwnNd, m.NNd)
-	s.VolList(b.BndEls)
-	err := s.scanTangled(0, nel)
+	err := s.GetGeom(dt, uArr, vArr, 0, nel)
 	tm.Stop(TimerGetGeom)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	tm.Start(TimerGetRho)
-	s.RhoList(b.BndEls)
+	s.GetRho(0, nel)
 	tm.Stop(TimerGetRho)
 
 	tm.Start(TimerGetEin)
-	fl += s.EinList(dt, s.UBar, s.VBar, b.BndEls)
+	fl := s.GetEin(dt, uArr, vArr, 0, nel)
 	tm.Stop(TimerGetEin)
-	s.FloorEnergy += fl
 
 	tm.Start(TimerGetPC)
-	s.PCList(b.BndEls)
+	s.GetPC(0, nel)
 	tm.Stop(TimerGetPC)
-	return nil
+	return fl, nil
 }
 
 // pistonWork returns the rate of work the gas does on prescribed-

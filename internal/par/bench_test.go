@@ -8,8 +8,8 @@ import (
 // The dispatch benchmarks quantify what a parallel region itself costs —
 // the wake sends plus the completion barrier — so the chunking threshold
 // (minChunkIters) can be judged against measured numbers rather than
-// folklore. Sizes bracket the code's real loops: 64 is a boundary-band
-// sweep, 512 a small test mesh, 3600 one thread's share of the 120×120
+// folklore. Sizes bracket the code's real loops: 64 is a tiny sweep,
+// 512 a small test mesh, 3600 one thread's share of the 120×120
 // step-benchmark mesh, 14400 that mesh's full element count.
 
 var benchSizes = []int{64, 512, 3600, 14400}
@@ -27,61 +27,6 @@ func BenchmarkDispatchEmpty(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					p.For(n, body)
-				}
-			})
-		}
-		p.Close()
-	}
-}
-
-// BenchmarkTiledSweep is the tile-width counterpart of the dispatch
-// benchmarks: a two-phase body (stage 16 float64 per iteration into a
-// scratch slab, then reduce the staged values) run over ForChunksTiled
-// at widths bracketing TileFor's L2-half budget. Small tiles pay loop
-// and dispatch overhead per tile; tiles past the L2 budget evict the
-// staged slab between the phases. The default width (TileFor(128) for
-// this body) should sit in the flat bottom between the two penalties —
-// this is the same measure-then-freeze methodology that fixed
-// minChunkIters.
-func BenchmarkTiledSweep(b *testing.B) {
-	const n = 1 << 18 // 256k iterations x 128 B staged = far past any L2
-	src := make([]float64, 16*n)
-	for i := range src {
-		src[i] = float64(i % 97)
-	}
-	sink := make([]float64, n)
-	for _, threads := range []int{1, 4} {
-		p := New(threads)
-		slabs := make([][]float64, threads)
-		widths := []int{128, TileFor(128), 8192, 65536, 0}
-		for _, tile := range widths {
-			stageWidth := tile
-			if stageWidth <= 0 {
-				stageWidth = n
-			}
-			for c := range slabs {
-				if len(slabs[c]) < 16*stageWidth {
-					slabs[c] = make([]float64, 16*stageWidth)
-				}
-			}
-			body := func(c, lo, hi int) {
-				slab := slabs[c]
-				for i := lo; i < hi; i++ {
-					copy(slab[16*(i-lo):16*(i-lo)+16], src[16*i:16*i+16])
-				}
-				for i := lo; i < hi; i++ {
-					var s float64
-					for k := 0; k < 16; k++ {
-						s += slab[16*(i-lo)+k]
-					}
-					sink[i] = s
-				}
-			}
-			p.ForChunksTiled(n, tile, body)
-			b.Run(fmt.Sprintf("threads-%d/tile-%d", threads, tile), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p.ForChunksTiled(n, tile, body)
 				}
 			})
 		}

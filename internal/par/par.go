@@ -103,13 +103,6 @@ type Pool struct {
 	redF2     func(i int) (float64, float64)
 	min2Slots []min2Slot
 	min2Body  func(chunk, lo, hi int)
-
-	// Cache-tiling state (ForChunksTiled): tile is the armed tile
-	// width, bodyT the per-tile body, and tileBody the pre-bound chunk
-	// body that walks a chunk tile by tile.
-	tile     int
-	bodyT    func(chunk, lo, hi int)
-	tileBody func(chunk, lo, hi int)
 }
 
 // Serial is the single-threaded pool used by flat-MPI ranks.
@@ -131,8 +124,7 @@ func New(n int) *Pool {
 // less work than its own dispatch, which is why tiny meshes used to run
 // *slower* at higher thread counts. The value keeps the 120×120 bench
 // mesh (14400 elements → 3600 per chunk at 4 threads) fully parallel
-// while collapsing boundary-band sweeps of a few dozen elements to
-// inline execution.
+// while collapsing sweeps of a few dozen elements to inline execution.
 const minChunkIters = 128
 
 // chunks returns the number of chunks to split an n-iteration loop
@@ -196,16 +188,6 @@ func (p *Pool) ensureStarted() {
 			v1, a1, v2, a2 := reduceMin2Range(lo, hi, p.redF2)
 			sl := &p.min2Slots[c]
 			sl.v1, sl.a1, sl.v2, sl.a2 = v1, a1, v2, a2
-		}
-		p.tileBody = func(c, lo, hi int) {
-			w, b := p.tile, p.bodyT
-			for tlo := lo; tlo < hi; tlo += w {
-				thi := tlo + w
-				if thi > hi {
-					thi = hi
-				}
-				b(c, tlo, thi)
-			}
 		}
 		for w := 0; w < t-1; w++ {
 			p.wake[w] = make(chan struct{}, 1)
@@ -427,65 +409,4 @@ func reduceMin2Range(lo, hi int, f func(i int) (float64, float64)) (float64, int
 		}
 	}
 	return v1, a1, v2, a2
-}
-
-// L2PerCore is the assumed per-core L2 capacity in bytes that TileFor
-// sizes tiles against. 512 KiB is the conservative bottom of the range
-// spanned by the hardware this code targets (Broadwell 256 KiB + large
-// shared L3 up to Skylake-SP/Zen at 1 MiB-plus); undershooting costs a
-// little loop overhead, overshooting evicts the tile between passes.
-const L2PerCore = 512 << 10
-
-// TileFor returns the default tile width, in iterations, for a fused
-// body whose per-iteration working set is bytesPerIter: half the
-// per-core L2 (the other half is left to the streamed input arrays and
-// prefetch), rounded down to a multiple of minChunkIters and floored at
-// minChunkIters. Derived the same way minChunkIters was — a budget
-// justified by micro-benchmark (BenchmarkTiledSweep), then frozen as a
-// pure function so schedules stay reproducible.
-func TileFor(bytesPerIter int) int {
-	if bytesPerIter <= 0 {
-		return minChunkIters
-	}
-	w := (L2PerCore / 2) / bytesPerIter
-	w -= w % minChunkIters
-	if w < minChunkIters {
-		w = minChunkIters
-	}
-	return w
-}
-
-// ForChunksTiled is ForChunks with each chunk walked in tile-width
-// sub-ranges: body(chunk, tlo, thi) runs once per tile, tiles within a
-// chunk executing sequentially in ascending order on the chunk's
-// thread. Used by fused multi-array bodies so the slice of each array a
-// body invocation touches stays cache-resident across the fused
-// phases. tile <= 0 disables tiling (one invocation per chunk). The
-// chunk split is exactly ForChunks' split — tiling subdivides chunks,
-// never moves work between them — so per-chunk reductions keyed on the
-// chunk index are unaffected.
-func (p *Pool) ForChunksTiled(n, tile int, body func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if tile <= 0 {
-		tile = n
-	}
-	t := p.chunks(n)
-	if t == 1 || p.closed {
-		for tlo := 0; tlo < n; tlo += tile {
-			thi := tlo + tile
-			if thi > n {
-				thi = n
-			}
-			body(0, tlo, thi)
-		}
-		return
-	}
-	p.ensureStarted()
-	p.tile = tile
-	p.bodyT = body
-	p.bodyR, p.bodyC = nil, p.tileBody
-	p.run(n, t)
-	p.bodyC, p.bodyT = nil, nil
 }

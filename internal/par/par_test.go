@@ -224,6 +224,10 @@ func TestCloseDegradesToInline(t *testing.T) {
 			t.Fatalf("closed ForChunks chunk (%d,[%d,%d)), want (0,[0,8))", c, lo, hi)
 		}
 	})
+	v1, a1, v2, a2 := p.ReduceMin2(3, func(i int) (float64, float64) { return float64(i), float64(2 - i) })
+	if v1 != 0 || a1 != 0 || v2 != 0 || a2 != 2 {
+		t.Fatalf("closed ReduceMin2 = (%v,%d,%v,%d), want (0,0,0,2)", v1, a1, v2, a2)
+	}
 }
 
 func TestCloseUnstartedPool(t *testing.T) {
@@ -287,13 +291,14 @@ func TestChunkThresholdNarrowsSmallLoops(t *testing.T) {
 
 // TestParallelDispatchZeroAllocs pins the zero-allocation property the
 // hydro kernels rely on: with a pre-bound body, For / ForChunks /
-// ReduceMin / ReduceSum allocate nothing per call.
+// ReduceMin / ReduceSum / ReduceMin2 allocate nothing per call.
 func TestParallelDispatchZeroAllocs(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	body := func(lo, hi int) {}
 	cbody := func(c, lo, hi int) {}
 	red := func(i int) float64 { return float64(i) }
+	red2 := func(i int) (float64, float64) { return float64(i), float64(-i) }
 	p.For(512, body) // warm up: spawn workers, size slots
 	if n := testing.AllocsPerRun(50, func() { p.For(512, body) }); n != 0 {
 		t.Errorf("For allocates %v per call", n)
@@ -306,5 +311,73 @@ func TestParallelDispatchZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { p.ReduceSum(512, red) }); n != 0 {
 		t.Errorf("ReduceSum allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { p.ReduceMin2(512, red2) }); n != 0 {
+		t.Errorf("ReduceMin2 allocates %v per call", n)
+	}
+}
+
+func TestReduceMin2MatchesTwoReduceMins(t *testing.T) {
+	vals1 := []float64{5, 3, 8, 3, -1, 7, -1, 2, 9, 4, 0, 6}
+	vals2 := []float64{2, 9, 1, 4, 6, 1, 3, 8, 1, 5, 7, 0}
+	for _, threads := range []int{1, 2, 3, 8, 20} {
+		p := New(threads)
+		w1, wa1 := p.ReduceMin(len(vals1), func(i int) float64 { return vals1[i] })
+		w2, wa2 := p.ReduceMin(len(vals2), func(i int) float64 { return vals2[i] })
+		g1, ga1, g2, ga2 := p.ReduceMin2(len(vals1), func(i int) (float64, float64) {
+			return vals1[i], vals2[i]
+		})
+		p.Close()
+		if g1 != w1 || ga1 != wa1 || g2 != w2 || ga2 != wa2 {
+			t.Fatalf("threads=%d: ReduceMin2 = (%v,%d,%v,%d), want (%v,%d,%v,%d)",
+				threads, g1, ga1, g2, ga2, w1, wa1, w2, wa2)
+		}
+	}
+}
+
+func TestReduceMin2Empty(t *testing.T) {
+	v1, a1, v2, a2 := New(4).ReduceMin2(0, func(int) (float64, float64) { return 0, 0 })
+	if !math.IsInf(v1, 1) || a1 != -1 || !math.IsInf(v2, 1) || a2 != -1 {
+		t.Fatalf("empty ReduceMin2 = (%v,%d,%v,%d), want (+Inf,-1,+Inf,-1)", v1, a1, v2, a2)
+	}
+}
+
+func TestReduceMin2TieBreaksLowestIndexIndependently(t *testing.T) {
+	vals1 := []float64{4, 1, 2, 1, 1}
+	vals2 := []float64{3, 3, 0, 0, 9}
+	for _, threads := range []int{1, 2, 5} {
+		_, a1, _, a2 := New(threads).ReduceMin2(len(vals1), func(i int) (float64, float64) {
+			return vals1[i], vals2[i]
+		})
+		if a1 != 1 || a2 != 2 {
+			t.Fatalf("threads=%d: argmins = (%d,%d), want (1,2)", threads, a1, a2)
+		}
+	}
+}
+
+func TestReduceMin2PropertyAgainstSerial(t *testing.T) {
+	f := func(raw []float64, threads uint8) bool {
+		if len(raw) < 2 {
+			return true
+		}
+		half := len(raw) / 2
+		v1s, v2s := make([]float64, half), make([]float64, half)
+		for i := 0; i < half; i++ {
+			a, b := raw[i], raw[half+i]
+			if math.IsNaN(a) {
+				a = 0
+			}
+			if math.IsNaN(b) {
+				b = 0
+			}
+			v1s[i], v2s[i] = a, b
+		}
+		op := func(i int) (float64, float64) { return v1s[i], v2s[i] }
+		s1, sa1, s2, sa2 := New(1).ReduceMin2(half, op)
+		p1, pa1, p2, pa2 := New(int(threads%16)+1).ReduceMin2(half, op)
+		return s1 == p1 && sa1 == pa1 && s2 == p2 && sa2 == pa2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

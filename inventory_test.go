@@ -20,7 +20,7 @@ var inventory = map[string]struct{ class, readBy string }{
 	"Mesh.ElNd":      {"primary", "every element sweep"},
 	"Mesh.ElEl":      {"derived", "viscosity stencil, facing table, remap gradients, BuildFaces"},
 	"Mesh.Faces":     {"derived", "the remap only: nil until ale.NewRemapper"},
-	"Mesh.NdElStart": {"derived", "acceleration gather, BoundaryBand, Split, remap node gathers"},
+	"Mesh.NdElStart": {"derived", "acceleration gather, Split, remap node gathers"},
 	"Mesh.NdCorner":  {"derived", "as NdElStart; element c>>2, corner c&3"},
 	"Mesh.X":         {"primary", "generated coordinates: NewState, RCB, the Eulerian remap's target"},
 	"Mesh.Y":         {"primary", "as Mesh.X"},
@@ -42,8 +42,8 @@ var inventory = map[string]struct{ class, readBy string }{
 	"State.Vol":     {"derived", "getrho, getdt, hourglass"},
 	"State.QEdge":   {"scratch", "EdgeQForces ablation only: sized on first use"},
 	"State.Mass":    {"primary", "getrho, getein, audits"},
-	"State.CMass":   {"primary", "sub-zonal pressures, NdMass; AoS: one record with psi"},
-	"State.FX":      {"scratch", "acceleration gather, force halo; AoS: one record with FY"},
+	"State.CMass":   {"primary", "sub-zonal pressures, NdMass; one record with psi"},
+	"State.FX":      {"scratch", "acceleration gather, force halo; one record with FY"},
 	"State.FY":      {"scratch", "as State.FX"},
 	"State.fxnd":    {"scratch", "ScatterAcc ablation only: sized on first use"},
 	"State.fynd":    {"scratch", "as State.fxnd"},
@@ -56,7 +56,7 @@ var inventory = map[string]struct{ class, readBy string }{
 	"State.Ein0":    {"scratch", "start-of-step copy: corrector getein"},
 	"State.facing":  {"derived", "viscosity limiter; back-pointing side per ElEl entry, one byte"},
 	"State.psi":     {"scratch", "limiter stored by the predictor, read by the fused corrector"},
-	"State.ndSlots": {"derived", "acceleration gather; NdCorner in the layout's stride, 32-bit"},
+	"State.ndSlots": {"derived", "acceleration gather; NdCorner in the corner stride, 32-bit"},
 }
 
 // bytesPerElementMax is the ceiling TestBytesPerElement holds the

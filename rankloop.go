@@ -47,16 +47,6 @@ type phaseCtrs struct {
 	msgs, words *obs.Counter
 }
 
-// phased is one exchange of the overlapped schedule: the registered
-// pattern, the phase its traffic is attributed to, and whether (and
-// since when) it is in flight.
-type phased struct {
-	pe      *typhon.PendingExchange
-	ph      phaseCtrs
-	pending bool
-	at      time.Time
-}
-
 // rankLoop is one rank's epoch: the step loop with its communication
 // schedule, the collective rollback protocol, and — when supervision is
 // on — the healthy-point bookkeeping the recovery ladder and the
@@ -82,11 +72,9 @@ type rankLoop struct {
 	dtCause                                      [5]*obs.Counter
 	msgsTotal, wordsTotal                        *obs.Counter
 	forcesPh, velPh, remapPh                     phaseCtrs
-	// ctrWait (halo_wait_ns) is time spent blocked on halo traffic;
-	// ctrOverlap (halo_overlap_ns, phased schedule only) is the in-flight
-	// window hidden behind interior work. Together they make the hidden
-	// communication time visible in metrics.json and bleaf-trace.
-	ctrWait, ctrOverlap *obs.Counter
+	// ctrWait (halo_wait_ns) is time spent blocked on halo traffic,
+	// visible in metrics.json and bleaf-trace.
+	ctrWait *obs.Counter
 
 	// Under supervision, step-progress counters are held pending until
 	// the next healthy collective point confirms the step survived. A
@@ -110,7 +98,7 @@ type rankLoop struct {
 }
 
 // newRankLoop wires one rank for an epoch: its halos, counters and the
-// blocking exchange hooks, plus the phased ones when Config.Overlap.
+// exchange hooks.
 func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 	id := rk.ID()
 	slot := d.slots[id]
@@ -162,9 +150,6 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 			l.exchange(l.velPh, l.ndHalo, 1, st.U, st.V, st.UBar, st.VBar)
 		},
 	}
-	if d.cfg.Overlap {
-		l.wireOverlap()
-	}
 	return l
 }
 
@@ -209,83 +194,6 @@ func (l *rankLoop) exchange(ph phaseCtrs, h *typhon.Halo, stride int, fields ...
 	l.tracer.Span("halo_wait", t0, d)
 	ph.msgs.Add(l.msgsTotal.Value() - m0)
 	ph.words.Add(l.wordsTotal.Value() - w0)
-}
-
-// start posts the sends of a phased exchange. A start that fails leaves
-// nothing pending; its finish no-ops.
-func (l *rankLoop) start(p *phased, fields ...[]float64) {
-	if l.commErr != nil {
-		return
-	}
-	m0, w0 := l.msgsTotal.Value(), l.wordsTotal.Value()
-	if err := p.pe.Start(fields...); err != nil {
-		l.commErr = err
-	} else {
-		p.pending = true
-		p.at = time.Now()
-	}
-	p.ph.msgs.Add(l.msgsTotal.Value() - m0)
-	p.ph.words.Add(l.wordsTotal.Value() - w0)
-}
-
-// finish completes the receives of a phased exchange in flight.
-func (l *rankLoop) finish(p *phased) {
-	if !p.pending {
-		return
-	}
-	p.pending = false
-	t1 := time.Now()
-	l.ctrOverlap.Add(t1.Sub(p.at).Nanoseconds())
-	l.tracer.Span("halo_overlap", p.at, t1.Sub(p.at))
-	if err := p.pe.Finish(); err != nil {
-		l.commErr = err
-	}
-	d := time.Since(t1)
-	l.ctrWait.Add(d.Nanoseconds())
-	l.tracer.Span("halo_wait", t1, d)
-}
-
-// wireOverlap adds the phased schedule: the same two Lagrangian
-// exchanges, split into start/finish around the interior kernels. A
-// start counts toward hooksDone (all sends are posted there), and every
-// start is balanced by its finish within the same Step call, so the
-// compensation protocol in advance is unchanged.
-func (l *rankLoop) wireOverlap() {
-	rk, hooks := l.rk, l.hooks
-	l.ctrOverlap = l.slot.reg.Counter("halo_overlap_ns")
-	ff, fw := l.s.ForceHalo()
-	forces := &phased{pe: rk.NewExchange(l.elHalo, fw, len(ff)), ph: l.forcesPh}
-	vel := &phased{pe: rk.NewExchange(l.ndHalo, 1, 4), ph: l.velPh}
-	hooks.Band = l.slot.sub.M.BoundaryBand()
-	hooks.StartForces = func(st *hydro.State) {
-		l.hooksDone++
-		ff, _ := st.ForceHalo()
-		l.start(forces, ff...)
-	}
-	hooks.FinishForces = func(*hydro.State) { l.finish(forces) }
-	hooks.StartVelocities = func(st *hydro.State) {
-		l.hooksDone++
-		l.start(vel, st.U, st.V, st.UBar, st.VBar)
-	}
-	hooks.FinishVelocities = func(*hydro.State) { l.finish(vel) }
-	if l.remap == nil {
-		return
-	}
-	// The remap's three exchanges get the same phased treatment. Apply
-	// keeps at most one in flight at a time and balances every start
-	// with its finish on all paths, so the compensation protocol (a
-	// failing rank answering with blocking exchanges) still pairs up.
-	cells := &phased{pe: rk.NewExchange(l.elHalo, 1, 6), ph: l.remapPh}
-	nodes := &phased{pe: rk.NewExchange(l.ndHalo, 1, 2), ph: l.remapPh}
-	vels := &phased{pe: rk.NewExchange(l.ndHalo, 1, 2), ph: l.remapPh}
-	ah := l.aleHooks
-	ah.Band = hooks.Band
-	ah.StartCellFields = func(fields ...[]float64) { l.start(cells, fields...) }
-	ah.FinishCellFields = func() { l.finish(cells) }
-	ah.StartNodeFields = func(x, y []float64) { l.start(nodes, x, y) }
-	ah.FinishNodeFields = func() { l.finish(nodes) }
-	ah.StartVelocities = func(u, v []float64) { l.start(vels, u, v) }
-	ah.FinishVelocities = func() { l.finish(vels) }
 }
 
 // run is the loop. Every iteration opens with the status reduction, so

@@ -35,28 +35,25 @@ import (
 // that carries the remapped ones makes its replay exact.
 func TestSuperviseReplacementSweep(t *testing.T) {
 	type row struct {
-		ranks   int
-		overlap bool
-		ale     string
-		msg     int64 // the victim's send that panics
+		ranks int
+		ale   string
+		msg   int64 // the victim's send that panics
 	}
 	var rows []row
 	for _, ranks := range []int{1, 2, 4, 7} {
-		for _, overlap := range []bool{false, true} {
-			rows = append(rows, row{ranks, overlap, "", 7})
-		}
+		rows = append(rows, row{ranks, "", 7})
 	}
-	rows = append(rows, row{2, false, "eulerian", 60})
+	rows = append(rows, row{2, "eulerian", 60})
 	for _, r := range rows {
-		ranks, overlap := r.ranks, r.overlap
-		name := fmt.Sprintf("ranks=%d/overlap=%v", ranks, overlap)
+		ranks := r.ranks
+		name := fmt.Sprintf("ranks=%d", ranks)
 		if r.ale != "" {
 			name += "/ale=" + r.ale
 		}
 		t.Run(name, func(t *testing.T) {
 			base := Config{
 				Problem: "sod", NX: 64, NY: 4, MaxSteps: 20,
-				Ranks: ranks, Overlap: overlap, ALE: r.ale,
+				Ranks: ranks, ALE: r.ale,
 			}
 			ref, err := runBoundedResult(t, base)
 			if err != nil {
