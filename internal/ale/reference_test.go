@@ -775,8 +775,8 @@ func localState(t testing.TB, g *hydro.State, lm *mesh.Mesh) *hydro.State {
 
 // TestRemapMatchesReference holds the remap to the pre-rewrite bodies
 // bit for bit, in every scratch array and every state array, across
-// mode x order x threads, on the whole mesh and on a two-rank split
-// driven through the exchange hooks.
+// mode x order x threads, on the whole mesh and on two- and four-rank
+// splits driven through the exchange hooks.
 func TestRemapMatchesReference(t *testing.T) {
 	withPool := func(s *hydro.State, threads int) func() {
 		if threads == 1 {
@@ -814,7 +814,7 @@ func TestRemapMatchesReference(t *testing.T) {
 					t.Fatalf("%s: mesh misses a flux or boundary case: %+v", tag, c)
 				}
 
-				for _, threads := range []int{1, 2, 4} {
+				for _, threads := range []int{1, 2, 4, 7} {
 					t.Run(fmt.Sprintf("%s/threads=%d", tag, threads), func(t *testing.T) {
 						s := refState(t, nx, ny)
 						defer withPool(s, threads)()
@@ -829,40 +829,48 @@ func TestRemapMatchesReference(t *testing.T) {
 					continue
 				}
 
-				part, err := partition.RCBMesh(g0.Mesh, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs, err := partition.Split(g0.Mesh, part, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sub := range subs {
-					fill := func() *ownerFill {
-						return &ownerFill{lm: sub.M,
-							cell: [6][]float64{ref.cRho, ref.cEin, ref.gradRX, ref.gradRY, ref.gradEX, ref.gradEY},
-							xT:   ref.xT, yT: ref.yT, u: gRef.U, v: gRef.V}
+				// Two ranks meet along one cut; four put a rank beside
+				// two neighbours and a corner ghost.
+				for _, nranks := range []int{2, 4} {
+					part, err := partition.RCBMesh(g0.Mesh, nranks)
+					if err != nil {
+						t.Fatal(err)
 					}
-					sRef := localState(t, g0, sub.M)
-					lref := newRefRemap(opt, sRef)
-					oRef := fill()
-					if err := lref.apply(sRef, oRef.hooks()); err != nil {
-						t.Fatalf("%s rank %d: reference: %v", tag, sub.Rank, err)
+					subs, err := partition.Split(g0.Mesh, part, nranks)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, threads := range []int{1, 2, 4} {
-						t.Run(fmt.Sprintf("%s/rank=%d/threads=%d", tag, sub.Rank, threads), func(t *testing.T) {
-							s := localState(t, g0, sub.M)
-							defer withPool(s, threads)()
-							o := fill()
-							r := NewRemapper(opt, s)
-							if err := r.Apply(s, nil, o.hooks()); err != nil {
-								t.Fatal(err)
-							}
-							sameRemap(t, r, s, lref, sRef)
-							if fmt.Sprint(o.calls) != fmt.Sprint(oRef.calls) {
-								t.Fatalf("exchange order %v, reference %v", o.calls, oRef.calls)
-							}
-						})
+					split := ""
+					if nranks != 2 { // the two-rank rows keep their names
+						split = fmt.Sprintf("/ranks=%d", nranks)
+					}
+					for _, sub := range subs {
+						fill := func() *ownerFill {
+							return &ownerFill{lm: sub.M,
+								cell: [6][]float64{ref.cRho, ref.cEin, ref.gradRX, ref.gradRY, ref.gradEX, ref.gradEY},
+								xT:   ref.xT, yT: ref.yT, u: gRef.U, v: gRef.V}
+						}
+						sRef := localState(t, g0, sub.M)
+						lref := newRefRemap(opt, sRef)
+						oRef := fill()
+						if err := lref.apply(sRef, oRef.hooks()); err != nil {
+							t.Fatalf("%s rank %d: reference: %v", tag, sub.Rank, err)
+						}
+						for _, threads := range []int{1, 2, 4, 7} {
+							t.Run(fmt.Sprintf("%s%s/rank=%d/threads=%d", tag, split, sub.Rank, threads), func(t *testing.T) {
+								s := localState(t, g0, sub.M)
+								defer withPool(s, threads)()
+								o := fill()
+								r := NewRemapper(opt, s)
+								if err := r.Apply(s, nil, o.hooks()); err != nil {
+									t.Fatal(err)
+								}
+								sameRemap(t, r, s, lref, sRef)
+								if fmt.Sprint(o.calls) != fmt.Sprint(oRef.calls) {
+									t.Fatalf("exchange order %v, reference %v", o.calls, oRef.calls)
+								}
+							})
+						}
 					}
 				}
 			}

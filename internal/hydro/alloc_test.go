@@ -19,8 +19,10 @@ func TestStepZeroAllocs(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			// The EdgeQForces row pins the lazily sized QEdge and the
 			// ScatterAcc row the lazily sized nodal accumulators: the
-			// warm-up step allocates them, no later step does.
-			for _, ablation := range []string{"", "edgeq", "scatteracc"} {
+			// warm-up step allocates them, no later step does. The
+			// filter and nohg rows run the force body's other two
+			// hourglass branches (the default is sub-zonal).
+			for _, ablation := range []string{"", "edgeq", "scatteracc", "filter", "nohg"} {
 				name := "unfused"
 				if fuse {
 					name = "fused"
@@ -44,6 +46,12 @@ func testStepZeroAllocs(t *testing.T, fuse bool, threads int, ablation string) {
 		opt.Fuse = fuse
 		opt.EdgeQForces = ablation == "edgeq"
 		opt.ScatterAcc = ablation == "scatteracc"
+		switch ablation {
+		case "filter":
+			opt.Hourglass = HGFilter
+		case "nohg":
+			opt.Hourglass = HGNone
+		}
 		rho := make([]float64, m.NEl)
 		ein := make([]float64, m.NEl)
 		for e := range rho {

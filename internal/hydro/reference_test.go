@@ -396,74 +396,80 @@ func compareFields(t *testing.T, what string, got, want *State, names ...string)
 
 // TestKernelsMatchReference holds the rewritten q+force sweep (fused
 // and as the getq/getforce pair), the fused update and the timestep
-// operand to the reference bodies, bitwise, on every output.
+// operand to the reference bodies, bitwise, on every output. The odd
+// box and the 7-thread pool put chunk boundaries where no even split
+// does, so the per-chunk floor partials meet uneven chunks.
 func TestKernelsMatchReference(t *testing.T) {
-	const n = 12
 	for _, hg := range []HourglassControl{HGNone, HGFilter, HGSubzonal} {
 		for _, edgeQ := range []bool{false, true} {
-			for _, threads := range []int{1, 2, 4} {
-				name := fmt.Sprintf("%v/edgeq=%v/threads=%d", hg, edgeQ, threads)
-				t.Run(name, func(t *testing.T) {
-					s := refState(t, n, hg, edgeQ, 42)
-					s.Pool = par.New(threads)
-					defer s.Pool.Close()
-					nel := s.Mesh.NOwnEl
-
-					// q + force, on the crushed geometry and stale Vol.
-					want := refClone(s)
-					refQForceBody(want, 0, nel, s.U0, s.V0)
-					outs := []string{"Q", "FX", "FY"}
-					if edgeQ {
-						outs = append(outs, "QEdge")
+			for _, n := range []int{12, 13} {
+				for _, threads := range []int{1, 2, 4, 7} {
+					name := fmt.Sprintf("%v/edgeq=%v/threads=%d", hg, edgeQ, threads)
+					if n != 12 { // the 12×12 rows keep their names
+						name = fmt.Sprintf("%v/edgeq=%v/%dx%d/threads=%d", hg, edgeQ, n, n, threads)
 					}
-					s.GetQForce(0, nel, s.U0, s.V0)
-					compareFields(t, "GetQForce", s, want, outs...)
-					clear(s.Q)
-					clear(s.FX)
-					clear(s.FY)
-					s.GetQ(0, nel) // reads U, V — equal to U0, V0 here
-					s.GetForce(0, nel, s.U0, s.V0)
-					compareFields(t, "GetQ+GetForce", s, want, outs...)
+					t.Run(name, func(t *testing.T) {
+						s := refState(t, n, hg, edgeQ, 42)
+						s.Pool = par.New(threads)
+						defer s.Pool.Close()
+						nel := s.Mesh.NOwnEl
 
-					// Timestep operand, element by element and reduced.
-					ref := refCflDiv(s)
-					for e := 0; e < nel; e++ {
-						gc, gd := s.kb.cflDiv(e)
-						wc, wd := ref(e)
-						if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gd) != math.Float64bits(wd) {
-							t.Fatalf("cflDiv(%d) = (%v, %v), reference (%v, %v)", e, gc, gd, wc, wd)
+						// q + force, on the crushed geometry and stale Vol.
+						want := refClone(s)
+						refQForceBody(want, 0, nel, s.U0, s.V0)
+						outs := []string{"Q", "FX", "FY"}
+						if edgeQ {
+							outs = append(outs, "QEdge")
 						}
-					}
-					gc, gci, gd, gdi := s.Pool.ReduceMin2(nel, s.kb.cflDiv)
-					wc, wci, wd, wdi := s.Pool.ReduceMin2(nel, ref)
-					if gc != wc || gci != wci || gd != wd || gdi != wdi {
-						t.Errorf("ReduceMin2 = (%v,%d,%v,%d), reference (%v,%d,%v,%d)", gc, gci, gd, gdi, wc, wci, wd, wdi)
-					}
+						s.GetQForce(0, nel, s.U0, s.V0)
+						compareFields(t, "GetQForce", s, want, outs...)
+						clear(s.Q)
+						clear(s.FX)
+						clear(s.FY)
+						s.GetQ(0, nel) // reads U, V — equal to U0, V0 here
+						s.GetForce(0, nel, s.U0, s.V0)
+						compareFields(t, "GetQ+GetForce", s, want, outs...)
 
-					// Fused update, floor total included. The node move is
-					// the sweep's own; the reference runs after it, on the
-					// coordinates both then share.
-					const dt = 1e-3
-					gotFloor, err := s.FusedUpdate(dt, s.U0, s.V0, 0, nel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var x, y [4]float64
-					var wantFloor float64
-					for e := 0; e < nel; e++ {
-						refFusedElem(want, e, dt, s.U0, s.V0, &x, &y, s.Opt.Materials, s.Mesh.Region, &wantFloor)
-					}
-					if wantFloor == 0 {
-						t.Fatal("the energy floor never fired: the case is not covered")
-					}
-					compareFields(t, "FusedUpdate", s, want, "Vol", "Rho", "Ein", "P", "Csq")
-					if threads == 1 && gotFloor != wantFloor {
-						t.Errorf("floor total %x, reference %x", math.Float64bits(gotFloor), math.Float64bits(wantFloor))
-					}
-					if d := math.Abs(gotFloor - wantFloor); d > 1e-12*wantFloor {
-						t.Errorf("floor total %v, reference %v", gotFloor, wantFloor)
-					}
-				})
+						// Timestep operand, element by element and reduced.
+						ref := refCflDiv(s)
+						for e := 0; e < nel; e++ {
+							gc, gd := s.kb.cflDiv(e)
+							wc, wd := ref(e)
+							if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gd) != math.Float64bits(wd) {
+								t.Fatalf("cflDiv(%d) = (%v, %v), reference (%v, %v)", e, gc, gd, wc, wd)
+							}
+						}
+						gc, gci, gd, gdi := s.Pool.ReduceMin2(nel, s.kb.cflDiv)
+						wc, wci, wd, wdi := s.Pool.ReduceMin2(nel, ref)
+						if gc != wc || gci != wci || gd != wd || gdi != wdi {
+							t.Errorf("ReduceMin2 = (%v,%d,%v,%d), reference (%v,%d,%v,%d)", gc, gci, gd, gdi, wc, wci, wd, wdi)
+						}
+
+						// Fused update, floor total included. The node move is
+						// the sweep's own; the reference runs after it, on the
+						// coordinates both then share.
+						const dt = 1e-3
+						gotFloor, err := s.FusedUpdate(dt, s.U0, s.V0, 0, nel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var x, y [4]float64
+						var wantFloor float64
+						for e := 0; e < nel; e++ {
+							refFusedElem(want, e, dt, s.U0, s.V0, &x, &y, s.Opt.Materials, s.Mesh.Region, &wantFloor)
+						}
+						if wantFloor == 0 {
+							t.Fatal("the energy floor never fired: the case is not covered")
+						}
+						compareFields(t, "FusedUpdate", s, want, "Vol", "Rho", "Ein", "P", "Csq")
+						if threads == 1 && gotFloor != wantFloor {
+							t.Errorf("floor total %x, reference %x", math.Float64bits(gotFloor), math.Float64bits(wantFloor))
+						}
+						if d := math.Abs(gotFloor - wantFloor); d > 1e-12*wantFloor {
+							t.Errorf("floor total %v, reference %v", gotFloor, wantFloor)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -474,7 +480,7 @@ func TestKernelsMatchReference(t *testing.T) {
 // a full evaluation there — also on the edges the first sweep found not
 // compressive and the second does, which it has to evaluate itself.
 func TestLimiterReuse(t *testing.T) {
-	for _, threads := range []int{1, 4} {
+	for _, threads := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			s := refState(t, 12, HGSubzonal, false, 7)
 			s.Pool = par.New(threads)

@@ -15,7 +15,8 @@ import (
 // pin and BenchmarkParallelStep. It reproduces the rank loop's
 // communication schedule (dt MINLOC + the two Lagrangian halo points)
 // without checkpointing, probes or rollback, and steps on demand so the
-// measurement loop controls exactly what runs.
+// measurement loop controls exactly what runs. Each rank steps on its
+// own pool of the given size.
 
 const (
 	ccStep = iota
@@ -31,7 +32,7 @@ type stepCluster struct {
 	finish chan error
 }
 
-func startStepCluster(tb testing.TB, problem string, nx, ny, nranks int) *stepCluster {
+func startStepCluster(tb testing.TB, problem string, nx, ny, nranks, threads int) *stepCluster {
 	tb.Helper()
 	p, err := setup.ByName(problem, nx, ny, 0)
 	if err != nil {
@@ -66,7 +67,7 @@ func startStepCluster(tb testing.TB, problem string, nx, ny, nranks int) *stepCl
 			if err != nil {
 				panic(err) // test harness: surfaces as RankPanicError
 			}
-			s.Pool = par.New(1)
+			s.Pool = par.New(threads)
 			defer s.Pool.Close()
 			elHalo := typhon.NewHalo(sm.ElSend, sm.ElRecv)
 			ndHalo := typhon.NewHalo(sm.NdSend, sm.NdRecv)
@@ -157,22 +158,29 @@ func (cl *stepCluster) stop(tb testing.TB) {
 // allocations across all rank goroutines
 // (AllocsPerRun counts process-wide mallocs). ranks-1 is the same step
 // through a communicator of one: reductions without peers, exchanges
-// without neighbours.
+// without neighbours. The pool-2 rows are the hybrid schedule: ranks
+// whose kernels run on two threads each.
 func TestParallelStepZeroAllocs(t *testing.T) {
 	for _, nranks := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("ranks-%d", nranks), func(t *testing.T) {
-			cl := startStepCluster(t, "noh", 16, 16, nranks)
-			defer cl.stop(t)
-			for i := 0; i < 6; i++ { // warm arenas + saturate buffer pool
-				cl.do(t, ccStep)
+		for _, threads := range []int{1, 2} {
+			name := fmt.Sprintf("ranks-%d", nranks)
+			if threads != 1 { // the one-thread rows keep their names
+				name += fmt.Sprintf("/pool-%d", threads)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				cl.do(t, ccStep)
+			t.Run(name, func(t *testing.T) {
+				cl := startStepCluster(t, "noh", 16, 16, nranks, threads)
+				defer cl.stop(t)
+				for i := 0; i < 6; i++ { // warm arenas + saturate buffer pool
+					cl.do(t, ccStep)
+				}
+				allocs := testing.AllocsPerRun(10, func() {
+					cl.do(t, ccStep)
+				})
+				if allocs != 0 {
+					t.Errorf("steady-state %d-rank step on %d-thread pools allocates %v times per run", nranks, threads, allocs)
+				}
 			})
-			if allocs != 0 {
-				t.Errorf("steady-state %d-rank step allocates %v times per run", nranks, allocs)
-			}
-		})
+		}
 	}
 }
 
@@ -183,7 +191,7 @@ func TestParallelStepZeroAllocs(t *testing.T) {
 func BenchmarkParallelStep(b *testing.B) {
 	for _, nranks := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("ranks-%d", nranks), func(b *testing.B) {
-			cl := startStepCluster(b, "noh", 20, 20, nranks)
+			cl := startStepCluster(b, "noh", 20, 20, nranks, 1)
 			defer cl.stop(b)
 			for i := 0; i < 5; i++ {
 				cl.do(b, ccStep)

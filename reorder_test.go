@@ -79,29 +79,30 @@ func TestReorderMatchesCanonicalAcrossRanks(t *testing.T) {
 func TestReorderThreadInvariance(t *testing.T) {
 	for _, ro := range []string{"none", "hilbert", "rcm"} {
 		t.Run("reorder="+ro, func(t *testing.T) {
-			base := Config{Problem: "noh", NX: 16, NY: 16, MaxSteps: 20, Reorder: ro}
-			var ref *Result
-			for _, threads := range []int{1, 2, 4, 7} {
-				cfg := base
-				cfg.Threads = threads
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("threads=%d: %v", threads, err)
-				}
-				if threads == 1 {
-					ref = res
-					continue
-				}
-				if res.Steps != ref.Steps || res.Time != ref.Time {
-					t.Fatalf("threads=%d: steps/time (%d, %v) differ from serial (%d, %v)",
-						threads, res.Steps, res.Time, ref.Steps, ref.Time)
-				}
-				for name, pair := range reorderFieldPairs(res, ref) {
-					if i := firstDiff(pair[0], pair[1]); i >= 0 {
-						t.Errorf("threads=%d: %s[%d] = %x, serial %x",
-							threads, name, i, pair[0][i], pair[1][i])
+			base := Config{Problem: "noh", NX: 16, NY: 16, MaxSteps: 20, Reorder: ro, Threads: 1}
+			ref, err := Run(base)
+			if err != nil {
+				t.Fatalf("threads=1: %v", err)
+			}
+			for _, threads := range []int{2, 4, 7} {
+				t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+					cfg := base
+					cfg.Threads = threads
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("threads=%d: %v", threads, err)
 					}
-				}
+					if res.Steps != ref.Steps || res.Time != ref.Time {
+						t.Fatalf("threads=%d: steps/time (%d, %v) differ from serial (%d, %v)",
+							threads, res.Steps, res.Time, ref.Steps, ref.Time)
+					}
+					for name, pair := range reorderFieldPairs(res, ref) {
+						if i := firstDiff(pair[0], pair[1]); i >= 0 {
+							t.Errorf("threads=%d: %s[%d] = %x, serial %x",
+								threads, name, i, pair[0][i], pair[1][i])
+						}
+					}
+				})
 			}
 		})
 	}

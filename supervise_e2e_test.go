@@ -29,10 +29,12 @@ import (
 // which covers every evolving field including ghosts, so the replay is
 // exact. A fleet of one sends no messages for a message fault to ride
 // on, so there rank 0 panics from the step hook instead — and runs on a
-// leased pool, which the replacement must hand back usable. The one ALE
-// row faults well after the remap has started rewriting masses: the
+// leased pool, which the replacement must hand back usable. The two ALE
+// rows fault well after the remap has started rewriting masses: the
 // replacement's fresh state has the t = 0 masses, and only a memento
-// that carries the remapped ones makes its replay exact.
+// that carries the remapped ones makes its replay exact. The smoothed
+// row also moves the mesh, so the memento must carry the relaxed
+// coordinates too.
 func TestSuperviseReplacementSweep(t *testing.T) {
 	type row struct {
 		ranks int
@@ -43,7 +45,7 @@ func TestSuperviseReplacementSweep(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 7} {
 		rows = append(rows, row{ranks, "", 7})
 	}
-	rows = append(rows, row{2, "eulerian", 60})
+	rows = append(rows, row{2, "eulerian", 60}, row{2, "smoothed", 60})
 	for _, r := range rows {
 		ranks := r.ranks
 		name := fmt.Sprintf("ranks=%d", ranks)
