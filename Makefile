@@ -73,6 +73,12 @@
 # committed list, keyed to the toolchain it was read from): an edit that
 # pushes one out of line fails here, with the cost, before it reaches a
 # benchmark. Tier 2: it shells out to go build -gcflags=-m=2.
+# paper-scale runs the paper's problem size once: Sod on a 1024x1024
+# mesh (Table II's million elements), Hilbert-reordered and unfused, for
+# a fixed step count at ranks 1 and 2, each in a fresh process, and logs
+# wall time, peak RSS, bytes per element and the per-kernel shares
+# EXPERIMENTS.md sets beside Table II. Tier 2: under a minute, up to
+# ~1 GB resident.
 # bench records the perf trajectory to BENCH_step.json so future
 # changes can be judged against it (see CHANGES.md for the cadence).
 # bench-compare is the perf gate: it re-runs the step benchmarks and
@@ -93,7 +99,7 @@ GO ?= go
 FUZZTIME ?= 30s
 THRESHOLD ?= 0.10
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape test bench bench-all bench-compare bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale test bench bench-all bench-compare bench-check fuzz clean
 
 # The -run filters of the tier-2 targets, shared with tier2-list.
 RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
@@ -106,6 +112,7 @@ RUN_FLEET    := FleetConstruction
 RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus
 RUN_CALIB    := Calibrator
 RUN_SHAPE    := CompilerShape
+RUN_PAPER    := PaperScale
 
 all: build
 
@@ -157,7 +164,7 @@ tier2-durable:
 # Each spec is packages=pattern; every |-alternative must name a test.
 tier2-list:
 	@status=0; \
-	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_FUSE)|$(RUN_ORDER)|$(RUN_FLEET)|$(RUN_SHAPE)' \
+	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_FUSE)|$(RUN_ORDER)|$(RUN_FLEET)|$(RUN_SHAPE)|$(RUN_PAPER)' \
 	    './internal/hydro=$(RUN_FUSE_HY)' './internal/serve=$(RUN_DURABLE)' './internal/machine=$(RUN_CALIB)'; do \
 	  pkgs=$${spec%%=*}; names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Example|Fuzz)') || status=1; \
 	  for alt in $$(echo "$${spec#*=}" | tr '|' ' '); do \
@@ -171,6 +178,9 @@ tier2-race:
 
 shape:
 	BOOKLEAF_SHAPE=1 $(GO) test . -run '$(RUN_SHAPE)' -count=1 -v
+
+paper-scale:
+	BOOKLEAF_PAPER_SCALE=1 $(GO) test . -run '^Test$(RUN_PAPER)$$' -count=1 -v -timeout 30m
 
 test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape
 

@@ -426,7 +426,10 @@ type Result struct {
 	U, V        []float64
 	X, Y        []float64
 
-	// Mesh is the global problem mesh (initial coordinates).
+	// Mesh is the global problem mesh in canonical generation order, as
+	// a mesh.View: NEl, NNd, the element→node map ElNd and the initial
+	// coordinates X, Y, which is what profiles and dumps read. It carries
+	// no adjacency, CSR, faces, regions, boundary flags or global ids.
 	Mesh *mesh.Mesh
 
 	// Conservation audit.

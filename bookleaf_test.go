@@ -1,12 +1,14 @@
 package bookleaf_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"bookleaf"
 	"bookleaf/internal/exact"
+	"bookleaf/internal/mesh"
 )
 
 func run(t *testing.T, cfg bookleaf.Config) *bookleaf.Result {
@@ -265,6 +267,23 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range cases {
 		if _, err := bookleaf.Run(cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestOversizeMeshIsAnError: a mesh past the 32-bit index ceiling is an
+// error Run returns, the generator's *mesh.TooLargeError, where it used
+// to be an out-of-memory crash no caller could recover from, including
+// sizes whose element count overflows int.
+func TestOversizeMeshIsAnError(t *testing.T) {
+	for _, cfg := range []bookleaf.Config{
+		{Problem: "sod", NX: 100000, NY: 100000},
+		{Problem: "noh", NX: 1 << 32, NY: 1 << 32, Ranks: 2, Reorder: "hilbert"},
+		{Problem: "nohdisc", NX: 1 << 40},
+	} {
+		var tl *mesh.TooLargeError
+		if _, err := bookleaf.Run(cfg); !errors.As(err, &tl) {
+			t.Errorf("%s %dx%d: err = %v, want a *mesh.TooLargeError", cfg.Problem, cfg.NX, cfg.NY, err)
 		}
 	}
 }

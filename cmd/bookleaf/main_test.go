@@ -137,3 +137,27 @@ func TestRemovedSwitchesFailLoudly(t *testing.T) {
 		}
 	})
 }
+
+// TestOversizeMeshExitsWithTheError: a mesh past the 32-bit index
+// ceiling, including one whose element count overflows int, ends the
+// command with exit status 1 and the generator's message on stderr, not
+// a runtime out-of-memory crash.
+func TestOversizeMeshExitsWithTheError(t *testing.T) {
+	bin := buildCLI(t)
+	for _, size := range [][2]string{{"100000", "100000"}, {"4294967296", "4294967296"}} {
+		t.Run(size[0]+"x"+size[1], func(t *testing.T) {
+			cmd := exec.Command(bin, "-problem", "sod", "-nx", size[0], "-ny", size[1], "-quiet")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("err %v, want exit status 1\n%s", err, stderr.String())
+			}
+			want := fmt.Sprintf("bookleaf: mesh: Rect %sx%s exceeds the 32-bit index ceiling of 536870911 elements", size[0], size[1])
+			if got := strings.TrimSpace(stderr.String()); got != want {
+				t.Errorf("stderr %q, want %q", got, want)
+			}
+		})
+	}
+}

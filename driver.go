@@ -130,10 +130,12 @@ type driver struct {
 	cfg  Config
 	pol  supervise.Policy
 	prob *setup.Problem
-	// canon is the canonical generation-order mesh, kept when the
-	// problem mesh has been renumbered for locality (prob.Mesh is then
-	// the reordered view); results present on this mesh. Equal to
-	// prob.Mesh when no reordering is active.
+	// canon is what Result.Mesh presents: a mesh.View of the canonical
+	// generation-order mesh, its element→node map and coordinates only.
+	// When the problem mesh is renumbered for locality (prob.Mesh is then
+	// the reordered mesh), the rest of the canonical mesh is dropped
+	// before the fleet is built; otherwise the view shares prob.Mesh's
+	// arrays.
 	canon *mesh.Mesh
 	tEnd  float64
 
@@ -198,13 +200,16 @@ func newDriver(cfg Config) (*driver, error) {
 		return nil, err
 	}
 	cfg.applyOverrides(&p.Opt)
-	canon := p.Mesh
+	canon := p.Mesh.View()
 	if kind, _ := order.Parse(cfg.Reorder); kind != order.None {
 		// Renumber the global mesh for locality before any partitioning;
 		// the renumbered mesh and every sub-mesh cut from it carry the
 		// permutation in GlobalEl/GlobalNd, so checkpoints and results
 		// stay in canonical generation order. Repartitions re-split the
-		// same reordered mesh, so the locality order survives them.
+		// same reordered mesh, so the locality order survives them. Only
+		// canon's view of the canonical mesh outlives this: its adjacency,
+		// CSR and regions are garbage before Split and NewStateOn
+		// allocate, which is where a run's memory peaks.
 		if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
 			return nil, fmt.Errorf("bookleaf: %w", err)
 		}
@@ -262,7 +267,7 @@ func (d *driver) decompose(n int, world *checkpoint.Snapshot) ([]*partition.SubM
 		for e, nds := range m.ElNd {
 			var sx, sy float64
 			for _, nd := range nds {
-				gn := m.GlobalNdID(nd) // world is in canonical generation order
+				gn := m.GlobalNdID(int(nd)) // world is in canonical generation order
 				sx += world.X[gn]
 				sy += world.Y[gn]
 			}

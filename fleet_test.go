@@ -166,3 +166,62 @@ func TestOneRankFleetIsTheMesh(t *testing.T) {
 		}
 	}
 }
+
+// TestResultMeshIsACanonicalView: Result.Mesh is a view of the canonical
+// mesh, its element→node map and coordinates and nothing else, taken
+// before the reorder. So a reordered run keeps no canonical adjacency,
+// CSR or regions alive from the moment the reorder returns; the view
+// is in canonical numbering (the reordered mesh's GlobalEl/GlobalNd map
+// onto it); and an unreordered run's view shares the problem mesh's
+// arrays instead of copying them.
+func TestResultMeshIsACanonicalView(t *testing.T) {
+	for _, reorder := range []string{"hilbert", "none"} {
+		t.Run(reorder, func(t *testing.T) {
+			cfg := Config{Problem: "sod", NX: 32, NY: 8, Ranks: 2, Reorder: reorder, MaxSteps: 3}
+			if err := cfg.normalise(); err != nil {
+				t.Fatal(err)
+			}
+			d, err := newDriver(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.closeSlots()
+			v, g := d.canon, d.prob.Mesh
+			if v.ElEl != nil || v.NdCorner != nil || v.NdElStart != nil || v.Region != nil ||
+				v.Faces != nil || v.BCs != nil || v.GlobalEl != nil || v.GlobalNd != nil {
+				t.Fatal("Result.Mesh's source holds more of the canonical mesh than ElNd, X and Y")
+			}
+			if v.NEl != g.NEl || v.NNd != g.NNd || len(v.ElNd) != v.NEl || len(v.X) != v.NNd || len(v.Y) != v.NNd {
+				t.Fatalf("view sized %d/%d with %d/%d/%d entries, mesh %d/%d", v.NEl, v.NNd, len(v.ElNd), len(v.X), len(v.Y), g.NEl, g.NNd)
+			}
+			if reorder == "none" {
+				if &v.ElNd[0] != &g.ElNd[0] || &v.X[0] != &g.X[0] {
+					t.Fatal("an unreordered run's view copies the problem mesh")
+				}
+			} else {
+				if g.GlobalEl == nil {
+					t.Fatal("the problem mesh was not reordered")
+				}
+				for e := range g.ElNd {
+					for k := 0; k < 4; k++ {
+						if v.ElNd[g.GlobalEl[e]][k] != g.GlobalNd[g.ElNd[e][k]] {
+							t.Fatalf("element %d corner %d: the view is not the canonical numbering", e, k)
+						}
+					}
+				}
+				for n := range g.X {
+					if v.X[g.GlobalNd[n]] != g.X[n] || v.Y[g.GlobalNd[n]] != g.Y[n] {
+						t.Fatalf("node %d: the view's coordinates are not canonical", n)
+					}
+				}
+			}
+			res, err := d.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Mesh != v {
+				t.Fatal("Result.Mesh is not the driver's canonical view")
+			}
+		})
+	}
+}

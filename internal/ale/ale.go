@@ -254,14 +254,15 @@ func buildAdjacency(m *mesh.Mesh) (start, list []int) {
 	// neighbours returns node n's sequence in a buffer reused across
 	// calls; ring is its corner slots sorted by global element id (a
 	// handful, already sorted when GlobalEl is nil).
-	var ring, nb []int
+	var ring []int32
+	var nb []int
 	neighbours := func(n int) []int {
 		ring, nb = ring[:0], nb[:0]
 		for _, c := range m.CornersAround(n) {
-			g := m.GlobalElID(c >> 2)
+			g := m.GlobalElID(int(c >> 2))
 			j := len(ring)
 			ring = append(ring, c)
-			for ; j > 0 && m.GlobalElID(ring[j-1]>>2) > g; j-- {
+			for ; j > 0 && m.GlobalElID(int(ring[j-1]>>2)) > g; j-- {
 				ring[j] = ring[j-1]
 			}
 			ring[j] = c
@@ -274,7 +275,7 @@ func buildAdjacency(m *mesh.Mesh) (start, list []int) {
 			if c == 0 {
 				first, second = second, first
 			}
-			for _, b := range [2]int{first, second} {
+			for _, b := range [2]int{int(first), int(second)} {
 				seen := false
 				for _, o := range nb {
 					seen = seen || o == b
@@ -699,7 +700,7 @@ func subFace(mxo, myo, mxn, myn, cxo, cyo, cxn, cyn float64) (gain, ex, ey float
 // for an empty slot), given the density rho reconstructed at the swept
 // quad's centre. Nodal momentum is upwinded: the donor node is the
 // corner the mass leaves.
-func (r *Remapper) stageEdge(s *hydro.State, slot int, gain, rho float64, a, b int) float64 {
+func (r *Remapper) stageEdge(s *hydro.State, slot int, gain, rho float64, a, b int32) float64 {
 	r.eGain[slot] = gain
 	if gain == 0 {
 		return 0
@@ -741,22 +742,22 @@ func (r *Remapper) faceFluxRange(lo, hi int) {
 		// its donor cell at the centre of the swept quad.
 		if g0 != 0 {
 			donor, ex, ey := upwind(g0, f.Left, f.Right), avg4(x1o, mxo, x1n, mxn), avg4(y1o, myo, y1n, myn)
-			mf := g0 * r.reconRho(donor, ex, ey)
+			mf := g0 * r.reconRho(int(donor), ex, ey)
 			r.fMass[2*i] = mf
-			r.fEn[2*i] = mf * r.reconEin(donor, ex, ey)
+			r.fEn[2*i] = mf * r.reconEin(int(donor), ex, ey)
 		}
 		if g1 != 0 {
 			donor, ex, ey := upwind(g1, f.Left, f.Right), avg4(mxo, x2o, mxn, x2n), avg4(myo, y2o, myn, y2n)
-			mf := g1 * r.reconRho(donor, ex, ey)
+			mf := g1 * r.reconRho(int(donor), ex, ey)
 			r.fMass[2*i+1] = mf
-			r.fEn[2*i+1] = mf * r.reconEin(donor, ex, ey)
+			r.fEn[2*i+1] = mf * r.reconEin(int(donor), ex, ey)
 		}
 	}
 }
 
 // upwind returns the donor of a flux whose gain is counted for a: b
 // when a gains volume, a when it loses.
-func upwind(gain float64, a, b int) int {
+func upwind(gain float64, a, b int32) int32 {
 	if gain < 0 {
 		return a
 	}
@@ -785,7 +786,7 @@ func (r *Remapper) faceGatherRange(lo, hi int) {
 			}
 			f := &m.Faces[i]
 			sign := 1.0
-			if e != f.Left {
+			if e != int(f.Left) {
 				sign = -1
 			}
 			if g0 != 0 {
@@ -950,7 +951,7 @@ func sweptArea(axo, ayo, bxo, byo, axn, ayn, bxn, byn float64) float64 {
 func avg4(a, b, c, d float64) float64 { return 0.25 * (a + b + c + d) }
 
 // cornerOf returns which corner of elNd holds node n.
-func cornerOf(elNd *[4]int, n int) int {
+func cornerOf(elNd *[4]int32, n int32) int {
 	for k := 0; k < 4; k++ {
 		if elNd[k] == n {
 			return k

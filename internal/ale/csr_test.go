@@ -49,8 +49,8 @@ func globalOrderAdjacency(m *mesh.Mesh) [][]int {
 // so neighbour order is a pure function of the element visit order.
 func appendEdges(m *mesh.Mesh, e int, adj [][]int, seen map[[2]int]bool) {
 	for k := 0; k < 4; k++ {
-		a := m.ElNd[e][k]
-		b := m.ElNd[e][(k+1)&3]
+		a := int(m.ElNd[e][k])
+		b := int(m.ElNd[e][(k+1)&3])
 		key := [2]int{a, b}
 		if a > b {
 			key = [2]int{b, a}

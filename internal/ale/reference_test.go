@@ -232,7 +232,7 @@ func (r *refRemap) gradRange(lo, hi int) {
 		min, max := phi[e], phi[e]
 		nNb := 0
 		for k := 0; k < 4; k++ {
-			nb := m.ElEl[e][k]
+			nb := int(m.ElEl[e][k])
 			if nb < 0 {
 				continue
 			}
@@ -372,7 +372,7 @@ func (r *refRemap) faceFluxRange(lo, hi int) {
 			r.cover.wallFace++
 			continue
 		}
-		l, rt := f.Left, f.Right
+		l, rt := int(f.Left), int(f.Right)
 		n1, n2 := f.N1, f.N2
 		x1o, y1o := s.X[n1], s.Y[n1]
 		x2o, y2o := s.X[n2], s.Y[n2]
@@ -433,7 +433,7 @@ func (r *refRemap) faceGatherRange(lo, hi int) {
 					node = f.N2
 				}
 				k := refCornerOf(m.ElNd[e], node)
-				if e == f.Left {
+				if e == int(f.Left) {
 					r.dCMass[4*e+k] += r.fMass[2*i+half]
 					den += r.fEn[2*i+half]
 				} else {
@@ -458,7 +458,7 @@ func (r *refRemap) momGatherRange(lo, hi int) {
 	for n := lo; n < hi; n++ {
 		var px, py float64
 		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			e, c := m.NdCorner[i]>>2, m.NdCorner[i]&3
+			e, c := int(m.NdCorner[i]>>2), int(m.NdCorner[i]&3)
 			if c == 0 {
 				if r.eGain[4*e+0] != 0 {
 					px += r.ePx[4*e+0]
@@ -570,7 +570,7 @@ func (r *refRemap) commitRange(lo, hi int) {
 }
 
 // refCornerOf returns which corner of elNd holds node n.
-func refCornerOf(elNd [4]int, n int) int {
+func refCornerOf(elNd [4]int32, n int32) int {
 	for k := 0; k < 4; k++ {
 		if elNd[k] == n {
 			return k

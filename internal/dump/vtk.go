@@ -18,7 +18,7 @@ type VTKField struct {
 // mesh with cell and point data — loadable by ParaView/VisIt, the
 // mini-app's stand-in for the reference code's visualisation dumps.
 // x, y are node coordinates; elNd the per-element node quadruples.
-func WriteVTK(w io.Writer, title string, x, y []float64, elNd [][4]int, fields ...VTKField) error {
+func WriteVTK(w io.Writer, title string, x, y []float64, elNd [][4]int32, fields ...VTKField) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("dump: coordinate lengths differ: %d vs %d", len(x), len(y))
 	}
@@ -26,7 +26,7 @@ func WriteVTK(w io.Writer, title string, x, y []float64, elNd [][4]int, fields .
 	nel := len(elNd)
 	for e, nd := range elNd {
 		for k := 0; k < 4; k++ {
-			if nd[k] < 0 || nd[k] >= nnd {
+			if nd[k] < 0 || int(nd[k]) >= nnd {
 				return fmt.Errorf("dump: element %d references node %d outside [0,%d)", e, nd[k], nnd)
 			}
 		}

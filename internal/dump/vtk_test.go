@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-func unitQuadMesh() ([]float64, []float64, [][4]int) {
+func unitQuadMesh() ([]float64, []float64, [][4]int32) {
 	x := []float64{0, 1, 2, 0, 1, 2}
 	y := []float64{0, 0, 0, 1, 1, 1}
-	el := [][4]int{{0, 1, 4, 3}, {1, 2, 5, 4}}
+	el := [][4]int32{{0, 1, 4, 3}, {1, 2, 5, 4}}
 	return x, y, el
 }
 
@@ -51,7 +51,7 @@ func TestWriteVTKValidation(t *testing.T) {
 	if err := WriteVTK(&b, "t", x, y[:3], el); err == nil {
 		t.Fatal("mismatched coords accepted")
 	}
-	bad := [][4]int{{0, 1, 99, 3}}
+	bad := [][4]int32{{0, 1, 99, 3}}
 	if err := WriteVTK(&b, "t", x, y, bad); err == nil {
 		t.Fatal("bad node index accepted")
 	}

@@ -20,6 +20,21 @@ func boxMesh(t testing.TB, nx, ny int) *mesh.Mesh {
 	return m
 }
 
+// TestNewStateRefusesUnaddressableMesh: the node gather indexes the
+// corner arrays through 32-bit slots cornerStride·e+k, so a mesh past
+// what those address is an error from NewState, before it allocates,
+// not a silent wrap.
+func TestNewStateRefusesUnaddressableMesh(t *testing.T) {
+	g, err := eos.NewIdealGas(1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &mesh.Mesh{NEl: math.MaxInt32/cornerStride + 1}
+	if _, err := NewState(m, DefaultOptions(g), nil, nil); err == nil {
+		t.Fatalf("NewState accepted %d elements", m.NEl)
+	}
+}
+
 func uniformState(t testing.TB, m *mesh.Mesh, rho, ein float64, hg HourglassControl) *State {
 	t.Helper()
 	g, err := eos.NewIdealGas(1.4)

@@ -298,7 +298,7 @@ func edgeVisc(psi, rho, rq2, rq1, du2 float64) float64 {
 // comes from the precomputed facing table (static topology), and only
 // the two nodes of that edge are loaded — the limiter never needs the
 // neighbour's other corners.
-func (s *State) nbProj(nb int, kk int8, dux, duy, proj float64) float64 {
+func (s *State) nbProj(nb int32, kk int8, dux, duy, proj float64) float64 {
 	if nb < 0 {
 		return proj
 	}

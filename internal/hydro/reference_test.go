@@ -191,7 +191,7 @@ func refSubzonalForce(s *State, e int, x, y *[4]float64, rho, csq, q float64) {
 	}
 }
 
-func refFusedElem(s *State, e int, dt float64, uArr, vArr []float64, x, y *[4]float64, mats []eos.Material, reg []int, fl *float64) {
+func refFusedElem(s *State, e int, dt float64, uArr, vArr []float64, x, y *[4]float64, mats []eos.Material, reg []int32, fl *float64) {
 	nd := &s.Mesh.ElNd[e]
 	base := cornerStride * e
 	for k := 0; k < 4; k++ {
@@ -318,7 +318,7 @@ func refState(t testing.TB, n int, hg HourglassControl, edgeQ bool, seed int64) 
 	gas, _ := eos.NewIdealGas(1.4)
 	water, _ := eos.NewTait(1.0, 10, 7)
 	for e := range m.Region {
-		m.Region[e] = e % 3
+		m.Region[e] = int32(e % 3)
 	}
 	opt := DefaultOptions(gas, water, eos.Void{})
 	opt.Hourglass, opt.EdgeQForces = hg, edgeQ

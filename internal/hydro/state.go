@@ -9,6 +9,7 @@ package hydro
 
 import (
 	"fmt"
+	"math"
 
 	"bookleaf/internal/geom"
 	"bookleaf/internal/mesh"
@@ -146,11 +147,15 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	if m.NEl > math.MaxInt32/cornerStride {
+		// ndSlots holds corner-array offsets cornerStride·e+k as int32.
+		return nil, fmt.Errorf("hydro: %d elements exceed the %d that 32-bit corner slots address", m.NEl, math.MaxInt32/cornerStride)
+	}
 	if len(rho) != m.NEl || len(ein) != m.NEl {
 		return nil, fmt.Errorf("hydro: initial fields sized %d/%d, mesh has %d elements", len(rho), len(ein), m.NEl)
 	}
 	for e := 0; e < m.NEl; e++ {
-		if m.Region[e] < 0 || m.Region[e] >= len(opt.Materials) {
+		if m.Region[e] < 0 || int(m.Region[e]) >= len(opt.Materials) {
 			return nil, fmt.Errorf("hydro: element %d region %d has no material (have %d)", e, m.Region[e], len(opt.Materials))
 		}
 		if rho[e] <= 0 {
@@ -230,7 +235,7 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 	// slot cs*e+k.
 	s.ndSlots = make([]int32, len(m.NdCorner))
 	for i, c := range m.NdCorner {
-		s.ndSlots[i] = int32((c>>2)*cs + (c & 3))
+		s.ndSlots[i] = (c>>2)*cs + (c & 3)
 	}
 	// Facing-side table: for each adjacency entry, the neighbour's side
 	// that points back. Owned elements must have symmetric adjacency (a
@@ -245,7 +250,7 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 				continue
 			}
 			for kk := 0; kk < 4; kk++ {
-				if m.ElEl[nb][kk] == e {
+				if int(m.ElEl[nb][kk]) == e {
 					s.facing[4*e+k] = int8(kk)
 					break
 				}
@@ -276,7 +281,7 @@ func (s *State) ForceHalo() (fields [][]float64, width int) {
 
 // gather8 loads a pair of nodal arrays — coordinates or velocities — at
 // an element's four nodes.
-func gather8(a, b []float64, nd *[4]int) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
+func gather8(a, b []float64, nd *[4]int32) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
 	return a[nd[0]], a[nd[1]], a[nd[2]], a[nd[3]], b[nd[0]], b[nd[1]], b[nd[2]], b[nd[3]]
 }
 

@@ -39,7 +39,7 @@ const DefaultReuseWindow = 4096
 // map, with nnd nodes and the given reuse window (<= 0 selects
 // DefaultReuseWindow). The numbering under test is the order of elnd
 // itself: profile a renumbered mesh by passing its ElNd.
-func MeshReuse(elnd [][4]int, nnd, window int) Locality {
+func MeshReuse(elnd [][4]int32, nnd, window int) Locality {
 	if window <= 0 {
 		window = DefaultReuseWindow
 	}

@@ -8,12 +8,12 @@ import (
 // gridElNd builds the row-major element→node map of a w×h quad grid —
 // the numbering the generators emit and the Kernels table's Bytes are
 // calibrated against.
-func gridElNd(w, h int) ([][4]int, int) {
-	elnd := make([][4]int, w*h)
+func gridElNd(w, h int) ([][4]int32, int) {
+	elnd := make([][4]int32, w*h)
 	for j := 0; j < h; j++ {
 		for i := 0; i < w; i++ {
-			n0 := j*(w+1) + i
-			elnd[j*w+i] = [4]int{n0, n0 + 1, n0 + w + 2, n0 + w + 1}
+			n0 := int32(j*(w+1) + i)
+			elnd[j*w+i] = [4]int32{n0, n0 + 1, n0 + int32(w) + 2, n0 + int32(w) + 1}
 		}
 	}
 	return elnd, (w + 1) * (h + 1)
@@ -23,9 +23,9 @@ func gridElNd(w, h int) ([][4]int, int) {
 // nodes by first touch — a cheap stand-in for the order package's
 // space-filling-curve + first-touch renumbering, with the same locality
 // character.
-func blockedElNd(w, h, b int) ([][4]int, int) {
+func blockedElNd(w, h, b int) ([][4]int32, int) {
 	row, nnd := gridElNd(w, h)
-	var out [][4]int
+	var out [][4]int32
 	for bj := 0; bj < h; bj += b {
 		for bi := 0; bi < w; bi += b {
 			for j := bj; j < bj+b && j < h; j++ {
@@ -35,11 +35,11 @@ func blockedElNd(w, h, b int) ([][4]int, int) {
 			}
 		}
 	}
-	relabel := make([]int, nnd)
+	relabel := make([]int32, nnd)
 	for i := range relabel {
 		relabel[i] = -1
 	}
-	next := 0
+	next := int32(0)
 	for e := range out {
 		for k := 0; k < 4; k++ {
 			if relabel[out[e][k]] < 0 {

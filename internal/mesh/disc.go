@@ -35,15 +35,18 @@ func QuarterDisc(spec QuarterDiscSpec) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: QuarterDisc needs R > 0, got %v", spec.R)
 	}
 	n := spec.N
+	if err := checkSize("QuarterDisc", n, n); err != nil {
+		return nil, err
+	}
 	nnd := (n + 1) * (n + 1)
 	m := &Mesh{
-		ElNd:   make([][4]int, 0, n*n),
+		ElNd:   make([][4]int32, 0, n*n),
 		X:      make([]float64, nnd),
 		Y:      make([]float64, nnd),
-		Region: make([]int, 0, n*n),
+		Region: make([]int32, 0, n*n),
 		BCs:    make([]BC, nnd),
 	}
-	node := func(i, j int) int { return j*(n+1) + i }
+	node := func(i, j int) int32 { return int32(j*(n+1) + i) }
 	for j := 0; j <= n; j++ {
 		for i := 0; i <= n; i++ {
 			u := float64(i) / float64(n)
@@ -68,7 +71,7 @@ func QuarterDisc(spec QuarterDiscSpec) (*Mesh, error) {
 	}
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			m.ElNd = append(m.ElNd, [4]int{node(i, j), node(i+1, j), node(i+1, j+1), node(i, j+1)})
+			m.ElNd = append(m.ElNd, [4]int32{node(i, j), node(i+1, j), node(i+1, j+1), node(i, j+1)})
 			m.Region = append(m.Region, 0)
 		}
 	}

@@ -42,20 +42,24 @@ const (
 // the element for which the face runs counter-clockwise from N1 to N2;
 // Right is the neighbour, or -1 on the domain boundary.
 type Face struct {
-	N1, N2      int
-	Left, Right int
+	N1, N2      int32
+	Left, Right int32
 }
 
 // Mesh holds the connectivity and coordinates of an unstructured quad
 // mesh. All slices indexed by element have length NEl; by node, NNd.
+// Every index the mesh stores — node, element and corner ids, CSR
+// offsets, regions, global ids — is an int32, which halves the bytes a
+// gather streams through them and caps a mesh at MaxElements (DESIGN.md
+// §4.1). Counts and loop variables stay int.
 type Mesh struct {
 	NEl, NNd int
 
 	// ElNd lists the four nodes of each element, counter-clockwise.
-	ElNd [][4]int
+	ElNd [][4]int32
 	// ElEl lists, for each element, the neighbouring element across
 	// edge k (node k to node k+1), or -1 at a boundary.
-	ElEl [][4]int
+	ElEl [][4]int32
 	// Faces is the unique face list, nil until BuildFaces: only the
 	// remap reads it.
 	Faces []Face
@@ -70,14 +74,14 @@ type Mesh struct {
 	// order an element-ordered scatter would accumulate them — so gather
 	// sums are bitwise-identical to the reference scatter at any thread
 	// count.
-	NdElStart []int
-	NdCorner  []int
+	NdElStart []int32
+	NdCorner  []int32
 
 	// X, Y are node coordinates.
 	X, Y []float64
 
 	// Region is the per-element region (material) index.
-	Region []int
+	Region []int32
 
 	// BCs is the per-node boundary-condition mask.
 	BCs []BC
@@ -90,7 +94,7 @@ type Mesh struct {
 	// GlobalEl / GlobalNd map local indices to global ones for
 	// partitioned or renumbered meshes; nil means the identity (read
 	// them through GlobalElID / GlobalNdID).
-	GlobalEl, GlobalNd []int
+	GlobalEl, GlobalNd []int32
 }
 
 // GlobalElID returns the global id of local element i: GlobalEl[i], or
@@ -99,7 +103,7 @@ func (m *Mesh) GlobalElID(i int) int {
 	if m.GlobalEl == nil {
 		return i
 	}
-	return m.GlobalEl[i]
+	return int(m.GlobalEl[i])
 }
 
 // GlobalNdID is GlobalElID for nodes.
@@ -107,7 +111,7 @@ func (m *Mesh) GlobalNdID(i int) int {
 	if m.GlobalNd == nil {
 		return i
 	}
-	return m.GlobalNd[i]
+	return int(m.GlobalNd[i])
 }
 
 // GatherCoords copies the coordinates of element e's nodes into x, y.
@@ -136,7 +140,7 @@ func (m *Mesh) TotalVolume() float64 {
 }
 
 // CornersAround returns the corner slots 4*e + k at node n, ascending.
-func (m *Mesh) CornersAround(n int) []int {
+func (m *Mesh) CornersAround(n int) []int32 {
 	return m.NdCorner[m.NdElStart[n]:m.NdElStart[n+1]]
 }
 
@@ -159,7 +163,7 @@ func (m *Mesh) BuildConnectivity() {
 	}
 
 	// Node→element CSR.
-	start := make([]int, m.NNd+1)
+	start := make([]int32, m.NNd+1)
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			start[m.ElNd[e][k]+1]++
@@ -169,28 +173,28 @@ func (m *Mesh) BuildConnectivity() {
 		start[n+1] += start[n]
 	}
 	m.NdElStart = start
-	m.NdCorner = make([]int, start[m.NNd])
+	m.NdCorner = make([]int32, start[m.NNd])
 	// Fill by advancing each node's start, then shift the starts back.
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			n := m.ElNd[e][k]
-			m.NdCorner[start[n]] = 4*e + k
+			m.NdCorner[start[n]] = int32(4*e + k)
 			start[n]++
 		}
 	}
 	copy(start[1:], start[:m.NNd])
 	start[0] = 0
 
-	m.ElEl = make([][4]int, m.NEl)
+	m.ElEl = make([][4]int32, m.NEl)
 	m.Faces = nil // of the connectivity this call replaces
 	for e := range m.ElNd {
 		nd := &m.ElNd[e]
 		for k := 0; k < 4; k++ {
 			n1, n2 := nd[k], nd[(k+1)&3]
-			nb := -1
-			for _, c := range m.CornersAround(n1) {
+			nb := int32(-1)
+			for _, c := range m.CornersAround(int(n1)) {
 				o := &m.ElNd[c>>2]
-				if c>>2 != e && (o[(c+3)&3] == n2 || o[(c+1)&3] == n2) {
+				if int(c>>2) != e && (o[(c+3)&3] == n2 || o[(c+1)&3] == n2) {
 					nb = c >> 2
 					break
 				}
@@ -222,7 +226,7 @@ func (m *Mesh) BuildFaces() {
 	for e := range m.ElEl {
 		for k := 0; k < 4; k++ {
 			nb := m.ElEl[e][k]
-			if nb < 0 || nb >= e {
+			if nb < 0 || int(nb) >= e {
 				continue
 			}
 			// The lower element's side on these two nodes, as it runs there.
@@ -231,13 +235,13 @@ func (m *Mesh) BuildFaces() {
 			for s < 3 && !(o[s] == n2 && o[(s+1)&3] == n1 || o[s] == n1 && o[(s+1)&3] == n2) {
 				s++
 			}
-			m.Faces = append(m.Faces, Face{N1: o[s], N2: o[(s+1)&3], Left: nb, Right: e})
+			m.Faces = append(m.Faces, Face{N1: o[s], N2: o[(s+1)&3], Left: nb, Right: int32(e)})
 		}
 	}
 	for e := range m.ElEl {
 		for k := 0; k < 4; k++ {
 			if m.ElEl[e][k] < 0 {
-				m.Faces = append(m.Faces, Face{N1: m.ElNd[e][k], N2: m.ElNd[e][(k+1)&3], Left: e, Right: -1})
+				m.Faces = append(m.Faces, Face{N1: m.ElNd[e][k], N2: m.ElNd[e][(k+1)&3], Left: int32(e), Right: -1})
 			}
 		}
 	}
@@ -256,7 +260,7 @@ func (m *Mesh) Check() error {
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			n := m.ElNd[e][k]
-			if n < 0 || n >= m.NNd {
+			if n < 0 || int(n) >= m.NNd {
 				return fmt.Errorf("mesh: element %d corner %d references node %d outside [0,%d)", e, k, n, m.NNd)
 			}
 		}
@@ -272,7 +276,7 @@ func (m *Mesh) Check() error {
 			}
 			found := false
 			for kk := 0; kk < 4; kk++ {
-				if m.ElEl[nb][kk] == e {
+				if int(m.ElEl[nb][kk]) == e {
 					found = true
 				}
 			}
@@ -287,20 +291,20 @@ func (m *Mesh) Check() error {
 	if len(m.NdElStart) != m.NNd+1 {
 		return fmt.Errorf("mesh: node→corner CSR has %d starts for %d nodes", len(m.NdElStart), m.NNd)
 	}
-	if m.NdElStart[0] != 0 || m.NdElStart[m.NNd] != len(m.NdCorner) {
+	if m.NdElStart[0] != 0 || int(m.NdElStart[m.NNd]) != len(m.NdCorner) {
 		return fmt.Errorf("mesh: node→corner CSR spans [%d,%d) of %d slots", m.NdElStart[0], m.NdElStart[m.NNd], len(m.NdCorner))
 	}
 	for n := 0; n < m.NNd; n++ {
-		lo, hi := m.NdElStart[n], m.NdElStart[n+1]
+		lo, hi := int(m.NdElStart[n]), int(m.NdElStart[n+1])
 		if lo > hi || hi > len(m.NdCorner) {
 			return fmt.Errorf("mesh: node %d CSR range [%d,%d) not within [0,%d]", n, lo, hi, len(m.NdCorner))
 		}
 		for i := lo; i < hi; i++ {
 			c := m.NdCorner[i]
-			if c < 0 || c >= 4*m.NEl {
+			if c < 0 || int(c) >= 4*m.NEl {
 				return fmt.Errorf("mesh: node %d corner slot %d outside [0,%d)", n, c, 4*m.NEl)
 			}
-			if m.ElNd[c>>2][c&3] != n {
+			if int(m.ElNd[c>>2][c&3]) != n {
 				return fmt.Errorf("mesh: node %d CSR entry (el %d corner %d) inconsistent", n, c>>2, c&3)
 			}
 			if i > lo && c <= m.NdCorner[i-1] {
@@ -319,8 +323,8 @@ func (m *Mesh) Check() error {
 		for a := 0; a < m.NNd; a++ {
 			for _, c := range m.CornersAround(a) {
 				nd := &m.ElNd[c>>2]
-				for _, b := range [2]int{nd[(c+1)&3], nd[(c+3)&3]} {
-					if b > a && stamp[b] != a+1 {
+				for _, b := range [2]int32{nd[(c+1)&3], nd[(c+3)&3]} {
+					if int(b) > a && stamp[b] != a+1 {
 						stamp[b] = a + 1
 						edges++
 					}
@@ -363,6 +367,32 @@ func DefaultWalls() WallSpec {
 	return WallSpec{Left: FixU, Right: FixU, Bottom: FixV, Top: FixV}
 }
 
+// MaxElements is the largest mesh a generator builds. The corner id
+// 4·e+k is an int32, so 4·NEl must fit in one; an nx×ny grid within it
+// has nx+ny ≤ NEl+1 and so NNd ≤ 2·NEl+2, which fits as well.
+const MaxElements = math.MaxInt32 / 4
+
+// TooLargeError reports a generator asked for more than MaxElements
+// elements. It is returned before anything is allocated.
+type TooLargeError struct {
+	Generator string
+	NX, NY    int
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("mesh: %s %dx%d exceeds the 32-bit index ceiling of %d elements",
+		e.Generator, e.NX, e.NY, MaxElements)
+}
+
+// checkSize returns a *TooLargeError unless nx·ny ≤ MaxElements, for
+// nx, ny ≥ 1. It divides instead of forming nx·ny, which can overflow.
+func checkSize(generator string, nx, ny int) error {
+	if nx > MaxElements/ny {
+		return &TooLargeError{Generator: generator, NX: nx, NY: ny}
+	}
+	return nil
+}
+
 // Rect generates an NX×NY quadrilateral mesh of [X0,X1]×[Y0,Y1].
 func Rect(spec RectSpec) (*Mesh, error) {
 	if spec.NX < 1 || spec.NY < 1 {
@@ -373,18 +403,21 @@ func Rect(spec RectSpec) (*Mesh, error) {
 			spec.X0, spec.X1, spec.Y0, spec.Y1)
 	}
 	nx, ny := spec.NX, spec.NY
+	if err := checkSize("Rect", nx, ny); err != nil {
+		return nil, err
+	}
 	nnd := (nx + 1) * (ny + 1)
 	nel := nx * ny
 	m := &Mesh{
-		ElNd:   make([][4]int, 0, nel),
+		ElNd:   make([][4]int32, 0, nel),
 		X:      make([]float64, nnd),
 		Y:      make([]float64, nnd),
-		Region: make([]int, 0, nel),
+		Region: make([]int32, 0, nel),
 		BCs:    make([]BC, nnd),
 	}
 	dx := (spec.X1 - spec.X0) / float64(nx)
 	dy := (spec.Y1 - spec.Y0) / float64(ny)
-	node := func(i, j int) int { return j*(nx+1) + i }
+	node := func(i, j int) int32 { return int32(j*(nx+1) + i) }
 	for j := 0; j <= ny; j++ {
 		for i := 0; i <= nx; i++ {
 			x := spec.X0 + float64(i)*dx
@@ -410,14 +443,14 @@ func Rect(spec RectSpec) (*Mesh, error) {
 	}
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
-			m.ElNd = append(m.ElNd, [4]int{node(i, j), node(i+1, j), node(i+1, j+1), node(i, j+1)})
+			m.ElNd = append(m.ElNd, [4]int32{node(i, j), node(i+1, j), node(i+1, j+1), node(i, j+1)})
 			reg := 0
 			if spec.RegionOf != nil {
 				cx := spec.X0 + (float64(i)+0.5)*dx
 				cy := spec.Y0 + (float64(j)+0.5)*dy
 				reg = spec.RegionOf(cx, cy)
 			}
-			m.Region = append(m.Region, reg)
+			m.Region = append(m.Region, int32(reg))
 		}
 	}
 	m.BuildConnectivity()
@@ -460,20 +493,31 @@ func (m *Mesh) Clone() *Mesh {
 		NEl: m.NEl, NNd: m.NNd,
 		NOwnEl: m.NOwnEl, NOwnNd: m.NOwnNd,
 	}
-	c.ElNd = append([][4]int(nil), m.ElNd...)
-	c.ElEl = append([][4]int(nil), m.ElEl...)
+	c.ElNd = append([][4]int32(nil), m.ElNd...)
+	c.ElEl = append([][4]int32(nil), m.ElEl...)
 	c.Faces = append([]Face(nil), m.Faces...)
-	c.NdElStart = append([]int(nil), m.NdElStart...)
-	c.NdCorner = append([]int(nil), m.NdCorner...)
+	c.NdElStart = append([]int32(nil), m.NdElStart...)
+	c.NdCorner = append([]int32(nil), m.NdCorner...)
 	c.X = append([]float64(nil), m.X...)
 	c.Y = append([]float64(nil), m.Y...)
-	c.Region = append([]int(nil), m.Region...)
+	c.Region = append([]int32(nil), m.Region...)
 	c.BCs = append([]BC(nil), m.BCs...)
 	if m.GlobalEl != nil {
-		c.GlobalEl = append([]int(nil), m.GlobalEl...)
+		c.GlobalEl = append([]int32(nil), m.GlobalEl...)
 	}
 	if m.GlobalNd != nil {
-		c.GlobalNd = append([]int(nil), m.GlobalNd...)
+		c.GlobalNd = append([]int32(nil), m.GlobalNd...)
 	}
 	return c
+}
+
+// View returns a mesh that shares m's element→node map and coordinates
+// and holds nothing else: no adjacency, CSR, faces, regions, boundary
+// flags or global ids. It is all a reader of the geometry needs (an
+// x-profile, a VTK dump), and it keeps none of the rest alive.
+func (m *Mesh) View() *Mesh {
+	return &Mesh{
+		NEl: m.NEl, NNd: m.NNd, NOwnEl: m.NEl, NOwnNd: m.NNd,
+		ElNd: m.ElNd, X: m.X, Y: m.Y,
+	}
 }

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,46 @@ func TestRectRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRefuseOversizeMeshes: a mesh whose corner ids would not
+// fit in int32 is a *TooLargeError from the generator, returned before
+// it allocates anything (the error is the one allocation), including
+// sizes whose element count overflows int.
+func TestGeneratorsRefuseOversizeMeshes(t *testing.T) {
+	const huge = 1 << 40
+	cases := []struct {
+		name string
+		gen  func() (*Mesh, error)
+	}{
+		{"Rect 2^31 elements", func() (*Mesh, error) {
+			return Rect(RectSpec{NX: 1 << 16, NY: 1 << 15, X0: 0, X1: 1, Y0: 0, Y1: 1})
+		}},
+		{"Rect one past the ceiling", func() (*Mesh, error) {
+			return Rect(RectSpec{NX: MaxElements/2 + 1, NY: 2, X0: 0, X1: 1, Y0: 0, Y1: 1})
+		}},
+		{"Rect 2^40 x 2^40", func() (*Mesh, error) {
+			return Rect(RectSpec{NX: huge, NY: huge, X0: 0, X1: 1, Y0: 0, Y1: 1})
+		}},
+		{"QuarterDisc 2^31 elements", func() (*Mesh, error) {
+			return QuarterDisc(QuarterDiscSpec{N: 46341, R: 1}) // 46341² > 2^31
+		}},
+		{"QuarterDisc 2^40 x 2^40", func() (*Mesh, error) {
+			return QuarterDisc(QuarterDiscSpec{N: huge, R: 1})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			if allocs := testing.AllocsPerRun(1, func() { _, err = c.gen() }); allocs > 1 {
+				t.Errorf("%v allocations before refusing", allocs)
+			}
+			var tl *TooLargeError
+			if !errors.As(err, &tl) {
+				t.Fatalf("err = %v, want a *TooLargeError", err)
+			}
+		})
+	}
+}
+
 func TestElementOrientationCCW(t *testing.T) {
 	m := mustRect(t, 3, 3)
 	for e := 0; e < m.NEl; e++ {
@@ -69,7 +110,7 @@ func TestAdjacencySymmetricAndInterior(t *testing.T) {
 			interior++
 			back := false
 			for kk := 0; kk < 4; kk++ {
-				if m.ElEl[nb][kk] == e {
+				if int(m.ElEl[nb][kk]) == e {
 					back = true
 				}
 			}
@@ -105,9 +146,9 @@ func TestCheckRejectsCorruptCSR(t *testing.T) {
 		name    string
 		corrupt func(m *Mesh)
 	}{
-		{"slot out of range", func(m *Mesh) { m.NdCorner[5] = 4 * m.NEl }},
+		{"slot out of range", func(m *Mesh) { m.NdCorner[5] = int32(4 * m.NEl) }},
 		{"negative slot", func(m *Mesh) { m.NdCorner[5] = -1 }},
-		{"start past the end", func(m *Mesh) { m.NdElStart[3] = len(m.NdCorner) + 7 }},
+		{"start past the end", func(m *Mesh) { m.NdElStart[3] = int32(len(m.NdCorner) + 7) }},
 		{"start decreasing", func(m *Mesh) { m.NdElStart[3] = m.NdElStart[2] - 1 }},
 		{"first start not zero", func(m *Mesh) { m.NdElStart[0] = 1 }},
 		{"last start short of the slots", func(m *Mesh) { m.NdElStart[m.NNd]-- }},
@@ -292,14 +333,14 @@ func TestNdCornerTransposeRoundTrip(t *testing.T) {
 		// that really touches the node, ascending.
 		seen := make([]bool, 4*m.NEl)
 		for n := 0; n < m.NNd; n++ {
-			prev := -1
+			prev := int32(-1)
 			for _, ci := range m.NdCorner[m.NdElStart[n]:m.NdElStart[n+1]] {
 				if ci <= prev { // ascending ⇒ also no duplicates
 					return false
 				}
 				prev = ci
 				e, k := ci/4, ci%4
-				if m.ElNd[e][k] != n {
+				if int(m.ElNd[e][k]) != n {
 					return false
 				}
 				seen[ci] = true

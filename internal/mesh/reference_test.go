@@ -17,11 +17,11 @@ import (
 // BuildFaces must reproduce: ElEl, and the interior faces in order.
 // (Its boundary faces come out in map-iteration order, so those compare
 // as a set.)
-func refConnectivity(m *mesh.Mesh) (elEl [][4]int, faces []mesh.Face) {
-	type edgeKey struct{ a, b int }
-	type edgeVal struct{ el, side int }
+func refConnectivity(m *mesh.Mesh) (elEl [][4]int32, faces []mesh.Face) {
+	type edgeKey struct{ a, b int32 }
+	type edgeVal struct{ el, side int32 }
 	edges := make(map[edgeKey]edgeVal, 2*m.NEl)
-	elEl = make([][4]int, m.NEl)
+	elEl = make([][4]int32, m.NEl)
 	for e := range m.ElNd {
 		for k := 0; k < 4; k++ {
 			elEl[e][k] = -1
@@ -37,11 +37,11 @@ func refConnectivity(m *mesh.Mesh) (elEl [][4]int, faces []mesh.Face) {
 			}
 			if prev, ok := edges[key]; ok {
 				elEl[e][k] = prev.el
-				elEl[prev.el][prev.side] = e
-				faces = append(faces, mesh.Face{N1: m.ElNd[prev.el][prev.side], N2: m.ElNd[prev.el][(prev.side+1)&3], Left: prev.el, Right: e})
+				elEl[prev.el][prev.side] = int32(e)
+				faces = append(faces, mesh.Face{N1: m.ElNd[prev.el][prev.side], N2: m.ElNd[prev.el][(prev.side+1)&3], Left: prev.el, Right: int32(e)})
 				delete(edges, key)
 			} else {
-				edges[key] = edgeVal{e, k}
+				edges[key] = edgeVal{int32(e), int32(k)}
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func TestFaceListConsistency(t *testing.T) {
 		}
 		interior := 0
 		for i, f := range m.Faces {
-			if f.Left < 0 || f.Left >= m.NEl {
+			if f.Left < 0 || int(f.Left) >= m.NEl {
 				t.Fatalf("%s: face %d has bad left element %d", c.name, i, f.Left)
 			}
 			if sideOf(m, f) < 0 {

@@ -90,7 +90,7 @@ func withNodes(m *mesh.Mesh, el []int) *Perm {
 			on := m.ElNd[oe][k]
 			if p.NdInv[on] < 0 {
 				p.NdInv[on] = len(p.Nd)
-				p.Nd = append(p.Nd, on)
+				p.Nd = append(p.Nd, int(on))
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func rcmOrder(m *mesh.Mesh) []int {
 			order = append(order, e)
 			nn := 0
 			for k := 0; k < 4; k++ {
-				if nb := m.ElEl[e][k]; nb >= 0 && !visited[nb] {
+				if nb := int(m.ElEl[e][k]); nb >= 0 && !visited[nb] {
 					visited[nb] = true
 					nbrs[nn] = nb
 					nn++
@@ -273,37 +273,29 @@ func Apply(m *mesh.Mesh, p *Perm) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("order: permutation sized %d/%d for mesh %d/%d", len(p.El), len(p.Nd), m.NEl, m.NNd)
 	}
 	out := &mesh.Mesh{
-		ElNd: make([][4]int, m.NEl),
+		ElNd: make([][4]int32, m.NEl),
 		X:    make([]float64, m.NNd),
 		Y:    make([]float64, m.NNd),
 		BCs:  make([]mesh.BC, m.NNd),
 	}
 	if m.Region != nil {
-		out.Region = make([]int, m.NEl)
+		out.Region = make([]int32, m.NEl)
 	}
-	out.GlobalEl = make([]int, m.NEl)
-	out.GlobalNd = make([]int, m.NNd)
+	out.GlobalEl = make([]int32, m.NEl)
+	out.GlobalNd = make([]int32, m.NNd)
 	for ne, oe := range p.El {
 		for k := 0; k < 4; k++ {
-			out.ElNd[ne][k] = p.NdInv[m.ElNd[oe][k]]
+			out.ElNd[ne][k] = int32(p.NdInv[m.ElNd[oe][k]])
 		}
 		if m.Region != nil {
 			out.Region[ne] = m.Region[oe]
 		}
-		if m.GlobalEl != nil {
-			out.GlobalEl[ne] = m.GlobalEl[oe]
-		} else {
-			out.GlobalEl[ne] = oe
-		}
+		out.GlobalEl[ne] = int32(m.GlobalElID(oe))
 	}
 	for nn, on := range p.Nd {
 		out.X[nn], out.Y[nn] = m.X[on], m.Y[on]
 		out.BCs[nn] = m.BCs[on]
-		if m.GlobalNd != nil {
-			out.GlobalNd[nn] = m.GlobalNd[on]
-		} else {
-			out.GlobalNd[nn] = on
-		}
+		out.GlobalNd[nn] = int32(m.GlobalNdID(on))
 	}
 	out.BuildConnectivity()
 	if err := out.Check(); err != nil {

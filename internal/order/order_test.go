@@ -1,6 +1,7 @@
 package order
 
 import (
+	"reflect"
 	"testing"
 
 	"bookleaf/internal/mesh"
@@ -131,7 +132,7 @@ func dualBandwidth(m *mesh.Mesh) int {
 	bw := 0
 	for e := 0; e < m.NEl; e++ {
 		for k := 0; k < 4; k++ {
-			if nb := m.ElEl[e][k]; nb >= 0 {
+			if nb := int(m.ElEl[e][k]); nb >= 0 {
 				if d := e - nb; d > bw {
 					bw = d
 				} else if -d > bw {
@@ -207,6 +208,23 @@ func TestApplyRefusesPartitioned(t *testing.T) {
 	p, _ := Compute(m, RCM)
 	if _, err := Apply(m, p); err == nil {
 		t.Fatal("Apply accepted a partitioned mesh")
+	}
+}
+
+// TestReorderLeavesInputIntact: a reordering builds a new mesh and
+// writes nothing of its input, so a caller may reorder one canonical
+// mesh several ways (the benchmark harness runs RCM on the mesh it
+// reordered by Hilbert first).
+func TestReorderLeavesInputIntact(t *testing.T) {
+	m := rect(t, 24, 5)
+	want := m.Clone()
+	for _, k := range []Kind{Hilbert, RCM} {
+		if _, err := Reorder(m, k); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("%v: Reorder modified its input mesh", k)
+		}
 	}
 }
 

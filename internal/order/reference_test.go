@@ -85,7 +85,7 @@ func refRCMOrder(m *mesh.Mesh) []int {
 			order = append(order, e)
 			nn := 0
 			for k := 0; k < 4; k++ {
-				if nb := m.ElEl[e][k]; nb >= 0 && !visited[nb] {
+				if nb := int(m.ElEl[e][k]); nb >= 0 && !visited[nb] {
 					visited[nb] = true
 					nbrs[nn] = nb
 					nn++

@@ -51,7 +51,7 @@ func DualGraph(m *mesh.Mesh) *Graph {
 		for k := 0; k < 4; k++ {
 			if nb := m.ElEl[e][k]; nb >= 0 {
 				idx := g.XAdj[e] + fill[e]
-				g.Adj[idx] = nb
+				g.Adj[idx] = int(nb)
 				g.EWgt[idx] = 1
 				fill[e]++
 			}

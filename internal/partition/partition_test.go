@@ -220,13 +220,13 @@ func TestSplitGhostRuleComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sm := range subs {
-		local := make(map[int]bool)
+		local := make(map[int32]bool)
 		for _, ge := range sm.M.GlobalEl {
 			local[ge] = true
 		}
 		for i := 0; i < sm.M.NOwnNd; i++ {
 			gn := sm.M.GlobalNd[i]
-			for _, c := range m.CornersAround(gn) {
+			for _, c := range m.CornersAround(int(gn)) {
 				if ge := c >> 2; !local[ge] {
 					t.Fatalf("rank %d owned node %d missing adjacent element %d", sm.Rank, gn, ge)
 				}

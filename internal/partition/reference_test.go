@@ -127,9 +127,9 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		ghostSet := make(map[int]bool)
 		for _, e := range owned {
 			for k := 0; k < 4; k++ {
-				n := global.ElNd[e][k]
+				n := int(global.ElNd[e][k])
 				for _, c := range global.CornersAround(n) {
-					if nb := c >> 2; part[nb] != r {
+					if nb := int(c >> 2); part[nb] != r {
 						ghostSet[nb] = true
 					}
 				}
@@ -153,7 +153,7 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		ndSet := make(map[int]bool)
 		for _, e := range allEls {
 			for k := 0; k < 4; k++ {
-				ndSet[global.ElNd[e][k]] = true
+				ndSet[int(global.ElNd[e][k])] = true
 			}
 		}
 		var ownNodes, ghostNodes []int
@@ -185,19 +185,19 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		ndLocal[r] = n2l
 
 		lm := &mesh.Mesh{
-			ElNd:     make([][4]int, len(allEls)),
+			ElNd:     make([][4]int32, len(allEls)),
 			X:        make([]float64, len(allNds)),
 			Y:        make([]float64, len(allNds)),
-			Region:   make([]int, len(allEls)),
+			Region:   make([]int32, len(allEls)),
 			BCs:      make([]mesh.BC, len(allNds)),
-			GlobalEl: allEls,
-			GlobalNd: allNds,
+			GlobalEl: appendIDs(nil, allEls),
+			GlobalNd: appendIDs(nil, allNds),
 			NOwnEl:   len(owned),
 			NOwnNd:   len(ownNodes),
 		}
 		for i, e := range allEls {
 			for k := 0; k < 4; k++ {
-				lm.ElNd[i][k] = n2l[global.ElNd[e][k]]
+				lm.ElNd[i][k] = int32(n2l[int(global.ElNd[e][k])])
 			}
 			lm.Region[i] = global.Region[e]
 		}
@@ -234,7 +234,7 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		for src, recvIdx := range subs[r].ElRecv {
 			send := make([]int, len(recvIdx))
 			for i, li := range recvIdx {
-				ge := subs[r].M.GlobalEl[li]
+				ge := int(subs[r].M.GlobalEl[li])
 				sl, ok := elLocal[src][ge]
 				if !ok || sl >= subs[src].M.NOwnEl {
 					return nil, fmt.Errorf("partition: ghost element %d of rank %d not owned by rank %d", ge, r, src)
@@ -246,7 +246,7 @@ func refSplit(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		for src, recvIdx := range subs[r].NdRecv {
 			send := make([]int, len(recvIdx))
 			for i, li := range recvIdx {
-				gn := subs[r].M.GlobalNd[li]
+				gn := int(subs[r].M.GlobalNd[li])
 				sl, ok := ndLocal[src][gn]
 				if !ok || sl >= subs[src].M.NOwnNd {
 					return nil, fmt.Errorf("partition: ghost node %d of rank %d not owned by rank %d", gn, r, src)

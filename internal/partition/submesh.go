@@ -94,7 +94,7 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 	// rank being built and -1 otherwise, put back to -1 by walking that
 	// rank's nodes once its ElNd is written.
 	elSeen := make([]int, global.NEl)
-	ndLocal := make([]int, global.NNd)
+	ndLocal := make([]int32, global.NNd)
 	for i := range elSeen {
 		elSeen[i] = -1
 	}
@@ -112,8 +112,8 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 		ghostEls = ghostEls[:0]
 		for _, e := range owned {
 			for k := 0; k < 4; k++ {
-				for _, c := range global.CornersAround(global.ElNd[e][k]) {
-					if nb := c >> 2; part[nb] != r && elSeen[nb] != r {
+				for _, c := range global.CornersAround(int(global.ElNd[e][k])) {
+					if nb := int(c >> 2); part[nb] != r && elSeen[nb] != r {
 						elSeen[nb] = r
 						ghostEls = append(ghostEls, nb)
 					}
@@ -121,35 +121,35 @@ func Split(global *mesh.Mesh, part []int, nparts int) ([]*SubMesh, error) {
 			}
 		}
 		sortByOwner(ghostEls, part)
-		allEls := append(append(make([]int, 0, len(owned)+len(ghostEls)), owned...), ghostEls...)
+		allEls := appendIDs(appendIDs(make([]int32, 0, len(owned)+len(ghostEls)), owned), ghostEls)
 
 		// Ghost nodes: the local elements' nodes this rank does not own.
 		// Walking the ghost elements finds them all: a node of an owned
 		// element that a lower rank owns is also a node of one of that
 		// rank's elements, which is then a ghost here.
 		for i, n := range ownNodes {
-			ndLocal[n] = i
+			ndLocal[n] = int32(i)
 		}
 		ghostNds = ghostNds[:0]
 		for _, e := range ghostEls {
 			for k := 0; k < 4; k++ {
 				if n := global.ElNd[e][k]; ndLocal[n] < 0 {
 					ndLocal[n] = 0
-					ghostNds = append(ghostNds, n)
+					ghostNds = append(ghostNds, int(n))
 				}
 			}
 		}
 		sortByOwner(ghostNds, ndOwner)
 		for i, n := range ghostNds {
-			ndLocal[n] = len(ownNodes) + i
+			ndLocal[n] = int32(len(ownNodes) + i)
 		}
-		allNds := append(append(make([]int, 0, len(ownNodes)+len(ghostNds)), ownNodes...), ghostNds...)
+		allNds := appendIDs(appendIDs(make([]int32, 0, len(ownNodes)+len(ghostNds)), ownNodes), ghostNds)
 
 		lm := &mesh.Mesh{
-			ElNd:     make([][4]int, len(allEls)),
+			ElNd:     make([][4]int32, len(allEls)),
 			X:        make([]float64, len(allNds)),
 			Y:        make([]float64, len(allNds)),
-			Region:   make([]int, len(allEls)),
+			Region:   make([]int32, len(allEls)),
 			BCs:      make([]mesh.BC, len(allNds)),
 			GlobalEl: allEls,
 			GlobalNd: allNds,
@@ -273,6 +273,14 @@ func bucket(owner, start []int) (of, pos []int) {
 		next[p]++
 	}
 	return of, pos
+}
+
+// appendIDs appends ids to dst as the int32 a mesh stores them in.
+func appendIDs(dst []int32, ids []int) []int32 {
+	for _, id := range ids {
+		dst = append(dst, int32(id))
+	}
+	return dst
 }
 
 // sortByOwner sorts a rank's ghost ids by (owner, global id).

@@ -3,10 +3,12 @@ package bookleaf
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"bookleaf/internal/ale"
 	"bookleaf/internal/setup"
 )
 
@@ -60,24 +62,64 @@ var inventory = map[string]struct{ class, readBy string }{
 }
 
 // bytesPerElementMax is the ceiling TestBytesPerElement holds the
-// mesh-plus-state footprint of Noh 100x100 to, in bytes per element.
-const bytesPerElementMax = 455
+// mesh-plus-state footprint of Noh 100x100 to, in bytes per element:
+// the measured total, so widening any array fails.
+const bytesPerElementMax = 376
 
-// TestBytesPerElement is the memory inventory as a test: every slice
-// field of mesh.Mesh and hydro.State for Noh 100x100 must be classified
-// in the table above, and their distinct backing bytes (views of one
-// interleaved record count once) must stay under the ceiling — so an
-// added array fails here before it reaches peak_rss_mb. go test -v
-// prints the table EXPERIMENTS.md carries.
-func TestBytesPerElement(t *testing.T) {
-	p, err := setup.ByName("noh", 100, 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
+// remapInventory classifies every array an ale.Remapper holds, and the
+// face list it has the mesh build, as the inventory above does for the
+// mesh and the state. A Remapper field without a line here fails
+// TestRemapperBytesPerElement.
+var remapInventory = map[string]struct{ class, readBy string }{
+	"Mesh.Faces": {"derived", "face flux and face gather; built by NewRemapper, 32-bit"},
+
+	"Remapper.xT":       {"scratch", "target coordinates: Smoothed only, Eulerian aliases Mesh.X"},
+	"Remapper.yT":       {"scratch", "as Remapper.xT"},
+	"Remapper.cx":       {"scratch", "snapshot centroid: gradients, reconstruction, sub-faces"},
+	"Remapper.cy":       {"scratch", "as Remapper.cx"},
+	"Remapper.cRho":     {"scratch", "snapshot density: gradients, reconstruction"},
+	"Remapper.cEin":     {"scratch", "snapshot energy: gradients, reconstruction"},
+	"Remapper.gradRX":   {"scratch", "limited density gradient: reconstruction"},
+	"Remapper.gradRY":   {"scratch", "as Remapper.gradRX"},
+	"Remapper.gradEX":   {"scratch", "limited energy gradient: reconstruction"},
+	"Remapper.gradEY":   {"scratch", "as Remapper.gradEX"},
+	"Remapper.dCMass":   {"scratch", "corner-mass deltas: sub-faces, face gather, commit"},
+	"Remapper.dEnergy":  {"scratch", "cell energy deltas: face gather, commit"},
+	"Remapper.dPx":      {"scratch", "nodal momentum deltas, then momenta: momentum gather, velocities"},
+	"Remapper.dPy":      {"scratch", "as Remapper.dPx"},
+	"Remapper.adjStart": {"derived", "smoothing stencil: Smoothed only"},
+	"Remapper.adjList":  {"derived", "as Remapper.adjStart"},
+	"Remapper.efStart":  {"derived", "face gather; element→interior-face CSR"},
+	"Remapper.efList":   {"derived", "as Remapper.efStart"},
+	"Remapper.eGain":    {"scratch", "staged sub-face gains: momentum gather"},
+	"Remapper.ePx":      {"scratch", "staged sub-face momentum: momentum gather"},
+	"Remapper.ePy":      {"scratch", "as Remapper.ePx"},
+	"Remapper.fGain":    {"scratch", "staged half-face gains: face gather"},
+	"Remapper.fMass":    {"scratch", "staged half-face mass: face gather"},
+	"Remapper.fEn":      {"scratch", "staged half-face energy: face gather"},
+	"Remapper.volT":     {"scratch", "target volumes: volume guard, commit"},
+}
+
+// remapBytesPerElementMax is the ceiling TestRemapperBytesPerElement
+// holds an Eulerian remapper's footprint on Sod 100x100 to: the
+// measured total.
+const remapBytesPerElementMax = 394
+
+// inventoried is one struct whose slice fields an inventory accounts
+// for; only names in fields count, when fields is not nil.
+type inventoried struct {
+	prefix string
+	v      any
+	fields []string
+}
+
+// footprint is the inventory as a check: every slice field of the
+// owners must be classified in table (and every table entry must be a
+// field), and the distinct backing bytes of the fields (views of one
+// interleaved record count once) are totalled per element and held to
+// the ceiling. It returns the markdown table EXPERIMENTS.md carries.
+func footprint(t *testing.T, table map[string]struct{ class, readBy string }, nel int, ceiling float64, owners ...inventoried) string {
+	t.Helper()
 	type array struct {
 		name   string
 		lo, hi uintptr // backing store [lo, hi)
@@ -85,25 +127,24 @@ func TestBytesPerElement(t *testing.T) {
 	}
 	var arrays []array
 	seen := map[string]bool{}
-	for _, owner := range []struct {
-		prefix string
-		v      reflect.Value
-	}{{"Mesh.", reflect.ValueOf(p.Mesh).Elem()}, {"State.", reflect.ValueOf(s).Elem()}} {
-		for i := 0; i < owner.v.NumField(); i++ {
-			f := owner.v.Field(i)
-			if f.Kind() != reflect.Slice {
+	for _, owner := range owners {
+		v := reflect.ValueOf(owner.v).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			field := v.Type().Field(i).Name
+			if f.Kind() != reflect.Slice || owner.fields != nil && !slices.Contains(owner.fields, field) {
 				continue
 			}
-			name := owner.prefix + owner.v.Type().Field(i).Name
+			name := owner.prefix + field
 			seen[name] = true
-			if _, ok := inventory[name]; !ok {
+			if _, ok := table[name]; !ok {
 				t.Errorf("%s is not in the inventory: classify it (primary, derived or scratch) and say who reads it", name)
 			}
 			lo := f.Pointer()
 			arrays = append(arrays, array{name: name, lo: lo, hi: lo + uintptr(f.Cap())*f.Type().Elem().Size()})
 		}
 	}
-	for name := range inventory {
+	for name := range table {
 		if !seen[name] {
 			t.Errorf("the inventory lists %s, which is no longer a field", name)
 		}
@@ -121,22 +162,61 @@ func TestBytesPerElement(t *testing.T) {
 		}
 		total += a.bytes
 	}
-	nel := float64(p.Mesh.NEl)
-	perEl := float64(total) / nel
-	if perEl > bytesPerElementMax {
-		t.Errorf("mesh + state hold %.1f B/el, ceiling %d", perEl, bytesPerElementMax)
-	}
+	perEl := float64(total) / float64(nel)
 
 	sort.SliceStable(arrays, func(i, j int) bool { return arrays[i].name < arrays[j].name })
 	var b strings.Builder
 	byClass := map[string]float64{}
 	fmt.Fprintf(&b, "| array | class | B/el | read by |\n|---|---|---:|---|\n")
 	for _, a := range arrays {
-		e := inventory[a.name]
-		byClass[e.class] += float64(a.bytes) / nel
-		fmt.Fprintf(&b, "| `%s` | %s | %.2f | %s |\n", a.name, e.class, float64(a.bytes)/nel, e.readBy)
+		e := table[a.name]
+		byClass[e.class] += float64(a.bytes) / float64(nel)
+		fmt.Fprintf(&b, "| `%s` | %s | %.2f | %s |\n", a.name, e.class, float64(a.bytes)/float64(nel), e.readBy)
 	}
-	fmt.Fprintf(&b, "| **total** | primary %.1f, derived %.1f, scratch %.1f | **%.2f** | ceiling %d |\n",
-		byClass["primary"], byClass["derived"], byClass["scratch"], perEl, bytesPerElementMax)
-	t.Logf("noh 100x100, %d elements, %d nodes:\n%s", p.Mesh.NEl, p.Mesh.NNd, b.String())
+	fmt.Fprintf(&b, "| **total** | primary %.1f, derived %.1f, scratch %.1f | **%.2f** | ceiling %g |\n",
+		byClass["primary"], byClass["derived"], byClass["scratch"], perEl, ceiling)
+	if perEl > ceiling {
+		t.Errorf("%.1f B/el, ceiling %g", perEl, ceiling)
+	}
+	return b.String()
+}
+
+// TestBytesPerElement is the memory inventory as a test: every slice
+// field of mesh.Mesh and hydro.State for Noh 100x100 must be classified
+// in the table above, and their distinct backing bytes must stay under
+// the ceiling — so an added or widened array fails here before it
+// reaches peak_rss_mb. go test -v prints the table EXPERIMENTS.md
+// carries.
+func TestBytesPerElement(t *testing.T) {
+	p, err := setup.ByName("noh", 100, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := footprint(t, inventory, p.Mesh.NEl, bytesPerElementMax,
+		inventoried{"Mesh.", p.Mesh, nil}, inventoried{"State.", s, nil})
+	t.Logf("noh 100x100, %d elements, %d nodes:\n%s", p.Mesh.NEl, p.Mesh.NNd, table)
+}
+
+// TestRemapperBytesPerElement is the same inventory for what a remap
+// adds to a run: every slice field of an Eulerian ale.Remapper on a Sod
+// 100x100 box, and the face list NewRemapper has the mesh build. The
+// Eulerian targets alias the mesh's coordinates and the smoothing
+// stencil is Smoothed-only, so those rows read zero here.
+func TestRemapperBytesPerElement(t *testing.T) {
+	p, err := setup.ByName("sod", 100, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ale.NewRemapper(ale.Options{Mode: ale.Eulerian}, s)
+	table := footprint(t, remapInventory, p.Mesh.NEl, remapBytesPerElementMax,
+		inventoried{"Mesh.", p.Mesh, []string{"Faces"}}, inventoried{"Remapper.", r, nil})
+	t.Logf("eulerian remap of sod 100x100, %d elements, %d faces:\n%s", p.Mesh.NEl, len(p.Mesh.Faces), table)
 }

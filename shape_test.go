@@ -1,10 +1,15 @@
 package bookleaf
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -32,15 +37,47 @@ var shapeInlined = map[string][]string{
 	"./internal/geom": {"QuadArea", "len2", "longer"},
 }
 
+// shapeBoundsChecks lists, per package, the per-element bodies of the
+// hot sweeps with the bounds checks the compiler leaves in each: the
+// -d=ssa/check_bce/debug=1 reports whose position lies in the body's
+// source (a helper inlined into it reports at its call site). A check
+// is a compare and a branch per element, and an index-type edit can add
+// several without changing a result. A count above the list fails; so
+// does one below it, until the list is lowered to match, which keeps
+// the list exact.
+var shapeBoundsChecks = map[string]map[string]int{
+	"./internal/hydro": {
+		"qforceBody": 6, "elemQ": 7, "elemForce": 7, "updateBody": 14, "cflDivOperand": 3, "accBody": 5,
+	},
+	"./internal/ale": {
+		"gradRange": 26, "subFaceEl": 31, "faceGatherRange": 16, "momGatherRange": 16,
+	},
+}
+
 // TestCompilerShape (make shape; tier 2, it shells out to the compiler)
 // asserts that every helper on the list is still within the inliner's
-// budget, naming the cost of one that is not.
+// budget, naming the cost of one that is not, and that no listed body
+// carries more bounds checks than shapeBoundsChecks allows.
 func TestCompilerShape(t *testing.T) {
 	if os.Getenv("BOOKLEAF_SHAPE") == "" {
 		t.Skip("set BOOKLEAF_SHAPE=1 (make shape) to check the compiler shape of the hot helpers")
 	}
 	if v := runtime.Version(); v != shapeToolchain {
-		t.Skipf("helper list was read from %s, this is %s: re-baseline shapeInlined and shapeToolchain", shapeToolchain, v)
+		t.Skipf("helper list was read from %s, this is %s: re-baseline shapeInlined, shapeBoundsChecks and shapeToolchain", shapeToolchain, v)
+	}
+	for pkg, want := range shapeBoundsChecks {
+		got := boundsChecks(t, pkg)
+		for body, n := range want {
+			c, ok := got[body]
+			switch {
+			case !ok:
+				t.Errorf("%s: no function %s (renamed or removed?)", pkg, body)
+			case c > n:
+				t.Errorf("%s: %s has %d bounds checks, the list allows %d", pkg, body, c, n)
+			case c < n:
+				t.Errorf("%s: %s has %d bounds checks, fewer than the %d listed: lower the list", pkg, body, c, n)
+			}
+		}
 	}
 	for pkg, helpers := range shapeInlined {
 		out, err := exec.Command("go", "build", "-gcflags=-m=2", pkg).CombinedOutput()
@@ -59,4 +96,49 @@ func TestCompilerShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// boundsChecks builds pkg with the compiler's bounds-check report and
+// returns the number of reports inside each function of the package, by
+// function name.
+func boundsChecks(t *testing.T, pkg string) map[string]int {
+	t.Helper()
+	out, err := exec.Command("go", "build", "-gcflags=-d=ssa/check_bce/debug=1", pkg).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-d=ssa/check_bce/debug=1 %s: %v\n%s", pkg, err, out)
+	}
+	// The source range of every function, by file; a function with no
+	// report counts zero.
+	type span struct {
+		name     string
+		from, to int
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, pkg, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string][]span{}
+	counts := map[string]int{}
+	for _, p := range pkgs {
+		for path, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					funcs[path] = append(funcs[path], span{fd.Name.Name, fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line})
+					counts[fd.Name.Name] += 0
+				}
+			}
+		}
+	}
+	for _, m := range regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: Found Is(?:Slice)?InBounds$`).FindAllSubmatch(out, -1) {
+		line, _ := strconv.Atoi(string(m[2]))
+		for _, f := range funcs[string(m[1])] {
+			if f.from <= line && line <= f.to {
+				counts[f.name]++
+			}
+		}
+	}
+	return counts
 }
