@@ -13,8 +13,9 @@
 # rank, a typhon.Comm and the status reduction like any other.
 # tier2-par races the threading substrate and the hydro kernels at
 # several GOMAXPROCS settings, so the persistent worker pool's
-# channel-based synchronisation is exercised under both starved and
-# oversubscribed schedulers. The hydro package's reference battery
+# spin-then-park handshake is exercised under a starved scheduler
+# (GOMAXPROCS=1: workers never spin), the host's, and an
+# oversubscribed one. The hydro package's reference battery
 # (rewritten kernels vs the verbatim old loop bodies, the limiter-reuse
 # and stale-limiter checks, at pools {1,2,4}) runs in it.
 # tier2-ale races the parallel remap: the ale package's kernel suite

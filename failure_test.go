@@ -191,6 +191,39 @@ func TestInjectedPanicAbortsParallelRun(t *testing.T) {
 	}
 }
 
+// A panic inside a threaded region on a worker's chunk (an index fault
+// in a kernel body, say) ends the run the way a panic on the rank's own
+// goroutine does: Run returns a *RankPanicError carrying the value, at
+// one rank and at two, and the process survives.
+func TestInjectedPoolWorkerPanicFailsRun(t *testing.T) {
+	const boom = "element fault on a worker chunk"
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			err := runBounded(t, Config{
+				Problem: "sod", NX: 128, NY: 8, Ranks: ranks, Threads: 2, MaxSteps: 10,
+				testFault: func(rank, step int, s *hydro.State) {
+					if rank != ranks-1 || step != 3 {
+						return
+					}
+					if s.Pool.NumChunks(s.Mesh.NEl) < 2 {
+						t.Errorf("rank %d: %d elements run in one chunk", rank, s.Mesh.NEl)
+						return
+					}
+					s.Pool.For(s.Mesh.NEl, func(lo, hi int) {
+						if lo > 0 {
+							panic(boom)
+						}
+					})
+				},
+			})
+			var rp *typhon.RankPanicError
+			if !errors.As(err, &rp) || rp.Rank != ranks-1 || rp.Value != boom {
+				t.Fatalf("want rank %d's worker panic as a *RankPanicError, got %v", ranks-1, err)
+			}
+		})
+	}
+}
+
 // A truncated halo message is a data fault, not a crash: the receiving
 // rank reports a size mismatch, aborts the communicator, and the run
 // ends cleanly with that mismatch as the root cause.

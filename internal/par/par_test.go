@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -198,35 +199,52 @@ func TestWorkersPersistAcrossRegions(t *testing.T) {
 	}
 }
 
+// Close retires the workers, whether they are spinning (right after a
+// region) or parked (long after one), before it returns, and the closed
+// pool runs everything inline.
 func TestCloseDegradesToInline(t *testing.T) {
-	p := New(4)
-	p.For(1024, func(lo, hi int) {}) // start workers
-	p.Close()
-	p.Close() // idempotent
-	calls := 0
-	p.For(64, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 64 {
-			t.Fatalf("closed pool ran chunk [%d,%d), want [0,64)", lo, hi)
+	for _, state := range []string{"spinning", "parked"} {
+		base := settledGoroutines()
+		p := New(4)
+		p.For(1024, func(lo, hi int) {}) // start workers
+		if got := runtime.NumGoroutine(); got != base+3 {
+			t.Fatalf("%s: %d goroutines after the first region, want %d", state, got, base+3)
 		}
-	})
-	if calls != 1 {
-		t.Fatalf("closed pool ran body %d times, want 1 inline call", calls)
-	}
-	if v, i := p.ReduceMin(3, func(i int) float64 { return float64(i) }); v != 0 || i != 0 {
-		t.Fatalf("closed ReduceMin = (%v,%d), want (0,0)", v, i)
-	}
-	if s := p.ReduceSum(4, func(i int) float64 { return 1 }); s != 4 {
-		t.Fatalf("closed ReduceSum = %v, want 4", s)
-	}
-	p.ForChunks(8, func(c, lo, hi int) {
-		if c != 0 || lo != 0 || hi != 8 {
-			t.Fatalf("closed ForChunks chunk (%d,[%d,%d)), want (0,[0,8))", c, lo, hi)
+		for w := range p.workers {
+			for state == "parked" && p.workers[w].parked.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
 		}
-	})
-	v1, a1, v2, a2 := p.ReduceMin2(3, func(i int) (float64, float64) { return float64(i), float64(2 - i) })
-	if v1 != 0 || a1 != 0 || v2 != 0 || a2 != 2 {
-		t.Fatalf("closed ReduceMin2 = (%v,%d,%v,%d), want (0,0,0,2)", v1, a1, v2, a2)
+		p.Close()
+		p.Close() // idempotent
+		if got := waitGoroutines(base, 100*time.Millisecond); got > base {
+			t.Fatalf("%s: %d goroutines 100 ms after Close, want %d", state, got, base)
+		}
+		calls := 0
+		p.For(1024, func(lo, hi int) {
+			calls++
+			if lo != 0 || hi != 1024 {
+				t.Fatalf("%s: closed pool ran chunk [%d,%d), want [0,1024)", state, lo, hi)
+			}
+		})
+		if calls != 1 {
+			t.Fatalf("%s: closed pool ran body %d times, want 1 inline call", state, calls)
+		}
+		if v, i := p.ReduceMin(3, func(i int) float64 { return float64(i) }); v != 0 || i != 0 {
+			t.Fatalf("closed ReduceMin = (%v,%d), want (0,0)", v, i)
+		}
+		if s := p.ReduceSum(4, func(i int) float64 { return 1 }); s != 4 {
+			t.Fatalf("closed ReduceSum = %v, want 4", s)
+		}
+		p.ForChunks(8, func(c, lo, hi int) {
+			if c != 0 || lo != 0 || hi != 8 {
+				t.Fatalf("closed ForChunks chunk (%d,[%d,%d)), want (0,[0,8))", c, lo, hi)
+			}
+		})
+		v1, a1, v2, a2 := p.ReduceMin2(3, func(i int) (float64, float64) { return float64(i), float64(2 - i) })
+		if v1 != 0 || a1 != 0 || v2 != 0 || a2 != 2 {
+			t.Fatalf("closed ReduceMin2 = (%v,%d,%v,%d), want (0,0,0,2)", v1, a1, v2, a2)
+		}
 	}
 }
 
@@ -291,29 +309,50 @@ func TestChunkThresholdNarrowsSmallLoops(t *testing.T) {
 
 // TestParallelDispatchZeroAllocs pins the zero-allocation property the
 // hydro kernels rely on: with a pre-bound body, For / ForChunks /
-// ReduceMin / ReduceSum / ReduceMin2 allocate nothing per call.
+// ReduceMin / ReduceSum / ReduceMin2 allocate nothing per call — back
+// to back, where the workers are still spinning, and after a gap past
+// the spin budget, where they have parked and must be woken.
+// AllocsPerRun runs at GOMAXPROCS=1, where workers never spin, so the
+// spinning path is also counted at the test's own GOMAXPROCS, for a
+// pool that fits it. There a worker the OS deschedules past the budget
+// parks, and a parked worker released on another P than it parked on
+// makes the runtime's per-P sudog caches allocate now and again. That is
+// the scheduler's, so the count there only rules out an allocation per
+// call, and the park path is counted at AllocsPerRun's one P.
 func TestParallelDispatchZeroAllocs(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	body := func(lo, hi int) {}
-	cbody := func(c, lo, hi int) {}
-	red := func(i int) float64 { return float64(i) }
-	red2 := func(i int) (float64, float64) { return float64(i), float64(-i) }
-	p.For(512, body) // warm up: spawn workers, size slots
-	if n := testing.AllocsPerRun(50, func() { p.For(512, body) }); n != 0 {
-		t.Errorf("For allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { p.ForChunks(512, cbody) }); n != 0 {
-		t.Errorf("ForChunks allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { p.ReduceMin(512, red) }); n != 0 {
-		t.Errorf("ReduceMin allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { p.ReduceSum(512, red) }); n != 0 {
-		t.Errorf("ReduceSum allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { p.ReduceMin2(512, red2) }); n != 0 {
-		t.Errorf("ReduceMin2 allocates %v per call", n)
+	for _, threads := range []int{2, 4} {
+		p := New(threads)
+		n := threads * minChunkIters
+		body := func(lo, hi int) {}
+		cbody := func(c, lo, hi int) {}
+		red := func(i int) float64 { return float64(i) }
+		red2 := func(i int) (float64, float64) { return float64(i), float64(-i) }
+		p.For(n, body) // warm up: spawn workers, size slots
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"For", func() { p.For(n, body) }},
+			{"ForChunks", func() { p.ForChunks(n, cbody) }},
+			{"ReduceMin", func() { p.ReduceMin(n, red) }},
+			{"ReduceSum", func() { p.ReduceSum(n, red) }},
+			{"ReduceMin2", func() { p.ReduceMin2(n, red2) }},
+		} {
+			after := func() { busy(spinBudget + 100*time.Microsecond); c.call() }
+			if a := testing.AllocsPerRun(50, c.call); a != 0 {
+				t.Errorf("threads=%d: %s allocates %v per call", threads, c.name, a)
+			}
+			if a := testing.AllocsPerRun(10, after); a != 0 {
+				t.Errorf("threads=%d: %s after a gap allocates %v per call", threads, c.name, a)
+			}
+			if threads > runtime.GOMAXPROCS(0) {
+				continue
+			}
+			if a := spinMallocs(100, c.call); a >= 0.5 {
+				t.Errorf("threads=%d: %s at GOMAXPROCS=%d allocates %v per call", threads, c.name, runtime.GOMAXPROCS(0), a)
+			}
+		}
+		p.Close()
 	}
 }
 
