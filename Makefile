@@ -80,16 +80,6 @@
 # wall time, peak RSS, bytes per element and the per-kernel shares
 # EXPERIMENTS.md sets beside Table II. Tier 2: under a minute, up to
 # ~1 GB resident.
-# bench records the perf trajectory to BENCH_step.json so future
-# changes can be judged against it (see CHANGES.md for the cadence).
-# bench-compare is the perf gate: it re-runs the step benchmarks and
-# diffs them against the committed BENCH_step.json via
-# bleaf-bench -compare, failing when a benchmark slows by more than
-# THRESHOLD (fraction, default 0.10) or allocates more. The gate
-# includes the step_ns_per_el headline — the best point of the
-# BenchmarkStepGrid reorder sweep — so a locality regression
-# anywhere on the grid's frontier fails even if every named benchmark
-# individually squeaks under the threshold.
 # bench-check vets and tests the benchmark harness under bench/ (about
 # 2 s); tier1 depends on it, so it runs before any change to internal/
 # lands.
@@ -98,9 +88,8 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-THRESHOLD ?= 0.10
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale test bench bench-all bench-compare bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale test bench-check fuzz clean
 
 # The -run filters of the tier-2 targets, shared with tier2-list.
 RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
@@ -195,29 +184,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/config
 	$(GO) test -fuzz=FuzzSubmitDeck -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/serve
-
-# The step-path benchmarks, 5 repetitions each, aggregated into
-# BENCH_step.json (min ns/op, max allocs/op per name). -merge keeps
-# entries from earlier bench runs that this recipe no longer re-runs,
-# so the record only ever gains axes (e.g. the rank axis of
-# BenchmarkParallelStep).
-bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkLagrangianStep$$|BenchmarkRemap$$' -benchmem -count=5 . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkStepGrid' -benchmem -benchtime=20x -count=7 -timeout 30m . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallelStep' -benchmem -count=5 -timeout 30m . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkStepThreads|BenchmarkStepFusion|BenchmarkQForceFusion|BenchmarkLagUpdateFusion' -benchmem -count=5 -timeout 30m ./internal/hydro ; } \
-	  | $(GO) run ./cmd/bleaf-bench -merge -o BENCH_step.json
-
-bench-all:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-bench-compare:
-	@tmp=$$(mktemp) && \
-	  { $(GO) test -run '^$$' -bench 'BenchmarkStepGrid' -benchmem -benchtime=20x -count=5 -timeout 30m . ; \
-	    $(GO) test -run '^$$' -bench 'BenchmarkStepThreads|BenchmarkStepFusion' -benchmem -count=3 ./internal/hydro ; } \
-	    | $(GO) run ./cmd/bleaf-bench -o $$tmp >/dev/null && \
-	  { $(GO) run ./cmd/bleaf-bench -compare -threshold $(THRESHOLD) BENCH_step.json $$tmp; \
-	    status=$$?; rm -f $$tmp; exit $$status; }
 
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -195,9 +195,8 @@ func BenchmarkLagrangianStep(b *testing.B) {
 	}
 }
 
-// BenchmarkRemap records the remap cost across the target-mesh mode and
-// the intra-rank thread count (BENCH_step.json via make bench). Each
-// iteration times one Apply on a freshly stepped state, so the remap
+// BenchmarkRemap measures the remap cost across the target-mesh mode
+// and the intra-rank thread count. Each iteration times one Apply on a freshly stepped state, so the remap
 // sees real fluxes; the interleaved step runs off the clock.
 func BenchmarkRemap(b *testing.B) {
 	for _, mode := range []struct {
@@ -246,10 +245,8 @@ func BenchmarkRemap(b *testing.B) {
 }
 
 // BenchmarkStepGrid sweeps the mesh numberings and reports ns per
-// element-step — the record headline (step_ns_per_el in
-// BENCH_step.json) is the best point of this grid. reorder=none is the
-// seed configuration; hilbert is the locality overhaul the roofline's
-// reuse proxy predicts.
+// element-step. reorder=none is the seed configuration; hilbert is the
+// locality overhaul the roofline's reuse proxy predicts.
 //
 // The mesh is a wide Sod strong-scaling geometry (8192×8): at that
 // width the generator's row-major sweep streams ~4 MB of element state

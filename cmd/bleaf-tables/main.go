@@ -123,9 +123,8 @@ func roofline() {
 }
 
 // reorderReadout prints the mesh-renumbering locality readout on the
-// BenchmarkStepGrid mesh (Noh 192x192, the same mesh BENCH_step.json's
-// reorder grid measures): the reuse-distance proxy of each
-// numbering, the gather derate it implies against the generator's
+// BenchmarkStepGrid mesh and on a square one: the reuse-distance proxy
+// of each numbering, the gather derate it implies against the generator's
 // row-major sweep, and the predicted step speedup on the
 // bandwidth-bound CPU platforms. EXPERIMENTS.md pairs these with the
 // measured ns/el from the grid benchmark.
@@ -143,8 +142,7 @@ func reorderReadout() {
 	// BenchmarkStepGrid geometry) the row-major sweep re-touches a node
 	// row only after streaming the whole 8192-element row between — far
 	// past any cache — so the numbering decides whether gathers hit;
-	// this is where the renumbering pays and where the measured grid in
-	// BENCH_step.json is recorded. On a laptop-scale square mesh the
+	// this is where the renumbering pays. On a laptop-scale square mesh the
 	// ~194-node row-to-row working set already fits L1 and the proxy
 	// correctly predicts (and measurement confirms) roughly nothing.
 	for _, mesh := range []struct {

@@ -16,13 +16,12 @@ import (
 // than tolerating "a few".
 func TestStepZeroAllocs(t *testing.T) {
 	for _, fuse := range []bool{true, false} {
-		for _, threads := range []int{1, 4} {
-			// The EdgeQForces row pins the lazily sized QEdge and the
-			// ScatterAcc row the lazily sized nodal accumulators: the
-			// warm-up step allocates them, no later step does. The
-			// filter and nohg rows run the force body's other two
-			// hourglass branches (the default is sub-zonal).
-			for _, ablation := range []string{"", "edgeq", "scatteracc", "filter", "nohg"} {
+		for _, threads := range []int{1, 2, 4} {
+			// The ScatterAcc row pins the lazily sized nodal
+			// accumulators: the warm-up step allocates them, no later
+			// step does. The filter and nohg rows run the force body's
+			// other two hourglass branches (the default is sub-zonal).
+			for _, ablation := range []string{"", "scatteracc", "filter", "nohg"} {
 				name := "unfused"
 				if fuse {
 					name = "fused"
@@ -44,7 +43,6 @@ func testStepZeroAllocs(t *testing.T, fuse bool, threads int, ablation string) {
 		g, _ := eos.NewIdealGas(1.4)
 		opt := DefaultOptions(g)
 		opt.Fuse = fuse
-		opt.EdgeQForces = ablation == "edgeq"
 		opt.ScatterAcc = ablation == "scatteracc"
 		switch ablation {
 		case "filter":

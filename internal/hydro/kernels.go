@@ -175,14 +175,11 @@ func (s *State) GetQ(lo, hi int) {
 }
 
 // viscArgs stages the operands of a viscosity sweep starting at element
-// lo, sizing the ablation-only QEdge on its first use.
+// lo.
 func (s *State) viscArgs(lo int, uArr, vArr []float64, reuse bool) {
 	s.ka.lo = lo
 	s.ka.u, s.ka.v = uArr, vArr
 	s.ka.reuse = reuse
-	if s.Opt.EdgeQForces && len(s.QEdge) == 0 {
-		s.QEdge = make([]float64, 4*s.Mesh.NEl)
-	}
 }
 
 func (s *State) qBody(plo, phi int) {
@@ -258,9 +255,6 @@ func (s *State) elemQ(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3, v0,
 		}
 		q3 = edgeVisc(psis[3], rho, rq2, rq1, du2)
 	}
-	if s.Opt.EdgeQForces {
-		s.dampers(e, x0, x1, x2, x3, y0, y1, y2, y3, q0, q1, q2, q3, dux0, duy0, dux1, duy1, dux2, duy2, dux3, duy3)
-	}
 	return 0.25 * (0 + q0 + q1 + q2 + q3)
 }
 
@@ -326,26 +320,6 @@ func limit(proj, du2 float64) float64 {
 	return 0
 }
 
-// dampers fills element e's QEdge for the EdgeQForces ablation from its
-// four edge viscosities: each edge's viscous pressure acting over the
-// edge length, per unit |Δu|. The edge length, a second square root and
-// a divide per edge have no other consumer, so they are formed here and
-// for nobody else.
-func (s *State) dampers(e int, x0, x1, x2, x3, y0, y1, y2, y3, q0, q1, q2, q3, dux0, duy0, dux1, duy1, dux2, duy2, dux3, duy3 float64) {
-	qe := s.QEdge[4*e : 4*e+4]
-	qe[0] = damper(q0, x1-x0, y1-y0, dux0, duy0)
-	qe[1] = damper(q1, x2-x1, y2-y1, dux1, duy1)
-	qe[2] = damper(q2, x3-x2, y3-y2, dux2, duy2)
-	qe[3] = damper(q3, x0-x3, y0-y3, dux3, duy3)
-}
-
-func damper(q, dxx, dxy, dux, duy float64) float64 {
-	if q == 0 {
-		return 0
-	}
-	return q * math.Sqrt(dxx*dxx+dxy*dxy) / math.Sqrt(dux*dux+duy*duy)
-}
-
 // GetForce assembles corner forces for elements [lo, hi): the
 // compatible pressure + viscosity force (P+q)·∇A plus the selected
 // hourglass-control force. uArr, vArr supply the velocity field the
@@ -377,22 +351,6 @@ func (s *State) elemForce(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3,
 	fx1, fy1 := gradForce(pq, x0, y0, x2, y2)
 	fx2, fy2 := gradForce(pq, x1, y1, x3, y3)
 	fx3, fy3 := gradForce(pq, x2, y2, x0, y0)
-	if s.Opt.EdgeQForces {
-		// Ablation: apply the viscosity as equal-and-opposite dampers
-		// along each compressing edge instead of the isotropic
-		// contribution above (subtract it back).
-		gx0, gy0 := gradForce(q, x3, y3, x1, y1)
-		gx1, gy1 := gradForce(q, x0, y0, x2, y2)
-		gx2, gy2 := gradForce(q, x1, y1, x3, y3)
-		gx3, gy3 := gradForce(q, x2, y2, x0, y0)
-		fx0, fy0, fx1, fy1 = fx0-gx0, fy0-gy0, fx1-gx1, fy1-gy1
-		fx2, fy2, fx3, fy3 = fx2-gx2, fy2-gy2, fx3-gx3, fy3-gy3
-		qe := s.QEdge[4*e : 4*e+4]
-		fx0, fy0, fx1, fy1 = damp(qe[0], u1-u0, v1-v0, fx0, fy0, fx1, fy1)
-		fx1, fy1, fx2, fy2 = damp(qe[1], u2-u1, v2-v1, fx1, fy1, fx2, fy2)
-		fx2, fy2, fx3, fy3 = damp(qe[2], u3-u2, v3-v2, fx2, fy2, fx3, fy3)
-		fx3, fy3, fx0, fy0 = damp(qe[3], u0-u3, v0-v3, fx3, fy3, fx0, fy0)
-	}
 	switch s.Opt.Hourglass {
 	case HGFilter:
 		// Hancock-style viscous filter: damp the velocity component
@@ -463,16 +421,6 @@ func (s *State) elemForce(e int, x0, x1, x2, x3, y0, y1, y2, y3, u0, u1, u2, u3,
 // geom.BasisGrad.
 func gradForce(p, xm, ym, xp, yp float64) (fx, fy float64) {
 	return p * (0.5 * (yp - ym)), p * (0.5 * (xm - xp))
-}
-
-// damp adds the damper force kappa·Δu of one edge to its first corner's
-// force (fxa, fya) and subtracts it from its second's (fxb, fyb).
-func damp(kappa, du, dv, fxa, fya, fxb, fyb float64) (float64, float64, float64, float64) {
-	if kappa == 0 {
-		return fxa, fya, fxb, fyb
-	}
-	fx, fy := kappa*du, kappa*dv
-	return fxa + fx, fya + fy, fxb - fx, fyb - fy
 }
 
 // subzonalDp returns the pressure perturbation of the corner at node

@@ -70,12 +70,6 @@ type Options struct {
 	// kept as a paper-fidelity ablation.
 	ScatterAcc bool
 
-	// EdgeQForces applies the artificial viscosity as equal-and-
-	// opposite dampers along each compressing edge instead of an
-	// isotropic addition to the pressure — an ablation of the force
-	// formulation.
-	EdgeQForces bool
-
 	// Fuse runs the step on the fused element passes: the viscosity +
 	// corner-force pair and the geometry→density→energy→EOS update
 	// chain each become a single pool sweep that streams X/Y/U/V once

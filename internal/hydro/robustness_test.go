@@ -135,74 +135,3 @@ func TestEnergyFloorZeroOnHealthyRun(t *testing.T) {
 		t.Fatalf("healthy run used the energy floor: %v", s.FloorEnergy)
 	}
 }
-
-func TestEdgeQForcesConserve(t *testing.T) {
-	// The edge-damper ablation must still balance forces per element
-	// and conserve energy through the compatible update.
-	m := boxMesh(t, 6, 6)
-	g, _ := eos.NewIdealGas(1.4)
-	opt := DefaultOptions(g)
-	opt.EdgeQForces = true
-	rho := make([]float64, m.NEl)
-	ein := make([]float64, m.NEl)
-	for e := range rho {
-		rho[e] = 1
-		ein[e] = 0.2
-	}
-	s, err := NewState(m, opt, rho, ein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Converging flow so dampers engage; BC-consistent (vanishes at
-	// the walls so the constraints remove no pre-existing energy).
-	for n := range s.U {
-		bump := math.Sin(math.Pi*s.X[n]) * math.Sin(math.Pi*s.Y[n])
-		s.U[n] = -0.3 * (s.X[n] - 0.5) * bump
-		s.V[n] = -0.3 * (s.Y[n] - 0.5) * bump
-	}
-	e0 := s.TotalEnergy()
-	for i := 0; i < 40; i++ {
-		if _, err := s.Step(nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drift := math.Abs(s.TotalEnergy()-e0-s.FloorEnergy) / e0
-	if drift > 1e-11 {
-		t.Fatalf("edge-q energy drift %v", drift)
-	}
-	// Per-element force balance.
-	s.GetQ(0, m.NEl)
-	copy(s.U0, s.U)
-	copy(s.V0, s.V)
-	s.GetForce(0, m.NEl, s.U0, s.V0)
-	for e := 0; e < m.NEl; e++ {
-		var fx, fy float64
-		for k := 0; k < 4; k++ {
-			fx += s.FX[s.CornerStride()*e+k]
-			fy += s.FY[s.CornerStride()*e+k]
-		}
-		if math.Abs(fx) > 1e-12 || math.Abs(fy) > 1e-12 {
-			t.Fatalf("edge-q element %d net force (%v,%v)", e, fx, fy)
-		}
-	}
-}
-
-func TestQEdgeZeroWithoutCompression(t *testing.T) {
-	m := boxMesh(t, 4, 4)
-	s := uniformState(t, m, 1, 1, HGNone)
-	for n := range s.U {
-		s.U[n] = 0.2 * (s.X[n] - 0.5) // expansion
-	}
-	if s.GetQ(0, m.NEl); s.QEdge != nil {
-		t.Fatal("QEdge allocated without the EdgeQForces ablation")
-	}
-	s.Opt.EdgeQForces = true
-	s.GetQ(0, m.NEl)
-	for e := 0; e < m.NEl; e++ {
-		for k := 0; k < 4; k++ {
-			if q := s.QEdge[4*e+k]; q != 0 {
-				t.Fatalf("expansion produced edge damper %d/%d = %v", e, k, q)
-			}
-		}
-	}
-}

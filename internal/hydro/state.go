@@ -65,14 +65,6 @@ type State struct {
 
 	// Element state.
 	Rho, Ein, P, Q, Csq, Vol []float64
-	// QEdge holds the per-edge viscous damper coefficients (edge k of
-	// element e at 4*e+k, dense, not at the corner stride) that the
-	// Options.EdgeQForces ablation's GetForce turns into
-	// equal-and-opposite forces along each compressing edge. Nobody
-	// else reads it, so it exists only under that option: the viscosity
-	// launchers size it on first use, and every sweep rewrites it in
-	// full before the force reads it — it is never saved or migrated.
-	QEdge []float64
 	// Mass is the fixed element mass; CMass the fixed corner
 	// (sub-zonal) masses.
 	Mass, CMass []float64

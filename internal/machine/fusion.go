@@ -38,9 +38,9 @@ var Fusions = []Fusion{
 	// after the half-charge cache discount), and the force half its own
 	// coordinate/velocity gather (48 B effective of its 80); fused, Q
 	// stays in a register and the gather is shared. The per-edge values
-	// are the paper's edge dampers: internal/hydro forms them (QEdge)
-	// only under its EdgeQForces ablation and otherwise streams the
-	// stored limiter there, from the fused and the unfused sweep alike.
+	// are the paper's edge damper coefficients; internal/hydro forms
+	// none and streams the stored limiter in their place, from the fused
+	// and the unfused sweep alike.
 	{Name: "qforce", Replaces: []string{"getq", "getforce"},
 		SavedBytes: 88, SavedOps: 40},
 	// getgeom→getrho→getein→getpc is a straight per-element dataflow

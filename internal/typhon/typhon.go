@@ -118,8 +118,9 @@ func NewComm(n int) (*Comm, error) {
 		c.ret[s] = make([]chan []float64, n)
 		for d := 0; d < n; d++ {
 			if d != s {
-				// Buffer depth 8: enough outstanding messages for
-				// several overlapping exchange phases per pair.
+				// Buffer depth 8: room for the messages of a few
+				// exchanges per pair, so a send does not wait on a
+				// receiver that has fallen an exchange or two behind.
 				c.chans[s][d] = make(chan []float64, 8)
 				c.ret[s][d] = make(chan []float64, 8)
 			}
@@ -189,10 +190,6 @@ func (c *Comm) Run(body func(r *Rank)) error {
 type Rank struct {
 	comm *Comm
 	id   int
-	// exchCache memoises one PendingExchange per (halo, stride,
-	// field-count) pattern so the blocking Exchange rides the phased,
-	// buffer-recycling path without per-call registration.
-	exchCache map[exchKey]*PendingExchange
 }
 
 // ID returns this rank's index in [0, Size).
@@ -396,149 +393,57 @@ func NewHalo(sendTo, recvFrom map[int][]int) *Halo {
 	return h
 }
 
-// exchKey identifies one registered exchange pattern.
-type exchKey struct {
-	h       *Halo
-	stride  int
-	nfields int
-}
-
-// PendingExchange is a registered, phased halo-exchange pattern: one
-// Halo, stride and field count, owned by one rank. Start packs the
-// send-list entries into recycled per-neighbour buffers and posts them;
-// Finish drains the matching receives and unpacks ghosts. Between the
-// two calls the owner may compute on any data disjoint from the ghost
-// entries being filled — the communication/computation overlap the real
-// Typhon's phased API exists for. A pattern is registered once
-// (NewExchange) and reused every step; after a few warm-up exchanges
-// the recycled buffers saturate and the steady state allocates nothing.
-//
-// A PendingExchange is owned by its rank's goroutine and supports one
-// exchange in flight at a time.
-type PendingExchange struct {
-	r        *Rank
-	h        *Halo
-	stride   int
-	nfields  int
-	fields   [][]float64 // armed by Start for Finish's unpack
-	inFlight bool
-}
-
-// NewExchange registers a phased exchange pattern for this rank: h's
-// send/recv lists at the given stride, carrying nfields fields per
-// message. stride must be >= 1.
-func (r *Rank) NewExchange(h *Halo, stride, nfields int) *PendingExchange {
-	if stride < 1 {
-		panic("typhon: stride must be >= 1")
-	}
-	if nfields < 0 {
-		panic("typhon: negative field count")
-	}
-	return &PendingExchange{
-		r: r, h: h, stride: stride, nfields: nfields,
-		fields: make([][]float64, 0, nfields),
-	}
-}
-
-// Start packs and posts this pattern's sends. The fields must match the
-// registered count and stay unchanged in their send- and recv-list
-// entries until Finish returns. Faults armed by InjectFaults apply at
-// the send site exactly as on the blocking path. On error the exchange
-// is cancelled (the communicator is poisoned by then).
-func (p *PendingExchange) Start(fields ...[]float64) error {
-	if len(fields) != p.nfields {
-		panic(fmt.Sprintf("typhon: StartExchange got %d fields, pattern registered %d", len(fields), p.nfields))
-	}
-	if p.inFlight {
-		panic("typhon: StartExchange while a previous exchange is still pending")
-	}
-	p.inFlight = true
-	p.fields = append(p.fields[:0], fields...)
-	r, c := p.r, p.r.comm
-	for _, dst := range p.h.sendOrder {
-		idx := p.h.SendTo[dst]
-		buf := c.takeBuf(r.id, dst, len(idx)*p.stride*p.nfields)
-		pos := 0
-		for _, f := range p.fields {
-			for _, i := range idx {
-				pos += copy(buf[pos:], f[i*p.stride:(i+1)*p.stride])
-			}
-		}
-		if err := r.send(dst, buf); err != nil {
-			p.inFlight = false
-			return err
-		}
-	}
-	return nil
-}
-
-// Finish drains this pattern's receives and unpacks them into the
-// fields given to Start, then returns the spent buffers to their
-// senders for reuse. A short or oversized message aborts the
-// communicator and surfaces as a *SizeMismatchError — even when the
-// fault was injected while the owner was computing between Start and
-// Finish. Receive timeouts and aborts unblock with the same errors as
-// the blocking path.
-func (p *PendingExchange) Finish() error {
-	if !p.inFlight {
-		panic("typhon: FinishExchange without a matching StartExchange")
-	}
-	p.inFlight = false
-	r, c := p.r, p.r.comm
-	for _, src := range p.h.recvOrder {
-		idx := p.h.RecvFrom[src]
-		buf, err := r.Recv(src)
-		if err != nil {
-			return err
-		}
-		want := len(idx) * p.stride * p.nfields
-		if len(buf) != want {
-			err := &SizeMismatchError{From: src, To: r.id, Got: len(buf), Want: want}
-			c.Abort(r.id, err)
-			return err
-		}
-		pos := 0
-		for _, f := range p.fields {
-			for _, i := range idx {
-				copy(f[i*p.stride:(i+1)*p.stride], buf[pos:pos+p.stride])
-				pos += p.stride
-			}
-		}
-		c.giveBuf(src, r.id, buf)
-	}
-	return nil
-}
-
 // Exchange refreshes ghost entries of the given fields: for each
 // neighbour the send-list entries of every field are packed into one
 // message; received messages are unpacked into the recv-list entries.
 // stride is the number of consecutive array slots per entity (1 for
 // nodal/element scalars, 8 for per-corner force pairs, etc.).
 //
-// Exchange is the blocking form: a thin Start+Finish over a
-// PendingExchange memoised per (halo, stride, field-count) pattern, so
-// repeated exchanges recycle their pack buffers exactly like the phased
-// path and allocate nothing in the steady state.
+// Every message travels in a pack buffer recycled per route (takeBuf,
+// giveBuf), so repeated exchanges allocate nothing in the steady state.
+// Faults armed by InjectFaults apply at the send site.
 //
-// A received message whose size does not match the registered pattern
-// is a data fault, not a programming error: Exchange aborts the
-// communicator and returns a *SizeMismatchError, so a single malformed
-// message fails the whole run cleanly instead of crashing the process.
+// A received message whose size does not match the halo pattern is a
+// data fault, not a programming error: Exchange aborts the communicator
+// and returns a *SizeMismatchError, so a single malformed message fails
+// the whole run cleanly instead of crashing the process. Receive
+// timeouts and aborts return the errors Recv does.
 func (r *Rank) Exchange(h *Halo, stride int, fields ...[]float64) error {
 	if stride < 1 {
 		panic("typhon: stride must be >= 1")
 	}
-	k := exchKey{h: h, stride: stride, nfields: len(fields)}
-	p := r.exchCache[k]
-	if p == nil {
-		if r.exchCache == nil {
-			r.exchCache = make(map[exchKey]*PendingExchange)
+	c := r.comm
+	for _, dst := range h.sendOrder {
+		idx := h.SendTo[dst]
+		buf := c.takeBuf(r.id, dst, len(idx)*stride*len(fields))
+		pos := 0
+		for _, f := range fields {
+			for _, i := range idx {
+				pos += copy(buf[pos:], f[i*stride:(i+1)*stride])
+			}
 		}
-		p = r.NewExchange(h, stride, len(fields))
-		r.exchCache[k] = p
+		if err := r.send(dst, buf); err != nil {
+			return err
+		}
 	}
-	if err := p.Start(fields...); err != nil {
-		return err
+	for _, src := range h.recvOrder {
+		idx := h.RecvFrom[src]
+		buf, err := r.Recv(src)
+		if err != nil {
+			return err
+		}
+		if want := len(idx) * stride * len(fields); len(buf) != want {
+			err := &SizeMismatchError{From: src, To: r.id, Got: len(buf), Want: want}
+			c.Abort(r.id, err)
+			return err
+		}
+		pos := 0
+		for _, f := range fields {
+			for _, i := range idx {
+				pos += copy(f[i*stride:(i+1)*stride], buf[pos:])
+			}
+		}
+		c.giveBuf(src, r.id, buf)
 	}
-	return p.Finish()
+	return nil
 }

@@ -2,7 +2,9 @@ package typhon
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -243,6 +245,94 @@ func TestExchangeRing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A stride below one is a programming error, not a data fault: it
+// panics, and Run reports the panic.
+func TestExchangeStridePanics(t *testing.T) {
+	c, _ := NewComm(2)
+	err := c.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Exchange(NewHalo(map[int][]int{}, map[int][]int{}), 0, []float64{1})
+		}
+	})
+	var pe *RankPanicError
+	if !errors.As(err, &pe) || pe.Rank != 0 {
+		t.Fatalf("Run error = %v, want rank 0's panic", err)
+	}
+}
+
+// Repeated exchanges recycle their per-route pack buffers: after a
+// warm-up pass the steady state allocates nothing, for one field or
+// several, one entry per message or several.
+func TestBlockingExchangeSteadyStateAllocFree(t *testing.T) {
+	for _, shape := range []struct{ stride, fields, entries int }{{4, 1, 1}, {4, 2, 2}, {1, 3, 4}, {8, 1, 3}} {
+		t.Run(fmt.Sprintf("stride=%d/fields=%d/entries=%d", shape.stride, shape.fields, shape.entries), func(t *testing.T) {
+			c, _ := NewComm(2)
+			c.Run(func(r *Rank) {
+				other := 1 - r.ID()
+				send, recv := make([]int, shape.entries), make([]int, shape.entries)
+				for i := range send {
+					send[i], recv[i] = i, shape.entries+i
+				}
+				h := NewHalo(map[int][]int{other: send}, map[int][]int{other: recv})
+				fields := make([][]float64, shape.fields)
+				for f := range fields {
+					fields[f] = make([]float64, 2*shape.entries*shape.stride)
+				}
+				exchange := func() {
+					if err := r.Exchange(h, shape.stride, fields...); err != nil {
+						t.Errorf("rank %d: %v", r.ID(), err)
+					}
+				}
+				for i := 0; i < 4; i++ {
+					exchange() // saturate the return-channel pool
+				}
+				if r.ID() == 0 {
+					// AllocsPerRun counts the whole process's allocations;
+					// rank 1 only echoes, so measuring on rank 0 covers
+					// both ends.
+					if allocs := testing.AllocsPerRun(50, exchange); allocs != 0 {
+						t.Errorf("steady-state exchange allocates %v times per run", allocs)
+					}
+				} else {
+					for i := 0; i < 51; i++ { // AllocsPerRun runs 1 warm-up + 50 measured
+						exchange()
+					}
+				}
+			})
+		})
+	}
+}
+
+// sendOrder/recvOrder must come out ascending no matter how the
+// neighbour maps were populated — the property the deterministic wire
+// schedule (and with it bitwise reproducibility) rests on.
+func TestHaloOrderDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		nbrs := rng.Perm(16)[:4+rng.Intn(8)]
+		sendTo := map[int][]int{}
+		recvFrom := map[int][]int{}
+		for _, nb := range nbrs {
+			sendTo[nb] = []int{0}
+			recvFrom[nb] = []int{1}
+		}
+		h := NewHalo(sendTo, recvFrom)
+		for i := 1; i < len(h.sendOrder); i++ {
+			if h.sendOrder[i-1] >= h.sendOrder[i] {
+				t.Fatalf("trial %d: sendOrder not strictly ascending: %v", trial, h.sendOrder)
+			}
+		}
+		for i := 1; i < len(h.recvOrder); i++ {
+			if h.recvOrder[i-1] >= h.recvOrder[i] {
+				t.Fatalf("trial %d: recvOrder not strictly ascending: %v", trial, h.recvOrder)
+			}
+		}
+		if len(h.sendOrder) != len(nbrs) || len(h.recvOrder) != len(nbrs) {
+			t.Fatalf("trial %d: order length mismatch", trial)
+		}
+	}
 }
 
 func TestRunReportsPanicAsError(t *testing.T) {

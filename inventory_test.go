@@ -42,7 +42,6 @@ var inventory = map[string]struct{ class, readBy string }{
 	"State.Q":       {"derived", "forces, getein, getdt"},
 	"State.Csq":     {"derived", "viscosity, getdt"},
 	"State.Vol":     {"derived", "getrho, getdt, hourglass"},
-	"State.QEdge":   {"scratch", "EdgeQForces ablation only: sized on first use"},
 	"State.Mass":    {"primary", "getrho, getein, audits"},
 	"State.CMass":   {"primary", "sub-zonal pressures, NdMass; one record with psi"},
 	"State.FX":      {"scratch", "acceleration gather, force halo; one record with FY"},

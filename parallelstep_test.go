@@ -184,10 +184,10 @@ func TestParallelStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelStep records the rank-scaling axis of the step cost
-// (BENCH_step.json via make bench): one full Lagrangian step at 1, 2
-// and 4 ranks. The state rolls back to a saved snapshot every 64 steps so arbitrarily
-// long benchmark runs measure the same flow field.
+// BenchmarkParallelStep measures the rank-scaling axis of the step
+// cost: one full Lagrangian step at 1, 2 and 4 ranks. The state rolls
+// back to a saved snapshot every 64 steps so arbitrarily long benchmark
+// runs measure the same flow field.
 func BenchmarkParallelStep(b *testing.B) {
 	for _, nranks := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("ranks-%d", nranks), func(b *testing.B) {

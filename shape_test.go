@@ -31,7 +31,7 @@ var shapeInlined = map[string][]string{
 		"(*Remapper).stageEdge", "(*Remapper).reconRho", "(*Remapper).reconEin",
 	},
 	"./internal/hydro": {
-		"compressive", "(*State).nbProj", "limit", "edgeVisc", "gradForce", "damp",
+		"compressive", "(*State).nbProj", "limit", "edgeVisc", "gradForce",
 		"subzonalDp", "subzonalPush", "(*State).cornerWork",
 	},
 	"./internal/geom": {"QuadArea", "len2", "longer"},
@@ -47,7 +47,7 @@ var shapeInlined = map[string][]string{
 // the list exact.
 var shapeBoundsChecks = map[string]map[string]int{
 	"./internal/hydro": {
-		"qforceBody": 6, "elemQ": 7, "elemForce": 7, "updateBody": 14, "cflDivOperand": 3, "accBody": 5,
+		"qforceBody": 6, "elemQ": 7, "elemForce": 6, "updateBody": 14, "cflDivOperand": 3, "accBody": 5,
 	},
 	"./internal/ale": {
 		"gradRange": 26, "subFaceEl": 31, "faceGatherRange": 16, "momGatherRange": 16,
