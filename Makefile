@@ -57,8 +57,11 @@
 # matrix (crash mid-run after a periodic spill, crash with queued
 # work, graceful-shutdown park — serial and ranks=2, all bitwise
 # against uninterrupted runs), calibration and terminal-state
-# persistence, journal-corruption recovery, per-client quota 429s and
-# fair queue ordering.
+# persistence (done results served byte-identical from their result
+# files across a restart), damaged result files, result-file cleanup
+# on eviction, the flat memory of retained done jobs,
+# journal-corruption recovery, per-client quota 429s and fair queue
+# ordering.
 # tier2-list guards the name filters of the targets above: it lists
 # the tests of each filtered package set once (go test -list) and fails
 # on any alternative of a -run pattern that selects no test, so a
@@ -99,7 +102,7 @@ RUN_FUSE     := Fuse
 RUN_FUSE_HY  := StepZeroAllocs|Timers
 RUN_ORDER    := Reorder
 RUN_FLEET    := FleetConstruction
-RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus
+RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus|ResultFileDamage|ResultFilesFollowRetention|DoneJobMemoryFlat
 RUN_CALIB    := Calibrator
 RUN_SHAPE    := CompilerShape
 RUN_PAPER    := PaperScale

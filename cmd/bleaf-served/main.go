@@ -5,6 +5,9 @@
 //
 //	bleaf-served -addr :8080 -workers 4 -threads 2
 //
+// The first line on standard output names the address actually bound,
+// so -addr 127.0.0.1:0 picks a free port and reports it.
+//
 //	# submit a deck, poll it, fetch the result
 //	curl -d @decks/sod.deck localhost:8080/v1/jobs
 //	curl localhost:8080/v1/jobs/j000001
@@ -29,10 +32,12 @@
 // Durability: with -state-dir the daemon journals every submission and
 // outcome to an fsynced NDJSON log in that directory, spills preemption
 // checkpoints next to it (plus a periodic spill of long legs every
-// -spill-every, and a final spill on graceful shutdown), and on restart
-// replays it all — queued decks re-admit, interrupted jobs resume
-// bitwise from their last spill, and the learned calibration scale
-// survives the bounce.
+// -spill-every, and a final spill on graceful shutdown), writes each
+// done job's result there as <id>.res and serves it from the file, and
+// on restart replays it all — queued decks re-admit, interrupted jobs
+// resume bitwise from their last spill, the retained done jobs serve
+// byte-identical results, and the learned calibration scale survives
+// the bounce.
 package main
 
 import (
@@ -40,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,8 +73,8 @@ func run() error {
 		maxRanks = flag.Int("max-ranks", 0, "largest deck-declared rank count admitted (0 = default)")
 		maxThr   = flag.Int("max-threads", 0, "largest deck-declared thread count admitted (0 = default)")
 		maxEl    = flag.Int("max-elements", 0, "largest deck mesh (nx*ny) admitted (0 = default)")
-		maxTerm  = flag.Int("max-terminal-jobs", 0, "finished jobs retained for GET before eviction (0 = default)")
-		stateDir = flag.String("state-dir", "", "durable state directory: journal + checkpoint spills; empty = in-memory")
+		maxTerm  = flag.Int("max-terminal-jobs", 0, "finished jobs retained for GET before eviction; with -state-dir a done job's fields are in its result file, not memory (0 = default)")
+		stateDir = flag.String("state-dir", "", "durable state directory: journal, checkpoint spills and done jobs' result files; empty = in-memory")
 		spill    = flag.Duration("spill-every", 0, "periodic checkpoint spill cadence for long-running legs (0 = 60s; requires -state-dir)")
 		clientB  = flag.Float64("client-budget", 0, "per-client backlog quota in predicted seconds (0 = half of -budget; negative disables)")
 	)
@@ -93,18 +99,25 @@ func run() error {
 		return err
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Handle signals before the start-up line announces the daemon, so a
+	// SIGTERM sent as soon as it is read still shuts down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	durable := "in-memory"
 	if *stateDir != "" {
 		durable = "state-dir " + *stateDir
 	}
 	fmt.Printf("bleaf-served: listening on %s (%d worker(s) x %d thread(s), budget %.0fs, %s)\n",
-		*addr, *workers, *threads, *budget, durable)
+		ln.Addr(), *workers, *threads, *budget, durable)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		srv.Close()

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -291,11 +298,21 @@ func mustGet(t *testing.T, s *Server, id string) *Job {
 	return j
 }
 
+// getRaw is GET /v1/jobs/{id} on s's handler: the status code and the
+// exact body bytes.
+func getRaw(t *testing.T, s *Server, id string) (int, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+id, nil))
+	return rec.Code, rec.Body.Bytes()
+}
+
 // TestDurableCalibrationAndTerminalSurviveRestart: the calibrator's
-// learned scale and the terminal record of finished jobs both outlive
-// the daemon. Result field arrays deliberately do not (their snapshot
-// files are deleted at terminal state) — the status document is the
-// durable artifact.
+// learned scale and finished jobs both outlive the daemon. A done job
+// serves its result from its <id>.res file, so after the restart the
+// result is bitwise the one served before it (fields, scalars and
+// deterministic obs counters, all bitwise a direct run's) and the GET
+// body is byte-identical.
 func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	deck := "[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 10\n"
 	dir := t.TempDir()
@@ -311,6 +328,12 @@ func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	st0 := s.Stats()
 	if st0.CalibrationN != 1 || !(st0.CalibrationScale > 0) {
 		t.Fatalf("no calibration after completion: %+v", st0)
+	}
+	before := s.Result(j)
+	assertResultBitwise(t, before, directRun(t, deck))
+	code, body0 := getRaw(t, s, j.ID)
+	if code != http.StatusOK || !bytes.Contains(body0, []byte(`"rho":[`)) {
+		t.Fatalf("GET before the restart: %d %s", code, body0)
 	}
 	s.Close()
 
@@ -331,8 +354,9 @@ func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	if st.State != StateDone || st.Client != "carol" || st.Error != "" {
 		t.Fatalf("terminal job recovered wrong: %+v", st)
 	}
-	if s2.Result(j2) != nil {
-		t.Fatal("result arrays are documented not to survive a restart")
+	assertResultBitwise(t, s2.Result(j2), before)
+	if code, body1 := getRaw(t, s2, j.ID); code != http.StatusOK || !bytes.Equal(body1, body0) {
+		t.Fatalf("GET body changed across the restart (%d):\nbefore %.300s\nafter  %.300s", code, body0, body1)
 	}
 	// And the next submission is priced with the restored scale.
 	raw := machine.PredictRun(machine.RunShape{
@@ -567,9 +591,10 @@ func TestBadClientRejected(t *testing.T) {
 
 // TestTerminalJobPinsNoSnapshot is the memory-leak regression test: a
 // job that was preempted (and so held a mesh-sized resume snapshot)
-// must drop it — and the merged leg obs, the leg config's ResumeFrom,
-// and the journaled deck bytes — the moment it reaches a terminal
-// state, instead of pinning them for its whole retention-FIFO stay.
+// must drop it — and the merged leg obs, the config (and any ResumeFrom
+// in it), and the journaled deck bytes — the moment it reaches a
+// terminal state, instead of pinning them for its whole retention-FIFO
+// stay.
 func TestTerminalJobPinsNoSnapshot(t *testing.T) {
 	sodDeck := "[control]\nproblem = sod\nnx = 400\nny = 4\ntend = 0.25\n"
 	nohDeck := "[control]\nproblem = noh\nnx = 24\nny = 24\nmaxsteps = 60\n"
@@ -598,8 +623,8 @@ func TestTerminalJobPinsNoSnapshot(t *testing.T) {
 	if sod.prevObs != nil {
 		t.Error("terminal job still pins its merged leg obs")
 	}
-	if sod.cfg.ResumeFrom != nil {
-		t.Error("terminal job's config still pins a snapshot through ResumeFrom")
+	if sod.cfg != nil {
+		t.Error("terminal job still pins its config (and any snapshot through ResumeFrom)")
 	}
 	if sod.deckRaw != nil {
 		t.Error("terminal job still pins its raw deck bytes")
@@ -633,4 +658,228 @@ func TestDoneStatusReportsDeckTEnd(t *testing.T) {
 	if st.Time >= st.TEnd {
 		t.Fatalf("scenario broke: maxsteps run reached time %v >= tend %v", st.Time, st.TEnd)
 	}
+}
+
+// TestResultFileDamage: a done job whose <id>.res is truncated,
+// bit-flipped, emptied or deleted keeps its status, but serves no part
+// of its result — Server.Result is nil and GET answers the typed
+// result_unavailable error — on the live server and after a restart.
+func TestResultFileDamage(t *testing.T) {
+	deck := "[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 10\n"
+	flip := func(off func(size int) int) func(string) error {
+		return func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			b[off(len(b))] ^= 0x10
+			return os.WriteFile(path, b, 0o644)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(path string) error
+	}{
+		{"truncated", func(path string) error {
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, fi.Size()/2)
+		}},
+		{"emptied", func(path string) error { return os.Truncate(path, 0) }},
+		{"bit-flipped field", flip(func(size int) int { return size / 2 })},
+		{"bit-flipped checksum", flip(func(size int) int { return size - 1 })},
+		{"bit-flipped header", flip(func(int) int { return 10 })},
+		{"deleted", os.Remove},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1}
+			s, err := Open(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := s.Submit(strings.NewReader(deck), 0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Wait()
+			if s.Result(j) == nil {
+				t.Fatal("no result before the damage")
+			}
+			if err := tc.damage(filepath.Join(dir, j.ID+resSuffix)); err != nil {
+				t.Fatal(err)
+			}
+			check := func(s *Server, when string) {
+				t.Helper()
+				if st := s.Status(mustGet(t, s, j.ID)); st.State != StateDone || st.Step != 10 {
+					t.Fatalf("%s: status lost with the file: %+v", when, st)
+				}
+				if res := s.Result(mustGet(t, s, j.ID)); res != nil {
+					t.Fatalf("%s: Result served a damaged file (%d rho values)", when, len(res.Rho))
+				}
+				code, body := getRaw(t, s, j.ID)
+				var eb errorBody
+				if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusInternalServerError ||
+					eb.Error.Code != CodeResultUnavailable {
+					t.Fatalf("%s: GET answered %d %s, want 500 %s", when, code, body, CodeResultUnavailable)
+				}
+				if bytes.Contains(body, []byte(`"rho"`)) {
+					t.Fatalf("%s: GET served part of a damaged result: %s", when, body)
+				}
+			}
+			check(s, "live")
+			s.Close()
+			s2, err := Open(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			check(s2, "restarted")
+		})
+	}
+}
+
+// resFiles lists the result files in dir, sorted.
+func resFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+resSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Base(n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestResultFilesFollowRetention: a result file lives exactly as long
+// as its job is retained. Eviction from the retention FIFO deletes it,
+// at run time and in Open's replay (here under a smaller cap), and
+// Open's orphan sweep removes a file no retained job names.
+func TestResultFilesFollowRetention(t *testing.T) {
+	deck := "[control]\nproblem = sod\nnx = 20\nny = 2\nmaxsteps = 5\n"
+	dir := t.TempDir()
+	opt := Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1, MaxTerminalJobs: 3}
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		j, err := s.Submit(strings.NewReader(deck), 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait()
+		ids = append(ids, j.ID)
+	}
+	want := func(ids []string) []string {
+		var out []string
+		for _, id := range ids {
+			out = append(out, id+resSuffix)
+		}
+		return out
+	}
+	if got := resFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want(ids[3:])) {
+		t.Fatalf("after 6 completions under a cap of 3: result files %v, want %v", got, want(ids[3:]))
+	}
+	s.Close()
+
+	// A stray file from a job the journal does not retain is an orphan.
+	if err := os.WriteFile(filepath.Join(dir, "j999999"+resSuffix), []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want(ids[3:])) {
+		t.Fatalf("after a restart: result files %v, want %v", got, want(ids[3:]))
+	}
+	for _, id := range ids[3:] {
+		if s2.Result(mustGet(t, s2, id)) == nil {
+			t.Fatalf("retained job %s lost its result across the restart", id)
+		}
+	}
+	s2.Close()
+
+	opt.MaxTerminalJobs = 2
+	s3, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := resFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want(ids[4:])) {
+		t.Fatalf("after a restart under a cap of 2: result files %v, want %v", got, want(ids[4:]))
+	}
+}
+
+// TestDoneJobMemoryFlat pins that a done job's memory no longer follows
+// the retention window. On a durable server the fields live in the
+// result files, so nineteen more retained Noh 24x24 jobs must cost less
+// live heap than one result's seven arrays. HeapAlloc after two GCs is
+// the live heap; HeapInuse counts whole spans and moves in 8 KiB steps.
+// An in-memory server keeps the fields but not what no endpoint serves.
+func TestDoneJobMemoryFlat(t *testing.T) {
+	deck := "[control]\nproblem = noh\nnx = 24\nny = 24\nmaxsteps = 60\n"
+	finish := func(s *Server) *Job {
+		t.Helper()
+		j, err := s.Submit(strings.NewReader(deck), 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait()
+		if st := s.Status(j); st.State != StateDone {
+			t.Fatalf("job ended %q (%s)", st.State, st.Error)
+		}
+		return j
+	}
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	t.Run("durable", func(t *testing.T) {
+		opt := Options{Workers: 1, Threads: 1, SpillInterval: -1}
+		opt.StateDir = t.TempDir()
+		s, err := Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res := s.Result(finish(s))
+		if res == nil {
+			t.Fatal("no result")
+		}
+		arrays := int64(8 * (len(res.X) + len(res.Y) + len(res.Rho) + len(res.P) +
+			len(res.Ein) + len(res.U) + len(res.V)))
+		res = nil
+		h1 := liveHeap()
+		for n := 2; n <= 20; n++ {
+			finish(s)
+		}
+		growth := liveHeap() - h1
+		if growth >= arrays {
+			t.Fatalf("live heap grew %d B from 1 to 20 retained done jobs; one result's arrays are %d B", growth, arrays)
+		}
+		t.Logf("live heap grew %d B from 1 to 20 retained done jobs; one result's arrays are %d B", growth, arrays)
+	})
+
+	t.Run("in-memory", func(t *testing.T) {
+		s := New(Options{Workers: 1, Threads: 1})
+		defer s.Close()
+		res := s.Result(finish(s))
+		if res == nil || len(res.Rho) == 0 || res.Obs == nil {
+			t.Fatal("in-memory server lost what GET serves")
+		}
+		if res.Mesh != nil || res.Timers != nil || res.TimerSum != nil || res.Calls != nil {
+			t.Fatal("in-memory server retains the mesh or timer tables of a done job")
+		}
+	})
 }

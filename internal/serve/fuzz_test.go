@@ -121,6 +121,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(valid[:len(valid)/2])) // torn mid-line
 	f.Add([]byte(`{"op":"spill","id":"jX","snap":"../../../etc/passwd","step":3}` + "\n"))
 	f.Add([]byte(`{"op":"done","id":"j9"}` + "\n" + `{"op":"done","id":"j9"}` + "\n"))
+	f.Add([]byte(`{"op":"done","id":"j000002","seq":2,"step":5,"tend":0.2,"res":"j000002.res","obs":{"counters":{"steps_total":5}}}` + "\n"))
+	f.Add([]byte(`{"op":"done","id":"j3","res":"journal.ndjson","obs":7}` + "\n" + `{"op":"done","id":"../j4","res":"../j4.res"}` + "\n"))
 	f.Add([]byte(`{"op":"submit"}` + "\n{not json}\n\x00\x01\x02\n"))
 	f.Add([]byte(`{"op":"calib","scale":-7,"n":-1}` + "\n"))
 	f.Add([]byte(`{"op":"submit","id":"j1","seq":999999,"est_seconds":1e308}` + "\n"))

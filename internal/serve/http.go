@@ -44,6 +44,10 @@ const (
 	CodeOverloaded   = "overloaded"
 	CodeOverQuota    = "client_over_quota"
 	CodeClosed       = "shutting_down"
+	// CodeResultUnavailable answers a done job whose stored result file
+	// is missing or fails its integrity check: the status is known, the
+	// fields are not, and no part of them is served.
+	CodeResultUnavailable = "result_unavailable"
 )
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -119,6 +123,19 @@ func resultJSON(res *bookleaf.Result) *ResultJSON {
 	}
 }
 
+// result is resultJSON's inverse: a Result carrying only what r does.
+func (r *ResultJSON) result() *bookleaf.Result {
+	return &bookleaf.Result{
+		Problem: r.Problem, NEl: r.NEl, NNd: r.NNd,
+		Steps: r.Steps, Time: r.Time,
+		E0: r.E0, EFinal: r.EFinal, ExternalWork: r.ExternalWork,
+		Mass0: r.Mass0, MassFinal: r.MassFinal,
+		Rollbacks: r.Rollbacks,
+		X:         r.X, Y: r.Y, Rho: r.Rho, P: r.P, Ein: r.Ein,
+		U: r.U, V: r.V,
+	}
+}
+
 // Handler returns the daemon's HTTP interface.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -183,7 +200,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := JobResponse{Status: s.Status(j)}
-	if res := s.Result(j); res != nil {
+	res, err := s.result(j)
+	if err != nil {
+		if _, ok := s.Get(j.ID); !ok {
+			// Evicted while its file was being read.
+			writeErr(w, http.StatusNotFound, CodeNotFound, "no such job")
+			return
+		}
+		writeErr(w, http.StatusInternalServerError, CodeResultUnavailable,
+			"job "+j.ID+" is done but its stored result cannot be read")
+		return
+	}
+	if res != nil {
 		resp.Result = resultJSON(res)
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -1,17 +1,22 @@
 // The durability layer: an append-only NDJSON job journal plus
-// per-job checkpoint-v2 spill files inside the server's state
-// directory (Options.StateDir). Every admission, state transition and
-// terminal outcome is one JSON line, fsynced as it is appended; each
-// preemption's in-memory snapshot (priority eviction, periodic spill
-// of a long-running leg, or the final park on graceful shutdown) is
-// written next to it as <id>.ckpt in the existing
-// partition/order-independent checkpoint-v2 gob format. A restarted
-// daemon replays the journal — re-admitting queued work, resuming
-// interrupted jobs from their last spilled snapshot through
-// Config.ResumeFrom (bitwise-identical to an uninterrupted run, the
-// per-leg obs snapshots merged), restoring per-client backlogs and
-// the calibrator's learned scale — then rewrites the journal
-// compacted so it does not grow across restarts.
+// per-job checkpoint-v2 spill files and result files inside the
+// server's state directory (Options.StateDir). Every admission, state
+// transition and terminal outcome is one JSON line, fsynced as it is
+// appended; each preemption's in-memory snapshot (priority eviction,
+// periodic spill of a long-running leg, or the final park on graceful
+// shutdown) is written next to it as <id>.ckpt in the existing
+// partition/order-independent checkpoint-v2 gob format. A done job's
+// served result — the ResultJSON scalars and seven field arrays — is
+// written as <id>.res (see writeResult), and its terminal record names
+// the file and carries the merged obs snapshot, so a done job holds
+// only its status and obs in memory. A restarted daemon replays the
+// journal — re-admitting queued work, resuming interrupted jobs from
+// their last spilled snapshot through Config.ResumeFrom
+// (bitwise-identical to an uninterrupted run, the per-leg obs
+// snapshots merged), restoring per-client backlogs, the calibrator's
+// learned scale and the retained terminal jobs with their result
+// files — then rewrites the journal compacted so it does not grow
+// across restarts.
 //
 // The journal is written under the scheduler mutex, so a mid-write
 // crash can tear at most the final line. Replay is correspondingly
@@ -24,11 +29,18 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"bookleaf"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/obs"
 )
@@ -38,6 +50,9 @@ const journalName = "journal.ndjson"
 
 // snapSuffix names the per-job checkpoint spill files (<id>.ckpt).
 const snapSuffix = ".ckpt"
+
+// resSuffix names the per-job result files of done jobs (<id>.res).
+const resSuffix = ".res"
 
 // Journal operations. Terminal records use the job-state strings
 // (StateDone / StateFailed / StateCanceled) directly as their op, so a
@@ -72,17 +87,23 @@ type journalRecord struct {
 
 	// spill: the snapshot file (relative to the state dir) and the
 	// leg bookkeeping a resumed job needs — the preemption point, the
-	// merged finished-leg obs snapshot, and the measured wall seconds
-	// the calibrator will be fed at completion.
-	Snap        string        `json:"snap,omitempty"`
-	Step        int           `json:"step,omitempty"`
-	Time        float64       `json:"time,omitempty"`
-	Preemptions int           `json:"preemptions,omitempty"`
-	WallSeconds float64       `json:"wall_seconds,omitempty"`
-	Obs         *obs.Snapshot `json:"obs,omitempty"`
+	// merged finished-leg obs snapshot (an obs.Snapshot, decoded where
+	// it is used), and the measured wall seconds the calibrator will be
+	// fed at completion.
+	Snap        string          `json:"snap,omitempty"`
+	Step        int             `json:"step,omitempty"`
+	Time        float64         `json:"time,omitempty"`
+	Preemptions int             `json:"preemptions,omitempty"`
+	WallSeconds float64         `json:"wall_seconds,omitempty"`
+	Obs         json.RawMessage `json:"obs,omitempty"`
 
-	// terminal: the failure message (empty for done/canceled-by-user).
-	Error string `json:"error,omitempty"`
+	// terminal: everything the job's status document shows (seq,
+	// priority, client, estimate, preemptions, step, time and TEnd), the
+	// failure message (empty for done/canceled-by-user) and, for a done
+	// job, its result file and merged obs snapshot.
+	TEnd  float64 `json:"tend,omitempty"`
+	Res   string  `json:"res,omitempty"`
+	Error string  `json:"error,omitempty"`
 
 	// calib: the calibrator's scale and observation count after an
 	// Observe; replay restores the last record seen.
@@ -128,34 +149,40 @@ func (jl *journal) snapPath(id string) string {
 	return filepath.Join(jl.dir, jl.snapName(id))
 }
 
-// writeSnap spills a snapshot atomically (write-temp-then-rename): a
-// crash mid-spill leaves the previous spill intact, never a torn file.
+// writeSnap spills a snapshot atomically: a crash mid-spill leaves the
+// previous spill intact, never a torn file.
 func (jl *journal) writeSnap(id string, sn *checkpoint.Snapshot) (string, error) {
 	name := jl.snapName(id)
-	tmp := filepath.Join(jl.dir, name+".tmp")
+	return name, writeAtomic(jl.dir, name, sn.Write)
+}
+
+// writeAtomic writes dir/name through write-temp, fsync, rename, so the
+// name only ever refers to a complete file.
+func writeAtomic(dir, name string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return "", err
+		return err
 	}
-	if err := sn.Write(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(jl.dir, name)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp)
-		return "", err
+		return err
 	}
-	return name, nil
+	return nil
 }
 
 func (jl *journal) removeSnap(id string) { os.Remove(jl.snapPath(id)) }
@@ -171,6 +198,75 @@ func readSnapFile(path string) (*checkpoint.Snapshot, error) {
 	return checkpoint.Read(f)
 }
 
+// A result file holds what GET serves of a done job: its ResultJSON
+// (scalars and the seven field arrays) gob-encoded, then a CRC-32C of
+// those bytes, little-endian. readResult checks the checksum before it
+// decodes anything, so a truncated, bit-flipped or missing file is an
+// error and never a partial result.
+var resCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// errResCorrupt is every content failure of a result file.
+var errResCorrupt = errors.New("result file corrupt")
+
+// writeResult writes what GET serves of res to dir/<id>.res atomically
+// and returns the file name.
+func writeResult(dir, id string, res *bookleaf.Result) (string, error) {
+	name := id + resSuffix
+	return name, writeAtomic(dir, name, func(out io.Writer) error {
+		h := crc32.New(resCRC)
+		w := bufio.NewWriter(io.MultiWriter(out, h))
+		if err := gob.NewEncoder(w).Encode(resultJSON(res)); err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		return binary.Write(out, binary.LittleEndian, h.Sum32())
+	})
+}
+
+// readResult loads a result file written by writeResult: the served
+// scalars and fields, nothing else.
+func readResult(path string) (*bookleaf.Result, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	n := len(b) - 4
+	if n < 0 || crc32.Checksum(b[:n], resCRC) != binary.LittleEndian.Uint32(b[n:]) {
+		return nil, errResCorrupt
+	}
+	var r ResultJSON
+	if err := gob.NewDecoder(bytes.NewReader(b[:n])).Decode(&r); err != nil {
+		return nil, errResCorrupt
+	}
+	return r.result(), nil
+}
+
+// encodeObs is an obs snapshot as the journal carries it, and as a done
+// job on a durable server keeps it: a few hundred bytes, where the
+// decoded maps take several times that.
+func encodeObs(sn *obs.Snapshot) (json.RawMessage, error) {
+	if sn == nil {
+		return nil, nil
+	}
+	return json.Marshal(sn)
+}
+
+// decodeObs is encodeObs's inverse. It re-materialises the snapshot
+// through a merge, so a record with absent maps cannot leave nil ones
+// for a later Merge to write into.
+func decodeObs(raw json.RawMessage) (*obs.Snapshot, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	var sn obs.Snapshot
+	if err := json.Unmarshal(raw, &sn); err != nil {
+		return nil, err
+	}
+	return mergeSnapshots(&sn), nil
+}
+
 // replayJob is the reconstruction of one job from the journal.
 type replayJob struct {
 	id       string
@@ -183,13 +279,15 @@ type replayJob struct {
 
 	terminal string // "", or the terminal state op
 	errMsg   string
+	tend     float64
+	resFile  string
 
 	snapFile    string
 	step        int
 	time        float64
 	preemptions int
 	wall        float64
-	obs         *obs.Snapshot
+	obs         json.RawMessage
 }
 
 // replayState is everything a journal scan recovers.
@@ -279,8 +377,13 @@ func replayJournal(dir string) *replayState {
 				st.skipped++ // double terminal
 				continue
 			}
+			// The terminal record is self-describing: it supersedes what
+			// the submit and spill records said.
 			rj.terminal = rec.Op
 			rj.errMsg = rec.Error
+			rj.priority, rj.est = rec.Priority, rec.EstSeconds
+			rj.step, rj.time, rj.tend = rec.Step, rec.Time, rec.TEnd
+			rj.preemptions, rj.obs, rj.resFile = rec.Preemptions, rec.Obs, rec.Res
 			st.terminalOrder = append(st.terminalOrder, rec.ID)
 		case rec.Op == opCalib:
 			st.calScale, st.calN = rec.Scale, rec.N

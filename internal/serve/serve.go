@@ -65,10 +65,13 @@ type Options struct {
 	// MaxElements caps the mesh a deck may request — NX, NY, and their
 	// product (default 4 Mi elements). Rejected 400 at admission.
 	MaxElements int
-	// MaxTerminalJobs bounds how many finished jobs (and their result
-	// field arrays) are retained for GET after reaching a terminal
-	// state (default 512). The oldest terminal job is evicted first;
-	// an evicted ID answers 404.
+	// MaxTerminalJobs bounds how many finished jobs are retained for GET
+	// after reaching a terminal state (default 512). The oldest terminal
+	// job is evicted first, and its result file with it; an evicted ID
+	// answers 404. A durable server keeps a done job's field arrays in
+	// its <id>.res file, so what it holds in memory per retained job is
+	// the status and obs snapshot; an in-memory server also holds the
+	// seven result field arrays.
 	MaxTerminalJobs int
 	// SnapshotEvery is the mid-run metrics cadence handed to each
 	// job's Control (0 = the Control default).
@@ -87,11 +90,13 @@ type Options struct {
 	// StateDir, when non-empty, makes the server durable: every
 	// submission, state transition and terminal outcome is appended to
 	// an fsynced NDJSON journal in the directory, preemption snapshots
-	// spill to disk next to it, and Open replays it all on restart —
+	// spill to disk next to it, a done job's result is written there as
+	// <id>.res and served from it, and Open replays it all on restart —
 	// queued work re-admits, interrupted jobs resume from their last
-	// spill, and the calibrator's learned scale survives. Durable
-	// servers must be built with Open (which can fail on an unusable
-	// directory); New ignores StateDir.
+	// spill, retained done jobs serve their results again, and the
+	// calibrator's learned scale survives. Durable servers must be built
+	// with Open (which can fail on an unusable directory); New ignores
+	// StateDir.
 	StateDir string
 	// SpillInterval is the cadence at which a durable server
 	// checkpoints long-running legs: a leg that has run this long is
@@ -253,7 +258,7 @@ type Job struct {
 
 	// Everything below is guarded by the server mutex.
 	state        string
-	cfg          bookleaf.Config
+	cfg          *bookleaf.Config     // nil once terminal
 	deckRaw      []byte               // original deck bytes; durable servers journal and compact them
 	legStart     time.Time            // when the current leg started; drives the periodic spill
 	ctl          *bookleaf.Control    // current leg; nil unless running
@@ -265,9 +270,16 @@ type Job struct {
 	wallSeconds  float64 // measured run time summed over finished legs
 	preemptAsked bool
 	cancelAsked  bool
-	result       *bookleaf.Result
-	err          error
-	done         chan struct{} // closed at terminal state
+	// result is what a done job serves from memory: the ResultJSON
+	// scalars and fields, the merged obs and TEnd. A durable server puts
+	// them on disk instead and result stays nil: resFile (in StateDir)
+	// holds the scalars and fields, obsJSON the merged obs as the done
+	// record journals it, and lastStatus the TEnd.
+	result  *bookleaf.Result
+	resFile string
+	obsJSON json.RawMessage
+	err     error
+	done    chan struct{} // closed at terminal state
 }
 
 // Server is the scheduler.
@@ -370,9 +382,9 @@ func (s *Server) recover() error {
 	if st.maxSeq > s.seq {
 		s.seq = st.maxSeq
 	}
-	// Terminal jobs first, in their recorded retention order: status and
-	// error survive a restart, result field arrays do not (the snapshot
-	// files that could rebuild them are deleted at terminal state).
+	// Terminal jobs first, in their recorded retention order: the status
+	// document, error and merged obs survive a restart, and a done job
+	// serves its result from the <id>.res file its record names.
 	for _, id := range st.terminalOrder {
 		rj := st.jobs[id]
 		if rj == nil || rj.terminal == "" || s.jobs[id] != nil {
@@ -380,22 +392,27 @@ func (s *Server) recover() error {
 		}
 		j := &Job{
 			ID: rj.id, Priority: rj.priority, Client: rj.client,
-			seq: rj.seq, state: rj.terminal,
-			done: make(chan struct{}),
+			Est: machine.Estimate{Seconds: rj.est},
+			seq: rj.seq, state: rj.terminal, preemptions: rj.preemptions,
+			lastStatus: bookleaf.RunStatus{Step: rj.step, Time: rj.time, TEnd: rj.tend},
+			done:       make(chan struct{}),
 		}
 		if rj.errMsg != "" {
 			j.err = errors.New(rj.errMsg)
 		} else if rj.terminal == StateCanceled {
 			j.err = bookleaf.ErrCanceled
 		}
+		// Only the name writeResult gives is trusted: eviction deletes
+		// the file, and a tampered record must not name the journal.
+		if name := rj.id + resSuffix; rj.terminal == StateDone &&
+			rj.resFile == name && filepath.Base(name) == name {
+			j.resFile, j.obsJSON = name, rj.obs
+		}
 		close(j.done)
 		s.jobs[id] = j
 		s.terminal = append(s.terminal, id)
 	}
-	for len(s.terminal) > s.opt.MaxTerminalJobs {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
-	}
+	s.retainLocked()
 	// Live jobs in submission order, so fair tags rebuild the same way
 	// they were first assigned.
 	for _, id := range st.order {
@@ -408,16 +425,22 @@ func (s *Server) recover() error {
 	if err := s.compactJournal(); err != nil {
 		return fmt.Errorf("serve: journal compact: %w", err)
 	}
-	// Anything .ckpt not owned by a live job is an orphan from a
-	// crashed spill or a compacted-away job.
+	// Anything .ckpt not owned by a live job, or .res not named by a
+	// retained done job, is an orphan from a crash, an eviction or a
+	// compacted-away job; a .tmp is a write a crash cut short.
 	if ents, err := os.ReadDir(s.opt.StateDir); err == nil {
 		for _, e := range ents {
 			name := e.Name()
-			if !strings.HasSuffix(name, snapSuffix) && !strings.HasSuffix(name, ".tmp") {
-				continue
-			}
-			id := strings.TrimSuffix(name, snapSuffix)
-			if j := s.jobs[id]; j != nil && j.resumeSnap != nil {
+			switch {
+			case strings.HasSuffix(name, snapSuffix):
+				if j := s.jobs[strings.TrimSuffix(name, snapSuffix)]; j != nil && j.resumeSnap != nil {
+					continue
+				}
+			case strings.HasSuffix(name, resSuffix):
+				if j := s.jobs[strings.TrimSuffix(name, resSuffix)]; j != nil && j.resFile == name {
+					continue
+				}
+			case !strings.HasSuffix(name, ".tmp"):
 				continue
 			}
 			os.Remove(filepath.Join(s.opt.StateDir, name))
@@ -465,7 +488,7 @@ func (s *Server) readmit(rj *replayJob) {
 		fail("journaled deck no longer admissible: " + err.Error())
 		return
 	}
-	j.cfg = cfg
+	j.cfg = &cfg
 	j.Est = machine.Estimate{Seconds: rj.est}
 	j.modelSecs = rj.model
 	if !(j.Est.Seconds > 0) || math.IsInf(j.Est.Seconds, 0) {
@@ -477,15 +500,14 @@ func (s *Server) readmit(rj *replayJob) {
 	s.fairTagLocked(j)
 	if rj.snapFile != "" {
 		snap, err := readSnapFile(filepath.Join(s.opt.StateDir, filepath.Base(rj.snapFile)))
+		var prev *obs.Snapshot
+		if err == nil {
+			prev, err = decodeObs(rj.obs)
+		}
 		if err == nil && snap.Validate(cfg.Problem, cfg.NX, cfg.NY,
 			cfg.NX*cfg.NY, (cfg.NX+1)*(cfg.NY+1)) == nil {
 			j.resumeSnap = snap
-			if rj.obs != nil {
-				// Re-materialise through a merge so a journal line with
-				// absent maps cannot leave nil ones for a later Merge to
-				// write into.
-				j.prevObs = mergeSnapshots(rj.obs)
-			}
+			j.prevObs = prev
 			j.preemptions = rj.preemptions
 			j.wallSeconds = rj.wall
 			j.lastStatus = bookleaf.RunStatus{Step: rj.step, Time: rj.time, TEnd: cfg.TEnd}
@@ -522,15 +544,9 @@ func (s *Server) compactJournal() error {
 		}
 	}
 	for _, id := range s.terminal {
-		j := s.jobs[id]
-		if j == nil {
-			continue
+		if j := s.jobs[id]; j != nil {
+			write(terminalRecord(j))
 		}
-		rec := &journalRecord{Op: j.state, ID: j.ID, Seq: j.seq, Client: j.Client}
-		if j.err != nil && j.state == StateFailed {
-			rec.Error = j.err.Error()
-		}
-		write(rec)
 	}
 	live := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -546,11 +562,15 @@ func (s *Server) compactJournal() error {
 			EstSeconds: j.Est.Seconds, ModelSeconds: j.modelSecs,
 		})
 		if j.resumeSnap != nil {
+			raw, oerr := encodeObs(j.prevObs)
+			if oerr != nil && err == nil {
+				err = oerr
+			}
 			write(&journalRecord{
 				Op: opSpill, ID: j.ID, Snap: s.jl.snapName(j.ID),
 				Step: j.lastStatus.Step, Time: j.lastStatus.Time,
 				Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
-				Obs: j.prevObs,
+				Obs: raw,
 			})
 			// The spilled snapshot itself must exist on disk for the
 			// record to mean anything after the next crash.
@@ -729,7 +749,7 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 		modelSecs: modelSecs,
 		seq:       s.seq,
 		state:     StateQueued,
-		cfg:       cfg,
+		cfg:       &cfg,
 		deckRaw:   raw,
 		done:      make(chan struct{}),
 	}
@@ -863,23 +883,41 @@ func (s *Server) Status(j *Job) Status {
 			st.Step, st.Time, st.TEnd = rs.Step, rs.Time, rs.TEnd
 		}
 	}
-	if j.state == StateDone && j.result != nil {
-		st.Step, st.Time = j.result.Steps, j.result.Time
-	}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	return st
 }
 
-// Result returns the completed run, or nil before StateDone.
+// Result returns what the completed run serves — the ResultJSON scalars
+// and field arrays, the merged obs and TEnd — or nil before StateDone
+// and when a durable job's result file cannot be read.
 func (s *Server) Result(j *Job) *bookleaf.Result {
+	res, _ := s.result(j)
+	return res
+}
+
+// result is Result with the reason a done job's result file could not
+// be read. The file is read outside the mutex, and checked whole before
+// anything of it is returned.
+func (s *Server) result(j *Job) (*bookleaf.Result, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != StateDone {
-		return nil
+	done, res, file := j.state == StateDone, j.result, j.resFile
+	raw, tend := j.obsJSON, j.lastStatus.TEnd
+	s.mu.Unlock()
+	switch {
+	case !done:
+		return nil, nil
+	case file == "":
+		return res, nil
 	}
-	return j.result
+	out, err := readResult(filepath.Join(s.opt.StateDir, file))
+	if err != nil {
+		return nil, err
+	}
+	out.Obs, _ = decodeObs(raw)
+	out.TEnd = tend
+	return out, nil
 }
 
 // Metrics assembles the job's current merged obs snapshot: finished
@@ -897,9 +935,13 @@ func (s *Server) Metrics(j *Job) *obs.Snapshot {
 			parts = append(parts, live)
 		}
 	}
-	if j.state == StateDone && j.result != nil && j.result.Obs != nil {
+	if j.state == StateDone {
 		// The final merge already happened at completion.
-		return j.result.Obs
+		if j.result != nil {
+			return j.result.Obs
+		}
+		sn, _ := decodeObs(j.obsJSON)
+		return sn
 	}
 	switch len(parts) {
 	case 0:
@@ -1097,7 +1139,7 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 		// re-runs the job from its last spill — correct either way.
 		s.jl.append(&journalRecord{Op: opStart, ID: j.ID, Seq: j.seq})
 	}
-	cfg := j.cfg
+	cfg := *j.cfg
 	cfg.Control = ctl
 	cfg.ResumeFrom = j.resumeSnap
 	if cfg.Ranks <= 1 {
@@ -1108,15 +1150,26 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 		defer s.wg.Done()
 		t0 := time.Now()
 		res, err := bookleaf.Run(cfg)
-		s.legDone(j, res, err, time.Since(t0).Seconds())
+		wall := time.Since(t0).Seconds()
+		var resFile string
+		if err == nil && s.opt.StateDir != "" {
+			// Written here, outside s.mu, and before the done record that
+			// names it. A failed write only costs durability: the fields
+			// stay in memory, as a failed spill's snapshot does.
+			if name, werr := writeResult(s.opt.StateDir, j.ID, res); werr == nil {
+				resFile = name
+			}
+		}
+		s.legDone(j, res, err, wall, resFile)
 	}()
 }
 
 // legDone retires a finished leg: the pool returns to the free list
 // first (slots are reclaimed before the terminal state is observable),
 // then the outcome routes to completion, requeue-with-snapshot, or a
-// terminal error.
-func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64) {
+// terminal error. resFile names the completed run's result file, if
+// one was written.
+func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, resFile string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.pool != nil {
@@ -1146,7 +1199,17 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64) 
 			j.prevObs.Merge(res.Obs)
 			res.Obs = j.prevObs
 		}
-		j.result = res
+		// Only what GET serves is retained: not the mesh, the timer
+		// tables, history or probes, and nothing mesh-sized when the
+		// result is on disk. An obs snapshot JSON cannot carry (a NaN
+		// gauge) is dropped: neither the wire nor the journal could
+		// serve it.
+		if resFile != "" {
+			j.resFile = resFile
+			j.obsJSON, _ = encodeObs(res.Obs)
+		} else {
+			j.result = served(res)
+		}
 		// TEnd is the deck's configured end time as the run resolved it,
 		// not the time reached: a MaxSteps-limited run reports how far
 		// short of tend it stopped.
@@ -1175,12 +1238,13 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64) 
 			// the job resumes from here instead of from scratch. A failed
 			// spill only costs durability — the in-memory resume still has
 			// the snapshot.
-			if name, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr == nil {
+			raw, oerr := encodeObs(j.prevObs)
+			if name, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr == nil && oerr == nil {
 				s.jl.append(&journalRecord{
 					Op: opSpill, ID: j.ID, Snap: name,
 					Step: pe.Step, Time: pe.Time,
 					Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
-					Obs: j.prevObs,
+					Obs: raw,
 				})
 			}
 		}
@@ -1193,12 +1257,31 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64) 
 	s.dispatchLocked()
 }
 
+// served is the part of a finished run that GET serves.
+func served(res *bookleaf.Result) *bookleaf.Result {
+	out := resultJSON(res).result()
+	out.TEnd, out.Obs = res.TEnd, res.Obs
+	return out
+}
+
+// terminalRecord is j's self-describing terminal journal line: all a
+// restart needs to restore the job with no preceding submit record.
+func terminalRecord(j *Job) *journalRecord {
+	rec := &journalRecord{
+		Op: j.state, ID: j.ID, Seq: j.seq, Client: j.Client,
+		Priority: j.Priority, EstSeconds: j.Est.Seconds, Preemptions: j.preemptions,
+		Step: j.lastStatus.Step, Time: j.lastStatus.Time, TEnd: j.lastStatus.TEnd,
+		Res: j.resFile, Obs: j.obsJSON,
+	}
+	if j.err != nil && j.state == StateFailed {
+		rec.Error = j.err.Error()
+	}
+	return rec
+}
+
 // terminalLocked moves j to a terminal state exactly once: the
 // admission estimate leaves the backlog, waiters unblock, and the job
-// joins the retention FIFO. Retention is what bounds the daemon's
-// memory under sustained traffic — a done job pins seven result field
-// arrays, so only the newest MaxTerminalJobs terminal jobs stay
-// addressable; older ones leave s.jobs entirely and answer 404.
+// joins the retention FIFO.
 func (s *Server) terminalLocked(j *Job, state string, err error) {
 	j.state = state
 	j.err = err
@@ -1217,22 +1300,29 @@ func (s *Server) terminalLocked(j *Job, state string, err error) {
 	// A terminal job sits in the retention FIFO for up to
 	// MaxTerminalJobs more completions; a preempted-then-finished job
 	// must not pin its mesh-sized resume snapshot (or the journaled raw
-	// deck) for all that time.
+	// deck, or its config) for all that time.
 	j.resumeSnap = nil
 	j.prevObs = nil
-	j.cfg.ResumeFrom = nil
+	j.cfg = nil
 	j.deckRaw = nil
 	if s.jl != nil {
-		rec := &journalRecord{Op: state, ID: j.ID, Seq: j.seq, Client: j.Client}
-		if err != nil && state == StateFailed {
-			rec.Error = err.Error()
-		}
-		s.jl.append(rec)
+		s.jl.append(terminalRecord(j))
 		s.jl.removeSnap(j.ID)
 	}
 	close(j.done)
 	s.terminal = append(s.terminal, j.ID)
+	s.retainLocked()
+}
+
+// retainLocked evicts the oldest terminal jobs past MaxTerminalJobs:
+// they leave s.jobs entirely and answer 404, and their result files are
+// deleted. Retention bounds how many jobs the daemon holds; the result
+// files keep what each one costs in memory small.
+func (s *Server) retainLocked() {
 	for len(s.terminal) > s.opt.MaxTerminalJobs {
+		if j := s.jobs[s.terminal[0]]; j != nil && j.resFile != "" {
+			os.Remove(filepath.Join(s.opt.StateDir, j.resFile))
+		}
 		delete(s.jobs, s.terminal[0])
 		s.terminal = s.terminal[1:]
 	}
