@@ -27,7 +27,7 @@
 # cross-check, the remap failure path across ranks and the
 # rollback-across-remap lockstep regression.
 # tier2-supervise races the rank-supervision layer: the supervise
-# package's ladder/backoff/imbalance unit suite plus the end-to-end
+# package's classification/ladder unit suite plus the end-to-end
 # fault-class x ranks {1,2,4,7} sweep — replacement from the
 # in-memory Memento, transient epoch retry, ladder exhaustion with a
 # final checkpoint, and online elastic repartitioning (grow, shrink

@@ -38,7 +38,6 @@ import (
 	"bookleaf/internal/obs"
 	"bookleaf/internal/order"
 	"bookleaf/internal/par"
-	"bookleaf/internal/supervise"
 	"bookleaf/internal/typhon"
 )
 
@@ -169,10 +168,9 @@ type Config struct {
 	ProbeMaxDrift float64
 
 	// Supervise configures the rank-supervision layer: the graded
-	// recovery ladder (retry / replace / checkpoint-then-abort), online
-	// elastic repartitioning, and the previously compile-time receive
-	// timeout and dt-backoff knobs. nil keeps every default and leaves
-	// the ladder off, which reproduces the pre-supervision behaviour
+	// recovery ladder (retry / replace / checkpoint-then-abort) and
+	// online elastic repartitioning. nil (or Enabled false) leaves the
+	// ladder off, which reproduces the pre-supervision behaviour
 	// exactly.
 	Supervise *SuperviseConfig
 
@@ -234,6 +232,14 @@ func (c *Config) normalise() error {
 			c.Threads = 1
 		}
 	}
+	if sc := c.Supervise; sc != nil {
+		if sc.RepartAtStep < 0 || sc.RepartRanks < 0 {
+			return fmt.Errorf("bookleaf: [supervise] repart_at %d and repart_ranks %d must be >= 0", sc.RepartAtStep, sc.RepartRanks)
+		}
+		if !sc.Enabled {
+			c.Supervise = nil // nil is off from here on
+		}
+	}
 	return nil
 }
 
@@ -246,111 +252,19 @@ func (c Config) Validate() error {
 }
 
 // SuperviseConfig configures the rank-supervision layer (deck section
-// [supervise]). Like the rest of Config, zero values select defaults;
-// for the budgets, negative disables (the Config idiom RetryBudget
-// already uses).
+// [supervise]). The ladder's budgets are constants of
+// internal/supervise, not settings (DESIGN.md §12).
 type SuperviseConfig struct {
-	// Enabled turns the recovery ladder on: transient
-	// faults retry with backoff, persistent rank-local faults replace
-	// the rank from its last in-memory Memento, fatal faults checkpoint
-	// then abort. Off, any epoch fault is fatal (today's behaviour);
-	// the RecvTimeout and DtBackoff knobs below apply regardless.
+	// Enabled turns the recovery ladder on: transient faults retry the
+	// epoch, persistent rank-local faults replace the rank from its last
+	// in-memory Memento, fatal faults checkpoint then abort. Off, any
+	// epoch fault is fatal and the other fields are ignored.
 	Enabled bool
-
-	// RetryBudget bounds supervised transient retries (0 = default 2,
-	// negative = none). Distinct from Config.RetryBudget, which bounds
-	// the collective rollback-retries inside an epoch.
-	RetryBudget int
-	// ReplaceBudget bounds rank replacements (0 = default 1, negative =
-	// none).
-	ReplaceBudget int
-	// PersistAfter is the per-rank attributable-fault count at which a
-	// transient classification escalates to rank-persistent (0 =
-	// default 2).
-	PersistAfter int
-
-	// BackoffBase is the first retry's backoff, doubling per retry up
-	// to BackoffMax (0 base = immediate retry, today's behaviour;
-	// 0 max = default 2s). BackoffJitter in [0,1] is the randomised
-	// fraction of each backoff.
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
-	BackoffJitter float64
-
-	// RecvTimeout bounds every typhon Recv wait (0 = wait forever,
-	// today's behaviour). Required for drop faults to be detected.
-	RecvTimeout time.Duration
-	// DtBackoff is the factor the timestep cap is divided by on each
-	// rollback (0 = default 2, today's compile-time constant).
-	DtBackoff float64
-
-	// RepartCheckEvery is the step cadence of the load-imbalance check
-	// (0 = monitor off); RepartThreshold the max/mean per-rank work
-	// ratio that triggers an online repartition (0 = default 1.5);
-	// RepartMinGap the minimum steps between triggered repartitions
-	// (0 = default 10).
-	RepartCheckEvery int
-	RepartThreshold  float64
-	RepartMinGap     int
-	// RepartAtStep forces one repartition at the given step (0 = none).
-	// RepartRanks, when positive, is the rank count after the next
-	// repartition; RanksMax caps it (0 = no cap).
+	// RepartAtStep forces one online repartition at the given step
+	// (0 = none). RepartRanks, when positive, is the rank count after
+	// it (0 = keep the current count).
 	RepartAtStep int
 	RepartRanks  int
-	RanksMax     int
-
-	// Seed seeds the deterministic backoff-jitter generator (0 = 1).
-	Seed uint64
-}
-
-// supervisePolicy resolves Config.Supervise (and the test-only recv
-// timeout) into a validated supervise.Policy.
-func (c *Config) supervisePolicy() (supervise.Policy, error) {
-	pol := supervise.DefaultPolicy()
-	pol.RecvTimeout = c.testRecvTimeout
-	sc := c.Supervise
-	if sc == nil {
-		return pol, nil
-	}
-	resolve := func(v, def int) int {
-		if v < 0 {
-			return 0
-		}
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	pol.Enabled = sc.Enabled
-	pol.RetryBudget = resolve(sc.RetryBudget, pol.RetryBudget)
-	pol.ReplaceBudget = resolve(sc.ReplaceBudget, pol.ReplaceBudget)
-	pol.PersistAfter = resolve(sc.PersistAfter, pol.PersistAfter)
-	pol.BackoffBase = sc.BackoffBase
-	if sc.BackoffMax != 0 {
-		pol.BackoffMax = sc.BackoffMax
-	}
-	pol.BackoffJitter = sc.BackoffJitter
-	if sc.RecvTimeout != 0 {
-		pol.RecvTimeout = sc.RecvTimeout
-	}
-	if sc.DtBackoff != 0 {
-		pol.DtBackoff = sc.DtBackoff
-	}
-	pol.RepartCheckEvery = sc.RepartCheckEvery
-	if sc.RepartThreshold != 0 {
-		pol.RepartThreshold = sc.RepartThreshold
-	}
-	if sc.RepartMinGap != 0 {
-		pol.RepartMinGap = sc.RepartMinGap
-	}
-	pol.RepartAtStep = sc.RepartAtStep
-	pol.RepartRanks = sc.RepartRanks
-	pol.RanksMax = sc.RanksMax
-	pol.Seed = sc.Seed
-	if err := pol.Validate(); err != nil {
-		return pol, fmt.Errorf("bookleaf: %w", err)
-	}
-	return pol, nil
 }
 
 // rollbackEvery resolves the rolling-snapshot cadence: 0 = default 10,

@@ -70,7 +70,7 @@ func run() error {
 		budget   = flag.Float64("budget", 600, "admission budget: max predicted backlog seconds")
 		maxDeck  = flag.Int64("max-deck-bytes", 1<<20, "largest accepted deck body")
 		snapshot = flag.Int("snapshot-every", 0, "mid-run metrics snapshot cadence in steps (0 = default)")
-		maxRanks = flag.Int("max-ranks", 0, "largest deck-declared rank count admitted (0 = default)")
+		maxRanks = flag.Int("max-ranks", 0, "largest deck-declared rank count admitted, [supervise] repart_ranks included (0 = default)")
 		maxThr   = flag.Int("max-threads", 0, "largest deck-declared thread count admitted (0 = default)")
 		maxEl    = flag.Int("max-elements", 0, "largest deck mesh (nx*ny) admitted (0 = default)")
 		maxTerm  = flag.Int("max-terminal-jobs", 0, "finished jobs retained for GET before eviction; with -state-dir a done job's fields are in its result file, not memory (0 = default)")

@@ -68,11 +68,8 @@ func run() error {
 		rollEvery   = flag.Int("rollback-every", 0, "rolling-snapshot cadence for rollback-retry (0 = default 10, negative = off)")
 		retryBudget = flag.Int("retry-budget", 0, "rollback-retries before aborting (0 = default 3, negative = off)")
 		superviseOn = flag.Bool("supervise", false, "enable the rank-supervision ladder (retry / replace / checkpoint-then-abort)")
-		recvTimeout = flag.Duration("recv-timeout", 0, "typhon receive timeout (0 = wait forever)")
-		dtBackoff   = flag.Float64("dt-backoff", 0, "timestep-cap division factor per rollback (0 = default 2)")
 		repartAt    = flag.Int("repart-at", 0, "force one online repartition at this step (0 = off)")
 		repartRanks = flag.Int("repart-ranks", 0, "rank count after the next repartition (0 = keep)")
-		ranksMax    = flag.Int("ranks-max", 0, "cap on the elastic rank count (0 = no cap)")
 		history     = flag.Int("history", 0, "print a step record every n steps")
 		tracePfx    = flag.String("trace", "", "write per-rank Chrome trace files <prefix>.rank<N>.trace.json (merge with bleaf-trace)")
 		metricsOut  = flag.String("metrics", "", "write a machine-readable metrics.json to this file")
@@ -163,28 +160,18 @@ func run() error {
 		cfg.ProbeMaxDrift = *probeDrift
 	}
 	// Supervision flags also compose with the deck's [supervise] keys.
-	if *superviseOn || *recvTimeout != 0 || *dtBackoff != 0 ||
-		*repartAt != 0 || *repartRanks != 0 || *ranksMax != 0 {
+	if *superviseOn || *repartAt != 0 || *repartRanks != 0 {
 		if cfg.Supervise == nil {
 			cfg.Supervise = &bookleaf.SuperviseConfig{}
 		}
 		if *superviseOn {
 			cfg.Supervise.Enabled = true
 		}
-		if *recvTimeout != 0 {
-			cfg.Supervise.RecvTimeout = *recvTimeout
-		}
-		if *dtBackoff != 0 {
-			cfg.Supervise.DtBackoff = *dtBackoff
-		}
 		if *repartAt != 0 {
 			cfg.Supervise.RepartAtStep = *repartAt
 		}
 		if *repartRanks != 0 {
 			cfg.Supervise.RepartRanks = *repartRanks
-		}
-		if *ranksMax != 0 {
-			cfg.Supervise.RanksMax = *ranksMax
 		}
 	}
 

@@ -71,53 +71,12 @@ func ConfigFromDeck(d *config.Deck) (Config, error) {
 		if sc.Enabled, err = d.Bool("supervise", "enabled", false); err != nil {
 			return cfg, err
 		}
-		if sc.RetryBudget, err = d.Int("supervise", "retry_budget", 0); err != nil {
-			return cfg, err
-		}
-		if sc.ReplaceBudget, err = d.Int("supervise", "replace_budget", 0); err != nil {
-			return cfg, err
-		}
-		if sc.PersistAfter, err = d.Int("supervise", "persist_after", 0); err != nil {
-			return cfg, err
-		}
-		if sc.BackoffBase, err = d.Duration("supervise", "backoff_base", 0); err != nil {
-			return cfg, err
-		}
-		if sc.BackoffMax, err = d.Duration("supervise", "backoff_max", 0); err != nil {
-			return cfg, err
-		}
-		if sc.BackoffJitter, err = d.Float("supervise", "backoff_jitter", 0); err != nil {
-			return cfg, err
-		}
-		if sc.RecvTimeout, err = d.Duration("supervise", "recv_timeout", 0); err != nil {
-			return cfg, err
-		}
-		if sc.DtBackoff, err = d.Float("supervise", "dt_backoff", 0); err != nil {
-			return cfg, err
-		}
-		if sc.RepartCheckEvery, err = d.Int("supervise", "repart_check_every", 0); err != nil {
-			return cfg, err
-		}
-		if sc.RepartThreshold, err = d.Float("supervise", "repart_threshold", 0); err != nil {
-			return cfg, err
-		}
-		if sc.RepartMinGap, err = d.Int("supervise", "repart_min_gap", 0); err != nil {
-			return cfg, err
-		}
 		if sc.RepartAtStep, err = d.Int("supervise", "repart_at", 0); err != nil {
 			return cfg, err
 		}
 		if sc.RepartRanks, err = d.Int("supervise", "repart_ranks", 0); err != nil {
 			return cfg, err
 		}
-		if sc.RanksMax, err = d.Int("supervise", "ranks_max", 0); err != nil {
-			return cfg, err
-		}
-		seed, err := d.Int("supervise", "seed", 0)
-		if err != nil {
-			return cfg, err
-		}
-		sc.Seed = uint64(seed)
 		cfg.Supervise = sc
 	}
 	cfg.Hourglass = d.String("hydro", "hourglass", "")

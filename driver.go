@@ -32,7 +32,7 @@ type lockstep struct {
 	budget    int
 	rollbacks int
 
-	lastCk, lastProbe, lastBal, lastHist int
+	lastCk, lastProbe, lastHist int
 }
 
 // How a rank left an epoch without finishing the run.
@@ -71,10 +71,6 @@ type rankSlot struct {
 
 	lockstep
 
-	// workAcc accumulates this rank's per-step compute seconds
-	// (stepping minus halo waits) since the last imbalance check.
-	workAcc float64
-
 	// Epoch outcome, read by the driver after the communicator drains.
 	err  error
 	park int
@@ -92,10 +88,9 @@ func (sl *rankSlot) closePool() {
 }
 
 // driver is the state of a run across supervision epochs: the problem,
-// the resolved policy, the rank slots, the supervisor, and the
-// observability objects that are keyed by rank id so they survive
-// replacement (same rank, fresh incarnation) and repartitioning (new
-// fleet, reused ids).
+// the rank slots, the supervisor, and the observability objects that
+// are keyed by rank id so they survive replacement (same rank, fresh
+// incarnation) and repartitioning (new fleet, reused ids).
 //
 // A run steps a fleet of goroutine ranks with the Typhon-style
 // communication schedule the paper describes: ghost nodal kinematics
@@ -118,17 +113,16 @@ func (sl *rankSlot) closePool() {
 // Around the epochs sits the supervision ladder (Config.Supervise,
 // DESIGN.md §12): epoch failures are classified transient /
 // rank-persistent / fatal; transients retry the epoch from every rank's
-// last healthy-point memento with backoff, persistent rank-local faults
-// replace just the offending rank from that same in-memory memento (no
-// filesystem round trip, no collective rollback), and fatal faults
-// write a final checkpoint before aborting. At healthy collective
-// points the driver may also repartition online — re-running RCB/METIS
+// last healthy-point memento, persistent rank-local faults replace just
+// the offending rank from that same in-memory memento (no filesystem
+// round trip, no collective rollback), and fatal faults write a final
+// checkpoint before aborting. At the healthy point of step repart_at
+// the driver may also repartition online, once — re-running RCB/METIS
 // on the current (moved) mesh and migrating state through the
 // checkpoint-v2 gather/scatter — growing or shrinking the rank count.
 // With supervision off (the default) there is exactly one epoch.
 type driver struct {
 	cfg  Config
-	pol  supervise.Policy
 	prob *setup.Problem
 	// canon is what Result.Mesh presents: a mesh.View of the canonical
 	// generation-order mesh, its element→node map and coordinates only.
@@ -180,10 +174,6 @@ type driver struct {
 	// Cumulative typhon traffic across epochs (each epoch builds a
 	// fresh communicator).
 	commMsgs, commWords int64
-
-	// Repartition bookkeeping, written between epochs only.
-	lastRepart   int
-	forcedRepart bool
 }
 
 // newDriver builds the problem, resolves everything the configuration
@@ -191,10 +181,6 @@ type driver struct {
 // initial fleet. A missing, truncated or incompatible dump fails here,
 // before any rank exists, instead of collapsing ranks mid-flight.
 func newDriver(cfg Config) (*driver, error) {
-	pol, err := cfg.supervisePolicy()
-	if err != nil {
-		return nil, err
-	}
 	p, err := setup.ByName(cfg.Problem, cfg.NX, cfg.NY, cfg.SedovEnergy)
 	if err != nil {
 		return nil, err
@@ -220,7 +206,7 @@ func newDriver(cfg Config) (*driver, error) {
 	}
 
 	d := &driver{
-		cfg: cfg, pol: pol, prob: p, canon: canon, tEnd: p.TEnd,
+		cfg: cfg, prob: p, canon: canon, tEnd: p.TEnd,
 		start:   time.Now(),
 		tracers: make(map[int]*obs.Tracer),
 		probes:  make(map[int]*obs.InvariantProbe),
@@ -232,9 +218,9 @@ func newDriver(cfg Config) (*driver, error) {
 	if cfg.Checkpoint != "" {
 		d.gsnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, p.Mesh.NEl, p.Mesh.NNd)
 	}
-	if pol.Enabled {
+	if cfg.Supervise != nil {
 		d.supReg = obs.NewRegistry()
-		d.sup = supervise.New(pol, d.supReg)
+		d.sup = supervise.New(d.supReg)
 	}
 	if err := d.buildFleet(resume); err != nil {
 		return nil, fmt.Errorf("bookleaf: %w", err)
@@ -368,7 +354,7 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 		roll: hydro.Memento{Masses: masses}, stepStart: hydro.Memento{Masses: masses},
 		lockstep: lockstep{
 			dtCap: math.Inf(1), budget: d.cfg.retryBudget(),
-			lastCk: -1, lastProbe: -1, lastBal: -1, lastHist: -1,
+			lastCk: -1, lastProbe: -1, lastHist: -1,
 		},
 	}
 	if d.cfg.rollbackEvery() == 0 {
@@ -422,9 +408,6 @@ func (d *driver) run() (*Result, error) {
 		}
 		dec := d.sup.Decide(rootErr, rank)
 		d.noteDecision(dec)
-		if dec.Backoff > 0 {
-			time.Sleep(dec.Backoff)
-		}
 		switch dec.Action {
 		case supervise.ActionRetry:
 			if err := d.restoreHealthy(); err != nil {
@@ -445,7 +428,7 @@ func (d *driver) run() (*Result, error) {
 // surfaces. It returns the communicator's panic error (if any) and a
 // driver-level setup error.
 func (d *driver) runEpoch() (error, error) {
-	cfg, pol := &d.cfg, d.pol
+	cfg := &d.cfg
 	n := len(d.slots)
 	comm, err := typhon.NewComm(n)
 	if err != nil {
@@ -454,8 +437,8 @@ func (d *driver) runEpoch() (error, error) {
 	if cfg.testFaultPlan != nil {
 		comm.InjectFaults(cfg.testFaultPlan)
 	}
-	if pol.RecvTimeout > 0 {
-		comm.SetRecvTimeout(pol.RecvTimeout)
+	if cfg.testRecvTimeout > 0 {
+		comm.SetRecvTimeout(cfg.testRecvTimeout)
 	}
 	regs := make([]*obs.Registry, n)
 	for i, sl := range d.slots {
@@ -576,7 +559,6 @@ func (d *driver) restoreHealthy() error {
 		}
 		sl.err = nil
 		sl.park = parkNone
-		sl.workAcc = 0
 		// A rank that died mid-kernel left its timers started; the
 		// replay must be free to start them again.
 		d.tms[sl.id].Abandon()
@@ -641,11 +623,8 @@ func (d *driver) doRepart() error {
 		return err
 	}
 	n := len(d.slots)
-	if d.pol.RepartRanks > 0 {
-		n = d.pol.RepartRanks
-	}
-	if d.pol.RanksMax > 0 && n > d.pol.RanksMax {
-		n = d.pol.RanksMax
+	if sc := cfg.Supervise; sc.RepartRanks > 0 {
+		n = sc.RepartRanks
 	}
 	n = max(1, min(n, m.NEl))
 	subs, err := d.decompose(n, world)
@@ -676,10 +655,6 @@ func (d *driver) doRepart() error {
 		sl.closePool()
 	}
 	d.slots = fresh
-	d.lastRepart = world.StepCount
-	if d.pol.RepartAtStep > 0 && world.StepCount >= d.pol.RepartAtStep {
-		d.forcedRepart = true
-	}
 	d.sup.NoteRepart()
 	d.tracers[0].Instant("supervise_repart", nil)
 	return nil

@@ -112,9 +112,9 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 }
 
 // TestGoldenMetricsSnapshotSupervised pins the metrics schema of a
-// supervised run: the supervise_* counters and backoff histograms must
-// appear (at zero — the run is fault-free) alongside the unsupervised
-// snapshot's metrics, whose values must be unchanged by supervision.
+// supervised run: the supervise_* counters must appear (at zero — the
+// run is fault-free) alongside the unsupervised snapshot's metrics,
+// whose values must be unchanged by supervision.
 func TestGoldenMetricsSnapshotSupervised(t *testing.T) {
 	cfg := goldenConfig(t.TempDir())
 	cfg.Supervise = &bookleaf.SuperviseConfig{Enabled: true}

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Deck is a parsed input deck.
@@ -168,20 +167,6 @@ func (d *Deck) Bool(section, key string, def bool) (bool, error) {
 		return false, nil
 	}
 	return false, fmt.Errorf("config: %s.%s = %q is not a boolean", section, key, v)
-}
-
-// Duration returns section.key parsed as a Go duration ("250ms", "2s").
-// A bare number is rejected — the unit keeps decks self-documenting.
-func (d *Deck) Duration(section, key string, def time.Duration) (time.Duration, error) {
-	v, ok := d.lookup(section, key)
-	if !ok {
-		return def, nil
-	}
-	dur, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: %s.%s = %q is not a duration (use e.g. 250ms, 2s)", section, key, v)
-	}
-	return dur, nil
 }
 
 // Has reports whether the deck contains the named section (even an

@@ -190,6 +190,9 @@ func TestServeMalformedDeck(t *testing.T) {
 		{"[control]\nproblem = sod\nnx = lots\n", CodeBadDeck},          // type error
 		{"[control]\nproblem = sod\ncheckpoint = /x\n", CodeBadDeck},    // server-unsafe
 		{"[control]\nproblem = nosuch\nnx = 10\nny = 4\n", CodeBadDeck}, // unknown problem
+		// A bad [supervise] value is a 400, not a job that fails later.
+		{"[control]\nproblem = sod\n[supervise]\nenabled = true\nrepart_ranks = -1\n", CodeBadDeck},
+		{"[control]\nproblem = sod\n[supervise]\nenabled = true\nrepart_at = -2\n", CodeBadDeck},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(tc.deck))
 		if err != nil {
@@ -213,6 +216,48 @@ func TestServeMalformedDeck(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServeRepartRanksCapped: an online repartition grows the fleet to
+// [supervise] repart_ranks, so MaxRanks caps that key as it caps ranks.
+// A one-rank deck asking to grow past the cap is a 400; the same deck at
+// the cap runs, repartitions once, and matches a direct run bitwise.
+func TestServeRepartRanksCapped(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, Threads: 1, MaxRanks: 2})
+	deck := func(repartRanks int) string {
+		return fmt.Sprintf("[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 5\nranks = 1\n"+
+			"[supervise]\nenabled = true\nrepart_at = 1\nrepart_ranks = %d\n", repartRanks)
+	}
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(deck(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if derr := json.NewDecoder(resp.Body).Decode(&eb); derr != nil {
+		t.Fatalf("error body not JSON: %v", derr)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != CodeBadDeck {
+		t.Fatalf("repart_ranks over the cap: status %d code %q, want 400 %q",
+			resp.StatusCode, eb.Error.Code, CodeBadDeck)
+	}
+
+	sub := submitDeck(t, ts, deck(2), 0)
+	jr := waitState(t, ts, sub.ID, StateDone)
+	assertFieldsBitwise(t, jr.Result, directRun(t, deck(2)))
+	mresp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + sub.ID + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var mr MetricsResponse
+	if err := json.NewDecoder(mresp.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	if mr.Metrics == nil || mr.Metrics.Counters["supervise_repart_total"] != 1 {
+		t.Fatalf("repart_ranks at the cap: metrics %+v, want supervise_repart_total 1", mr.Metrics)
 	}
 }
 

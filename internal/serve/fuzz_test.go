@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bookleaf"
+	"bookleaf/internal/config"
 )
 
 // FuzzSubmitDeck hammers the HTTP deck-submission path — headers plus
@@ -34,6 +37,10 @@ func FuzzSubmitDeck(f *testing.F) {
 	f.Add([]byte("[control]\nproblem = sod\ncheckpoint = /etc/passwd\n"), "", "")
 	f.Add([]byte("garbage\n"), "2147483648", "x")
 	f.Add([]byte("[supervise]\nenabled = maybe\n"), "0", "")
+	// A repartition may not grow the fleet past the rank cap, and a key
+	// the deck format no longer has must not smuggle anything past it.
+	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\n[supervise]\nenabled = true\nrepart_at = 1\nrepart_ranks = 1000000\n"), "0", "")
+	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\n[supervise]\nenabled = true\nbackoff_base = 100h\n"), "0", "")
 	f.Add([]byte(""), "not-a-number", "")
 	// Hostile client identities: oversized, control bytes, spaces,
 	// non-ASCII — each must be a typed 400, never a panic or a journaled
@@ -91,6 +98,21 @@ func FuzzSubmitDeck(f *testing.F) {
 			id, _ := doc["id"].(string)
 			if id == "" {
 				t.Fatalf("202 without job id: %v", doc)
+			}
+			// An admitted deck declares no fleet past the caps, at the
+			// start or after a repartition.
+			d, err := config.ParseString(string(deck))
+			if err != nil {
+				t.Fatalf("admitted deck does not parse: %v", err)
+			}
+			cfg, err := bookleaf.ConfigFromDeck(d)
+			if err != nil {
+				t.Fatalf("admitted deck does not map: %v", err)
+			}
+			if cfg.Ranks > srv.opt.MaxRanks || cfg.Threads > srv.opt.MaxThreads ||
+				(cfg.Supervise != nil && cfg.Supervise.RepartRanks > srv.opt.MaxRanks) {
+				t.Fatalf("admitted a fleet past the caps: ranks %d threads %d supervise %+v",
+					cfg.Ranks, cfg.Threads, cfg.Supervise)
 			}
 			// The admitted job must be immediately visible.
 			jr, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)

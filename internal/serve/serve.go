@@ -58,8 +58,9 @@ type Options struct {
 	// MaxDeckBytes bounds a submitted deck (default 1 MiB).
 	MaxDeckBytes int64
 	// MaxRanks and MaxThreads cap the parallelism a deck may declare
-	// for itself (defaults 8 and 16): an untrusted ranks=10^5 or
-	// threads=10^6 deck is a goroutine bomb, rejected 400 at admission.
+	// for itself (defaults 8 and 16; MaxRanks also caps [supervise]
+	// repart_ranks): an untrusted ranks=10^5 or threads=10^6 deck is a
+	// goroutine bomb, rejected 400 at admission.
 	MaxRanks   int
 	MaxThreads int
 	// MaxElements caps the mesh a deck may request — NX, NY, and their
@@ -783,8 +784,9 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 // filesystem — a remote client must not be able to write checkpoint,
 // trace or metrics files, or read arbitrary paths as restart dumps —
 // and deck-declared resource demands past the server's caps: ranks
-// and threads spawn goroutines and pools, NX*NY allocates mesh, so an
-// untrusted deck gets a typed 400 here before any of that exists.
+// (at the start, or after a [supervise] repartition) and threads spawn
+// goroutines and pools, NX*NY allocates mesh, so an untrusted deck
+// gets a typed 400 here before any of that exists.
 func (s *Server) serverSafe(cfg *bookleaf.Config) error {
 	switch cfg.Problem {
 	case "sod", "noh", "sedov", "saltzmann", "waterair", "nohdisc":
@@ -805,6 +807,10 @@ func (s *Server) serverSafe(cfg *bookleaf.Config) error {
 	}
 	if cfg.Ranks > s.opt.MaxRanks {
 		return &BadDeckError{Reason: fmt.Sprintf("ranks %d exceeds the server cap %d", cfg.Ranks, s.opt.MaxRanks)}
+	}
+	if sc := cfg.Supervise; sc != nil && sc.RepartRanks > s.opt.MaxRanks {
+		// An online repartition grows the fleet to repart_ranks.
+		return &BadDeckError{Reason: fmt.Sprintf("[supervise] repart_ranks %d exceeds the server cap %d", sc.RepartRanks, s.opt.MaxRanks)}
 	}
 	if cfg.Threads > s.opt.MaxThreads {
 		return &BadDeckError{Reason: fmt.Sprintf("threads %d exceeds the server cap %d", cfg.Threads, s.opt.MaxThreads)}

@@ -8,8 +8,8 @@
 //
 //   - transient       — expected to vanish on a retry (a one-off
 //     corrupted or delayed message, a flux overshoot, a timestep
-//     collapse): the supervisor grants a bounded number of epoch
-//     retries with exponential backoff and jitter;
+//     collapse): the supervisor grants a bounded number of immediate
+//     epoch retries;
 //   - rank-persistent — localised to one rank and expected to recur
 //     (a panicked rank goroutine, repeated size mismatches from the
 //     same sender, a retry budget drained on one rank): the supervisor
@@ -20,17 +20,16 @@
 //     checkpoint-then-abort so the run leaves a valid restart dump.
 //
 // The Supervisor itself is pure decision logic plus metrics: it owns
-// no goroutines and performs no communication. The parallel driver
-// feeds it epoch outcomes and applies the returned Decision (retry,
-// replace, abort); the driver also consults ShouldRepart with the
-// per-rank work timings reduced from the obs halo-wait counters to
-// trigger online elastic repartitioning at safe collective points.
+// no goroutines, performs no communication and reads no clock. The
+// parallel driver feeds it epoch outcomes and applies the returned
+// Decision (retry, replace, abort). The budgets are the constants
+// below, not settings: every decision is a function of the fault
+// sequence alone, so a supervised run reproduces.
 package supervise
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/obs"
@@ -41,7 +40,7 @@ import (
 type Class int
 
 const (
-	// ClassTransient faults are retried in place with backoff.
+	// ClassTransient faults are retried in place.
 	ClassTransient Class = iota
 	// ClassRankPersistent faults replace the offending rank.
 	ClassRankPersistent
@@ -111,117 +110,21 @@ func Attribute(err error) (int, bool) {
 	return -1, false
 }
 
-// Policy is the deck-configurable budget set of the recovery ladder.
-// The zero value is not valid; start from DefaultPolicy.
-type Policy struct {
-	// Enabled turns the ladder on. When false the driver behaves
-	// exactly as before supervision existed: any epoch-level fault is
-	// fatal. The DtBackoff and RecvTimeout knobs apply regardless.
-	Enabled bool
-
-	// RetryBudget bounds epoch-level transient retries across the run.
-	RetryBudget int
-	// BackoffBase is the first retry's backoff; each further retry
-	// doubles it up to BackoffMax. Zero (the default) retries
-	// immediately, matching the pre-supervision rollback behaviour.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffJitter in [0,1] is the fraction of each backoff drawn
-	// uniformly at random (deterministic generator, so runs with a
-	// fixed seed reproduce): sleep = b*(1-j) + b*j*u.
-	BackoffJitter float64
-
-	// ReplaceBudget bounds rank replacements across the run.
-	ReplaceBudget int
-	// PersistAfter is the number of attributable faults from one rank
-	// at which a transient classification escalates to
-	// rank-persistent (>= 1; 1 escalates immediately).
-	PersistAfter int
-
-	// RepartCheckEvery is the step cadence of the load-imbalance
-	// check; 0 disables the monitor. RepartThreshold is the
-	// max-to-mean per-rank work ratio above which a repartition is
-	// triggered. RepartMinGap is the minimum number of steps between
-	// triggered repartitions.
-	RepartCheckEvery int
-	RepartThreshold  float64
-	RepartMinGap     int
-	// RepartAtStep forces one repartition at the given step (0 = no
-	// forced repartition) — the deterministic trigger decks and tests
-	// use. RepartRanks, when positive, is the rank count after the
-	// next repartition; RanksMax caps it.
-	RepartAtStep int
-	RepartRanks  int
-	RanksMax     int
-
-	// RecvTimeout bounds every typhon Recv wait; zero waits forever
-	// (the pre-supervision default).
-	RecvTimeout time.Duration
-	// DtBackoff is the factor the rollback path divides the timestep
-	// cap by on every collective rollback (previously the
-	// compile-time constant 2).
-	DtBackoff float64
-
-	// Seed seeds the jitter generator (0 uses 1).
-	Seed uint64
-}
-
-// DefaultPolicy returns the ladder defaults: supervision off, budgets
-// sized for a single misbehaving rank, and the DtBackoff/RecvTimeout
-// knobs matching the previous compile-time behaviour.
-func DefaultPolicy() Policy {
-	return Policy{
-		RetryBudget:     2,
-		ReplaceBudget:   1,
-		PersistAfter:    2,
-		RepartThreshold: 1.5,
-		RepartMinGap:    10,
-		DtBackoff:       2,
-		BackoffMax:      2 * time.Second,
-	}
-}
-
-// Validate checks the policy for self-consistency.
-func (p *Policy) Validate() error {
-	switch {
-	case p.RetryBudget < 0:
-		return fmt.Errorf("supervise: retry budget %d negative", p.RetryBudget)
-	case p.ReplaceBudget < 0:
-		return fmt.Errorf("supervise: replace budget %d negative", p.ReplaceBudget)
-	case p.PersistAfter < 1:
-		return fmt.Errorf("supervise: persist-after %d must be >= 1", p.PersistAfter)
-	case p.BackoffBase < 0 || p.BackoffMax < 0:
-		return fmt.Errorf("supervise: negative backoff")
-	case p.BackoffJitter < 0 || p.BackoffJitter > 1:
-		return fmt.Errorf("supervise: backoff jitter %v outside [0,1]", p.BackoffJitter)
-	case p.RepartCheckEvery < 0:
-		return fmt.Errorf("supervise: repart check cadence %d negative", p.RepartCheckEvery)
-	case p.RepartCheckEvery > 0 && p.RepartThreshold < 1:
-		return fmt.Errorf("supervise: repart threshold %v must be >= 1 (max/mean work ratio)", p.RepartThreshold)
-	case p.RepartMinGap < 0:
-		return fmt.Errorf("supervise: repart min gap %d negative", p.RepartMinGap)
-	case p.RepartAtStep < 0:
-		return fmt.Errorf("supervise: forced repart step %d negative", p.RepartAtStep)
-	case p.RepartRanks < 0:
-		return fmt.Errorf("supervise: repart ranks %d negative", p.RepartRanks)
-	case p.RanksMax < 0:
-		return fmt.Errorf("supervise: ranks max %d negative", p.RanksMax)
-	case p.RanksMax > 0 && p.RepartRanks > p.RanksMax:
-		return fmt.Errorf("supervise: repart ranks %d exceeds ranks max %d", p.RepartRanks, p.RanksMax)
-	case p.RecvTimeout < 0:
-		return fmt.Errorf("supervise: negative recv timeout")
-	case p.DtBackoff <= 1:
-		return fmt.Errorf("supervise: dt backoff %v must be > 1", p.DtBackoff)
-	}
-	return nil
-}
+// The ladder's budgets: up to retryBudget transient epoch retries and
+// replaceBudget rank replacements across the run, and a rank's
+// persistAfter-th attributable fault escalates to rank-persistent.
+const (
+	retryBudget   = 2
+	replaceBudget = 1
+	persistAfter  = 2
+)
 
 // Action is the rung of the ladder a Decision applies.
 type Action int
 
 const (
 	// ActionRetry re-runs the epoch from every rank's step-start
-	// snapshot after the backoff.
+	// snapshot.
 	ActionRetry Action = iota
 	// ActionReplace spawns a fresh incarnation of Decision.Rank from
 	// its last in-memory Memento, then retries the epoch.
@@ -245,19 +148,16 @@ func (a Action) String() string {
 
 // Decision is the supervisor's verdict on one epoch failure.
 type Decision struct {
-	Action  Action
-	Class   Class
-	Rank    int // rank to replace (ActionReplace); attribution otherwise (-1 unknown)
-	Backoff time.Duration
+	Action Action
+	Class  Class
+	Rank   int // rank to replace (ActionReplace); attribution otherwise (-1 unknown)
 }
 
-// Supervisor applies a Policy to a stream of epoch outcomes. It is
+// Supervisor applies the ladder to a stream of epoch outcomes. It is
 // driver-side, single-goroutine decision logic: no communication, no
 // locks. Metrics land in the registry passed to New and merge into the
 // run's metrics.json alongside the per-rank registries.
 type Supervisor struct {
-	pol Policy
-
 	retries  int
 	replaces int
 	reparts  int
@@ -267,34 +167,21 @@ type Supervisor struct {
 	faultCount  map[int]int
 	incarnation map[int]int
 
-	rng uint64
-
 	ctrRetry   *obs.Counter
 	ctrReplace *obs.Counter
 	ctrRepart  *obs.Counter
-	histBack   [2]*obs.Histogram // backoff ms by class: transient, rank-persistent
 }
 
-// New builds a Supervisor over a validated policy. The supervise_*
-// counters are created eagerly so a clean run still publishes their
-// zeros. reg may be nil (metrics discarded).
-func New(pol Policy, reg *obs.Registry) *Supervisor {
-	seed := pol.Seed
-	if seed == 0 {
-		seed = 1
-	}
+// New builds a Supervisor. The supervise_* counters are created
+// eagerly so a clean run still publishes their zeros. reg may be nil
+// (metrics discarded).
+func New(reg *obs.Registry) *Supervisor {
 	return &Supervisor{
-		pol:         pol,
 		faultCount:  map[int]int{},
 		incarnation: map[int]int{},
-		rng:         seed,
 		ctrRetry:    reg.Counter("supervise_retry_total"),
 		ctrReplace:  reg.Counter("supervise_replace_total"),
 		ctrRepart:   reg.Counter("supervise_repart_total"),
-		histBack: [2]*obs.Histogram{
-			reg.Histogram("supervise_backoff_ms_transient"),
-			reg.Histogram("supervise_backoff_ms_rank_persistent"),
-		},
 	}
 }
 
@@ -305,39 +192,6 @@ func (sv *Supervisor) Reparts() int  { return sv.reparts }
 
 // Incarnation returns rank's replacement generation (0 = original).
 func (sv *Supervisor) Incarnation(rank int) int { return sv.incarnation[rank] }
-
-// xorshift64 advances the deterministic jitter generator.
-func (sv *Supervisor) xorshift64() uint64 {
-	x := sv.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	sv.rng = x
-	return x
-}
-
-// backoff computes the nth (1-based) exponential backoff with jitter.
-func (sv *Supervisor) backoff(n int) time.Duration {
-	b := sv.pol.BackoffBase
-	if b <= 0 {
-		return 0
-	}
-	for i := 1; i < n; i++ {
-		b *= 2
-		if sv.pol.BackoffMax > 0 && b >= sv.pol.BackoffMax {
-			b = sv.pol.BackoffMax
-			break
-		}
-	}
-	if sv.pol.BackoffMax > 0 && b > sv.pol.BackoffMax {
-		b = sv.pol.BackoffMax
-	}
-	if j := sv.pol.BackoffJitter; j > 0 {
-		u := float64(sv.xorshift64()>>11) / float64(1<<53)
-		b = time.Duration(float64(b) * (1 - j + j*u))
-	}
-	return b
-}
 
 // Decide classifies err, applies history escalation and the budgets,
 // and returns the rung to take. fallbackRank is the rank the driver
@@ -351,14 +205,14 @@ func (sv *Supervisor) Decide(err error, fallbackRank int) Decision {
 	}
 	if rank >= 0 {
 		sv.faultCount[rank]++
-		if class == ClassTransient && sv.faultCount[rank] >= sv.pol.PersistAfter {
+		if class == ClassTransient && sv.faultCount[rank] >= persistAfter {
 			// The same rank keeps producing faults that look transient
 			// one at a time: escalate so the budget is not burnt on a
 			// rank that will never come back on its own.
 			class = ClassRankPersistent
 		}
 	}
-	if class == ClassTransient && sv.retries >= sv.pol.RetryBudget {
+	if class == ClassTransient && sv.retries >= retryBudget {
 		if rank >= 0 {
 			class = ClassRankPersistent
 		} else {
@@ -369,19 +223,15 @@ func (sv *Supervisor) Decide(err error, fallbackRank int) Decision {
 	case ClassTransient:
 		sv.retries++
 		sv.ctrRetry.Inc()
-		b := sv.backoff(sv.retries)
-		sv.histBack[ClassTransient].Observe(float64(b.Milliseconds()))
-		return Decision{Action: ActionRetry, Class: ClassTransient, Rank: rank, Backoff: b}
+		return Decision{Action: ActionRetry, Class: ClassTransient, Rank: rank}
 	case ClassRankPersistent:
-		if rank < 0 || sv.replaces >= sv.pol.ReplaceBudget {
+		if rank < 0 || sv.replaces >= replaceBudget {
 			return Decision{Action: ActionAbort, Class: ClassFatal, Rank: rank}
 		}
 		sv.replaces++
 		sv.incarnation[rank]++
 		sv.ctrReplace.Inc()
-		b := sv.backoff(sv.replaces)
-		sv.histBack[ClassRankPersistent].Observe(float64(b.Milliseconds()))
-		return Decision{Action: ActionReplace, Class: ClassRankPersistent, Rank: rank, Backoff: b}
+		return Decision{Action: ActionReplace, Class: ClassRankPersistent, Rank: rank}
 	}
 	return Decision{Action: ActionAbort, Class: ClassFatal, Rank: rank}
 }
@@ -390,38 +240,4 @@ func (sv *Supervisor) Decide(err error, fallbackRank int) Decision {
 func (sv *Supervisor) NoteRepart() {
 	sv.reparts++
 	sv.ctrRepart.Inc()
-}
-
-// Imbalance returns the max-to-mean ratio of the per-rank work
-// samples (1 = perfectly balanced). Non-positive samples clamp to
-// zero; an all-zero window reports 1.
-func Imbalance(work []float64) float64 {
-	if len(work) == 0 {
-		return 1
-	}
-	var sum, max float64
-	for _, w := range work {
-		if w < 0 {
-			w = 0
-		}
-		sum += w
-		if w > max {
-			max = w
-		}
-	}
-	if sum <= 0 {
-		return 1
-	}
-	return max * float64(len(work)) / sum
-}
-
-// ShouldRepart applies the imbalance trigger to a reduced work window:
-// maxWork and sumWork are the AllReduce'd per-rank compute times of
-// the window, n the rank count. The decision is a pure function of the
-// reduced values, so every rank computes the same verdict.
-func ShouldRepart(maxWork, sumWork float64, n int, threshold float64) bool {
-	if n < 2 || sumWork <= 0 || threshold < 1 {
-		return false
-	}
-	return maxWork*float64(n)/sumWork > threshold
 }

@@ -73,47 +73,17 @@ func TestAttribute(t *testing.T) {
 	}
 }
 
-func TestPolicyValidate(t *testing.T) {
-	def := DefaultPolicy()
-	if err := def.Validate(); err != nil {
-		t.Fatalf("default policy invalid: %v", err)
-	}
-	bad := []func(*Policy){
-		func(p *Policy) { p.RetryBudget = -1 },
-		func(p *Policy) { p.ReplaceBudget = -1 },
-		func(p *Policy) { p.PersistAfter = 0 },
-		func(p *Policy) { p.BackoffBase = -time.Second },
-		func(p *Policy) { p.BackoffJitter = 1.5 },
-		func(p *Policy) { p.RepartCheckEvery = -1 },
-		func(p *Policy) { p.RepartCheckEvery = 5; p.RepartThreshold = 0.5 },
-		func(p *Policy) { p.RepartMinGap = -1 },
-		func(p *Policy) { p.RepartAtStep = -2 },
-		func(p *Policy) { p.RepartRanks = -1 },
-		func(p *Policy) { p.RanksMax = -1 },
-		func(p *Policy) { p.RepartRanks = 8; p.RanksMax = 4 },
-		func(p *Policy) { p.RecvTimeout = -time.Second },
-		func(p *Policy) { p.DtBackoff = 1 },
-	}
-	for i, mutate := range bad {
-		p := DefaultPolicy()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad policy %d validated", i)
-		}
-	}
-}
-
 // TestLadderTransientThenEscalate walks the full ladder for a rank that
-// keeps producing transient-looking faults: one retry (PersistAfter 2),
-// then a replacement, then — replace budget drained — abort.
+// keeps producing transient-looking faults at the ladder's constants:
+// one retry (persistAfter 2), then a replacement, then — replace budget
+// drained — abort.
 func TestLadderTransientThenEscalate(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Enabled = true
-	pol.RetryBudget = 2
-	pol.ReplaceBudget = 1
-	pol.PersistAfter = 2
+	if retryBudget != 2 || replaceBudget != 1 || persistAfter != 2 {
+		t.Fatalf("ladder constants changed (retry %d, replace %d, persist %d): rewrite this walk",
+			retryBudget, replaceBudget, persistAfter)
+	}
 	reg := obs.NewRegistry()
-	sv := New(pol, reg)
+	sv := New(reg)
 	mismatch := &typhon.SizeMismatchError{From: 1, To: 0, Got: 9, Want: 10}
 
 	d := sv.Decide(mismatch, -1)
@@ -142,9 +112,7 @@ func TestLadderTransientThenEscalate(t *testing.T) {
 // TestLadderPanicReplacesImmediately: a rank panic skips the retry rung
 // even with budget left.
 func TestLadderPanicReplacesImmediately(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Enabled = true
-	sv := New(pol, nil)
+	sv := New(nil)
 	d := sv.Decide(&typhon.RankPanicError{Rank: 2, Value: "boom"}, -1)
 	if d.Action != ActionReplace || d.Rank != 2 {
 		t.Fatalf("got %v rank %d, want replace rank 2", d.Action, d.Rank)
@@ -158,12 +126,9 @@ func TestLadderPanicReplacesImmediately(t *testing.T) {
 // retry until the budget drains and then abort — there is no rank to
 // replace.
 func TestLadderUnattributableTransient(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Enabled = true
-	pol.RetryBudget = 2
-	sv := New(pol, nil)
+	sv := New(nil)
 	collapse := &hydro.ErrDtCollapse{Dt: 1e-14, Element: 0}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < retryBudget; i++ {
 		if d := sv.Decide(collapse, -1); d.Action != ActionRetry {
 			t.Fatalf("fault %d: got %v, want retry", i, d.Action)
 		}
@@ -174,95 +139,21 @@ func TestLadderUnattributableTransient(t *testing.T) {
 }
 
 // TestLadderFallbackRankAttribution: when the error names no rank the
-// driver's fallback attribution feeds the escalation history.
+// driver's fallback attribution feeds the escalation history: the
+// rank's persistAfter-th fault replaces it, with retry budget to spare.
 func TestLadderFallbackRankAttribution(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Enabled = true
-	pol.RetryBudget = 4
-	pol.PersistAfter = 2
-	sv := New(pol, nil)
+	sv := New(nil)
 	nf := &hydro.ErrNonFinite{Field: "rho", Index: 0, Global: 0}
-	if d := sv.Decide(nf, 3); d.Action != ActionRetry {
-		t.Fatalf("first: got %v, want retry", d.Action)
+	for i := 1; i < persistAfter; i++ {
+		if d := sv.Decide(nf, 3); d.Action != ActionRetry {
+			t.Fatalf("fault %d: got %v, want retry", i, d.Action)
+		}
+	}
+	if sv.Retries() >= retryBudget {
+		t.Fatalf("retry budget %d drained before escalation: the replacement below would not be the history's doing", retryBudget)
 	}
 	d := sv.Decide(nf, 3)
 	if d.Action != ActionReplace || d.Rank != 3 {
-		t.Fatalf("second: got %v rank %d, want replace rank 3", d.Action, d.Rank)
-	}
-}
-
-// TestBackoffDeterministic: same seed, same backoff sequence; backoffs
-// grow exponentially and respect the cap.
-func TestBackoffDeterministic(t *testing.T) {
-	mk := func() *Supervisor {
-		pol := DefaultPolicy()
-		pol.Enabled = true
-		pol.RetryBudget = 10
-		pol.BackoffBase = 10 * time.Millisecond
-		pol.BackoffMax = 50 * time.Millisecond
-		pol.BackoffJitter = 0.5
-		pol.Seed = 42
-		return New(pol, nil)
-	}
-	collapse := &hydro.ErrDtCollapse{Dt: 1e-14, Element: 0}
-	a, b := mk(), mk()
-	var prev time.Duration
-	for i := 0; i < 5; i++ {
-		da, db := a.Decide(collapse, -1), b.Decide(collapse, -1)
-		if da.Backoff != db.Backoff {
-			t.Fatalf("retry %d: backoffs diverge (%v vs %v) with equal seeds", i, da.Backoff, db.Backoff)
-		}
-		if da.Backoff < 0 || da.Backoff > 50*time.Millisecond {
-			t.Fatalf("retry %d: backoff %v outside [0, cap]", i, da.Backoff)
-		}
-		// With jitter 0.5 the floor is half the deterministic value, so
-		// the doubling still shows through the floor sequence.
-		if da.Backoff > 0 && da.Backoff == prev && i > 3 {
-			break // capped region; fine
-		}
-		prev = da.Backoff
-	}
-	// Jitter off: pure doubling to the cap.
-	pol := DefaultPolicy()
-	pol.Enabled = true
-	pol.RetryBudget = 10
-	pol.BackoffBase = 10 * time.Millisecond
-	pol.BackoffMax = 35 * time.Millisecond
-	sv := New(pol, nil)
-	want := []time.Duration{10, 20, 35, 35}
-	for i, w := range want {
-		if d := sv.Decide(collapse, -1); d.Backoff != w*time.Millisecond {
-			t.Fatalf("retry %d: backoff %v, want %v", i, d.Backoff, w*time.Millisecond)
-		}
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	cases := []struct {
-		work []float64
-		want float64
-	}{
-		{nil, 1},
-		{[]float64{0, 0}, 1},
-		{[]float64{1, 1, 1, 1}, 1},
-		{[]float64{3, 1}, 1.5},
-		{[]float64{4, 0, 0, 0}, 4},
-	}
-	for _, tc := range cases {
-		if got := Imbalance(tc.work); got != tc.want {
-			t.Errorf("Imbalance(%v) = %v, want %v", tc.work, got, tc.want)
-		}
-	}
-	if ShouldRepart(3, 4, 2, 1.4) != true {
-		t.Error("ShouldRepart(3,4,2,1.4) = false, want true (ratio 1.5)")
-	}
-	if ShouldRepart(3, 4, 2, 1.6) != false {
-		t.Error("ShouldRepart(3,4,2,1.6) = true, want false")
-	}
-	if ShouldRepart(5, 5, 1, 1.0) != false {
-		t.Error("single rank must never repartition")
-	}
-	if ShouldRepart(0, 0, 4, 1.5) != false {
-		t.Error("zero-work window must not trigger")
+		t.Fatalf("fault %d: got %v rank %d, want replace rank 3", persistAfter, d.Action, d.Rank)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/obs"
-	"bookleaf/internal/supervise"
 	"bookleaf/internal/timers"
 	"bookleaf/internal/typhon"
 )
@@ -50,7 +49,7 @@ type phaseCtrs struct {
 // rankLoop is one rank's epoch: the step loop with its communication
 // schedule, the collective rollback protocol, and — when supervision is
 // on — the healthy-point bookkeeping the recovery ladder and the
-// repartition monitor hang off. It lives for one epoch; what must
+// forced repartition hang off. It lives for one epoch; what must
 // outlive it is in the slot. run walks the phases in order:
 // reduceStatus, then rollback or healthyPoint, then advance.
 type rankLoop struct {
@@ -288,11 +287,11 @@ func (l *rankLoop) reduceStatus() (g float64, live bool) {
 }
 
 // rollback is the collective retry: every rank restores its snapshot of
-// the same step and backs the shared timestep cap off below the last dt
-// taken from the restored point (factor [supervise] dt_backoff, default
-// 2); advance re-grows it via DtGrowth once steps succeed again. The
-// lockstep values stay identical across ranks because they only change
-// at collective points like this one.
+// the same step and sets the shared timestep cap to half the last dt
+// taken from the restored point (or half the cap, if lower); advance
+// re-grows it via DtGrowth once steps succeed again. The lockstep values
+// stay identical across ranks because they only change at collective
+// points like this one.
 func (l *rankLoop) rollback() {
 	sl, s := l.slot, l.s
 	sl.budget--
@@ -300,7 +299,7 @@ func (l *rankLoop) rollback() {
 	l.ctrRollbacks.Inc()
 	l.tracer.Instant("rollback", nil)
 	s.Load(&sl.roll)
-	sl.dtCap = math.Min(sl.dtCap, s.DtPrev) / l.d.pol.DtBackoff
+	sl.dtCap = math.Min(sl.dtCap, s.DtPrev) / 2
 	l.stepErr = nil
 	l.pendSteps, l.pendRemaps, l.pendCause = 0, 0, [5]int64{}
 	// The steps past the restored one never happened: their history
@@ -329,13 +328,13 @@ func due(every, step int, last *int) bool {
 // same step. In order: confirm the counters and refresh the memento the
 // recovery ladder resumes from; publish progress; serve the checkpoint,
 // probe and history cadences; test for the end of the run; honour a
-// preemption; test the repartition triggers; refresh the rollback
+// preemption; test the repartition trigger; refresh the rollback
 // memento.
 func (l *rankLoop) healthyPoint(g float64) int {
 	d, s, sl := l.d, l.s, l.slot
 	cfg := &d.cfg
 	step := s.StepCount
-	if d.pol.Enabled {
+	if d.sup != nil {
 		// Replacement and epoch retry both restore here, so a replayed
 		// step is never double-counted.
 		l.flushPending()
@@ -386,18 +385,11 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		l.tracer.Instant("preempt", nil)
 		return nextPark
 	}
-	if d.pol.Enabled {
-		want, err := l.repartDue()
-		if err != nil {
-			l.fatalErr = err
-			return nextStatus
-		}
-		if want {
-			// The driver gathers the world from the parked slots and
-			// scatters it onto the new fleet.
-			sl.park = parkRepart
-			return nextPark
-		}
+	if l.repartDue() {
+		// The driver gathers the world from the parked slots and
+		// scatters it onto the new fleet.
+		sl.park = parkRepart
+		return nextPark
 	}
 	if sl.budget > 0 && step%cfg.rollbackEvery() == 0 {
 		s.Save(&sl.roll)
@@ -412,10 +404,8 @@ func (l *rankLoop) healthyPoint(g float64) int {
 func (l *rankLoop) advance() {
 	d, s, sl := l.d, l.s, l.slot
 	cfg, id := &d.cfg, l.rk.ID()
-	supervised := d.pol.Enabled
+	supervised := d.sup != nil
 	l.hooksDone = 0
-	workT0 := time.Now()
-	wait0 := l.ctrWait.Value()
 	// Step increments StepCount only after every failure point, so a
 	// failed step leaves it unchanged and a rolled-back step replays
 	// with the value it had on the first attempt. Capturing it here
@@ -478,7 +468,6 @@ func (l *rankLoop) advance() {
 	if supervised {
 		l.pendSteps++
 		l.pendCause[s.DtCause]++
-		sl.workAcc += time.Since(workT0).Seconds() - float64(l.ctrWait.Value()-wait0)/1e9
 	} else {
 		l.ctrSteps.Inc()
 		l.dtCause[s.DtCause].Inc()
@@ -608,31 +597,11 @@ func (l *rankLoop) recordHistory() error {
 	return nil
 }
 
-// repartDue applies the repartition triggers at the healthy point: a
-// deterministic forced trigger, and the load-imbalance monitor over
-// reduced per-rank work — the decision is a pure function of reduced
-// values, so every rank computes the same verdict.
-func (l *rankLoop) repartDue() (bool, error) {
-	d, sl, step := l.d, l.slot, l.s.StepCount
-	pol := d.pol
-	if pol.RepartAtStep > 0 && !d.forcedRepart && step >= pol.RepartAtStep {
-		return true, nil
-	}
-	if !due(pol.RepartCheckEvery, step, &sl.lastBal) {
-		return false, nil
-	}
-	work := sl.workAcc
-	sl.workAcc = 0
-	sum := work
-	if err := l.allSum(&sum); err != nil {
-		return false, err
-	}
-	negMax, err := l.allMin(-work)
-	if err != nil {
-		return false, err
-	}
-	if step-d.lastRepart < pol.RepartMinGap {
-		return false, nil
-	}
-	return supervise.ShouldRepart(-negMax, sum, l.rk.Size(), pol.RepartThreshold), nil
+// repartDue reports whether the run's one repartition ([supervise]
+// repart_at) falls at this healthy point. It reads only the step count
+// and the supervisor's repartition count, written between epochs, so
+// every rank computes the same verdict without a reduction.
+func (l *rankLoop) repartDue() bool {
+	sc := l.d.cfg.Supervise
+	return sc != nil && sc.RepartAtStep > 0 && l.s.StepCount >= sc.RepartAtStep && l.d.sup.Reparts() == 0
 }

@@ -1,0 +1,109 @@
+package bookleaf_test
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"bookleaf"
+	"bookleaf/internal/config"
+)
+
+// TestReadmeMatchesCode holds README.md to the code it describes: every
+// ```ini block must be a deck that ConfigFromDeck reads in full (no
+// unknown key), and every backticked command-line flag in the prose must
+// be one some binary under cmd/ lists in its -h output. A knob deleted
+// from the code but left in the prose fails here.
+func TestReadmeMatchesCode(t *testing.T) {
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prose strings.Builder
+	var decks []string
+	var block strings.Builder
+	fence, lang := false, ""
+	for _, line := range strings.Split(string(src), "\n") {
+		if trimmed := strings.TrimSpace(line); strings.HasPrefix(trimmed, "```") {
+			if !fence {
+				fence, lang = true, strings.TrimPrefix(trimmed, "```")
+				block.Reset()
+			} else {
+				fence = false
+				if lang == "ini" {
+					decks = append(decks, block.String())
+				}
+			}
+			continue
+		}
+		if fence {
+			block.WriteString(line + "\n")
+		} else {
+			prose.WriteString(line + " ")
+		}
+	}
+	if len(decks) == 0 {
+		t.Fatal("README.md has no ```ini block")
+	}
+	for i, deck := range decks {
+		d, err := config.ParseString(deck)
+		if err != nil {
+			t.Errorf("ini block %d does not parse: %v\n%s", i, err, deck)
+			continue
+		}
+		if _, err := bookleaf.ConfigFromDeck(d); err != nil {
+			t.Errorf("ini block %d does not map onto a Config: %v\n%s", i, err, deck)
+		}
+		if unused := d.Unused(); len(unused) > 0 {
+			t.Errorf("ini block %d has keys no code reads: %v", i, unused)
+		}
+	}
+
+	// A code span that opens with a flag: `-ranks`, `-fuse=false`,
+	// `-metrics FILE`, `-table1 -table2`.
+	codeSpan, flagSpan := regexp.MustCompile("`([^`]+)`"), regexp.MustCompile(`^-[A-Za-z]`)
+	var flags []string
+	for _, m := range codeSpan.FindAllStringSubmatch(prose.String(), -1) {
+		if !flagSpan.MatchString(m[1]) {
+			continue
+		}
+		for _, tok := range strings.Fields(m[1]) {
+			if name, ok := strings.CutPrefix(tok, "-"); ok && name != "" {
+				name, _, _ = strings.Cut(name, "=")
+				flags = append(flags, name)
+			}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatal("README.md names no flag")
+	}
+
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	exes, err := os.ReadDir(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	usageLine := regexp.MustCompile(`(?m)^\s+-([A-Za-z][\w.-]*)`)
+	for _, e := range exes {
+		// The usage text is what counts, not the exit status of -h.
+		out, _ := exec.Command(filepath.Join(bin, e.Name()), "-h").CombinedOutput()
+		for _, m := range usageLine.FindAllStringSubmatch(string(out), -1) {
+			defined[m[1]] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatalf("no binary under cmd/ listed a flag (%d built)", len(exes))
+	}
+	for _, f := range flags {
+		if !defined[f] {
+			t.Errorf("README.md names -%s, which no binary under cmd/ defines", f)
+		}
+	}
+}

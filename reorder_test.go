@@ -190,7 +190,6 @@ func TestReorderSuperviseRepartition(t *testing.T) {
 				Enabled:      true,
 				RepartAtStep: 12,
 				RepartRanks:  newRanks,
-				RanksMax:     8,
 			}
 			res, err := runBoundedResult(t, cfg)
 			if err != nil {

@@ -284,7 +284,6 @@ func TestSuperviseForcedRepartition(t *testing.T) {
 				Enabled:      true,
 				RepartAtStep: 12,
 				RepartRanks:  tc.newRanks,
-				RanksMax:     8,
 			}
 			res, err := runBoundedResult(t, cfg)
 			if err != nil {
