@@ -27,11 +27,13 @@ package bookleaf
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
 
 	"bookleaf/internal/ale"
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/mesh"
@@ -130,18 +132,6 @@ type Config struct {
 	// pool's width.
 	Pool *par.Pool
 
-	// RollbackEvery is the cadence, in steps, of the rolling in-memory
-	// snapshot backing step-level rollback-retry: on a timestep
-	// collapse, a tangled element, or a non-finite field the run rolls
-	// back (collectively, on parallel runs), halves the timestep cap
-	// and retries. 0 selects the default (10); negative disables
-	// rollback.
-	RollbackEvery int
-	// RetryBudget bounds how many rollback-retries a run may spend
-	// before aborting with the underlying error. 0 selects the default
-	// (3); negative disables retries.
-	RetryBudget int
-
 	// HistoryEvery records a StepRecord every n steps into
 	// Result.History (0 = off).
 	HistoryEvery int
@@ -162,10 +152,6 @@ type Config struct {
 	// finite-value sweeps) every n steps; 0 disables them. Samples and
 	// violations land in Result.Probes and the obs metrics.
 	ProbeEvery int
-	// ProbeMaxDrift is the per-step relative conservation-drift
-	// threshold above which a probe sample is flagged as a violation
-	// (0 selects obs.DefaultMaxDriftPerStep).
-	ProbeMaxDrift float64
 
 	// Supervise configures the rank-supervision layer: the graded
 	// recovery ladder (retry / replace / checkpoint-then-abort) and
@@ -177,6 +163,11 @@ type Config struct {
 	// testDtMin overrides the minimum-timestep abort threshold; used
 	// by failure-injection tests.
 	testDtMin float64
+	// testRollbackEvery, when positive, overrides the rolling-snapshot
+	// cadence rollbackEvery; testRetryBudget, when non-zero, overrides
+	// retryBudget (negative turns rollback-retry off).
+	testRollbackEvery int
+	testRetryBudget   int
 	// testFault, when set, is called on every rank after each completed
 	// step and may corrupt the state — fault injection for the
 	// rollback-retry tests.
@@ -267,28 +258,31 @@ type SuperviseConfig struct {
 	RepartRanks  int
 }
 
-// rollbackEvery resolves the rolling-snapshot cadence: 0 = default 10,
-// negative = disabled.
-func (c *Config) rollbackEvery() int {
-	if c.RollbackEvery < 0 {
-		return 0
+// Step-level rollback-retry: every rollbackEvery steps each rank saves
+// a rolling in-memory snapshot, and on a timestep collapse, a tangled
+// element or a non-finite field the run rolls back to it (collectively,
+// on parallel runs), halves the timestep cap and retries, at most
+// retryBudget times before aborting with the underlying error.
+const (
+	rollbackEvery = 10
+	retryBudget   = 3
+)
+
+// rollbackCadence is the rolling-snapshot cadence in steps.
+func (c *Config) rollbackCadence() int {
+	if c.testRollbackEvery > 0 {
+		return c.testRollbackEvery
 	}
-	if c.RollbackEvery == 0 {
-		return 10
-	}
-	return c.RollbackEvery
+	return rollbackEvery
 }
 
-// retryBudget resolves the rollback-retry budget: 0 = default 3,
-// negative = disabled.
-func (c *Config) retryBudget() int {
-	if c.RetryBudget < 0 {
-		return 0
+// retries is the rollback-retry budget; at 0 no rolling snapshot is
+// kept either.
+func (c *Config) retries() int {
+	if c.testRetryBudget != 0 {
+		return max(c.testRetryBudget, 0)
 	}
-	if c.RetryBudget == 0 {
-		return 3
-	}
-	return c.RetryBudget
+	return retryBudget
 }
 
 func (c *Config) aleOptions() *ale.Options {
@@ -476,10 +470,6 @@ func dtCauseCounters(reg *obs.Registry) [5]*obs.Counter {
 // completed run: run identity, the merged obs snapshot, and the
 // per-kernel timer seconds.
 func writeMetricsFile(path string, cfg Config, res *Result, wallSeconds float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
 	mf := &obs.MetricsFile{
 		Meta: obs.Meta{
 			Problem: res.Problem, NX: cfg.NX, NY: cfg.NY,
@@ -491,29 +481,9 @@ func writeMetricsFile(path string, cfg Config, res *Result, wallSeconds float64)
 		Histograms: res.Obs.Histograms,
 		Timers:     res.Timers,
 	}
-	if err := obs.WriteMetrics(f, mf); err != nil {
-		f.Close()
-		return fmt.Errorf("metrics %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("metrics %s: %w", path, err)
-	}
-	return nil
-}
-
-// writeSnapshotFile writes a snapshot dump, surfacing close errors
-// (a checkpoint that did not reach the disk is not a checkpoint).
-func writeSnapshotFile(path string, sn *checkpoint.Snapshot) error {
-	f, err := os.Create(path)
+	err := atomicfile.Write(path, func(w io.Writer) error { return obs.WriteMetrics(w, mf) })
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := sn.Write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
+		return fmt.Errorf("metrics: %w", err)
 	}
 	return nil
 }

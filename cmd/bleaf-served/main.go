@@ -69,7 +69,6 @@ func run() error {
 		threads  = flag.Int("threads", 1, "par.Pool threads leased to each serial job")
 		budget   = flag.Float64("budget", 600, "admission budget: max predicted backlog seconds")
 		maxDeck  = flag.Int64("max-deck-bytes", 1<<20, "largest accepted deck body")
-		snapshot = flag.Int("snapshot-every", 0, "mid-run metrics snapshot cadence in steps (0 = default)")
 		maxRanks = flag.Int("max-ranks", 0, "largest deck-declared rank count admitted, [supervise] repart_ranks included (0 = default)")
 		maxThr   = flag.Int("max-threads", 0, "largest deck-declared thread count admitted (0 = default)")
 		maxEl    = flag.Int("max-elements", 0, "largest deck mesh (nx*ny) admitted (0 = default)")
@@ -89,8 +88,7 @@ func run() error {
 	srv, err := serve.Open(serve.Options{
 		Workers: *workers, Threads: *threads,
 		BudgetSeconds: *budget, MaxDeckBytes: *maxDeck,
-		SnapshotEvery: *snapshot,
-		MaxRanks:      *maxRanks, MaxThreads: *maxThr,
+		MaxRanks: *maxRanks, MaxThreads: *maxThr,
 		MaxElements: *maxEl, MaxTerminalJobs: *maxTerm,
 		StateDir: *stateDir, SpillInterval: *spill,
 		ClientBudgetSeconds: quota,

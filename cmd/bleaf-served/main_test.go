@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -155,4 +156,22 @@ func TestServedResultSurvivesRestart(t *testing.T) {
 		t.Fatalf("GET after the restart (%d) differs:\nbefore %.300s\nafter  %.300s", code, body, again)
 	}
 	d2.stop(t)
+}
+
+// TestRemovedFlagFailsLoudly: -snapshot-every is gone (the mid-run
+// metrics cadence is a constant), so the flag package rejects it with
+// exit status 2 before anything is served.
+func TestRemovedFlagFailsLoudly(t *testing.T) {
+	bin := buildDaemon(t)
+	cmd := exec.Command(bin, "-snapshot-every", "8", "-addr", "127.0.0.1:0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-snapshot-every: err %v, want exit status 2\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -snapshot-every") {
+		t.Errorf("stderr %q does not name the unknown flag", stderr.String())
+	}
 }

@@ -8,15 +8,18 @@
 //
 //	bookleaf -problem noh -nx 100 -ny 100
 //	bookleaf -deck decks/sod.deck -profile sod.csv
+//	bookleaf -deck decks/sod.deck -maxsteps 20 -ranks 2
 //	bookleaf -problem sod -nx 400 -ny 4 -ranks 8 -partitioner metis
 //	bookleaf -problem sod -nx 400 -ny 4 -ranks 4 -checkpoint sod.ckpt -checkpoint-every 100
 //	bookleaf -problem sod -nx 400 -ny 4 -ranks 8 -resume sod.ckpt
 //	bookleaf -problem noh -nx 120 -ny 120 -threads 4 -cpuprofile cpu.out -memprofile mem.out
 //
-// Checkpoints are partition-independent: a dump written at one rank
-// count resumes at any other. Transient failures (timestep collapse,
-// tangled element, non-finite field) are retried from a rolling
-// in-memory snapshot; tune with -rollback-every and -retry-budget.
+// A flag set on the command line overrides the deck's key for the same
+// setting; the flag defaults are the deck defaults. Checkpoints are
+// written atomically and are partition-independent: a dump written at
+// one rank count resumes at any other. Transient failures (timestep
+// collapse, tangled element, non-finite field) are retried from a
+// rolling in-memory snapshot.
 package main
 
 import (
@@ -42,7 +45,7 @@ func main() {
 
 func run() error {
 	var (
-		deckPath    = flag.String("deck", "", "input deck file (overrides problem flags)")
+		deckPath    = flag.String("deck", "", "input deck file (a flag set on the command line overrides its key)")
 		problem     = flag.String("problem", "sod", "problem: sod, noh, sedov, saltzmann")
 		nx          = flag.Int("nx", 100, "cells in x")
 		ny          = flag.Int("ny", 10, "cells in y")
@@ -65,8 +68,6 @@ func run() error {
 		ckpt        = flag.String("checkpoint", "", "write a restart dump to this file")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "also dump every n steps")
 		resume      = flag.String("resume", "", "restore a restart dump before running")
-		rollEvery   = flag.Int("rollback-every", 0, "rolling-snapshot cadence for rollback-retry (0 = default 10, negative = off)")
-		retryBudget = flag.Int("retry-budget", 0, "rollback-retries before aborting (0 = default 3, negative = off)")
 		superviseOn = flag.Bool("supervise", false, "enable the rank-supervision ladder (retry / replace / checkpoint-then-abort)")
 		repartAt    = flag.Int("repart-at", 0, "force one online repartition at this step (0 = off)")
 		repartRanks = flag.Int("repart-ranks", 0, "rank count after the next repartition (0 = keep)")
@@ -74,7 +75,6 @@ func run() error {
 		tracePfx    = flag.String("trace", "", "write per-rank Chrome trace files <prefix>.rank<N>.trace.json (merge with bleaf-trace)")
 		metricsOut  = flag.String("metrics", "", "write a machine-readable metrics.json to this file")
 		probeEvery  = flag.Int("probe-every", 0, "sample mass/energy conservation probes every n steps (0 = off)")
-		probeDrift  = flag.Float64("probe-maxdrift", 0, "per-step relative drift flagged as a violation (0 = default)")
 		quiet       = flag.Bool("quiet", false, "suppress the kernel breakdown")
 	)
 	flag.Parse()
@@ -105,75 +105,57 @@ func run() error {
 		}()
 	}
 
-	var cfg bookleaf.Config
-	if *deckPath != "" {
-		f, err := os.Open(*deckPath)
-		if err != nil {
-			return err
-		}
-		deck, err := config.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		cfg, err = bookleaf.ConfigFromDeck(deck)
-		if err != nil {
-			return err
-		}
-		if unused := deck.Unused(); len(unused) > 0 {
-			fmt.Fprintf(os.Stderr, "warning: unused deck keys: %v\n", unused)
-		}
-	} else {
-		cfg = bookleaf.Config{
-			Problem: *problem, NX: *nx, NY: *ny, TEnd: *tend, MaxSteps: *maxSteps,
-			Ranks: *ranks, Threads: *threads, Partitioner: *partitioner,
-			Reorder: *reorder,
-			ALE:     *aleMode, ALEFreq: *aleFreq, Hourglass: *hourglass,
-			ScatterAcc: *scatterAcc, SedovEnergy: *sedovE, NoFuse: !*fuse,
-			Checkpoint: *ckpt, CheckpointEvery: *ckptEvery, Resume: *resume,
-			RollbackEvery: *rollEvery, RetryBudget: *retryBudget,
-			HistoryEvery: *history,
-		}
+	deck, err := loadDeck(*deckPath)
+	if err != nil {
+		return err
 	}
-	// -fuse defaults to true, so only an explicit command-line setting
-	// may override the deck's [control] fuse key.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "fuse":
-			cfg.NoFuse = !*fuse
-		case "reorder":
-			cfg.Reorder = *reorder
-		}
-	})
-	// Observability flags compose with decks: a flag set on the command
-	// line wins over the deck's [obs] keys.
-	if *tracePfx != "" {
-		cfg.Trace = *tracePfx
+	cfg, err := bookleaf.ConfigFromDeck(deck)
+	if err != nil {
+		return err
 	}
-	if *metricsOut != "" {
-		cfg.Metrics = *metricsOut
+	if unused := deck.Unused(); len(unused) > 0 {
+		fmt.Fprintf(os.Stderr, "warning: unused deck keys: %v\n", unused)
 	}
-	if *probeEvery != 0 {
-		cfg.ProbeEvery = *probeEvery
-	}
-	if *probeDrift != 0 {
-		cfg.ProbeMaxDrift = *probeDrift
-	}
-	// Supervision flags also compose with the deck's [supervise] keys.
-	if *superviseOn || *repartAt != 0 || *repartRanks != 0 {
+	supervise := func() *bookleaf.SuperviseConfig {
 		if cfg.Supervise == nil {
 			cfg.Supervise = &bookleaf.SuperviseConfig{}
 		}
-		if *superviseOn {
-			cfg.Supervise.Enabled = true
-		}
-		if *repartAt != 0 {
-			cfg.Supervise.RepartAtStep = *repartAt
-		}
-		if *repartRanks != 0 {
-			cfg.Supervise.RepartRanks = *repartRanks
-		}
+		return cfg.Supervise
 	}
+	// One rule for flags and deck: a flag set on the command line
+	// overwrites its field, whatever the deck says.
+	override := map[string]func(){
+		"problem":          func() { cfg.Problem = *problem },
+		"nx":               func() { cfg.NX = *nx },
+		"ny":               func() { cfg.NY = *ny },
+		"tend":             func() { cfg.TEnd = *tend },
+		"maxsteps":         func() { cfg.MaxSteps = *maxSteps },
+		"ranks":            func() { cfg.Ranks = *ranks },
+		"threads":          func() { cfg.Threads = *threads },
+		"partitioner":      func() { cfg.Partitioner = *partitioner },
+		"reorder":          func() { cfg.Reorder = *reorder },
+		"ale":              func() { cfg.ALE = *aleMode },
+		"alefreq":          func() { cfg.ALEFreq = *aleFreq },
+		"hourglass":        func() { cfg.Hourglass = *hourglass },
+		"scatteracc":       func() { cfg.ScatterAcc = *scatterAcc },
+		"fuse":             func() { cfg.NoFuse = !*fuse },
+		"sedov-energy":     func() { cfg.SedovEnergy = *sedovE },
+		"checkpoint":       func() { cfg.Checkpoint = *ckpt },
+		"checkpoint-every": func() { cfg.CheckpointEvery = *ckptEvery },
+		"resume":           func() { cfg.Resume = *resume },
+		"supervise":        func() { supervise().Enabled = *superviseOn },
+		"repart-at":        func() { supervise().RepartAtStep = *repartAt },
+		"repart-ranks":     func() { supervise().RepartRanks = *repartRanks },
+		"history":          func() { cfg.HistoryEvery = *history },
+		"trace":            func() { cfg.Trace = *tracePfx },
+		"metrics":          func() { cfg.Metrics = *metricsOut },
+		"probe-every":      func() { cfg.ProbeEvery = *probeEvery },
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if set, ok := override[f.Name]; ok {
+			set()
+		}
+	})
 
 	start := time.Now()
 	res, err := bookleaf.Run(cfg)
@@ -267,6 +249,20 @@ func run() error {
 		fmt.Printf("VTK dump written to %s\n", *vtkOut)
 	}
 	return nil
+}
+
+// loadDeck parses the deck at path, or an empty deck when path is "",
+// so a run without -deck takes the deck defaults.
+func loadDeck(path string) (*config.Deck, error) {
+	if path == "" {
+		return config.ParseString("")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return config.Parse(f)
 }
 
 func printBreakdown(res *bookleaf.Result) {

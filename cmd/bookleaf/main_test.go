@@ -99,16 +99,42 @@ func TestOneDriverAtTheCLI(t *testing.T) {
 	}
 }
 
+// TestDeckFlagsOverride: with -deck, every flag set on the command line
+// overrides the deck. The deck runs Sod to t=0.25 (469 steps); with
+// -maxsteps 20 it stops at 20, prints the -history records, and writes
+// the -checkpoint dump, which -resume then continues from.
+func TestDeckFlagsOverride(t *testing.T) {
+	bin := buildCLI(t)
+	deck, err := filepath.Abs("../../decks/sod.deck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "ck.ckpt")
+	s := runCLI(t, bin, "-deck", deck, "-maxsteps", "20", "-checkpoint", ckpt, "-history", "5", "-quiet")
+	if s.steps != 20 || s.history != 4 {
+		t.Errorf("-deck with -maxsteps 20 -history 5: %d steps, %d history records, want 20 and 4", s.steps, s.history)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("-checkpoint wrote no dump: %v", err)
+	}
+	if r := runCLI(t, bin, "-deck", deck, "-resume", ckpt, "-maxsteps", "25", "-quiet"); r.steps != 25 {
+		t.Errorf("resumed from the step-20 dump to -maxsteps 25: %d steps", r.steps)
+	}
+}
+
 // TestRemovedSwitchesFailLoudly: the overlap, layout and fuse-tile
-// switches are gone. A deck that still sets their keys runs, but the
-// unused-keys warning names every one of them; the old flag is an
-// unknown flag, which the flag package rejects with exit status 2.
+// switches are gone, and so are the rollback cadence, the retry budget
+// and the probe drift threshold. A deck that still sets their keys
+// runs, but the unused-keys warning names every one of them; each old
+// flag is an unknown flag, which the flag package rejects with exit
+// status 2.
 func TestRemovedSwitchesFailLoudly(t *testing.T) {
 	bin := buildCLI(t)
 	t.Run("deck-keys", func(t *testing.T) {
 		deck := filepath.Join(t.TempDir(), "old.deck")
 		const text = "[control]\nproblem = sod\nnx = 16\nny = 2\nmaxsteps = 2\n" +
-			"overlap = true\nlayout = soa\nfuse_tile = 64\n"
+			"overlap = true\nlayout = soa\nfuse_tile = 64\n" +
+			"rollback_every = 5\nretry_budget = 1\n[obs]\nprobe_maxdrift = 1e-6\n"
 		if err := os.WriteFile(deck, []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -118,24 +144,32 @@ func TestRemovedSwitchesFailLoudly(t *testing.T) {
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("run: %v\n%s", err, stderr.String())
 		}
-		const want = "warning: unused deck keys: [control.fuse_tile control.layout control.overlap]"
+		const want = "warning: unused deck keys: [control.fuse_tile control.layout control.overlap " +
+			"control.retry_budget control.rollback_every obs.probe_maxdrift]"
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr %q lacks %q", stderr.String(), want)
 		}
 	})
-	t.Run("overlap-flag", func(t *testing.T) {
-		cmd := exec.Command(bin, "-overlap", "-maxsteps", "1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("-overlap: err %v, want exit status 2\n%s", err, stderr.String())
-		}
-		if !strings.Contains(stderr.String(), "flag provided but not defined: -overlap") {
-			t.Errorf("stderr %q does not name the unknown flag", stderr.String())
-		}
-	})
+	for _, flag := range [][]string{
+		{"-overlap"},
+		{"-rollback-every", "5"},
+		{"-retry-budget", "1"},
+		{"-probe-maxdrift", "1e-6"},
+	} {
+		t.Run(flag[0][1:]+"-flag", func(t *testing.T) {
+			cmd := exec.Command(bin, append(flag, "-maxsteps", "1")...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Fatalf("%s: err %v, want exit status 2\n%s", flag[0], err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "flag provided but not defined: "+flag[0]) {
+				t.Errorf("stderr %q does not name the unknown flag", stderr.String())
+			}
+		})
+	}
 }
 
 // TestOversizeMeshExitsWithTheError: a mesh past the 32-bit index

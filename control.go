@@ -70,13 +70,6 @@ type RunStatus struct {
 // *PreemptedError carrying an in-memory checkpoint-v2 snapshot to
 // resume from.
 type Control struct {
-	// SnapshotEvery is the step cadence of mid-run metrics snapshots
-	// published through Metrics (0 = default 16; negative = off). The
-	// published snapshot is rank 0's registry — the rank that also owns
-	// the probe records — not the cross-rank merge, which only exists
-	// after the run. Set before Run; read-only after.
-	SnapshotEvery int
-
 	action  atomic.Int32
 	status  atomic.Pointer[RunStatus]
 	metrics obs.Live
@@ -139,20 +132,16 @@ func (c *Control) noteProgress(step int, t, tEnd float64) {
 	c.status.Store(&RunStatus{Step: step, Time: t, TEnd: tEnd})
 }
 
+// snapshotEvery is the step cadence of the mid-run metrics snapshots
+// published through Metrics. The published snapshot is rank 0's
+// registry — the rank that also owns the probe records — not the
+// cross-rank merge, which only exists after the run.
+const snapshotEvery = 16
+
 // snapshotDue reports whether a metrics snapshot should be published
 // after the given completed step.
 func (c *Control) snapshotDue(step int) bool {
-	if c == nil {
-		return false
-	}
-	every := c.SnapshotEvery
-	if every < 0 {
-		return false
-	}
-	if every == 0 {
-		every = 16
-	}
-	return step%every == 0
+	return c != nil && step%snapshotEvery == 0
 }
 
 // publishMetrics publishes a mid-run snapshot; the caller must own the

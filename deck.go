@@ -42,12 +42,6 @@ func ConfigFromDeck(d *config.Deck) (Config, error) {
 		return cfg, err
 	}
 	cfg.Resume = d.String("control", "resume", "")
-	if cfg.RollbackEvery, err = d.Int("control", "rollback_every", 0); err != nil {
-		return cfg, err
-	}
-	if cfg.RetryBudget, err = d.Int("control", "retry_budget", 0); err != nil {
-		return cfg, err
-	}
 	cfg.ALE = d.String("ale", "mode", "")
 	if cfg.ALE == "lagrangian" || cfg.ALE == "off" {
 		cfg.ALE = ""
@@ -61,9 +55,6 @@ func ConfigFromDeck(d *config.Deck) (Config, error) {
 	cfg.Trace = d.String("obs", "trace", "")
 	cfg.Metrics = d.String("obs", "metrics", "")
 	if cfg.ProbeEvery, err = d.Int("obs", "probe_every", 0); err != nil {
-		return cfg, err
-	}
-	if cfg.ProbeMaxDrift, err = d.Float("obs", "probe_maxdrift", 0); err != nil {
 		return cfg, err
 	}
 	if d.Has("supervise") {

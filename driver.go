@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/mesh"
@@ -63,7 +64,7 @@ type rankSlot struct {
 	incarnation int
 
 	// roll backs in-epoch collective rollback-retry (cadence
-	// Config.RollbackEvery); stepStart is the supervised per-step
+	// rollbackEvery); stepStart is the supervised per-step
 	// healthy-point snapshot the ladder's retry/replace restore. Both
 	// carry masses iff the run remaps (newSlot), the only writer of them.
 	roll      hydro.Memento
@@ -105,7 +106,7 @@ func (sl *rankSlot) closePool() {
 // ok, retryable or fatal; retryable failures (timestep collapse,
 // tangled element, non-finite field) trigger a collective rollback to a
 // rolling in-memory snapshot with a reduced timestep cap, bounded by
-// Config.RetryBudget. Communication faults poison the Comm through its
+// retryBudget. Communication faults poison the Comm through its
 // abort path: every blocked rank unblocks with an error matching
 // typhon.ErrAborted and the epoch ends with the root cause, not a
 // deadlock.
@@ -353,12 +354,9 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 		id: id, sub: sub, s: s, reg: obs.NewRegistry(),
 		roll: hydro.Memento{Masses: masses}, stepStart: hydro.Memento{Masses: masses},
 		lockstep: lockstep{
-			dtCap: math.Inf(1), budget: d.cfg.retryBudget(),
+			dtCap: math.Inf(1), budget: d.cfg.retries(),
 			lastCk: -1, lastProbe: -1, lastHist: -1,
 		},
-	}
-	if d.cfg.rollbackEvery() == 0 {
-		sl.budget = 0
 	}
 	if d.cfg.Pool != nil && width == 1 {
 		s.Pool = d.cfg.Pool
@@ -454,7 +452,7 @@ func (d *driver) runEpoch() (error, error) {
 			d.tracers[sl.id] = obs.NewTracer(sl.id, d.start)
 		}
 		if cfg.ProbeEvery > 0 && d.probes[sl.id] == nil {
-			d.probes[sl.id] = obs.NewInvariantProbe(cfg.ProbeEvery, cfg.ProbeMaxDrift, sl.reg)
+			d.probes[sl.id] = obs.NewInvariantProbe(cfg.ProbeEvery, sl.reg)
 		}
 		if d.tms[sl.id] == nil {
 			d.tms[sl.id] = timers.NewSet()
@@ -670,7 +668,7 @@ func (d *driver) abortWithCheckpoint(root error) error {
 			err = d.gatherParked(d.gsnap)
 		}
 		if err == nil {
-			err = writeSnapshotFile(d.cfg.Checkpoint, d.gsnap)
+			err = atomicfile.Write(d.cfg.Checkpoint, d.gsnap.Write)
 		}
 		if err != nil {
 			return fmt.Errorf("bookleaf: %w (final checkpoint failed: %v)", root, err)

@@ -18,11 +18,11 @@ import (
 // A rank that hits a timestep collapse mid-run must bring the whole
 // parallel run down cleanly — an error return, not a deadlock. The
 // compensation protocol in rankLoop.advance keeps the halo-exchange schedule
-// symmetric while the ranks agree to abort. RetryBudget is disabled so
+// symmetric while the ranks agree to abort. Rollback-retry is off so
 // the collapse is immediately fatal.
 func TestParallelFailurePropagatesCleanly(t *testing.T) {
 	cfg := Config{
-		Problem: "sod", NX: 64, NY: 4, Ranks: 4, RetryBudget: -1,
+		Problem: "sod", NX: 64, NY: 4, Ranks: 4, testRetryBudget: -1,
 		testDtMin: 1e-3, // unreachably large once the shock forms
 	}
 	err := runBounded(t, cfg)
@@ -38,7 +38,7 @@ func TestParallelFailurePropagatesCleanly(t *testing.T) {
 // compensation path too.
 func TestParallelFailureWithRemapCleanly(t *testing.T) {
 	cfg := Config{
-		Problem: "sod", NX: 64, NY: 4, Ranks: 3, ALE: "eulerian", RetryBudget: -1,
+		Problem: "sod", NX: 64, NY: 4, Ranks: 3, ALE: "eulerian", testRetryBudget: -1,
 		testDtMin: 1e-3,
 	}
 	if err := runBounded(t, cfg); err == nil {
@@ -64,7 +64,7 @@ func TestParallelCollapseExhaustsRetryBudget(t *testing.T) {
 }
 
 func TestSerialFailureReportsStep(t *testing.T) {
-	_, err := Run(Config{Problem: "sod", NX: 32, NY: 2, RetryBudget: -1, testDtMin: 1e-3})
+	_, err := Run(Config{Problem: "sod", NX: 32, NY: 2, testRetryBudget: -1, testDtMin: 1e-3})
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -102,7 +102,7 @@ func TestSerialRollbackRecoversTransientNaN(t *testing.T) {
 // with the offending field, element and step in the error.
 func TestSerialRollbackBudgetExhausts(t *testing.T) {
 	res, err := Run(Config{
-		Problem: "sod", NX: 32, NY: 2, MaxSteps: 25, RetryBudget: 2,
+		Problem: "sod", NX: 32, NY: 2, MaxSteps: 25, testRetryBudget: 2,
 		testFault: func(rank, step int, s *hydro.State) {
 			if step == 14 {
 				s.Ein[5] = math.Inf(1)
@@ -150,7 +150,7 @@ func TestParallelRollbackRecoversTransientNaN(t *testing.T) {
 // faulty rank, not a deadlock and not a peer's abort echo.
 func TestParallelRollbackBudgetExhausts(t *testing.T) {
 	err := runBounded(t, Config{
-		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25, RetryBudget: 2,
+		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25, testRetryBudget: 2,
 		testFault: func(rank, step int, s *hydro.State) {
 			if rank == 2 && step == 14 {
 				s.Rho[0] = math.NaN()
@@ -268,7 +268,7 @@ func TestDroppedHaloMessageTimesOut(t *testing.T) {
 func TestCorruptedHaloMessageCaught(t *testing.T) {
 	err := runBounded(t, Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4,
-		RollbackEvery: -1, RetryBudget: -1,
+		testRetryBudget: -1,
 		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
 			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt},
 		}},
@@ -322,7 +322,7 @@ func TestHistoryRecorded(t *testing.T) {
 				injected := false // only touched by rank 0's goroutine
 				cfg := Config{
 					Problem: "sod", NX: 32, NY: 2, MaxSteps: 20, Ranks: ranks,
-					HistoryEvery: tc.every, RollbackEvery: tc.rollback,
+					HistoryEvery: tc.every, testRollbackEvery: tc.rollback,
 				}
 				if tc.faultStep > 0 {
 					cfg.testFault = func(rank, step int, s *hydro.State) {

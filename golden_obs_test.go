@@ -34,9 +34,9 @@ func goldenConfig(dir string) bookleaf.Config {
 	return bookleaf.Config{
 		Problem: "sod", NX: 32, NY: 4, Ranks: 2, MaxSteps: 12,
 		ALE:        "eulerian", // remap every step: exercises the remap halo phase
-		ProbeEvery: 4, ProbeMaxDrift: 1e-9,
-		Trace:   filepath.Join(dir, "golden"),
-		Metrics: filepath.Join(dir, "metrics.json"),
+		ProbeEvery: 4,
+		Trace:      filepath.Join(dir, "golden"),
+		Metrics:    filepath.Join(dir, "metrics.json"),
 	}
 }
 

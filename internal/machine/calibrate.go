@@ -20,24 +20,24 @@ import (
 // it enters the average.
 type Calibrator struct {
 	mu    sync.Mutex
-	alpha float64
 	scale float64
 	n     int
 }
 
-// ratio clamp per observation: an estimate 64x off in either direction
-// carries no more weight than one 64x off exactly.
-const calibClamp = 64.0
+const (
+	// calibAlpha is the EWMA weight: a new observation moves the scale
+	// a quarter of the way, converging within ~a dozen jobs without
+	// letting one outlier dominate.
+	calibAlpha = 0.25
+	// calibClamp bounds each observation's ratio: an estimate 64x off
+	// in either direction carries no more weight than one 64x off
+	// exactly.
+	calibClamp = 64.0
+)
 
-// NewCalibrator returns a calibrator with the given EWMA weight in
-// (0, 1]; out-of-range values select 0.25 (a new observation moves the
-// scale a quarter of the way, converging within ~a dozen jobs without
-// letting one outlier dominate).
-func NewCalibrator(alpha float64) *Calibrator {
-	if !(alpha > 0) || alpha > 1 {
-		alpha = 0.25
-	}
-	return &Calibrator{alpha: alpha, scale: 1}
+// NewCalibrator returns a calibrator at scale 1 with no observations.
+func NewCalibrator() *Calibrator {
+	return &Calibrator{scale: 1}
 }
 
 // Observe folds one completed run into the average: modelled is the
@@ -62,7 +62,7 @@ func (c *Calibrator) Observe(modelled, measured float64) {
 		// the prior scale carries no information.
 		c.scale = r
 	} else {
-		c.scale += c.alpha * (r - c.scale)
+		c.scale += calibAlpha * (r - c.scale)
 	}
 	c.n++
 }

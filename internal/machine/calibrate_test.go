@@ -10,7 +10,7 @@ import (
 // scale onto itself — the first observation seeds it, repeats converge
 // geometrically — and Apply rescales only the seconds.
 func TestCalibratorConvergence(t *testing.T) {
-	c := NewCalibrator(0.25)
+	c := NewCalibrator()
 	if c.Scale() != 1 {
 		t.Fatalf("fresh scale %g, want 1", c.Scale())
 	}
@@ -35,10 +35,25 @@ func TestCalibratorConvergence(t *testing.T) {
 	}
 }
 
+// TestCalibratorWeight: the first observation seeds the scale and each
+// later one moves it a quarter of the way (calibAlpha) towards its
+// ratio.
+func TestCalibratorWeight(t *testing.T) {
+	c := NewCalibrator()
+	c.Observe(1, 2)
+	if s := c.Scale(); s != 2 {
+		t.Fatalf("scale %g after the first observation, want it seeded at 2", s)
+	}
+	c.Observe(1, 6)
+	if s := c.Scale(); s != 3 {
+		t.Fatalf("scale %g after observing 6 from 2, want 2 + 0.25*(6-2) = 3", s)
+	}
+}
+
 // TestCalibratorTracksDrift: after converging on one ratio the average
 // must follow a sustained shift to a new one (the EWMA forgets).
 func TestCalibratorTracksDrift(t *testing.T) {
-	c := NewCalibrator(0.25)
+	c := NewCalibrator()
 	for i := 0; i < 30; i++ {
 		c.Observe(1, 4)
 	}
@@ -54,7 +69,7 @@ func TestCalibratorTracksDrift(t *testing.T) {
 // modelled costs must neither move the scale nor count, and a single
 // wild outlier is bounded by the per-observation clamp.
 func TestCalibratorHostileObservations(t *testing.T) {
-	c := NewCalibrator(0)
+	c := NewCalibrator()
 	for _, pair := range [][2]float64{
 		{0, 1}, {1, 0}, {-1, 1}, {1, -1},
 		{math.NaN(), 1}, {1, math.NaN()},
@@ -69,7 +84,7 @@ func TestCalibratorHostileObservations(t *testing.T) {
 	if s := c.Scale(); s != calibClamp {
 		t.Fatalf("outlier scale %g, want clamp %g", s, calibClamp)
 	}
-	c2 := NewCalibrator(0.25)
+	c2 := NewCalibrator()
 	c2.Observe(1e12, 1)
 	if s := c2.Scale(); s != 1/calibClamp {
 		t.Fatalf("inverse outlier scale %g, want %g", s, 1/calibClamp)
@@ -81,7 +96,7 @@ func TestCalibratorHostileObservations(t *testing.T) {
 // restored values are dropped, and an out-of-envelope scale clamps to
 // the same [1/64, 64] range every legitimately-learned scale lives in.
 func TestCalibratorStateRestore(t *testing.T) {
-	c := NewCalibrator(0.25)
+	c := NewCalibrator()
 	c.Observe(10, 23)
 	c.Observe(10, 31)
 	scale, n := c.State()
@@ -89,7 +104,7 @@ func TestCalibratorStateRestore(t *testing.T) {
 		t.Fatalf("State() = (%g, %d), want (%g, 2)", scale, n, c.Scale())
 	}
 
-	fresh := NewCalibrator(0.25)
+	fresh := NewCalibrator()
 	fresh.Restore(scale, n)
 	if s, m := fresh.State(); s != scale || m != n {
 		t.Fatalf("restored state (%g, %d), want exact (%g, %d)", s, m, scale, n)
@@ -107,19 +122,19 @@ func TestCalibratorStateRestore(t *testing.T) {
 		{0, 5}, {-1, 5}, {math.NaN(), 5}, {math.Inf(1), 5},
 		{2, 0}, {2, -3},
 	} {
-		d := NewCalibrator(0.25)
+		d := NewCalibrator()
 		d.Restore(bad.scale, bad.n)
 		if s, m := d.State(); s != 1 || m != 0 {
 			t.Fatalf("hostile Restore(%g, %d) accepted: state (%g, %d)", bad.scale, bad.n, s, m)
 		}
 	}
 
-	hi := NewCalibrator(0.25)
+	hi := NewCalibrator()
 	hi.Restore(1e12, 7)
 	if s, _ := hi.State(); s != calibClamp {
 		t.Fatalf("oversized restored scale %g, want clamp %g", s, calibClamp)
 	}
-	lo := NewCalibrator(0.25)
+	lo := NewCalibrator()
 	lo.Restore(1e-12, 7)
 	if s, _ := lo.State(); s != 1/calibClamp {
 		t.Fatalf("undersized restored scale %g, want clamp %g", s, 1/calibClamp)
@@ -130,7 +145,7 @@ func TestCalibratorStateRestore(t *testing.T) {
 // daemon (legs complete while submissions price); run under -race this
 // is the regression test for the lock.
 func TestCalibratorConcurrent(t *testing.T) {
-	c := NewCalibrator(0.1)
+	c := NewCalibrator()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

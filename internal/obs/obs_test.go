@@ -133,7 +133,7 @@ func TestWriteMetricsDeterministic(t *testing.T) {
 }
 
 func TestProbeConservationAndViolation(t *testing.T) {
-	p := NewInvariantProbe(10, 1e-12, nil)
+	p := NewInvariantProbe(10, nil)
 	if p.Due(0) || p.Due(5) || !p.Due(10) {
 		t.Fatal("Due cadence wrong")
 	}
@@ -187,7 +187,7 @@ func TestProbeNilSafe(t *testing.T) {
 }
 
 func TestProbeNonFiniteSampleFlags(t *testing.T) {
-	p := NewInvariantProbe(1, 0, NewRegistry())
+	p := NewInvariantProbe(1, NewRegistry())
 	p.Sample(1, 0.1, 1, 2, 0, 0, true)
 	rec := p.Sample(2, 0.2, 1, 2, 0, 0, false)
 	if !rec.Violation {

@@ -27,9 +27,9 @@ type ProbeRecord struct {
 // baselines the reference totals, so probes compose with restarts.
 //
 // Thresholds are per-step: a violation is flagged when the relative
-// drift since baseline, divided by the number of steps elapsed,
-// exceeds MaxDriftPerStep — the rate form keeps the check meaningful
-// for both 10-step smoke runs and long campaigns. Mass in a Lagrangian
+// drift since baseline, divided by the number of steps elapsed, exceeds
+// DefaultMaxDriftPerStep — the rate form keeps the check meaningful for
+// both 10-step smoke runs and long campaigns. Mass in a Lagrangian
 // or swept-region remap step is conserved identically (element masses
 // are constant), so mass drift uses the same per-step bound.
 //
@@ -38,9 +38,6 @@ type ProbeRecord struct {
 type InvariantProbe struct {
 	// Every is the sampling cadence in steps (0 disables Sample).
 	Every int
-	// MaxDriftPerStep is the per-step relative drift threshold; 0
-	// selects DefaultMaxDriftPerStep.
-	MaxDriftPerStep float64
 
 	// Records accumulates samples; Violations counts flagged samples
 	// plus non-finite notes.
@@ -54,29 +51,22 @@ type InvariantProbe struct {
 	w0, f0    float64
 }
 
-// DefaultMaxDriftPerStep is the per-step relative drift budget when
-// MaxDriftPerStep is zero: generous against round-off accumulation
-// (the compatible scheme stays below 1e-12/step on the standard
-// problems) but far below any physical bug.
+// DefaultMaxDriftPerStep is the per-step relative drift budget:
+// generous against round-off accumulation (the compatible scheme stays
+// below 1e-12/step on the standard problems) but far below any physical
+// bug.
 const DefaultMaxDriftPerStep = 1e-9
 
 // NewInvariantProbe creates a probe sampling every `every` steps and
 // publishing its gauges/counters into reg (which may be nil).
-func NewInvariantProbe(every int, maxDriftPerStep float64, reg *Registry) *InvariantProbe {
-	return &InvariantProbe{Every: every, MaxDriftPerStep: maxDriftPerStep, reg: reg}
+func NewInvariantProbe(every int, reg *Registry) *InvariantProbe {
+	return &InvariantProbe{Every: every, reg: reg}
 }
 
 // Due reports whether step is a sampling step. False on a nil or
 // disabled probe.
 func (p *InvariantProbe) Due(step int) bool {
 	return p != nil && p.Every > 0 && step > 0 && step%p.Every == 0
-}
-
-func (p *InvariantProbe) threshold() float64 {
-	if p.MaxDriftPerStep > 0 {
-		return p.MaxDriftPerStep
-	}
-	return DefaultMaxDriftPerStep
 }
 
 // Sample records one invariant sample from globally-reduced totals.
@@ -105,7 +95,7 @@ func (p *InvariantProbe) Sample(step int, t, mass, energy, work, floor float64, 
 	if n := step - p.step0; n > 0 {
 		rec.DriftPerStep = rec.Drift / float64(n)
 	}
-	if !finite || rec.DriftPerStep > p.threshold() {
+	if !finite || rec.DriftPerStep > DefaultMaxDriftPerStep {
 		rec.Violation = true
 		p.Violations++
 		p.reg.Counter("probe_violations_total").Inc()

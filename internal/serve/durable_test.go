@@ -469,7 +469,7 @@ func TestClientQuotaTyped429(t *testing.T) {
 
 	s, err := Open(Options{
 		Workers: 1, Threads: 1, BudgetSeconds: 1e9,
-		ClientBudgetSeconds: quota, CalibrateAlpha: -1,
+		ClientBudgetSeconds: quota,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -502,25 +502,27 @@ func TestClientQuotaTyped429(t *testing.T) {
 	if st := s.Stats(); st.ClientBacklog["alice"] != 0 {
 		t.Fatalf("alice backlog %g after her job's terminal state", st.ClientBacklog["alice"])
 	}
+	// bob's completion calibrates the scale; pin it back to 1 so alice's
+	// deck is priced at the model, as when she was over quota.
+	bob.Wait()
+	s.cal.Restore(1, 1)
 	a2, err := s.Submit(strings.NewReader(admitDeck), 0, "alice")
 	if err != nil {
 		t.Fatalf("alice rejected after her backlog drained: %v", err)
 	}
 	a2.Wait()
-	bob.Wait()
 }
 
 // TestFairOrderingInterleavesClients: whitebox check of the queue
 // order under start-time fair queuing. One client floods four equal
 // jobs, another submits two; within the same priority band the queue
-// must interleave them instead of serving the flood FIFO, and a
-// weighted client must advance proportionally faster.
+// must interleave them instead of serving the flood FIFO.
 func TestFairOrderingInterleavesClients(t *testing.T) {
-	order := func(weights map[string]float64, submits []struct {
+	order := func(submits []struct {
 		id     string
 		client string
 	}) []string {
-		s := New(Options{Workers: 1, ClientWeights: weights, AdmitOnly: true})
+		s := New(Options{Workers: 1, AdmitOnly: true})
 		defer s.Close()
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -540,24 +542,13 @@ func TestFairOrderingInterleavesClients(t *testing.T) {
 		return ids
 	}
 
-	got := order(nil, []struct{ id, client string }{
+	got := order([]struct{ id, client string }{
 		{"a1", "alice"}, {"a2", "alice"}, {"a3", "alice"}, {"a4", "alice"},
 		{"b1", "bob"}, {"b2", "bob"},
 	})
 	want := []string{"a1", "b1", "a2", "b2", "a3", "a4"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("unweighted fair order %v, want %v", got, want)
-	}
-
-	// bob at weight 2 drains twice as fast: his first job outruns
-	// alice's flood entirely.
-	got = order(map[string]float64{"bob": 2}, []struct{ id, client string }{
-		{"a1", "alice"}, {"a2", "alice"}, {"a3", "alice"}, {"a4", "alice"},
-		{"b1", "bob"}, {"b2", "bob"},
-	})
-	want = []string{"b1", "a1", "b2", "a2", "a3", "a4"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("weighted fair order %v, want %v", got, want)
 	}
 }
 

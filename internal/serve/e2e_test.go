@@ -530,7 +530,7 @@ func TestParallelDeckCancel(t *testing.T) {
 // NDJSON documents with non-decreasing steps, ending at a terminal
 // state.
 func TestServeMetricsWatch(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Threads: 1, SnapshotEvery: 8})
+	_, ts := newTestServer(t, Options{Workers: 1, Threads: 1})
 	// Big enough (~1ms/step) that the watcher reliably attaches while
 	// the job is still running — a finished job streams exactly one
 	// document, which TestServeMetricsWatchTerminal covers.
@@ -659,7 +659,6 @@ func TestServeQuotaOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Workers: 1, BudgetSeconds: 1e9,
 		ClientBudgetSeconds: longEst.Seconds + admitEst(1).Seconds/2,
-		CalibrateAlpha:      -1,
 	})
 	// One long (but cancelable) job fills alice's quota; AdmitOnly
 	// would drain it instantly, so use a real run.

@@ -42,6 +42,10 @@ func FuzzSubmitDeck(f *testing.F) {
 	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\n[supervise]\nenabled = true\nrepart_at = 1\nrepart_ranks = 1000000\n"), "0", "")
 	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\n[supervise]\nenabled = true\nbackoff_base = 100h\n"), "0", "")
 	f.Add([]byte(""), "not-a-number", "")
+	// Deleted deck keys are unused keys: neither a huge retry budget nor
+	// a negative rollback cadence reaches the run.
+	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\nretry_budget = 1000000000\n"), "0", "")
+	f.Add([]byte("[control]\nproblem = sod\nnx = 40\nny = 4\nrollback_every = -1\n"), "0", "")
 	// Hostile client identities: oversized, control bytes, spaces,
 	// non-ASCII — each must be a typed 400, never a panic or a journaled
 	// garbage name.

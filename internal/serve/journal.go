@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"bookleaf"
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/obs"
 )
@@ -153,36 +154,7 @@ func (jl *journal) snapPath(id string) string {
 // previous spill intact, never a torn file.
 func (jl *journal) writeSnap(id string, sn *checkpoint.Snapshot) (string, error) {
 	name := jl.snapName(id)
-	return name, writeAtomic(jl.dir, name, sn.Write)
-}
-
-// writeAtomic writes dir/name through write-temp, fsync, rename, so the
-// name only ever refers to a complete file.
-func writeAtomic(dir, name string, write func(io.Writer) error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return name, atomicfile.Write(jl.snapPath(id), sn.Write)
 }
 
 func (jl *journal) removeSnap(id string) { os.Remove(jl.snapPath(id)) }
@@ -212,7 +184,7 @@ var errResCorrupt = errors.New("result file corrupt")
 // and returns the file name.
 func writeResult(dir, id string, res *bookleaf.Result) (string, error) {
 	name := id + resSuffix
-	return name, writeAtomic(dir, name, func(out io.Writer) error {
+	return name, atomicfile.Write(filepath.Join(dir, name), func(out io.Writer) error {
 		h := crc32.New(resCRC)
 		w := bufio.NewWriter(io.MultiWriter(out, h))
 		if err := gob.NewEncoder(w).Encode(resultJSON(res)); err != nil {

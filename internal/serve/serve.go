@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"bookleaf"
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/config"
 	"bookleaf/internal/machine"
@@ -74,20 +75,11 @@ type Options struct {
 	// the status and obs snapshot; an in-memory server also holds the
 	// seven result field arrays.
 	MaxTerminalJobs int
-	// SnapshotEvery is the mid-run metrics cadence handed to each
-	// job's Control (0 = the Control default).
-	SnapshotEvery int
 	// AdmitOnly short-circuits execution: submissions are parsed,
 	// predicted and admitted, then complete immediately without
 	// running. The fuzz harness uses it to hammer the submission path
 	// without paying for hydrodynamics.
 	AdmitOnly bool
-	// CalibrateAlpha is the EWMA weight of the online cost calibrator:
-	// every completed job's measured wall seconds refine the
-	// machine-model estimates priced into subsequent admissions
-	// (0 = the machine.NewCalibrator default; negative disables
-	// calibration, freezing the scale at 1).
-	CalibrateAlpha float64
 	// StateDir, when non-empty, makes the server durable: every
 	// submission, state transition and terminal outcome is appended to
 	// an fsynced NDJSON journal in the directory, preemption snapshots
@@ -114,11 +106,6 @@ type Options struct {
 	// *QuotaError (HTTP 429 client_over_quota) while other clients'
 	// decks still admit (0 = no per-client cap).
 	ClientBudgetSeconds float64
-	// ClientWeights gives named clients a weighted fair share of the
-	// queue within a priority band (see pushLocked); absent clients
-	// weigh 1. A weight-2 client's backlog drains twice as fast
-	// relative to a weight-1 client's under contention.
-	ClientWeights map[string]float64
 }
 
 func (o Options) withDefaults() Options {
@@ -308,8 +295,8 @@ type Server struct {
 	// is the virtual clock (advanced to the fair tag of each dispatched
 	// job), clientVTime[c] the virtual finish tag of client c's last
 	// admitted job. A new job's fairKey = max(vnow, clientVTime[c]) +
-	// est/weight(c), so a client's flood lines up serially in virtual
-	// time while a fresh client starts at vnow and interleaves.
+	// est, so a client's flood lines up serially in virtual time while
+	// a fresh client starts at vnow and interleaves.
 	clientBacklog map[string]float64
 	clientVTime   map[string]float64
 	vnow          float64
@@ -334,12 +321,10 @@ func Open(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
 		opt:           opt,
+		cal:           machine.NewCalibrator(),
 		jobs:          make(map[string]*Job),
 		clientBacklog: make(map[string]float64),
 		clientVTime:   make(map[string]float64),
-	}
-	if opt.CalibrateAlpha >= 0 {
-		s.cal = machine.NewCalibrator(opt.CalibrateAlpha)
 	}
 	for i := 0; i < opt.Workers; i++ {
 		p := par.New(opt.Threads)
@@ -377,7 +362,7 @@ func (s *Server) recover() error {
 		return fmt.Errorf("serve: journal: %w", err)
 	}
 	s.jl = jl
-	if s.cal != nil && st.calN > 0 {
+	if st.calN > 0 {
 		s.cal.Restore(st.calScale, st.calN)
 	}
 	if st.maxSeq > s.seq {
@@ -523,79 +508,61 @@ func (s *Server) readmit(rj *replayJob) {
 
 // compactJournal rewrites the journal as its minimal equivalent — one
 // calibration record, one submit (+ optional spill) per live job, one
-// self-describing terminal record per retained terminal job — writing
-// to a temp file then renaming over, so a crash mid-compaction leaves
-// the old journal intact. The append handle is reopened on the new
-// file. Called under no concurrency (from recover) or under s.mu.
+// self-describing terminal record per retained terminal job — through
+// atomicfile.Write, so a crash mid-compaction leaves the old journal
+// intact. The append handle is reopened on the new file. Called under
+// no concurrency (from recover) or under s.mu.
 func (s *Server) compactJournal() error {
-	tmp := filepath.Join(s.opt.StateDir, journalName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	write := func(rec *journalRecord) {
-		if err == nil {
-			err = enc.Encode(rec)
+	err := atomicfile.Write(filepath.Join(s.opt.StateDir, journalName), func(out io.Writer) error {
+		enc := json.NewEncoder(out)
+		var err error
+		write := func(rec *journalRecord) {
+			if err == nil {
+				err = enc.Encode(rec)
+			}
 		}
-	}
-	if s.cal != nil {
 		if scale, n := s.cal.State(); n > 0 {
 			write(&journalRecord{Op: opCalib, Scale: scale, N: n})
 		}
-	}
-	for _, id := range s.terminal {
-		if j := s.jobs[id]; j != nil {
-			write(terminalRecord(j))
-		}
-	}
-	live := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j.state == StateQueued || j.state == StateRunning {
-			live = append(live, j)
-		}
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
-	for _, j := range live {
-		write(&journalRecord{
-			Op: opSubmit, ID: j.ID, Seq: j.seq,
-			Priority: j.Priority, Client: j.Client, Deck: j.deckRaw,
-			EstSeconds: j.Est.Seconds, ModelSeconds: j.modelSecs,
-		})
-		if j.resumeSnap != nil {
-			raw, oerr := encodeObs(j.prevObs)
-			if oerr != nil && err == nil {
-				err = oerr
+		for _, id := range s.terminal {
+			if j := s.jobs[id]; j != nil {
+				write(terminalRecord(j))
 			}
+		}
+		live := make([]*Job, 0, len(s.jobs))
+		for _, j := range s.jobs {
+			if j.state == StateQueued || j.state == StateRunning {
+				live = append(live, j)
+			}
+		}
+		sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
+		for _, j := range live {
 			write(&journalRecord{
-				Op: opSpill, ID: j.ID, Snap: s.jl.snapName(j.ID),
-				Step: j.lastStatus.Step, Time: j.lastStatus.Time,
-				Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
-				Obs: raw,
+				Op: opSubmit, ID: j.ID, Seq: j.seq,
+				Priority: j.Priority, Client: j.Client, Deck: j.deckRaw,
+				EstSeconds: j.Est.Seconds, ModelSeconds: j.modelSecs,
 			})
-			// The spilled snapshot itself must exist on disk for the
-			// record to mean anything after the next crash.
-			if _, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr != nil && err == nil {
-				err = werr
+			if j.resumeSnap != nil {
+				raw, oerr := encodeObs(j.prevObs)
+				if oerr != nil && err == nil {
+					err = oerr
+				}
+				write(&journalRecord{
+					Op: opSpill, ID: j.ID, Snap: s.jl.snapName(j.ID),
+					Step: j.lastStatus.Step, Time: j.lastStatus.Time,
+					Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
+					Obs: raw,
+				})
+				// The spilled snapshot itself must exist on disk for the
+				// record to mean anything after the next crash.
+				if _, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr != nil && err == nil {
+					err = werr
+				}
 			}
 		}
-	}
+		return err
+	})
 	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.opt.StateDir, journalName)); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	s.jl.close()
@@ -640,15 +607,11 @@ func (s *Server) spillLoop() {
 // fairTagLocked assigns j its start-time-fair-queuing tag and advances
 // the client's virtual time.
 func (s *Server) fairTagLocked(j *Job) {
-	w := 1.0
-	if cw, ok := s.opt.ClientWeights[j.Client]; ok && cw > 0 {
-		w = cw
-	}
 	start := s.vnow
 	if v := s.clientVTime[j.Client]; v > start {
 		start = v
 	}
-	j.fairKey = start + j.Est.Seconds/w
+	j.fairKey = start + j.Est.Seconds
 	s.clientVTime[j.Client] = j.fairKey
 }
 
@@ -702,12 +665,10 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 		return nil, &BadDeckError{Reason: "cost prediction produced a degenerate estimate"}
 	}
 	modelSecs := est.Seconds
-	if s.cal != nil {
-		// Refine the model's absolute scale with what completed jobs
-		// actually measured; the calibrator clamps per observation, so
-		// the scaled estimate stays finite and positive.
-		est = s.cal.Apply(est)
-	}
+	// Refine the model's absolute scale with what completed jobs
+	// actually measured; the calibrator clamps per observation, so the
+	// scaled estimate stays finite and positive.
+	est = s.cal.Apply(est)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -970,8 +931,8 @@ type Stats struct {
 	Backlog       float64 `json:"backlog_seconds"`
 	BudgetSeconds float64 `json:"budget_seconds"`
 	// CalibrationScale is the online cost calibrator's current
-	// measured/modelled ratio (1 until a job completes, or with
-	// calibration disabled); CalibrationN its observation count.
+	// measured/modelled ratio (1 until a job completes); CalibrationN
+	// its observation count.
 	CalibrationScale float64 `json:"calibration_scale"`
 	CalibrationN     int     `json:"calibration_n"`
 	// ClientBacklog is each client's admitted-but-unfinished predicted
@@ -993,12 +954,8 @@ func (s *Server) Stats() Stats {
 		Workers: s.opt.Workers, FreeWorkers: len(s.free),
 		Queued: len(s.queue), Running: running,
 		Backlog: s.backlog, BudgetSeconds: s.opt.BudgetSeconds,
-		CalibrationScale: 1,
 	}
-	if s.cal != nil {
-		st.CalibrationScale = s.cal.Scale()
-		st.CalibrationN = s.cal.Observations()
-	}
+	st.CalibrationScale, st.CalibrationN = s.cal.State()
 	if len(s.clientBacklog) > 0 {
 		st.ClientBacklog = make(map[string]float64, len(s.clientBacklog))
 		for c, b := range s.clientBacklog {
@@ -1059,8 +1016,8 @@ func (s *Server) Close() {
 }
 
 // pushLocked inserts j into the queue: highest priority first, then
-// fair tag (start-time fair queuing — clients interleave in proportion
-// to their weights instead of one client's flood running FIFO), then
+// fair tag (start-time fair queuing — clients interleave instead of one
+// client's flood running FIFO), then
 // admission sequence as the deterministic tiebreak. A preempted job
 // keeps its original tag and sequence, so it re-enters ahead of later
 // arrivals of the same priority and fair position.
@@ -1128,7 +1085,7 @@ func (s *Server) dispatchLocked() {
 
 // startLocked leases pool to j and launches the leg goroutine.
 func (s *Server) startLocked(j *Job, pool *par.Pool) {
-	ctl := &bookleaf.Control{SnapshotEvery: s.opt.SnapshotEvery}
+	ctl := &bookleaf.Control{}
 	j.state = StateRunning
 	j.ctl = ctl
 	j.pool = pool
@@ -1189,16 +1146,14 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, 
 	var pe *bookleaf.PreemptedError
 	switch {
 	case err == nil:
-		if s.cal != nil {
-			// Only completed jobs calibrate: the legs' summed wall
-			// clock is the measured cost of exactly the work the
-			// admission estimate priced. Failed and canceled runs
-			// stopped at an unknown fraction of it.
-			s.cal.Observe(j.modelSecs, j.wallSeconds)
-			if s.jl != nil {
-				if scale, n := s.cal.State(); n > 0 {
-					s.jl.append(&journalRecord{Op: opCalib, Scale: scale, N: n})
-				}
+		// Only completed jobs calibrate: the legs' summed wall clock is
+		// the measured cost of exactly the work the admission estimate
+		// priced. Failed and canceled runs stopped at an unknown
+		// fraction of it.
+		s.cal.Observe(j.modelSecs, j.wallSeconds)
+		if s.jl != nil {
+			if scale, n := s.cal.State(); n > 0 {
+				s.jl.append(&journalRecord{Op: opCalib, Scale: scale, N: n})
 			}
 		}
 		if j.prevObs != nil && res.Obs != nil {

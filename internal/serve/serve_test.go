@@ -212,7 +212,7 @@ func TestClosedServerRejects(t *testing.T) {
 // TestCalibrationRefinesEstimates: a completed job's measured wall
 // seconds feed the online calibrator, and the next submission of the
 // same deck is priced at the raw model estimate times the learned
-// scale. Disabling calibration pins the scale at 1.
+// scale.
 func TestCalibrationRefinesEstimates(t *testing.T) {
 	deck := "[control]\nproblem = sod\nnx = 24\nny = 4\nmaxsteps = 5\n"
 	raw := machine.PredictRun(machine.RunShape{
@@ -249,18 +249,4 @@ func TestCalibrationRefinesEstimates(t *testing.T) {
 			j2.Est.Seconds, raw.Seconds, st.CalibrationScale, want)
 	}
 	j2.Wait()
-
-	off := New(Options{Workers: 1, Threads: 1, BudgetSeconds: 1e9, CalibrateAlpha: -1})
-	defer off.Close()
-	jo, err := off.Submit(strings.NewReader(deck), 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jo.Wait()
-	if st := off.Stats(); st.CalibrationScale != 1 || st.CalibrationN != 0 {
-		t.Fatalf("disabled calibration moved: %+v", st)
-	}
-	if jo.Est.Seconds != raw.Seconds {
-		t.Fatalf("disabled calibration scaled the estimate: %g vs %g", jo.Est.Seconds, raw.Seconds)
-	}
 }

@@ -37,7 +37,6 @@ func TestProbesCleanOnLagrangianRuns(t *testing.T) {
 			t.Parallel()
 			cfg := tc.cfg
 			cfg.ProbeEvery = 1
-			cfg.ProbeMaxDrift = 1e-12
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +74,7 @@ func TestProbeFlagsFiniteEnergyCorruption(t *testing.T) {
 	injected := false
 	res, err := Run(Config{
 		Problem: "sod", NX: 32, NY: 2, MaxSteps: 25,
-		ProbeEvery: every, ProbeMaxDrift: 1e-12,
+		ProbeEvery: every,
 		testFault: func(rank, step int, s *hydro.State) {
 			if step == injectStep && !injected {
 				injected = true
@@ -112,7 +111,7 @@ func TestProbeFlagsParallelCorruption(t *testing.T) {
 	injected := false // only touched by rank 2's goroutine
 	res, err := Run(Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25,
-		ProbeEvery: every, ProbeMaxDrift: 1e-12,
+		ProbeEvery: every,
 		testFault: func(rank, step int, s *hydro.State) {
 			if rank == 2 && step == injectStep && !injected {
 				injected = true
@@ -145,7 +144,7 @@ func TestProbeFlagsParallelCorruption(t *testing.T) {
 func TestProbeRecordsHaloCorruptionBeforeRollback(t *testing.T) {
 	res, err := Run(Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25,
-		ProbeEvery: 5, ProbeMaxDrift: 1e-12,
+		ProbeEvery: 5,
 		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
 			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt},
 		}},

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bookleaf/internal/ale"
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/obs"
@@ -391,7 +392,7 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		sl.park = parkRepart
 		return nextPark
 	}
-	if sl.budget > 0 && step%cfg.rollbackEvery() == 0 {
+	if sl.budget > 0 && step%cfg.rollbackCadence() == 0 {
 		s.Save(&sl.roll)
 	}
 	return nextStep
@@ -546,7 +547,8 @@ func (l *rankLoop) writeCheckpoint() error {
 	ok := stOK
 	var wErr error
 	if l.rk.ID() == 0 {
-		if wErr = writeSnapshotFile(l.d.cfg.Checkpoint, l.d.gsnap); wErr != nil {
+		if wErr = atomicfile.Write(l.d.cfg.Checkpoint, l.d.gsnap.Write); wErr != nil {
+			wErr = fmt.Errorf("checkpoint: %w", wErr)
 			ok = stFatal
 		}
 	}

@@ -12,21 +12,34 @@ import (
 	"bookleaf/internal/config"
 )
 
+// referenceSection is the README heading over the reference table.
+const referenceSection = "Reference: flags and deck keys"
+
 // TestReadmeMatchesCode holds README.md to the code it describes: every
 // ```ini block must be a deck that ConfigFromDeck reads in full (no
 // unknown key), and every backticked command-line flag in the prose must
 // be one some binary under cmd/ lists in its -h output. A knob deleted
-// from the code but left in the prose fails here.
+// from the code but left in the prose fails here. The other way round,
+// the README's reference table (rows "| `binary` | flags | deck keys |
+// set by |") must name every flag each binary lists and every
+// [section] key deck.go reads, and nothing else: a knob added to the
+// code without a row saying what sets it fails here too.
 func TestReadmeMatchesCode(t *testing.T) {
 	src, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prose strings.Builder
-	var decks []string
+	var decks, table []string
 	var block strings.Builder
-	fence, lang := false, ""
+	fence, lang, section := false, "", ""
 	for _, line := range strings.Split(string(src), "\n") {
+		if heading, ok := strings.CutPrefix(line, "## "); ok && !fence {
+			section = heading
+		}
+		if section == referenceSection && strings.HasPrefix(line, "| `") {
+			table = append(table, line)
+		}
 		if trimmed := strings.TrimSpace(line); strings.HasPrefix(trimmed, "```") {
 			if !fence {
 				fence, lang = true, strings.TrimPrefix(trimmed, "```")
@@ -47,6 +60,9 @@ func TestReadmeMatchesCode(t *testing.T) {
 	}
 	if len(decks) == 0 {
 		t.Fatal("README.md has no ```ini block")
+	}
+	if len(table) == 0 {
+		t.Fatalf("README.md has no rows under ## %s", referenceSection)
 	}
 	for i, deck := range decks {
 		d, err := config.ParseString(deck)
@@ -90,12 +106,14 @@ func TestReadmeMatchesCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defined := map[string]bool{}
+	binFlags := map[string][]string{}
 	usageLine := regexp.MustCompile(`(?m)^\s+-([A-Za-z][\w.-]*)`)
 	for _, e := range exes {
 		// The usage text is what counts, not the exit status of -h.
 		out, _ := exec.Command(filepath.Join(bin, e.Name()), "-h").CombinedOutput()
 		for _, m := range usageLine.FindAllStringSubmatch(string(out), -1) {
 			defined[m[1]] = true
+			binFlags[e.Name()] = append(binFlags[e.Name()], m[1])
 		}
 	}
 	if len(defined) == 0 {
@@ -104,6 +122,58 @@ func TestReadmeMatchesCode(t *testing.T) {
 	for _, f := range flags {
 		if !defined[f] {
 			t.Errorf("README.md names -%s, which no binary under cmd/ defines", f)
+		}
+	}
+
+	// The reference table, row by row: binary, flags, deck keys.
+	tabled := map[string]bool{} // "binary -flag" and "[section] key"
+	keySpan := regexp.MustCompile(`^\[\w+\] \w+$`)
+	for _, row := range table {
+		cells := strings.Split(row, "|")
+		if len(cells) < 5 {
+			t.Errorf("reference row has %d cells, want binary | flags | deck keys | set by: %s", len(cells)-2, row)
+			continue
+		}
+		binary := strings.Trim(cells[1], " `")
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[2], -1) {
+			if !strings.HasPrefix(m[1], "-") {
+				t.Errorf("reference row for %s has %q in its flag column", binary, m[1])
+			}
+			tabled[binary+" "+m[1]] = true
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[3], -1) {
+			if !keySpan.MatchString(m[1]) {
+				t.Errorf("reference row for %s has %q in its deck-key column", binary, m[1])
+			}
+			tabled[m[1]] = true
+		}
+	}
+	want := map[string]bool{}
+	for binary, names := range binFlags {
+		for _, f := range names {
+			want[binary+" -"+f] = true
+		}
+	}
+	deckSrc, err := os.ReadFile("deck.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deckRead := regexp.MustCompile(`d\.(?:String|Int|Float|Bool)\("(\w+)", "(\w+)"`)
+	keys := deckRead.FindAllStringSubmatch(string(deckSrc), -1)
+	if len(keys) == 0 {
+		t.Fatal("found no d.String/Int/Float/Bool key read in deck.go")
+	}
+	for _, m := range keys {
+		want["["+m[1]+"] "+m[2]] = true
+	}
+	for name := range want {
+		if !tabled[name] {
+			t.Errorf("README.md's reference table has no row for %s", name)
+		}
+	}
+	for name := range tabled {
+		if !want[name] {
+			t.Errorf("README.md's reference table names %s, which the code does not define", name)
 		}
 	}
 }

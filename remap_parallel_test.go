@@ -68,7 +68,7 @@ func TestRollbackAcrossRemapStepStaysLockstep(t *testing.T) {
 			injected := false // only touched by rank 1's goroutine
 			res, err := runBoundedResult(t, Config{
 				Problem: "sod", NX: 32, NY: 4, Ranks: 2, MaxSteps: 15,
-				ALE: mode, ALEFreq: 5, RollbackEvery: 4,
+				ALE: mode, ALEFreq: 5, testRollbackEvery: 4,
 				testFault: func(rank, step int, s *hydro.State) {
 					// Fires after step 9 completes; the corrupted
 					// coordinate survives the health sentinel (which
@@ -113,7 +113,7 @@ func TestRollbackRestoresRemappedMasses(t *testing.T) {
 	injected := false
 	res, err := runBoundedResult(t, Config{
 		Problem: "sod", NX: 32, NY: 4, Ranks: 2, MaxSteps: 15,
-		ALE: "eulerian", ALEFreq: 5, RollbackEvery: 4,
+		ALE: "eulerian", ALEFreq: 5, testRollbackEvery: 4,
 		testFault: func(rank, step int, s *hydro.State) {
 			switch {
 			case step == 9:
