@@ -123,8 +123,16 @@ func (sl *rankSlot) closePool() {
 // checkpoint-v2 gather/scatter — growing or shrinking the rank count.
 // With supervision off (the default) there is exactly one epoch.
 type driver struct {
-	cfg  Config
+	cfg Config
+	// prob is the problem the fleet is cut from. A run keeps what it
+	// still reads: without supervision, buildFleet drops its global mesh
+	// (when the fleet is cut from it) and its initial fields once the
+	// ranks hold their own; supervision keeps both, because a re-split
+	// (doRepart) and a respawn (replaceRank) read them again.
 	prob *setup.Problem
+	// nel, nnd are the global mesh's counts, which the result and the
+	// world snapshots are sized by after the mesh itself is gone.
+	nel, nnd int
 	// canon is what Result.Mesh presents: a mesh.View of the canonical
 	// generation-order mesh, its element→node map and coordinates only.
 	// When the problem mesh is renumbered for locality (prob.Mesh is then
@@ -201,13 +209,14 @@ func newDriver(cfg Config) (*driver, error) {
 			return nil, fmt.Errorf("bookleaf: %w", err)
 		}
 	}
-	resume, err := cfg.resumeSnapshot(p.Mesh.NEl, p.Mesh.NNd)
+	nel, nnd := p.Mesh.NEl, p.Mesh.NNd
+	resume, err := cfg.resumeSnapshot(nel, nnd)
 	if err != nil {
 		return nil, fmt.Errorf("bookleaf: %w", err)
 	}
 
 	d := &driver{
-		cfg: cfg, prob: p, canon: canon, tEnd: p.TEnd,
+		cfg: cfg, prob: p, nel: nel, nnd: nnd, canon: canon, tEnd: p.TEnd,
 		start:   time.Now(),
 		tracers: make(map[int]*obs.Tracer),
 		probes:  make(map[int]*obs.InvariantProbe),
@@ -217,7 +226,7 @@ func newDriver(cfg Config) (*driver, error) {
 		d.tEnd = cfg.TEnd
 	}
 	if cfg.Checkpoint != "" {
-		d.gsnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, p.Mesh.NEl, p.Mesh.NNd)
+		d.gsnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, nel, nnd)
 	}
 	if cfg.Supervise != nil {
 		d.supReg = obs.NewRegistry()
@@ -269,7 +278,11 @@ func (d *driver) decompose(n int, world *checkpoint.Snapshot) ([]*partition.SubM
 }
 
 // buildFleet constructs the initial fleet, anchors the conservation
-// audit and applies the resume snapshot.
+// audit and applies the resume snapshot. Without supervision nothing
+// reads the global mesh or the initial fields again once the fleet
+// exists, so they go: the mesh before the ranks' states are allocated
+// (the collection those allocations trigger is the one that reclaims
+// it), the fields once every state holds its own copy.
 func (d *driver) buildFleet(resume *checkpoint.Snapshot) error {
 	cfg := &d.cfg
 	subs, err := d.decompose(cfg.Ranks, nil)
@@ -280,6 +293,9 @@ func (d *driver) buildFleet(resume *checkpoint.Snapshot) error {
 	if !whole {
 		if d.e0, d.mass0, err = d.prob.InitialAudit(); err != nil {
 			return fmt.Errorf("initial audit: %w", err)
+		}
+		if d.sup == nil {
+			d.prob.Mesh = nil // the ranks step on their sub-meshes
 		}
 	}
 	d.slots, err = d.newSlots(subs, func(sl *rankSlot) error {
@@ -303,6 +319,9 @@ func (d *driver) buildFleet(resume *checkpoint.Snapshot) error {
 		}
 		return nil
 	})
+	if d.sup == nil {
+		d.prob.Rho, d.prob.Ein = nil, nil // every state holds its own
+	}
 	return err
 }
 
@@ -615,8 +634,8 @@ func (d *driver) gatherParked(snap *checkpoint.Snapshot) error {
 // again, and scatter the state onto the new fleet. Runs between epochs,
 // with every rank parked at the same healthy point.
 func (d *driver) doRepart() error {
-	cfg, m := &d.cfg, d.prob.Mesh
-	world := checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, m.NEl, m.NNd)
+	cfg := &d.cfg
+	world := checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, d.nel, d.nnd)
 	if err := d.gatherParked(world); err != nil {
 		return err
 	}
@@ -624,7 +643,7 @@ func (d *driver) doRepart() error {
 	if sc := cfg.Supervise; sc.RepartRanks > 0 {
 		n = sc.RepartRanks
 	}
-	n = max(1, min(n, m.NEl))
+	n = max(1, min(n, d.nel))
 	subs, err := d.decompose(n, world)
 	if err != nil {
 		return err
@@ -702,17 +721,17 @@ func (d *driver) finalize() (*Result, error) {
 	cfg, p := &d.cfg, d.prob
 	res := &Result{
 		Problem: p.Name, Ranks: cfg.Ranks, FinalRanks: len(d.slots), Threads: cfg.Threads,
-		NEl: p.Mesh.NEl, NNd: p.Mesh.NNd,
+		NEl: d.nel, NNd: d.nnd,
 		// Fields gather through the canonical GlobalEl/GlobalNd ids, so
 		// the mesh they present on is the canonical one.
 		Mesh: d.canon, TEnd: d.tEnd, Gamma: p.Gamma, SedovEnergy: p.SedovEnergy,
-		Rho:     make([]float64, p.Mesh.NEl),
-		Ein:     make([]float64, p.Mesh.NEl),
-		P:       make([]float64, p.Mesh.NEl),
-		U:       make([]float64, p.Mesh.NNd),
-		V:       make([]float64, p.Mesh.NNd),
-		X:       make([]float64, p.Mesh.NNd),
-		Y:       make([]float64, p.Mesh.NNd),
+		Rho:     make([]float64, d.nel),
+		Ein:     make([]float64, d.nel),
+		P:       make([]float64, d.nel),
+		U:       make([]float64, d.nnd),
+		V:       make([]float64, d.nnd),
+		X:       make([]float64, d.nnd),
+		Y:       make([]float64, d.nnd),
 		History: d.history,
 	}
 	for _, sl := range d.slots {

@@ -145,7 +145,15 @@ func TestOneRankFleetIsTheMesh(t *testing.T) {
 				if len(d.slots) != 1 || d.slots[0].sub.M != d.prob.Mesh {
 					t.Fatalf("%d slots; rank 0's mesh is not the problem mesh", len(d.slots))
 				}
-				e0, mass0, err := d.prob.InitialAudit()
+				// The run dropped the problem's initial fields once rank 0's
+				// state held them; a fresh problem's, audited on the same
+				// renumbered mesh, are the anchors to compare with.
+				ref, err := setup.ByName(problem, cfg.NX, cfg.NY, cfg.SedovEnergy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Mesh = d.prob.Mesh
+				e0, mass0, err := ref.InitialAudit()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,56 +179,64 @@ func TestOneRankFleetIsTheMesh(t *testing.T) {
 // mesh, its element→node map and coordinates and nothing else, taken
 // before the reorder. So a reordered run keeps no canonical adjacency,
 // CSR or regions alive from the moment the reorder returns; the view
-// is in canonical numbering (the reordered mesh's GlobalEl/GlobalNd map
-// onto it); and an unreordered run's view shares the problem mesh's
-// arrays instead of copying them.
+// is in canonical numbering (every rank mesh's GlobalEl/GlobalNd map
+// onto it, which is how the result gathers); and an unreordered run's
+// view shares the mesh rank 0 of a fleet of one steps on instead of
+// copying it.
 func TestResultMeshIsACanonicalView(t *testing.T) {
 	for _, reorder := range []string{"hilbert", "none"} {
 		t.Run(reorder, func(t *testing.T) {
-			cfg := Config{Problem: "sod", NX: 32, NY: 8, Ranks: 2, Reorder: reorder, MaxSteps: 3}
-			if err := cfg.normalise(); err != nil {
-				t.Fatal(err)
-			}
-			d, err := newDriver(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.closeSlots()
-			v, g := d.canon, d.prob.Mesh
-			if v.ElEl != nil || v.NdCorner != nil || v.NdElStart != nil || v.Region != nil ||
-				v.Faces != nil || v.BCs != nil || v.GlobalEl != nil || v.GlobalNd != nil {
-				t.Fatal("Result.Mesh's source holds more of the canonical mesh than ElNd, X and Y")
-			}
-			if v.NEl != g.NEl || v.NNd != g.NNd || len(v.ElNd) != v.NEl || len(v.X) != v.NNd || len(v.Y) != v.NNd {
-				t.Fatalf("view sized %d/%d with %d/%d/%d entries, mesh %d/%d", v.NEl, v.NNd, len(v.ElNd), len(v.X), len(v.Y), g.NEl, g.NNd)
-			}
-			if reorder == "none" {
-				if &v.ElNd[0] != &g.ElNd[0] || &v.X[0] != &g.X[0] {
-					t.Fatal("an unreordered run's view copies the problem mesh")
-				}
-			} else {
-				if g.GlobalEl == nil {
-					t.Fatal("the problem mesh was not reordered")
-				}
-				for e := range g.ElNd {
-					for k := 0; k < 4; k++ {
-						if v.ElNd[g.GlobalEl[e]][k] != g.GlobalNd[g.ElNd[e][k]] {
-							t.Fatalf("element %d corner %d: the view is not the canonical numbering", e, k)
+			for _, ranks := range []int{1, 2} {
+				t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+					cfg := Config{Problem: "sod", NX: 32, NY: 8, Ranks: ranks, Reorder: reorder, MaxSteps: 3}
+					if err := cfg.normalise(); err != nil {
+						t.Fatal(err)
+					}
+					d, err := newDriver(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer d.closeSlots()
+					v := d.canon
+					if v.ElEl != nil || v.NdCorner != nil || v.NdElStart != nil || v.Region != nil ||
+						v.Faces != nil || v.BCs != nil || v.GlobalEl != nil || v.GlobalNd != nil {
+						t.Fatal("Result.Mesh's source holds more of the canonical mesh than ElNd, X and Y")
+					}
+					if v.NEl != d.nel || v.NNd != d.nnd || len(v.ElNd) != v.NEl || len(v.X) != v.NNd || len(v.Y) != v.NNd {
+						t.Fatalf("view sized %d/%d with %d/%d/%d entries, mesh %d/%d", v.NEl, v.NNd, len(v.ElNd), len(v.X), len(v.Y), d.nel, d.nnd)
+					}
+					for _, sl := range d.slots {
+						g := sl.sub.M
+						if renumbered := reorder != "none" || ranks > 1; (g.GlobalEl != nil) != renumbered {
+							t.Fatalf("rank %d: global ids %v under reorder %q at %d ranks", sl.id, g.GlobalEl != nil, reorder, ranks)
+						}
+						if g.GlobalEl == nil {
+							if &v.ElNd[0] != &g.ElNd[0] || &v.X[0] != &g.X[0] {
+								t.Fatal("an unreordered run's view copies the problem mesh")
+							}
+							continue
+						}
+						for e := 0; e < g.NOwnEl; e++ {
+							for k := 0; k < 4; k++ {
+								if v.ElNd[g.GlobalEl[e]][k] != g.GlobalNd[g.ElNd[e][k]] {
+									t.Fatalf("rank %d element %d corner %d: the view is not the canonical numbering", sl.id, e, k)
+								}
+							}
+						}
+						for n := 0; n < g.NOwnNd; n++ {
+							if v.X[g.GlobalNd[n]] != g.X[n] || v.Y[g.GlobalNd[n]] != g.Y[n] {
+								t.Fatalf("rank %d node %d: the view's coordinates are not canonical", sl.id, n)
+							}
 						}
 					}
-				}
-				for n := range g.X {
-					if v.X[g.GlobalNd[n]] != g.X[n] || v.Y[g.GlobalNd[n]] != g.Y[n] {
-						t.Fatalf("node %d: the view's coordinates are not canonical", n)
+					res, err := d.run()
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-			res, err := d.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Mesh != v {
-				t.Fatal("Result.Mesh is not the driver's canonical view")
+					if res.Mesh != v {
+						t.Fatal("Result.Mesh is not the driver's canonical view")
+					}
+				})
 			}
 		})
 	}

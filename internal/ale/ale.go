@@ -154,7 +154,7 @@ type Remapper struct {
 
 	// Element -> interior-face incidence in CSR form, ascending face
 	// index (mesh.ElemFaces): the face-flux gather's replay order.
-	efStart, efList []int
+	efStart, efList []int32
 
 	// Staged fluxes: one slot per element edge (internal sub-faces)
 	// and per face half (cell-boundary half-faces). A zero gain marks
@@ -900,14 +900,14 @@ func (r *Remapper) massEnergyRange(lo, hi int) {
 func (r *Remapper) ndMassRange(lo, hi int) {
 	s := r.s
 	m := s.Mesh
-	slots := s.NdSlots()
+	cs := int32(s.CornerStride())
 	bad := false
 	for n := lo; n < hi; n++ {
 		r.dPx[n] = s.NdMass[n]*s.U[n] + r.dPx[n]
 		r.dPy[n] = s.NdMass[n]*s.V[n] + r.dPy[n]
 		var sum float64
-		for _, c := range slots[m.NdElStart[n]:m.NdElStart[n+1]] {
-			sum += s.CMass[c]
+		for _, c := range m.NdCorner[m.NdElStart[n]:m.NdElStart[n+1]] {
+			sum += s.CMass[(c>>2)*cs+c&3]
 		}
 		s.NdMass[n] = sum
 		if sum <= 0 {

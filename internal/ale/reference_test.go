@@ -30,7 +30,7 @@ type refRemap struct {
 	dEnergy           []float64
 	dPx, dPy          []float64
 	adjStart, adjList []int
-	efStart, efList   []int
+	efStart, efList   []int32
 	eGain, ePx, ePy   []float64
 	fGain, fMass, fEn []float64
 	volT              []float64
@@ -422,7 +422,7 @@ func (r *refRemap) faceGatherRange(lo, hi int) {
 	for e := lo; e < hi; e++ {
 		var den float64
 		for idx := r.efStart[e]; idx < r.efStart[e+1]; idx++ {
-			i := r.efList[idx]
+			i := int(r.efList[idx])
 			f := &m.Faces[i]
 			for half := 0; half < 2; half++ {
 				if r.fGain[2*i+half] == 0 {
@@ -516,11 +516,12 @@ func (r *refRemap) stashRange(lo, hi int) {
 func (r *refRemap) ndMassRange(lo, hi int) {
 	s := r.ra.s
 	m := s.Mesh
-	slots := s.NdSlots()
+	cs := int32(s.CornerStride())
 	for n := lo; n < hi; n++ {
 		var sum float64
 		for i := m.NdElStart[n]; i < m.NdElStart[n+1]; i++ {
-			sum += s.CMass[slots[i]]
+			c := m.NdCorner[i]
+			sum += s.CMass[(c>>2)*cs+c&3]
 		}
 		s.NdMass[n] = sum
 	}

@@ -504,10 +504,11 @@ func (s *State) scatterAccBody(lo, hi int) {
 func (s *State) accBody(lo, hi int) {
 	m := s.Mesh
 	dt := s.ka.dt
-	start, slots := m.NdElStart, s.ndSlots
+	start, corners := m.NdElStart, m.NdCorner
 	for n := lo; n < hi; n++ {
 		var fx, fy float64
-		for _, ci := range slots[start[n]:start[n+1]] {
+		for _, c := range corners[start[n]:start[n+1]] {
+			ci := cornerSlot(c)
 			fx += s.FX[ci]
 			fy += s.FY[ci]
 		}

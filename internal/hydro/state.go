@@ -124,12 +124,6 @@ type State struct {
 	// half of the CMass record, a cache line the sub-zonal force loads
 	// anyway.
 	psi []float64
-
-	// ndSlots mirrors Mesh.NdCorner with corner ids pre-converted to
-	// slot offsets: ndSlots[i] = (c>>2)*cornerStride + (c&3) for
-	// c = Mesh.NdCorner[i]. The acceleration node gathers index FX/FY
-	// through this instead of re-deriving the slot per access.
-	ndSlots []int32
 }
 
 // NewState allocates a State over m with initial per-element density
@@ -140,7 +134,8 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 		return nil, err
 	}
 	if m.NEl > math.MaxInt32/cornerStride {
-		// ndSlots holds corner-array offsets cornerStride·e+k as int32.
+		// The node gathers derive corner-array offsets cornerStride·e+k
+		// in int32 (cornerSlot).
 		return nil, fmt.Errorf("hydro: %d elements exceed the %d that 32-bit corner slots address", m.NEl, math.MaxInt32/cornerStride)
 	}
 	if len(rho) != m.NEl || len(ein) != m.NEl {
@@ -223,12 +218,6 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 			s.NdMass[m.ElNd[e][k]] += s.CMass[cs*e+k]
 		}
 	}
-	// Slot-converted NdCorner: canonical corner id c = 4*e+k becomes
-	// slot cs*e+k.
-	s.ndSlots = make([]int32, len(m.NdCorner))
-	for i, c := range m.NdCorner {
-		s.ndSlots[i] = (c>>2)*cs + (c & 3)
-	}
 	// Facing-side table: for each adjacency entry, the neighbour's side
 	// that points back. Owned elements must have symmetric adjacency (a
 	// partitioning invariant the viscosity kernel still asserts); ghost
@@ -259,10 +248,9 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 // lives at CornerStride()*e+k.
 func (s *State) CornerStride() int { return cornerStride }
 
-// NdSlots returns Mesh.NdCorner with each flat corner id converted to
-// its slot offset in the corner arrays. Callers gathering corner
-// masses or forces per node should index through this.
-func (s *State) NdSlots() []int32 { return s.ndSlots }
+// cornerSlot is the slot cornerStride*e+k in the corner arrays of the
+// Mesh.NdCorner id c = 4e+k, derived where a node gather loads c.
+func cornerSlot(c int32) int32 { return (c>>2)*cornerStride + c&3 }
 
 // ForceHalo returns the corner-force array a ghost-element halo
 // exchange must transfer — the interleaved FX|FY backing, which the FX

@@ -182,7 +182,8 @@ func (s *State) pistonWork() float64 {
 			continue
 		}
 		var fx, fy float64
-		for _, ci := range s.ndSlots[m.NdElStart[n]:m.NdElStart[n+1]] {
+		for _, c := range m.NdCorner[m.NdElStart[n]:m.NdElStart[n+1]] {
+			ci := cornerSlot(c)
 			fx += s.FX[ci]
 			fy += s.FY[ci]
 		}

@@ -31,39 +31,38 @@ var inventory = map[string]struct{ class, readBy string }{
 	"Mesh.GlobalEl":  {"primary", "gathers to canonical order: nil on a mesh never renumbered or cut"},
 	"Mesh.GlobalNd":  {"primary", "as Mesh.GlobalEl"},
 
-	"State.X":       {"primary", "geometry, forces, viscosity"},
-	"State.Y":       {"primary", "as State.X"},
-	"State.U":       {"primary", "viscosity, acceleration, move"},
-	"State.V":       {"primary", "as State.U"},
-	"State.NdMass":  {"derived", "acceleration, kinetic energy; ring sum of CMass"},
-	"State.Rho":     {"derived", "getpc, viscosity; Mass/Vol"},
-	"State.Ein":     {"primary", "getpc, getein"},
-	"State.P":       {"derived", "forces; EoS of Rho, Ein"},
-	"State.Q":       {"derived", "forces, getein, getdt"},
-	"State.Csq":     {"derived", "viscosity, getdt"},
-	"State.Vol":     {"derived", "getrho, getdt, hourglass"},
-	"State.Mass":    {"primary", "getrho, getein, audits"},
-	"State.CMass":   {"primary", "sub-zonal pressures, NdMass; one record with psi"},
-	"State.FX":      {"scratch", "acceleration gather, force halo; one record with FY"},
-	"State.FY":      {"scratch", "as State.FX"},
-	"State.fxnd":    {"scratch", "ScatterAcc ablation only: sized on first use"},
-	"State.fynd":    {"scratch", "as State.fxnd"},
-	"State.X0":      {"scratch", "start-of-step copy: corrector move, bench/layers.go"},
-	"State.Y0":      {"scratch", "as State.X0"},
-	"State.U0":      {"scratch", "start-of-step copy: limiter, FrozenVel, corrector"},
-	"State.V0":      {"scratch", "as State.U0"},
-	"State.UBar":    {"scratch", "time-centred velocity: geometry, work, velocity halo"},
-	"State.VBar":    {"scratch", "as State.UBar"},
-	"State.Ein0":    {"scratch", "start-of-step copy: corrector getein"},
-	"State.facing":  {"derived", "viscosity limiter; back-pointing side per ElEl entry, one byte"},
-	"State.psi":     {"scratch", "limiter stored by the predictor, read by the fused corrector"},
-	"State.ndSlots": {"derived", "acceleration gather; NdCorner in the corner stride, 32-bit"},
+	"State.X":      {"primary", "geometry, forces, viscosity"},
+	"State.Y":      {"primary", "as State.X"},
+	"State.U":      {"primary", "viscosity, acceleration, move"},
+	"State.V":      {"primary", "as State.U"},
+	"State.NdMass": {"derived", "acceleration, kinetic energy; ring sum of CMass"},
+	"State.Rho":    {"derived", "getpc, viscosity; Mass/Vol"},
+	"State.Ein":    {"primary", "getpc, getein"},
+	"State.P":      {"derived", "forces; EoS of Rho, Ein"},
+	"State.Q":      {"derived", "forces, getein, getdt"},
+	"State.Csq":    {"derived", "viscosity, getdt"},
+	"State.Vol":    {"derived", "getrho, getdt, hourglass"},
+	"State.Mass":   {"primary", "getrho, getein, audits"},
+	"State.CMass":  {"primary", "sub-zonal pressures, NdMass; one record with psi"},
+	"State.FX":     {"scratch", "acceleration gather, force halo; one record with FY"},
+	"State.FY":     {"scratch", "as State.FX"},
+	"State.fxnd":   {"scratch", "ScatterAcc ablation only: sized on first use"},
+	"State.fynd":   {"scratch", "as State.fxnd"},
+	"State.X0":     {"scratch", "start-of-step copy: corrector move, bench/layers.go"},
+	"State.Y0":     {"scratch", "as State.X0"},
+	"State.U0":     {"scratch", "start-of-step copy: limiter, FrozenVel, corrector"},
+	"State.V0":     {"scratch", "as State.U0"},
+	"State.UBar":   {"scratch", "time-centred velocity: geometry, work, velocity halo"},
+	"State.VBar":   {"scratch", "as State.UBar"},
+	"State.Ein0":   {"scratch", "start-of-step copy: corrector getein"},
+	"State.facing": {"derived", "viscosity limiter; back-pointing side per ElEl entry, one byte"},
+	"State.psi":    {"scratch", "limiter stored by the predictor, read by the fused corrector"},
 }
 
 // bytesPerElementMax is the ceiling TestBytesPerElement holds the
 // mesh-plus-state footprint of Noh 100x100 to, in bytes per element:
 // the measured total, so widening any array fails.
-const bytesPerElementMax = 376
+const bytesPerElementMax = 360
 
 // remapInventory classifies every array an ale.Remapper holds, and the
 // face list it has the mesh build, as the inventory above does for the
@@ -88,8 +87,8 @@ var remapInventory = map[string]struct{ class, readBy string }{
 	"Remapper.dPy":      {"scratch", "as Remapper.dPx"},
 	"Remapper.adjStart": {"derived", "smoothing stencil: Smoothed only"},
 	"Remapper.adjList":  {"derived", "as Remapper.adjStart"},
-	"Remapper.efStart":  {"derived", "face gather; element→interior-face CSR"},
-	"Remapper.efList":   {"derived", "as Remapper.efStart"},
+	"Remapper.efStart":  {"derived", "face gather; element→interior-face CSR offsets, 32-bit"},
+	"Remapper.efList":   {"derived", "face gather; interior-face ids in ascending order per element, 32-bit"},
 	"Remapper.eGain":    {"scratch", "staged sub-face gains: momentum gather"},
 	"Remapper.ePx":      {"scratch", "staged sub-face momentum: momentum gather"},
 	"Remapper.ePy":      {"scratch", "as Remapper.ePx"},
@@ -102,7 +101,7 @@ var remapInventory = map[string]struct{ class, readBy string }{
 // remapBytesPerElementMax is the ceiling TestRemapperBytesPerElement
 // holds an Eulerian remapper's footprint on Sod 100x100 to: the
 // measured total.
-const remapBytesPerElementMax = 394
+const remapBytesPerElementMax = 374
 
 // inventoried is one struct whose slice fields an inventory accounts
 // for; only names in fields count, when fields is not nil.
@@ -112,45 +111,37 @@ type inventoried struct {
 	fields []string
 }
 
-// footprint is the inventory as a check: every slice field of the
-// owners must be classified in table (and every table entry must be a
-// field), and the distinct backing bytes of the fields (views of one
-// interleaved record count once) are totalled per element and held to
-// the ceiling. It returns the markdown table EXPERIMENTS.md carries.
-func footprint(t *testing.T, table map[string]struct{ class, readBy string }, nel int, ceiling float64, owners ...inventoried) string {
-	t.Helper()
-	type array struct {
-		name   string
-		lo, hi uintptr // backing store [lo, hi)
-		bytes  uintptr // of it not already counted under an earlier array
-	}
-	var arrays []array
-	seen := map[string]bool{}
-	for _, owner := range owners {
-		v := reflect.ValueOf(owner.v).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			field := v.Type().Field(i).Name
-			if f.Kind() != reflect.Slice || owner.fields != nil && !slices.Contains(owner.fields, field) {
-				continue
-			}
-			name := owner.prefix + field
-			seen[name] = true
-			if _, ok := table[name]; !ok {
-				t.Errorf("%s is not in the inventory: classify it (primary, derived or scratch) and say who reads it", name)
-			}
-			lo := f.Pointer()
-			arrays = append(arrays, array{name: name, lo: lo, hi: lo + uintptr(f.Cap())*f.Type().Elem().Size()})
-		}
-	}
-	for name := range table {
-		if !seen[name] {
-			t.Errorf("the inventory lists %s, which is no longer a field", name)
-		}
-	}
+// array is one slice's backing store [lo, hi), and the bytes of it not
+// already counted under an array at a lower address (countOnce).
+type array struct {
+	name   string
+	lo, hi uintptr
+	bytes  uintptr
+}
 
-	// Count each backing byte once: in address order, an array adds what
-	// lies beyond everything counted so far.
+// slicesOf returns the backing of every slice field of the struct v
+// points to, named prefix+field; only names in fields count, when
+// fields is not nil.
+func slicesOf(prefix string, v any, fields []string) []array {
+	var arrays []array
+	s := reflect.ValueOf(v).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		f := s.Field(i)
+		field := s.Type().Field(i).Name
+		if f.Kind() != reflect.Slice || fields != nil && !slices.Contains(fields, field) {
+			continue
+		}
+		lo := f.Pointer()
+		arrays = append(arrays, array{name: prefix + field, lo: lo, hi: lo + uintptr(f.Cap())*f.Type().Elem().Size()})
+	}
+	return arrays
+}
+
+// countOnce counts each backing byte once, so that views of one
+// interleaved record and arrays two owners share are not counted twice:
+// in address order, an array adds what lies beyond everything counted
+// so far. It sets every array's bytes and returns the total.
+func countOnce(arrays []array) uintptr {
 	sort.SliceStable(arrays, func(i, j int) bool { return arrays[i].lo < arrays[j].lo })
 	var covered, total uintptr
 	for i := range arrays {
@@ -161,6 +152,33 @@ func footprint(t *testing.T, table map[string]struct{ class, readBy string }, ne
 		}
 		total += a.bytes
 	}
+	return total
+}
+
+// footprint is the inventory as a check: every slice field of the
+// owners must be classified in table (and every table entry must be a
+// field), and the distinct backing bytes of the fields (views of one
+// interleaved record count once) are totalled per element and held to
+// the ceiling. It returns the markdown table EXPERIMENTS.md carries.
+func footprint(t *testing.T, table map[string]struct{ class, readBy string }, nel int, ceiling float64, owners ...inventoried) string {
+	t.Helper()
+	var arrays []array
+	seen := map[string]bool{}
+	for _, owner := range owners {
+		for _, a := range slicesOf(owner.prefix, owner.v, owner.fields) {
+			seen[a.name] = true
+			if _, ok := table[a.name]; !ok {
+				t.Errorf("%s is not in the inventory: classify it (primary, derived or scratch) and say who reads it", a.name)
+			}
+			arrays = append(arrays, a)
+		}
+	}
+	for name := range table {
+		if !seen[name] {
+			t.Errorf("the inventory lists %s, which is no longer a field", name)
+		}
+	}
+	total := countOnce(arrays)
 	perEl := float64(total) / float64(nel)
 
 	sort.SliceStable(arrays, func(i, j int) bool { return arrays[i].name < arrays[j].name })

@@ -376,8 +376,7 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		// the drained fleet. Placed after the termination test so a run
 		// that already reached its end completes instead of preempting.
 		d.ctlSnapOnce.Do(func() {
-			m := d.prob.Mesh
-			d.ctlSnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, m.NEl, m.NNd)
+			d.ctlSnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, d.nel, d.nnd)
 		})
 		if l.fatalErr = l.gatherSnapshot(d.ctlSnap); l.fatalErr != nil {
 			return nextStatus
