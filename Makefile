@@ -181,12 +181,14 @@ test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fus
 # regression inputs under internal/config/testdata/fuzz), the
 # bleaf-served HTTP submission path (AdmitOnly server, so the fuzzer
 # explores the parse/predict/admit surface — headers included —
-# without running hydro), and durable-journal replay (arbitrary bytes
-# as the on-disk journal: recover what parses, never panic).
+# without running hydro), durable-journal replay (arbitrary bytes
+# as the on-disk journal: recover what parses, never panic), and
+# checkpoint reads (any single-bit flip of a valid dump is an error).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/config
 	$(GO) test -fuzz=FuzzSubmitDeck -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -20,11 +20,11 @@ import (
 	"bookleaf/internal/ale"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/machine"
+	"bookleaf/internal/obs"
 	"bookleaf/internal/order"
 	"bookleaf/internal/par"
 	"bookleaf/internal/partition"
 	"bookleaf/internal/setup"
-	"bookleaf/internal/timers"
 )
 
 // nohState builds a developed Noh state (a few steps in, so the shock
@@ -157,7 +157,7 @@ func BenchmarkFig3SodScaling(b *testing.B) {
 
 func BenchmarkFig4Kernels(b *testing.B) {
 	// Per-kernel times under rank scaling (Figures 4a/4b at host
-	// scale): reported as custom metrics from the run's timer set.
+	// scale): reported as custom metrics from the run's kernel times.
 	for _, ranks := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("ranks-%d", ranks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -179,9 +179,9 @@ func BenchmarkFig4Kernels(b *testing.B) {
 
 func BenchmarkLagrangianStep(b *testing.B) {
 	s := nohState(b, 64)
-	tm := timers.NewSet()
-	// Warm the timer registry so steady-state steps allocate nothing
-	// (first use of each name inserts into the Set).
+	tm := obs.NewClock()
+	// Warm the clock so steady-state steps allocate nothing
+	// (first use of each name inserts into the clock).
 	if _, err := s.Step(tm, nil); err != nil {
 		b.Fatal(err)
 	}

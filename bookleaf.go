@@ -104,7 +104,7 @@ type Config struct {
 	// Checkpoint, when set, names a restart-dump file written every
 	// CheckpointEvery steps (default: end of run only). Resume, when
 	// set, restores a prior dump before stepping. Snapshots are
-	// partition-independent (format v2): a run checkpointed at N ranks
+	// partition-independent (format v3): a run checkpointed at N ranks
 	// may resume at any rank count with any partitioner.
 	Checkpoint      string
 	CheckpointEvery int

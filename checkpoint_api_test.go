@@ -2,6 +2,7 @@ package bookleaf_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -145,6 +146,34 @@ func TestResumeTruncatedFileFails(t *testing.T) {
 		_, err := bookleaf.Run(bookleaf.Config{Problem: "sod", NX: 16, NY: 2, Ranks: ranks, Resume: cut})
 		if err == nil {
 			t.Fatalf("truncated dump accepted at %d ranks", ranks)
+		}
+	}
+}
+
+// TestResumeBitFlippedDumpFails: a dump with one flipped bit — in the
+// header, the clock, the fields — is refused at resume, never resumed
+// into a quietly different state. The offsets span the whole dump.
+func TestResumeBitFlippedDumpFails(t *testing.T) {
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "sod.ckpt")
+	run(t, bookleaf.Config{Problem: "sod", NX: 100, NY: 4, MaxSteps: 20, Checkpoint: ck})
+	clean, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int{5000, 15000, 23109, 30000, 40000} {
+		if off >= len(clean) {
+			t.Fatalf("offset %d past the %d-byte dump", off, len(clean))
+		}
+		b := append([]byte(nil), clean...)
+		b[off] ^= 0x10
+		bad := filepath.Join(dir, fmt.Sprintf("flip%d.ckpt", off))
+		if err := os.WriteFile(bad, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := bookleaf.Run(bookleaf.Config{Problem: "sod", NX: 100, NY: 4, MaxSteps: 40, Resume: bad})
+		if err == nil {
+			t.Errorf("offset %d: a bit-flipped dump resumed to step %d", off, res.Steps)
 		}
 	}
 }

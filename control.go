@@ -18,7 +18,7 @@ var ErrCanceled = errors.New("run canceled")
 // Preempt request was observed. It is not a failure: the run stopped at
 // a step boundary (a collective healthy point of the rank loop) and
 // carries everything needed to continue later — an in-memory
-// checkpoint-v2 snapshot (partition-independent, so the resumed leg may
+// checkpoint snapshot (partition-independent, so the resumed leg may
 // use any rank count) and the metrics the interrupted leg accumulated.
 // Resuming via Config.ResumeFrom reproduces the uninterrupted run
 // bit for bit.
@@ -67,7 +67,7 @@ type RunStatus struct {
 // Requests are observed at step boundaries — the next collective
 // healthy point, so every rank stops at the same step. Cancel makes Run
 // return an error matching ErrCanceled; Preempt makes it return a
-// *PreemptedError carrying an in-memory checkpoint-v2 snapshot to
+// *PreemptedError carrying an in-memory checkpoint snapshot to
 // resume from.
 type Control struct {
 	action  atomic.Int32

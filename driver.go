@@ -3,8 +3,9 @@ package bookleaf
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,7 +19,6 @@ import (
 	"bookleaf/internal/partition"
 	"bookleaf/internal/setup"
 	"bookleaf/internal/supervise"
-	"bookleaf/internal/timers"
 	"bookleaf/internal/typhon"
 )
 
@@ -88,6 +88,14 @@ func (sl *rankSlot) closePool() {
 	sl.s.Pool = nil
 }
 
+// rankObs is what a rank id's incarnations share: its kernel clock,
+// which runs on across a replacement (and, on a tracing run, holds the
+// id's trace), and its invariant probe.
+type rankObs struct {
+	clock *obs.Clock
+	probe *obs.InvariantProbe
+}
+
 // driver is the state of a run across supervision epochs: the problem,
 // the rank slots, the supervisor, and the observability objects that
 // are keyed by rank id so they survive replacement (same rank, fresh
@@ -120,7 +128,7 @@ func (sl *rankSlot) closePool() {
 // checkpoint before aborting. At the healthy point of step repart_at
 // the driver may also repartition online, once — re-running RCB/METIS
 // on the current (moved) mesh and migrating state through the
-// checkpoint-v2 gather/scatter — growing or shrinking the rank count.
+// checkpoint gather/scatter — growing or shrinking the rank count.
 // With supervision off (the default) there is exactly one epoch.
 type driver struct {
 	cfg Config
@@ -172,9 +180,8 @@ type driver struct {
 	// counters).
 	retired []*obs.Registry
 
-	tracers map[int]*obs.Tracer
-	probes  map[int]*obs.InvariantProbe
-	tms     map[int]*timers.Set
+	// byID is what a rank id keeps across incarnations and fleets.
+	byID map[int]rankObs
 
 	// history is Result.History in the making, written by rank 0 at
 	// healthy points.
@@ -217,10 +224,7 @@ func newDriver(cfg Config) (*driver, error) {
 
 	d := &driver{
 		cfg: cfg, prob: p, nel: nel, nnd: nnd, canon: canon, tEnd: p.TEnd,
-		start:   time.Now(),
-		tracers: make(map[int]*obs.Tracer),
-		probes:  make(map[int]*obs.InvariantProbe),
-		tms:     make(map[int]*timers.Set),
+		start: time.Now(), byID: make(map[int]rankObs),
 	}
 	if cfg.TEnd > 0 {
 		d.tEnd = cfg.TEnd
@@ -465,17 +469,19 @@ func (d *driver) runEpoch() (error, error) {
 	}
 	comm.AttachObs(regs)
 	// Per-id observability objects are created here, before the rank
-	// goroutines spawn, so the maps are read-only while they run.
+	// goroutines spawn, so the map is read-only while they run.
 	for _, sl := range d.slots {
-		if cfg.Trace != "" && d.tracers[sl.id] == nil {
-			d.tracers[sl.id] = obs.NewTracer(sl.id, d.start)
+		if _, ok := d.byID[sl.id]; ok {
+			continue
 		}
-		if cfg.ProbeEvery > 0 && d.probes[sl.id] == nil {
-			d.probes[sl.id] = obs.NewInvariantProbe(cfg.ProbeEvery, sl.reg)
+		o := rankObs{clock: obs.NewClock()}
+		if cfg.Trace != "" {
+			o.clock = obs.NewTracingClock(sl.id, d.start)
 		}
-		if d.tms[sl.id] == nil {
-			d.tms[sl.id] = timers.NewSet()
+		if cfg.ProbeEvery > 0 {
+			o.probe = obs.NewInvariantProbe(cfg.ProbeEvery, sl.reg)
 		}
+		d.byID[sl.id] = o
 	}
 	runErr := comm.Run(func(rk *typhon.Rank) { d.newRankLoop(rk).run() })
 	m, w := comm.Stats()
@@ -527,24 +533,21 @@ func (d *driver) parkedFor(why int) bool {
 	return len(d.slots) > 0
 }
 
-// mergedObs merges the run's observability state: counters and
-// histograms sum across ranks and incarnations, gauges come from the
-// rank that published them (the probe gauges live on rank 0; current
-// incarnations merge after retired ones, so their gauges win), and the
-// supervisor's own registry goes last. The rank goroutines have
-// drained, so reading their registries is safe.
+// mergedObs merges the run's registries: counters and histograms sum
+// across ranks and incarnations, gauges come from the rank that
+// published them (the probe gauges live on rank 0; current incarnations
+// merge after retired ones, so their gauges win), and the supervisor's
+// own registry goes last. The rank goroutines have drained, so reading
+// their registries is safe.
 func (d *driver) mergedObs() *obs.Snapshot {
-	merged := obs.NewRegistry()
+	var parts []*obs.Snapshot
 	for _, r := range d.retired {
-		merged.Merge(r)
+		parts = append(parts, r.Snapshot())
 	}
 	for _, sl := range d.slots {
-		merged.Merge(sl.reg)
+		parts = append(parts, sl.reg.Snapshot())
 	}
-	if d.supReg != nil {
-		merged.Merge(d.supReg)
-	}
-	return merged.Snapshot()
+	return obs.MergeSnapshots(append(parts, d.supReg.Snapshot())...)
 }
 
 // preemptError assembles the PreemptedError for a parked fleet: the
@@ -576,9 +579,9 @@ func (d *driver) restoreHealthy() error {
 		}
 		sl.err = nil
 		sl.park = parkNone
-		// A rank that died mid-kernel left its timers started; the
-		// replay must be free to start them again.
-		d.tms[sl.id].Abandon()
+		// A rank that died mid-kernel left its clock running; the
+		// replay must be free to start it again.
+		d.byID[sl.id].clock.Abandon()
 	}
 	return nil
 }
@@ -630,7 +633,7 @@ func (d *driver) gatherParked(snap *checkpoint.Snapshot) error {
 
 // doRepart migrates the run onto a fresh partition of the current
 // (moved) mesh, optionally changing the rank count: gather the world
-// state through the checkpoint-v2 any-rank-count machinery, decompose
+// state through the checkpoint any-rank-count machinery, decompose
 // again, and scatter the state onto the new fleet. Runs between epochs,
 // with every rank parked at the same healthy point.
 func (d *driver) doRepart() error {
@@ -673,7 +676,7 @@ func (d *driver) doRepart() error {
 	}
 	d.slots = fresh
 	d.sup.NoteRepart()
-	d.tracers[0].Instant("supervise_repart", nil)
+	d.byID[0].clock.Instant("supervise_repart", nil)
 	return nil
 }
 
@@ -703,20 +706,21 @@ func (d *driver) noteDecision(dec supervise.Decision) {
 	if id < 0 || id >= len(d.slots) {
 		id = 0
 	}
-	tr := d.tracers[id]
+	c := d.byID[id].clock
 	switch dec.Action {
 	case supervise.ActionRetry:
-		tr.Instant("supervise_retry", nil)
+		c.Instant("supervise_retry", nil)
 	case supervise.ActionReplace:
-		tr.Instant("supervise_replace", nil)
+		c.Instant("supervise_replace", nil)
 	default:
-		tr.Instant("supervise_abort", nil)
+		c.Instant("supervise_abort", nil)
 	}
 }
 
 // finalize assembles the Result from the parked fleet after a clean
-// run: the global field gather in canonical generation order, timer
-// merges, audit sums, and the merged observability snapshot.
+// run: the global field gather in canonical generation order, the
+// per-kernel times over rank clocks, audit sums, and the merged
+// observability snapshot.
 func (d *driver) finalize() (*Result, error) {
 	cfg, p := &d.cfg, d.prob
 	res := &Result{
@@ -774,37 +778,40 @@ func (d *driver) finalize() (*Result, error) {
 		// metrics.json carries the remap cost split without
 		// consumers having to parse the timer table.
 		for _, sl := range d.slots {
-			tm := d.tms[sl.id]
-			sl.reg.Counter("ale_getmesh_ns").Add(tm.Elapsed("alegetmesh").Nanoseconds())
-			sl.reg.Counter("ale_getfvol_ns").Add(tm.Elapsed("alegetfvol").Nanoseconds())
-			sl.reg.Counter("ale_advect_ns").Add(tm.Elapsed("aleadvect").Nanoseconds())
-			sl.reg.Counter("ale_update_ns").Add(tm.Elapsed("aleupdate").Nanoseconds())
+			c := d.byID[sl.id].clock
+			sl.reg.Counter("ale_getmesh_ns").Add(c.Elapsed("alegetmesh").Nanoseconds())
+			sl.reg.Counter("ale_getfvol_ns").Add(c.Elapsed("alegetfvol").Nanoseconds())
+			sl.reg.Counter("ale_advect_ns").Add(c.Elapsed("aleadvect").Nanoseconds())
+			sl.reg.Counter("ale_update_ns").Add(c.Elapsed("aleupdate").Nanoseconds())
 		}
 	}
 
-	maxT := timers.NewSet()
-	sumT := timers.NewSet()
-	for _, tm := range d.tms {
-		maxT.MergeMax(tm)
-		sumT.Merge(tm)
+	// Per kernel: the slowest rank id's time (in a bulk-synchronous run
+	// it sets the wall clock), the rank-summed time, and the largest
+	// call count.
+	res.Timers, res.TimerSum, res.Calls = map[string]float64{}, map[string]float64{}, map[string]int64{}
+	sum := map[string]time.Duration{}
+	ids := slices.Sorted(maps.Keys(d.byID))
+	for _, id := range ids {
+		c := d.byID[id].clock
+		for _, n := range c.Names() {
+			res.Timers[n] = max(res.Timers[n], c.Elapsed(n).Seconds())
+			res.Calls[n] = max(res.Calls[n], c.Count(n))
+			sum[n] += c.Elapsed(n)
+		}
 	}
-	res.Timers = maxT.Snapshot()
-	res.TimerSum = sumT.Snapshot()
-	res.Calls = map[string]int64{}
-	for _, n := range maxT.Names() {
-		res.Calls[n] = maxT.Count(n)
+	for n, t := range sum {
+		res.TimerSum[n] = t.Seconds()
 	}
 	res.CommMsgs, res.CommWords = d.commMsgs, d.commWords
 	res.E0, res.Mass0 = d.e0, d.mass0
 	res.Obs = d.mergedObs()
 
-	ids := make([]int, 0, len(d.probes))
-	for id := range d.probes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	for _, id := range ids {
-		pb := d.probes[id]
+		pb := d.byID[id].probe
+		if pb == nil {
+			continue
+		}
 		res.ProbeViolations += pb.Violations
 		if id == 0 {
 			res.Probes = append(res.Probes, pb.Records...)
@@ -819,13 +826,8 @@ func (d *driver) finalize() (*Result, error) {
 		}
 	}
 	if cfg.Trace != "" {
-		ids = ids[:0]
-		for id := range d.tracers {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
 		for _, id := range ids {
-			if err := d.tracers[id].WriteFile(cfg.Trace); err != nil {
+			if err := d.byID[id].clock.WriteTraceFile(cfg.Trace); err != nil {
 				return nil, fmt.Errorf("bookleaf: %w", err)
 			}
 		}

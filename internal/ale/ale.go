@@ -44,8 +44,8 @@ import (
 	"bookleaf/internal/geom"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/mesh"
+	"bookleaf/internal/obs"
 	"bookleaf/internal/par"
-	"bookleaf/internal/timers"
 )
 
 // Mode selects the ALE target-mesh strategy.
@@ -309,7 +309,7 @@ func buildAdjacency(m *mesh.Mesh) (start, list []int) {
 // either leaves s bitwise the pre-remap state. The nodal-mass guard
 // runs after masses and energies are rewritten; once the corner guard
 // has passed it can only fire for a node with an empty element ring.
-func (r *Remapper) Apply(s *hydro.State, tm *timers.Set, hooks *Hooks) error {
+func (r *Remapper) Apply(s *hydro.State, tm *obs.Clock, hooks *Hooks) error {
 	m := s.Mesh
 	nel, nnd := m.NEl, m.NNd
 	pool := s.Pool

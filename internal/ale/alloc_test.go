@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"bookleaf/internal/obs"
 	"bookleaf/internal/par"
-	"bookleaf/internal/timers"
 )
 
 // TestRemapZeroAllocs pins the Remapper's scratch reuse: after warm-up,
@@ -39,14 +39,14 @@ func TestRemapZeroAllocs(t *testing.T) {
 						s.Pool = p
 					}
 					r := NewRemapper(row.opt, s)
-					tm := timers.NewSet()
+					tm := obs.NewClock()
 					step := func() {
 						if _, err := s.Step(nil, nil); err != nil {
 							t.Fatal(err)
 						}
 					}
 					step()
-					if err := r.Apply(s, tm, nil); err != nil { // warm-up: register timer names
+					if err := r.Apply(s, tm, nil); err != nil { // warm-up: register clock names
 						t.Fatal(err)
 					}
 					var failed error

@@ -49,3 +49,32 @@ func TestWriteFailingPartWayKeepsPrevious(t *testing.T) {
 		t.Fatalf("file holds %q after a successful write, want %q", got, next)
 	}
 }
+
+// TestSummedRoundTrip: Summed returns exactly what WriteSummed was given,
+// and refuses a cut, an extended or an empty stream.
+func TestSummedRoundTrip(t *testing.T) {
+	payload := []byte("restart dump payload")
+	var buf bytes.Buffer
+	if err := WriteSummed(&buf, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Summed(buf.Bytes())
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Summed = %q, %v; want %q", got, err, payload)
+	}
+	b := buf.Bytes()
+	for name, bad := range map[string][]byte{
+		"cut":      b[:len(b)-1],
+		"extended": append(append([]byte(nil), b...), 0),
+		"empty":    nil,
+		"unsummed": payload,
+	} {
+		if _, err := Summed(bad); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: error %v, want ErrChecksum", name, err)
+		}
+	}
+	fail := errors.New("encode failed")
+	if err := WriteSummed(io.Discard, func(io.Writer) error { return fail }); !errors.Is(err, fail) {
+		t.Errorf("a failing write returned %v", err)
+	}
+}

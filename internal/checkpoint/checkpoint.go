@@ -3,7 +3,7 @@
 // implementation writes Silo dumps; this one uses encoding/gob, which
 // keeps the repository dependency-free).
 //
-// Format v2 snapshots are partition-independent: all fields are stored
+// Snapshots are partition-independent: all fields are stored
 // in global mesh order, so a run checkpointed at N ranks can resume at
 // any other rank count with any partitioner. Each rank Gathers its
 // owned entities into the global arrays through the mesh's
@@ -12,21 +12,26 @@
 // everything a Lagrangian run needs to continue bit-for-bit:
 // coordinates, velocities, thermodynamic state, the (remap-mutable)
 // mass distribution, the simulation clock and the audit accumulators.
+// A dump is the gob-encoded Snapshot behind the atomicfile CRC-32C
+// trailer, so a damaged dump fails to Read instead of resuming a
+// different state.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
+	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/hydro"
 )
 
-// FormatVersion identifies the snapshot layout. Version 2 introduced
-// the partition-independent global layout (and the NEl/NNd size
-// fields); version 1 snapshots are rejected.
-const FormatVersion = 2
+// FormatVersion identifies the snapshot layout: the global layout with
+// the NEl/NNd size fields and a checksum trailer. Dumps of any other
+// version are rejected.
+const FormatVersion = 3
 
 // ErrVersion is matched (via errors.Is) by errors reporting a snapshot
 // whose format version this build cannot read.
@@ -208,25 +213,34 @@ func (sn *Snapshot) Restore(s *hydro.State, problem string, nx, ny int) error {
 	return nil
 }
 
-// Write encodes the snapshot to w.
+// Write encodes the snapshot to w, checksum trailer last.
 func (sn *Snapshot) Write(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(sn); err != nil {
+	err := atomicfile.WriteSummed(w, func(w io.Writer) error { return gob.NewEncoder(w).Encode(sn) })
+	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
 	return nil
 }
 
-// Read decodes a snapshot from r. A short or garbled stream returns a
-// wrapped decode error; a snapshot from an incompatible format version
-// returns an error matching ErrVersion.
+// Read decodes a snapshot from r. A short, garbled or bit-flipped dump
+// returns an error; a snapshot from another format version returns an
+// error matching ErrVersion. The version is read before the trailer is
+// checked, so a dump from before the trailer reads as a version error.
 func Read(r io.Reader) (*Snapshot, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
 	var sn Snapshot
-	if err := gob.NewDecoder(r).Decode(&sn); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sn); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode (truncated or corrupted dump?): %w", err)
 	}
 	if sn.Version != FormatVersion {
 		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads version %d",
 			ErrVersion, sn.Version, FormatVersion)
+	}
+	if _, err := atomicfile.Summed(b); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w (truncated or corrupted dump?)", err)
 	}
 	return &sn, nil
 }

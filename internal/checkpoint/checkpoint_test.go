@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -245,5 +246,78 @@ func TestDistributedGatherMatchesSerialCapture(t *testing.T) {
 		if got.X[n] != want.X[n] || got.U[n] != want.U[n] || got.NdMass[n] != want.NdMass[n] {
 			t.Fatalf("gathered node %d differs from serial capture", n)
 		}
+	}
+}
+
+// validDump is a small clean dump for the corruption tests.
+func validDump(t testing.TB) []byte {
+	p, err := setup.Sod(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Capture(s, "sod", 4, 1).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readFlipped flips one bit of dump and reports whether Read refused it.
+func readFlipped(dump []byte, off int, bit uint) bool {
+	b := append([]byte(nil), dump...)
+	b[off] ^= 1 << bit
+	_, err := Read(bytes.NewReader(b))
+	return err != nil
+}
+
+// TestEveryBitFlipFails: the checksum trailer turns every single-bit
+// flip of a dump, anywhere in it, into a Read error.
+func TestEveryBitFlipFails(t *testing.T) {
+	dump := validDump(t)
+	if _, err := Read(bytes.NewReader(dump)); err != nil {
+		t.Fatalf("clean dump: %v", err)
+	}
+	for off := range dump {
+		for bit := uint(0); bit < 8; bit++ {
+			if !readFlipped(dump, off, bit) {
+				t.Fatalf("flipping bit %d of byte %d of %d was read as a valid dump", bit, off, len(dump))
+			}
+		}
+	}
+}
+
+func FuzzCheckpointRead(f *testing.F) {
+	dump := validDump(f)
+	for _, off := range []uint{0, 1, 17, uint(len(dump) / 2), uint(len(dump) - 5), uint(len(dump) - 1)} {
+		f.Add(off, uint8(4))
+	}
+	f.Fuzz(func(t *testing.T, off uint, bit uint8) {
+		if !readFlipped(dump, int(off%uint(len(dump))), uint(bit%8)) {
+			t.Fatalf("flipping bit %d of byte %d was read as a valid dump", bit%8, off%uint(len(dump)))
+		}
+	})
+}
+
+// TestReadLegacyDumpIsVersionError: a dump from before the checksum
+// trailer (format version 2, the bare gob stream) is a version error,
+// not a corruption report.
+func TestReadLegacyDumpIsVersionError(t *testing.T) {
+	p, _ := setup.Sod(8, 2)
+	s, _ := p.NewState()
+	snap := Capture(s, "sod", 8, 2)
+	snap.Version = 2
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-2 dump: error %v does not match ErrVersion", err)
 	}
 }

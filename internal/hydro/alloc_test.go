@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"bookleaf/internal/eos"
+	"bookleaf/internal/obs"
 	"bookleaf/internal/par"
-	"bookleaf/internal/timers"
 )
 
 // TestStepZeroAllocs pins the scratch-arena guarantee: after the first
@@ -65,8 +65,8 @@ func testStepZeroAllocs(t *testing.T, fuse bool, threads int, ablation string) {
 			s.U[n] = -0.1 * (s.X[n] - 0.5)
 			s.V[n] = -0.1 * (s.Y[n] - 0.5)
 		}
-		tm := timers.NewSet()
-		// Warm-up: spawns pool workers, registers timer names, sizes
+		tm := obs.NewClock()
+		// Warm-up: spawns pool workers, registers clock names, sizes
 		// the floor-partial scratch.
 		if _, err := s.Step(tm, nil); err != nil {
 			t.Fatal(err)
@@ -79,14 +79,14 @@ func testStepZeroAllocs(t *testing.T, fuse bool, threads int, ablation string) {
 		if allocs != 0 {
 			t.Errorf("threads=%d: steady-state Step allocates %v per call, want 0", threads, allocs)
 		}
-		// A nil timer set must be equally allocation-free.
+		// A nil clock must be equally allocation-free.
 		allocs = testing.AllocsPerRun(10, func() {
 			if _, err := s.Step(nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("threads=%d: Step with nil timers allocates %v per call, want 0", threads, allocs)
+			t.Errorf("threads=%d: Step with a nil clock allocates %v per call, want 0", threads, allocs)
 		}
 		s.Pool.Close()
 	}

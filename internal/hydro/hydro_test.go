@@ -7,8 +7,8 @@ import (
 
 	"bookleaf/internal/eos"
 	"bookleaf/internal/mesh"
+	"bookleaf/internal/obs"
 	"bookleaf/internal/par"
-	"bookleaf/internal/timers"
 )
 
 func boxMesh(t testing.TB, nx, ny int) *mesh.Mesh {
@@ -127,7 +127,7 @@ func TestOptionsValidate(t *testing.T) {
 func TestUniformGasStaysAtRest(t *testing.T) {
 	m := boxMesh(t, 6, 6)
 	s := uniformState(t, m, 1.0, 2.0, HGSubzonal)
-	tm := timers.NewSet()
+	tm := obs.NewClock()
 	for i := 0; i < 20; i++ {
 		if _, err := s.Step(tm, nil); err != nil {
 			t.Fatal(err)
@@ -572,7 +572,7 @@ func TestTimersPopulated(t *testing.T) {
 			m := boxMesh(t, 4, 4)
 			s := uniformState(t, m, 1, 1, HGSubzonal)
 			s.Opt.Fuse = tc.fuse
-			tm := timers.NewSet()
+			tm := obs.NewClock()
 			for i := 0; i < 3; i++ {
 				if _, err := s.Step(tm, nil); err != nil {
 					t.Fatal(err)

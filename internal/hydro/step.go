@@ -2,7 +2,7 @@ package hydro
 
 import (
 	"bookleaf/internal/mesh"
-	"bookleaf/internal/timers"
+	"bookleaf/internal/obs"
 )
 
 // Hooks are the distributed-memory extension points of the Lagrangian
@@ -39,11 +39,11 @@ const (
 )
 
 // Step advances the state by one Lagrangian predictor-corrector step,
-// accumulating per-kernel times into tm (a nil *timers.Set discards
+// accumulating per-kernel times into tm (a nil *obs.Clock discards
 // them). It returns the timestep taken. Steady-state steps perform no
 // heap allocations (see kernelBodies), a property the AllocsPerRun
 // regression tests pin down.
-func (s *State) Step(tm *timers.Set, hooks *Hooks) (float64, error) {
+func (s *State) Step(tm *obs.Clock, hooks *Hooks) (float64, error) {
 	// Timestep: the paper's Algorithm 1 skips GETDT on the first step.
 	var dt float64
 	var controller int
@@ -118,7 +118,7 @@ func (s *State) Step(tm *timers.Set, hooks *Hooks) (float64, error) {
 // getforce kernels. Fields are bitwise-identical either way. corrector
 // lets the fused sweep reuse the limiter its predictor sweep stored
 // (see elemQ); the unfused kernels evaluate it in both.
-func (s *State) forcePhase(tm *timers.Set, corrector bool) {
+func (s *State) forcePhase(tm *obs.Clock, corrector bool) {
 	nel := s.Mesh.NOwnEl
 	if s.Opt.Fuse {
 		tm.Start(TimerQForce)
@@ -141,7 +141,7 @@ func (s *State) forcePhase(tm *timers.Set, corrector bool) {
 // kernels. It returns the energy the floor added (see GetEin), and
 // commits nothing past a tangle: the unfused chain stops at getgeom,
 // the fused sweep returns before its floor total.
-func (s *State) updatePhase(tm *timers.Set, dt float64, uArr, vArr []float64) (float64, error) {
+func (s *State) updatePhase(tm *obs.Clock, dt float64, uArr, vArr []float64) (float64, error) {
 	nel := s.Mesh.NOwnEl
 	if s.Opt.Fuse {
 		tm.Start(TimerLagUpdate)

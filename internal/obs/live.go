@@ -1,6 +1,9 @@
 package obs
 
-import "sync/atomic"
+import (
+	"maps"
+	"sync/atomic"
+)
 
 // Live is the mid-run snapshot handoff cell the serving daemon reads
 // job metrics through. A Registry is single-goroutine by design (see
@@ -36,9 +39,10 @@ func (l *Live) Load() *Snapshot {
 	return l.p.Load()
 }
 
-// Merge folds other into s with the same semantics Registry.Merge uses
-// for per-rank merging: counters and histogram tallies add, gauges
-// adopt other's value. The serving daemon uses it to stitch the
+// Merge folds other into s: counters and histogram tallies add, gauges
+// adopt other's value (in per-rank merging only one rank publishes any
+// given gauge, so last-set-wins is unambiguous). The driver merges its
+// ranks' registries this way; the serving daemon uses it to stitch the
 // metrics of a preempted job's legs back into one account — a resumed
 // leg starts from zeroed instruments, so summing the legs yields the
 // totals an uninterrupted run would have published. A nil other is a
@@ -57,7 +61,7 @@ func (s *Snapshot) Merge(other *Snapshot) {
 		m, ok := s.Histograms[name]
 		if !ok || m.Count == 0 {
 			// Copy the bucket map so later merges never alias other's.
-			h.Buckets = copyBuckets(h.Buckets)
+			h.Buckets = maps.Clone(h.Buckets)
 			s.Histograms[name] = h
 			continue
 		}
@@ -82,13 +86,16 @@ func (s *Snapshot) Merge(other *Snapshot) {
 	}
 }
 
-func copyBuckets(b map[string]int64) map[string]int64 {
-	if b == nil {
-		return nil
+// MergeSnapshots folds the parts, in order, into a fresh snapshot
+// without mutating any of them.
+func MergeSnapshots(parts ...*Snapshot) *Snapshot {
+	out := &Snapshot{
+		Counters:   map[string]int64{},
+		Gauges:     map[string]float64{},
+		Histograms: map[string]HistSnapshot{},
 	}
-	out := make(map[string]int64, len(b))
-	for k, v := range b {
-		out[k] = v
+	for _, p := range parts {
+		out.Merge(p)
 	}
 	return out
 }

@@ -36,7 +36,8 @@ func NormalizeTrace(tf *TraceFile) {
 // span name, the total time summed over ranks (CPU-seconds), the
 // maximum per-rank total (the bulk-synchronous wall-clock estimate —
 // directly comparable to the paper's Fig. 2 per-phase breakdown and to
-// the internal/timers MergeMax table), and the span count.
+// Result.Timers, the per-kernel maximum over rank clocks), and the span
+// count.
 type PhaseSummary struct {
 	Name           string
 	SumSec, MaxSec float64

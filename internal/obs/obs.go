@@ -1,21 +1,24 @@
 // Package obs is BookLeaf's per-rank observability layer: a typed
-// metrics registry (counters, gauges, histograms), a low-overhead
-// Chrome trace_event emitter, and runtime invariant probes (mass and
-// energy conservation, finite-value sweeps).
+// metrics registry (counters, gauges, histograms), the kernel Clock
+// behind the per-kernel timer table and the Chrome trace_event spans,
+// and runtime invariant probes (mass and energy conservation,
+// finite-value sweeps).
 //
-// The design mirrors internal/timers: each rank owns a private
-// Registry/Tracer/InvariantProbe (none are safe for concurrent use),
-// and the driver merges them after the run. Everything is nil-safe —
-// a nil *Registry hands out nil instruments whose methods no-op, so
+// Each rank owns a private Registry, Clock and InvariantProbe (none
+// are safe for concurrent use); after the run the driver merges the
+// registries' Snapshots with Snapshot.Merge and reads the clocks by
+// rank id. Everything is nil-safe — a nil *Registry hands out nil
+// instruments whose methods no-op, and a nil *Clock times nothing — so
 // hot paths publish unconditionally and pay only a nil check when
 // observability is off. Counter.Add and Gauge.Set on a live instrument
 // are a single field update: safe inside the steady-state step, whose
 // zero-allocation property the AllocsPerRun regression tests pin.
 //
-// Instruments are resolved by name once (Registry.Counter et al.
-// create on first use, like timers.Set.Get) and the returned pointer
-// is then used directly, so the per-event cost never includes a map
-// lookup.
+// Registry instruments are resolved by name once (Registry.Counter et
+// al. create on first use) and the returned pointer is then used
+// directly, so the per-event cost never includes a map lookup. The
+// Clock looks its name up on each Start and Stop: a few lookups per
+// kernel call, never one per element.
 package obs
 
 import (
@@ -130,9 +133,9 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Registry is a per-rank collection of named instruments. Like
-// timers.Set it is single-goroutine: each rank owns one and the driver
-// merges them after the run. A nil *Registry hands out nil instruments.
+// Registry is a per-rank collection of named instruments. It is
+// single-goroutine: each rank owns one and the driver merges their
+// Snapshots after the run. A nil *Registry hands out nil instruments.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -188,41 +191,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Merge folds other into r: counters and histograms add, gauges adopt
-// other's value when other has set it (in per-rank merging only one
-// rank publishes any given gauge, so last-set-wins is unambiguous).
-// A nil other is a no-op.
-func (r *Registry) Merge(other *Registry) {
-	if other == nil {
-		return
-	}
-	for name, c := range other.counters {
-		r.Counter(name).Add(c.v)
-	}
-	for name, g := range other.gauges {
-		if g.set {
-			r.Gauge(name).Set(g.v)
-		}
-	}
-	for name, h := range other.hists {
-		m := r.Histogram(name)
-		if h.count == 0 {
-			continue
-		}
-		if m.count == 0 || h.min < m.min {
-			m.min = h.min
-		}
-		if m.count == 0 || h.max > m.max {
-			m.max = h.max
-		}
-		m.count += h.count
-		m.sum += h.sum
-		for i := range h.buckets {
-			m.buckets[i] += h.buckets[i]
-		}
-	}
 }
 
 // HistSnapshot is the exported form of a histogram.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestRegistryMerge(t *testing.T) {
+func TestMergeSnapshots(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("c").Add(2)
 	b.Counter("c").Add(3)
@@ -79,25 +80,34 @@ func TestRegistryMerge(t *testing.T) {
 	b.Gauge("g").Set(7)
 	a.Histogram("h").Observe(2)
 	b.Histogram("h").Observe(8)
-	a.Merge(b)
-	a.Merge(nil)
-	s := a.Snapshot()
+	b.Histogram("empty")
+	// Unset gauges are not exported, so they cannot be adopted.
+	b.Gauge("never_set")
+	as, bs := a.Snapshot(), b.Snapshot()
+	s := MergeSnapshots(as, bs, nil)
 	if s.Counters["c"] != 5 || s.Counters["only_b"] != 1 {
 		t.Fatalf("merged counters: %v", s.Counters)
 	}
 	if s.Gauges["g"] != 7 {
 		t.Fatalf("merged gauge: %v", s.Gauges)
 	}
+	if _, ok := s.Gauges["never_set"]; ok {
+		t.Fatal("unset gauge leaked through merge")
+	}
 	h := s.Histograms["h"]
-	if h.Count != 2 || h.Sum != 10 || h.Min != 2 || h.Max != 8 {
+	if h.Count != 2 || h.Sum != 10 || h.Min != 2 || h.Max != 8 || h.Buckets["2"] != 1 || h.Buckets["8"] != 1 {
 		t.Fatalf("merged histogram: %+v", h)
 	}
-	// Unset gauges must not be adopted.
-	c := NewRegistry()
-	c.Gauge("never_set")
-	a.Merge(c)
-	if _, ok := a.Snapshot().Gauges["never_set"]; ok {
-		t.Fatal("unset gauge leaked through merge")
+	if e, ok := s.Histograms["empty"]; !ok || e.Count != 0 {
+		t.Fatalf("empty histogram lost in merge: %+v", s.Histograms)
+	}
+	// The parts are read, never written.
+	if as.Counters["c"] != 2 || as.Histograms["h"].Count != 1 || len(as.Histograms["h"].Buckets) != 1 {
+		t.Fatalf("merge mutated its first part: %+v", as)
+	}
+	s.Histograms["h"].Buckets["2"]++
+	if as.Histograms["h"].Buckets["2"] != 1 {
+		t.Fatal("merged snapshot aliases a part's buckets")
 	}
 }
 
@@ -195,21 +205,21 @@ func TestProbeNonFiniteSampleFlags(t *testing.T) {
 	}
 }
 
-func TestTracerSpansAndMerge(t *testing.T) {
+func TestClockTraceAndMerge(t *testing.T) {
 	epoch := time.Now()
-	t0 := NewTracer(0, epoch)
-	t1 := NewTracer(1, epoch)
+	t0 := NewTracingClock(0, epoch)
+	t1 := NewTracingClock(1, epoch)
 	t0.Span("getq", epoch.Add(time.Millisecond), 2*time.Millisecond)
 	t0.Instant("rollback", nil)
 	t1.Span("getq", epoch.Add(time.Millisecond), 4*time.Millisecond)
 	t1.Span("comms", epoch.Add(5*time.Millisecond), time.Millisecond)
 
-	var buf bytes.Buffer
-	if err := t0.Write(&buf); err != nil {
+	prefix := filepath.Join(t.TempDir(), "run")
+	if err := t0.WriteTraceFile(prefix); err != nil {
 		t.Fatal(err)
 	}
-	var tf TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+	tf, err := ReadTraceFile(TracePath(prefix, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tf.TraceEvents) != 2 {
@@ -257,12 +267,107 @@ func TestTracerSpansAndMerge(t *testing.T) {
 	}
 }
 
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Span("x", time.Now(), time.Second)
-	tr.Instant("y", nil)
-	if tr.Events() != nil {
-		t.Fatal("nil tracer has events")
+func TestNilClockIsSafe(t *testing.T) {
+	var c *Clock
+	c.Start("x")
+	c.Stop("x")
+	c.Abandon()
+	c.Span("x", time.Now(), time.Second)
+	c.Instant("y", nil)
+	if c.Events() != nil || c.Names() != nil || c.Elapsed("x") != 0 || c.Count("x") != 0 {
+		t.Fatal("nil clock recorded something")
+	}
+}
+
+func TestClockAccumulates(t *testing.T) {
+	c := NewClock()
+	c.Start("k")
+	time.Sleep(2 * time.Millisecond)
+	c.Stop("k")
+	first := c.Elapsed("k")
+	if first < 2*time.Millisecond || c.Count("k") != 1 {
+		t.Fatalf("after one interval: elapsed %v count %d", first, c.Count("k"))
+	}
+	c.Start("k")
+	c.Stop("k")
+	c.Start("a")
+	c.Stop("a")
+	if c.Elapsed("k") < first || c.Count("k") != 2 || c.Count("a") != 1 {
+		t.Fatalf("after three intervals: k %v/%d, a %d", c.Elapsed("k"), c.Count("k"), c.Count("a"))
+	}
+	if c.Elapsed("nope") != 0 || c.Count("nope") != 0 {
+		t.Fatal("an unknown name should read as zero")
+	}
+	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "k" {
+		t.Fatalf("names = %v, want [a k]", got)
+	}
+	// A clock that is not tracing keeps no events, spans and instants
+	// included.
+	c.Span("halo_wait", time.Now(), time.Millisecond)
+	c.Instant("rollback", nil)
+	if c.Events() != nil {
+		t.Fatalf("non-tracing clock recorded %d events", len(c.Events()))
+	}
+}
+
+// TestClockTracesEachInterval: on a tracing clock every Stop is one
+// span, in order, and Span adds to the trace but not to the totals.
+func TestClockTracesEachInterval(t *testing.T) {
+	c := NewTracingClock(3, time.Now())
+	c.Start("getq")
+	c.Stop("getq")
+	c.Span("halo_wait", time.Now(), time.Millisecond)
+	c.Start("getacc")
+	c.Instant("rollback", nil)
+	c.Stop("getacc")
+	var names []string
+	for _, e := range c.Events() {
+		if e.Pid != 3 {
+			t.Fatalf("event on lane %d, want 3: %+v", e.Pid, e)
+		}
+		names = append(names, e.Ph+":"+e.Name)
+	}
+	if got, want := strings.Join(names, " "), "X:getq X:halo_wait i:rollback X:getacc"; got != want {
+		t.Fatalf("events %q, want %q", got, want)
+	}
+	if c.Count("halo_wait") != 0 || c.Count("getq") != 1 || c.Count("getacc") != 1 {
+		t.Fatalf("counts halo_wait/getq/getacc = %d/%d/%d, want 0/1/1",
+			c.Count("halo_wait"), c.Count("getq"), c.Count("getacc"))
+	}
+}
+
+func TestClockMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(c *Clock){
+		"double start": func(c *Clock) { c.Start("k"); c.Start("k") },
+		"stray stop":   func(c *Clock) { c.Stop("k") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			misuse(NewClock())
+		})
+	}
+}
+
+// TestClockAbandon: an interval left open by a rank that died
+// mid-kernel is dropped, the totals stay, and the name can start again.
+func TestClockAbandon(t *testing.T) {
+	c := NewClock()
+	c.Start("k")
+	c.Stop("k")
+	before := c.Elapsed("k")
+	c.Start("k")
+	c.Abandon()
+	if c.Count("k") != 1 || c.Elapsed("k") != before {
+		t.Fatalf("abandon changed the totals: %d, %v", c.Count("k"), c.Elapsed("k"))
+	}
+	c.Start("k")
+	c.Stop("k")
+	if c.Count("k") != 2 {
+		t.Fatalf("count after restart = %d, want 2", c.Count("k"))
 	}
 }
 

@@ -3,15 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"time"
 )
 
-// TraceEvent is one Chrome trace_event record. The subset emitted here
-// — complete spans ("X") and instant events ("i") — loads directly
-// into chrome://tracing and Perfetto. Timestamps and durations are
-// microseconds; Pid is the rank, so a merged multi-rank file shows one
+// TraceEvent is one Chrome trace_event record. The subset a tracing
+// Clock emits — complete spans ("X") and instant events ("i") — loads
+// directly into chrome://tracing and Perfetto. Timestamps and durations
+// are microseconds; Pid is the rank, so a merged multi-rank file shows one
 // swim-lane per rank.
 type TraceEvent struct {
 	Name string  `json:"name"`
@@ -28,81 +26,20 @@ type TraceFile struct {
 	TraceEvents []TraceEvent `json:"traceEvents"`
 }
 
-// Tracer buffers trace events for one rank. It implements
-// timers.SpanSink, so attaching it to a rank's timer set turns every
-// timer Start/Stop pair into one span — no changes to the kernels.
-// A nil *Tracer discards events, which is the disabled path: the
-// steady-state step stays allocation-free because the timer layer's
-// sink hook is a nil interface check.
-//
-// Like the timer sets, a Tracer is single-goroutine (per-rank).
-type Tracer struct {
-	rank   int
-	epoch  time.Time
-	events []TraceEvent
-}
-
-// NewTracer creates a tracer for rank whose timestamps are relative to
-// epoch. All ranks of a run share one epoch so merged traces align on
-// a single timeline.
-func NewTracer(rank int, epoch time.Time) *Tracer {
-	return &Tracer{rank: rank, epoch: epoch, events: make([]TraceEvent, 0, 4096)}
-}
-
-// Span records a completed span (timers.SpanSink). No-op on nil.
-func (t *Tracer) Span(name string, start time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, TraceEvent{
-		Name: name, Ph: "X",
-		Ts:  float64(start.Sub(t.epoch)) / float64(time.Microsecond),
-		Dur: float64(d) / float64(time.Microsecond),
-		Pid: t.rank,
-	})
-}
-
-// Instant records an instantaneous event — rollbacks, aborts, probe
-// violations. args may be nil. No-op on nil.
-func (t *Tracer) Instant(name string, args any) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, TraceEvent{
-		Name: name, Ph: "i",
-		Ts:   float64(time.Since(t.epoch)) / float64(time.Microsecond),
-		Pid:  t.rank,
-		Args: args,
-	})
-}
-
-// Events returns the buffered events (nil on a nil Tracer).
-func (t *Tracer) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
-// Write serialises the buffered events as a Chrome trace JSON object.
-func (t *Tracer) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(&TraceFile{TraceEvents: t.Events()})
-}
-
 // TracePath returns the per-rank trace file name for a -trace prefix:
 // <prefix>.rank<id>.trace.json.
 func TracePath(prefix string, rank int) string {
 	return fmt.Sprintf("%s.rank%d.trace.json", prefix, rank)
 }
 
-// WriteFile writes the trace to TracePath(prefix, rank).
-func (t *Tracer) WriteFile(prefix string) error {
-	f, err := os.Create(TracePath(prefix, t.rank))
+// WriteTraceFile writes the recorded events to TracePath(prefix, rank)
+// as a Chrome trace JSON object.
+func (c *Clock) WriteTraceFile(prefix string) error {
+	f, err := os.Create(TracePath(prefix, c.rank))
 	if err != nil {
 		return fmt.Errorf("obs: trace: %w", err)
 	}
-	if err := t.Write(f); err != nil {
+	if err := json.NewEncoder(f).Encode(&TraceFile{TraceEvents: c.Events()}); err != nil {
 		f.Close()
 		return fmt.Errorf("obs: trace %s: %w", f.Name(), err)
 	}
@@ -112,7 +49,7 @@ func (t *Tracer) WriteFile(prefix string) error {
 	return nil
 }
 
-// ReadTraceFile parses a trace dump written by Tracer.Write.
+// ReadTraceFile parses a trace dump written by Clock.WriteTraceFile.
 func ReadTraceFile(path string) (*TraceFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

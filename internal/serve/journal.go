@@ -1,11 +1,11 @@
 // The durability layer: an append-only NDJSON job journal plus
-// per-job checkpoint-v2 spill files and result files inside the
+// per-job checkpoint spill files and result files inside the
 // server's state directory (Options.StateDir). Every admission, state
 // transition and terminal outcome is one JSON line, fsynced as it is
 // appended; each preemption's in-memory snapshot (priority eviction,
 // periodic spill of a long-running leg, or the final park on graceful
 // shutdown) is written next to it as <id>.ckpt in the existing
-// partition/order-independent checkpoint-v2 gob format. A done job's
+// partition/order-independent checkpoint gob format. A done job's
 // served result — the ResultJSON scalars and seven field arrays — is
 // written as <id>.res (see writeResult), and its terminal record names
 // the file and carries the merged obs snapshot, so a done job holds
@@ -30,11 +30,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -170,30 +168,21 @@ func readSnapFile(path string) (*checkpoint.Snapshot, error) {
 	return checkpoint.Read(f)
 }
 
-// A result file holds what GET serves of a done job: its ResultJSON
-// (scalars and the seven field arrays) gob-encoded, then a CRC-32C of
-// those bytes, little-endian. readResult checks the checksum before it
-// decodes anything, so a truncated, bit-flipped or missing file is an
-// error and never a partial result.
-var resCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // errResCorrupt is every content failure of a result file.
 var errResCorrupt = errors.New("result file corrupt")
 
 // writeResult writes what GET serves of res to dir/<id>.res atomically
-// and returns the file name.
+// and returns the file name: its ResultJSON (scalars and the seven
+// field arrays) gob-encoded behind the atomicfile checksum trailer.
+// readResult checks the checksum before it decodes anything, so a
+// truncated, bit-flipped or missing file is an error and never a
+// partial result.
 func writeResult(dir, id string, res *bookleaf.Result) (string, error) {
 	name := id + resSuffix
 	return name, atomicfile.Write(filepath.Join(dir, name), func(out io.Writer) error {
-		h := crc32.New(resCRC)
-		w := bufio.NewWriter(io.MultiWriter(out, h))
-		if err := gob.NewEncoder(w).Encode(resultJSON(res)); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return binary.Write(out, binary.LittleEndian, h.Sum32())
+		return atomicfile.WriteSummed(out, func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(resultJSON(res))
+		})
 	})
 }
 
@@ -204,12 +193,11 @@ func readResult(path string) (*bookleaf.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(b) - 4
-	if n < 0 || crc32.Checksum(b[:n], resCRC) != binary.LittleEndian.Uint32(b[n:]) {
+	if b, err = atomicfile.Summed(b); err != nil {
 		return nil, errResCorrupt
 	}
 	var r ResultJSON
-	if err := gob.NewDecoder(bytes.NewReader(b[:n])).Decode(&r); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
 		return nil, errResCorrupt
 	}
 	return r.result(), nil
@@ -236,7 +224,7 @@ func decodeObs(raw json.RawMessage) (*obs.Snapshot, error) {
 	if err := json.Unmarshal(raw, &sn); err != nil {
 		return nil, err
 	}
-	return mergeSnapshots(&sn), nil
+	return obs.MergeSnapshots(&sn), nil
 }
 
 // replayJob is the reconstruction of one job from the journal.

@@ -2,7 +2,7 @@
 // a priority job queue and scheduler multiplexing many concurrent runs
 // over a fixed fleet of warm par.Pools, with admission control driven
 // by the internal/machine cost predictor and preemption/resume of
-// running jobs through the checkpoint-v2 in-memory gather.
+// running jobs through the checkpoint in-memory gather.
 //
 // The design splits in two layers. This file is the scheduler: jobs,
 // the queue, the pool fleet, admission and preemption — all plain Go
@@ -910,16 +910,12 @@ func (s *Server) Metrics(j *Job) *obs.Snapshot {
 		sn, _ := decodeObs(j.obsJSON)
 		return sn
 	}
-	switch len(parts) {
-	case 0:
+	if len(parts) == 0 {
 		return nil
-	case 1:
-		// Copy-on-read: callers must never see a snapshot that a later
-		// leg merge will mutate.
-		return mergeSnapshots(parts[0])
-	default:
-		return mergeSnapshots(parts...)
 	}
+	// Copy-on-read: callers must never see a snapshot that a later leg
+	// merge will mutate.
+	return obs.MergeSnapshots(parts...)
 }
 
 // Stats is the server-wide view the wire layer exposes on /v1/status.
@@ -1287,18 +1283,4 @@ func (s *Server) retainLocked() {
 		delete(s.jobs, s.terminal[0])
 		s.terminal = s.terminal[1:]
 	}
-}
-
-// mergeSnapshots folds the parts into a fresh snapshot without
-// mutating any of them.
-func mergeSnapshots(parts ...*obs.Snapshot) *obs.Snapshot {
-	out := &obs.Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]obs.HistSnapshot{},
-	}
-	for _, p := range parts {
-		out.Merge(p)
-	}
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/obs"
-	"bookleaf/internal/timers"
 	"bookleaf/internal/typhon"
 )
 
@@ -59,9 +58,8 @@ type rankLoop struct {
 	slot *rankSlot
 	s    *hydro.State
 
-	tm     *timers.Set
-	tracer *obs.Tracer
-	probe  *obs.InvariantProbe
+	clock *obs.Clock
+	probe *obs.InvariantProbe
 
 	elHalo, ndHalo *typhon.Halo
 	remap          *ale.Remapper
@@ -105,7 +103,7 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 	sm, reg := slot.sub, slot.reg
 	l := &rankLoop{
 		d: d, rk: rk, slot: slot, s: slot.s,
-		tm: d.tms[id], tracer: d.tracers[id], probe: d.probes[id],
+		clock: d.byID[id].clock, probe: d.byID[id].probe,
 		elHalo: typhon.NewHalo(sm.ElSend, sm.ElRecv),
 		ndHalo: typhon.NewHalo(sm.NdSend, sm.NdRecv),
 
@@ -120,9 +118,6 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 		velPh:        phaseCtrs{reg.Counter("halo_msgs_velocities"), reg.Counter("halo_words_velocities")},
 		remapPh:      phaseCtrs{reg.Counter("halo_msgs_remap"), reg.Counter("halo_words_remap")},
 		ctrWait:      reg.Counter("halo_wait_ns"),
-	}
-	if l.tracer != nil {
-		l.tm.SetSink(l.tracer)
 	}
 	if a := d.cfg.aleOptions(); a != nil {
 		l.remap = ale.NewRemapper(*a, l.s)
@@ -191,7 +186,7 @@ func (l *rankLoop) exchange(ph phaseCtrs, h *typhon.Halo, stride int, fields ...
 	}
 	d := time.Since(t0)
 	l.ctrWait.Add(d.Nanoseconds())
-	l.tracer.Span("halo_wait", t0, d)
+	l.clock.Span("halo_wait", t0, d)
 	ph.msgs.Add(l.msgsTotal.Value() - m0)
 	ph.words.Add(l.wordsTotal.Value() - w0)
 }
@@ -275,12 +270,12 @@ func (l *rankLoop) reduceStatus() (g float64, live bool) {
 		if l.fatalErr == nil {
 			l.fatalErr = fmt.Errorf("rank %d stopped by peer failure: %w", id, typhon.ErrAborted)
 		}
-		l.tracer.Instant("abort", nil)
+		l.clock.Instant("abort", nil)
 	case g <= stCancel:
 		// Collective cancellation: every rank latches the same error,
 		// so fatalErr stays collectively consistent.
 		l.fatalErr = fmt.Errorf("rank %d: %w", id, ErrCanceled)
-		l.tracer.Instant("cancel", nil)
+		l.clock.Instant("cancel", nil)
 	default:
 		return g, true
 	}
@@ -298,7 +293,7 @@ func (l *rankLoop) rollback() {
 	sl.budget--
 	sl.rollbacks++
 	l.ctrRollbacks.Inc()
-	l.tracer.Instant("rollback", nil)
+	l.clock.Instant("rollback", nil)
 	s.Load(&sl.roll)
 	sl.dtCap = math.Min(sl.dtCap, s.DtPrev) / 2
 	l.stepErr = nil
@@ -382,7 +377,7 @@ func (l *rankLoop) healthyPoint(g float64) int {
 			return nextStatus
 		}
 		sl.park = parkPreempt
-		l.tracer.Instant("preempt", nil)
+		l.clock.Instant("preempt", nil)
 		return nextPark
 	}
 	if l.repartDue() {
@@ -413,7 +408,7 @@ func (l *rankLoop) advance() {
 	// step lands on stepStart+1, which is the count peers consult when
 	// they decide to remap.
 	stepStart := s.StepCount
-	if _, err := s.Step(l.tm, l.hooks); err != nil {
+	if _, err := s.Step(l.clock, l.hooks); err != nil {
 		l.stepErr = fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
 		// Compensate the exchanges peers will still perform this step,
 		// keeping the schedule deadlock-free.
@@ -435,12 +430,12 @@ func (l *rankLoop) advance() {
 		return
 	}
 	if l.remap != nil && s.StepCount%cfg.ALEFreq == 0 {
-		l.tm.Start(hydro.TimerALE)
+		l.clock.Start(hydro.TimerALE)
 		// Apply owns the remap's halo exchanges, including the
 		// post-remap ghost-velocity refresh, which it performs on every
 		// path — even failures — so peers don't block.
-		err := l.remap.Apply(s, l.tm, l.aleHooks)
-		l.tm.Stop(hydro.TimerALE)
+		err := l.remap.Apply(s, l.clock, l.aleHooks)
+		l.clock.Stop(hydro.TimerALE)
 		if err != nil {
 			l.stepErr = fmt.Errorf("rank %d remap step %d: %w", id, s.StepCount, err)
 			return
@@ -461,7 +456,7 @@ func (l *rankLoop) advance() {
 	// erases the corrupted state.
 	if err := s.CheckFinite(); err != nil {
 		l.probe.NoteNonFinite(s.StepCount, s.Time)
-		l.tracer.Instant("probe_violation", nil)
+		l.clock.Instant("probe_violation", nil)
 		l.stepErr = fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
 		return
 	}
@@ -576,7 +571,7 @@ func (l *rankLoop) sampleProbe() error {
 	if l.rk.ID() == 0 {
 		rec := l.probe.Sample(s.StepCount, s.Time, mass, energy, work, floor, true)
 		if rec.Violation {
-			l.tracer.Instant("probe_violation", nil)
+			l.clock.Instant("probe_violation", nil)
 		}
 	}
 	return nil

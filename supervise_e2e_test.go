@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bookleaf/internal/checkpoint"
@@ -347,5 +348,46 @@ func TestSuperviseOffIsInert(t *testing.T) {
 	var pe *typhon.RankPanicError
 	if !errors.As(err, &pe) || pe.Rank != 1 {
 		t.Fatalf("want rank 1's panic surfaced fatally, got: %v", err)
+	}
+}
+
+// TestSuperviseTimersAccumulatePerRankID pins how a rank id's kernel
+// clock carries through supervision: rank 0 dies early and is replaced,
+// then the fleet shrinks to that one rank at repart_at. Result.Calls is
+// the maximum over rank ids, so the full-run counts it reports can only
+// come from rank 0's clock running on across its replacement — a clock
+// restarted with the new incarnation would miss the steps before the
+// fault, and rank 1's stops at the repartition.
+func TestSuperviseTimersAccumulatePerRankID(t *testing.T) {
+	cfg := Config{
+		Problem: "sod", NX: 64, NY: 4, MaxSteps: 20, Ranks: 2, ALE: "eulerian",
+		Supervise: &SuperviseConfig{Enabled: true, RepartAtStep: 12, RepartRanks: 1},
+		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
+			{Rank: 0, Msg: 7, Kind: typhon.FaultPanic, Once: true},
+		}},
+	}
+	res, err := runBoundedResult(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replacements != 1 || res.Repartitions != 1 || res.FinalRanks != 1 {
+		t.Fatalf("replacements=%d repartitions=%d final ranks=%d, want 1/1/1",
+			res.Replacements, res.Repartitions, res.FinalRanks)
+	}
+	// The run is deterministic, so the counts are exact.
+	want := map[string]int64{
+		"aleadvect": 20, "alegetfvol": 20, "alegetmesh": 21, "alestep": 20, "aleupdate": 20,
+		"comms": 63, "getacc": 21, "getdt": 20, "lagupdate": 42, "qforce": 42,
+	}
+	if !reflect.DeepEqual(res.Calls, want) {
+		t.Errorf("calls = %v, want %v", res.Calls, want)
+	}
+	for name := range want {
+		if _, ok := res.Timers[name]; !ok {
+			t.Errorf("timer %q missing from Result.Timers", name)
+		}
+	}
+	if len(res.Timers) != len(want) {
+		t.Errorf("Result.Timers has %d names, want %d: %v", len(res.Timers), len(want), res.Timers)
 	}
 }
