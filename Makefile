@@ -7,8 +7,8 @@
 # the harness calls fails here, not in the benchmark.
 # tier2-fault runs the parallel / fault-injection / checkpoint matrix
 # under the race detector — slower, but it is the tier that exercises
-# the abort paths, rollback-retry and the collective checkpoint
-# protocol with real goroutine interleavings. The one-rank tests
+# the abort paths, rollback-retry and the checkpoint and preemption
+# parks with real goroutine interleavings. The one-rank tests
 # (Serial, OneRank, History) are in it: a one-rank run is a goroutine
 # rank, a typhon.Comm and the status reduction like any other.
 # tier2-par races the threading substrate and the hydro kernels at

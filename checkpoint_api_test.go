@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bookleaf"
@@ -51,6 +53,77 @@ func maxFieldDiff(t *testing.T, a, b []float64) float64 {
 		d = math.Max(d, math.Abs(a[i]-b[i]))
 	}
 	return d
+}
+
+// TestCheckpointCadenceIsInert: a cadence checkpoint parks the fleet
+// between epochs while the driver writes the dump, and the parked run
+// must be the run that never wrote one — bitwise fields, the same steps,
+// kernel calls, history, probe records and traffic, and the same
+// counters and gauges, timing aside.
+func TestCheckpointCadenceIsInert(t *testing.T) {
+	type row struct {
+		ranks     int
+		ale       string
+		supervise bool
+	}
+	var rows []row
+	for _, ranks := range []int{1, 2} {
+		for _, ale := range []string{"", "eulerian"} {
+			rows = append(rows, row{ranks, ale, false})
+		}
+	}
+	rows = append(rows, row{2, "", true})
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("ranks=%d/ale=%q/supervise=%v", r.ranks, r.ale, r.supervise), func(t *testing.T) {
+			base := bookleaf.Config{
+				Problem: "sod", NX: 48, NY: 4, MaxSteps: 40, Ranks: r.ranks, ALE: r.ale,
+				ProbeEvery: 5, HistoryEvery: 5,
+			}
+			if r.supervise {
+				base.Supervise = &bookleaf.SuperviseConfig{Enabled: true}
+			}
+			ref := run(t, base)
+			cfg := base
+			cfg.Checkpoint = filepath.Join(t.TempDir(), "cadence.ckpt")
+			cfg.CheckpointEvery = 10
+			got := run(t, cfg)
+
+			for name, f := range map[string][2][]float64{
+				"rho": {got.Rho, ref.Rho}, "ein": {got.Ein, ref.Ein}, "p": {got.P, ref.P},
+				"u": {got.U, ref.U}, "v": {got.V, ref.V}, "x": {got.X, ref.X}, "y": {got.Y, ref.Y},
+			} {
+				if !reflect.DeepEqual(f[0], f[1]) {
+					t.Errorf("%s differs from the run without a checkpoint", name)
+				}
+			}
+			if got.Steps != ref.Steps || got.CommMsgs != ref.CommMsgs || got.CommWords != ref.CommWords {
+				t.Errorf("steps/msgs/words %d/%d/%d, want %d/%d/%d",
+					got.Steps, got.CommMsgs, got.CommWords, ref.Steps, ref.CommMsgs, ref.CommWords)
+			}
+			for name, pair := range map[string][2]any{
+				"Calls": {got.Calls, ref.Calls}, "History": {got.History, ref.History},
+				"Probes": {got.Probes, ref.Probes}, "gauges": {got.Obs.Gauges, ref.Obs.Gauges},
+			} {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Errorf("%s = %v, want %v", name, pair[0], pair[1])
+				}
+			}
+			if len(got.History) != 8 || len(got.Probes) != 8 {
+				t.Errorf("%d history rows and %d probe records, want 8 of each", len(got.History), len(got.Probes))
+			}
+			// The _ns counters are wall time; every other counter counts.
+			for _, res := range []*bookleaf.Result{got, ref} {
+				for name := range res.Obs.Counters {
+					if strings.HasSuffix(name, "_ns") {
+						continue
+					}
+					if g, w := got.Obs.Counters[name], ref.Obs.Counters[name]; g != w {
+						t.Errorf("counter %s = %d, want %d", name, g, w)
+					}
+				}
+			}
+		})
+	}
 }
 
 // Snapshots are partition-independent: a serial run to step N and a

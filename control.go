@@ -133,9 +133,10 @@ func (c *Control) noteProgress(step int, t, tEnd float64) {
 }
 
 // snapshotEvery is the step cadence of the mid-run metrics snapshots
-// published through Metrics. The published snapshot is rank 0's
-// registry — the rank that also owns the probe records — not the
-// cross-rank merge, which only exists after the run.
+// published through Metrics. The published snapshot is rank id 0's
+// registry — which also holds the probe records, and keeps counting
+// across a replacement or a repartition — not the cross-rank merge,
+// which only exists after the run.
 const snapshotEvery = 16
 
 // snapshotDue reports whether a metrics snapshot should be published

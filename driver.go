@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bookleaf/internal/ale"
 	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
@@ -26,8 +27,8 @@ import (
 // points, so every slot of a fleet holds the same values: the rollback
 // state (timestep cap, retry budget, rollbacks spent) and, per cadence,
 // the last step served — which keeps a point from being served twice
-// when a recovered epoch re-enters the healthy point it left from. A
-// replacement rank and a repartitioned fleet inherit it whole.
+// when a parked or recovered epoch re-enters the healthy point it left
+// from. A replacement rank and a repartitioned fleet inherit it whole.
 type lockstep struct {
 	dtCap     float64
 	budget    int
@@ -36,21 +37,23 @@ type lockstep struct {
 	lastCk, lastProbe, lastHist int
 }
 
-// How a rank left an epoch without finishing the run.
+// Why a fleet left an epoch without finishing the run: the driver has
+// something to do with the whole world before the next epoch.
 const (
-	parkNone = iota
-	parkPreempt
-	parkRepart
+	parkNone       = iota
+	parkCheckpoint // write the cadence checkpoint
+	parkPreempt    // hand the world back in a PreemptedError
+	parkRepart     // re-split the world onto a new fleet
 )
 
 // rankSlot is the driver-side identity of one goroutine rank. It owns
-// everything that must survive a supervision epoch boundary: the
-// sub-mesh, the hydro state and its thread pool, the rank's metrics
-// registry, the rolling rollback memento, the per-step healthy-point
-// memento the recovery ladder restores from, and the lockstep
-// bookkeeping. A slot is touched only by its own rank's goroutine while
-// an epoch runs and only by the driver between epochs; the
-// communicator's start/finish edges order the two.
+// everything that must survive an epoch boundary: the sub-mesh, the
+// hydro state and its thread pool, the remapper (built on the slot's
+// first epoch), the rolling rollback memento, the per-step
+// healthy-point memento the recovery ladder restores from, and the
+// lockstep bookkeeping. A slot is touched only by its own rank's
+// goroutine while an epoch runs and only by the driver between epochs;
+// the communicator's start/finish edges order the two.
 type rankSlot struct {
 	id  int
 	sub *partition.SubMesh
@@ -58,7 +61,7 @@ type rankSlot struct {
 	// ownsPool is false when s.Pool is the caller's lease (Config.Pool),
 	// which the run must hand back open.
 	ownsPool bool
-	reg      *obs.Registry
+	remap    *ale.Remapper
 	// incarnation is the replacement generation of this slot's rank
 	// (0 = original), mirrored from the supervisor.
 	incarnation int
@@ -88,10 +91,12 @@ func (sl *rankSlot) closePool() {
 	sl.s.Pool = nil
 }
 
-// rankObs is what a rank id's incarnations share: its kernel clock,
-// which runs on across a replacement (and, on a tracing run, holds the
-// id's trace), and its invariant probe.
+// rankObs is what a rank id's incarnations and fleets share: its
+// metrics registry, its kernel clock (on a tracing run it holds the
+// id's trace) and its invariant probe, which publishes into the
+// registry. All three run on across a replacement and a repartition.
 type rankObs struct {
+	reg   *obs.Registry
 	clock *obs.Clock
 	probe *obs.InvariantProbe
 }
@@ -119,8 +124,14 @@ type rankObs struct {
 // typhon.ErrAborted and the epoch ends with the root cause, not a
 // deadlock.
 //
-// Around the epochs sits the supervision ladder (Config.Supervise,
-// DESIGN.md §12): epoch failures are classified transient /
+// Around the epochs sits the driver, the only code that touches the
+// whole world. The fleet parks between epochs for a due cadence
+// checkpoint, a preemption and the repartition; the driver gathers the
+// parked slots (gatherParked), acts, and starts the next epoch. It
+// writes the end-of-run dump after the finishing epoch.
+//
+// With Config.Supervise the driver also runs the supervision ladder
+// (DESIGN.md §12): epoch failures are classified transient /
 // rank-persistent / fatal; transients retry the epoch from every rank's
 // last healthy-point memento, persistent rank-local faults replace just
 // the offending rank from that same in-memory memento (no filesystem
@@ -129,7 +140,6 @@ type rankObs struct {
 // the driver may also repartition online, once — re-running RCB/METIS
 // on the current (moved) mesh and migrating state through the
 // checkpoint gather/scatter — growing or shrinking the rank count.
-// With supervision off (the default) there is exactly one epoch.
 type driver struct {
 	cfg Config
 	// prob is the problem the fleet is cut from. A run keeps what it
@@ -157,30 +167,20 @@ type driver struct {
 	// uninterrupted run) needs the t = 0 anchors.
 	e0, mass0 float64
 
-	// gsnap is the shared global snapshot checkpoints gather into (nil
-	// without Config.Checkpoint); ctlSnap the one an attached Control's
-	// preemption gathers into, allocated by the first rank to reach the
-	// preemption point (most controlled runs are never preempted). The
-	// owned slots of the ranks are disjoint, and the collective protocol
-	// of gatherSnapshot orders the gathers before anyone reads the
-	// result.
-	gsnap, ctlSnap *checkpoint.Snapshot
-	ctlSnapOnce    sync.Once
-	start          time.Time
+	// gsnap is the world snapshot checkpoints gather into, reused by
+	// every dump of the run (nil without Config.Checkpoint).
+	gsnap *checkpoint.Snapshot
+	start time.Time
 
 	sup    *supervise.Supervisor
 	supReg *obs.Registry
 
 	slots []*rankSlot
-	// retired holds the registries of replaced incarnations and
-	// pre-repartition fleets; each is merged into the final snapshot
-	// exactly once, so a replaced rank's pre-fault totals are counted
-	// without double-counting its replayed steps (which were never
-	// confirmed into the retired registry — see rankLoop's pending
-	// counters).
-	retired []*obs.Registry
 
-	// byID is what a rank id keeps across incarnations and fleets.
+	// byID is what a rank id keeps across incarnations and fleets. A
+	// replaced incarnation's replayed steps are never counted twice in
+	// its registry: they were still pending when it died (see
+	// rankLoop's pending counters).
 	byID map[int]rankObs
 
 	// history is Result.History in the making, written by rank 0 at
@@ -363,10 +363,9 @@ func (d *driver) newSlots(subs []*partition.SubMesh, finish func(*rankSlot) erro
 
 // newSlot builds the persistent driver-side state of one rank of a
 // width-wide fleet: a fresh hydro state with the problem's initial
-// fields restricted to the rank's mesh, its thread pool, and a fresh
-// metrics registry for this incarnation. Config.Pool is a one-rank
-// lease: a fleet of one runs on it, the ranks of a wider fleet each own
-// a pool (one pool cannot serve two ranks at once).
+// fields restricted to the rank's mesh and its thread pool. Config.Pool
+// is a one-rank lease: a fleet of one runs on it, the ranks of a wider
+// fleet each own a pool (one pool cannot serve two ranks at once).
 func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, error) {
 	s, err := d.prob.NewStateOn(sub.M)
 	if err != nil {
@@ -374,7 +373,7 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 	}
 	masses := d.cfg.aleOptions() != nil // only a remap writes them
 	sl := &rankSlot{
-		id: id, sub: sub, s: s, reg: obs.NewRegistry(),
+		id: id, sub: sub, s: s,
 		roll: hydro.Memento{Masses: masses}, stepStart: hydro.Memento{Masses: masses},
 		lockstep: lockstep{
 			dtCap: math.Inf(1), budget: d.cfg.retries(),
@@ -389,8 +388,8 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 	return sl, nil
 }
 
-// closeSlots releases the thread pools of the current fleet (retired
-// incarnations close theirs when they are replaced).
+// closeSlots releases the thread pools of the current fleet (replaced
+// incarnations and fleets close theirs when they go).
 func (d *driver) closeSlots() {
 	for _, sl := range d.slots {
 		sl.closePool()
@@ -407,13 +406,26 @@ func (d *driver) run() (*Result, error) {
 		}
 		rootErr, rank := d.rootCause(runErr)
 		if rootErr == nil {
-			if d.parkedFor(parkPreempt) {
+			// No rank failed, so every rank left at the same healthy
+			// point for the same reason.
+			park := d.slots[0].park
+			switch park {
+			case parkPreempt:
 				return nil, d.preemptError()
-			}
-			if d.parkedFor(parkRepart) {
+			case parkRepart:
 				if err := d.doRepart(); err != nil {
 					return nil, fmt.Errorf("bookleaf: repartition: %w", err)
 				}
+				continue
+			}
+			// A due cadence checkpoint and the end of the run both
+			// write the dump.
+			if d.gsnap != nil {
+				if err := d.writeDump(); err != nil {
+					return nil, fmt.Errorf("bookleaf: checkpoint: %w", err)
+				}
+			}
+			if park == parkCheckpoint {
 				continue
 			}
 			return d.finalize()
@@ -461,28 +473,26 @@ func (d *driver) runEpoch() (error, error) {
 	if cfg.testRecvTimeout > 0 {
 		comm.SetRecvTimeout(cfg.testRecvTimeout)
 	}
-	regs := make([]*obs.Registry, n)
-	for i, sl := range d.slots {
-		regs[i] = sl.reg
-		sl.err = nil
-		sl.park = parkNone
-	}
-	comm.AttachObs(regs)
 	// Per-id observability objects are created here, before the rank
 	// goroutines spawn, so the map is read-only while they run.
-	for _, sl := range d.slots {
-		if _, ok := d.byID[sl.id]; ok {
-			continue
+	regs := make([]*obs.Registry, n)
+	for i, sl := range d.slots {
+		sl.err = nil
+		sl.park = parkNone
+		o, ok := d.byID[sl.id]
+		if !ok {
+			o = rankObs{reg: obs.NewRegistry(), clock: obs.NewClock()}
+			if cfg.Trace != "" {
+				o.clock = obs.NewTracingClock(sl.id, d.start)
+			}
+			if cfg.ProbeEvery > 0 {
+				o.probe = obs.NewInvariantProbe(cfg.ProbeEvery, o.reg)
+			}
+			d.byID[sl.id] = o
 		}
-		o := rankObs{clock: obs.NewClock()}
-		if cfg.Trace != "" {
-			o.clock = obs.NewTracingClock(sl.id, d.start)
-		}
-		if cfg.ProbeEvery > 0 {
-			o.probe = obs.NewInvariantProbe(cfg.ProbeEvery, sl.reg)
-		}
-		d.byID[sl.id] = o
+		regs[i] = o.reg
 	}
+	comm.AttachObs(regs)
 	runErr := comm.Run(func(rk *typhon.Rank) { d.newRankLoop(rk).run() })
 	m, w := comm.Stats()
 	d.commMsgs += m
@@ -521,44 +531,29 @@ func (d *driver) rootCause(runErr error) (error, int) {
 	return abortedErr, abortedRank
 }
 
-// parkedFor reports whether the epoch ended with the fleet parked for
-// the given reason. Both park verdicts are pure functions of reduced
-// values, so every rank parked or none did.
-func (d *driver) parkedFor(why int) bool {
-	for _, sl := range d.slots {
-		if sl.park != why {
-			return false
-		}
-	}
-	return len(d.slots) > 0
-}
-
-// mergedObs merges the run's registries: counters and histograms sum
-// across ranks and incarnations, gauges come from the rank that
-// published them (the probe gauges live on rank 0; current incarnations
-// merge after retired ones, so their gauges win), and the supervisor's
-// own registry goes last. The rank goroutines have drained, so reading
-// their registries is safe.
+// mergedObs merges the run's registries, one per rank id in id order:
+// counters and histograms sum across ranks, gauges come from the rank
+// that published them (the probe gauges live on rank 0), and the
+// supervisor's own registry goes last. The rank goroutines have
+// drained, so reading their registries is safe.
 func (d *driver) mergedObs() *obs.Snapshot {
 	var parts []*obs.Snapshot
-	for _, r := range d.retired {
-		parts = append(parts, r.Snapshot())
-	}
-	for _, sl := range d.slots {
-		parts = append(parts, sl.reg.Snapshot())
+	for _, id := range slices.Sorted(maps.Keys(d.byID)) {
+		parts = append(parts, d.byID[id].reg.Snapshot())
 	}
 	return obs.MergeSnapshots(append(parts, d.supReg.Snapshot())...)
 }
 
-// preemptError assembles the PreemptedError for a parked fleet: the
-// collective in-memory gather the ranks filled before exiting, plus the
-// merged metrics of everything the interrupted run accumulated.
-func (d *driver) preemptError() *PreemptedError {
-	return &PreemptedError{
-		Snapshot: d.ctlSnap,
-		Step:     d.ctlSnap.StepCount, Time: d.ctlSnap.Time,
-		Obs: d.mergedObs(),
+// preemptError gathers the parked fleet into a fresh snapshot and
+// wraps it, with the merged metrics of everything the interrupted run
+// accumulated, in a PreemptedError.
+func (d *driver) preemptError() error {
+	cfg := &d.cfg
+	snap := checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, d.nel, d.nnd)
+	if err := d.gatherParked(snap); err != nil {
+		return fmt.Errorf("bookleaf: preempt: %w", err)
 	}
+	return &PreemptedError{Snapshot: snap, Step: snap.StepCount, Time: snap.Time, Obs: d.mergedObs()}
 }
 
 // restoreHealthy reinstates every rank's last healthy-point memento —
@@ -589,9 +584,9 @@ func (d *driver) restoreHealthy() error {
 // replaceRank spawns a fresh incarnation of the failed rank from the
 // collective's last in-memory healthy-point memento — no filesystem
 // round trip — and restores its peers to the same point. The old
-// incarnation's registry is retired (merged once at the end), its
-// thread pool released, and the neighbour patterns rebuild naturally
-// when the next epoch constructs its communicator.
+// incarnation's thread pool is released, the fresh one publishes into
+// the same rank-id registry, and the neighbour patterns rebuild
+// naturally when the next epoch constructs its communicator.
 func (d *driver) replaceRank(rank int) error {
 	if rank < 0 || rank >= len(d.slots) {
 		return fmt.Errorf("supervise: cannot replace rank %d of %d", rank, len(d.slots))
@@ -608,7 +603,6 @@ func (d *driver) replaceRank(rank int) error {
 	fresh.s.Save(&fresh.stepStart)
 	fresh.incarnation = d.sup.Incarnation(rank)
 	fresh.lockstep = old.lockstep
-	d.retired = append(d.retired, old.reg)
 	old.closePool()
 	d.slots[rank] = fresh
 	return d.restoreHealthy()
@@ -616,7 +610,10 @@ func (d *driver) replaceRank(rank int) error {
 
 // gatherParked fills snap from a fleet parked between epochs, every
 // rank at the same healthy point: owned entities, the clock, and the
-// rank-summed audit accumulators.
+// rank-summed audit accumulators. It is the driver's one world gather:
+// checkpoints, preemption, repartition. The sums run in rank order from
+// zero, the order of the rank loop's reductions, so they are bitwise
+// the values the ranks would reduce.
 func (d *driver) gatherParked(snap *checkpoint.Snapshot) error {
 	var work, floor float64
 	for _, sl := range d.slots {
@@ -671,13 +668,22 @@ func (d *driver) doRepart() error {
 		return err
 	}
 	for _, sl := range d.slots {
-		d.retired = append(d.retired, sl.reg)
 		sl.closePool()
 	}
 	d.slots = fresh
 	d.sup.NoteRepart()
 	d.byID[0].clock.Instant("supervise_repart", nil)
 	return nil
+}
+
+// writeDump gathers the parked fleet into the run's checkpoint
+// snapshot and writes it to Config.Checkpoint, replacing the previous
+// dump whole or not at all.
+func (d *driver) writeDump() error {
+	if err := d.gatherParked(d.gsnap); err != nil {
+		return err
+	}
+	return atomicfile.Write(d.cfg.Checkpoint, d.gsnap.Write)
 }
 
 // abortWithCheckpoint is the ladder's last rung: park the fleet at its
@@ -687,10 +693,7 @@ func (d *driver) abortWithCheckpoint(root error) error {
 	if d.gsnap != nil {
 		err := d.restoreHealthy()
 		if err == nil {
-			err = d.gatherParked(d.gsnap)
-		}
-		if err == nil {
-			err = atomicfile.Write(d.cfg.Checkpoint, d.gsnap.Write)
+			err = d.writeDump()
 		}
 		if err != nil {
 			return fmt.Errorf("bookleaf: %w (final checkpoint failed: %v)", root, err)
@@ -723,6 +726,7 @@ func (d *driver) noteDecision(dec supervise.Decision) {
 // observability snapshot.
 func (d *driver) finalize() (*Result, error) {
 	cfg, p := &d.cfg, d.prob
+	ids := slices.Sorted(maps.Keys(d.byID))
 	res := &Result{
 		Problem: p.Name, Ranks: cfg.Ranks, FinalRanks: len(d.slots), Threads: cfg.Threads,
 		NEl: d.nel, NNd: d.nnd,
@@ -777,12 +781,12 @@ func (d *driver) finalize() (*Result, error) {
 		// Publish the ALESTEP phase breakdown as counters so
 		// metrics.json carries the remap cost split without
 		// consumers having to parse the timer table.
-		for _, sl := range d.slots {
-			c := d.byID[sl.id].clock
-			sl.reg.Counter("ale_getmesh_ns").Add(c.Elapsed("alegetmesh").Nanoseconds())
-			sl.reg.Counter("ale_getfvol_ns").Add(c.Elapsed("alegetfvol").Nanoseconds())
-			sl.reg.Counter("ale_advect_ns").Add(c.Elapsed("aleadvect").Nanoseconds())
-			sl.reg.Counter("ale_update_ns").Add(c.Elapsed("aleupdate").Nanoseconds())
+		for _, id := range ids {
+			c, reg := d.byID[id].clock, d.byID[id].reg
+			reg.Counter("ale_getmesh_ns").Add(c.Elapsed("alegetmesh").Nanoseconds())
+			reg.Counter("ale_getfvol_ns").Add(c.Elapsed("alegetfvol").Nanoseconds())
+			reg.Counter("ale_advect_ns").Add(c.Elapsed("aleadvect").Nanoseconds())
+			reg.Counter("ale_update_ns").Add(c.Elapsed("aleupdate").Nanoseconds())
 		}
 	}
 
@@ -791,7 +795,6 @@ func (d *driver) finalize() (*Result, error) {
 	// call count.
 	res.Timers, res.TimerSum, res.Calls = map[string]float64{}, map[string]float64{}, map[string]int64{}
 	sum := map[string]time.Duration{}
-	ids := slices.Sorted(maps.Keys(d.byID))
 	for _, id := range ids {
 		c := d.byID[id].clock
 		for _, n := range c.Names() {

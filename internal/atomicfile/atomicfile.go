@@ -8,7 +8,8 @@
 // Restart dumps and result files also carry a CRC-32C trailer
 // (WriteSummed, Summed), so a file damaged after it was written — a
 // flipped bit, a cut tail — is an error when it is read, never a
-// quietly different state.
+// quietly different state. Sum is the same checksum for a caller that
+// seals smaller records, such as the lines of the serving journal.
 package atomicfile
 
 import (
@@ -46,6 +47,9 @@ func Write(path string, write func(io.Writer) error) error {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Sum is the CRC-32C of b, the checksum WriteSummed writes.
+func Sum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
 // ErrChecksum is every trailer failure of a checksummed file: truncated,
 // bit-flipped, or written without a trailer.
 var ErrChecksum = errors.New("checksum mismatch")
@@ -64,7 +68,7 @@ func WriteSummed(w io.Writer, write func(io.Writer) error) error {
 // ErrChecksum when the trailer does not match it.
 func Summed(b []byte) ([]byte, error) {
 	n := len(b) - 4
-	if n < 0 || crc32.Checksum(b[:n], castagnoli) != binary.LittleEndian.Uint32(b[n:]) {
+	if n < 0 || Sum(b[:n]) != binary.LittleEndian.Uint32(b[n:]) {
 		return nil, ErrChecksum
 	}
 	return b[:n], nil

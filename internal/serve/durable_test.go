@@ -455,6 +455,42 @@ func TestDurableJournalCorruptionRecovery(t *testing.T) {
 	s3.Close()
 }
 
+// TestDurableJournalSealedRecords: every journal line carries the
+// CRC-32C of its record. A digit flipped in a journaled estimate leaves
+// a record that still parses, and replay must skip it rather than
+// re-admit a different job; the line as written replays.
+func TestDurableJournalSealedRecords(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := openJournalFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deck := []byte("[control]\nproblem = sod\nnx = 40\nny = 4\n")
+	if err := jl.append(&journalRecord{Op: opSubmit, ID: "j000001", Seq: 1, Deck: deck, EstSeconds: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	path := filepath.Join(dir, journalName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := replayJournal(dir)
+	if rj := st.jobs["j000001"]; st.skipped != 0 || rj == nil || rj.est != 0.5 || !bytes.Equal(rj.deck, deck) {
+		t.Fatalf("the sealed record did not replay as written (skipped %d): %+v", st.skipped, rj)
+	}
+	flipped := bytes.Replace(b, []byte(`"est_seconds":0.5`), []byte(`"est_seconds":0.6`), 1)
+	if bytes.Equal(flipped, b) {
+		t.Fatalf("no estimate to flip in %q", b)
+	}
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := replayJournal(dir); len(st.jobs) != 0 || st.skipped != 1 {
+		t.Fatalf("a flipped digit replayed %d jobs and skipped %d lines, want 0 and 1", len(st.jobs), st.skipped)
+	}
+}
+
 // TestClientQuotaTyped429: a client at its backlog quota is rejected
 // with *QuotaError — carrying a positive Retry-After — while another
 // client's identical deck still admits, and the global overload error

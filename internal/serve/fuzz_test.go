@@ -136,26 +136,39 @@ func FuzzSubmitDeck(f *testing.F) {
 // truncate or corrupt the file, and neither replay nor a full Open over
 // the wreckage may panic or fail — recovery keeps whatever parses. The
 // seeds cover a well-formed journal, the same journal torn mid-line,
-// records out of order, and assorted non-JSON garbage.
+// records out of order, and assorted non-JSON garbage. With sealed set
+// every line is sealed before it is written, so the fuzzer's records
+// reach the decoder behind the checksum; the unsealed seed is a journal
+// whose lines carry no checksum, which replays as empty.
 func FuzzJournalReplay(f *testing.F) {
 	valid := `{"op":"submit","id":"j000001","seq":1,"priority":0,"client":"alice","deck":"W2NvbnRyb2xdCnByb2JsZW0gPSBzb2QKbnggPSA0MApueSA9IDQK","est_seconds":0.5,"model_seconds":0.5}
 {"op":"start","id":"j000001","seq":1}
 {"op":"done","id":"j000001","seq":1,"client":"alice"}
 {"op":"calib","scale":1.5,"n":3}
 `
-	f.Add([]byte(valid))
-	f.Add([]byte(valid[:len(valid)/2])) // torn mid-line
-	f.Add([]byte(`{"op":"spill","id":"jX","snap":"../../../etc/passwd","step":3}` + "\n"))
-	f.Add([]byte(`{"op":"done","id":"j9"}` + "\n" + `{"op":"done","id":"j9"}` + "\n"))
-	f.Add([]byte(`{"op":"done","id":"j000002","seq":2,"step":5,"tend":0.2,"res":"j000002.res","obs":{"counters":{"steps_total":5}}}` + "\n"))
-	f.Add([]byte(`{"op":"done","id":"j3","res":"journal.ndjson","obs":7}` + "\n" + `{"op":"done","id":"../j4","res":"../j4.res"}` + "\n"))
-	f.Add([]byte(`{"op":"submit"}` + "\n{not json}\n\x00\x01\x02\n"))
-	f.Add([]byte(`{"op":"calib","scale":-7,"n":-1}` + "\n"))
-	f.Add([]byte(`{"op":"submit","id":"j1","seq":999999,"est_seconds":1e308}` + "\n"))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte{})
+	f.Add([]byte(valid), true)
+	f.Add([]byte(valid), false)
+	f.Add([]byte(valid[:len(valid)/2]), true) // torn mid-line
+	f.Add([]byte(`{"op":"spill","id":"jX","snap":"../../../etc/passwd","step":3}`+"\n"), true)
+	f.Add([]byte(`{"op":"done","id":"j9"}`+"\n"+`{"op":"done","id":"j9"}`+"\n"), true)
+	f.Add([]byte(`{"op":"done","id":"j000002","seq":2,"step":5,"tend":0.2,"res":"j000002.res","obs":{"counters":{"steps_total":5}}}`+"\n"), true)
+	f.Add([]byte(`{"op":"done","id":"j3","res":"journal.ndjson","obs":7}`+"\n"+`{"op":"done","id":"../j4","res":"../j4.res"}`+"\n"), true)
+	f.Add([]byte(`{"op":"submit"}`+"\n{not json}\n\x00\x01\x02\n"), true)
+	f.Add([]byte(`{"op":"calib","scale":-7,"n":-1}`+"\n"), true)
+	f.Add([]byte(`{"op":"submit","id":"j1","seq":999999,"est_seconds":1e308}`+"\n"), true)
+	f.Add([]byte("\n\n\n"), true)
+	f.Add([]byte{}, true)
 
-	f.Fuzz(func(t *testing.T, journal []byte) {
+	f.Fuzz(func(t *testing.T, journal []byte, sealed bool) {
+		if sealed {
+			var b []byte
+			for _, line := range bytes.Split(journal, []byte("\n")) {
+				if line = bytes.TrimSpace(line); len(line) > 0 {
+					b = append(b, seal(bytes.Clone(line))...)
+				}
+			}
+			journal = b
+		}
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
 			t.Fatal(err)

@@ -1,11 +1,12 @@
-// The durability layer: an append-only NDJSON job journal plus
+// The durability layer: an append-only job journal plus
 // per-job checkpoint spill files and result files inside the
 // server's state directory (Options.StateDir). Every admission, state
-// transition and terminal outcome is one JSON line, fsynced as it is
-// appended; each preemption's in-memory snapshot (priority eviction,
-// periodic spill of a long-running leg, or the final park on graceful
-// shutdown) is written next to it as <id>.ckpt in the existing
-// partition/order-independent checkpoint gob format. A done job's
+// transition and terminal outcome is one sealed line — the record's
+// JSON, a space, and the CRC-32C of the JSON in eight hex digits —
+// fsynced as it is appended; each preemption's in-memory snapshot
+// (priority eviction, periodic spill of a long-running leg, or the
+// final park on graceful shutdown) is written next to it as <id>.ckpt
+// in the existing partition/order-independent checkpoint gob format. A done job's
 // served result — the ResultJSON scalars and seven field arrays — is
 // written as <id>.res (see writeResult), and its terminal record names
 // the file and carries the merged obs snapshot, so a done job holds
@@ -20,10 +21,10 @@
 //
 // The journal is written under the scheduler mutex, so a mid-write
 // crash can tear at most the final line. Replay is correspondingly
-// paranoid: any line that does not parse, or that references a job or
-// snapshot that does not exist, is skipped — recovery keeps whatever
-// parses and never fails on a corrupt journal (FuzzJournalReplay pins
-// this down). The only errors Open surfaces are environmental: an
+// paranoid: any line whose seal fails or that does not parse, or that
+// references a job or snapshot that does not exist, is skipped —
+// recovery keeps whatever verifies and parses and never fails on a
+// corrupt journal (FuzzJournalReplay pins this down). The only errors Open surfaces are environmental: an
 // uncreatable state directory or an unwritable journal file.
 package serve
 
@@ -33,10 +34,11 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 
 	"bookleaf"
 	"bookleaf/internal/atomicfile"
@@ -44,7 +46,7 @@ import (
 	"bookleaf/internal/obs"
 )
 
-// journalName is the NDJSON job log inside the state directory.
+// journalName is the job log inside the state directory.
 const journalName = "journal.ndjson"
 
 // snapSuffix names the per-job checkpoint spill files (<id>.ckpt).
@@ -67,7 +69,7 @@ func terminalOp(op string) bool {
 	return op == StateDone || op == StateFailed || op == StateCanceled
 }
 
-// journalRecord is one NDJSON line of the job journal. A single
+// journalRecord is one line of the job journal. A single
 // struct covers every op; irrelevant fields stay at their zero value
 // and are omitted on the wire.
 type journalRecord struct {
@@ -116,7 +118,6 @@ type journalRecord struct {
 type journal struct {
 	dir string
 	f   *os.File
-	enc *json.Encoder
 }
 
 func openJournalFile(dir string) (*journal, error) {
@@ -125,14 +126,41 @@ func openJournalFile(dir string) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journal{dir: dir, f: f, enc: json.NewEncoder(f)}, nil
+	return &journal{dir: dir, f: f}, nil
 }
 
 func (jl *journal) append(rec *journalRecord) error {
-	if err := jl.enc.Encode(rec); err != nil {
+	if err := writeRecord(jl.f, rec); err != nil {
 		return err
 	}
 	return jl.f.Sync()
+}
+
+// writeRecord writes rec as one sealed journal line; it is the one
+// writer of journal lines, appends and compaction alike.
+func writeRecord(w io.Writer, rec *journalRecord) error {
+	b, err := json.Marshal(rec)
+	if err == nil {
+		_, err = w.Write(seal(b))
+	}
+	return err
+}
+
+// seal appends to a record's JSON a space, its CRC-32C in eight hex
+// digits, and the newline that ends the line.
+func seal(b []byte) []byte {
+	return fmt.Appendf(b, " %08x\n", atomicfile.Sum(b))
+}
+
+// unseal returns the JSON of a sealed line (without its newline), and
+// false when the line carries no seal or the seal does not match.
+func unseal(line []byte) ([]byte, bool) {
+	n := len(line) - 9
+	if n < 0 || line[n] != ' ' {
+		return nil, false
+	}
+	sum, err := strconv.ParseUint(string(line[n+1:]), 16, 32)
+	return line[:n], err == nil && uint32(sum) == atomicfile.Sum(line[:n])
 }
 
 func (jl *journal) close() {
@@ -258,7 +286,7 @@ type replayState struct {
 	calScale      float64
 	calN          int
 	maxSeq        int
-	skipped       int // lines dropped: unparseable or inconsistent
+	skipped       int // lines dropped: unsealed, unparseable or inconsistent
 }
 
 // journalScanBuf bounds one journal line: the largest legitimate line
@@ -269,7 +297,9 @@ const journalScanBuf = 16 << 20
 
 // replayJournal scans the journal and reduces it to per-job state.
 // It never fails: a missing journal is an empty one, and corrupt or
-// inconsistent lines are counted and skipped.
+// inconsistent lines are counted and skipped. A line whose seal fails
+// is corrupt however well it parses: a flipped digit in a deck or an
+// estimate must not re-admit a different job.
 func replayJournal(dir string) *replayState {
 	st := &replayState{jobs: map[string]*replayJob{}}
 	f, err := os.Open(filepath.Join(dir, journalName))
@@ -280,12 +310,13 @@ func replayJournal(dir string) *replayState {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), journalScanBuf)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
+		body, ok := unseal(line)
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if !ok || json.Unmarshal(body, &rec) != nil {
 			st.skipped++
 			continue
 		}

@@ -514,11 +514,10 @@ func (s *Server) readmit(rj *replayJob) {
 // no concurrency (from recover) or under s.mu.
 func (s *Server) compactJournal() error {
 	err := atomicfile.Write(filepath.Join(s.opt.StateDir, journalName), func(out io.Writer) error {
-		enc := json.NewEncoder(out)
 		var err error
 		write := func(rec *journalRecord) {
 			if err == nil {
-				err = enc.Encode(rec)
+				err = writeRecord(out, rec)
 			}
 		}
 		if scale, n := s.cal.State(); n > 0 {
@@ -1266,9 +1265,10 @@ func (s *Server) terminalLocked(j *Job, state string, err error) {
 		s.jl.append(terminalRecord(j))
 		s.jl.removeSnap(j.ID)
 	}
-	close(j.done)
 	s.terminal = append(s.terminal, j.ID)
 	s.retainLocked()
+	// Waiters wake to a state directory the eviction has already swept.
+	close(j.done)
 }
 
 // retainLocked evicts the oldest terminal jobs past MaxTerminalJobs:

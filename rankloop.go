@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"bookleaf/internal/ale"
-	"bookleaf/internal/atomicfile"
-	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/obs"
 	"bookleaf/internal/typhon"
@@ -34,8 +32,7 @@ const (
 const (
 	nextStep   = iota // advance one step
 	nextStatus        // a collective failed and latched fatalErr: let the status reduction spread it
-	nextFinish        // the run reached its end: leave the loop through the final checkpoint
-	nextPark          // preempted or repartitioning: leave the epoch with the fleet parked
+	nextLeave         // the run reached its end, or the fleet parks (slot.park says why): leave the epoch
 )
 
 // phaseCtrs is the per-exchange-phase attribution pair: the loop reads
@@ -47,22 +44,25 @@ type phaseCtrs struct {
 }
 
 // rankLoop is one rank's epoch: the step loop with its communication
-// schedule, the collective rollback protocol, and — when supervision is
-// on — the healthy-point bookkeeping the recovery ladder and the
-// forced repartition hang off. It lives for one epoch; what must
-// outlive it is in the slot. run walks the phases in order:
-// reduceStatus, then rollback or healthyPoint, then advance.
+// schedule, the collective rollback protocol, the probe and history
+// cadences, and the healthy-point bookkeeping the recovery ladder hangs
+// off. It touches only its own rank's part of the world: whatever needs
+// the whole of it — a checkpoint, a preemption snapshot, a
+// repartition — parks the fleet and is done by the driver between
+// epochs. It lives for one epoch; what must outlive it is in the slot.
+// run walks the phases in order: reduceStatus, then rollback or
+// healthyPoint, then advance.
 type rankLoop struct {
 	d    *driver
 	rk   *typhon.Rank
 	slot *rankSlot
 	s    *hydro.State
 
+	reg   *obs.Registry
 	clock *obs.Clock
 	probe *obs.InvariantProbe
 
 	elHalo, ndHalo *typhon.Halo
-	remap          *ale.Remapper
 	hooks          *hydro.Hooks
 	aleHooks       *ale.Hooks
 
@@ -74,12 +74,11 @@ type rankLoop struct {
 	// visible in metrics.json and bleaf-trace.
 	ctrWait *obs.Counter
 
-	// Under supervision, step-progress counters are held pending until
-	// the next healthy collective point confirms the step survived. A
-	// peer can "complete" a step on garbage ghosts while another rank
-	// is dying; that step is rewound by the recovery ladder and
-	// replayed, and must not be counted twice. Without supervision the
-	// counters update immediately.
+	// Step-progress counters are held pending until the next healthy
+	// collective point confirms the step survived. A peer can
+	// "complete" a step on garbage ghosts while another rank is dying;
+	// that step is rewound by a rollback or the recovery ladder and
+	// replayed, and must not be counted twice.
 	pendSteps, pendRemaps int64
 	pendCause             [5]int64
 
@@ -96,14 +95,15 @@ type rankLoop struct {
 }
 
 // newRankLoop wires one rank for an epoch: its halos, counters and the
-// exchange hooks.
+// exchange hooks. A slot's remapper is built on its first epoch and
+// kept for the slot's life.
 func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 	id := rk.ID()
-	slot := d.slots[id]
-	sm, reg := slot.sub, slot.reg
+	slot, o := d.slots[id], d.byID[id]
+	sm, reg := slot.sub, o.reg
 	l := &rankLoop{
 		d: d, rk: rk, slot: slot, s: slot.s,
-		clock: d.byID[id].clock, probe: d.byID[id].probe,
+		clock: o.clock, probe: o.probe, reg: reg,
 		elHalo: typhon.NewHalo(sm.ElSend, sm.ElRecv),
 		ndHalo: typhon.NewHalo(sm.NdSend, sm.NdRecv),
 
@@ -119,8 +119,8 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 		remapPh:      phaseCtrs{reg.Counter("halo_msgs_remap"), reg.Counter("halo_words_remap")},
 		ctrWait:      reg.Counter("halo_wait_ns"),
 	}
-	if a := d.cfg.aleOptions(); a != nil {
-		l.remap = ale.NewRemapper(*a, l.s)
+	if a := d.cfg.aleOptions(); a != nil && slot.remap == nil {
+		slot.remap = ale.NewRemapper(*a, slot.s)
 	}
 	l.aleHooks = &ale.Hooks{
 		ExchangeCellFields: func(fields ...[]float64) {
@@ -198,7 +198,6 @@ func (l *rankLoop) run() {
 	if l.slot.budget > 0 && !l.slot.roll.Valid() {
 		l.s.Save(&l.slot.roll) // cover steps before the first cadence point
 	}
-loop:
 	for {
 		g, live := l.reduceStatus()
 		if !live {
@@ -208,19 +207,13 @@ loop:
 			l.rollback()
 			continue
 		}
-		switch l.healthyPoint(g) {
-		case nextStep:
-			l.advance()
-		case nextFinish:
-			break loop
-		case nextPark:
-			return
+		next := l.healthyPoint(g)
+		if next == nextLeave {
+			break
 		}
-	}
-	// Final checkpoint. fatalErr is collectively consistent (set on
-	// every rank or on none), so participation matches.
-	if l.fatalErr == nil && l.d.gsnap != nil {
-		l.fatalErr = l.writeCheckpoint()
+		if next == nextStep {
+			l.advance()
+		}
 	}
 	l.slot.err = l.fatalErr
 }
@@ -321,19 +314,20 @@ func due(every, step int, last *int) bool {
 }
 
 // healthyPoint is where every rank is known to be healthy and at the
-// same step. In order: confirm the counters and refresh the memento the
-// recovery ladder resumes from; publish progress; serve the checkpoint,
-// probe and history cadences; test for the end of the run; honour a
-// preemption; test the repartition trigger; refresh the rollback
-// memento.
+// same step. In order: confirm the counters and, under supervision,
+// refresh the memento the recovery ladder resumes from; publish
+// progress; serve the probe and history cadences; test for the end of
+// the run; park for a due checkpoint, a preemption or the repartition;
+// refresh the rollback memento. A parked fleet re-enters here at the
+// same step in the next epoch, where the cadences it already served
+// are not due again.
 func (l *rankLoop) healthyPoint(g float64) int {
 	d, s, sl := l.d, l.s, l.slot
 	cfg := &d.cfg
 	step := s.StepCount
+	l.flushPending()
 	if d.sup != nil {
-		// Replacement and epoch retry both restore here, so a replayed
-		// step is never double-counted.
-		l.flushPending()
+		// Replacement and epoch retry both restore here.
 		s.Save(&sl.stepStart)
 	}
 	if l.rk.ID() == 0 {
@@ -342,12 +336,7 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		// snapshot is the most informative single-rank view.
 		cfg.Control.noteProgress(step, s.Time, d.tEnd)
 		if cfg.Control.snapshotDue(step) {
-			cfg.Control.publishMetrics(sl.reg.Snapshot())
-		}
-	}
-	if d.gsnap != nil && due(cfg.CheckpointEvery, step, &sl.lastCk) {
-		if l.fatalErr = l.writeCheckpoint(); l.fatalErr != nil {
-			return nextStatus
+			cfg.Control.publishMetrics(l.reg.Snapshot())
 		}
 	}
 	if due(cfg.ProbeEvery, step, &sl.lastProbe) {
@@ -361,35 +350,27 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		}
 	}
 	if s.Time >= d.tEnd-1e-12 || (cfg.MaxSteps > 0 && step >= cfg.MaxSteps) {
-		return nextFinish
+		return nextLeave
 	}
-	if g <= stPreempt {
-		// Collective preemption point: gather the world into the
-		// in-memory control snapshot and park the epoch; the driver
-		// wraps the snapshot in a PreemptedError. The ranks park right
-		// after, so nobody re-gathers before the driver reads it from
-		// the drained fleet. Placed after the termination test so a run
-		// that already reached its end completes instead of preempting.
-		d.ctlSnapOnce.Do(func() {
-			d.ctlSnap = checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, d.nel, d.nnd)
-		})
-		if l.fatalErr = l.gatherSnapshot(d.ctlSnap); l.fatalErr != nil {
-			return nextStatus
-		}
+	// The park verdicts read only reduced or lockstep values, so every
+	// rank parks for the same reason or none does. The termination test
+	// comes first: a run that reached its end completes instead of
+	// preempting, and its end-of-run dump is the checkpoint.
+	switch {
+	case cfg.Checkpoint != "" && due(cfg.CheckpointEvery, step, &sl.lastCk):
+		sl.park = parkCheckpoint
+	case g <= stPreempt:
 		sl.park = parkPreempt
 		l.clock.Instant("preempt", nil)
-		return nextPark
-	}
-	if l.repartDue() {
-		// The driver gathers the world from the parked slots and
-		// scatters it onto the new fleet.
+	case l.repartDue():
 		sl.park = parkRepart
-		return nextPark
+	default:
+		if sl.budget > 0 && step%cfg.rollbackCadence() == 0 {
+			s.Save(&sl.roll)
+		}
+		return nextStep
 	}
-	if sl.budget > 0 && step%cfg.rollbackCadence() == 0 {
-		s.Save(&sl.roll)
-	}
-	return nextStep
+	return nextLeave
 }
 
 // advance takes one step: the Lagrangian step, the remap when its
@@ -399,7 +380,6 @@ func (l *rankLoop) healthyPoint(g float64) int {
 func (l *rankLoop) advance() {
 	d, s, sl := l.d, l.s, l.slot
 	cfg, id := &d.cfg, l.rk.ID()
-	supervised := d.sup != nil
 	l.hooksDone = 0
 	// Step increments StepCount only after every failure point, so a
 	// failed step leaves it unchanged and a rolled-back step replays
@@ -424,27 +404,23 @@ func (l *rankLoop) advance() {
 		// sequence (node targets, cell fields, velocities) with scratch
 		// values — a collective rollback follows, so only the pattern
 		// matters.
-		if l.remap != nil && (stepStart+1)%cfg.ALEFreq == 0 {
-			l.remap.ExchangeScratch(s, l.aleHooks)
+		if sl.remap != nil && (stepStart+1)%cfg.ALEFreq == 0 {
+			sl.remap.ExchangeScratch(s, l.aleHooks)
 		}
 		return
 	}
-	if l.remap != nil && s.StepCount%cfg.ALEFreq == 0 {
+	if sl.remap != nil && s.StepCount%cfg.ALEFreq == 0 {
 		l.clock.Start(hydro.TimerALE)
 		// Apply owns the remap's halo exchanges, including the
 		// post-remap ghost-velocity refresh, which it performs on every
 		// path — even failures — so peers don't block.
-		err := l.remap.Apply(s, l.clock, l.aleHooks)
+		err := sl.remap.Apply(s, l.clock, l.aleHooks)
 		l.clock.Stop(hydro.TimerALE)
 		if err != nil {
 			l.stepErr = fmt.Errorf("rank %d remap step %d: %w", id, s.StepCount, err)
 			return
 		}
-		if supervised {
-			l.pendRemaps++
-		} else {
-			l.ctrRemaps.Inc()
-		}
+		l.pendRemaps++
 	}
 	if cfg.testFault != nil {
 		cfg.testFault(id, s.StepCount, s)
@@ -460,13 +436,8 @@ func (l *rankLoop) advance() {
 		l.stepErr = fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
 		return
 	}
-	if supervised {
-		l.pendSteps++
-		l.pendCause[s.DtCause]++
-	} else {
-		l.ctrSteps.Inc()
-		l.dtCause[s.DtCause].Inc()
-	}
+	l.pendSteps++
+	l.pendCause[s.DtCause]++
 	if !math.IsInf(sl.dtCap, 1) {
 		sl.dtCap *= s.Opt.DtGrowth
 	}
@@ -501,59 +472,6 @@ func (l *rankLoop) allSum(vals ...*float64) error {
 			return fmt.Errorf("rank %d: %w", l.rk.ID(), err)
 		}
 		*v = sum
-	}
-	return nil
-}
-
-// gatherSnapshot is the collective gather behind every snapshot a
-// running fleet takes — cadence and final checkpoints, preemption:
-// every rank writes its owned entities into snap and rank 0 stamps the
-// clock and the rank-summed audit accumulators. The reductions double
-// as the barrier that orders all gathers before anyone reads snap.
-func (l *rankLoop) gatherSnapshot(snap *checkpoint.Snapshot) error {
-	s := l.s
-	ok := stOK
-	if err := snap.Gather(s); err != nil {
-		ok = stFatal
-	}
-	work, floor := s.ExternalWork, s.FloorEnergy
-	if err := l.allSum(&work, &floor); err != nil {
-		return err
-	}
-	if g, err := l.allMin(ok); err != nil {
-		return err
-	} else if g < 0 {
-		return fmt.Errorf("rank %d: snapshot gather failed", l.rk.ID())
-	}
-	if l.rk.ID() == 0 {
-		snap.SetClock(s.Time, s.DtPrev, s.StepCount, work, floor)
-	}
-	return nil
-}
-
-// writeCheckpoint gathers the fleet into the shared checkpoint snapshot
-// and has rank 0 write it. The closing reduction keeps every rank from
-// re-gathering before the write finishes, and spreads its outcome.
-func (l *rankLoop) writeCheckpoint() error {
-	if err := l.gatherSnapshot(l.d.gsnap); err != nil {
-		return err
-	}
-	ok := stOK
-	var wErr error
-	if l.rk.ID() == 0 {
-		if wErr = atomicfile.Write(l.d.cfg.Checkpoint, l.d.gsnap.Write); wErr != nil {
-			wErr = fmt.Errorf("checkpoint: %w", wErr)
-			ok = stFatal
-		}
-	}
-	g, err := l.allMin(ok)
-	switch {
-	case err != nil:
-		return err
-	case wErr != nil:
-		return wErr
-	case g < 0:
-		return fmt.Errorf("rank %d: checkpoint write failed on rank 0", l.rk.ID())
 	}
 	return nil
 }

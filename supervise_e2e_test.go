@@ -122,10 +122,10 @@ func TestSuperviseReplacementSweep(t *testing.T) {
 				}
 			}
 
-			// The replaced rank's confirmed work is merged from its
-			// retired registry and the replayed steps were only
-			// pending (never confirmed) when the epoch died, so the
-			// merged step counter is exact — no double counting.
+			// The replaced rank's confirmed work stays in its rank
+			// id's registry and the replayed steps were only pending
+			// (never confirmed) when the epoch died, so the merged
+			// step counter is exact — no double counting.
 			if got, want := res.Obs.Counters["steps_total"], int64(res.Steps*ranks); got != want {
 				t.Errorf("merged steps_total = %d, want %d (replayed steps must not double-count)",
 					got, want)
@@ -331,8 +331,42 @@ func TestSuperviseForcedRepartition(t *testing.T) {
 	}
 }
 
-// TestSuperviseOffIsInert: a nil or disabled Supervise block must leave
-// the parallel driver exactly as it was — one epoch, faults fatal.
+// TestSuperviseMidRunMetricsSurviveRepartition: the metrics a Control
+// publishes mid-run are rank 0's registry, which belongs to the rank id
+// for the whole run, so the repartition at step 8 loses neither the
+// probe samples nor the step count. At step 32 the supervised run
+// publishes what the unsupervised one does: seven probe samples (steps
+// 4 to 28; step 32's is taken after the publication) and 32 steps.
+func TestSuperviseMidRunMetricsSurviveRepartition(t *testing.T) {
+	for _, sup := range []*SuperviseConfig{nil, {Enabled: true, RepartAtStep: 8}} {
+		t.Run(fmt.Sprintf("supervise=%v", sup != nil), func(t *testing.T) {
+			cfg := Config{
+				Problem: "sod", NX: 64, NY: 4, Ranks: 2, MaxSteps: 32, ProbeEvery: 4,
+				Supervise: sup, Control: &Control{},
+			}
+			res, err := runBoundedResult(t, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sup != nil && res.Repartitions != 1 {
+				t.Fatalf("repartitions = %d, want 1", res.Repartitions)
+			}
+			m := cfg.Control.Metrics()
+			if m == nil {
+				t.Fatal("no mid-run metrics published")
+			}
+			if got := m.Counters["probe_samples_total"]; got != 7 {
+				t.Errorf("published probe_samples_total = %d, want 7", got)
+			}
+			if got := m.Counters["steps_total"]; got != 32 {
+				t.Errorf("published steps_total = %d, want 32", got)
+			}
+		})
+	}
+}
+
+// TestSuperviseOffIsInert: a nil or disabled Supervise block recovers
+// nothing — a rank panic is the run's error.
 func TestSuperviseOffIsInert(t *testing.T) {
 	cfg := Config{
 		Problem: "sod", NX: 64, NY: 4, MaxSteps: 20, Ranks: 4,
