@@ -323,7 +323,10 @@ type Result struct {
 	Time  float64
 
 	// Timers holds per-kernel seconds (max across ranks); TimerSum
-	// the rank-summed CPU seconds; Calls the invocation counts.
+	// the rank-summed CPU seconds; Calls the invocation counts (max
+	// across ranks). Calls counts kernel intervals that were run, so a
+	// recovered run's counts include the intervals of the step a
+	// failure interrupted as well as those of its replay.
 	Timers   map[string]float64
 	TimerSum map[string]float64
 	Calls    map[string]int64
@@ -419,41 +422,32 @@ func Run(cfg Config) (*Result, error) {
 	return d.run()
 }
 
-// loadSnapshot reads and validates a resume dump against the run's
-// identity and global mesh sizes. The driver calls it before any ranks
-// spawn, so a missing, truncated or incompatible dump fails the run
-// with a clear error instead of a mid-flight collapse.
-func loadSnapshot(path, problem string, nx, ny, nel, nnd int) (*checkpoint.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	defer f.Close()
-	sn, err := checkpoint.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("resume %s: %w", path, err)
-	}
-	if err := sn.Validate(problem, nx, ny, nel, nnd); err != nil {
-		return nil, fmt.Errorf("resume %s: %w", path, err)
-	}
-	return sn, nil
-}
-
-// resumeSnapshot resolves the run's resume source: the in-memory
+// resumeSnapshot resolves the run's resume source — the in-memory
 // snapshot when set (the preemption/resume path), else the Resume file,
-// else nil. Either way the snapshot is validated against the run's
-// identity before any state is touched.
+// else nil — and validates it against the run's identity and global
+// mesh sizes. The driver calls it before any ranks spawn, so a missing,
+// truncated or incompatible dump fails the run with a clear error
+// instead of a mid-flight collapse.
 func (c *Config) resumeSnapshot(nel, nnd int) (*checkpoint.Snapshot, error) {
-	if c.ResumeFrom != nil {
-		if err := c.ResumeFrom.Validate(c.Problem, c.NX, c.NY, nel, nnd); err != nil {
+	sn, src := c.ResumeFrom, "resume"
+	if sn == nil && c.Resume != "" {
+		f, err := os.Open(c.Resume)
+		if err != nil {
 			return nil, fmt.Errorf("resume: %w", err)
 		}
-		return c.ResumeFrom, nil
+		defer f.Close()
+		src = "resume " + c.Resume
+		if sn, err = checkpoint.Read(f); err != nil {
+			return nil, fmt.Errorf("%s: %w", src, err)
+		}
 	}
-	if c.Resume == "" {
+	if sn == nil {
 		return nil, nil
 	}
-	return loadSnapshot(c.Resume, c.Problem, c.NX, c.NY, nel, nnd)
+	if err := sn.Validate(c.Problem, c.NX, c.NY, nel, nnd); err != nil {
+		return nil, fmt.Errorf("%s: %w", src, err)
+	}
+	return sn, nil
 }
 
 // dtCauseCounters pre-resolves one counter per timestep-limiting cause

@@ -69,7 +69,10 @@ type rankSlot struct {
 	// roll backs in-epoch collective rollback-retry (cadence
 	// rollbackEvery); stepStart is the supervised per-step
 	// healthy-point snapshot the ladder's retry/replace restore. Both
-	// carry masses iff the run remaps (newSlot), the only writer of them.
+	// stay: roll lags by up to rollbackEvery steps so that a rollback
+	// escapes the instability, stepStart is the exact replay point, and
+	// neither can be derived from the other. Both carry masses iff the
+	// run remaps (newSlot), the only writer of them.
 	roll      hydro.Memento
 	stepStart hydro.Memento
 
@@ -264,12 +267,13 @@ func (d *driver) decompose(n int, world *checkpoint.Snapshot) ([]*partition.SubM
 	default:
 		cx := make([]float64, m.NEl)
 		cy := make([]float64, m.NEl)
+		wx, wy := world.Field("x"), world.Field("y")
 		for e, nds := range m.ElNd {
 			var sx, sy float64
 			for _, nd := range nds {
 				gn := m.GlobalNdID(int(nd)) // world is in canonical generation order
-				sx += world.X[gn]
-				sy += world.Y[gn]
+				sx += wx[gn]
+				sy += wy[gn]
 			}
 			cx[e], cy[e] = 0.25*sx, 0.25*sy
 		}
@@ -623,8 +627,8 @@ func (d *driver) gatherParked(snap *checkpoint.Snapshot) error {
 		work += sl.s.ExternalWork
 		floor += sl.s.FloorEnergy
 	}
-	s0 := d.slots[0].s
-	snap.SetClock(s0.Time, s0.DtPrev, s0.StepCount, work, floor)
+	snap.Clock = d.slots[0].s.Clock
+	snap.ExternalWork, snap.FloorEnergy = work, floor
 	return nil
 }
 
@@ -733,31 +737,25 @@ func (d *driver) finalize() (*Result, error) {
 		// Fields gather through the canonical GlobalEl/GlobalNd ids, so
 		// the mesh they present on is the canonical one.
 		Mesh: d.canon, TEnd: d.tEnd, Gamma: p.Gamma, SedovEnergy: p.SedovEnergy,
-		Rho:     make([]float64, d.nel),
-		Ein:     make([]float64, d.nel),
-		P:       make([]float64, d.nel),
-		U:       make([]float64, d.nnd),
-		V:       make([]float64, d.nnd),
-		X:       make([]float64, d.nnd),
-		Y:       make([]float64, d.nnd),
 		History: d.history,
 	}
+	// Result's seven arrays are rows of the state's field table, each
+	// scattered owned→global by every rank, as a dump's are.
+	fields := map[string]*[]float64{"rho": &res.Rho, "ein": &res.Ein, "p": &res.P, "u": &res.U, "v": &res.V, "x": &res.X, "y": &res.Y}
+	for _, f := range hydro.DumpFields(d.nel, d.nnd) {
+		dst := fields[f.Name]
+		if dst == nil {
+			continue
+		}
+		*dst = make([]float64, f.Len)
+		for _, sl := range d.slots {
+			if err := sl.s.ScatterOwned(f.Name, *dst); err != nil {
+				return nil, fmt.Errorf("bookleaf: %w", err)
+			}
+		}
+	}
 	for _, sl := range d.slots {
-		lm := sl.sub.M
 		s := sl.s
-		for i := 0; i < lm.NOwnEl; i++ {
-			ge := lm.GlobalElID(i)
-			res.Rho[ge] = s.Rho[i]
-			res.Ein[ge] = s.Ein[i]
-			res.P[ge] = s.P[i]
-		}
-		for i := 0; i < lm.NOwnNd; i++ {
-			gn := lm.GlobalNdID(i)
-			res.U[gn] = s.U[i]
-			res.V[gn] = s.V[i]
-			res.X[gn] = s.X[i]
-			res.Y[gn] = s.Y[i]
-		}
 		res.ExternalWork += s.ExternalWork
 		res.FloorEnergy += s.FloorEnergy
 		res.EFinal += s.TotalEnergy()

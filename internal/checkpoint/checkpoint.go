@@ -28,10 +28,11 @@ import (
 	"bookleaf/internal/hydro"
 )
 
-// FormatVersion identifies the snapshot layout: the global layout with
-// the NEl/NNd size fields and a checksum trailer. Dumps of any other
-// version are rejected.
-const FormatVersion = 3
+// FormatVersion identifies the snapshot layout: the fields as an
+// ordered list keyed by hydro's field-table names, the NEl/NNd size
+// fields and a checksum trailer. Dumps of any other version are
+// rejected.
+const FormatVersion = 4
 
 // ErrVersion is matched (via errors.Is) by errors reporting a snapshot
 // whose format version this build cannot read.
@@ -49,79 +50,50 @@ type Snapshot struct {
 
 	// Clock and audits. ExternalWork and FloorEnergy are the global
 	// (rank-summed) accumulators.
-	Time, DtPrev              float64
-	StepCount                 int
-	ExternalWork, FloorEnergy float64
+	hydro.Clock
 
-	// Node fields, indexed by global node id.
-	X, Y, U, V, NdMass []float64
-	// Element fields, indexed by global element id.
-	Rho, Ein, P, Q, Csq, Vol, Mass []float64
-	// Corner masses, corner k of global element e at 4*e+k.
-	CMass []float64
+	// Fields are hydro.DumpFields, in that order: node rows indexed by
+	// global node id, element rows by global element id, corner k of
+	// global element e at 4*e+k. A slice, not a map, so that the gob
+	// stream has one byte order.
+	Fields []Field
+}
+
+// Field is one dumped row of the state, in global order.
+type Field struct {
+	Name string
+	Data []float64
 }
 
 // New allocates an empty snapshot sized for the global mesh.
 func New(problem string, nx, ny, nel, nnd int) *Snapshot {
-	return &Snapshot{
-		Version: FormatVersion,
-		Problem: problem, NX: nx, NY: ny, NEl: nel, NNd: nnd,
-		X: make([]float64, nnd), Y: make([]float64, nnd),
-		U: make([]float64, nnd), V: make([]float64, nnd),
-		NdMass: make([]float64, nnd),
-		Rho:    make([]float64, nel), Ein: make([]float64, nel),
-		P: make([]float64, nel), Q: make([]float64, nel),
-		Csq: make([]float64, nel), Vol: make([]float64, nel),
-		Mass: make([]float64, nel), CMass: make([]float64, 4*nel),
+	sn := &Snapshot{Version: FormatVersion, Problem: problem, NX: nx, NY: ny, NEl: nel, NNd: nnd}
+	for _, f := range hydro.DumpFields(nel, nnd) {
+		sn.Fields = append(sn.Fields, Field{Name: f.Name, Data: make([]float64, f.Len)})
 	}
+	return sn
+}
+
+// Field returns the dumped row name, or nil.
+func (sn *Snapshot) Field(name string) []float64 {
+	for _, f := range sn.Fields {
+		if f.Name == name {
+			return f.Data
+		}
+	}
+	return nil
 }
 
 // Gather writes the owned entities of s into their global slots. On a
 // partitioned run every rank Gathers into a shared snapshot (the owned
 // slots are disjoint); a serial state fills the whole snapshot.
 func (sn *Snapshot) Gather(s *hydro.State) error {
-	m := s.Mesh
-	cs := s.CornerStride()
-	for i := 0; i < m.NOwnEl; i++ {
-		ge := m.GlobalElID(i)
-		if ge < 0 || ge >= sn.NEl {
-			return fmt.Errorf("checkpoint: local element %d maps to global %d outside [0,%d)", i, ge, sn.NEl)
+	for _, f := range sn.Fields {
+		if err := s.ScatterOwned(f.Name, f.Data); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
 		}
-		sn.Rho[ge] = s.Rho[i]
-		sn.Ein[ge] = s.Ein[i]
-		sn.P[ge] = s.P[i]
-		sn.Q[ge] = s.Q[i]
-		sn.Csq[ge] = s.Csq[i]
-		sn.Vol[ge] = s.Vol[i]
-		sn.Mass[ge] = s.Mass[i]
-		// The snapshot keeps the dense stride-4 corner format, not the
-		// in-memory corner stride.
-		for k := 0; k < 4; k++ {
-			sn.CMass[4*ge+k] = s.CMass[cs*i+k]
-		}
-	}
-	for i := 0; i < m.NOwnNd; i++ {
-		gn := m.GlobalNdID(i)
-		if gn < 0 || gn >= sn.NNd {
-			return fmt.Errorf("checkpoint: local node %d maps to global %d outside [0,%d)", i, gn, sn.NNd)
-		}
-		sn.X[gn] = s.X[i]
-		sn.Y[gn] = s.Y[i]
-		sn.U[gn] = s.U[i]
-		sn.V[gn] = s.V[i]
-		sn.NdMass[gn] = s.NdMass[i]
 	}
 	return nil
-}
-
-// SetClock records the simulation clock and the global audit
-// accumulators (rank-summed on parallel runs).
-func (sn *Snapshot) SetClock(time, dtPrev float64, step int, work, floor float64) {
-	sn.Time = time
-	sn.DtPrev = dtPrev
-	sn.StepCount = step
-	sn.ExternalWork = work
-	sn.FloorEnergy = floor
 }
 
 // Capture builds a complete snapshot from a serial (global-mesh) state.
@@ -131,30 +103,51 @@ func Capture(s *hydro.State, problem string, nx, ny int) *Snapshot {
 	if err := sn.Gather(s); err != nil {
 		panic(err)
 	}
-	sn.SetClock(s.Time, s.DtPrev, s.StepCount, s.ExternalWork, s.FloorEnergy)
+	sn.Clock = s.Clock
 	return sn
+}
+
+// check is the one version and identity check: the format version
+// first (a mismatch matches ErrVersion), then, for a consumer that
+// names its run — every one but Read — the problem and resolution.
+func (sn *Snapshot) check(problem string, nx, ny int) error {
+	if sn.Version != FormatVersion {
+		return fmt.Errorf("%w: snapshot is version %d, this build reads version %d",
+			ErrVersion, sn.Version, FormatVersion)
+	}
+	if problem != "" && (sn.Problem != problem || sn.NX != nx || sn.NY != ny) {
+		return fmt.Errorf("checkpoint: snapshot is %s %dx%d, run is %s %dx%d",
+			sn.Problem, sn.NX, sn.NY, problem, nx, ny)
+	}
+	return nil
+}
+
+// checkFields holds the fields to hydro's table: the same names in the
+// same order, each sized for the declared mesh.
+func (sn *Snapshot) checkFields() error {
+	want := hydro.DumpFields(sn.NEl, sn.NNd)
+	ok := len(sn.Fields) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = sn.Fields[i].Name == want[i].Name && len(sn.Fields[i].Data) == want[i].Len
+	}
+	if !ok {
+		return fmt.Errorf("checkpoint: snapshot fields do not match the state's field table at the declared mesh (%d elements, %d nodes) — truncated or corrupted dump?",
+			sn.NEl, sn.NNd)
+	}
+	return nil
 }
 
 // Validate checks the snapshot against the identity and global sizes of
 // the run about to consume it; drivers call it before any ranks spawn.
 func (sn *Snapshot) Validate(problem string, nx, ny, nel, nnd int) error {
-	if sn.Version != FormatVersion {
-		return fmt.Errorf("%w: snapshot is version %d, this build reads version %d",
-			ErrVersion, sn.Version, FormatVersion)
-	}
-	if sn.Problem != problem || sn.NX != nx || sn.NY != ny {
-		return fmt.Errorf("checkpoint: snapshot is %s %dx%d, run is %s %dx%d",
-			sn.Problem, sn.NX, sn.NY, problem, nx, ny)
+	if err := sn.check(problem, nx, ny); err != nil {
+		return err
 	}
 	if sn.NEl != nel || sn.NNd != nnd {
 		return fmt.Errorf("checkpoint: snapshot mesh has %d elements / %d nodes, run has %d / %d",
 			sn.NEl, sn.NNd, nel, nnd)
 	}
-	if len(sn.Rho) != sn.NEl || len(sn.X) != sn.NNd || len(sn.CMass) != 4*sn.NEl {
-		return fmt.Errorf("checkpoint: snapshot field sizes inconsistent with declared mesh (%d elements, %d nodes) — truncated or corrupted dump?",
-			sn.NEl, sn.NNd)
-	}
-	return nil
+	return sn.checkFields()
 }
 
 // Restore loads the snapshot into s, restricting the global fields to
@@ -164,52 +157,23 @@ func (sn *Snapshot) Validate(problem string, nx, ny, nel, nnd int) error {
 // global problem, regardless of the rank count or partitioner that
 // wrote the snapshot.
 func (sn *Snapshot) Restore(s *hydro.State, problem string, nx, ny int) error {
-	if sn.Version != FormatVersion {
-		return fmt.Errorf("%w: snapshot is version %d, this build reads version %d",
-			ErrVersion, sn.Version, FormatVersion)
+	if err := sn.check(problem, nx, ny); err != nil {
+		return err
 	}
-	if sn.Problem != problem || sn.NX != nx || sn.NY != ny {
-		return fmt.Errorf("checkpoint: snapshot is %s %dx%d, run is %s %dx%d",
-			sn.Problem, sn.NX, sn.NY, problem, nx, ny)
+	if err := sn.checkFields(); err != nil {
+		return err
 	}
 	m := s.Mesh
-	cs := s.CornerStride()
 	if m.GlobalEl == nil && (m.NEl != sn.NEl || m.NNd != sn.NNd) {
 		return fmt.Errorf("checkpoint: field sizes do not match the state (nodes %d vs %d, elements %d vs %d)",
 			sn.NNd, m.NNd, sn.NEl, m.NEl)
 	}
-	for i := 0; i < m.NEl; i++ {
-		ge := m.GlobalElID(i)
-		if ge < 0 || ge >= sn.NEl {
-			return fmt.Errorf("checkpoint: local element %d maps to global %d outside [0,%d)", i, ge, sn.NEl)
-		}
-		s.Rho[i] = sn.Rho[ge]
-		s.Ein[i] = sn.Ein[ge]
-		s.P[i] = sn.P[ge]
-		s.Q[i] = sn.Q[ge]
-		s.Csq[i] = sn.Csq[ge]
-		s.Vol[i] = sn.Vol[ge]
-		s.Mass[i] = sn.Mass[ge]
-		for k := 0; k < 4; k++ {
-			s.CMass[cs*i+k] = sn.CMass[4*ge+k]
+	for _, f := range sn.Fields {
+		if err := s.Restrict(f.Name, f.Data); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	for i := 0; i < m.NNd; i++ {
-		gn := m.GlobalNdID(i)
-		if gn < 0 || gn >= sn.NNd {
-			return fmt.Errorf("checkpoint: local node %d maps to global %d outside [0,%d)", i, gn, sn.NNd)
-		}
-		s.X[i] = sn.X[gn]
-		s.Y[i] = sn.Y[gn]
-		s.U[i] = sn.U[gn]
-		s.V[i] = sn.V[gn]
-		s.NdMass[i] = sn.NdMass[gn]
-	}
-	s.Time = sn.Time
-	s.DtPrev = sn.DtPrev
-	s.StepCount = sn.StepCount
-	s.ExternalWork = sn.ExternalWork
-	s.FloorEnergy = sn.FloorEnergy
+	s.Clock = sn.Clock
 	return nil
 }
 
@@ -235,9 +199,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sn); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode (truncated or corrupted dump?): %w", err)
 	}
-	if sn.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads version %d",
-			ErrVersion, sn.Version, FormatVersion)
+	if err := sn.check("", 0, 0); err != nil {
+		return nil, err
 	}
 	if _, err := atomicfile.Summed(b); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w (truncated or corrupted dump?)", err)

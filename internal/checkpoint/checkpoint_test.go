@@ -4,7 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"bookleaf/internal/atomicfile"
 
 	"bookleaf/internal/hydro"
 	"bookleaf/internal/partition"
@@ -175,9 +182,28 @@ func TestValidateChecksIdentityAndSizes(t *testing.T) {
 	if err := snap.Validate("sod", 16, 2, p.Mesh.NEl+1, p.Mesh.NNd); err == nil {
 		t.Fatal("element-count mismatch accepted")
 	}
-	snap.Rho = snap.Rho[:len(snap.Rho)-1]
-	if err := snap.Validate("sod", 16, 2, p.Mesh.NEl, p.Mesh.NNd); err == nil {
-		t.Fatal("internally inconsistent snapshot accepted")
+	for _, damage := range []struct {
+		what string
+		do   func(fs []Field)
+	}{
+		{"a short field", func(fs []Field) { fs[4].Data = fs[4].Data[:len(fs[4].Data)-1] }},
+		{"a renamed field", func(fs []Field) { fs[0].Name = "xx" }},
+		{"two fields swapped", func(fs []Field) { fs[0], fs[1] = fs[1], fs[0] }},
+	} {
+		bad := *snap
+		bad.Fields = append([]Field(nil), snap.Fields...)
+		damage.do(bad.Fields)
+		if err := bad.Validate("sod", 16, 2, p.Mesh.NEl, p.Mesh.NNd); err == nil {
+			t.Errorf("snapshot with %s accepted", damage.what)
+		}
+		if err := bad.Restore(s, "sod", 16, 2); err == nil {
+			t.Errorf("snapshot with %s restored", damage.what)
+		}
+	}
+	bad := *snap
+	bad.Fields = snap.Fields[:len(snap.Fields)-1]
+	if err := bad.Validate("sod", 16, 2, p.Mesh.NEl, p.Mesh.NNd); err == nil {
+		t.Error("snapshot missing a field accepted")
 	}
 }
 
@@ -230,21 +256,13 @@ func TestDistributedGatherMatchesSerialCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got.SetClock(want.Time, want.DtPrev, want.StepCount, want.ExternalWork, want.FloorEnergy)
+	got.Clock = want.Clock
 
-	for e := 0; e < want.NEl; e++ {
-		if got.Rho[e] != want.Rho[e] || got.Ein[e] != want.Ein[e] || got.Mass[e] != want.Mass[e] {
-			t.Fatalf("gathered element %d differs from serial capture", e)
-		}
-		for k := 0; k < 4; k++ {
-			if got.CMass[4*e+k] != want.CMass[4*e+k] {
-				t.Fatalf("gathered corner mass %d/%d differs", e, k)
+	for i, f := range want.Fields {
+		for j, v := range f.Data {
+			if math.Float64bits(got.Fields[i].Data[j]) != math.Float64bits(v) {
+				t.Fatalf("gathered %s[%d] = %v, serial capture %v", f.Name, j, got.Fields[i].Data[j], v)
 			}
-		}
-	}
-	for n := 0; n < want.NNd; n++ {
-		if got.X[n] != want.X[n] || got.U[n] != want.U[n] || got.NdMass[n] != want.NdMass[n] {
-			t.Fatalf("gathered node %d differs from serial capture", n)
 		}
 	}
 }
@@ -319,5 +337,143 @@ func TestReadLegacyDumpIsVersionError(t *testing.T) {
 	}
 	if _, err := Read(&buf); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version-2 dump: error %v does not match ErrVersion", err)
+	}
+}
+
+// TestReadV3DumpIsVersionError: a format-v3 dump, its fields named
+// struct members behind the checksum trailer, reads as a version
+// error, not as a corruption report.
+func TestReadV3DumpIsVersionError(t *testing.T) {
+	type v3 struct {
+		Version                                                   int
+		Problem                                                   string
+		NX, NY, NEl, NNd                                          int
+		X, Y, U, V, NdMass, Rho, Ein, P, Q, Csq, Vol, Mass, CMass []float64
+	}
+	old := v3{Version: 3, Problem: "sod", NX: 2, NY: 1, NEl: 2, NNd: 6, Rho: []float64{1, 0.125}}
+	var buf bytes.Buffer
+	if err := atomicfile.WriteSummed(&buf, func(w io.Writer) error { return gob.NewEncoder(w).Encode(old) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-3 dump: error %v does not match ErrVersion", err)
+	}
+}
+
+// stateRow is the State array a dumped row names, found by the field's
+// own name, not through the dump's scatter and restrict.
+func stateRow(t *testing.T, s *hydro.State, name string) []float64 {
+	t.Helper()
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && strings.EqualFold(f.Name, name) {
+			return v.Field(i).Interface().([]float64)
+		}
+	}
+	t.Fatalf("dumped row %q names no State field", name)
+	return nil
+}
+
+// subStates cuts a Sod 12×5 problem into n ranks' local states.
+func subStates(t *testing.T, p *setup.Problem, n int) []*hydro.State {
+	t.Helper()
+	if n == 1 {
+		s, err := p.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*hydro.State{s}
+	}
+	part, err := partition.RCBMesh(p.Mesh, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := partition.Split(p.Mesh, part, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*hydro.State
+	for _, sm := range subs {
+		lm := sm.M
+		rho := make([]float64, lm.NEl)
+		ein := make([]float64, lm.NEl)
+		for i, ge := range lm.GlobalEl {
+			rho[i], ein[i] = p.Rho[ge], p.Ein[ge]
+		}
+		ls, err := hydro.NewState(lm, p.Opt, rho, ein)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ls)
+	}
+	return out
+}
+
+// TestDumpRoundTripsEveryRow writes a pattern into every row a dump
+// carries — distinct per row, global entity and corner, so owned and
+// ghost copies agree — gathers it at one and at three ranks, restores
+// it at one and at three, and expects every local entity's pattern back
+// bitwise. A row the dump forgot would come back as the overwrite.
+func TestDumpRoundTripsEveryRow(t *testing.T) {
+	p, err := setup.Sod(12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := func(row, g, k int) float64 { return float64(row+1)*1e6 + float64(4*g+k) + 0.5 }
+	// each visits every local entity of every dumped row of s: the array,
+	// the entity's first slot in it, its global id and width. A row's
+	// global length says its entity: the 12×5 mesh has 60 elements and
+	// 78 nodes.
+	nel, nnd := p.Mesh.NEl, p.Mesh.NNd
+	each := func(s *hydro.State, visit func(row int, a []float64, slot, g, w int)) {
+		m := s.Mesh
+		for row, f := range hydro.DumpFields(nel, nnd) {
+			a := stateRow(t, s, f.Name)
+			n, st, w, global := m.NEl, 1, 1, m.GlobalElID
+			switch f.Len {
+			case nnd:
+				n, global = m.NNd, m.GlobalNdID
+			case 4 * nel:
+				st, w = s.CornerStride(), 4
+			}
+			for i := 0; i < n; i++ {
+				visit(row, a, st*i, global(i), w)
+			}
+		}
+	}
+	for _, from := range []int{1, 3} {
+		for _, to := range []int{1, 3} {
+			t.Run(fmt.Sprintf("gather@%d/restore@%d", from, to), func(t *testing.T) {
+				sn := New("sod", 12, 5, p.Mesh.NEl, p.Mesh.NNd)
+				for _, s := range subStates(t, p, from) {
+					each(s, func(row int, a []float64, slot, g, w int) {
+						for k := 0; k < w; k++ {
+							a[slot+k] = pattern(row, g, k)
+						}
+					})
+					if err := sn.Gather(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, s := range subStates(t, p, to) {
+					each(s, func(_ int, a []float64, slot, _, w int) {
+						for k := 0; k < w; k++ {
+							a[slot+k] = -1
+						}
+					})
+					if err := sn.Restore(s, "sod", 12, 5); err != nil {
+						t.Fatal(err)
+					}
+					each(s, func(row int, a []float64, slot, g, w int) {
+						for k := 0; k < w; k++ {
+							if want := pattern(row, g, k); math.Float64bits(a[slot+k]) != math.Float64bits(want) {
+								t.Fatalf("row %s global %d corner %d: %v after the round trip, want %v",
+									hydro.DumpFields(nel, nnd)[row].Name, g, k, a[slot+k], want)
+							}
+						}
+					})
+				}
+			})
+		}
 	}
 }

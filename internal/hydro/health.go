@@ -97,17 +97,23 @@ type Memento struct {
 	// remapper has touched, must still be given the remapped masses.
 	Masses bool
 
-	x, y, u, v                []float64
-	rho, ein, p, q, csq, vol  []float64
-	mass, cMass, ndMass       []float64
-	time, dtPrev              float64
-	stepCount                 int
-	externalWork, floorEnergy float64
-	valid                     bool
+	// el and nd are the saved prefixes of the element and node slabs;
+	// cMass the CMass halves of the corner records, 4 per element.
+	el, nd, cMass []float64
+	clock         Clock
+	valid         bool
 }
 
 // Valid reports whether the memento holds a saved state.
 func (m *Memento) Valid() bool { return m.valid }
+
+// kept is the last class of row m carries.
+func (m *Memento) kept() class {
+	if m.Masses {
+		return remapWritten
+	}
+	return evolving
+}
 
 // Save copies the evolving state of s into m, reusing m's storage
 // after the first call.
@@ -118,24 +124,19 @@ func (s *State) Save(m *Memento) {
 		}
 		copy(*dst, src)
 	}
-	cp(&m.x, s.X)
-	cp(&m.y, s.Y)
-	cp(&m.u, s.U)
-	cp(&m.v, s.V)
-	cp(&m.rho, s.Rho)
-	cp(&m.ein, s.Ein)
-	cp(&m.p, s.P)
-	cp(&m.q, s.Q)
-	cp(&m.csq, s.Csq)
-	cp(&m.vol, s.Vol)
+	c := m.kept()
+	cp(&m.el, s.el.prefix(rowsUpTo(element, c)))
+	cp(&m.nd, s.nd.prefix(rowsUpTo(node, c)))
 	if m.Masses {
-		cp(&m.mass, s.Mass)
-		cp(&m.cMass, s.CMass)
-		cp(&m.ndMass, s.NdMass)
+		nel := s.Mesh.NEl
+		if len(m.cMass) != 4*nel {
+			m.cMass = make([]float64, 4*nel)
+		}
+		for e := 0; e < nel; e++ {
+			copy(m.cMass[4*e:4*e+4], s.CMass[cornerStride*e:])
+		}
 	}
-	m.time, m.dtPrev = s.Time, s.DtPrev
-	m.stepCount = s.StepCount
-	m.externalWork, m.floorEnergy = s.ExternalWork, s.FloorEnergy
+	m.clock = s.Clock
 	m.valid = true
 }
 
@@ -145,25 +146,17 @@ func (s *State) Load(m *Memento) {
 	if !m.valid {
 		panic("hydro: Load from empty Memento")
 	}
-	if len(m.x) != len(s.X) || len(m.rho) != len(s.Rho) {
+	c := m.kept()
+	el, nd := s.el.prefix(rowsUpTo(element, c)), s.nd.prefix(rowsUpTo(node, c))
+	if len(m.el) != len(el) || len(m.nd) != len(nd) || m.Masses && len(m.cMass) != 4*s.Mesh.NEl {
 		panic("hydro: Load from Memento of a different mesh")
 	}
-	copy(s.X, m.x)
-	copy(s.Y, m.y)
-	copy(s.U, m.u)
-	copy(s.V, m.v)
-	copy(s.Rho, m.rho)
-	copy(s.Ein, m.ein)
-	copy(s.P, m.p)
-	copy(s.Q, m.q)
-	copy(s.Csq, m.csq)
-	copy(s.Vol, m.vol)
+	copy(el, m.el)
+	copy(nd, m.nd)
 	if m.Masses {
-		copy(s.Mass, m.mass)
-		copy(s.CMass, m.cMass)
-		copy(s.NdMass, m.ndMass)
+		for e := 0; e < s.Mesh.NEl; e++ {
+			copy(s.CMass[cornerStride*e:cornerStride*e+4], m.cMass[4*e:])
+		}
 	}
-	s.Time, s.DtPrev = m.time, m.dtPrev
-	s.StepCount = m.stepCount
-	s.ExternalWork, s.FloorEnergy = m.externalWork, m.floorEnergy
+	s.Clock = m.clock
 }

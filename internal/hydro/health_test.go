@@ -158,8 +158,10 @@ func TestLagrangianMementoHoldsNoMasses(t *testing.T) {
 	s := evolved(t)
 	var mem Memento
 	s.Save(&mem)
-	if mem.mass != nil || mem.cMass != nil || mem.ndMass != nil {
-		t.Fatalf("a memento without Masses holds %d/%d/%d mass words", len(mem.mass), len(mem.cMass), len(mem.ndMass))
+	// The memento is the evolving prefix of each slab and nothing else.
+	if el, nd := s.el.prefix(rowsUpTo(element, evolving)), s.nd.prefix(rowsUpTo(node, evolving)); mem.cMass != nil || len(mem.el) != len(el) || len(mem.nd) != len(nd) {
+		t.Fatalf("a memento without Masses holds %d/%d slab words and %d corner masses, want %d/%d and none",
+			len(mem.el), len(mem.nd), len(mem.cMass), len(el), len(nd))
 	}
 	moving := func() map[string][]float64 {
 		return map[string][]float64{
@@ -219,11 +221,28 @@ func TestMassesMementoRestoresFreshState(t *testing.T) {
 	for n := range old.NdMass {
 		old.NdMass[n] *= 1 - 0.02*float64(n%4)
 	}
+	// The limiter scratch shares the CMass record; the memento must not.
+	for e := range old.Mass {
+		for k := 0; k < 4; k++ {
+			old.psi[cornerStride*e+k] = -3
+		}
+	}
 	mem := Memento{Masses: true}
 	old.Save(&mem)
+	if len(mem.cMass) != 4*old.Mesh.NEl {
+		t.Fatalf("memento holds %d corner masses, want the %d CMass halves", len(mem.cMass), 4*old.Mesh.NEl)
+	}
 
 	fresh := evolved(t)
+	psi := append([]float64(nil), fresh.psi...)
 	fresh.Load(&mem)
+	for e := range fresh.Mass {
+		for k := 0; k < 4; k++ {
+			if c := cornerStride*e + k; math.Float64bits(fresh.psi[c]) != math.Float64bits(psi[c]) {
+				t.Fatalf("Load wrote psi of element %d edge %d: %v, was %v", e, k, fresh.psi[c], psi[c])
+			}
+		}
+	}
 	if i := bitsDiffer(fresh.Mass, old.Mass); i >= 0 {
 		t.Errorf("Mass[%d] = %v, saved %v", i, fresh.Mass[i], old.Mass[i])
 	}

@@ -48,8 +48,8 @@ const cornerStride = 8
 
 // State holds the evolving hydrodynamic state on a (possibly local,
 // ghost-bearing) mesh. Element arrays have length NEl, node arrays
-// NNd; the corner arrays (FX/FY, CMass/psi) are indexed
-// cornerStride*e+k.
+// NNd, each a row of the element or node slab (fieldTable); the corner
+// arrays (FX/FY, CMass/psi) are indexed cornerStride*e+k.
 type State struct {
 	Mesh *mesh.Mesh
 	Opt  Options
@@ -60,13 +60,13 @@ type State struct {
 	X, Y []float64
 	// Node velocity.
 	U, V []float64
-	// NdMass is the fixed nodal mass (sum of adjacent corner masses).
+	// NdMass is the nodal mass (sum of adjacent corner masses).
 	NdMass []float64
 
 	// Element state.
 	Rho, Ein, P, Q, Csq, Vol []float64
-	// Mass is the fixed element mass; CMass the fixed corner
-	// (sub-zonal) masses.
+	// Mass is the element mass; CMass the corner (sub-zonal) masses.
+	// After NewState only the remap writes the three masses.
 	Mass, CMass []float64
 
 	// Corner forces (per corner x/y), rebuilt by GetForce.
@@ -80,23 +80,15 @@ type State struct {
 	UBar, VBar     []float64
 	Ein0           []float64
 
+	// el and nd back every element and node row of fieldTable.
+	el, nd slab
+
 	// PistonU, PistonV is the prescribed velocity of Piston-flagged
 	// nodes (Saltzmann).
 	PistonU, PistonV float64
 
-	// ExternalWork accumulates work done on the gas through
-	// prescribed-velocity (piston) nodes, so total-energy audits close.
-	ExternalWork float64
-
-	// FloorEnergy accumulates internal energy added by GetEin's
-	// negative-energy floor (zero on well-resolved problems);
-	// conservation audits subtract it.
-	FloorEnergy float64
-
-	// Time and DtPrev track the simulation clock across steps.
-	Time, DtPrev float64
-	// StepCount is the number of completed Lagrangian steps.
-	StepCount int
+	// Clock holds the simulation clock and the audit accumulators.
+	Clock
 	// DtCause records which condition controlled the last timestep
 	// (set by GetDt; DtCauseInitial on the first step).
 	DtCause DtCause
@@ -124,6 +116,23 @@ type State struct {
 	// half of the CMass record, a cache line the sub-zonal force loads
 	// anyway.
 	psi []float64
+}
+
+// Clock is the scalar part of what moves — the simulation clock and the
+// audit accumulators — which a memento and a dump carry whole beside the
+// field table's rows.
+type Clock struct {
+	// Time and DtPrev track the simulation clock across steps.
+	Time, DtPrev float64
+	// StepCount is the number of completed Lagrangian steps.
+	StepCount int
+	// ExternalWork accumulates work done on the gas through
+	// prescribed-velocity (piston) nodes, so total-energy audits close.
+	ExternalWork float64
+	// FloorEnergy accumulates internal energy added by GetEin's
+	// negative-energy floor (zero on well-resolved problems);
+	// conservation audits subtract it.
+	FloorEnergy float64
 }
 
 // NewState allocates a State over m with initial per-element density
@@ -155,45 +164,39 @@ func NewState(m *mesh.Mesh, opt Options, rho, ein []float64) (*State, error) {
 		Opt:  opt,
 		Pool: par.Serial,
 
-		X: append([]float64(nil), m.X...),
-		Y: append([]float64(nil), m.Y...),
-		U: make([]float64, nnd),
-		V: make([]float64, nnd),
+		el: newSlab(element, nel),
+		nd: newSlab(node, nnd),
 
-		Rho: append([]float64(nil), rho...),
-		Ein: append([]float64(nil), ein...),
-		P:   make([]float64, nel),
-		Q:   make([]float64, nel),
-		Csq: make([]float64, nel),
-		Vol: make([]float64, nel),
-
-		Mass:   make([]float64, nel),
-		NdMass: make([]float64, nnd),
-
-		X0:   make([]float64, nnd),
-		Y0:   make([]float64, nnd),
-		U0:   make([]float64, nnd),
-		V0:   make([]float64, nnd),
-		UBar: make([]float64, nnd),
-		VBar: make([]float64, nnd),
-		Ein0: make([]float64, nel),
-
-		DtPrev: opt.DtInitial,
+		Clock: Clock{DtPrev: opt.DtInitial},
 	}
-	// Corner arrays: FX/FY are overlapping views (offset 4) of one
-	// interleaved backing, so FX[8e..8e+3]|FY[8e..8e+3] is one
-	// contiguous record; CMass/psi pair up the same way. The views
-	// alias, which is the point — and is harmless, since no kernel
-	// writes one member of a pair through the other's slots.
+	// Element and node rows are views of the two slabs, in table order;
+	// the corner arrays are overlapping views (offset 4) of interleaved
+	// backings, so FX[8e..8e+3]|FY[8e..8e+3] is one contiguous record
+	// and CMass|psi pair up the same way. The corner views alias, which
+	// is the point — and is harmless, since no kernel writes one member
+	// of a pair through the other's slots.
 	const cs = cornerStride
-	fxy := make([]float64, cs*nel)
-	aux := make([]float64, cs*nel)
+	fxy, aux := aligned(cs*nel), aligned(cs*nel)
+	var slot [corner + 1]int
+	for _, f := range fieldTable {
+		switch f.ent {
+		case element:
+			*f.field(s) = s.el.row(slot[element])
+		case node:
+			*f.field(s) = s.nd.row(slot[node])
+		}
+		slot[f.ent]++
+	}
 	s.FX, s.FY = fxy, fxy
 	s.CMass, s.psi = aux, aux
 	if nel > 0 {
 		s.FY = fxy[4:]
 		s.psi = aux[4:]
 	}
+	copy(s.X, m.X)
+	copy(s.Y, m.Y)
+	copy(s.Rho, rho)
+	copy(s.Ein, ein)
 
 	// Volumes, masses, sub-zonal corner masses.
 	var x, y [4]float64

@@ -289,6 +289,51 @@ func TestDurableGracefulShutdownParks(t *testing.T) {
 	}
 }
 
+// TestDurableV3SpillRestartsFromScratch: a spill file from a build that
+// wrote format v3 does not resume. The restarted daemon runs its job
+// again from t = 0, and the job still completes bitwise a direct run.
+func TestDurableV3SpillRestartsFromScratch(t *testing.T) {
+	deck := "[control]\nproblem = sod\nnx = 400\nny = 4\ntend = 0.25\n"
+	want := directRun(t, deck)
+	dir := t.TempDir()
+	s, err := Open(Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(strings.NewReader(deck), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitProgress(t, s, j, 10)
+	s.Close()
+	spill := filepath.Join(dir, j.ID+snapSuffix)
+	sn, err := readSnapFile(spill)
+	if err != nil {
+		t.Fatalf("no spill after graceful shutdown: %v", err)
+	}
+	sn.Version = 3
+	var buf bytes.Buffer
+	if err := sn.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spill, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	j2 := mustGet(t, s2, j.ID)
+	j2.Wait()
+	// A resumed job carries its preemption over; a restarted one has none.
+	if st := s2.Status(j2); st.State != StateDone || st.Preemptions != 0 {
+		t.Fatalf("job ended %q (%s) with %d preemptions, want done from scratch", st.State, st.Error, st.Preemptions)
+	}
+	assertResultBitwise(t, s2.Result(j2), want)
+}
+
 func mustGet(t *testing.T, s *Server, id string) *Job {
 	t.Helper()
 	j, ok := s.Get(id)

@@ -142,7 +142,11 @@ func slicesOf(prefix string, v any, fields []string) []array {
 // in address order, an array adds what lies beyond everything counted
 // so far. It sets every array's bytes and returns the total.
 func countOnce(arrays []array) uintptr {
-	sort.SliceStable(arrays, func(i, j int) bool { return arrays[i].lo < arrays[j].lo })
+	// At one address the widest array goes first, so an allocation is
+	// counted whole before the views that lie inside it.
+	sort.SliceStable(arrays, func(i, j int) bool {
+		return arrays[i].lo < arrays[j].lo || arrays[i].lo == arrays[j].lo && arrays[i].hi > arrays[j].hi
+	})
 	var covered, total uintptr
 	for i := range arrays {
 		a := &arrays[i]

@@ -391,7 +391,10 @@ func TestSuperviseOffIsInert(t *testing.T) {
 // the maximum over rank ids, so the full-run counts it reports can only
 // come from rank 0's clock running on across its replacement — a clock
 // restarted with the new incarnation would miss the steps before the
-// fault, and rank 1's stops at the repartition.
+// fault, and rank 1's stops at the repartition. getacc and alegetmesh
+// read 21 over 20 steps by Result.Calls's stated policy: it counts the
+// intervals that were run, and the interrupted step ran one of each
+// before its replay ran them again.
 func TestSuperviseTimersAccumulatePerRankID(t *testing.T) {
 	cfg := Config{
 		Problem: "sod", NX: 64, NY: 4, MaxSteps: 20, Ranks: 2, ALE: "eulerian",
