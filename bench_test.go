@@ -203,7 +203,7 @@ func BenchmarkRemap(b *testing.B) {
 		name string
 		opt  ale.Options
 	}{
-		{"eulerian", ale.DefaultOptions()},
+		{"eulerian", ale.Options{Mode: ale.Eulerian}},
 		{"smoothed", ale.Options{Mode: ale.Smoothed, SmoothWeight: 0.5}},
 	} {
 		for _, threads := range []int{1, 2, 4} {

@@ -104,8 +104,9 @@ type Config struct {
 	// Checkpoint, when set, names a restart-dump file written every
 	// CheckpointEvery steps (default: end of run only). Resume, when
 	// set, restores a prior dump before stepping. Snapshots are
-	// partition-independent (format v3): a run checkpointed at N ranks
-	// may resume at any rank count with any partitioner.
+	// partition-independent (format checkpoint.FormatVersion): a run
+	// checkpointed at N ranks may resume at any rank count with any
+	// partitioner.
 	Checkpoint      string
 	CheckpointEvery int
 	Resume          string
@@ -194,28 +195,28 @@ func (c *Config) normalise() error {
 		c.Partitioner = "rcb"
 	}
 	if c.Ranks < 1 || c.Threads < 1 || c.ALEFreq < 1 {
-		return fmt.Errorf("bookleaf: Ranks, Threads and ALEFreq must be >= 1")
+		return fmt.Errorf("Ranks, Threads and ALEFreq must be >= 1")
 	}
 	switch c.ALE {
 	case "", "eulerian", "smoothed":
 	default:
-		return fmt.Errorf("bookleaf: unknown ALE mode %q", c.ALE)
+		return fmt.Errorf("unknown ALE mode %q", c.ALE)
 	}
 	switch c.Hourglass {
 	case "", "none", "filter", "subzonal":
 	default:
-		return fmt.Errorf("bookleaf: unknown hourglass control %q", c.Hourglass)
+		return fmt.Errorf("unknown hourglass control %q", c.Hourglass)
 	}
 	switch c.Partitioner {
 	case "rcb", "metis":
 	default:
-		return fmt.Errorf("bookleaf: unknown partitioner %q", c.Partitioner)
+		return fmt.Errorf("unknown partitioner %q", c.Partitioner)
 	}
 	if _, err := order.Parse(c.Reorder); err != nil {
-		return fmt.Errorf("bookleaf: %w", err)
+		return err
 	}
 	if c.Pool != nil && c.Ranks > 1 {
-		return fmt.Errorf("bookleaf: Pool is a one-rank lease (the ranks of a wider fleet each own a pool)")
+		return fmt.Errorf("Pool is a one-rank lease (the ranks of a wider fleet each own a pool)")
 	}
 	if c.Pool != nil {
 		c.Threads = c.Pool.Threads
@@ -225,7 +226,7 @@ func (c *Config) normalise() error {
 	}
 	if sc := c.Supervise; sc != nil {
 		if sc.RepartAtStep < 0 || sc.RepartRanks < 0 {
-			return fmt.Errorf("bookleaf: [supervise] repart_at %d and repart_ranks %d must be >= 0", sc.RepartAtStep, sc.RepartRanks)
+			return fmt.Errorf("[supervise] repart_at %d and repart_ranks %d must be >= 0", sc.RepartAtStep, sc.RepartRanks)
 		}
 		if !sc.Enabled {
 			c.Supervise = nil // nil is off from here on

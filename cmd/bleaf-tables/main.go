@@ -2,13 +2,12 @@
 // paper's evaluation section:
 //
 //	-table1   experimental configurations (platform registry)
-//	-table2   per-kernel breakdown, model vs paper (Noh, single node)
-//	-fig1     overall single-node Noh times across the 7 configs
-//	-fig2a    viscosity kernel times (single node)
-//	-fig2b    acceleration kernel times (single node)
-//	-fig3     Sod hybrid strong scaling 8-64 nodes, overall
-//	-fig4a    viscosity kernel strong scaling
-//	-fig4b    acceleration kernel strong scaling
+//	-table2   per-kernel breakdown, model vs paper (Noh, single node);
+//	          its overall, viscosity and acceleration columns are
+//	          Figures 1, 2a and 2b
+//	-fig3     Sod hybrid strong scaling 8-64 nodes: overall (Figure 3)
+//	          with the viscosity and acceleration kernel columns
+//	          (Figures 4a and 4b)
 //	-real     additionally run the real Go implementation on this host
 //	          (reduced-size Noh) and print its measured flat-vs-hybrid
 //	          per-kernel breakdown — the same experiment at laptop scale
@@ -17,12 +16,14 @@
 // Platform seconds come from internal/machine: a roofline +
 // execution-model performance model of the paper's hardware (see
 // DESIGN.md for the substitution rationale); the paper's numbers are
-// printed alongside so shape agreement is visible directly.
+// printed alongside so shape agreement is visible directly. A failed
+// run or mesh generation ends the command with exit status 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 
@@ -35,13 +36,8 @@ import (
 func main() {
 	var (
 		t1     = flag.Bool("table1", false, "print Table I")
-		t2     = flag.Bool("table2", false, "print Table II (model vs paper)")
-		f1     = flag.Bool("fig1", false, "print Figure 1 series")
-		f2a    = flag.Bool("fig2a", false, "print Figure 2a series")
-		f2b    = flag.Bool("fig2b", false, "print Figure 2b series")
-		f3     = flag.Bool("fig3", false, "print Figure 3 series")
-		f4a    = flag.Bool("fig4a", false, "print Figure 4a series")
-		f4b    = flag.Bool("fig4b", false, "print Figure 4b series")
+		t2     = flag.Bool("table2", false, "print Table II (model vs paper; Figures 1, 2a and 2b are its overall, visc and accel columns)")
+		f3     = flag.Bool("fig3", false, "print Figure 3 with the Figure 4a/4b kernel columns")
 		real   = flag.Bool("real", false, "run the real implementation at reduced scale")
 		whatif = flag.Bool("whatif", false, "model the paper's future-work CUB scenario")
 		roofl  = flag.Bool("roofline", false, "print the kernel-fusion roofline readout")
@@ -50,9 +46,9 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*t1, *t2, *f1, *f2a, *f2b, *f3, *f4a, *f4b, *real, *whatif, *roofl, *reord = true, true, true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *f3, *real, *whatif, *roofl, *reord = true, true, true, true, true, true, true
 	}
-	if !(*t1 || *t2 || *f1 || *f2a || *f2b || *f3 || *f4a || *f4b || *real || *whatif || *roofl || *reord) {
+	if !(*t1 || *t2 || *f3 || *real || *whatif || *roofl || *reord) {
 		flag.Usage()
 		return
 	}
@@ -63,17 +59,8 @@ func main() {
 	if *t2 {
 		table2()
 	}
-	if *f1 {
-		figure1()
-	}
-	if *f2a {
-		figure2("a", "viscosity (getq)", func(r machine.PaperRow) float64 { return r.Visc })
-	}
-	if *f2b {
-		figure2("b", "acceleration (getacc)", func(r machine.PaperRow) float64 { return r.Acc })
-	}
-	if *f3 || *f4a || *f4b {
-		figures34(*f3, *f4a, *f4b)
+	if *f3 {
+		figure3()
 	}
 	if *whatif {
 		whatIf()
@@ -81,11 +68,16 @@ func main() {
 	if *roofl {
 		roofline()
 	}
+	var err error
 	if *reord {
-		reorderReadout()
+		err = reorderReadout()
 	}
-	if *real {
-		realRuns()
+	if *real && err == nil {
+		err = realRuns()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bleaf-tables:", err)
+		os.Exit(1)
 	}
 }
 
@@ -128,7 +120,7 @@ func roofline() {
 // row-major sweep, and the predicted step speedup on the
 // bandwidth-bound CPU platforms. EXPERIMENTS.md pairs these with the
 // measured ns/el from the grid benchmark.
-func reorderReadout() {
+func reorderReadout() error {
 	var skl, bdw machine.Platform
 	for _, pl := range machine.Platforms() {
 		switch pl.Name {
@@ -155,8 +147,7 @@ func reorderReadout() {
 	} {
 		p, err := mesh.gen(mesh.nx, mesh.ny)
 		if err != nil {
-			fmt.Printf("  mesh generation failed: %v\n", err)
-			return
+			return err
 		}
 		fmt.Printf("== Mesh renumbering locality readout (%s, reuse window %d) ==\n",
 			mesh.name, machine.DefaultReuseWindow)
@@ -166,8 +157,7 @@ func reorderReadout() {
 		for _, kind := range []order.Kind{order.None, order.Hilbert, order.RCM} {
 			m, err := order.Reorder(p.Mesh, kind)
 			if err != nil {
-				fmt.Printf("  %s: %v\n", kind, err)
-				continue
+				return fmt.Errorf("%s: %w", kind, err)
 			}
 			loc := machine.MeshReuse(m.ElNd, m.NNd, 0)
 			fmt.Printf("%-10s %10.4f %10.1f %7.3fx %9.3fx %9.3fx\n",
@@ -177,6 +167,7 @@ func reorderReadout() {
 		}
 		fmt.Println()
 	}
+	return nil
 }
 
 // whatIf prints the paper's future-work scenario: CUDA with proper
@@ -218,6 +209,7 @@ func table1() {
 func table2() {
 	w := machine.Table2Workload()
 	fmt.Println("== Table II: per-kernel breakdown, Noh, single node (seconds) ==")
+	fmt.Println("Figures 1, 2a and 2b are its overall, visc and accel columns")
 	fmt.Printf("modelled workload: %d elements, %d steps\n", w.NEl, w.Steps)
 	fmt.Printf("%-18s %9s %9s %9s %9s %9s %9s %9s\n",
 		"config", "overall", "visc", "accel", "getdt", "getgeom", "getforce", "getpc")
@@ -232,69 +224,30 @@ func table2() {
 	fmt.Println()
 }
 
-func figure1() {
-	w := machine.Table2Workload()
-	fmt.Println("== Figure 1: overall Noh single-node execution time (s) ==")
-	fmt.Printf("%-18s %9s %9s\n", "config", "model", "paper")
-	for i, p := range machine.Platforms() {
-		m := machine.ModelRow(p, w)
-		fmt.Printf("%-18s %9.1f %9.1f\n", m.Name, m.Overall, machine.PaperTable2[i].Overall)
-	}
-	fmt.Println()
-}
-
-func figure2(sub, title string, get func(machine.PaperRow) float64) {
-	w := machine.Table2Workload()
-	fmt.Printf("== Figure 2%s: %s kernel time, Noh single node (s) ==\n", sub, title)
-	fmt.Printf("%-18s %9s %9s\n", "config", "model", "paper")
-	for i, p := range machine.Platforms() {
-		m := machine.ModelRow(p, w)
-		fmt.Printf("%-18s %9.1f %9.1f\n", m.Name, get(m), get(machine.PaperTable2[i]))
-	}
-	fmt.Println()
-}
-
-func figures34(f3, f4a, f4b bool) {
+func figure3() {
 	w := machine.Fig3Workload()
 	nodes := []int{8, 16, 32, 64}
 	for _, p := range machine.Platforms() {
 		if p.Exec != machine.Hybrid {
 			continue
 		}
-		pts := p.StrongScaling(w, nodes)
 		cpu := "Skylake"
 		if p.Name == "Broadwell Hybrid" {
 			cpu = "Broadwell"
 		}
-		if f3 {
-			fmt.Printf("== Figure 3: Sod hybrid strong scaling, %s, overall (s) ==\n", cpu)
-			fmt.Printf("%-6s %10s %10s %10s\n", "nodes", "model", "paper", "speedup")
-			prev := 0.0
-			for i, pt := range pts {
-				paper := machine.PaperFig3[cpu][i].Secs
-				sp := "-"
-				if prev > 0 {
-					sp = fmt.Sprintf("%.2fx", prev/pt.Overall)
-				}
-				fmt.Printf("%-6d %10.0f %10.0f %10s\n", pt.Nodes, pt.Overall, paper, sp)
-				prev = pt.Overall
+		fmt.Printf("== Figures 3, 4a, 4b: Sod hybrid strong scaling, %s (s) ==\n", cpu)
+		fmt.Printf("%-6s %10s %10s %10s %10s %10s\n", "nodes", "model", "paper", "speedup", "visc", "accel")
+		prev := 0.0
+		for i, pt := range p.StrongScaling(w, nodes) {
+			sp := "-"
+			if prev > 0 {
+				sp = fmt.Sprintf("%.2fx", prev/pt.Overall)
 			}
-			fmt.Println()
+			fmt.Printf("%-6d %10.0f %10.0f %10s %10.0f %10.0f\n",
+				pt.Nodes, pt.Overall, machine.PaperFig3[cpu][i].Secs, sp, pt.Viscosity, pt.Acceleration)
+			prev = pt.Overall
 		}
-		if f4a {
-			fmt.Printf("== Figure 4a: viscosity kernel strong scaling, %s (s) ==\n", cpu)
-			for _, pt := range pts {
-				fmt.Printf("%-6d %10.0f\n", pt.Nodes, pt.Viscosity)
-			}
-			fmt.Println()
-		}
-		if f4b {
-			fmt.Printf("== Figure 4b: acceleration kernel strong scaling, %s (s) ==\n", cpu)
-			for _, pt := range pts {
-				fmt.Printf("%-6d %10.0f\n", pt.Nodes, pt.Acceleration)
-			}
-			fmt.Println()
-		}
+		fmt.Println()
 	}
 }
 
@@ -302,7 +255,7 @@ func figures34(f3, f4a, f4b bool) {
 // this host: flat goroutine-ranks versus one rank with threads, the
 // same single-node contrast the paper measures, plus a rank-scaling
 // sweep (the real analogue of Figure 3).
-func realRuns() {
+func realRuns() error {
 	ncpu := runtime.NumCPU()
 	ranks := ncpu
 	if ranks > 8 {
@@ -333,8 +286,7 @@ func realRuns() {
 			NoFuse: true,
 		})
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		total := 0.0
 		for _, s := range res.Timers {
@@ -352,8 +304,7 @@ func realRuns() {
 	for _, r := range []int{1, 2, 4, ranks} {
 		res, err := bookleaf.Run(bookleaf.Config{Problem: "sod", NX: 256, NY: 8, Ranks: r})
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		total := 0.0
 		for _, s := range res.Timers {
@@ -365,4 +316,5 @@ func realRuns() {
 		fmt.Printf("%-6d %10.2f %9.2fx\n", r, total, base/total)
 	}
 	fmt.Println()
+	return nil
 }

@@ -25,52 +25,115 @@ var paperRows = []struct {
 
 // TestTablesSmoke builds bleaf-tables and checks that -table1 -table2
 // print every platform of Table I and, for each, Table II's model row
-// followed by the paper row with the paper's overall time; and that an
-// unknown flag is a usage error.
+// followed by the paper row with the paper's overall time; that each
+// flag prints its artefact's header (-real, seconds of host runs, only
+// through -all; alone it is checked in -h) and -all prints every
+// header; that -fig3 sets the paper's seconds beside the Figure 4a/4b
+// kernel columns; and that an unknown flag is a usage error.
 func TestTablesSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "bleaf-tables")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-table1", "-table2").Output()
-	if err != nil {
-		t.Fatalf("bleaf-tables -table1 -table2: %v", err)
-	}
-	text := string(out)
-	i1 := strings.Index(text, "== Table I:")
-	i2 := strings.Index(text, "== Table II:")
-	if i1 < 0 || i2 < i1 {
-		t.Fatalf("Table I then Table II expected:\n%s", text)
-	}
-	t1 := strings.Split(text[i1:i2], "\n")
-	t2 := strings.Split(text[i2:], "\n")
-	for _, r := range paperRows {
-		if !hasPrefix(t1, r.name+" ") {
-			t.Errorf("Table I has no %q row", r.name)
+	t.Run("table1+table2", func(t *testing.T) {
+		out, err := exec.Command(bin, "-table1", "-table2").Output()
+		if err != nil {
+			t.Fatalf("bleaf-tables -table1 -table2: %v", err)
 		}
-		found := false
-		for i, line := range t2[:len(t2)-1] {
-			if strings.HasPrefix(line, r.name+" ") && strings.HasSuffix(line, "<- model") {
-				paper := strings.Fields(t2[i+1])
-				found = len(paper) > 0 && paper[0] == r.overall && strings.HasSuffix(t2[i+1], "<- paper")
-				break
+		text := string(out)
+		i1 := strings.Index(text, "== Table I:")
+		i2 := strings.Index(text, "== Table II:")
+		if i1 < 0 || i2 < i1 {
+			t.Fatalf("Table I then Table II expected:\n%s", text)
+		}
+		t1 := strings.Split(text[i1:i2], "\n")
+		t2 := strings.Split(text[i2:], "\n")
+		for _, r := range paperRows {
+			if !hasPrefix(t1, r.name+" ") {
+				t.Errorf("Table I has no %q row", r.name)
+			}
+			found := false
+			for i, line := range t2[:len(t2)-1] {
+				if strings.HasPrefix(line, r.name+" ") && strings.HasSuffix(line, "<- model") {
+					paper := strings.Fields(t2[i+1])
+					found = len(paper) > 0 && paper[0] == r.overall && strings.HasSuffix(t2[i+1], "<- paper")
+					break
+				}
+			}
+			if !found {
+				t.Errorf("Table II has no %q model row followed by a paper row of %s s", r.name, r.overall)
 			}
 		}
-		if !found {
-			t.Errorf("Table II has no %q model row followed by a paper row of %s s", r.name, r.overall)
-		}
+	})
+
+	// Each flag but -all, in the order -all prints them, with its header.
+	headers := []struct{ flag, header string }{
+		{"table1", "== Table I:"},
+		{"table2", "== Table II:"},
+		{"fig3", "== Figures 3, 4a, 4b:"},
+		{"real", "== Real runs on this host"},
+		{"whatif", "== What-if"},
+		{"roofline", "== Kernel-fusion roofline"},
+		{"reorder", "== Mesh renumbering locality readout"},
+	}
+	for _, h := range headers {
+		t.Run(h.flag, func(t *testing.T) {
+			args, header := []string{"-" + h.flag}, h.header
+			if h.flag == "real" {
+				args, header = []string{"-h"}, "-real"
+			}
+			out, _ := exec.Command(bin, args...).CombinedOutput()
+			if !strings.Contains(string(out), header) {
+				t.Errorf("bleaf-tables %s prints no %q:\n%s", args[0], header, out)
+			}
+			if h.flag != "fig3" {
+				return
+			}
+			// Skylake at 8 and 64 nodes: model and paper seconds,
+			// speedup, then the Figure 4a viscosity and 4b
+			// acceleration seconds.
+			for _, row := range []string{"8 2289 2400 - 774 230", "64 169 190 1.98x 58 19"} {
+				if !hasFields(string(out), row) {
+					t.Errorf("-fig3 has no Skylake row %q:\n%s", row, out)
+				}
+			}
+		})
 	}
 
-	err = exec.Command(bin, "-no-such-flag").Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("unknown flag: %v, want a non-zero exit", err)
-	}
+	t.Run("all", func(t *testing.T) {
+		out, err := exec.Command(bin, "-all").Output()
+		if err != nil {
+			t.Fatalf("bleaf-tables -all: %v", err)
+		}
+		for _, h := range headers {
+			if !strings.Contains(string(out), h.header) {
+				t.Errorf("bleaf-tables -all prints no %q header (-%s)", h.header, h.flag)
+			}
+		}
+	})
+
+	t.Run("unknown-flag", func(t *testing.T) {
+		err := exec.Command(bin, "-no-such-flag").Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("unknown flag: %v, want a non-zero exit", err)
+		}
+	})
 }
 
 func hasPrefix(lines []string, prefix string) bool {
 	for _, l := range lines {
 		if strings.HasPrefix(l, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasFields reports whether some line of text has the fields of want.
+func hasFields(text, want string) bool {
+	for _, l := range strings.Split(text, "\n") {
+		if strings.Join(strings.Fields(l), " ") == want {
 			return true
 		}
 	}

@@ -175,12 +175,24 @@ func TestRemovedSwitchesFailLoudly(t *testing.T) {
 // TestOversizeMeshExitsWithTheError: a mesh past the 32-bit index
 // ceiling, including one whose element count overflows int, ends the
 // command with exit status 1 and the generator's message on stderr, not
-// a runtime out-of-memory crash.
+// a runtime out-of-memory crash. A failed run's message carries the
+// command's prefix once: a missing resume dump is one more such input.
 func TestOversizeMeshExitsWithTheError(t *testing.T) {
 	bin := buildCLI(t)
-	for _, size := range [][2]string{{"100000", "100000"}, {"4294967296", "4294967296"}} {
-		t.Run(size[0]+"x"+size[1], func(t *testing.T) {
-			cmd := exec.Command(bin, "-problem", "sod", "-nx", size[0], "-ny", size[1], "-quiet")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"100000x100000", []string{"-nx", "100000", "-ny", "100000"},
+			"bookleaf: mesh: Rect 100000x100000 exceeds the 32-bit index ceiling of 536870911 elements"},
+		{"4294967296x4294967296", []string{"-nx", "4294967296", "-ny", "4294967296"},
+			"bookleaf: mesh: Rect 4294967296x4294967296 exceeds the 32-bit index ceiling of 536870911 elements"},
+		{"resume", []string{"-nx", "8", "-ny", "2", "-resume", "/nonexistent.ckpt"},
+			"bookleaf: resume: open /nonexistent.ckpt: no such file or directory"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(bin, append([]string{"-problem", "sod", "-quiet"}, tc.args...)...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			err := cmd.Run()
@@ -188,9 +200,8 @@ func TestOversizeMeshExitsWithTheError(t *testing.T) {
 			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
 				t.Fatalf("err %v, want exit status 1\n%s", err, stderr.String())
 			}
-			want := fmt.Sprintf("bookleaf: mesh: Rect %sx%s exceeds the 32-bit index ceiling of 536870911 elements", size[0], size[1])
-			if got := strings.TrimSpace(stderr.String()); got != want {
-				t.Errorf("stderr %q, want %q", got, want)
+			if got := strings.TrimSpace(stderr.String()); got != tc.want {
+				t.Errorf("stderr %q, want %q", got, tc.want)
 			}
 		})
 	}

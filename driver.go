@@ -216,13 +216,13 @@ func newDriver(cfg Config) (*driver, error) {
 		// CSR and regions are garbage before Split and NewStateOn
 		// allocate, which is where a run's memory peaks.
 		if p.Mesh, err = order.Reorder(p.Mesh, kind); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
+			return nil, err
 		}
 	}
 	nel, nnd := p.Mesh.NEl, p.Mesh.NNd
 	resume, err := cfg.resumeSnapshot(nel, nnd)
 	if err != nil {
-		return nil, fmt.Errorf("bookleaf: %w", err)
+		return nil, err
 	}
 
 	d := &driver{
@@ -240,7 +240,7 @@ func newDriver(cfg Config) (*driver, error) {
 		d.sup = supervise.New(d.supReg)
 	}
 	if err := d.buildFleet(resume); err != nil {
-		return nil, fmt.Errorf("bookleaf: %w", err)
+		return nil, err
 	}
 	return d, nil
 }
@@ -406,7 +406,7 @@ func (d *driver) run() (*Result, error) {
 	for {
 		runErr, err := d.runEpoch()
 		if err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
+			return nil, err
 		}
 		rootErr, rank := d.rootCause(runErr)
 		if rootErr == nil {
@@ -418,7 +418,7 @@ func (d *driver) run() (*Result, error) {
 				return nil, d.preemptError()
 			case parkRepart:
 				if err := d.doRepart(); err != nil {
-					return nil, fmt.Errorf("bookleaf: repartition: %w", err)
+					return nil, fmt.Errorf("repartition: %w", err)
 				}
 				continue
 			}
@@ -426,7 +426,7 @@ func (d *driver) run() (*Result, error) {
 			// write the dump.
 			if d.gsnap != nil {
 				if err := d.writeDump(); err != nil {
-					return nil, fmt.Errorf("bookleaf: checkpoint: %w", err)
+					return nil, fmt.Errorf("checkpoint: %w", err)
 				}
 			}
 			if park == parkCheckpoint {
@@ -437,11 +437,11 @@ func (d *driver) run() (*Result, error) {
 		if errors.Is(rootErr, ErrCanceled) {
 			// A cancel is a request honoured, not a fault: it bypasses
 			// the supervision ladder (there is nothing to recover).
-			return nil, fmt.Errorf("bookleaf: %w", rootErr)
+			return nil, rootErr
 		}
 		if d.sup == nil {
 			// Supervision off: any epoch fault is fatal.
-			return nil, fmt.Errorf("bookleaf: %w", rootErr)
+			return nil, rootErr
 		}
 		dec := d.sup.Decide(rootErr, rank)
 		d.noteDecision(dec)
@@ -555,7 +555,7 @@ func (d *driver) preemptError() error {
 	cfg := &d.cfg
 	snap := checkpoint.New(cfg.Problem, cfg.NX, cfg.NY, d.nel, d.nnd)
 	if err := d.gatherParked(snap); err != nil {
-		return fmt.Errorf("bookleaf: preempt: %w", err)
+		return fmt.Errorf("preempt: %w", err)
 	}
 	return &PreemptedError{Snapshot: snap, Step: snap.StepCount, Time: snap.Time, Obs: d.mergedObs()}
 }
@@ -700,10 +700,10 @@ func (d *driver) abortWithCheckpoint(root error) error {
 			err = d.writeDump()
 		}
 		if err != nil {
-			return fmt.Errorf("bookleaf: %w (final checkpoint failed: %v)", root, err)
+			return fmt.Errorf("%w (final checkpoint failed: %v)", root, err)
 		}
 	}
-	return fmt.Errorf("bookleaf: %w", root)
+	return root
 }
 
 // noteDecision drops a trace instant for a ladder decision on the
@@ -750,7 +750,7 @@ func (d *driver) finalize() (*Result, error) {
 		*dst = make([]float64, f.Len)
 		for _, sl := range d.slots {
 			if err := sl.s.ScatterOwned(f.Name, *dst); err != nil {
-				return nil, fmt.Errorf("bookleaf: %w", err)
+				return nil, err
 			}
 		}
 	}
@@ -829,13 +829,13 @@ func (d *driver) finalize() (*Result, error) {
 	if cfg.Trace != "" {
 		for _, id := range ids {
 			if err := d.byID[id].clock.WriteTraceFile(cfg.Trace); err != nil {
-				return nil, fmt.Errorf("bookleaf: %w", err)
+				return nil, err
 			}
 		}
 	}
 	if cfg.Metrics != "" {
 		if err := writeMetricsFile(cfg.Metrics, *cfg, res, time.Since(d.start).Seconds()); err != nil {
-			return nil, fmt.Errorf("bookleaf: %w", err)
+			return nil, err
 		}
 	}
 	return res, nil

@@ -81,11 +81,6 @@ type Options struct {
 	FirstOrder bool
 }
 
-// DefaultOptions returns an Eulerian second-order remap.
-func DefaultOptions() Options {
-	return Options{Mode: Eulerian, SmoothWeight: 0.5}
-}
-
 // Hooks extend the remap to distributed meshes: each refreshes ghost
 // entries of the given fields; nil (or a nil hook) means serial
 // operation.

@@ -96,7 +96,7 @@ func totals(s *hydro.State) (mass, energy, px, py float64) {
 
 func TestRemapIdentityWhenMeshUnmoved(t *testing.T) {
 	s := testState(t, 6, 6, func(cx, cy float64) float64 { return 1 + cx }, func(cx, cy float64) float64 { return 2 - cy })
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	rho0 := append([]float64(nil), s.Rho...)
 	ein0 := append([]float64(nil), s.Ein...)
 	if err := r.Apply(s, nil, nil); err != nil {
@@ -114,7 +114,7 @@ func TestRemapPreservesConstantField(t *testing.T) {
 	// exactly constant (free-stream preservation).
 	s := testState(t, 8, 8, func(cx, cy float64) float64 { return 2.5 }, func(cx, cy float64) float64 { return 1.5 })
 	displaceInterior(s, 0.02)
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	if err := r.Apply(s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRemapConservesMassEnergyMomentum(t *testing.T) {
 	}
 	displaceInterior(s, 0.02)
 	m0, e0, px0, py0 := totals(s)
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	if err := r.Apply(s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRemapConservesMomentumInteriorFlow(t *testing.T) {
 	}
 	displaceInterior(s, 0.015)
 	_, _, px0, py0 := totals(s)
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	if err := r.Apply(s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRemapConservesMomentumInteriorFlow(t *testing.T) {
 func TestRemapRestoresTargetMesh(t *testing.T) {
 	s := testState(t, 6, 6, func(cx, cy float64) float64 { return 1 }, func(cx, cy float64) float64 { return 1 })
 	displaceInterior(s, 0.02)
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	if err := r.Apply(s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRemapDiscreteMaximumPrinciple(t *testing.T) {
 	displaceInterior(s, 0.02)
 	gMinR, gMaxR := 0.5, 4.0
 	gMinE, gMaxE := 1.0, 3.0
-	r := NewRemapper(DefaultOptions(), s)
+	r := NewRemapper(Options{Mode: Eulerian}, s)
 	if err := r.Apply(s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSecondOrderBeatsFirstOrderOnLinearField(t *testing.T) {
 			s.Rho[e] = 1 + cx
 		}
 		rebuildMasses(s)
-		opt := DefaultOptions()
+		opt := Options{Mode: Eulerian}
 		opt.FirstOrder = firstOrder
 		r := NewRemapper(opt, s)
 		if err := r.Apply(s, nil, nil); err != nil {
@@ -354,7 +354,7 @@ func TestRemapErrorOnCatastrophicTarget(t *testing.T) {
 	for name, build := range builds {
 		sRef := build()
 		var want *ErrRemap
-		if err := newRefRemap(DefaultOptions(), sRef).apply(sRef, nil); !errors.As(err, &want) {
+		if err := newRefRemap(Options{Mode: Eulerian}, sRef).apply(sRef, nil); !errors.As(err, &want) {
 			t.Fatalf("%s: reference remap returned %v, want an ErrRemap", name, err)
 		}
 		if (name == "volume") != (want.Corner == -1) || want.Element < 0 {
@@ -370,7 +370,7 @@ func TestRemapErrorOnCatastrophicTarget(t *testing.T) {
 			exchanges := 0
 			hooks := &Hooks{ExchangeVelocities: func(u, v []float64) { exchanges++ }}
 			var got *ErrRemap
-			if err := NewRemapper(DefaultOptions(), s).Apply(s, nil, hooks); !errors.As(err, &got) {
+			if err := NewRemapper(Options{Mode: Eulerian}, s).Apply(s, nil, hooks); !errors.As(err, &got) {
 				t.Fatalf("%s threads=%d: remap returned %v, want an ErrRemap", name, threads, err)
 			}
 			if *got != *want {

@@ -18,7 +18,7 @@ func TestRemapZeroAllocs(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"eulerian", DefaultOptions()},
+		{"eulerian", Options{Mode: Eulerian}},
 		{"smoothed", Options{Mode: Smoothed, SmoothWeight: 0.5}},
 		{"firstorder", Options{Mode: Eulerian, FirstOrder: true}},
 	}

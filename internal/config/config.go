@@ -190,13 +190,3 @@ func (d *Deck) Unused() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Sections returns the sorted section names.
-func (d *Deck) Sections() []string {
-	var out []string
-	for s := range d.sections {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}

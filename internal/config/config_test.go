@@ -1,9 +1,6 @@
 package config
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 const sample = `
 # a comment
@@ -98,14 +95,6 @@ func TestUnusedReportsTypos(t *testing.T) {
 	unused := d.Unused()
 	if len(unused) != 1 || unused[0] != "control.nz" {
 		t.Fatalf("unused = %v, want [control.nz]", unused)
-	}
-}
-
-func TestSections(t *testing.T) {
-	d, _ := ParseString(sample)
-	secs := d.Sections()
-	if strings.Join(secs, ",") != "ale,control" {
-		t.Fatalf("sections = %v", secs)
 	}
 }
 

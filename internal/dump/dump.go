@@ -43,20 +43,3 @@ func Columns(w io.Writer, names []string, cols ...[]float64) error {
 	}
 	return nil
 }
-
-// Series writes one labelled (x, y) series block in gnuplot style.
-func Series(w io.Writer, label string, xs, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("dump: series %q length mismatch %d vs %d", label, len(xs), len(ys))
-	}
-	if _, err := fmt.Fprintf(w, "# %s\n", label); err != nil {
-		return err
-	}
-	for i := range xs {
-		if _, err := fmt.Fprintf(w, "%.10g %.10g\n", xs[i], ys[i]); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}

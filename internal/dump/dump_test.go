@@ -29,17 +29,3 @@ func TestColumnsErrors(t *testing.T) {
 		t.Fatal("empty columns accepted")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var b strings.Builder
-	if err := Series(&b, "noh", []float64{1, 2}, []float64{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "# noh\n") || !strings.Contains(out, "1 3\n2 4\n") {
-		t.Fatalf("series output %q", out)
-	}
-	if err := Series(&b, "bad", []float64{1}, nil); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}

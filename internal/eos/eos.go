@@ -138,17 +138,9 @@ type JWL struct {
 	Rho0   float64 // reference (unreacted) density
 }
 
-// NewJWL validates and returns a JWL material.
-func NewJWL(a, b, r1, r2, w, rho0 float64) (JWL, error) {
-	if rho0 <= 0 || r1 <= 0 || r2 <= 0 || w <= 0 {
-		return JWL{}, fmt.Errorf("eos: jwl parameters R1=%v R2=%v w=%v rho0=%v must be positive", r1, r2, w, rho0)
-	}
-	return JWL{A: a, B: b, R1: r1, R2: r2, W: w, Rho0: rho0}, nil
-}
-
 // LX14 returns JWL constants for a representative plastic-bonded
 // explosive (in CGS-derived code units scaled to unit reference
-// density), handy for tests and examples.
+// density). No deck selects it; the hydro tests step it.
 func LX14() JWL {
 	return JWL{A: 8.545, B: 0.205, R1: 4.6, R2: 1.35, W: 0.38, Rho0: 1.0}
 }

@@ -138,15 +138,6 @@ func TestJWLPositiveSoundSpeedOverRange(t *testing.T) {
 	}
 }
 
-func TestJWLRejectsBadParams(t *testing.T) {
-	if _, err := NewJWL(1, 1, 0, 1, 0.3, 1); err == nil {
-		t.Fatal("R1=0 accepted")
-	}
-	if _, err := NewJWL(1, 1, 4, 1, 0.3, -1); err == nil {
-		t.Fatal("rho0<0 accepted")
-	}
-}
-
 func TestVoid(t *testing.T) {
 	v := Void{}
 	if p := v.Pressure(3, 9); p != 0 {

@@ -10,7 +10,7 @@ func TestSodStarState(t *testing.T) {
 	// Reference values from Toro, "Riemann Solvers and Numerical
 	// Methods for Fluid Dynamics", Test 1: p* = 0.30313, u* = 0.92745.
 	rp := Sod(0.5)
-	p, u, err := rp.Solve()
+	p, u, err := rp.solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRiemannVacuumDetected(t *testing.T) {
 		Right: GasState{Rho: 1, U: 10, P: 0.01},
 		Gamma: 1.4,
 	}
-	if _, _, err := rp.Solve(); err == nil {
+	if _, _, err := rp.solve(); err == nil {
 		t.Fatal("vacuum-generating problem accepted")
 	}
 }
@@ -94,7 +94,7 @@ func TestRiemannSymmetricProblemHasZeroContactVelocity(t *testing.T) {
 		Right: GasState{Rho: 1, U: -1, P: 1},
 		Gamma: 1.4,
 	}
-	p, u, err := rp.Solve()
+	p, u, err := rp.solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRiemannSymmetricProblemHasZeroContactVelocity(t *testing.T) {
 func TestRiemannContactConsistency(t *testing.T) {
 	// Across the contact the pressure and velocity must be continuous.
 	rp := Sod(0.5)
-	pStar, uStar, _ := rp.Solve()
+	pStar, uStar, _ := rp.solve()
 	tEnd := 0.2
 	xc := 0.5 + uStar*tEnd
 	l, _ := rp.Sample(xc-1e-6, tEnd)
@@ -133,7 +133,7 @@ func TestNohPostShockValues(t *testing.T) {
 	if r := n.ShockRadius(0.6); math.Abs(r-0.2) > 1e-12 {
 		t.Fatalf("shock radius at t=0.6 = %v, want 0.2", r)
 	}
-	if p := n.PostShockPressure(); math.Abs(p-16.0/3.0) > 1e-12 {
+	if p := n.postShockPressure(); math.Abs(p-16.0/3.0) > 1e-12 {
 		t.Fatalf("post-shock pressure = %v, want 16/3", p)
 	}
 }

@@ -30,8 +30,8 @@ func (n Noh) PostShockDensity() float64 {
 	return math.Pow(b, float64(n.Dim))
 }
 
-// PostShockPressure returns the constant pressure behind the shock.
-func (n Noh) PostShockPressure() float64 {
+// postShockPressure returns the constant pressure behind the shock.
+func (n Noh) postShockPressure() float64 {
 	// p = rho_post * e_post * (gamma-1), e_post = u0^2/2 = 1/2.
 	return 0.5 * (n.Gamma - 1) * n.PostShockDensity()
 }
@@ -45,7 +45,7 @@ func (n Noh) Sample(r, t float64) (rho, ur, e, p float64) {
 	}
 	if r <= n.ShockRadius(t) {
 		rho = n.PostShockDensity()
-		return rho, 0, 0.5, n.PostShockPressure()
+		return rho, 0, 0.5, n.postShockPressure()
 	}
 	rho = math.Pow(1+t/r, float64(n.Dim-1))
 	return rho, -1, 0, 0

@@ -56,10 +56,10 @@ func riemannFK(p float64, s GasState, gamma float64) (f, df float64) {
 	return f, df
 }
 
-// Solve computes the star-region pressure and velocity by Newton
+// solve computes the star-region pressure and velocity by Newton
 // iteration (Toro's exact solver). It returns an error for states that
 // would generate vacuum.
-func (rp RiemannProblem) Solve() (pStar, uStar float64, err error) {
+func (rp RiemannProblem) solve() (pStar, uStar float64, err error) {
 	g := rp.Gamma
 	l, r := rp.Left, rp.Right
 	al := math.Sqrt(g * l.P / l.Rho)
@@ -97,7 +97,7 @@ func (rp RiemannProblem) Solve() (pStar, uStar float64, err error) {
 
 // Sample returns the exact solution state at position x and time t > 0.
 func (rp RiemannProblem) Sample(x, t float64) (GasState, error) {
-	pStar, uStar, err := rp.Solve()
+	pStar, uStar, err := rp.solve()
 	if err != nil {
 		return GasState{}, err
 	}
@@ -181,7 +181,7 @@ func (rp RiemannProblem) sampleWave(s, pStar, uStar float64) GasState {
 // Sod problem at time t (only meaningful when the right wave is a
 // shock, as in Sod's tube).
 func (rp RiemannProblem) ShockPosition(t float64) (float64, error) {
-	pStar, _, err := rp.Solve()
+	pStar, _, err := rp.solve()
 	if err != nil {
 		return 0, err
 	}

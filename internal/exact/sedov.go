@@ -162,11 +162,6 @@ func (s *Sedov) ShockRadius(t float64) float64 {
 	return math.Pow(s.E*t*t/(s.alpha*s.Rho0), 1/float64(s.Dim+2))
 }
 
-// ShockSpeed returns dR/dt at time t.
-func (s *Sedov) ShockSpeed(t float64) float64 {
-	return 2 / float64(s.Dim+2) * s.ShockRadius(t) / t
-}
-
 // PostShockDensity returns the density immediately behind the shock
 // (the strong-shock limit, independent of time).
 func (s *Sedov) PostShockDensity() float64 {

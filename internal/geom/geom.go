@@ -53,16 +53,6 @@ func BasisGrad(x, y *[4]float64, ax, ay *[4]float64) {
 	}
 }
 
-// SideLengths fills l with the four edge lengths.
-func SideLengths(x, y *[4]float64, l *[4]float64) {
-	for k := 0; k < 4; k++ {
-		kp := (k + 1) & 3
-		dx := x[kp] - x[k]
-		dy := y[kp] - y[k]
-		l[k] = math.Hypot(dx, dy)
-	}
-}
-
 // MinLength returns the characteristic length scale used by the CFL
 // condition: the smaller of (a) the two distances between midpoints of
 // opposite edges and (b) the area divided by the longest edge. For a
@@ -122,22 +112,6 @@ func SubVolumes(x, y *[4]float64, sv *[4]float64) {
 		qy := [4]float64{y[k], my[k], cy, my[km]}
 		sv[k] = Area(&qx, &qy)
 	}
-}
-
-// Tangled reports whether the quad is degenerate or inverted: the total
-// area or any corner sub-volume is not strictly positive.
-func Tangled(x, y *[4]float64) bool {
-	if Area(x, y) <= 0 {
-		return true
-	}
-	var sv [4]float64
-	SubVolumes(x, y, &sv)
-	for k := 0; k < 4; k++ {
-		if sv[k] <= 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // HourglassVector is the zero-energy mode pattern Γ = (+1,-1,+1,-1) for

@@ -110,17 +110,6 @@ func TestBasisGradIsAreaGradient(t *testing.T) {
 	}
 }
 
-func TestSideLengthsUnitSquare(t *testing.T) {
-	x, y := unitSquare()
-	var l [4]float64
-	SideLengths(&x, &y, &l)
-	for k := 0; k < 4; k++ {
-		if math.Abs(l[k]-1) > 1e-15 {
-			t.Fatalf("side %d = %v, want 1", k, l[k])
-		}
-	}
-}
-
 func TestMinLengthRectangle(t *testing.T) {
 	// 2 x 0.5 rectangle: characteristic length is the short side 0.5.
 	x := [4]float64{0, 2, 2, 0}
@@ -151,25 +140,6 @@ func TestSubVolumesEqualOnSquare(t *testing.T) {
 		if math.Abs(sv[k]-0.25) > 1e-15 {
 			t.Fatalf("sv[%d] = %v, want 0.25", k, sv[k])
 		}
-	}
-}
-
-func TestTangled(t *testing.T) {
-	x, y := unitSquare()
-	if Tangled(&x, &y) {
-		t.Fatal("unit square reported tangled")
-	}
-	// Bow-tie: swap nodes 2 and 3.
-	xb := [4]float64{0, 1, 0, 1}
-	yb := [4]float64{0, 0, 1, 1}
-	if !Tangled(&xb, &yb) {
-		t.Fatal("bow-tie not reported tangled")
-	}
-	// Inverted (CW).
-	xc := [4]float64{0, 0, 1, 1}
-	yc := [4]float64{0, 1, 1, 0}
-	if !Tangled(&xc, &yc) {
-		t.Fatal("inverted quad not reported tangled")
 	}
 }
 

@@ -338,12 +338,3 @@ func (s *State) KineticEnergy() float64 {
 func (s *State) TotalEnergy() float64 {
 	return s.InternalEnergy() + s.KineticEnergy()
 }
-
-// Momentum returns the total (x, y) momentum of owned nodes.
-func (s *State) Momentum() (px, py float64) {
-	for n := 0; n < s.Mesh.NOwnNd; n++ {
-		px += s.NdMass[n] * s.U[n]
-		py += s.NdMass[n] * s.V[n]
-	}
-	return px, py
-}

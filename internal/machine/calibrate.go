@@ -75,13 +75,6 @@ func (c *Calibrator) Scale() float64 {
 	return c.scale
 }
 
-// Observations returns how many runs have been folded in.
-func (c *Calibrator) Observations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // State snapshots the calibrator for persistence: the current scale
 // and the observation count it was learned from, read atomically so a
 // concurrent Observe cannot tear the pair.

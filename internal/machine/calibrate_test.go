@@ -21,8 +21,8 @@ func TestCalibratorConvergence(t *testing.T) {
 	if s := c.Scale(); math.Abs(s-truth) > 1e-9 {
 		t.Fatalf("scale %g after 40 steady observations, want %g", s, truth)
 	}
-	if c.Observations() != 40 {
-		t.Fatalf("observations %d, want 40", c.Observations())
+	if c.n != 40 {
+		t.Fatalf("observations %d, want 40", c.n)
 	}
 
 	est := Estimate{NEl: 100, Steps: 50, StepSeconds: 0.01, Seconds: 0.5}
@@ -77,8 +77,8 @@ func TestCalibratorHostileObservations(t *testing.T) {
 	} {
 		c.Observe(pair[0], pair[1])
 	}
-	if c.Observations() != 0 || c.Scale() != 1 {
-		t.Fatalf("hostile observations counted: n=%d scale=%g", c.Observations(), c.Scale())
+	if c.n != 0 || c.Scale() != 1 {
+		t.Fatalf("hostile observations counted: n=%d scale=%g", c.n, c.Scale())
 	}
 	c.Observe(1, 1e12)
 	if s := c.Scale(); s != calibClamp {
@@ -111,8 +111,8 @@ func TestCalibratorStateRestore(t *testing.T) {
 	}
 	// A restored calibrator keeps learning from where it left off.
 	fresh.Observe(10, 23)
-	if fresh.Observations() != n+1 {
-		t.Fatalf("observations %d after restore+observe, want %d", fresh.Observations(), n+1)
+	if fresh.n != n+1 {
+		t.Fatalf("observations %d after restore+observe, want %d", fresh.n, n+1)
 	}
 
 	for _, bad := range []struct {
@@ -161,7 +161,7 @@ func TestCalibratorConcurrent(t *testing.T) {
 	if s := c.Scale(); math.Abs(s-2) > 1e-9 {
 		t.Fatalf("scale %g after concurrent steady observations, want 2", s)
 	}
-	if c.Observations() != 2000 {
-		t.Fatalf("observations %d, want 2000", c.Observations())
+	if c.n != 2000 {
+		t.Fatalf("observations %d, want 2000", c.n)
 	}
 }

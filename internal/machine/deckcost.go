@@ -82,12 +82,12 @@ func stepRate(problem string) float64 {
 	}
 }
 
-// ServingHost is the platform model of one bleaf-served worker with the
+// servingHost is the platform model of one bleaf-served worker with the
 // given thread count: a generic server core at 2 GHz with ~10 GB/s of
 // memory bandwidth per core, run flat (every thread busy). Absolute
 // seconds are indicative; ordering between decks is what admission
 // control consumes.
-func ServingHost(threads int) Platform {
+func servingHost(threads int) Platform {
 	// Clamp to a physical host: callers pass the server-granted pool
 	// width, but a stray deck-declared value must not buy unbounded
 	// modelled bandwidth.
@@ -152,7 +152,7 @@ func PredictRun(sh RunShape) Estimate {
 		stepsF = float64(sh.MaxSteps)
 	}
 
-	host := ServingHost(sh.Threads)
+	host := servingHost(sh.Threads)
 	perStep := host.OverallOf(Kernels, Workload{NEl: int(nelF), Steps: 1})
 	secs := perStep * stepsF * float64(ranks)
 	if math.IsInf(secs, 1) {

@@ -130,8 +130,8 @@ func TestPredictRunChargesRanks(t *testing.T) {
 // not buy unbounded modelled bandwidth (which would make the hostile
 // deck's estimate cheaper, inverting the admission gate).
 func TestServingHostThreadsClamped(t *testing.T) {
-	if got, max := ServingHost(1<<20).NodeBW, ServingHost(1024).NodeBW; got > max {
-		t.Fatalf("ServingHost(2^20).NodeBW = %g exceeds the 1024-thread clamp %g", got, max)
+	if got, max := servingHost(1<<20).NodeBW, servingHost(1024).NodeBW; got > max {
+		t.Fatalf("servingHost(2^20).NodeBW = %g exceeds the 1024-thread clamp %g", got, max)
 	}
 }
 

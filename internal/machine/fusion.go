@@ -61,7 +61,7 @@ var Fusions = []Fusion{
 // kernels this fusion replaces — exactly the Kernels-table numbers.
 func (f Fusion) Unfused() (ops, bytes float64) {
 	for _, name := range f.Replaces {
-		k, ok := KernelByName(name)
+		k, ok := kernelByName(name)
 		if !ok {
 			panic("machine: fusion references unknown kernel " + name)
 		}
@@ -78,11 +78,11 @@ func (f Fusion) Fused() (ops, bytes float64) {
 	return ops - f.SavedOps, bytes - f.SavedBytes
 }
 
-// PredictedGain returns the roofline speedup t_unfused/t_fused for a
+// predictedGain returns the roofline speedup t_unfused/t_fused for a
 // core with the given weighted-op rate (ops/s) and memory bandwidth
 // (bytes/s). On a bandwidth-bound core this approaches BandwidthBound;
 // on a compute-bound core it approaches the ops ratio.
-func (f Fusion) PredictedGain(opsRate, byteRate float64) float64 {
+func (f Fusion) predictedGain(opsRate, byteRate float64) float64 {
 	uo, ub := f.Unfused()
 	fo, fb := f.Fused()
 	tu := maxf(uo/opsRate, ub/byteRate)
@@ -100,7 +100,7 @@ func (f Fusion) BandwidthBound() float64 {
 	return ub / fb
 }
 
-// GainOn evaluates PredictedGain with platform p's per-core rates
+// GainOn evaluates predictedGain with platform p's per-core rates
 // (device rates for GPU platforms, which have no CoreBW).
 func (f Fusion) GainOn(p *Platform) float64 {
 	opsRate := p.GHz * 1e9 * p.OpsPerCycle
@@ -109,11 +109,11 @@ func (f Fusion) GainOn(p *Platform) float64 {
 		opsRate = p.GPUTflops * 1e12
 		byteRate = p.GPUBW * 1e9
 	}
-	return f.PredictedGain(opsRate, byteRate)
+	return f.predictedGain(opsRate, byteRate)
 }
 
-// FusedKernel returns a Kernel descriptor for the merged pass, for use
-// with KernelTime/OverallOf. Per-element work is the unfused sum minus
+// fusedKernel returns a Kernel descriptor for the merged pass, for use
+// with kernelTime/OverallOf. Per-element work is the unfused sum minus
 // the savings; calls per step come from the members (which must agree —
 // a fusion merges kernels that run together). Fusing merges the
 // parallel loop bodies only: each member's serialised work (the nodal
@@ -123,12 +123,12 @@ func (f Fusion) GainOn(p *Platform) float64 {
 // which would charge the whole merged pass at the worst fraction. The
 // device corrections do take the most pessimistic member: a fused body
 // needs the union of the registers.
-func (f Fusion) FusedKernel() Kernel {
+func (f Fusion) fusedKernel() Kernel {
 	ops, bytes := f.Fused()
 	merged := Kernel{Name: f.Name, Ops: ops, Bytes: bytes, Launches: 1}
 	var serialOps float64
 	for i, name := range f.Replaces {
-		k, _ := KernelByName(name)
+		k, _ := kernelByName(name)
 		if i == 0 {
 			merged.CallsPerStep = k.CallsPerStep
 		} else if k.CallsPerStep != merged.CallsPerStep {
@@ -177,18 +177,8 @@ func FusedKernels() []Kernel {
 		}
 		if !emitted[f.Name] {
 			emitted[f.Name] = true
-			out = append(out, f.FusedKernel())
+			out = append(out, f.fusedKernel())
 		}
 	}
 	return out
-}
-
-// FusionByName returns the fusion descriptor, or false.
-func FusionByName(name string) (Fusion, bool) {
-	for _, f := range Fusions {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Fusion{}, false
 }

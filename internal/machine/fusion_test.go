@@ -27,15 +27,15 @@ func TestMaxfMatchesMathMax(t *testing.T) {
 	}
 }
 
-// A NaN in a descriptor must propagate through KernelTime rather than
+// A NaN in a descriptor must propagate through kernelTime rather than
 // vanish into the other roofline arm.
 func TestKernelTimeNaNPropagates(t *testing.T) {
 	p := Platforms()[0]
 	w := Table2Workload()
-	k, _ := KernelByName("getq")
+	k, _ := kernelByName("getq")
 	k.Ops = math.NaN()
-	if got := p.KernelTime(k, w); !math.IsNaN(got) {
-		t.Fatalf("KernelTime with NaN ops = %v, want NaN", got)
+	if got := p.kernelTime(k, w); !math.IsNaN(got) {
+		t.Fatalf("kernelTime with NaN ops = %v, want NaN", got)
 	}
 }
 
@@ -48,10 +48,10 @@ func TestFusionInventory(t *testing.T) {
 	if len(Fusions) != len(want) {
 		t.Fatalf("fusion count %d, want %d", len(Fusions), len(want))
 	}
-	for name, members := range want {
-		f, ok := FusionByName(name)
-		if !ok {
-			t.Fatalf("fusion %s missing", name)
+	for _, f := range Fusions {
+		name, members := f.Name, want[f.Name]
+		if members == nil {
+			t.Fatalf("fusion %s not in the inventory", name)
 		}
 		if len(f.Replaces) != len(members) {
 			t.Fatalf("%s replaces %v, want %v", name, f.Replaces, members)
@@ -64,9 +64,6 @@ func TestFusionInventory(t *testing.T) {
 		if f.SavedBytes <= 0 {
 			t.Fatalf("%s saves no bytes — not a fusion", name)
 		}
-	}
-	if _, ok := FusionByName("bogus"); ok {
-		t.Fatal("bogus fusion found")
 	}
 }
 
@@ -88,18 +85,18 @@ func TestFusedWorkBelowUnfused(t *testing.T) {
 	}
 }
 
-// PredictedGain limits: on a bandwidth-starved core the gain is the
+// predictedGain limits: on a bandwidth-starved core the gain is the
 // byte ratio; on an infinite-bandwidth core it is the ops ratio; on
 // any real platform it lies between (inclusive) and never hurts.
 func TestPredictedGainLimits(t *testing.T) {
 	for _, f := range Fusions {
 		uo, ub := f.Unfused()
 		fo, fb := f.Fused()
-		memBound := f.PredictedGain(1e18, 1e6)
+		memBound := f.predictedGain(1e18, 1e6)
 		if math.Abs(memBound-ub/fb) > 1e-12 {
 			t.Fatalf("%s: memory-bound gain %v, want %v", f.Name, memBound, ub/fb)
 		}
-		cpuBound := f.PredictedGain(1e6, 1e18)
+		cpuBound := f.predictedGain(1e6, 1e18)
 		if math.Abs(cpuBound-uo/fo) > 1e-12 {
 			t.Fatalf("%s: compute-bound gain %v, want %v", f.Name, cpuBound, uo/fo)
 		}
@@ -114,7 +111,7 @@ func TestPredictedGainLimits(t *testing.T) {
 	}
 }
 
-// KernelTime over the fused descriptors: each merged pass is modelled
+// kernelTime over the fused descriptors: each merged pass is modelled
 // no slower than the kernels it replaces on the CPU platforms, where
 // the fusions are implemented. (On the device models the merged
 // descriptor inherits the worst member's register-pressure derate, so
@@ -123,7 +120,7 @@ func TestKernelTimeFusedEntries(t *testing.T) {
 	w := Table2Workload()
 	for _, p := range Platforms() {
 		for _, f := range Fusions {
-			fused := p.KernelTime(f.FusedKernel(), w)
+			fused := p.kernelTime(f.fusedKernel(), w)
 			if fused <= 0 {
 				t.Fatalf("%s on %s: non-positive fused time %v", f.Name, p.Name, fused)
 			}
@@ -132,8 +129,8 @@ func TestKernelTimeFusedEntries(t *testing.T) {
 			}
 			var unfused float64
 			for _, name := range f.Replaces {
-				k, _ := KernelByName(name)
-				unfused += p.KernelTime(k, w)
+				k, _ := kernelByName(name)
+				unfused += p.kernelTime(k, w)
 			}
 			if fused > unfused*(1+1e-9) {
 				t.Fatalf("%s on %s: fused %v slower than unfused %v", f.Name, p.Name, fused, unfused)
@@ -178,10 +175,13 @@ func TestFusedKernelsInventoryAndOverall(t *testing.T) {
 // The merged descriptor inherits the most pessimistic execution-model
 // corrections of its members and their (agreeing) call count.
 func TestFusedKernelComposition(t *testing.T) {
-	f, _ := FusionByName("qforce")
-	k := f.FusedKernel()
-	getq, _ := KernelByName("getq")
-	getforce, _ := KernelByName("getforce")
+	qf, dt := Fusions[0], Fusions[2]
+	if qf.Name != "qforce" || dt.Name != "dtreduce" {
+		t.Fatalf("Fusions[0], [2] are %s, %s; want qforce, dtreduce", qf.Name, dt.Name)
+	}
+	k := qf.fusedKernel()
+	getq, _ := kernelByName("getq")
+	getforce, _ := kernelByName("getforce")
 	if k.CallsPerStep != getq.CallsPerStep {
 		t.Fatalf("qforce calls %v, want %v", k.CallsPerStep, getq.CallsPerStep)
 	}
@@ -194,8 +194,7 @@ func TestFusedKernelComposition(t *testing.T) {
 	if k.GPUDerate != math.Max(getq.GPUDerate, getforce.GPUDerate) {
 		t.Fatalf("qforce GPU derate %v", k.GPUDerate)
 	}
-	dt, _ := FusionByName("dtreduce")
-	dk := dt.FusedKernel()
+	dk := dt.fusedKernel()
 	if !dk.HostOnlyCUDA || dk.TransferBytes == 0 {
 		t.Fatal("dtreduce lost the host-only CUDA path")
 	}

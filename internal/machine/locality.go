@@ -97,29 +97,29 @@ func GatherDerate(loc, base Locality) float64 {
 	return r
 }
 
-// EffectiveBytes is the kernel's per-element off-chip traffic with its
+// effectiveBytes is the kernel's per-element off-chip traffic with its
 // gather share rescaled by derate: streamed bytes are numbering-
 // invariant, only the GatherBytes share moves.
-func (k Kernel) EffectiveBytes(derate float64) float64 {
+func (k Kernel) effectiveBytes(derate float64) float64 {
 	return k.Bytes - k.GatherBytes + k.GatherBytes*derate
 }
 
-// StepTimeLocal is the flat-roofline per-step seconds of inventory ks
+// stepTimeLocal is the flat-roofline per-step seconds of inventory ks
 // at nel elements with the gather derate applied — the locality-aware
 // sibling of OverallOf over one step. Only the CPU execution models
 // carry a locality correction (the measured meshes live there); device
 // platforms fall back to the uncorrected time.
-func (p *Platform) StepTimeLocal(ks []Kernel, nel int, derate float64) float64 {
+func (p *Platform) stepTimeLocal(ks []Kernel, nel int, derate float64) float64 {
 	w := Workload{NEl: nel, Steps: 1}
 	var sum float64
 	for _, k := range ks {
 		switch p.Exec {
 		case FlatMPI, Hybrid:
 			adj := k
-			adj.Bytes = k.EffectiveBytes(derate)
-			sum += p.KernelTime(adj, w)
+			adj.Bytes = k.effectiveBytes(derate)
+			sum += p.kernelTime(adj, w)
 		default:
-			sum += p.KernelTime(k, w)
+			sum += p.kernelTime(k, w)
 		}
 	}
 	return sum
@@ -131,8 +131,8 @@ func (p *Platform) StepTimeLocal(ks []Kernel, nel int, derate float64) float64 {
 // profile derates to 1 by construction, so gain 1 means the numberings
 // look alike to the cache.
 func PredictReorderGain(p *Platform, ks []Kernel, nel int, base, reord Locality) float64 {
-	tb := p.StepTimeLocal(ks, nel, GatherDerate(base, base))
-	tr := p.StepTimeLocal(ks, nel, GatherDerate(reord, base))
+	tb := p.stepTimeLocal(ks, nel, GatherDerate(base, base))
+	tr := p.stepTimeLocal(ks, nel, GatherDerate(reord, base))
 	if !(tr > 0) {
 		return 1
 	}

@@ -111,10 +111,10 @@ func TestGatherBytesWithinBytes(t *testing.T) {
 // table exactly — the locality correction is strictly relative.
 func TestEffectiveBytesIdentity(t *testing.T) {
 	for _, k := range Kernels {
-		if got := k.EffectiveBytes(1); got != k.Bytes {
-			t.Errorf("%s: EffectiveBytes(1) = %g, want %g", k.Name, got, k.Bytes)
+		if got := k.effectiveBytes(1); got != k.Bytes {
+			t.Errorf("%s: effectiveBytes(1) = %g, want %g", k.Name, got, k.Bytes)
 		}
-		if got := k.EffectiveBytes(0.5); got > k.Bytes {
+		if got := k.effectiveBytes(0.5); got > k.Bytes {
 			t.Errorf("%s: derate 0.5 increased bytes to %g", k.Name, got)
 		}
 	}

@@ -238,9 +238,9 @@ func Table2Workload() Workload {
 // cores returns the total cores of a CPU platform.
 func (p *Platform) cores() int { return p.Sockets * p.CoresPerSocket }
 
-// KernelTime returns the modelled seconds kernel k takes over the whole
+// kernelTime returns the modelled seconds kernel k takes over the whole
 // run on platform p.
-func (p *Platform) KernelTime(k Kernel, w Workload) float64 {
+func (p *Platform) kernelTime(k Kernel, w Workload) float64 {
 	n := float64(w.NEl)
 	perStep := 0.0
 	switch p.Exec {
@@ -319,13 +319,13 @@ func (p *Platform) Overall(w Workload) float64 {
 func (p *Platform) OverallOf(ks []Kernel, w Workload) float64 {
 	var sum float64
 	for _, k := range ks {
-		sum += p.KernelTime(k, w)
+		sum += p.kernelTime(k, w)
 	}
 	return sum
 }
 
-// KernelByName returns the kernel descriptor, or false.
-func KernelByName(name string) (Kernel, bool) {
+// kernelByName returns the kernel descriptor, or false.
+func kernelByName(name string) (Kernel, bool) {
 	for _, k := range Kernels {
 		if k.Name == name {
 			return k, true

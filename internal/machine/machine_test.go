@@ -201,10 +201,10 @@ func TestSkylakeFasterThanBroadwellAtScale(t *testing.T) {
 }
 
 func TestKernelByName(t *testing.T) {
-	if _, ok := KernelByName("getq"); !ok {
+	if _, ok := kernelByName("getq"); !ok {
 		t.Fatal("getq missing")
 	}
-	if _, ok := KernelByName("bogus"); ok {
+	if _, ok := kernelByName("bogus"); ok {
 		t.Fatal("bogus kernel found")
 	}
 }
@@ -212,7 +212,7 @@ func TestKernelByName(t *testing.T) {
 func TestKernelInventoryComplete(t *testing.T) {
 	want := []string{"getq", "getacc", "getdt", "getgeom", "getforce", "getpc", "getrho", "getein"}
 	for _, n := range want {
-		k, ok := KernelByName(n)
+		k, ok := kernelByName(n)
 		if !ok {
 			t.Fatalf("kernel %s missing", n)
 		}

@@ -42,11 +42,11 @@ var PaperFig3 = map[string][]struct {
 // workload and returns it shaped like a PaperRow.
 func ModelRow(p Platform, w Workload) PaperRow {
 	get := func(name string) float64 {
-		k, ok := KernelByName(name)
+		k, ok := kernelByName(name)
 		if !ok {
 			return 0
 		}
-		return p.KernelTime(k, w)
+		return p.kernelTime(k, w)
 	}
 	return PaperRow{
 		Name:     p.Name,
@@ -77,7 +77,7 @@ func CUDAFixedDtRow(p Platform, w Workload) PaperRow {
 		if k.Name == "getdt" {
 			k.HostOnlyCUDA = false
 		}
-		t := fixed.KernelTime(k, w)
+		t := fixed.kernelTime(k, w)
 		row.Overall += t
 		switch k.Name {
 		case "getq":

@@ -80,7 +80,7 @@ func (p *Platform) StrongScaling(w ScalingWorkload, nodes []int) []ScalingPoint 
 		var overall, visc, acc float64
 		sub := Workload{NEl: nel, Steps: w.Steps}
 		for _, k := range Kernels {
-			t := p.KernelTime(k, sub) * cf
+			t := p.kernelTime(k, sub) * cf
 			overall += t
 			switch k.Name {
 			case "getq":

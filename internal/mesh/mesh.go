@@ -470,23 +470,6 @@ func NewSaltzmannDistort(h, amplitude float64) Distort {
 	}
 }
 
-// MinNodeSpacing returns the smallest edge length in the mesh — useful
-// for sanity checks after distortion.
-func (m *Mesh) MinNodeSpacing() float64 {
-	min := math.Inf(1)
-	var x, y, l [4]float64
-	for e := 0; e < m.NEl; e++ {
-		m.GatherCoords(e, &x, &y)
-		geom.SideLengths(&x, &y, &l)
-		for k := 0; k < 4; k++ {
-			if l[k] < min {
-				min = l[k]
-			}
-		}
-	}
-	return min
-}
-
 // Clone returns a deep copy of the mesh (coordinates and connectivity).
 func (m *Mesh) Clone() *Mesh {
 	c := &Mesh{

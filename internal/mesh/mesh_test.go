@@ -228,13 +228,17 @@ func TestSaltzmannDistortKeepsValidMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var x, y [4]float64
 	for e := 0; e < m.NEl; e++ {
 		if m.Volume(e) <= 0 {
 			t.Fatalf("distorted element %d inverted", e)
 		}
-	}
-	if m.MinNodeSpacing() <= 0 {
-		t.Fatal("non-positive node spacing after distortion")
+		m.GatherCoords(e, &x, &y)
+		for k := 0; k < 4; k++ {
+			if math.Hypot(x[(k+1)&3]-x[k], y[(k+1)&3]-y[k]) <= 0 {
+				t.Fatalf("distorted element %d has a zero-length side %d", e, k)
+			}
+		}
 	}
 }
 
@@ -305,13 +309,6 @@ func TestGatherCoords(t *testing.T) {
 	m.GatherCoords(0, &x, &y)
 	if x[0] != 0 || y[0] != 0 || x[1] != 0.5 || y[2] != 0.5 {
 		t.Fatalf("gathered coords wrong: %v %v", x, y)
-	}
-}
-
-func TestMinNodeSpacing(t *testing.T) {
-	m, _ := Rect(RectSpec{NX: 4, NY: 2, X0: 0, X1: 1, Y0: 0, Y1: 1, Walls: DefaultWalls()})
-	if s := m.MinNodeSpacing(); math.Abs(s-0.25) > 1e-14 {
-		t.Fatalf("min spacing = %v, want 0.25", s)
 	}
 }
 

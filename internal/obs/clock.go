@@ -160,8 +160,8 @@ func (c *Clock) record(e TraceEvent, start time.Time, d time.Duration) {
 	c.events = append(c.events, e)
 }
 
-// Events returns the recorded trace events (nil unless tracing).
-func (c *Clock) Events() []TraceEvent {
+// traceEvents returns the recorded trace events (nil unless tracing).
+func (c *Clock) traceEvents() []TraceEvent {
 	if c == nil {
 		return nil
 	}

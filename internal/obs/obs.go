@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Counter is a monotonically increasing integer metric. A nil *Counter
@@ -296,15 +295,4 @@ func WriteMetrics(w io.Writer, m *MetricsFile) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// CounterNames returns the sorted counter names in a snapshot —
-// convenience for table rendering.
-func (s *Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -63,12 +63,6 @@ func NewInvariantProbe(every int, reg *Registry) *InvariantProbe {
 	return &InvariantProbe{Every: every, reg: reg}
 }
 
-// Due reports whether step is a sampling step. False on a nil or
-// disabled probe.
-func (p *InvariantProbe) Due(step int) bool {
-	return p != nil && p.Every > 0 && step > 0 && step%p.Every == 0
-}
-
 // Sample records one invariant sample from globally-reduced totals.
 // finite is the outcome of the caller's finite-value sweep (true =
 // clean). It returns the record, whose Violation field reports whether
@@ -123,20 +117,4 @@ func (p *InvariantProbe) NoteNonFinite(step int, t float64) {
 	p.Violations++
 	p.reg.Counter("probe_violations_total").Inc()
 	p.reg.Counter("probe_nonfinite_total").Inc()
-}
-
-// MaxDriftPerStepObserved returns the largest per-step drift across
-// clean (finite) samples — what the conservation property tests bound.
-// Zero on a nil probe.
-func (p *InvariantProbe) MaxDriftPerStepObserved() float64 {
-	if p == nil {
-		return 0
-	}
-	var m float64
-	for _, r := range p.Records {
-		if r.Finite && r.DriftPerStep > m {
-			m = r.DriftPerStep
-		}
-	}
-	return m
 }

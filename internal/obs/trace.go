@@ -39,7 +39,7 @@ func (c *Clock) WriteTraceFile(prefix string) error {
 	if err != nil {
 		return fmt.Errorf("obs: trace: %w", err)
 	}
-	if err := json.NewEncoder(f).Encode(&TraceFile{TraceEvents: c.Events()}); err != nil {
+	if err := json.NewEncoder(f).Encode(&TraceFile{TraceEvents: c.traceEvents()}); err != nil {
 		f.Close()
 		return fmt.Errorf("obs: trace %s: %w", f.Name(), err)
 	}

@@ -105,9 +105,9 @@ func withNodes(m *mesh.Mesh, el []int) *Perm {
 	return p
 }
 
-// Compute returns the permutation of the given kind for mesh m. None
+// compute returns the permutation of the given kind for mesh m. None
 // yields the identity permutation.
-func Compute(m *mesh.Mesh, k Kind) (*Perm, error) {
+func compute(m *mesh.Mesh, k Kind) (*Perm, error) {
 	switch k {
 	case None:
 		el := make([]int, m.NEl)
@@ -259,13 +259,13 @@ func rcmOrder(m *mesh.Mesh) []int {
 	return order
 }
 
-// Apply returns a new mesh renumbered by p. The result carries the
+// apply returns a new mesh renumbered by p. The result carries the
 // canonical ids in GlobalEl/GlobalNd (composed with m's own maps when m
 // is itself a renumbered or partitioned view), which is what keeps
 // checkpoints, dumps and results in canonical generation order. Only
 // fully-owned meshes may be reordered — renumbering is a setup-time
 // transform, applied before any partitioning.
-func Apply(m *mesh.Mesh, p *Perm) (*mesh.Mesh, error) {
+func apply(m *mesh.Mesh, p *Perm) (*mesh.Mesh, error) {
 	if m.NOwnEl != m.NEl || m.NOwnNd != m.NNd {
 		return nil, fmt.Errorf("order: cannot reorder a partitioned mesh (%d/%d owned elements)", m.NOwnEl, m.NEl)
 	}
@@ -311,9 +311,9 @@ func Reorder(m *mesh.Mesh, k Kind) (*mesh.Mesh, error) {
 	if k == None || k == "" {
 		return m, nil
 	}
-	p, err := Compute(m, k)
+	p, err := compute(m, k)
 	if err != nil {
 		return nil, err
 	}
-	return Apply(m, p)
+	return apply(m, p)
 }

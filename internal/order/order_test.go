@@ -47,7 +47,7 @@ func TestParse(t *testing.T) {
 func TestPermRoundTrip(t *testing.T) {
 	m := rect(t, 31, 7)
 	for _, k := range []Kind{None, Hilbert, RCM} {
-		p, err := Compute(m, k)
+		p, err := compute(m, k)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -79,13 +79,13 @@ func TestPermRoundTrip(t *testing.T) {
 func TestApplyCarriesFields(t *testing.T) {
 	m := rect(t, 24, 5)
 	for _, k := range []Kind{Hilbert, RCM} {
-		p, err := Compute(m, k)
+		p, err := compute(m, k)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		r, err := Apply(m, p)
+		r, err := apply(m, p)
 		if err != nil {
-			t.Fatalf("%v: Apply: %v", k, err)
+			t.Fatalf("%v: apply: %v", k, err)
 		}
 		if r.NEl != m.NEl || r.NNd != m.NNd {
 			t.Fatalf("%v: sizes changed", k)
@@ -116,8 +116,8 @@ func TestApplyCarriesFields(t *testing.T) {
 func TestComputeDeterministic(t *testing.T) {
 	m := rect(t, 20, 6)
 	for _, k := range []Kind{Hilbert, RCM} {
-		a, _ := Compute(m, k)
-		b, _ := Compute(m, k)
+		a, _ := compute(m, k)
+		b, _ := compute(m, k)
 		for i := range a.El {
 			if a.El[i] != b.El[i] {
 				t.Fatalf("%v: element order differs between runs at %d", k, i)
@@ -205,9 +205,9 @@ func TestHilbertShrinksReuseWindow(t *testing.T) {
 func TestApplyRefusesPartitioned(t *testing.T) {
 	m := rect(t, 8, 4)
 	m.NOwnEl = m.NEl - 2
-	p, _ := Compute(m, RCM)
-	if _, err := Apply(m, p); err == nil {
-		t.Fatal("Apply accepted a partitioned mesh")
+	p, _ := compute(m, RCM)
+	if _, err := apply(m, p); err == nil {
+		t.Fatal("apply accepted a partitioned mesh")
 	}
 }
 

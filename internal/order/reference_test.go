@@ -136,7 +136,7 @@ func TestOrdersMatchReference(t *testing.T) {
 	}
 }
 
-// TestReorderedMeshGetsEulerCheck: the mesh Apply validates carries
+// TestReorderedMeshGetsEulerCheck: the mesh apply validates carries
 // GlobalEl, and must still get the topology check — a reordered mesh
 // with an interior element missing has V - E + F = 0.
 func TestReorderedMeshGetsEulerCheck(t *testing.T) {

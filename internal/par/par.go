@@ -2,7 +2,7 @@
 // for the OpenMP host parallelism of the reference implementation. A
 // Pool models one "NUMA region" worth of threads; For splits an index
 // range into balanced contiguous chunks (the static schedule OpenMP
-// would use) and ReduceMin/ReduceSum provide the explicit loop
+// would use) and ReduceMin/ReduceMin2 provide the explicit loop
 // reductions the paper's authors had to write by hand after the Fortran
 // workshare directive proved to serialise MINVAL/MINLOC.
 //
@@ -69,12 +69,6 @@ type minSlot struct {
 	_   [48]byte
 }
 
-// sumSlot is a per-chunk sum partial, padded to a cache line.
-type sumSlot struct {
-	v float64
-	_ [56]byte
-}
-
 // min2Slot is a per-chunk partial of a fused two-operand MINLOC
 // reduction (ReduceMin2), padded to a cache line.
 type min2Slot struct {
@@ -133,12 +127,11 @@ type Pool struct {
 	bodyC  func(chunk, lo, hi int)
 
 	// Reduction state: redF is the operand, the slots hold padded
-	// per-chunk partials, and minBody/sumBody are the chunk bodies
-	// pre-bound at startup so reductions allocate nothing per call.
-	redF             func(i int) float64
-	minSlots         []minSlot
-	sumSlots         []sumSlot
-	minBody, sumBody func(chunk, lo, hi int)
+	// per-chunk partials, and minBody is the chunk body pre-bound at
+	// startup so reductions allocate nothing per call.
+	redF     func(i int) float64
+	minSlots []minSlot
+	minBody  func(chunk, lo, hi int)
 
 	// Fused two-operand reduction state (ReduceMin2): one sweep
 	// evaluates both operands, so kernels that feed two MINLOC
@@ -233,18 +226,9 @@ func (p *Pool) ensureStarted() {
 		t := p.Threads
 		p.workers = make([]worker, t-1)
 		p.minSlots = make([]minSlot, t)
-		p.sumSlots = make([]sumSlot, t)
 		p.minBody = func(c, lo, hi int) {
 			v, a := reduceMinRange(lo, hi, p.redF)
 			p.minSlots[c].v, p.minSlots[c].arg = v, a
-		}
-		p.sumBody = func(c, lo, hi int) {
-			var s float64
-			f := p.redF
-			for i := lo; i < hi; i++ {
-				s += f(i)
-			}
-			p.sumSlots[c].v = s
 		}
 		p.min2Slots = make([]min2Slot, t)
 		p.min2Body = func(c, lo, hi int) {
@@ -453,32 +437,6 @@ func reduceMinRange(lo, hi int, f func(i int) float64) (float64, int) {
 		}
 	}
 	return min, arg
-}
-
-// ReduceSum computes the sum of f(i) for i in [0, n). Each chunk sums
-// locally into a padded slot and the partials are combined in chunk
-// order, so the result is deterministic for a fixed pool size.
-func (p *Pool) ReduceSum(n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	t := p.chunks(n)
-	if t == 1 || p.closed.Load() {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	p.ensureStarted()
-	p.redF = f
-	p.bodyR, p.bodyC = nil, p.sumBody
-	p.run(n, t)
-	var s float64
-	for c := 0; c < t; c++ {
-		s += p.sumSlots[c].v
-	}
-	return s
 }
 
 // ReduceMin2 is a fused pair of MINLOC reductions: one sweep evaluates

@@ -86,17 +86,6 @@ func TestReduceMinTieBreaksLowestIndex(t *testing.T) {
 	}
 }
 
-func TestReduceSumMatchesSerial(t *testing.T) {
-	n := 1000
-	want := float64(n*(n-1)) / 2
-	for _, threads := range []int{1, 2, 4, 9} {
-		got := New(threads).ReduceSum(n, func(i int) float64 { return float64(i) })
-		if got != want {
-			t.Fatalf("threads=%d: sum = %v, want %v", threads, got, want)
-		}
-	}
-}
-
 func TestReduceMinPropertyAgainstSerial(t *testing.T) {
 	f := func(raw []float64, threads uint8) bool {
 		if len(raw) == 0 {
@@ -192,7 +181,7 @@ func TestWorkersPersistAcrossRegions(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p.For(1024, body)
 		p.ForChunks(1024, func(c, lo, hi int) {})
-		p.ReduceSum(1024, func(i int) float64 { return 1 })
+		p.ReduceMin(1024, func(i int) float64 { return 1 })
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("goroutine count grew from %d to %d across 600 regions", base, got)
@@ -232,9 +221,6 @@ func TestCloseDegradesToInline(t *testing.T) {
 		}
 		if v, i := p.ReduceMin(3, func(i int) float64 { return float64(i) }); v != 0 || i != 0 {
 			t.Fatalf("closed ReduceMin = (%v,%d), want (0,0)", v, i)
-		}
-		if s := p.ReduceSum(4, func(i int) float64 { return 1 }); s != 4 {
-			t.Fatalf("closed ReduceSum = %v, want 4", s)
 		}
 		p.ForChunks(8, func(c, lo, hi int) {
 			if c != 0 || lo != 0 || hi != 8 {
@@ -309,7 +295,7 @@ func TestChunkThresholdNarrowsSmallLoops(t *testing.T) {
 
 // TestParallelDispatchZeroAllocs pins the zero-allocation property the
 // hydro kernels rely on: with a pre-bound body, For / ForChunks /
-// ReduceMin / ReduceSum / ReduceMin2 allocate nothing per call — back
+// ReduceMin / ReduceMin2 allocate nothing per call — back
 // to back, where the workers are still spinning, and after a gap past
 // the spin budget, where they have parked and must be woken.
 // AllocsPerRun runs at GOMAXPROCS=1, where workers never spin, so the
@@ -335,7 +321,6 @@ func TestParallelDispatchZeroAllocs(t *testing.T) {
 			{"For", func() { p.For(n, body) }},
 			{"ForChunks", func() { p.ForChunks(n, cbody) }},
 			{"ReduceMin", func() { p.ReduceMin(n, red) }},
-			{"ReduceSum", func() { p.ReduceSum(n, red) }},
 			{"ReduceMin2", func() { p.ReduceMin2(n, red2) }},
 		} {
 			after := func() { busy(spinBudget + 100*time.Microsecond); c.call() }

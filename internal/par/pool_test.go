@@ -74,7 +74,7 @@ func TestPanicOnAnyChunkReachesDispatcher(t *testing.T) {
 		}
 		// Two chunks panic: the lowest chunk's value wins, at any width.
 		got := catch(func() {
-			p.ReduceSum(n, func(i int) float64 {
+			p.ReduceMin(n, func(i int) float64 {
 				if i == 0 || i == n-1 {
 					panic(i)
 				}
@@ -84,8 +84,8 @@ func TestPanicOnAnyChunkReachesDispatcher(t *testing.T) {
 		if got != 0 {
 			t.Fatalf("threads=%d: two panicking chunks recovered %v, want 0", threads, got)
 		}
-		if s := p.ReduceSum(n, func(int) float64 { return 1 }); s != float64(n) {
-			t.Fatalf("threads=%d: ReduceSum after a panic = %v, want %d", threads, s, n)
+		if v, i := p.ReduceMin(n, func(i int) float64 { return float64(n - i) }); v != 1 || i != n-1 {
+			t.Fatalf("threads=%d: ReduceMin after a panic = (%v,%d), want (1,%d)", threads, v, i, n-1)
 		}
 		p.Close()
 	}
@@ -192,7 +192,6 @@ func TestSerialPoolSpawnsNoGoroutine(t *testing.T) {
 		p.For(1<<14, func(lo, hi int) {})
 		p.ForChunks(1<<14, func(c, lo, hi int) {})
 		p.ReduceMin(1<<14, func(i int) float64 { return float64(i) })
-		p.ReduceSum(1<<14, func(i int) float64 { return float64(i) })
 		p.ReduceMin2(1<<14, func(i int) (float64, float64) { return float64(i), 0 })
 		if got := runtime.NumGoroutine(); got != base || p.workers != nil {
 			t.Fatalf("New(%d): %d goroutines (base %d), %d workers", threads, got, base, len(p.workers))

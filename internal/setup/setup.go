@@ -47,7 +47,7 @@ func (p *Problem) NewStateOn(m *mesh.Mesh) (*hydro.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.ApplyVelocities(s)
+	p.applyVelocities(s)
 	return s, nil
 }
 
@@ -82,9 +82,9 @@ func (p *Problem) InitialAudit() (e0, mass0 float64, err error) {
 	return hydro.InitialTotals(m, rho, ein, u, v)
 }
 
-// ApplyVelocities sets the initial nodal velocities and piston state of
+// applyVelocities sets the initial nodal velocities and piston state of
 // a freshly built state.
-func (p *Problem) ApplyVelocities(s *hydro.State) {
+func (p *Problem) applyVelocities(s *hydro.State) {
 	for n := range s.U {
 		s.U[n], s.V[n] = p.velocityAt(s.X[n], s.Y[n], s.Mesh.BCs[n])
 	}
@@ -210,13 +210,13 @@ func Noh(nx, ny int) (*Problem, error) {
 	}, nil
 }
 
-// NohDisc builds the Noh problem on a quarter-disc mesh whose outer
+// nohDisc builds the Noh problem on a quarter-disc mesh whose outer
 // boundary lies exactly on the physical r=1 circle — the mesh-geometry
 // ablation of Noh: compare against the Cartesian-quadrant version to
 // see how much of the error is mesh alignment (the same distinction the
 // paper draws by running Sedov on a Cartesian mesh "to test the code's
 // capability to model non-mesh-aligned shocks").
-func NohDisc(n int) (*Problem, error) {
+func nohDisc(n int) (*Problem, error) {
 	const gamma = 5.0 / 3.0
 	g, err := eos.NewIdealGas(gamma)
 	if err != nil {
@@ -249,12 +249,12 @@ func NohDisc(n int) (*Problem, error) {
 	}, nil
 }
 
-// Sedov builds the Sedov blast on a [0,1.2]² quadrant Cartesian mesh
+// sedov builds the Sedov blast on a [0,1.2]² quadrant Cartesian mesh
 // (the paper: "calculated on a Cartesian mesh to test the code's
 // capability to model non-mesh-aligned shocks"): gamma=1.4, ambient
 // rho=1, and blast energy eTotal deposited in the corner cell (a
 // quarter of the full-plane energy, by symmetry).
-func Sedov(nx, ny int, eTotal float64) (*Problem, error) {
+func sedov(nx, ny int, eTotal float64) (*Problem, error) {
 	const gamma = 1.4
 	if eTotal <= 0 {
 		return nil, fmt.Errorf("setup: sedov energy %v must be positive", eTotal)
@@ -313,11 +313,11 @@ func Sedov(nx, ny int, eTotal float64) (*Problem, error) {
 	}, nil
 }
 
-// Saltzmann builds Saltzmann's piston: a [0,1]×[0,0.1] cold gas strip
+// saltzmann builds Saltzmann's piston: a [0,1]×[0,0.1] cold gas strip
 // on the classic skewed mesh, driven by a unit-velocity piston from the
 // left. "Designed to exacerbate hourglass modes and therefore test a
 // code's capability to suppress such modes."
-func Saltzmann(nx, ny int) (*Problem, error) {
+func saltzmann(nx, ny int) (*Problem, error) {
 	const gamma = 5.0 / 3.0
 	g, err := eos.NewIdealGas(gamma)
 	if err != nil {
@@ -348,13 +348,13 @@ func Saltzmann(nx, ny int) (*Problem, error) {
 	}, nil
 }
 
-// WaterAir builds a two-material shock tube exercising the Tait EoS:
+// waterAir builds a two-material shock tube exercising the Tait EoS:
 // a slightly compressed water column (Tait, left) drives a shock into
 // air (ideal gas, right). This is the multi-material configuration the
 // reference code's region/material machinery exists for; it validates
 // pressure continuity across a material interface with a large
 // impedance mismatch.
-func WaterAir(nx, ny int) (*Problem, error) {
+func waterAir(nx, ny int) (*Problem, error) {
 	const (
 		gammaAir = 1.4
 		rhoW     = 1.02 // compressed water
@@ -415,13 +415,13 @@ func ByName(name string, nx, ny int, sedovE float64) (*Problem, error) {
 		if sedovE <= 0 {
 			sedovE = 0.311
 		}
-		return Sedov(nx, ny, sedovE)
+		return sedov(nx, ny, sedovE)
 	case "saltzmann":
-		return Saltzmann(nx, ny)
+		return saltzmann(nx, ny)
 	case "waterair":
-		return WaterAir(nx, ny)
+		return waterAir(nx, ny)
 	case "nohdisc":
-		return NohDisc(nx)
+		return nohDisc(nx)
 	default:
 		return nil, fmt.Errorf("setup: unknown problem %q (want sod, noh, sedov, saltzmann or waterair)", name)
 	}

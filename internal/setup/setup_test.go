@@ -76,7 +76,7 @@ func TestNohVelocityField(t *testing.T) {
 }
 
 func TestSedovEnergyBudget(t *testing.T) {
-	p, err := Sedov(40, 40, 0.311)
+	p, err := sedov(40, 40, 0.311)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestSedovEnergyBudget(t *testing.T) {
 }
 
 func TestSedovRejectsBadEnergy(t *testing.T) {
-	if _, err := Sedov(10, 10, 0); err == nil {
+	if _, err := sedov(10, 10, 0); err == nil {
 		t.Fatal("zero energy accepted")
 	}
 }
 
 func TestSaltzmannMeshAndPiston(t *testing.T) {
-	p, err := Saltzmann(50, 5)
+	p, err := saltzmann(50, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestInitialAuditReportsTangledMesh(t *testing.T) {
 }
 
 func TestWaterAirSetup(t *testing.T) {
-	p, err := WaterAir(50, 2)
+	p, err := waterAir(50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

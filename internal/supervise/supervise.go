@@ -60,7 +60,7 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// ClassifyError returns the fault class of a single occurrence of err,
+// classifyError returns the fault class of a single occurrence of err,
 // before any history-based escalation. A recovered rank panic is
 // rank-persistent immediately — the goroutine is gone and respawning
 // it without a fresh state would replay the crash. Errors that
@@ -69,7 +69,7 @@ func (c Class) String() string {
 // and the hydro retryables (timestep collapse, tangled element,
 // non-finite field) are transient on first sight; the Supervisor
 // escalates repeats. Everything else is fatal.
-func ClassifyError(err error) Class {
+func classifyError(err error) Class {
 	if err == nil {
 		return ClassTransient
 	}
@@ -90,11 +90,11 @@ func ClassifyError(err error) Class {
 	return ClassFatal
 }
 
-// Attribute extracts the rank a fault is attributable to: the panicked
+// attribute extracts the rank a fault is attributable to: the panicked
 // rank, or the *sender* of a malformed or missing message (the
 // receiving rank is the victim, not the suspect). The second return is
 // false when the error names no rank.
-func Attribute(err error) (int, bool) {
+func attribute(err error) (int, bool) {
 	var rp *typhon.RankPanicError
 	if errors.As(err, &rp) {
 		return rp.Rank, true
@@ -198,8 +198,8 @@ func (sv *Supervisor) Incarnation(rank int) int { return sv.incarnation[rank] }
 // attributes the fault to when the error itself names none (-1 for
 // none); the recovery ladder can only replace an attributable rank.
 func (sv *Supervisor) Decide(err error, fallbackRank int) Decision {
-	class := ClassifyError(err)
-	rank, ok := Attribute(err)
+	class := classifyError(err)
+	rank, ok := attribute(err)
 	if !ok {
 		rank = fallbackRank
 	}

@@ -45,8 +45,8 @@ func TestClassifyError(t *testing.T) {
 		{"setup error", fmt.Errorf("bookleaf: unknown problem %q", "vortex"), ClassFatal},
 	}
 	for _, tc := range cases {
-		if got := ClassifyError(tc.err); got != tc.want {
-			t.Errorf("%s: ClassifyError = %v, want %v", tc.name, got, tc.want)
+		if got := classifyError(tc.err); got != tc.want {
+			t.Errorf("%s: classifyError = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -66,9 +66,9 @@ func TestAttribute(t *testing.T) {
 		{"hydro", &hydro.ErrTangled{Element: 1, Volume: -1}, -1, false},
 	}
 	for _, tc := range cases {
-		rank, ok := Attribute(tc.err)
+		rank, ok := attribute(tc.err)
 		if rank != tc.rank || ok != tc.ok {
-			t.Errorf("%s: Attribute = (%d, %v), want (%d, %v)", tc.name, rank, ok, tc.rank, tc.ok)
+			t.Errorf("%s: attribute = (%d, %v), want (%d, %v)", tc.name, rank, ok, tc.rank, tc.ok)
 		}
 	}
 }

@@ -191,21 +191,13 @@ func (c *Comm) Abort(rank int, cause error) {
 // Abort poisons the communicator from this rank (see Comm.Abort).
 func (r *Rank) Abort(cause error) { r.comm.Abort(r.id, cause) }
 
-// abortErr returns the abort error; call only after abort is known to
-// have happened (abortCh closed or c.abort observed non-nil).
+// abortErr returns the abort error, nil while the communicator is
+// healthy. The send and receive paths call it once abortCh is closed.
 func (c *Comm) abortErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.abort
-}
-
-// Aborted reports whether the communicator has been poisoned, and the
-// abort error if so.
-func (c *Comm) Aborted() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.abort == nil {
-		return nil
+		return nil // not a typed nil *AbortError
 	}
 	return c.abort
 }

@@ -43,8 +43,8 @@ func TestAbortUnblocksRecvAndBarrier(t *testing.T) {
 			t.Fatalf("rank %d error = %#v, want AbortError from rank 2", id, errs[id])
 		}
 	}
-	if got := c.Aborted(); got == nil || !errors.Is(got, cause) {
-		t.Fatalf("Aborted() = %v, want cause %v", got, cause)
+	if got := c.abortErr(); got == nil || !errors.Is(got, cause) {
+		t.Fatalf("abortErr() = %v, want cause %v", got, cause)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestTruncatedMessageReturnsSizeMismatch(t *testing.T) {
 	if sm.From != 0 || sm.Got != 0 || sm.Want != 1 {
 		t.Fatalf("mismatch detail = %+v", sm)
 	}
-	if c.Aborted() == nil {
+	if c.abortErr() == nil {
 		t.Fatal("size mismatch did not poison the communicator")
 	}
 }
@@ -99,7 +99,7 @@ func TestOversizedMessageReturnsSizeMismatch(t *testing.T) {
 	if errs[0] != nil && !errors.Is(errs[0], ErrAborted) {
 		t.Fatalf("rank 0 error = %v", errs[0])
 	}
-	if c.Aborted() == nil {
+	if c.abortErr() == nil {
 		t.Fatal("size mismatch did not poison the communicator")
 	}
 }
@@ -288,8 +288,8 @@ func testFaultOnRing(t *testing.T, kind FaultKind, n int) {
 	switch kind {
 	case FaultDrop:
 		var te *TimeoutError
-		if !errors.As(c.Aborted(), &te) {
-			t.Fatalf("abort cause = %v, want *TimeoutError", c.Aborted())
+		if !errors.As(c.abortErr(), &te) {
+			t.Fatalf("abort cause = %v, want *TimeoutError", c.abortErr())
 		}
 		aborted(-1)
 	case FaultTruncate:
@@ -297,8 +297,8 @@ func testFaultOnRing(t *testing.T, kind FaultKind, n int) {
 		if !errors.As(errs[1], &sm) || *sm != (SizeMismatchError{From: 0, To: 1, Got: 1, Want: 2}) {
 			t.Fatalf("rank 1 error = %v, want the size mismatch of rank 0's message", errs[1])
 		}
-		if !errors.As(c.Aborted(), &sm) {
-			t.Fatalf("abort cause = %v, want *SizeMismatchError", c.Aborted())
+		if !errors.As(c.abortErr(), &sm) {
+			t.Fatalf("abort cause = %v, want *SizeMismatchError", c.abortErr())
 		}
 		aborted(1)
 	case FaultPanic:
@@ -308,8 +308,8 @@ func testFaultOnRing(t *testing.T, kind FaultKind, n int) {
 		}
 		aborted(0)
 	case FaultCorrupt, FaultDelay:
-		if runErr != nil || c.Aborted() != nil {
-			t.Fatalf("Run error %v, abort %v: a %v fault must not poison the communicator", runErr, c.Aborted(), kind)
+		if runErr != nil || c.abortErr() != nil {
+			t.Fatalf("Run error %v, abort %v: a %v fault must not poison the communicator", runErr, c.abortErr(), kind)
 		}
 		for id := 0; id < n; id++ {
 			left := (id + n - 1) % n

@@ -23,11 +23,20 @@ const referenceSection = "Reference: flags and deck keys"
 // the README's reference table (rows "| `binary` | flags | deck keys |
 // set by |") must name every flag each binary lists and every
 // [section] key deck.go reads, and nothing else: a knob added to the
-// code without a row saying what sets it fails here too.
+// code without a row saying what sets it fails here too. Every repo
+// path it names (cmd/…, internal/…, examples/…, decks/…, globs
+// included) must exist, so a deleted program left in the prose fails.
 func TestReadmeMatchesCode(t *testing.T) {
 	src, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	repoPath := regexp.MustCompile(`(?:cmd|internal|examples|decks)/[\w./*-]*`)
+	for _, p := range repoPath.FindAllString(string(src), -1) {
+		p = strings.TrimRight(p, ".")
+		if m, _ := filepath.Glob(p); len(m) == 0 {
+			t.Errorf("README.md names %s, which does not exist", p)
+		}
 	}
 	var prose strings.Builder
 	var decks, table []string
