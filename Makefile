@@ -83,6 +83,9 @@
 # wall time, peak RSS, bytes per element and the per-kernel shares
 # EXPERIMENTS.md sets beside Table II. Tier 2: under a minute, up to
 # ~1 GB resident.
+# tables-all runs bleaf-tables -all and checks it prints every
+# artefact's header (TestTablesAll). Tier 2: -all includes -real, whose
+# host runs take seconds; tier1 checks each other flag's header alone.
 # bench-check vets and tests the benchmark harness under bench/ (about
 # 2 s); tier1 depends on it, so it runs before any change to internal/
 # lands.
@@ -92,7 +95,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale test bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale tables-all test bench-check fuzz clean
 
 # The -run filters of the tier-2 targets, shared with tier2-list.
 RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
@@ -106,6 +109,7 @@ RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostil
 RUN_CALIB    := Calibrator
 RUN_SHAPE    := CompilerShape
 RUN_PAPER    := PaperScale
+RUN_TABLES   := TablesAll
 
 all: build
 
@@ -158,7 +162,7 @@ tier2-durable:
 tier2-list:
 	@status=0; \
 	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_FUSE)|$(RUN_ORDER)|$(RUN_FLEET)|$(RUN_SHAPE)|$(RUN_PAPER)' \
-	    './internal/hydro=$(RUN_FUSE_HY)' './internal/serve=$(RUN_DURABLE)' './internal/machine=$(RUN_CALIB)'; do \
+	    './internal/hydro=$(RUN_FUSE_HY)' './internal/serve=$(RUN_DURABLE)' './internal/machine=$(RUN_CALIB)' './cmd/bleaf-tables=$(RUN_TABLES)'; do \
 	  pkgs=$${spec%%=*}; names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Example|Fuzz)') || status=1; \
 	  for alt in $$(echo "$${spec#*=}" | tr '|' ' '); do \
 	    echo "$$names" | grep -qE "$$alt" || { echo "tier2-list: -run '$$alt' selects no test in $$pkgs"; status=1; }; \
@@ -175,7 +179,10 @@ shape:
 paper-scale:
 	BOOKLEAF_PAPER_SCALE=1 $(GO) test . -run '^Test$(RUN_PAPER)$$' -count=1 -v -timeout 30m
 
-test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape
+tables-all:
+	BOOKLEAF_TABLES_ALL=1 $(GO) test ./cmd/bleaf-tables -run '$(RUN_TABLES)' -count=1 -v
+
+test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape tables-all
 
 # Native fuzzing: the deck parser (seed corpus: decks/ plus the
 # regression inputs under internal/config/testdata/fuzz), the

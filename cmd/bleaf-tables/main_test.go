@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -23,18 +24,27 @@ var paperRows = []struct {
 	{"V100 (CUDA)", "191.6"},
 }
 
+// headers lists each flag but -all, in the order -all prints them,
+// with its artefact's header.
+var headers = []struct{ flag, header string }{
+	{"table1", "== Table I:"},
+	{"table2", "== Table II:"},
+	{"fig3", "== Figures 3, 4a, 4b:"},
+	{"real", "== Real runs on this host"},
+	{"whatif", "== What-if"},
+	{"roofline", "== Kernel-fusion roofline"},
+	{"reorder", "== Mesh renumbering locality readout"},
+}
+
 // TestTablesSmoke builds bleaf-tables and checks that -table1 -table2
 // print every platform of Table I and, for each, Table II's model row
 // followed by the paper row with the paper's overall time; that each
 // flag prints its artefact's header (-real, seconds of host runs, only
-// through -all; alone it is checked in -h) and -all prints every
-// header; that -fig3 sets the paper's seconds beside the Figure 4a/4b
-// kernel columns; and that an unknown flag is a usage error.
+// in -h here; TestTablesAll runs it); that -fig3 sets the paper's
+// seconds beside the Figure 4a/4b kernel columns; and that an unknown
+// flag is a usage error.
 func TestTablesSmoke(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "bleaf-tables")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	t.Run("table1+table2", func(t *testing.T) {
 		out, err := exec.Command(bin, "-table1", "-table2").Output()
 		if err != nil {
@@ -66,16 +76,6 @@ func TestTablesSmoke(t *testing.T) {
 		}
 	})
 
-	// Each flag but -all, in the order -all prints them, with its header.
-	headers := []struct{ flag, header string }{
-		{"table1", "== Table I:"},
-		{"table2", "== Table II:"},
-		{"fig3", "== Figures 3, 4a, 4b:"},
-		{"real", "== Real runs on this host"},
-		{"whatif", "== What-if"},
-		{"roofline", "== Kernel-fusion roofline"},
-		{"reorder", "== Mesh renumbering locality readout"},
-	}
 	for _, h := range headers {
 		t.Run(h.flag, func(t *testing.T) {
 			args, header := []string{"-" + h.flag}, h.header
@@ -100,18 +100,6 @@ func TestTablesSmoke(t *testing.T) {
 		})
 	}
 
-	t.Run("all", func(t *testing.T) {
-		out, err := exec.Command(bin, "-all").Output()
-		if err != nil {
-			t.Fatalf("bleaf-tables -all: %v", err)
-		}
-		for _, h := range headers {
-			if !strings.Contains(string(out), h.header) {
-				t.Errorf("bleaf-tables -all prints no %q header (-%s)", h.header, h.flag)
-			}
-		}
-	})
-
 	t.Run("unknown-flag", func(t *testing.T) {
 		err := exec.Command(bin, "-no-such-flag").Run()
 		var exit *exec.ExitError
@@ -119,6 +107,33 @@ func TestTablesSmoke(t *testing.T) {
 			t.Fatalf("unknown flag: %v, want a non-zero exit", err)
 		}
 	})
+}
+
+// TestTablesAll (make tables-all; tier 2, its -real host runs take
+// seconds) checks that -all prints every artefact's header.
+func TestTablesAll(t *testing.T) {
+	if os.Getenv("BOOKLEAF_TABLES_ALL") == "" {
+		t.Skip("set BOOKLEAF_TABLES_ALL=1 (make tables-all) to run bleaf-tables -all")
+	}
+	out, err := exec.Command(build(t), "-all").Output()
+	if err != nil {
+		t.Fatalf("bleaf-tables -all: %v", err)
+	}
+	for _, h := range headers {
+		if !strings.Contains(string(out), h.header) {
+			t.Errorf("bleaf-tables -all prints no %q header (-%s)", h.header, h.flag)
+		}
+	}
+}
+
+// build compiles bleaf-tables into the test's temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "bleaf-tables")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func hasPrefix(lines []string, prefix string) bool {
