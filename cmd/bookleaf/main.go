@@ -43,7 +43,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		deckPath    = flag.String("deck", "", "input deck file (a flag set on the command line overrides its key)")
 		problem     = flag.String("problem", "sod", "problem: sod, noh, sedov, saltzmann")
@@ -91,16 +91,20 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
+		// Opened before the run, so an unwritable path fails at once; a
+		// failed write at exit fails the command as well.
+		f, ferr := os.Create(*memProfile)
+		if ferr != nil {
+			return ferr
+		}
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bookleaf: memprofile:", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // materialise the final live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "bookleaf: memprofile:", err)
+			werr := pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			if err == nil && werr != nil {
+				err = fmt.Errorf("memprofile: %w", werr)
 			}
 		}()
 	}

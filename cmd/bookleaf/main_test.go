@@ -176,7 +176,8 @@ func TestRemovedSwitchesFailLoudly(t *testing.T) {
 // ceiling, including one whose element count overflows int, ends the
 // command with exit status 1 and the generator's message on stderr, not
 // a runtime out-of-memory crash. A failed run's message carries the
-// command's prefix once: a missing resume dump is one more such input.
+// command's prefix once: a missing resume dump and an unwritable heap
+// profile path are more such inputs.
 func TestOversizeMeshExitsWithTheError(t *testing.T) {
 	bin := buildCLI(t)
 	for _, tc := range []struct {
@@ -190,6 +191,8 @@ func TestOversizeMeshExitsWithTheError(t *testing.T) {
 			"bookleaf: mesh: Rect 4294967296x4294967296 exceeds the 32-bit index ceiling of 536870911 elements"},
 		{"resume", []string{"-nx", "8", "-ny", "2", "-resume", "/nonexistent.ckpt"},
 			"bookleaf: resume: open /nonexistent.ckpt: no such file or directory"},
+		{"memprofile", []string{"-nx", "8", "-ny", "2", "-memprofile", "/nonexistent/x"},
+			"bookleaf: open /nonexistent/x: no such file or directory"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, append([]string{"-problem", "sod", "-quiet"}, tc.args...)...)

@@ -72,7 +72,7 @@ type RunStatus struct {
 type Control struct {
 	action  atomic.Int32
 	status  atomic.Pointer[RunStatus]
-	metrics obs.Live
+	metrics atomic.Pointer[obs.Snapshot]
 }
 
 // Cancel requests the run stop at the next step boundary, discarding
@@ -147,10 +147,12 @@ func (c *Control) snapshotDue(step int) bool {
 
 // publishMetrics publishes a mid-run snapshot; the caller must own the
 // registry the snapshot came from (the rank loop calls it from the
-// goroutine that owns reg, so the export itself never races).
+// goroutine that owns reg, so the export itself never races). A
+// published snapshot is never mutated again: Metrics hands the same
+// object to every reader.
 func (c *Control) publishMetrics(s *obs.Snapshot) {
-	if c == nil {
+	if c == nil || s == nil {
 		return
 	}
-	c.metrics.Publish(s)
+	c.metrics.Store(s)
 }

@@ -1,43 +1,6 @@
 package obs
 
-import (
-	"maps"
-	"sync/atomic"
-)
-
-// Live is the mid-run snapshot handoff cell the serving daemon reads
-// job metrics through. A Registry is single-goroutine by design (see
-// the package comment), so concurrent readers can never walk it while
-// the run mutates counters; instead the owning goroutine Publishes
-// immutable Snapshots at safe points (step boundaries, collective
-// healthy points) and any goroutine may Load the latest one. The cell
-// is a single atomic pointer: Publish costs one store on the hot side,
-// and readers never block the run.
-//
-// A published Snapshot must not be mutated afterwards — Load hands the
-// same object to every reader.
-type Live struct {
-	p atomic.Pointer[Snapshot]
-}
-
-// Publish makes s the current snapshot. Nil-safe on both sides: a nil
-// Live or a nil snapshot is a no-op, so publishing can be wired
-// unconditionally like the rest of the obs instruments.
-func (l *Live) Publish(s *Snapshot) {
-	if l == nil || s == nil {
-		return
-	}
-	l.p.Store(s)
-}
-
-// Load returns the most recently published snapshot, or nil when
-// nothing has been published yet (or on a nil Live).
-func (l *Live) Load() *Snapshot {
-	if l == nil {
-		return nil
-	}
-	return l.p.Load()
-}
+import "maps"
 
 // Merge folds other into s: counters and histogram tallies add, gauges
 // adopt other's value (in per-rank merging only one rank publishes any

@@ -53,44 +53,22 @@ func cloneStateDir(t *testing.T, s *Server, dir string) string {
 	return clone
 }
 
-func assertResultBitwise(t *testing.T, got, want *bookleaf.Result) {
+// assertResultBitwise checks what s serves of done job j — its result
+// (clock, audit scalars and the seven fields) and its merged obs
+// counters — against a direct run, bitwise.
+func assertResultBitwise(t *testing.T, s *Server, j *Job, want *bookleaf.Result) {
 	t.Helper()
+	got, err := s.result(j)
 	if got == nil {
-		t.Fatal("no result")
+		t.Fatalf("no result (%v)", err)
 	}
-	if got.Steps != want.Steps || got.Time != want.Time {
-		t.Fatalf("clock differs: recovered %d/%v, direct %d/%v",
-			got.Steps, got.Time, want.Steps, want.Time)
-	}
-	if got.E0 != want.E0 || got.EFinal != want.EFinal ||
-		got.ExternalWork != want.ExternalWork ||
-		got.Mass0 != want.Mass0 || got.MassFinal != want.MassFinal {
-		t.Fatalf("audit scalars differ: EFinal %v vs %v", got.EFinal, want.EFinal)
-	}
-	fields := []struct {
-		name     string
-		got, ref []float64
-	}{
-		{"x", got.X, want.X}, {"y", got.Y, want.Y},
-		{"rho", got.Rho, want.Rho}, {"p", got.P, want.P},
-		{"ein", got.Ein, want.Ein}, {"u", got.U, want.U}, {"v", got.V, want.V},
-	}
-	for _, f := range fields {
-		if len(f.got) != len(f.ref) {
-			t.Fatalf("field %s: length %d vs %d", f.name, len(f.got), len(f.ref))
-		}
-		for i := range f.got {
-			if f.got[i] != f.ref[i] {
-				t.Fatalf("field %s[%d]: recovered %v != direct %v (bitwise)",
-					f.name, i, f.got[i], f.ref[i])
-			}
-		}
-	}
+	assertFieldsBitwise(t, got, want)
+	sn := s.Metrics(j)
 	for _, name := range deterministicCounters {
-		if got.Obs == nil || want.Obs == nil {
+		if sn == nil || want.Obs == nil {
 			t.Fatal("missing obs snapshot")
 		}
-		if g, r := got.Obs.Counters[name], want.Obs.Counters[name]; g != r {
+		if g, r := sn.Counters[name], want.Obs.Counters[name]; g != r {
 			t.Fatalf("counter %s = %d, direct run %d (legs merged wrong?)", name, g, r)
 		}
 	}
@@ -171,13 +149,13 @@ func TestDurableCrashMidRunResumesBitwise(t *testing.T) {
 			if j2.Client != "alice" {
 				t.Fatalf("client %q lost across the crash", j2.Client)
 			}
-			j2.Wait()
+			<-j2.Done()
 			if st := s2.Status(j2); st.State != StateDone {
 				t.Fatalf("recovered job ended %q (%s)", st.State, st.Error)
 			} else if st.Preemptions < 1 {
 				t.Fatalf("recovered job reports %d preemptions, expected the spill to count", st.Preemptions)
 			}
-			assertResultBitwise(t, s2.Result(j2), want)
+			assertResultBitwise(t, s2, j2, want)
 		})
 	}
 }
@@ -223,11 +201,11 @@ func TestDurableRestartQueuedJobs(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d (%s) lost across the crash", i, j.ID)
 		}
-		j2.Wait()
+		<-j2.Done()
 		if st := s2.Status(j2); st.State != StateDone {
 			t.Fatalf("job %d ended %q (%s)", i, st.State, st.Error)
 		}
-		assertResultBitwise(t, s2.Result(j2), want[i])
+		assertResultBitwise(t, s2, j2, want[i])
 	}
 }
 
@@ -278,11 +256,11 @@ func TestDurableGracefulShutdownParks(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s lost across graceful restart", tc.id)
 		}
-		j2.Wait()
+		<-j2.Done()
 		if st := s2.Status(j2); st.State != StateDone {
 			t.Fatalf("job %s ended %q (%s)", tc.id, st.State, st.Error)
 		}
-		assertResultBitwise(t, s2.Result(j2), tc.want)
+		assertResultBitwise(t, s2, j2, tc.want)
 	}
 	if st := s2.Status(mustGet(t, s2, j.ID)); st.Preemptions < 1 {
 		t.Fatalf("parked job reports %d preemptions", st.Preemptions)
@@ -326,12 +304,12 @@ func TestDurableV3SpillRestartsFromScratch(t *testing.T) {
 	}
 	defer s2.Close()
 	j2 := mustGet(t, s2, j.ID)
-	j2.Wait()
+	<-j2.Done()
 	// A resumed job carries its preemption over; a restarted one has none.
 	if st := s2.Status(j2); st.State != StateDone || st.Preemptions != 0 {
 		t.Fatalf("job ended %q (%s) with %d preemptions, want done from scratch", st.State, st.Error, st.Preemptions)
 	}
-	assertResultBitwise(t, s2.Result(j2), want)
+	assertResultBitwise(t, s2, j2, want)
 }
 
 func mustGet(t *testing.T, s *Server, id string) *Job {
@@ -369,13 +347,13 @@ func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Wait()
+	<-j.Done()
 	st0 := s.Stats()
 	if st0.CalibrationN != 1 || !(st0.CalibrationScale > 0) {
 		t.Fatalf("no calibration after completion: %+v", st0)
 	}
-	before := s.Result(j)
-	assertResultBitwise(t, before, directRun(t, deck))
+	want := directRun(t, deck)
+	assertResultBitwise(t, s, j, want)
 	code, body0 := getRaw(t, s, j.ID)
 	if code != http.StatusOK || !bytes.Contains(body0, []byte(`"rho":[`)) {
 		t.Fatalf("GET before the restart: %d %s", code, body0)
@@ -399,7 +377,7 @@ func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	if st.State != StateDone || st.Client != "carol" || st.Error != "" {
 		t.Fatalf("terminal job recovered wrong: %+v", st)
 	}
-	assertResultBitwise(t, s2.Result(j2), before)
+	assertResultBitwise(t, s2, j2, want)
 	if code, body1 := getRaw(t, s2, j.ID); code != http.StatusOK || !bytes.Equal(body1, body0) {
 		t.Fatalf("GET body changed across the restart (%d):\nbefore %.300s\nafter  %.300s", code, body0, body1)
 	}
@@ -411,12 +389,12 @@ func TestDurableCalibrationAndTerminalSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := raw.Seconds * st0.CalibrationScale
-	if math.Abs(j3.Est.Seconds-want)/want > 1e-9 {
+	scaled := raw.Seconds * st0.CalibrationScale
+	if math.Abs(j3.Est.Seconds-scaled)/scaled > 1e-9 {
 		t.Fatalf("post-restart estimate %g, want model %g x restored scale %g",
 			j3.Est.Seconds, raw.Seconds, st0.CalibrationScale)
 	}
-	j3.Wait()
+	<-j3.Done()
 }
 
 // TestDurableJournalCorruptionRecovery: garbage appended to a valid
@@ -476,11 +454,11 @@ func TestDurableJournalCorruptionRecovery(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d lost to unrelated corruption", i)
 		}
-		j2.Wait()
+		<-j2.Done()
 		if st := s2.Status(j2); st.State != StateDone {
 			t.Fatalf("job %d ended %q (%s)", i, st.State, st.Error)
 		}
-		assertResultBitwise(t, s2.Result(j2), want[i])
+		assertResultBitwise(t, s2, j2, want[i])
 	}
 
 	// Truncating the journal mid-file is also survivable: Open keeps the
@@ -521,7 +499,7 @@ func TestDurableJournalSealedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := replayJournal(dir)
-	if rj := st.jobs["j000001"]; st.skipped != 0 || rj == nil || rj.est != 0.5 || !bytes.Equal(rj.deck, deck) {
+	if rj := st.jobs["j000001"]; st.skipped != 0 || rj == nil || rj.EstSeconds != 0.5 || !bytes.Equal(rj.Deck, deck) {
 		t.Fatalf("the sealed record did not replay as written (skipped %d): %+v", st.skipped, rj)
 	}
 	flipped := bytes.Replace(b, []byte(`"est_seconds":0.5`), []byte(`"est_seconds":0.6`), 1)
@@ -534,6 +512,248 @@ func TestDurableJournalSealedRecords(t *testing.T) {
 	if st := replayJournal(dir); len(st.jobs) != 0 || st.skipped != 1 {
 		t.Fatalf("a flipped digit replayed %d jobs and skipped %d lines, want 0 and 1", len(st.jobs), st.skipped)
 	}
+}
+
+// journalRecords parses a journal's sealed lines, failing on any line
+// that does not unseal and parse.
+func journalRecords(t *testing.T, journal []byte) []*journalRecord {
+	t.Helper()
+	var recs []*journalRecord
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		body, ok := unseal(line)
+		rec := &journalRecord{}
+		if !ok || json.Unmarshal(body, rec) != nil {
+			t.Fatalf("journal line %q does not unseal and parse", line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestDurableOneLegJobJournalsTwoLines: a job that runs in one leg
+// journals its submit line and its done line and nothing else, and the
+// done line carries the calibrator's state after the job's observation.
+func TestDurableOneLegJobJournalsTwoLines(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, err := s.Submit(strings.NewReader("[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 10\n"), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	b, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := journalRecords(t, b)
+	if len(recs) != 2 || recs[0].Op != opSubmit || recs[1].Op != StateDone {
+		t.Fatalf("a one-leg job journaled %d lines:\n%s", len(recs), b)
+	}
+	st := s.Stats()
+	if done := recs[1]; done.N < 1 || done.N != st.CalibrationN || done.Scale != st.CalibrationScale {
+		t.Fatalf("done line carries calibration %g/%d, the calibrator holds %g/%d",
+			done.Scale, done.N, st.CalibrationScale, st.CalibrationN)
+	}
+}
+
+// parentFormat rewrites a journal as builds before the done line
+// carried the calibration wrote it: a start line after each submit, and
+// a done line's calibration in a calib line of its own before it.
+func parentFormat(t *testing.T, journal []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, rec := range journalRecords(t, journal) {
+		if rec.N > 0 {
+			writeRecord(&out, &journalRecord{Op: opCalib, Scale: rec.Scale, N: rec.N})
+			rec.Scale, rec.N = 0, 0
+		}
+		writeRecord(&out, rec)
+		if rec.Op == opSubmit {
+			writeRecord(&out, &journalRecord{Op: "start", ID: rec.ID, Seq: rec.Seq})
+		}
+	}
+	return out.Bytes()
+}
+
+// TestDurableParentFormatJournalReplays: a journal in the older format,
+// with start lines and calib lines, replays to the same jobs, spill and
+// calibration as the journal this build writes. The crash image holds a
+// done job (whose line carries the calibration) and a job evicted by it
+// (whose spill is journaled); both images recover the same done status
+// and calibration, and resume the spilled job to a bitwise result.
+func TestDurableParentFormatJournalReplays(t *testing.T) {
+	runDeck := "[control]\nproblem = sod\nnx = 400\nny = 4\ntend = 0.25\n"
+	nohDeck := "[control]\nproblem = noh\nnx = 24\nny = 24\nmaxsteps = 60\n"
+	want := directRun(t, runDeck)
+	dir := t.TempDir()
+	s, err := Open(Options{Workers: 1, Threads: 1, StateDir: dir, SpillInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.Submit(strings.NewReader(runDeck), 0, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitProgress(t, s, x, 10)
+	y, err := s.Submit(strings.NewReader(nohDeck), 10, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-y.Done()
+	clone := cloneStateDir(t, s, dir)
+	if s.Status(x).State == StateDone {
+		s.Close()
+		t.Skip("machine too fast: the evicted job finished before the crash image")
+	}
+	yStatus, cal := s.Status(y), s.Stats()
+	s.Close()
+
+	old := t.TempDir()
+	ents, err := os.ReadDir(clone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(clone, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == journalName {
+			b = parentFormat(t, b)
+		}
+		if err := os.WriteFile(filepath.Join(old, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := replayJournal(old); st.skipped != 0 || len(st.jobs) != 2 {
+		t.Fatalf("the older format replayed %d jobs and skipped %d lines, want 2 and 0", len(st.jobs), st.skipped)
+	}
+	for _, d := range []string{clone, old} {
+		s2, err := Open(Options{Workers: 1, Threads: 1, StateDir: d, SpillInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s2.Stats(); st.CalibrationScale != cal.CalibrationScale || st.CalibrationN != cal.CalibrationN {
+			t.Fatalf("%s: calibration %g/%d, want %g/%d", filepath.Base(d),
+				st.CalibrationScale, st.CalibrationN, cal.CalibrationScale, cal.CalibrationN)
+		}
+		if st := s2.Status(mustGet(t, s2, y.ID)); st != yStatus {
+			t.Fatalf("%s: done job recovered as %+v, want %+v", filepath.Base(d), st, yStatus)
+		}
+		x2 := mustGet(t, s2, x.ID)
+		<-x2.Done()
+		if st := s2.Status(x2); st.State != StateDone || st.Preemptions < 1 || st.Client != "alice" {
+			t.Fatalf("%s: spilled job ended %+v, want done resumed from its spill", filepath.Base(d), st)
+		}
+		assertResultBitwise(t, s2, x2, want)
+		s2.Close()
+	}
+}
+
+// TestDurableOpenCloseKeepSpillFiles: a spill already on disk stays as
+// it is — compaction writes a snapshot only for a job that names no
+// spill file. A job parked behind a higher-priority one keeps the same
+// .ckpt file through a Close, an Open and a second Close.
+func TestDurableOpenCloseKeepSpillFiles(t *testing.T) {
+	runDeck := "[control]\nproblem = sod\nnx = 400\nny = 4\ntend = 0.25\n"
+	longDeck := "[control]\nproblem = noh\nnx = 50\nny = 50\ntend = 0.6\n"
+	opt := Options{Workers: 1, Threads: 1, StateDir: t.TempDir(), SpillInterval: -1}
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.Submit(strings.NewReader(runDeck), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitProgress(t, s, x, 10)
+	if _, err := s.Submit(strings.NewReader(longDeck), 10, ""); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for st := s.Status(x); st.State != StateQueued || st.Preemptions < 1; st = s.Status(x) {
+		if st.State == StateDone || time.Now().After(deadline) {
+			t.Fatalf("the low-priority job was not evicted: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	spill := filepath.Join(opt.StateDir, x.ID+snapSuffix)
+	fi0, err := os.Stat(spill)
+	if err != nil {
+		t.Fatalf("no spill for the evicted job: %v", err)
+	}
+	same := func(when string) {
+		t.Helper()
+		fi, err := os.Stat(spill)
+		if err != nil || !os.SameFile(fi0, fi) {
+			t.Fatalf("%s rewrote the spill of a parked job (%v)", when, err)
+		}
+	}
+	s.Close()
+	same("Close")
+	s2, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Open")
+	if st := s2.Status(mustGet(t, s2, x.ID)); st.State != StateQueued || st.Preemptions < 1 {
+		t.Fatalf("the parked job recovered as %+v, want queued with its spill", st)
+	}
+	s2.Close()
+	same("a second Close")
+}
+
+// TestDurableForeignSpillRestartsFromScratch: a spill record is trusted
+// only under the name <id>.ckpt. A sealed record that names another
+// job's checkpoint must not resume this job from that job's state: the
+// job restarts from scratch and completes bitwise a direct run.
+func TestDurableForeignSpillRestartsFromScratch(t *testing.T) {
+	runDeck := "[control]\nproblem = sod\nnx = 400\nny = 4\ntend = 0.25\n"
+	queueDeck := "[control]\nproblem = sod\nnx = 400\nny = 4\nmaxsteps = 40\n"
+	want := directRun(t, queueDeck)
+	opt := Options{Workers: 1, Threads: 1, StateDir: t.TempDir(), SpillInterval: -1}
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.Submit(strings.NewReader(runDeck), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.Submit(strings.NewReader(queueDeck), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitProgress(t, s, x, 10)
+	s.Close() // parks x with a spill; q stays queued without one
+	if _, err := os.Stat(filepath.Join(opt.StateDir, x.ID+snapSuffix)); err != nil {
+		t.Fatalf("no spill for the parked job: %v", err)
+	}
+	jl, err := openJournalFile(opt.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = jl.append(&journalRecord{Op: opSpill, ID: q.ID, Snap: x.ID + snapSuffix, Step: 10, Preemptions: 1})
+	jl.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	q2 := mustGet(t, s2, q.ID)
+	<-q2.Done()
+	if st := s2.Status(q2); st.State != StateDone || st.Preemptions != 0 {
+		t.Fatalf("job ended %q (%s) with %d preemptions, want done from scratch", st.State, st.Error, st.Preemptions)
+	}
+	assertResultBitwise(t, s2, q2, want)
 }
 
 // TestClientQuotaTyped429: a client at its backlog quota is rejected
@@ -579,19 +799,19 @@ func TestClientQuotaTyped429(t *testing.T) {
 	}
 	// Drain: cancel the long job; alice's quota frees and she admits.
 	s.Cancel(long.ID)
-	long.Wait()
+	<-long.Done()
 	if st := s.Stats(); st.ClientBacklog["alice"] != 0 {
 		t.Fatalf("alice backlog %g after her job's terminal state", st.ClientBacklog["alice"])
 	}
 	// bob's completion calibrates the scale; pin it back to 1 so alice's
 	// deck is priced at the model, as when she was over quota.
-	bob.Wait()
+	<-bob.Done()
 	s.cal.Restore(1, 1)
 	a2, err := s.Submit(strings.NewReader(admitDeck), 0, "alice")
 	if err != nil {
 		t.Fatalf("alice rejected after her backlog drained: %v", err)
 	}
-	a2.Wait()
+	<-a2.Done()
 }
 
 // TestFairOrderingInterleavesClients: whitebox check of the queue
@@ -681,8 +901,8 @@ func TestTerminalJobPinsNoSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noh.Wait()
-	sod.Wait()
+	<-noh.Done()
+	<-sod.Done()
 	st := s.Status(sod)
 	if st.State != StateDone || st.Preemptions < 1 {
 		t.Fatalf("scenario broke: sod ended %+v, want done with >=1 preemption", st)
@@ -702,7 +922,7 @@ func TestTerminalJobPinsNoSnapshot(t *testing.T) {
 		t.Error("terminal job still pins its raw deck bytes")
 	}
 	// The result itself must be unharmed by the cleanup.
-	if sod.result == nil || sod.result.Obs == nil {
+	if sod.result == nil || sod.obsJSON == nil {
 		t.Fatal("cleanup destroyed the result")
 	}
 }
@@ -719,7 +939,7 @@ func TestDoneStatusReportsDeckTEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Wait()
+	<-j.Done()
 	st := s.Status(j)
 	if st.State != StateDone {
 		t.Fatalf("job ended %q (%s)", st.State, st.Error)
@@ -734,7 +954,7 @@ func TestDoneStatusReportsDeckTEnd(t *testing.T) {
 
 // TestResultFileDamage: a done job whose <id>.res is truncated,
 // bit-flipped, emptied or deleted keeps its status, but serves no part
-// of its result — Server.Result is nil and GET answers the typed
+// of its result — result is nil and GET answers the typed
 // result_unavailable error — on the live server and after a restart.
 func TestResultFileDamage(t *testing.T) {
 	deck := "[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 10\n"
@@ -776,8 +996,8 @@ func TestResultFileDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.Wait()
-			if s.Result(j) == nil {
+			<-j.Done()
+			if res, _ := s.result(j); res == nil {
 				t.Fatal("no result before the damage")
 			}
 			if err := tc.damage(filepath.Join(dir, j.ID+resSuffix)); err != nil {
@@ -788,8 +1008,8 @@ func TestResultFileDamage(t *testing.T) {
 				if st := s.Status(mustGet(t, s, j.ID)); st.State != StateDone || st.Step != 10 {
 					t.Fatalf("%s: status lost with the file: %+v", when, st)
 				}
-				if res := s.Result(mustGet(t, s, j.ID)); res != nil {
-					t.Fatalf("%s: Result served a damaged file (%d rho values)", when, len(res.Rho))
+				if res, err := s.result(mustGet(t, s, j.ID)); res != nil || err == nil {
+					t.Fatalf("%s: result served a damaged file (%d rho values, err %v)", when, len(res.Rho), err)
 				}
 				code, body := getRaw(t, s, j.ID)
 				var eb errorBody
@@ -845,7 +1065,7 @@ func TestResultFilesFollowRetention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Wait()
+		<-j.Done()
 		ids = append(ids, j.ID)
 	}
 	want := func(ids []string) []string {
@@ -872,7 +1092,7 @@ func TestResultFilesFollowRetention(t *testing.T) {
 		t.Fatalf("after a restart: result files %v, want %v", got, want(ids[3:]))
 	}
 	for _, id := range ids[3:] {
-		if s2.Result(mustGet(t, s2, id)) == nil {
+		if res, _ := s2.result(mustGet(t, s2, id)); res == nil {
 			t.Fatalf("retained job %s lost its result across the restart", id)
 		}
 	}
@@ -894,7 +1114,8 @@ func TestResultFilesFollowRetention(t *testing.T) {
 // result files, so nineteen more retained Noh 24x24 jobs must cost less
 // live heap than one result's seven arrays. HeapAlloc after two GCs is
 // the live heap; HeapInuse counts whole spans and moves in 8 KiB steps.
-// An in-memory server keeps the fields but not what no endpoint serves.
+// An in-memory server keeps the fields as a ResultJSON, which has no
+// room for the mesh or timer tables no endpoint serves.
 func TestDoneJobMemoryFlat(t *testing.T) {
 	deck := "[control]\nproblem = noh\nnx = 24\nny = 24\nmaxsteps = 60\n"
 	finish := func(s *Server) *Job {
@@ -903,7 +1124,7 @@ func TestDoneJobMemoryFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Wait()
+		<-j.Done()
 		if st := s.Status(j); st.State != StateDone {
 			t.Fatalf("job ended %q (%s)", st.State, st.Error)
 		}
@@ -925,7 +1146,7 @@ func TestDoneJobMemoryFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res := s.Result(finish(s))
+		res, _ := s.result(finish(s))
 		if res == nil {
 			t.Fatal("no result")
 		}
@@ -946,12 +1167,9 @@ func TestDoneJobMemoryFlat(t *testing.T) {
 	t.Run("in-memory", func(t *testing.T) {
 		s := New(Options{Workers: 1, Threads: 1})
 		defer s.Close()
-		res := s.Result(finish(s))
-		if res == nil || len(res.Rho) == 0 || res.Obs == nil {
+		j := finish(s)
+		if res, _ := s.result(j); res == nil || len(res.Rho) == 0 || s.Metrics(j) == nil {
 			t.Fatal("in-memory server lost what GET serves")
-		}
-		if res.Mesh != nil || res.Timers != nil || res.TimerSum != nil || res.Calls != nil {
-			t.Fatal("in-memory server retains the mesh or timer tables of a done job")
 		}
 	})
 }

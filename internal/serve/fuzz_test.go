@@ -135,19 +135,23 @@ func FuzzSubmitDeck(f *testing.F) {
 // on-disk journal: a crash can tear the final line, an operator can
 // truncate or corrupt the file, and neither replay nor a full Open over
 // the wreckage may panic or fail — recovery keeps whatever parses. The
-// seeds cover a well-formed journal, the same journal torn mid-line,
-// records out of order, and assorted non-JSON garbage. With sealed set
-// every line is sealed before it is written, so the fuzzer's records
-// reach the decoder behind the checksum; the unsealed seed is a journal
-// whose lines carry no checksum, which replays as empty.
+// seeds cover a well-formed journal in the older format (start and
+// calib lines) and in the current one (the calibration on the done
+// line), the older one torn mid-line, records out of order, and
+// assorted non-JSON garbage. With sealed set every line is sealed
+// before it is written, so the fuzzer's records reach the decoder behind
+// the checksum; the unsealed seed is a journal whose lines carry no
+// checksum, which replays as empty.
 func FuzzJournalReplay(f *testing.F) {
-	valid := `{"op":"submit","id":"j000001","seq":1,"priority":0,"client":"alice","deck":"W2NvbnRyb2xdCnByb2JsZW0gPSBzb2QKbnggPSA0MApueSA9IDQK","est_seconds":0.5,"model_seconds":0.5}
-{"op":"start","id":"j000001","seq":1}
+	submit := `{"op":"submit","id":"j000001","seq":1,"priority":0,"client":"alice","deck":"W2NvbnRyb2xdCnByb2JsZW0gPSBzb2QKbnggPSA0MApueSA9IDQK","est_seconds":0.5,"model_seconds":0.5}
+`
+	valid := submit + `{"op":"start","id":"j000001","seq":1}
 {"op":"done","id":"j000001","seq":1,"client":"alice"}
 {"op":"calib","scale":1.5,"n":3}
 `
 	f.Add([]byte(valid), true)
 	f.Add([]byte(valid), false)
+	f.Add([]byte(submit+`{"op":"done","id":"j000001","seq":1,"client":"alice","scale":1.5,"n":3}`+"\n"), true)
 	f.Add([]byte(valid[:len(valid)/2]), true) // torn mid-line
 	f.Add([]byte(`{"op":"spill","id":"jX","snap":"../../../etc/passwd","step":3}`+"\n"), true)
 	f.Add([]byte(`{"op":"done","id":"j9"}`+"\n"+`{"op":"done","id":"j9"}`+"\n"), true)

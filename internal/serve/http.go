@@ -123,19 +123,6 @@ func resultJSON(res *bookleaf.Result) *ResultJSON {
 	}
 }
 
-// result is resultJSON's inverse: a Result carrying only what r does.
-func (r *ResultJSON) result() *bookleaf.Result {
-	return &bookleaf.Result{
-		Problem: r.Problem, NEl: r.NEl, NNd: r.NNd,
-		Steps: r.Steps, Time: r.Time,
-		E0: r.E0, EFinal: r.EFinal, ExternalWork: r.ExternalWork,
-		Mass0: r.Mass0, MassFinal: r.MassFinal,
-		Rollbacks: r.Rollbacks,
-		X:         r.X, Y: r.Y, Rho: r.Rho, P: r.P, Ein: r.Ein,
-		U: r.U, V: r.V,
-	}
-}
-
 // Handler returns the daemon's HTTP interface.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -200,8 +187,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := JobResponse{Status: s.Status(j)}
-	res, err := s.result(j)
-	if err != nil {
+	var err error
+	if resp.Result, err = s.result(j); err != nil {
 		if _, ok := s.Get(j.ID); !ok {
 			// Evicted while its file was being read.
 			writeErr(w, http.StatusNotFound, CodeNotFound, "no such job")
@@ -210,9 +197,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, CodeResultUnavailable,
 			"job "+j.ID+" is done but its stored result cannot be read")
 		return
-	}
-	if res != nil {
-		resp.Result = resultJSON(res)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,31 +1,33 @@
-// The durability layer: an append-only job journal plus
-// per-job checkpoint spill files and result files inside the
-// server's state directory (Options.StateDir). Every admission, state
-// transition and terminal outcome is one sealed line — the record's
-// JSON, a space, and the CRC-32C of the JSON in eight hex digits —
-// fsynced as it is appended; each preemption's in-memory snapshot
-// (priority eviction, periodic spill of a long-running leg, or the
-// final park on graceful shutdown) is written next to it as <id>.ckpt
-// in the existing partition/order-independent checkpoint gob format. A done job's
-// served result — the ResultJSON scalars and seven field arrays — is
-// written as <id>.res (see writeResult), and its terminal record names
-// the file and carries the merged obs snapshot, so a done job holds
-// only its status and obs in memory. A restarted daemon replays the
-// journal — re-admitting queued work, resuming interrupted jobs from
-// their last spilled snapshot through Config.ResumeFrom
-// (bitwise-identical to an uninterrupted run, the per-leg obs
-// snapshots merged), restoring per-client backlogs, the calibrator's
-// learned scale and the retained terminal jobs with their result
-// files — then rewrites the journal compacted so it does not grow
-// across restarts.
+// The durability layer: an append-only job journal plus per-job
+// checkpoint spill files and result files inside the server's state
+// directory (Options.StateDir). Every admission, spill and terminal
+// outcome is one sealed line — the record's JSON, a space, and the
+// CRC-32C of the JSON in eight hex digits — fsynced as it is appended:
+// a one-leg job writes two, its submit line and its done line, which
+// carries the calibrator's state after the job's observation. Each
+// preemption's in-memory snapshot (priority eviction, periodic spill of
+// a long-running leg, or the final park on graceful shutdown) is
+// written next to it as <id>.ckpt in the checkpoint gob format, and a
+// done job's served ResultJSON as <id>.res (see writeResult), which its
+// done record names beside the merged obs snapshot. A job names the
+// files it owns (Job.snapFile, Job.resFile): compaction writes a
+// snapshot only for a job that names none, and Open deletes every .ckpt
+// and .res no job names. A restarted daemon replays the journal —
+// re-admitting queued work, resuming interrupted jobs from their last
+// spill through Config.ResumeFrom (bitwise-identical to an
+// uninterrupted run, the per-leg obs snapshots merged), restoring
+// per-client backlogs, the calibrator's learned scale and the retained
+// terminal jobs — then rewrites the journal compacted.
 //
 // The journal is written under the scheduler mutex, so a mid-write
 // crash can tear at most the final line. Replay is correspondingly
-// paranoid: any line whose seal fails or that does not parse, or that
-// references a job or snapshot that does not exist, is skipped —
-// recovery keeps whatever verifies and parses and never fails on a
-// corrupt journal (FuzzJournalReplay pins this down). The only errors Open surfaces are environmental: an
-// uncreatable state directory or an unwritable journal file.
+// paranoid: a line whose seal fails, that does not parse or that
+// references a job that does not exist is skipped, and a record naming
+// a file other than <id>.ckpt or <id>.res is not trusted — recovery
+// keeps whatever verifies and parses and never fails on a corrupt
+// journal (FuzzJournalReplay pins this down). The only errors Open
+// surfaces are environmental: an uncreatable state directory or an
+// unwritable journal file.
 package serve
 
 import (
@@ -40,7 +42,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"bookleaf"
 	"bookleaf/internal/atomicfile"
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/obs"
@@ -60,7 +61,6 @@ const resSuffix = ".res"
 // terminal line is self-describing without a second field.
 const (
 	opSubmit = "submit"
-	opStart  = "start"
 	opSpill  = "spill"
 	opCalib  = "calib"
 )
@@ -106,10 +106,49 @@ type journalRecord struct {
 	Res   string  `json:"res,omitempty"`
 	Error string  `json:"error,omitempty"`
 
-	// calib: the calibrator's scale and observation count after an
-	// Observe; replay restores the last record seen.
+	// calib and done: the calibrator's scale and observation count, as
+	// compaction found them or after a done job's observation; replay
+	// restores the last record with n > 0.
 	Scale float64 `json:"scale,omitempty"`
 	N     int     `json:"n,omitempty"`
+}
+
+// submitRecord is j's admission line: all a restart needs to re-admit
+// it, the raw deck included.
+func submitRecord(j *Job) *journalRecord {
+	return &journalRecord{
+		Op: opSubmit, ID: j.ID, Seq: j.seq,
+		Priority: j.Priority, Client: j.Client, Deck: j.deckRaw,
+		EstSeconds: j.Est.Seconds, ModelSeconds: j.modelSecs,
+	}
+}
+
+// spillRecord is j's spill line: the snapshot file it names and the
+// leg bookkeeping its resumed leg needs. The error is the merged obs
+// snapshot's, which JSON may not carry.
+func spillRecord(j *Job) (*journalRecord, error) {
+	raw, err := encodeObs(j.prevObs)
+	return &journalRecord{
+		Op: opSpill, ID: j.ID, Snap: j.snapFile,
+		Step: j.lastStatus.Step, Time: j.lastStatus.Time,
+		Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
+		Obs: raw,
+	}, err
+}
+
+// terminalRecord is j's self-describing terminal journal line: all a
+// restart needs to restore the job with no preceding submit record.
+func terminalRecord(j *Job) *journalRecord {
+	rec := &journalRecord{
+		Op: j.state, ID: j.ID, Seq: j.seq, Client: j.Client,
+		Priority: j.Priority, EstSeconds: j.Est.Seconds, Preemptions: j.preemptions,
+		Step: j.lastStatus.Step, Time: j.lastStatus.Time, TEnd: j.lastStatus.TEnd,
+		Res: j.resFile, Obs: j.obsJSON,
+	}
+	if j.err != nil && j.state == StateFailed {
+		rec.Error = j.err.Error()
+	}
+	return rec
 }
 
 // journal is the open append handle. All writes happen under the
@@ -170,20 +209,23 @@ func (jl *journal) close() {
 	}
 }
 
-func (jl *journal) snapName(id string) string { return id + snapSuffix }
-
-func (jl *journal) snapPath(id string) string {
-	return filepath.Join(jl.dir, jl.snapName(id))
-}
-
-// writeSnap spills a snapshot atomically: a crash mid-spill leaves the
-// previous spill intact, never a torn file.
+// writeSnap spills a snapshot to <id>.ckpt atomically and returns the
+// file name: a crash mid-spill leaves the previous spill intact, never
+// a torn file.
 func (jl *journal) writeSnap(id string, sn *checkpoint.Snapshot) (string, error) {
-	name := jl.snapName(id)
-	return name, atomicfile.Write(jl.snapPath(id), sn.Write)
+	name := id + snapSuffix
+	return name, atomicfile.Write(filepath.Join(jl.dir, name), sn.Write)
 }
 
-func (jl *journal) removeSnap(id string) { os.Remove(jl.snapPath(id)) }
+func (jl *journal) removeSnap(id string) { os.Remove(filepath.Join(jl.dir, id+snapSuffix)) }
+
+// ownFile reports whether name is the one file of a job's that carries
+// suffix: <id><suffix>, in the state directory itself. A journal record
+// naming any other file — another job's, or the journal — is not
+// trusted.
+func ownFile(id, suffix, name string) bool {
+	return name == id+suffix && filepath.Base(name) == name
+}
 
 // readSnapFile loads one spill; callers treat any error as "no spill"
 // and restart the job from scratch.
@@ -199,24 +241,23 @@ func readSnapFile(path string) (*checkpoint.Snapshot, error) {
 // errResCorrupt is every content failure of a result file.
 var errResCorrupt = errors.New("result file corrupt")
 
-// writeResult writes what GET serves of res to dir/<id>.res atomically
-// and returns the file name: its ResultJSON (scalars and the seven
-// field arrays) gob-encoded behind the atomicfile checksum trailer.
-// readResult checks the checksum before it decodes anything, so a
-// truncated, bit-flipped or missing file is an error and never a
+// writeResult writes what GET serves of a done job to dir/<id>.res
+// atomically and returns the file name: its ResultJSON (scalars and the
+// seven field arrays) gob-encoded behind the atomicfile checksum
+// trailer. readResult checks the checksum before it decodes anything,
+// so a truncated, bit-flipped or missing file is an error and never a
 // partial result.
-func writeResult(dir, id string, res *bookleaf.Result) (string, error) {
+func writeResult(dir, id string, res *ResultJSON) (string, error) {
 	name := id + resSuffix
 	return name, atomicfile.Write(filepath.Join(dir, name), func(out io.Writer) error {
 		return atomicfile.WriteSummed(out, func(w io.Writer) error {
-			return gob.NewEncoder(w).Encode(resultJSON(res))
+			return gob.NewEncoder(w).Encode(res)
 		})
 	})
 }
 
-// readResult loads a result file written by writeResult: the served
-// scalars and fields, nothing else.
-func readResult(path string) (*bookleaf.Result, error) {
+// readResult loads a result file written by writeResult.
+func readResult(path string) (*ResultJSON, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -228,7 +269,7 @@ func readResult(path string) (*bookleaf.Result, error) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
 		return nil, errResCorrupt
 	}
-	return r.result(), nil
+	return &r, nil
 }
 
 // encodeObs is an obs snapshot as the journal carries it, and as a done
@@ -255,32 +296,11 @@ func decodeObs(raw json.RawMessage) (*obs.Snapshot, error) {
 	return obs.MergeSnapshots(&sn), nil
 }
 
-// replayJob is the reconstruction of one job from the journal.
-type replayJob struct {
-	id       string
-	seq      int
-	priority int
-	client   string
-	deck     []byte
-	est      float64
-	model    float64
-
-	terminal string // "", or the terminal state op
-	errMsg   string
-	tend     float64
-	resFile  string
-
-	snapFile    string
-	step        int
-	time        float64
-	preemptions int
-	wall        float64
-	obs         json.RawMessage
-}
-
 // replayState is everything a journal scan recovers.
 type replayState struct {
-	jobs          map[string]*replayJob
+	// jobs holds each job's latest record: its submit with any later
+	// spill folded in, or its terminal record.
+	jobs          map[string]*journalRecord
 	order         []string // first-seen (submission) order
 	terminalOrder []string // terminal-record order — the retention FIFO
 	calScale      float64
@@ -301,7 +321,7 @@ const journalScanBuf = 16 << 20
 // is corrupt however well it parses: a flipped digit in a deck or an
 // estimate must not re-admit a different job.
 func replayJournal(dir string) *replayState {
-	st := &replayState{jobs: map[string]*replayJob{}}
+	st := &replayState{jobs: map[string]*journalRecord{}}
 	f, err := os.Open(filepath.Join(dir, journalName))
 	if err != nil {
 		return st
@@ -323,61 +343,39 @@ func replayJournal(dir string) *replayState {
 		if rec.Seq > st.maxSeq {
 			st.maxSeq = rec.Seq
 		}
+		if rec.N > 0 {
+			st.calScale, st.calN = rec.Scale, rec.N
+		}
+		prev := st.jobs[rec.ID]
 		switch {
 		case rec.Op == opSubmit:
-			if rec.ID == "" || st.jobs[rec.ID] != nil {
+			if rec.ID == "" || prev != nil {
 				st.skipped++ // anonymous or duplicate submission
 				continue
 			}
-			st.jobs[rec.ID] = &replayJob{
-				id: rec.ID, seq: rec.Seq, priority: rec.Priority,
-				client: rec.Client, deck: rec.Deck,
-				est: rec.EstSeconds, model: rec.ModelSeconds,
-			}
+			st.jobs[rec.ID] = &rec
 			st.order = append(st.order, rec.ID)
-		case rec.Op == opStart:
-			if st.jobs[rec.ID] == nil {
-				st.skipped++
-			}
-			// A start without a later spill or terminal record replays
-			// the same as queued: the job re-runs from scratch.
 		case rec.Op == opSpill:
-			rj := st.jobs[rec.ID]
-			if rj == nil || rj.terminal != "" {
+			if prev == nil || terminalOp(prev.Op) {
 				st.skipped++
 				continue
 			}
 			// Later spills supersede earlier ones for the same job.
-			rj.snapFile = rec.Snap
-			rj.step, rj.time = rec.Step, rec.Time
-			rj.preemptions, rj.wall = rec.Preemptions, rec.WallSeconds
-			rj.obs = rec.Obs
+			prev.Snap, prev.Step, prev.Time = rec.Snap, rec.Step, rec.Time
+			prev.Preemptions, prev.WallSeconds, prev.Obs = rec.Preemptions, rec.WallSeconds, rec.Obs
 		case terminalOp(rec.Op):
-			rj := st.jobs[rec.ID]
-			if rj == nil {
-				if rec.ID == "" {
-					st.skipped++
-					continue
-				}
-				// A compacted journal carries terminal jobs as a single
-				// self-describing record with no preceding submit.
-				rj = &replayJob{id: rec.ID, seq: rec.Seq, client: rec.Client}
-				st.jobs[rec.ID] = rj
-			}
-			if rj.terminal != "" {
-				st.skipped++ // double terminal
+			// The terminal record is self-describing: it supersedes what
+			// the submit and spill records said, and a compacted journal
+			// carries terminal jobs with no preceding submit.
+			if rec.ID == "" || (prev != nil && terminalOp(prev.Op)) {
+				st.skipped++ // anonymous or double terminal
 				continue
 			}
-			// The terminal record is self-describing: it supersedes what
-			// the submit and spill records said.
-			rj.terminal = rec.Op
-			rj.errMsg = rec.Error
-			rj.priority, rj.est = rec.Priority, rec.EstSeconds
-			rj.step, rj.time, rj.tend = rec.Step, rec.Time, rec.TEnd
-			rj.preemptions, rj.obs, rj.resFile = rec.Preemptions, rec.Obs, rec.Res
+			st.jobs[rec.ID] = &rec
 			st.terminalOrder = append(st.terminalOrder, rec.ID)
-		case rec.Op == opCalib:
-			st.calScale, st.calN = rec.Scale, rec.N
+		case rec.Op == opCalib, rec.Op == "start":
+			// Older builds also journaled each leg's start, which replay
+			// never needed: a started job replays as queued.
 		default:
 			st.skipped++
 		}

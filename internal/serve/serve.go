@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -258,12 +257,14 @@ type Job struct {
 	wallSeconds  float64 // measured run time summed over finished legs
 	preemptAsked bool
 	cancelAsked  bool
-	// result is what a done job serves from memory: the ResultJSON
-	// scalars and fields, the merged obs and TEnd. A durable server puts
-	// them on disk instead and result stays nil: resFile (in StateDir)
-	// holds the scalars and fields, obsJSON the merged obs as the done
-	// record journals it, and lastStatus the TEnd.
-	result  *bookleaf.Result
+	// snapFile names the spill of resumeSnap in StateDir, once one is
+	// on disk; empty while none is, and once the job ends.
+	snapFile string
+	// result is what GET serves of a done job, held in memory; a durable
+	// server puts it in resFile (in StateDir) instead. obsJSON is the
+	// merged obs as the done record journals it, on either kind of
+	// server.
+	result  *ResultJSON
 	resFile string
 	obsJSON json.RawMessage
 	err     error
@@ -372,27 +373,29 @@ func (s *Server) recover() error {
 	// document, error and merged obs survive a restart, and a done job
 	// serves its result from the <id>.res file its record names.
 	for _, id := range st.terminalOrder {
-		rj := st.jobs[id]
-		if rj == nil || rj.terminal == "" || s.jobs[id] != nil {
+		rec := st.jobs[id]
+		if !terminalOp(rec.Op) || s.jobs[id] != nil {
 			continue
 		}
 		j := &Job{
-			ID: rj.id, Priority: rj.priority, Client: rj.client,
-			Est: machine.Estimate{Seconds: rj.est},
-			seq: rj.seq, state: rj.terminal, preemptions: rj.preemptions,
-			lastStatus: bookleaf.RunStatus{Step: rj.step, Time: rj.time, TEnd: rj.tend},
+			ID: rec.ID, Priority: rec.Priority, Client: rec.Client,
+			Est: machine.Estimate{Seconds: rec.EstSeconds},
+			seq: rec.Seq, state: rec.Op, preemptions: rec.Preemptions,
+			lastStatus: bookleaf.RunStatus{Step: rec.Step, Time: rec.Time, TEnd: rec.TEnd},
 			done:       make(chan struct{}),
 		}
-		if rj.errMsg != "" {
-			j.err = errors.New(rj.errMsg)
-		} else if rj.terminal == StateCanceled {
+		if rec.Error != "" {
+			j.err = errors.New(rec.Error)
+		} else if rec.Op == StateCanceled {
 			j.err = bookleaf.ErrCanceled
 		}
-		// Only the name writeResult gives is trusted: eviction deletes
-		// the file, and a tampered record must not name the journal.
-		if name := rj.id + resSuffix; rj.terminal == StateDone &&
-			rj.resFile == name && filepath.Base(name) == name {
-			j.resFile, j.obsJSON = name, rj.obs
+		if rec.Op == StateDone {
+			j.obsJSON = rec.Obs
+			// Eviction deletes the file, and a tampered record must not
+			// name the journal or another job's result.
+			if ownFile(rec.ID, resSuffix, rec.Res) {
+				j.resFile = rec.Res
+			}
 		}
 		close(j.done)
 		s.jobs[id] = j
@@ -402,81 +405,58 @@ func (s *Server) recover() error {
 	// Live jobs in submission order, so fair tags rebuild the same way
 	// they were first assigned.
 	for _, id := range st.order {
-		rj := st.jobs[id]
-		if rj == nil || rj.terminal != "" || s.jobs[id] != nil {
-			continue
+		if rec := st.jobs[id]; rec.Op == opSubmit && s.jobs[id] == nil {
+			s.readmit(rec)
 		}
-		s.readmit(rj)
 	}
 	if err := s.compactJournal(); err != nil {
 		return fmt.Errorf("serve: journal compact: %w", err)
 	}
-	// Anything .ckpt not owned by a live job, or .res not named by a
-	// retained done job, is an orphan from a crash, an eviction or a
-	// compacted-away job; a .tmp is a write a crash cut short.
-	if ents, err := os.ReadDir(s.opt.StateDir); err == nil {
-		for _, e := range ents {
-			name := e.Name()
-			switch {
-			case strings.HasSuffix(name, snapSuffix):
-				if j := s.jobs[strings.TrimSuffix(name, snapSuffix)]; j != nil && j.resumeSnap != nil {
-					continue
-				}
-			case strings.HasSuffix(name, resSuffix):
-				if j := s.jobs[strings.TrimSuffix(name, resSuffix)]; j != nil && j.resFile == name {
-					continue
-				}
-			case !strings.HasSuffix(name, ".tmp"):
-				continue
-			}
-			os.Remove(filepath.Join(s.opt.StateDir, name))
+	// A .ckpt or .res no job names is an orphan from a crash, an
+	// eviction or a compacted-away job; a .tmp is a write a crash cut
+	// short.
+	named := map[string]bool{}
+	for _, j := range s.jobs {
+		named[j.snapFile] = true
+		named[j.resFile] = true
+	}
+	ents, _ := os.ReadDir(s.opt.StateDir)
+	for _, e := range ents {
+		ext := filepath.Ext(e.Name())
+		if ext == ".tmp" || (ext == snapSuffix || ext == resSuffix) && !named[e.Name()] {
+			os.Remove(filepath.Join(s.opt.StateDir, e.Name()))
 		}
 	}
 	return nil
 }
 
-// readmit reconstructs one live (queued or interrupted) job from the
-// journal: the deck is re-validated exactly like a fresh submission —
-// server caps may have changed across the restart, in which case the
-// job fails rather than runs oversized — and an interrupted job's last
-// spill is loaded so its next leg resumes bitwise where it left off. A
-// missing or corrupt spill restarts the job from scratch, dropping the
-// spilled leg bookkeeping with it so obs counters are not double-merged.
-func (s *Server) readmit(rj *replayJob) {
+// readmit reconstructs one live (queued or interrupted) job from its
+// journal record: the deck is re-admitted exactly like a fresh
+// submission — server caps may have changed across the restart, in
+// which case the job fails rather than runs oversized — and an
+// interrupted job's last spill is loaded so its next leg resumes
+// bitwise where it left off. A missing, corrupt or foreign spill
+// restarts the job from scratch, dropping the spilled leg bookkeeping
+// with it so obs counters are not double-merged.
+func (s *Server) readmit(rec *journalRecord) {
 	j := &Job{
-		ID: rj.id, Priority: rj.priority, Client: rj.client,
-		seq: rj.seq, state: StateQueued,
-		deckRaw: rj.deck,
+		ID: rec.ID, Priority: rec.Priority, Client: rec.Client,
+		seq: rec.Seq, state: StateQueued,
+		deckRaw: rec.Deck,
 		done:    make(chan struct{}),
 	}
 	if j.Client == "" {
 		j.Client = DefaultClient
 	}
 	s.jobs[j.ID] = j
-	fail := func(reason string) {
-		s.terminalLocked(j, StateFailed, &BadDeckError{Reason: reason})
-	}
-	deck, err := config.ParseLimit(bytes.NewReader(rj.deck), s.opt.MaxDeckBytes)
+	cfg, err := s.admit(rec.Deck)
 	if err != nil {
-		fail("journaled deck no longer parses: " + err.Error())
-		return
-	}
-	cfg, err := bookleaf.ConfigFromDeck(deck)
-	if err != nil {
-		fail("journaled deck no longer parses: " + err.Error())
-		return
-	}
-	if err := s.serverSafe(&cfg); err != nil {
-		fail("journaled deck no longer admissible: " + err.Error())
-		return
-	}
-	if err := cfg.Validate(); err != nil {
-		fail("journaled deck no longer admissible: " + err.Error())
+		s.terminalLocked(j, StateFailed, fmt.Errorf("journaled deck no longer admissible: %w", err))
 		return
 	}
 	j.cfg = &cfg
-	j.Est = machine.Estimate{Seconds: rj.est}
-	j.modelSecs = rj.model
+	j.Est = machine.Estimate{Seconds: rec.EstSeconds}
+	j.modelSecs = rec.ModelSeconds
 	if !(j.Est.Seconds > 0) || math.IsInf(j.Est.Seconds, 0) {
 		// A tampered journal must not poison the backlog accounting.
 		j.Est.Seconds = 0
@@ -484,19 +464,22 @@ func (s *Server) readmit(rj *replayJob) {
 	s.backlog += j.Est.Seconds
 	s.clientBacklog[j.Client] += j.Est.Seconds
 	s.fairTagLocked(j)
-	if rj.snapFile != "" {
-		snap, err := readSnapFile(filepath.Join(s.opt.StateDir, filepath.Base(rj.snapFile)))
+	// Only the name writeSnap gives is trusted: a record naming another
+	// job's spill must not resume this job from that job's state.
+	if ownFile(rec.ID, snapSuffix, rec.Snap) {
+		snap, err := readSnapFile(filepath.Join(s.opt.StateDir, rec.Snap))
 		var prev *obs.Snapshot
 		if err == nil {
-			prev, err = decodeObs(rj.obs)
+			prev, err = decodeObs(rec.Obs)
 		}
 		if err == nil && snap.Validate(cfg.Problem, cfg.NX, cfg.NY,
 			cfg.NX*cfg.NY, (cfg.NX+1)*(cfg.NY+1)) == nil {
 			j.resumeSnap = snap
+			j.snapFile = rec.Snap
 			j.prevObs = prev
-			j.preemptions = rj.preemptions
-			j.wallSeconds = rj.wall
-			j.lastStatus = bookleaf.RunStatus{Step: rj.step, Time: rj.time, TEnd: cfg.TEnd}
+			j.preemptions = rec.Preemptions
+			j.wallSeconds = rec.WallSeconds
+			j.lastStatus = bookleaf.RunStatus{Step: rec.Step, Time: rec.Time, TEnd: cfg.TEnd}
 		}
 	}
 	if s.opt.AdmitOnly {
@@ -536,28 +519,23 @@ func (s *Server) compactJournal() error {
 		}
 		sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
 		for _, j := range live {
-			write(&journalRecord{
-				Op: opSubmit, ID: j.ID, Seq: j.seq,
-				Priority: j.Priority, Client: j.Client, Deck: j.deckRaw,
-				EstSeconds: j.Est.Seconds, ModelSeconds: j.modelSecs,
-			})
-			if j.resumeSnap != nil {
-				raw, oerr := encodeObs(j.prevObs)
-				if oerr != nil && err == nil {
-					err = oerr
-				}
-				write(&journalRecord{
-					Op: opSpill, ID: j.ID, Snap: s.jl.snapName(j.ID),
-					Step: j.lastStatus.Step, Time: j.lastStatus.Time,
-					Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
-					Obs: raw,
-				})
-				// The spilled snapshot itself must exist on disk for the
-				// record to mean anything after the next crash.
-				if _, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr != nil && err == nil {
-					err = werr
-				}
+			write(submitRecord(j))
+			if j.resumeSnap == nil || err != nil {
+				continue
 			}
+			// The spilled snapshot itself must exist on disk for the
+			// record to mean anything after the next crash; one a spill
+			// already wrote is left as it is.
+			if j.snapFile == "" {
+				name, werr := s.jl.writeSnap(j.ID, j.resumeSnap)
+				if err = werr; err != nil {
+					continue
+				}
+				j.snapFile = name
+			}
+			var rec *journalRecord
+			rec, err = spillRecord(j)
+			write(rec)
 		}
 		return err
 	})
@@ -632,22 +610,9 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 	if err != nil {
 		return nil, &BadDeckError{Reason: err.Error()}
 	}
-	deck, err := config.ParseLimit(bytes.NewReader(raw), s.opt.MaxDeckBytes)
+	cfg, err := s.admit(raw)
 	if err != nil {
-		if errors.Is(err, config.ErrTooLarge) {
-			return nil, err
-		}
-		return nil, &BadDeckError{Reason: err.Error()}
-	}
-	cfg, err := bookleaf.ConfigFromDeck(deck)
-	if err != nil {
-		return nil, &BadDeckError{Reason: err.Error()}
-	}
-	if err := s.serverSafe(&cfg); err != nil {
 		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, &BadDeckError{Reason: err.Error()}
 	}
 	// Threads here is the pool width the server grants, never the
 	// deck-declared count: a hostile deck must not be able to inflate
@@ -718,12 +683,7 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 	if s.jl != nil {
 		// An unjournalable submission is rejected, not half-admitted: an
 		// acknowledged job must survive a crash.
-		rec := &journalRecord{
-			Op: opSubmit, ID: j.ID, Seq: j.seq,
-			Priority: j.Priority, Client: j.Client, Deck: raw,
-			EstSeconds: est.Seconds, ModelSeconds: modelSecs,
-		}
-		if err := s.jl.append(rec); err != nil {
+		if err := s.jl.append(submitRecord(j)); err != nil {
 			s.seq--
 			return nil, fmt.Errorf("serve: journal append: %w", err)
 		}
@@ -740,6 +700,32 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 	return j, nil
 }
 
+// admit turns a deck's raw bytes into the config its job runs:
+// parsed through the MaxDeckBytes limit, mapped, checked by serverSafe
+// and validated. Submit and readmit share it, so a journaled deck meets
+// the rules a fresh one does. A deck past the limit wraps
+// config.ErrTooLarge; every other rejection is a *BadDeckError.
+func (s *Server) admit(raw []byte) (bookleaf.Config, error) {
+	var cfg bookleaf.Config
+	deck, err := config.ParseLimit(bytes.NewReader(raw), s.opt.MaxDeckBytes)
+	if errors.Is(err, config.ErrTooLarge) {
+		return cfg, err
+	}
+	if err == nil {
+		cfg, err = bookleaf.ConfigFromDeck(deck)
+	}
+	if err == nil {
+		err = s.serverSafe(&cfg)
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return cfg, &BadDeckError{Reason: err.Error()}
+	}
+	return cfg, nil
+}
+
 // serverSafe rejects deck keys that would touch the server's
 // filesystem — a remote client must not be able to write checkpoint,
 // trace or metrics files, or read arbitrary paths as restart dumps —
@@ -753,34 +739,32 @@ func (s *Server) serverSafe(cfg *bookleaf.Config) error {
 	default:
 		// Run would also reject this, but at admission it is a typed
 		// 400 instead of a failed job.
-		return &BadDeckError{Reason: fmt.Sprintf("unknown problem %q", cfg.Problem)}
+		return fmt.Errorf("unknown problem %q", cfg.Problem)
 	}
 	switch {
 	case cfg.Checkpoint != "":
-		return &BadDeckError{Reason: "served decks may not set [control] checkpoint (no server-side file output)"}
+		return errors.New("served decks may not set [control] checkpoint (no server-side file output)")
 	case cfg.Resume != "":
-		return &BadDeckError{Reason: "served decks may not set [control] resume (no server-side file input)"}
+		return errors.New("served decks may not set [control] resume (no server-side file input)")
 	case cfg.Trace != "":
-		return &BadDeckError{Reason: "served decks may not set [obs] trace (no server-side file output)"}
+		return errors.New("served decks may not set [obs] trace (no server-side file output)")
 	case cfg.Metrics != "":
-		return &BadDeckError{Reason: "served decks may not set [obs] metrics (use GET /v1/jobs/{id}/metrics)"}
+		return errors.New("served decks may not set [obs] metrics (use GET /v1/jobs/{id}/metrics)")
 	}
 	if cfg.Ranks > s.opt.MaxRanks {
-		return &BadDeckError{Reason: fmt.Sprintf("ranks %d exceeds the server cap %d", cfg.Ranks, s.opt.MaxRanks)}
+		return fmt.Errorf("ranks %d exceeds the server cap %d", cfg.Ranks, s.opt.MaxRanks)
 	}
 	if sc := cfg.Supervise; sc != nil && sc.RepartRanks > s.opt.MaxRanks {
 		// An online repartition grows the fleet to repart_ranks.
-		return &BadDeckError{Reason: fmt.Sprintf("[supervise] repart_ranks %d exceeds the server cap %d", sc.RepartRanks, s.opt.MaxRanks)}
+		return fmt.Errorf("[supervise] repart_ranks %d exceeds the server cap %d", sc.RepartRanks, s.opt.MaxRanks)
 	}
 	if cfg.Threads > s.opt.MaxThreads {
-		return &BadDeckError{Reason: fmt.Sprintf("threads %d exceeds the server cap %d", cfg.Threads, s.opt.MaxThreads)}
+		return fmt.Errorf("threads %d exceeds the server cap %d", cfg.Threads, s.opt.MaxThreads)
 	}
-	// Individual caps first so the int64 product below cannot overflow.
-	if cfg.NX > s.opt.MaxElements || cfg.NY > s.opt.MaxElements {
-		return &BadDeckError{Reason: fmt.Sprintf("mesh %dx%d exceeds the server cap of %d elements", cfg.NX, cfg.NY, s.opt.MaxElements)}
-	}
-	if int64(cfg.NX)*int64(cfg.NY) > int64(s.opt.MaxElements) {
-		return &BadDeckError{Reason: fmt.Sprintf("mesh %dx%d exceeds the server cap of %d elements", cfg.NX, cfg.NY, s.opt.MaxElements)}
+	// Individual caps first so the int64 product cannot overflow.
+	if cfg.NX > s.opt.MaxElements || cfg.NY > s.opt.MaxElements ||
+		int64(cfg.NX)*int64(cfg.NY) > int64(s.opt.MaxElements) {
+		return fmt.Errorf("mesh %dx%d exceeds the server cap of %d elements", cfg.NX, cfg.NY, s.opt.MaxElements)
 	}
 	return nil
 }
@@ -813,9 +797,6 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	}
 	return j, true
 }
-
-// Wait blocks until the job reaches a terminal state.
-func (j *Job) Wait() { <-j.done }
 
 // Done exposes the terminal-state channel for select loops.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -855,35 +836,17 @@ func (s *Server) Status(j *Job) Status {
 	return st
 }
 
-// Result returns what the completed run serves — the ResultJSON scalars
-// and field arrays, the merged obs and TEnd — or nil before StateDone
-// and when a durable job's result file cannot be read.
-func (s *Server) Result(j *Job) *bookleaf.Result {
-	res, _ := s.result(j)
-	return res
-}
-
-// result is Result with the reason a done job's result file could not
-// be read. The file is read outside the mutex, and checked whole before
-// anything of it is returned.
-func (s *Server) result(j *Job) (*bookleaf.Result, error) {
+// result is what GET serves of a done job — nil before StateDone — or
+// the reason its result file could not be read. The file is read
+// outside the mutex, and checked whole before any of it is returned.
+func (s *Server) result(j *Job) (*ResultJSON, error) {
 	s.mu.Lock()
-	done, res, file := j.state == StateDone, j.result, j.resFile
-	raw, tend := j.obsJSON, j.lastStatus.TEnd
+	res, file := j.result, j.resFile
 	s.mu.Unlock()
-	switch {
-	case !done:
-		return nil, nil
-	case file == "":
+	if file == "" {
 		return res, nil
 	}
-	out, err := readResult(filepath.Join(s.opt.StateDir, file))
-	if err != nil {
-		return nil, err
-	}
-	out.Obs, _ = decodeObs(raw)
-	out.TEnd = tend
-	return out, nil
+	return readResult(filepath.Join(s.opt.StateDir, file))
 }
 
 // Metrics assembles the job's current merged obs snapshot: finished
@@ -903,9 +866,6 @@ func (s *Server) Metrics(j *Job) *obs.Snapshot {
 	}
 	if j.state == StateDone {
 		// The final merge already happened at completion.
-		if j.result != nil {
-			return j.result.Obs
-		}
 		sn, _ := decodeObs(j.obsJSON)
 		return sn
 	}
@@ -1092,11 +1052,6 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 		// rather than with ancient credit.
 		s.vnow = j.fairKey
 	}
-	if s.jl != nil {
-		// Best-effort: a lost start record replays as still-queued, which
-		// re-runs the job from its last spill — correct either way.
-		s.jl.append(&journalRecord{Op: opStart, ID: j.ID, Seq: j.seq})
-	}
 	cfg := *j.cfg
 	cfg.Control = ctl
 	cfg.ResumeFrom = j.resumeSnap
@@ -1114,7 +1069,7 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 			// Written here, outside s.mu, and before the done record that
 			// names it. A failed write only costs durability: the fields
 			// stay in memory, as a failed spill's snapshot does.
-			if name, werr := writeResult(s.opt.StateDir, j.ID, res); werr == nil {
+			if name, werr := writeResult(s.opt.StateDir, j.ID, resultJSON(res)); werr == nil {
 				resFile = name
 			}
 		}
@@ -1146,11 +1101,6 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, 
 		// priced. Failed and canceled runs stopped at an unknown
 		// fraction of it.
 		s.cal.Observe(j.modelSecs, j.wallSeconds)
-		if s.jl != nil {
-			if scale, n := s.cal.State(); n > 0 {
-				s.jl.append(&journalRecord{Op: opCalib, Scale: scale, N: n})
-			}
-		}
 		if j.prevObs != nil && res.Obs != nil {
 			j.prevObs.Merge(res.Obs)
 			res.Obs = j.prevObs
@@ -1160,11 +1110,9 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, 
 		// result is on disk. An obs snapshot JSON cannot carry (a NaN
 		// gauge) is dropped: neither the wire nor the journal could
 		// serve it.
-		if resFile != "" {
-			j.resFile = resFile
-			j.obsJSON, _ = encodeObs(res.Obs)
-		} else {
-			j.result = served(res)
+		j.obsJSON, _ = encodeObs(res.Obs)
+		if j.resFile = resFile; resFile == "" {
+			j.result = resultJSON(res)
 		}
 		// TEnd is the deck's configured end time as the run resolved it,
 		// not the time reached: a MaxSteps-limited run reports how far
@@ -1189,19 +1137,17 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, 
 		j.preemptions++
 		j.lastStatus = bookleaf.RunStatus{Step: pe.Step, Time: pe.Time, TEnd: j.lastStatus.TEnd}
 		j.state = StateQueued
+		j.snapFile = ""
 		if s.jl != nil {
 			// Spill the snapshot and its leg bookkeeping: after a crash
 			// the job resumes from here instead of from scratch. A failed
 			// spill only costs durability — the in-memory resume still has
-			// the snapshot.
-			raw, oerr := encodeObs(j.prevObs)
-			if name, werr := s.jl.writeSnap(j.ID, j.resumeSnap); werr == nil && oerr == nil {
-				s.jl.append(&journalRecord{
-					Op: opSpill, ID: j.ID, Snap: name,
-					Step: pe.Step, Time: pe.Time,
-					Preemptions: j.preemptions, WallSeconds: j.wallSeconds,
-					Obs: raw,
-				})
+			// the snapshot, and compaction tries the file again.
+			if rec, err := spillRecord(j); err == nil {
+				if rec.Snap, err = s.jl.writeSnap(j.ID, j.resumeSnap); err == nil {
+					j.snapFile = rec.Snap
+					s.jl.append(rec)
+				}
 			}
 		}
 		s.pushLocked(j)
@@ -1211,28 +1157,6 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, 
 		s.terminalLocked(j, StateFailed, err)
 	}
 	s.dispatchLocked()
-}
-
-// served is the part of a finished run that GET serves.
-func served(res *bookleaf.Result) *bookleaf.Result {
-	out := resultJSON(res).result()
-	out.TEnd, out.Obs = res.TEnd, res.Obs
-	return out
-}
-
-// terminalRecord is j's self-describing terminal journal line: all a
-// restart needs to restore the job with no preceding submit record.
-func terminalRecord(j *Job) *journalRecord {
-	rec := &journalRecord{
-		Op: j.state, ID: j.ID, Seq: j.seq, Client: j.Client,
-		Priority: j.Priority, EstSeconds: j.Est.Seconds, Preemptions: j.preemptions,
-		Step: j.lastStatus.Step, Time: j.lastStatus.Time, TEnd: j.lastStatus.TEnd,
-		Res: j.resFile, Obs: j.obsJSON,
-	}
-	if j.err != nil && j.state == StateFailed {
-		rec.Error = j.err.Error()
-	}
-	return rec
 }
 
 // terminalLocked moves j to a terminal state exactly once: the
@@ -1258,11 +1182,18 @@ func (s *Server) terminalLocked(j *Job, state string, err error) {
 	// must not pin its mesh-sized resume snapshot (or the journaled raw
 	// deck, or its config) for all that time.
 	j.resumeSnap = nil
+	j.snapFile = ""
 	j.prevObs = nil
 	j.cfg = nil
 	j.deckRaw = nil
 	if s.jl != nil {
-		s.jl.append(terminalRecord(j))
+		// A done line carries the calibrator's state after the job's
+		// observation, so completions need no calib line of their own.
+		rec := terminalRecord(j)
+		if state == StateDone {
+			rec.Scale, rec.N = s.cal.State()
+		}
+		s.jl.append(rec)
 		s.jl.removeSnap(j.ID)
 	}
 	s.terminal = append(s.terminal, j.ID)

@@ -231,7 +231,7 @@ func TestCalibrationRefinesEstimates(t *testing.T) {
 	if j1.Est.Seconds != raw.Seconds {
 		t.Fatalf("uncalibrated estimate %g, want model %g", j1.Est.Seconds, raw.Seconds)
 	}
-	j1.Wait()
+	<-j1.Done()
 	st := s.Stats()
 	if st.CalibrationN != 1 {
 		t.Fatalf("calibration observations %d after one completion, want 1", st.CalibrationN)
@@ -248,5 +248,5 @@ func TestCalibrationRefinesEstimates(t *testing.T) {
 		t.Fatalf("calibrated estimate %g, want model %g x scale %g = %g",
 			j2.Est.Seconds, raw.Seconds, st.CalibrationScale, want)
 	}
-	j2.Wait()
+	<-j2.Done()
 }
