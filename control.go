@@ -151,7 +151,7 @@ func (c *Control) snapshotDue(step int) bool {
 // published snapshot is never mutated again: Metrics hands the same
 // object to every reader.
 func (c *Control) publishMetrics(s *obs.Snapshot) {
-	if c == nil || s == nil {
+	if c == nil {
 		return
 	}
 	c.metrics.Store(s)
