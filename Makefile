@@ -49,7 +49,7 @@
 # tier2-serve races the serving layer end to end: the bleaf-served job
 # API over httptest — submit→poll→result bitwise parity with a direct
 # run, malformed-deck 400s, cancel slot reclamation, N concurrent jobs
-# on a small warm-pool fleet with a whitebox no-pool-sharing probe,
+# on two workers with a whitebox worker-count probe,
 # priority preemption with bitwise-identical resume (serial and
 # ranks=2 decks), admission-control boundary arithmetic and the
 # streaming metrics endpoint.
@@ -60,8 +60,8 @@
 # persistence (done results served byte-identical from their result
 # files across a restart), damaged result files, result-file cleanup
 # on eviction, the flat memory of retained done jobs,
-# journal-corruption recovery, per-client quota 429s and fair queue
-# ordering.
+# journal-corruption recovery, the per-leg spill cadence, per-client
+# quota 429s, fair queue ordering and a rejected submit's fair tag.
 # tier2-list guards the name filters of the targets above: it lists
 # the tests of each filtered package set once (go test -list) and fails
 # on any alternative of a -run pattern that selects no test, so a

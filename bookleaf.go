@@ -39,7 +39,6 @@ import (
 	"bookleaf/internal/mesh"
 	"bookleaf/internal/obs"
 	"bookleaf/internal/order"
-	"bookleaf/internal/par"
 	"bookleaf/internal/typhon"
 )
 
@@ -123,16 +122,6 @@ type Config struct {
 	// A Control is single-use; make a fresh one per Run.
 	Control *Control
 
-	// Pool, when non-nil, is an externally owned warm worker pool the
-	// run's kernels execute on instead of creating (and closing) its
-	// own — the serving daemon's warm-fleet path, which amortises pool
-	// spin-up across many small jobs. The caller keeps ownership and
-	// must not drive the pool from elsewhere while the run is active.
-	// A one-rank lease: Ranks must be 1, and if a repartition widens
-	// the fleet its ranks each own a pool. Overrides Threads with the
-	// pool's width.
-	Pool *par.Pool
-
 	// HistoryEvery records a StepRecord every n steps into
 	// Result.History (0 = off).
 	HistoryEvery int
@@ -214,15 +203,6 @@ func (c *Config) normalise() error {
 	}
 	if _, err := order.Parse(c.Reorder); err != nil {
 		return err
-	}
-	if c.Pool != nil && c.Ranks > 1 {
-		return fmt.Errorf("Pool is a one-rank lease (the ranks of a wider fleet each own a pool)")
-	}
-	if c.Pool != nil {
-		c.Threads = c.Pool.Threads
-		if c.Threads < 1 {
-			c.Threads = 1
-		}
 	}
 	if sc := c.Supervise; sc != nil {
 		if sc.RepartAtStep < 0 || sc.RepartRanks < 0 {

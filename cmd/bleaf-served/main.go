@@ -1,7 +1,7 @@
 // Command bleaf-served is the BookLeaf simulation service: a
-// long-running daemon that accepts input decks over HTTP, multiplexes
-// the runs over a warm pool fleet, and serves results, progress and
-// metrics back as JSON.
+// long-running daemon that accepts input decks over HTTP, runs up to
+// -workers of them at once, and serves results, progress and metrics
+// back as JSON.
 //
 //	bleaf-served -addr :8080 -workers 4 -threads 2
 //
@@ -15,7 +15,7 @@
 //	curl -X DELETE localhost:8080/v1/jobs/j000001
 //
 // Priorities: a deck submitted with "X-Priority: 10" outranks the
-// default 0; when the fleet is full, a strictly higher-priority
+// default 0; when every worker is busy, a strictly higher-priority
 // submission preempts the weakest running job through an in-memory
 // checkpoint — the evicted job re-queues and later resumes from the
 // exact step it was parked at, bit for bit.
@@ -65,8 +65,8 @@ func main() {
 func run() error {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 2, "concurrent simulations (warm pool fleet size)")
-		threads  = flag.Int("threads", 1, "par.Pool threads leased to each serial job")
+		workers  = flag.Int("workers", 2, "concurrent simulations")
+		threads  = flag.Int("threads", 1, "threads of each one-rank job, whatever its deck declares")
 		budget   = flag.Float64("budget", 600, "admission budget: max predicted backlog seconds")
 		maxDeck  = flag.Int64("max-deck-bytes", 1<<20, "largest accepted deck body")
 		maxRanks = flag.Int("max-ranks", 0, "largest deck-declared rank count admitted, [supervise] repart_ranks included (0 = default)")

@@ -55,13 +55,10 @@ const (
 // goroutine while an epoch runs and only by the driver between epochs;
 // the communicator's start/finish edges order the two.
 type rankSlot struct {
-	id  int
-	sub *partition.SubMesh
-	s   *hydro.State
-	// ownsPool is false when s.Pool is the caller's lease (Config.Pool),
-	// which the run must hand back open.
-	ownsPool bool
-	remap    *ale.Remapper
+	id    int
+	sub   *partition.SubMesh
+	s     *hydro.State
+	remap *ale.Remapper
 	// incarnation is the replacement generation of this slot's rank
 	// (0 = original), mirrored from the supervisor.
 	incarnation int
@@ -83,14 +80,12 @@ type rankSlot struct {
 	park int
 }
 
-// closePool releases the slot's thread pool, unless it is a lease.
+// closePool releases the slot's thread pool.
 func (sl *rankSlot) closePool() {
 	if sl.s == nil || sl.s.Pool == nil {
 		return
 	}
-	if sl.ownsPool {
-		sl.s.Pool.Close()
-	}
+	sl.s.Pool.Close()
 	sl.s.Pool = nil
 }
 
@@ -346,7 +341,7 @@ func (d *driver) newSlots(subs []*partition.SubMesh, finish func(*rankSlot) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if slots[i], errs[i] = d.newSlot(i, sub, len(subs)); errs[i] == nil {
+			if slots[i], errs[i] = d.newSlot(i, sub); errs[i] == nil {
 				errs[i] = finish(slots[i])
 			}
 		}()
@@ -365,12 +360,10 @@ func (d *driver) newSlots(subs []*partition.SubMesh, finish func(*rankSlot) erro
 	return slots, nil
 }
 
-// newSlot builds the persistent driver-side state of one rank of a
-// width-wide fleet: a fresh hydro state with the problem's initial
-// fields restricted to the rank's mesh and its thread pool. Config.Pool
-// is a one-rank lease: a fleet of one runs on it, the ranks of a wider
-// fleet each own a pool (one pool cannot serve two ranks at once).
-func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, error) {
+// newSlot builds the persistent driver-side state of one rank: a fresh
+// hydro state with the problem's initial fields restricted to the
+// rank's mesh, and the rank's own thread pool.
+func (d *driver) newSlot(id int, sub *partition.SubMesh) (*rankSlot, error) {
 	s, err := d.prob.NewStateOn(sub.M)
 	if err != nil {
 		return nil, err
@@ -384,11 +377,7 @@ func (d *driver) newSlot(id int, sub *partition.SubMesh, width int) (*rankSlot, 
 			lastCk: -1, lastProbe: -1, lastHist: -1,
 		},
 	}
-	if d.cfg.Pool != nil && width == 1 {
-		s.Pool = d.cfg.Pool
-	} else {
-		s.Pool, sl.ownsPool = par.New(d.cfg.Threads), true
-	}
+	s.Pool = par.New(d.cfg.Threads)
 	return sl, nil
 }
 
@@ -599,7 +588,7 @@ func (d *driver) replaceRank(rank int) error {
 	if !old.stepStart.Valid() {
 		return fmt.Errorf("supervise: rank %d has no healthy-point snapshot to respawn from", rank)
 	}
-	fresh, err := d.newSlot(rank, old.sub, len(d.slots))
+	fresh, err := d.newSlot(rank, old.sub)
 	if err != nil {
 		return fmt.Errorf("supervise: respawn rank %d: %w", rank, err)
 	}

@@ -57,7 +57,7 @@ func TestFleetConstructionMatchesSerial(t *testing.T) {
 			pr.slots = fleet
 			defer pr.closeSlots()
 			for i, sub := range subs {
-				want, err := pr.newSlot(i, sub, ranks)
+				want, err := pr.newSlot(i, sub)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -133,7 +134,7 @@ func TestDurableCrashMidRunResumesBitwise(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			clone := cloneStateDir(t, s, dir)
-			s.Close() // the first daemon is dead to us; release its pools
+			s.Close() // the first daemon is dead to us; end its legs
 
 			s2, err := Open(Options{
 				Workers: 1, Threads: 1, StateDir: clone, SpillInterval: -1,
@@ -754,6 +755,69 @@ func TestDurableForeignSpillRestartsFromScratch(t *testing.T) {
 		t.Fatalf("job ended %q (%s) with %d preemptions, want done from scratch", st.State, st.Error, st.Preemptions)
 	}
 	assertResultBitwise(t, s2, q2, want)
+}
+
+// TestDurableSpillCadence: the periodic spill counts from the start of
+// each leg, so a job's first spill is asked for one SpillInterval after
+// it is dispatched, not at some later tick of a server-wide clock.
+func TestDurableSpillCadence(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	s, err := Open(Options{Workers: 1, Threads: 1, StateDir: t.TempDir(), SpillInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t0 := time.Now()
+	j, err := s.Submit(strings.NewReader("[control]\nproblem = sod\nnx = 4000\nny = 8\ntend = 0.25\n"), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		s.mu.Lock()
+		asked, state := j.preemptAsked || j.preemptions > 0, j.state
+		s.mu.Unlock()
+		if asked {
+			break
+		}
+		if state != StateQueued && state != StateRunning {
+			t.Fatalf("job ended %q before its first spill", state)
+		}
+		if time.Since(t0) > 10*interval {
+			t.Fatalf("no spill asked for %v after submit", time.Since(t0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := time.Since(t0); d < interval || d >= interval*3/2 {
+		t.Fatalf("first spill asked %v after submit, want within [1, 1.5) x %v", d, interval)
+	}
+}
+
+// TestDurableRejectedSubmitKeepsFairTag: a submit the journal cannot
+// record is rejected whole — it takes no sequence number and charges
+// its client no fair-queue time, so the client's next job does not
+// queue behind one that was never admitted.
+func TestDurableRejectedSubmitKeepsFairTag(t *testing.T) {
+	s, err := Open(Options{Workers: 1, AdmitOnly: true, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Submit(strings.NewReader(admitDeck), 0, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.jl.f.Close() // every later append fails
+	vtime, seq := maps.Clone(s.clientVTime), s.seq
+	s.mu.Unlock()
+	if _, err := s.Submit(strings.NewReader(admitDeck), 0, "alice"); err == nil {
+		t.Fatal("submit admitted with an unwritable journal")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !maps.Equal(s.clientVTime, vtime) || s.seq != seq {
+		t.Fatalf("rejected submit moved the client's virtual time %v -> %v or the sequence %d -> %d",
+			vtime, s.clientVTime, seq, s.seq)
+	}
 }
 
 // TestClientQuotaTyped429: a client at its backlog quota is rejected

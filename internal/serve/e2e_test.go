@@ -15,7 +15,6 @@ import (
 	"bookleaf"
 	"bookleaf/internal/config"
 	"bookleaf/internal/machine"
-	"bookleaf/internal/par"
 )
 
 // End-to-end battery: the full HTTP surface over a live scheduler.
@@ -262,8 +261,7 @@ func TestServeRepartRanksCapped(t *testing.T) {
 }
 
 // TestServeCancelReclaimsSlots: cancel a running job mid-flight and
-// check it lands in canceled with every pool slot back on the free
-// list.
+// check it lands in canceled with every worker slot free again.
 func TestServeCancelReclaimsSlots(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2, Threads: 1})
 	// A deck that runs for a long time but stays cheap: noh at modest
@@ -298,16 +296,16 @@ func TestServeCancelReclaimsSlots(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.FreeWorkers != st.Workers || st.Running != 0 {
-		t.Fatalf("pool slots not reclaimed after cancel: %+v", st)
+		t.Fatalf("worker slots not reclaimed after cancel: %+v", st)
 	}
-	// The fleet still works: a fresh job completes.
+	// The server still works: a fresh job completes.
 	sub2 := submitDeck(t, ts, "[control]\nproblem = sod\nnx = 40\nny = 4\nmaxsteps = 20\n", 0)
 	waitState(t, ts, sub2.ID, StateDone)
 }
 
 // TestConcurrentJobsIsolated is the tier2-serve core: N concurrent
-// submissions over a 2-pool fleet under -race. Every job must
-// complete, no two running jobs may ever hold the same pool, and each
+// submissions on 2 workers under -race. Every job must complete, no
+// more than 2 may ever run at once, and each
 // job's deterministic obs counters must match a per-deck serial run —
 // any registry cross-contamination shows up as a counter mismatch.
 func TestConcurrentJobsIsolated(t *testing.T) {
@@ -329,18 +327,14 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 
 	s, ts := newTestServer(t, Options{Workers: 2, Threads: 1})
 
-	// Whitebox invariant probe: while jobs fly, no pool may be leased
-	// to two running jobs at once, and every leased pool must belong
-	// to the fleet.
+	// Whitebox invariant probe: while jobs fly, no more than Workers
+	// jobs run at once, and the running count the dispatcher gates on
+	// is the number of running jobs.
 	stop := make(chan struct{})
 	var probeWG sync.WaitGroup
 	probeWG.Add(1)
 	go func() {
 		defer probeWG.Done()
-		fleet := map[*par.Pool]bool{}
-		for _, p := range s.pools {
-			fleet[p] = true
-		}
 		for {
 			select {
 			case <-stop:
@@ -348,17 +342,14 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 			default:
 			}
 			s.mu.Lock()
-			seen := map[*par.Pool]string{}
-			for id, j := range s.jobs {
-				if j.state == StateRunning && j.pool != nil {
-					if !fleet[j.pool] {
-						t.Errorf("job %s runs on a pool outside the fleet", id)
-					}
-					if other, dup := seen[j.pool]; dup {
-						t.Errorf("jobs %s and %s share a pool", id, other)
-					}
-					seen[j.pool] = id
+			n := 0
+			for _, j := range s.jobs {
+				if j.state == StateRunning {
+					n++
 				}
+			}
+			if n != s.running || n > s.opt.Workers {
+				t.Errorf("%d jobs running, running count %d, %d workers", n, s.running, s.opt.Workers)
 			}
 			s.mu.Unlock()
 			time.Sleep(500 * time.Microsecond)

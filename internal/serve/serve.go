@@ -1,18 +1,19 @@
 // Package serve turns the bookleaf library into a simulation service:
-// a priority job queue and scheduler multiplexing many concurrent runs
-// over a fixed fleet of warm par.Pools, with admission control driven
-// by the internal/machine cost predictor and preemption/resume of
-// running jobs through the checkpoint in-memory gather.
+// a priority job queue and scheduler running at most Workers jobs at
+// once, with admission control driven by the internal/machine cost
+// predictor and preemption/resume of running jobs through the
+// checkpoint in-memory gather. Each run owns its thread pools, as any
+// bookleaf.Run does.
 //
 // The design splits in two layers. This file is the scheduler: jobs,
-// the queue, the pool fleet, admission and preemption — all plain Go
+// the queue, the worker slots, admission and preemption — all plain Go
 // behind one mutex, no HTTP. http.go maps it onto the /v1/jobs wire
 // API. Tests drive either layer directly.
 //
 // Invariants the tests pin down:
 //
-//   - A pool is leased to at most one job at a time; a slot returns to
-//     the free list before its job's terminal state is observable.
+//   - At most Workers jobs run at once; a job's worker slot is free
+//     again before its terminal state is observable.
 //   - A job's admission estimate joins the backlog at admit time and
 //     leaves it exactly once, at the job's terminal state.
 //   - A preempted job loses no steps: its next leg resumes from the
@@ -39,17 +40,15 @@ import (
 	"bookleaf/internal/config"
 	"bookleaf/internal/machine"
 	"bookleaf/internal/obs"
-	"bookleaf/internal/par"
 )
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the number of simulations run concurrently — the size
-	// of the warm pool fleet (default 2).
+	// Workers is the number of simulations run concurrently (default 2).
 	Workers int
-	// Threads is the par.Pool width leased to each serial job
-	// (default 1). Multi-rank decks spawn their own pools and only
-	// occupy a worker slot.
+	// Threads is the thread-pool width of each one-rank job (default
+	// 1), whatever width its deck declares. A multi-rank deck runs each
+	// rank at its own declared width and occupies one worker slot.
 	Threads int
 	// BudgetSeconds is the admission budget: a deck is rejected when
 	// the predicted backlog (admitted-but-unfinished seconds) plus its
@@ -91,13 +90,14 @@ type Options struct {
 	// StateDir.
 	StateDir string
 	// SpillInterval is the cadence at which a durable server
-	// checkpoints long-running legs: a leg that has run this long is
-	// preempted at its next step boundary, its snapshot spills to the
-	// state dir, and the job immediately resumes — bounding how much
-	// work a crash can lose (0 = default 60s; negative disables the
-	// periodic spill, leaving only preemption and shutdown spills).
-	// Each spill costs one checkpoint gather+restore and increments
-	// the job's preemption count. Ignored without StateDir.
+	// checkpoints long-running legs: each leg arms its own timer, and a
+	// leg that has run this long is preempted at its next step
+	// boundary, its snapshot spills to the state dir, and the job
+	// immediately resumes — bounding how much work a crash can lose
+	// (0 = default 60s; negative disables the periodic spill, leaving
+	// only preemption and shutdown spills). Each spill costs one
+	// checkpoint gather+restore and increments the job's preemption
+	// count. Ignored without StateDir.
 	SpillInterval time.Duration
 	// ClientBudgetSeconds caps one client's admitted-but-unfinished
 	// predicted seconds, so a single client cannot fill the whole
@@ -205,7 +205,7 @@ func (e *QuotaError) Error() string {
 
 // OverloadedError rejects an admissible deck the budget has no room
 // for. RetryAfter is the predicted seconds until the backlog has
-// drained enough to fit the estimate, given the fleet drains Workers
+// drained enough to fit the estimate, given the server drains Workers
 // jobs' worth of predicted seconds per wall-clock second.
 type OverloadedError struct {
 	RetryAfter int
@@ -247,9 +247,8 @@ type Job struct {
 	state        string
 	cfg          *bookleaf.Config     // nil once terminal
 	deckRaw      []byte               // original deck bytes; durable servers journal and compact them
-	legStart     time.Time            // when the current leg started; drives the periodic spill
 	ctl          *bookleaf.Control    // current leg; nil unless running
-	pool         *par.Pool            // leased slot; nil unless running
+	spill        *time.Timer          // the current leg's periodic spill; nil unless armed
 	resumeSnap   *checkpoint.Snapshot // snapshot the next leg resumes from
 	prevObs      *obs.Snapshot        // merged metrics of finished legs
 	lastStatus   bookleaf.RunStatus
@@ -279,17 +278,15 @@ type Server struct {
 	mu       sync.Mutex
 	wg       sync.WaitGroup
 	jobs     map[string]*Job
-	queue    []*Job // pending, highest priority first, fairKey then FIFO within
-	free     []*par.Pool
-	pools    []*par.Pool
+	queue    []*Job   // pending, highest priority first, fairKey then FIFO within
+	running  int      // jobs in StateRunning; dispatch keeps it <= Workers
 	backlog  float64  // predicted seconds of admitted unfinished work
 	terminal []string // terminal job IDs, oldest first — retention FIFO
 	seq      int
 	closed   bool
 
-	// Durability (nil / zero on an in-memory server).
-	jl        *journal
-	stopSpill chan struct{}
+	// Durability (nil on an in-memory server).
+	jl *journal
 
 	// Fairness. clientBacklog mirrors backlog per client for the quota
 	// gate; vnow and clientVTime implement start-time fair queuing: vnow
@@ -303,8 +300,8 @@ type Server struct {
 	vnow          float64
 }
 
-// New builds an in-memory Server and warms its pool fleet. StateDir is
-// ignored; durable servers come from Open.
+// New builds an in-memory Server. StateDir is ignored; durable servers
+// come from Open.
 func New(opt Options) *Server {
 	opt.StateDir = ""
 	s, _ := Open(opt) // cannot fail without a state dir
@@ -327,22 +324,9 @@ func Open(opt Options) (*Server, error) {
 		clientBacklog: make(map[string]float64),
 		clientVTime:   make(map[string]float64),
 	}
-	for i := 0; i < opt.Workers; i++ {
-		p := par.New(opt.Threads)
-		s.pools = append(s.pools, p)
-		s.free = append(s.free, p)
-	}
 	if opt.StateDir != "" {
 		if err := s.recover(); err != nil {
-			for _, p := range s.pools {
-				p.Close()
-			}
 			return nil, err
-		}
-		if opt.SpillInterval > 0 {
-			s.stopSpill = make(chan struct{})
-			s.wg.Add(1)
-			go s.spillLoop()
 		}
 		s.mu.Lock()
 		s.dispatchLocked()
@@ -551,36 +535,6 @@ func (s *Server) compactJournal() error {
 	return nil
 }
 
-// spillLoop periodically checkpoints long-running legs of a durable
-// server by preempting them: the snapshot hand-back routes through
-// legDone, which spills it to disk and requeues the job, and dispatch
-// restarts it immediately — the same bitwise-safe path priority
-// preemption uses, so a crash between spills loses at most
-// SpillInterval of work.
-func (s *Server) spillLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opt.SpillInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSpill:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed {
-				for _, j := range s.jobs {
-					if j.state == StateRunning && !j.preemptAsked &&
-						time.Since(j.legStart) >= s.opt.SpillInterval {
-						j.preemptAsked = true
-						j.ctl.Preempt()
-					}
-				}
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 // fairTagLocked assigns j its start-time-fair-queuing tag and advances
 // the client's virtual time.
 func (s *Server) fairTagLocked(j *Job) {
@@ -679,15 +633,16 @@ func (s *Server) Submit(r io.Reader, priority int, client string) (*Job, error) 
 		deckRaw:   raw,
 		done:      make(chan struct{}),
 	}
-	s.fairTagLocked(j)
 	if s.jl != nil {
 		// An unjournalable submission is rejected, not half-admitted: an
-		// acknowledged job must survive a crash.
+		// acknowledged job must survive a crash, and a rejected one
+		// charges its client no fair-queue time.
 		if err := s.jl.append(submitRecord(j)); err != nil {
 			s.seq--
 			return nil, fmt.Errorf("serve: journal append: %w", err)
 		}
 	}
+	s.fairTagLocked(j)
 	s.jobs[j.ID] = j
 	s.backlog += est.Seconds
 	s.clientBacklog[client] += est.Seconds
@@ -899,15 +854,9 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.state == StateRunning {
-			running++
-		}
-	}
 	st := Stats{
-		Workers: s.opt.Workers, FreeWorkers: len(s.free),
-		Queued: len(s.queue), Running: running,
+		Workers: s.opt.Workers, FreeWorkers: s.opt.Workers - s.running,
+		Queued: len(s.queue), Running: s.running,
 		Backlog: s.backlog, BudgetSeconds: s.opt.BudgetSeconds,
 	}
 	st.CalibrationScale, st.CalibrationN = s.cal.State()
@@ -920,7 +869,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close stops admissions and releases the pool fleet. An in-memory
+// Close stops admissions and waits for every leg to end. An in-memory
 // server cancels everything in flight; a durable server parks instead —
 // running jobs are preempted and their final snapshots spill to the
 // state dir, queued jobs stay journaled — so the next Open resumes all
@@ -932,9 +881,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	if s.stopSpill != nil {
-		close(s.stopSpill)
-	}
 	if s.jl == nil {
 		for _, j := range s.queue {
 			s.terminalLocked(j, StateCanceled, bookleaf.ErrCanceled)
@@ -956,9 +902,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	for _, p := range s.pools {
-		p.Close()
-	}
 	s.mu.Lock()
 	if s.jl != nil {
 		// One last compaction so the journal on disk is minimal and the
@@ -1001,7 +944,7 @@ func (s *Server) removeQueuedLocked(j *Job) {
 	}
 }
 
-// dispatchLocked starts queued jobs on free pools, then — if work is
+// dispatchLocked starts queued jobs on free worker slots, then — if work is
 // still waiting — preempts the weakest running job when the queue head
 // strictly outranks it. One preemption request per victim leg; the
 // snapshot hand-back re-enters through legDone.
@@ -1011,12 +954,10 @@ func (s *Server) dispatchLocked() {
 		// may start once close begins.
 		return
 	}
-	for len(s.free) > 0 && len(s.queue) > 0 {
+	for s.running < s.opt.Workers && len(s.queue) > 0 {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
-		pool := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		s.startLocked(j, pool)
+		s.startLocked(j)
 	}
 	if len(s.queue) == 0 {
 		return
@@ -1038,14 +979,26 @@ func (s *Server) dispatchLocked() {
 	}
 }
 
-// startLocked leases pool to j and launches the leg goroutine.
-func (s *Server) startLocked(j *Job, pool *par.Pool) {
+// startLocked takes a worker slot for j, arms the leg's periodic spill
+// on a durable server, and launches the leg goroutine.
+func (s *Server) startLocked(j *Job) {
 	ctl := &bookleaf.Control{}
+	s.running++
 	j.state = StateRunning
 	j.ctl = ctl
-	j.pool = pool
 	j.preemptAsked = false
-	j.legStart = time.Now()
+	if s.jl != nil && s.opt.SpillInterval > 0 {
+		// The spill preempts only the leg that armed it: by the time the
+		// timer fires, that leg may have ended and another begun.
+		j.spill = time.AfterFunc(s.opt.SpillInterval, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if j.ctl == ctl && !j.preemptAsked && !s.closed {
+				j.preemptAsked = true
+				ctl.Preempt()
+			}
+		})
+	}
 	if j.fairKey > s.vnow {
 		// Virtual time advances to each dispatched job's finish tag, so a
 		// client idle through the flood re-enters at the current front
@@ -1056,7 +1009,7 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 	cfg.Control = ctl
 	cfg.ResumeFrom = j.resumeSnap
 	if cfg.Ranks <= 1 {
-		cfg.Pool = pool
+		cfg.Threads = s.opt.Threads
 	}
 	s.wg.Add(1)
 	go func() {
@@ -1077,17 +1030,18 @@ func (s *Server) startLocked(j *Job, pool *par.Pool) {
 	}()
 }
 
-// legDone retires a finished leg: the pool returns to the free list
-// first (slots are reclaimed before the terminal state is observable),
+// legDone retires a finished leg: its worker slot is released first
+// (slots are reclaimed before the terminal state is observable),
 // then the outcome routes to completion, requeue-with-snapshot, or a
 // terminal error. resFile names the completed run's result file, if
 // one was written.
 func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64, resFile string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.pool != nil {
-		s.free = append(s.free, j.pool)
-		j.pool = nil
+	s.running--
+	if j.spill != nil {
+		j.spill.Stop()
+		j.spill = nil
 	}
 	j.ctl = nil
 	j.preemptAsked = false

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -183,6 +184,28 @@ func TestReadmeMatchesCode(t *testing.T) {
 	for name := range tabled {
 		if !want[name] {
 			t.Errorf("README.md's reference table names %s, which the code does not define", name)
+		}
+	}
+}
+
+// TestDocsNameRealConfigFields holds README.md and DESIGN.md to the
+// public API: every `Config.X` they name must be a field or a method of
+// bookleaf.Config, so a field deleted from the code but left in the
+// prose fails here.
+func TestDocsNameRealConfigFields(t *testing.T) {
+	cfg := reflect.TypeOf(bookleaf.Config{})
+	named := regexp.MustCompile(`(?:bookleaf\.|[^\w.])Config\.(\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllStringSubmatch(string(src), -1) {
+			_, field := cfg.FieldByName(m[1])
+			_, method := reflect.PointerTo(cfg).MethodByName(m[1])
+			if !field && !method {
+				t.Errorf("%s names Config.%s, which is neither a field nor a method of bookleaf.Config", doc, m[1])
+			}
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"bookleaf/internal/checkpoint"
 	"bookleaf/internal/hydro"
-	"bookleaf/internal/par"
 	"bookleaf/internal/typhon"
 )
 
@@ -29,8 +28,8 @@ import (
 // replacement restores from the collective's last in-memory Memento,
 // which covers every evolving field including ghosts, so the replay is
 // exact. A fleet of one sends no messages for a message fault to ride
-// on, so there rank 0 panics from the step hook instead — and runs on a
-// leased pool, which the replacement must hand back usable. The two ALE
+// on, so there rank 0 panics from the step hook instead, on a two-wide
+// pool the replacement builds afresh. The two ALE
 // rows fault well after the remap has started rewriting masses: the
 // replacement's fresh state has the t = 0 masses, and only a memento
 // that carries the remapped ones makes its replay exact. The smoothed
@@ -79,24 +78,11 @@ func TestSuperviseReplacementSweep(t *testing.T) {
 						panic("injected rank fault")
 					}
 				}
-				cfg.Pool = par.New(2)
-				defer cfg.Pool.Close()
+				cfg.Threads = 2
 			}
 			res, err := runBoundedResult(t, cfg)
 			if err != nil {
 				t.Fatalf("supervised run: %v", err)
-			}
-			if cfg.Pool != nil {
-				// The lease outlives the incarnation that died on it.
-				again := base
-				again.Pool = cfg.Pool
-				res2, err := runBoundedResult(t, again)
-				if err != nil {
-					t.Fatalf("run on the pool handed back: %v", err)
-				}
-				if i := firstDiff(res2.Rho, ref.Rho); i >= 0 {
-					t.Errorf("run on the pool handed back: rho[%d] = %x, want %x", i, res2.Rho[i], ref.Rho[i])
-				}
 			}
 
 			if res.Replacements != 1 || res.SupRetries != 0 {
@@ -256,16 +242,12 @@ func TestSuperviseForcedRepartition(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		ranks, newRanks int
-		lease           bool
 	}{
-		{"grow-4-to-7", 4, 7, false},
-		{"shrink-4-to-2", 4, 2, false},
-		{"same-count", 4, 0, false}, // re-decompose the moved mesh on 4 ranks
-		{"grow-1-to-3", 1, 3, false},
-		// Config.Pool is a one-rank lease: the three ranks each own a
-		// pool instead of sharing the leased one.
-		{"grow-1-to-3-leased", 1, 3, true},
-		{"shrink-4-to-1", 4, 1, false},
+		{"grow-4-to-7", 4, 7},
+		{"shrink-4-to-2", 4, 2},
+		{"same-count", 4, 0}, // re-decompose the moved mesh on 4 ranks
+		{"grow-1-to-3", 1, 3},
+		{"shrink-4-to-1", 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Config{
@@ -277,10 +259,6 @@ func TestSuperviseForcedRepartition(t *testing.T) {
 				t.Fatalf("reference run: %v", err)
 			}
 			cfg := base
-			if tc.lease {
-				cfg.Pool = par.New(2)
-				defer cfg.Pool.Close()
-			}
 			cfg.Supervise = &SuperviseConfig{
 				Enabled:      true,
 				RepartAtStep: 12,
