@@ -758,8 +758,9 @@ func TestDurableForeignSpillRestartsFromScratch(t *testing.T) {
 }
 
 // TestDurableSpillCadence: the periodic spill counts from the start of
-// each leg, so a job's first spill is asked for one SpillInterval after
-// it is dispatched, not at some later tick of a server-wide clock.
+// each leg, so the first leg's spill is asked for one SpillInterval
+// after the submit and the resumed leg's one SpillInterval after it
+// resumes, not at some later tick of a server-wide clock.
 func TestDurableSpillCadence(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	s, err := Open(Options{Workers: 1, Threads: 1, StateDir: t.TempDir(), SpillInterval: interval})
@@ -772,23 +773,37 @@ func TestDurableSpillCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
+	// start[l] is when the poll first saw leg l running (no earlier than
+	// it began), ask[l] when it first saw leg l ask for its spill (no
+	// later than it asked).
+	var start, ask [3]time.Duration
+	for leg := 0; leg < 2; time.Sleep(time.Millisecond) {
 		s.mu.Lock()
-		asked, state := j.preemptAsked || j.preemptions > 0, j.state
+		asked, n, state := j.preemptAsked, j.preemptions, j.state
 		s.mu.Unlock()
-		if asked {
-			break
-		}
+		now := time.Since(t0)
 		if state != StateQueued && state != StateRunning {
-			t.Fatalf("job ended %q before its first spill", state)
+			t.Fatalf("job ended %q before its second spill", state)
 		}
-		if time.Since(t0) > 10*interval {
-			t.Fatalf("no spill asked for %v after submit", time.Since(t0))
+		if now > 20*interval {
+			t.Fatalf("%d spills in %v", n, now)
 		}
-		time.Sleep(time.Millisecond)
+		if n > leg {
+			// The leg spilled and, under the same lock, the next one began.
+			if ask[leg] == 0 {
+				ask[leg] = now
+			}
+			leg, start[n] = n, now
+		}
+		if asked && ask[leg] == 0 {
+			ask[leg] = now
+		}
 	}
-	if d := time.Since(t0); d < interval || d >= interval*3/2 {
-		t.Fatalf("first spill asked %v after submit, want within [1, 1.5) x %v", d, interval)
+	if d := ask[0]; d < interval || d >= interval*3/2 {
+		t.Errorf("first spill asked %v after submit, want within [1, 1.5) x %v", d, interval)
+	}
+	if d := ask[1] - start[1]; d >= interval*3/2 {
+		t.Errorf("resumed leg asked to spill %v after it began, want under 1.5 x %v", d, interval)
 	}
 }
 
