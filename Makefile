@@ -23,29 +23,28 @@
 # mode x order x threads, whole-mesh and through a two-rank split's
 # exchange hooks, the failure contract, CSR round-trip, smoothed
 # rank-independence, zero-alloc pins at several pool sizes) plus the
-# driver-level seed-fidelity thread sweep, the smoothed rank
-# cross-check, the remap failure path across ranks and the
-# rollback-across-remap lockstep regression.
+# driver-level seed-fidelity thread sweep, the remap failure path
+# across ranks and the rollback-across-remap lockstep regression.
 # tier2-supervise races the rank-supervision layer: the supervise
 # package's classification/ladder unit suite plus the end-to-end
 # fault-class x ranks {1,2,4,7} sweep — replacement from the
 # in-memory Memento, transient epoch retry, ladder exhaustion with a
 # final checkpoint, and online elastic repartitioning (grow, shrink
 # and same-count re-decomposition of the moved mesh).
-# tier2-fuse races the fused element passes: the fused-vs-unfused
-# bitwise battery (Noh and Sod across the ranks {1,2} x threads
-# {1,2,4,7} grid) plus the hydro zero-alloc and timer pins at a
-# 4-thread scheduler — the suite that guards the default step path.
+# tier2-equiv races the equivalence matrix (equivalence_test.go): every
+# thread, rank x partitioner, renumbering, fuse, scatter, checkpoint
+# cadence and resume cell on Lagrangian, Eulerian and smoothed decks,
+# and the decompositions where a rank owns elements and no node, each
+# held to its contract by one comparator.
+# tier2-fuse races the hydro zero-alloc and timer pins at a 4-thread
+# scheduler — the suite that guards the default fused step path (the
+# fused-vs-unfused cells are in tier2-equiv).
 # tier2-order races the mesh-locality layer: the order package's
 # permutation property suite (round-trip, first-touch node renumbering,
-# Hilbert/RCM validity) plus the driver-level reorder battery — the
-# reordered-vs-canonical tolerance sweep at ranks {1,2,4,7}, the
-# bitwise thread-invariance check per renumbering, and
-# checkpoint/resume and supervise-repartition under a renumbered mesh.
-# It also races the set-up pipeline under it — connectivity derivation
-# and the decomposition against their map-based references — and, ten
-# times, the per-rank concurrent fleet construction against a serial
-# build.
+# Hilbert/RCM validity) and the set-up pipeline under it — connectivity
+# derivation and the decomposition against their map-based references —
+# and, ten times, the per-rank concurrent fleet construction against a
+# serial build. The driver-level renumbering cells are in tier2-equiv.
 # tier2-serve races the serving layer end to end: the bleaf-served job
 # API over httptest — submit→poll→result bitwise parity with a direct
 # run, malformed-deck 400s, cancel slot reclamation, N concurrent jobs
@@ -95,15 +94,14 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale tables-all test bench-check fuzz clean
+.PHONY: all build vet tier1 tier2-fault tier2-par tier2-ale tier2-supervise tier2-equiv tier2-fuse tier2-order tier2-serve tier2-durable tier2-list tier2-race shape paper-scale tables-all test bench-check fuzz clean
 
 # The -run filters of the tier-2 targets, shared with tier2-list.
 RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
-RUN_ALE      := RemapSeedFixture|SmoothedALERankIndependent|RollbackAcrossRemapStep|ParallelFailureWithRemap
+RUN_ALE      := RemapSeedFixture|RollbackAcrossRemapStep|ParallelFailureWithRemap
 RUN_SUP      := Supervise
-RUN_FUSE     := Fuse
+RUN_EQUIV    := EquivalenceMatrix
 RUN_FUSE_HY  := StepZeroAllocs|Timers
-RUN_ORDER    := Reorder
 RUN_FLEET    := FleetConstruction
 RUN_DURABLE  := Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus|ResultFileDamage|ResultFilesFollowRetention|DoneJobMemoryFlat
 RUN_CALIB    := Calibrator
@@ -142,13 +140,14 @@ tier2-supervise:
 	$(GO) test -race ./internal/supervise -count=1
 	$(GO) test -race . -run '$(RUN_SUP)' -count=1
 
+tier2-equiv:
+	$(GO) test -race . -run '$(RUN_EQUIV)' -count=1
+
 tier2-fuse:
-	$(GO) test -race . -run '$(RUN_FUSE)' -count=1
 	GOMAXPROCS=4 $(GO) test -race ./internal/hydro -run '$(RUN_FUSE_HY)' -count=1
 
 tier2-order:
 	$(GO) test -race ./internal/order ./internal/mesh ./internal/partition -count=1
-	$(GO) test -race . -run '$(RUN_ORDER)' -count=1
 	$(GO) test -race . -run '$(RUN_FLEET)' -count=10
 
 tier2-serve:
@@ -161,7 +160,7 @@ tier2-durable:
 # Each spec is packages=pattern; every |-alternative must name a test.
 tier2-list:
 	@status=0; \
-	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_FUSE)|$(RUN_ORDER)|$(RUN_FLEET)|$(RUN_SHAPE)|$(RUN_PAPER)' \
+	for spec in './...=$(RUN_FAULT)' '.=$(RUN_ALE)|$(RUN_SUP)|$(RUN_EQUIV)|$(RUN_FLEET)|$(RUN_SHAPE)|$(RUN_PAPER)' \
 	    './internal/hydro=$(RUN_FUSE_HY)' './internal/serve=$(RUN_DURABLE)' './internal/machine=$(RUN_CALIB)' './cmd/bleaf-tables=$(RUN_TABLES)'; do \
 	  pkgs=$${spec%%=*}; names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Example|Fuzz)') || status=1; \
 	  for alt in $$(echo "$${spec#*=}" | tr '|' ' '); do \
@@ -182,7 +181,7 @@ paper-scale:
 tables-all:
 	BOOKLEAF_TABLES_ALL=1 $(GO) test ./cmd/bleaf-tables -run '$(RUN_TABLES)' -count=1 -v
 
-test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape tables-all
+test: tier1 tier2-list tier2-fault tier2-par tier2-ale tier2-supervise tier2-equiv tier2-fuse tier2-order tier2-serve tier2-durable tier2-race shape tables-all
 
 # Native fuzzing: the deck parser (seed corpus: decks/ plus the
 # regression inputs under internal/config/testdata/fuzz), the

@@ -172,50 +172,6 @@ func TestSaltzmannPiston(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := run(t, bookleaf.Config{Problem: "sod", NX: 64, NY: 4, TEnd: 0.1})
-	for _, ranks := range []int{2, 3, 4} {
-		par := run(t, bookleaf.Config{Problem: "sod", NX: 64, NY: 4, TEnd: 0.1, Ranks: ranks})
-		if par.Steps != serial.Steps {
-			t.Fatalf("ranks=%d: steps %d != serial %d", ranks, par.Steps, serial.Steps)
-		}
-		var maxDiff float64
-		for e := range serial.Rho {
-			if d := math.Abs(par.Rho[e] - serial.Rho[e]); d > maxDiff {
-				maxDiff = d
-			}
-		}
-		if maxDiff > 1e-9 {
-			t.Fatalf("ranks=%d: max density difference vs serial %v", ranks, maxDiff)
-		}
-		for n := range serial.U {
-			if d := math.Abs(par.U[n] - serial.U[n]); d > 1e-9 {
-				t.Fatalf("ranks=%d: velocity mismatch at node %d: %v", ranks, n, d)
-			}
-		}
-	}
-}
-
-func TestParallelMetisPartitionerMatchesSerial(t *testing.T) {
-	serial := run(t, bookleaf.Config{Problem: "sod", NX: 48, NY: 4, TEnd: 0.08})
-	par := run(t, bookleaf.Config{Problem: "sod", NX: 48, NY: 4, TEnd: 0.08, Ranks: 4, Partitioner: "metis"})
-	for e := range serial.Rho {
-		if d := math.Abs(par.Rho[e] - serial.Rho[e]); d > 1e-9 {
-			t.Fatalf("metis parallel mismatch at element %d: %v", e, d)
-		}
-	}
-}
-
-func TestHybridThreadsMatchSerial(t *testing.T) {
-	serial := run(t, bookleaf.Config{Problem: "noh", NX: 16, NY: 16, TEnd: 0.1})
-	hybrid := run(t, bookleaf.Config{Problem: "noh", NX: 16, NY: 16, TEnd: 0.1, Threads: 4})
-	for e := range serial.Rho {
-		if serial.Rho[e] != hybrid.Rho[e] {
-			t.Fatalf("threaded run differs at element %d", e)
-		}
-	}
-}
-
 func TestEulerianSodStaysOnMesh(t *testing.T) {
 	res := run(t, bookleaf.Config{Problem: "sod", NX: 100, NY: 2, ALE: "eulerian"})
 	// Nodes must sit exactly on the generated mesh after every remap.
@@ -235,23 +191,6 @@ func TestEulerianSodStaysOnMesh(t *testing.T) {
 	}
 	if math.Abs(res.MassFinal-res.Mass0) > 1e-10*res.Mass0 {
 		t.Fatalf("Eulerian mass drift %v -> %v", res.Mass0, res.MassFinal)
-	}
-}
-
-func TestParallelEulerianMatchesSerialEulerian(t *testing.T) {
-	serial := run(t, bookleaf.Config{Problem: "sod", NX: 48, NY: 4, TEnd: 0.08, ALE: "eulerian"})
-	par := run(t, bookleaf.Config{Problem: "sod", NX: 48, NY: 4, TEnd: 0.08, ALE: "eulerian", Ranks: 3})
-	for e := range serial.Rho {
-		// Remap nodal sums accumulate in a different order per rank
-		// and the limiters are discontinuous, so round-off differences
-		// grow through the shock; require field agreement to 1e-4 and
-		// conservation to round-off.
-		if d := math.Abs(par.Rho[e] - serial.Rho[e]); d > 1e-4 {
-			t.Fatalf("parallel Eulerian mismatch at element %d: %v", e, d)
-		}
-	}
-	if d := math.Abs(par.MassFinal - serial.MassFinal); d > 1e-12*serial.MassFinal {
-		t.Fatalf("parallel Eulerian mass differs: %v", d)
 	}
 }
 

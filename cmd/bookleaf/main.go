@@ -46,7 +46,7 @@ func main() {
 func run() (err error) {
 	var (
 		deckPath    = flag.String("deck", "", "input deck file (a flag set on the command line overrides its key)")
-		problem     = flag.String("problem", "sod", "problem: sod, noh, sedov, saltzmann")
+		problem     = flag.String("problem", "sod", "problem: sod, noh, sedov, saltzmann, waterair, nohdisc")
 		nx          = flag.Int("nx", 100, "cells in x")
 		ny          = flag.Int("ny", 10, "cells in y")
 		tend        = flag.Float64("tend", 0, "end time (0 = problem default)")

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bookleaf/internal/setup"
 )
 
 // summary is what a run prints that must not depend on the rank count.
@@ -207,5 +209,25 @@ func TestOversizeMeshExitsWithTheError(t *testing.T) {
 				t.Errorf("stderr %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestProblemHelpNamesEveryProblem: the -problem help and the
+// unknown-problem error list the same problems, and setup.ByName builds
+// each of them.
+func TestProblemHelpNamesEveryProblem(t *testing.T) {
+	bin := buildCLI(t)
+	help, _ := exec.Command(bin, "-h").CombinedOutput()
+	_, list, _ := strings.Cut(string(help), "problem: ")
+	list, _, _ = strings.Cut(list, " (default")
+	names := strings.Split(list, ", ")
+	for _, name := range names {
+		if _, err := setup.ByName(name, 4, 4, 0); err != nil {
+			t.Errorf("-problem help names %q: %v", name, err)
+		}
+	}
+	out, _ := exec.Command(bin, "-problem", "nope").CombinedOutput()
+	if want := strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]; !strings.Contains(string(out), "(want "+want+")") {
+		t.Errorf("unknown-problem error %q does not list %s", out, want)
 	}
 }

@@ -22,3 +22,13 @@ func ExampleRun() {
 	// mass conserved: true
 	// energy drift below 1e-12: true
 }
+
+// ExampleConfig_threads documents the hybrid configuration knobs.
+func ExampleConfig_threads() {
+	res, err := bookleaf.Run(bookleaf.Config{Problem: "sod", NX: 32, NY: 4, MaxSteps: 5, Ranks: 1, Threads: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.Ranks, res.Threads, res.Steps)
+	// Output: 1 4 5
+}

@@ -8,7 +8,7 @@ package bookleaf_test
 //	go test -run TestGolden -update
 //
 // Everything in the snapshot is deterministic by construction: the
-// run itself is bit-reproducible (see determinism_test.go), counters
+// run itself is bit-reproducible (see equivalence_test.go), counters
 // and probe gauges derive from it, JSON map keys are sorted by
 // encoding/json, and the trace merge preserves per-rank event order.
 // Wall-clock leaks through exactly two channels — meta.wall_seconds

@@ -23,7 +23,7 @@ import (
 // (elemQ then elemForce; geom.QuadArea, cornerWork and pressureCsq) — same
 // gathered operands, same operation order — which is what makes the
 // fused path bitwise-identical to the unfused one at every thread
-// count (pinned by the fused-vs-unfused battery in fuse_test.go). The
+// count (pinned by the fuse cells of the root equivalence matrix). The
 // one thing only the fused step does is evaluate the viscosity limiter
 // once: its corrector sweep reads what its predictor sweep stored (see
 // elemQ), where the unfused kernels evaluate it in both.

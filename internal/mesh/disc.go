@@ -40,6 +40,7 @@ func QuarterDisc(spec QuarterDiscSpec) (*Mesh, error) {
 	}
 	nnd := (n + 1) * (n + 1)
 	m := &Mesh{
+		NOwnEl: n * n, NOwnNd: nnd,
 		ElNd:   make([][4]int32, 0, n*n),
 		X:      make([]float64, nnd),
 		Y:      make([]float64, nnd),

@@ -86,9 +86,9 @@ type Mesh struct {
 	// BCs is the per-node boundary-condition mask.
 	BCs []BC
 
-	// Ownership for partitioned meshes: elements [0,NOwnEl) and nodes
-	// [0,NOwnNd) are owned; the rest are ghosts. A serial mesh owns
-	// everything.
+	// Ownership: elements [0,NOwnEl) and nodes [0,NOwnNd) are owned;
+	// the rest are ghosts. A generated or renumbered mesh owns
+	// everything; a sub-mesh may own elements and no node.
 	NOwnEl, NOwnNd int
 
 	// GlobalEl / GlobalNd map local indices to global ones for
@@ -147,7 +147,7 @@ func (m *Mesh) CornersAround(n int) []int32 {
 // BuildConnectivity derives the node→corner CSR and ElEl from ElNd, in
 // time linear in the mesh and with a fixed number of allocations.
 // Generators, the reorderer and the partitioner call this after
-// assembling ElNd, X, Y.
+// assembling ElNd, X, Y and the ownership counts, which it leaves alone.
 //
 // An edge finds its other element through the CSR: side k of element e
 // runs n1→n2, and the neighbour is the element around n1, other than e,
@@ -155,12 +155,6 @@ func (m *Mesh) CornersAround(n int) []int32 {
 func (m *Mesh) BuildConnectivity() {
 	m.NEl = len(m.ElNd)
 	m.NNd = len(m.X)
-	if m.NOwnEl == 0 {
-		m.NOwnEl = m.NEl
-	}
-	if m.NOwnNd == 0 {
-		m.NOwnNd = m.NNd
-	}
 
 	// Node→element CSR.
 	start := make([]int32, m.NNd+1)
@@ -409,6 +403,7 @@ func Rect(spec RectSpec) (*Mesh, error) {
 	nnd := (nx + 1) * (ny + 1)
 	nel := nx * ny
 	m := &Mesh{
+		NOwnEl: nel, NOwnNd: nnd,
 		ElNd:   make([][4]int32, 0, nel),
 		X:      make([]float64, nnd),
 		Y:      make([]float64, nnd),

@@ -273,6 +273,7 @@ func apply(m *mesh.Mesh, p *Perm) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("order: permutation sized %d/%d for mesh %d/%d", len(p.El), len(p.Nd), m.NEl, m.NNd)
 	}
 	out := &mesh.Mesh{
+		NOwnEl: m.NEl, NOwnNd: m.NNd,
 		ElNd: make([][4]int32, m.NEl),
 		X:    make([]float64, m.NNd),
 		Y:    make([]float64, m.NNd),

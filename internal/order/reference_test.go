@@ -153,7 +153,7 @@ func TestReorderedMeshGetsEulerCheck(t *testing.T) {
 	r.ElNd = slices.Delete(r.ElNd, drop, drop+1)
 	r.Region = slices.Delete(r.Region, drop, drop+1)
 	r.GlobalEl = slices.Delete(r.GlobalEl, drop, drop+1)
-	r.NOwnEl = 0
+	r.NOwnEl = len(r.ElNd)
 	r.BuildConnectivity()
 	err = r.Check()
 	if err == nil || !strings.Contains(err.Error(), "V-E+F") {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,42 +172,61 @@ func TestImbalancePerfect(t *testing.T) {
 	}
 }
 
+// TestSplitCoversAndGhosts: owned elements and owned nodes each cover
+// the global mesh exactly once. A node's owner is the lowest part among
+// its elements, so on Saltzmann 3x1 split [1 2 0] the middle element's
+// part owns elements and no node; its sub-mesh must say so (NOwnNd 0),
+// not claim every local node.
 func TestSplitCoversAndGhosts(t *testing.T) {
-	m := rectMesh(t, 8, 8)
-	part, err := RCBMesh(m, 4)
+	square := rectMesh(t, 8, 8)
+	rcb, err := RCBMesh(square, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, err := Split(m, part, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Owned elements cover the global mesh exactly once.
-	seen := make([]int, m.NEl)
-	for _, sm := range subs {
-		for i := 0; i < sm.M.NOwnEl; i++ {
-			seen[sm.M.GlobalEl[i]]++
-		}
-		if err := sm.M.Check(); err != nil {
-			t.Fatalf("rank %d local mesh invalid: %v", sm.Rank, err)
-		}
-	}
-	for e, c := range seen {
-		if c != 1 {
-			t.Fatalf("element %d owned %d times", e, c)
-		}
-	}
-	// Owned nodes cover the global nodes exactly once.
-	seenN := make([]int, m.NNd)
-	for _, sm := range subs {
-		for i := 0; i < sm.M.NOwnNd; i++ {
-			seenN[sm.M.GlobalNd[i]]++
-		}
-	}
-	for n, c := range seenN {
-		if c != 1 {
-			t.Fatalf("node %d owned %d times", n, c)
-		}
+	for _, tc := range []struct {
+		name     string
+		m        *mesh.Mesh
+		part     []int
+		noNodeAt int // the part that owns no node, or -1
+	}{
+		{"rcb-8x8/4", square, rcb, -1},
+		{"3x1/[1 2 0]", rectMesh(t, 3, 1), []int{1, 2, 0}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nparts := slices.Max(tc.part) + 1
+			subs, err := Split(tc.m, tc.part, nparts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make([]int, tc.m.NEl)
+			seenN := make([]int, tc.m.NNd)
+			for _, sm := range subs {
+				for i := 0; i < sm.M.NOwnEl; i++ {
+					seen[sm.M.GlobalEl[i]]++
+				}
+				for i := 0; i < sm.M.NOwnNd; i++ {
+					seenN[sm.M.GlobalNd[i]]++
+				}
+				if err := sm.M.Check(); err != nil {
+					t.Fatalf("rank %d local mesh invalid: %v", sm.Rank, err)
+				}
+			}
+			for e, c := range seen {
+				if c != 1 {
+					t.Fatalf("element %d owned %d times", e, c)
+				}
+			}
+			for n, c := range seenN {
+				if c != 1 {
+					t.Fatalf("node %d owned %d times", n, c)
+				}
+			}
+			if tc.noNodeAt >= 0 {
+				if sm := subs[tc.noNodeAt].M; sm.NOwnEl == 0 || sm.NOwnNd != 0 {
+					t.Fatalf("part %d owns %d elements and %d nodes, want some and 0", tc.noNodeAt, sm.NOwnEl, sm.NOwnNd)
+				}
+			}
+		})
 	}
 }
 

@@ -423,6 +423,6 @@ func ByName(name string, nx, ny int, sedovE float64) (*Problem, error) {
 	case "nohdisc":
 		return nohDisc(nx)
 	default:
-		return nil, fmt.Errorf("setup: unknown problem %q (want sod, noh, sedov, saltzmann or waterair)", name)
+		return nil, fmt.Errorf("setup: unknown problem %q (want sod, noh, sedov, saltzmann, waterair or nohdisc)", name)
 	}
 }
