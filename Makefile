@@ -24,7 +24,7 @@
 # exchange hooks, the failure contract, CSR round-trip, smoothed
 # rank-independence, zero-alloc pins at several pool sizes) plus the
 # driver-level seed-fidelity thread sweep, the remap failure path
-# across ranks and the rollback-across-remap lockstep regression.
+# across ranks and the rollback-across-remap recovery regression.
 # tier2-supervise races the rank-supervision layer: the supervise
 # package's classification/ladder unit suite plus the end-to-end
 # fault-class x ranks {1,2,4,7} sweep — replacement from the
@@ -98,7 +98,7 @@ FUZZTIME ?= 30s
 
 # The -run filters of the tier-2 targets, shared with tier2-list.
 RUN_FAULT    := Parallel|Serial|OneRank|History|Rollback|Checkpoint|Resume|Abort|Injected|Truncated|Dropped|Delayed|Corrupted
-RUN_ALE      := RemapSeedFixture|RollbackAcrossRemapStep|ParallelFailureWithRemap
+RUN_ALE      := RemapSeedFixture|RollbackAcrossRemapStepRecovers|ParallelFailureWithRemap
 RUN_SUP      := Supervise
 RUN_EQUIV    := EquivalenceMatrix
 RUN_FUSE_HY  := StepZeroAllocs|Timers

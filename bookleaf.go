@@ -241,8 +241,8 @@ type SuperviseConfig struct {
 
 // Step-level rollback-retry: every rollbackEvery steps each rank saves
 // a rolling in-memory snapshot, and on a timestep collapse, a tangled
-// element or a non-finite field the run rolls back to it (collectively,
-// on parallel runs), halves the timestep cap and retries, at most
+// element or a non-finite field the driver rolls every rank back to it
+// between epochs, halves the timestep cap and retries, at most
 // retryBudget times before aborting with the underlying error.
 const (
 	rollbackEvery = 10

@@ -49,9 +49,9 @@ const (
 // rankSlot is the driver-side identity of one goroutine rank. It owns
 // everything that must survive an epoch boundary: the sub-mesh, the
 // hydro state and its thread pool, the remapper (built on the slot's
-// first epoch), the rolling rollback memento, the per-step
-// healthy-point memento the recovery ladder restores from, and the
-// lockstep bookkeeping. A slot is touched only by its own rank's
+// first epoch), the rolling memento the rollback rung restores, the
+// per-step healthy-point memento the supervision ladder restores from,
+// and the lockstep bookkeeping. A slot is touched only by its own rank's
 // goroutine while an epoch runs and only by the driver between epochs;
 // the communicator's start/finish edges order the two.
 type rankSlot struct {
@@ -63,9 +63,9 @@ type rankSlot struct {
 	// (0 = original), mirrored from the supervisor.
 	incarnation int
 
-	// roll backs in-epoch collective rollback-retry (cadence
-	// rollbackEvery); stepStart is the supervised per-step
-	// healthy-point snapshot the ladder's retry/replace restore. Both
+	// roll backs the driver's rollback-retry (cadence rollbackEvery);
+	// stepStart is the supervised per-step healthy-point snapshot the
+	// ladder's retry/replace restore. Both
 	// stay: roll lags by up to rollbackEvery steps so that a rollback
 	// escapes the instability, stepStart is the exact replay point, and
 	// neither can be derived from the other. Both carry masses iff the
@@ -75,9 +75,13 @@ type rankSlot struct {
 
 	lockstep
 
-	// Epoch outcome, read by the driver after the communicator drains.
-	err  error
-	park int
+	// Epoch outcome, read by the driver after the communicator drains:
+	// the rank's error, whether that error is its own failed step or
+	// remap (not a communication fault or a peer's abort echoed), and
+	// why a fleet that did not fail left.
+	err        error
+	stepFailed bool
+	park       int
 }
 
 // closePool releases the slot's thread pool.
@@ -91,12 +95,14 @@ func (sl *rankSlot) closePool() {
 
 // rankObs is what a rank id's incarnations and fleets share: its
 // metrics registry, its kernel clock (on a tracing run it holds the
-// id's trace) and its invariant probe, which publishes into the
-// registry. All three run on across a replacement and a repartition.
+// id's trace), its invariant probe, which publishes into the registry,
+// and the registry's rollbacks_total, which the driver's rollback
+// counts. All run on across a replacement and a repartition.
 type rankObs struct {
-	reg   *obs.Registry
-	clock *obs.Clock
-	probe *obs.InvariantProbe
+	reg       *obs.Registry
+	clock     *obs.Clock
+	probe     *obs.InvariantProbe
+	rollbacks *obs.Counter
 }
 
 // driver is the state of a run across supervision epochs: the problem,
@@ -112,28 +118,28 @@ type rankObs struct {
 // same loop over the whole mesh: its exchanges have no neighbours and
 // its reductions no peers (see decompose).
 //
-// Fault tolerance wraps that schedule in two layers. Inside an epoch, a
-// status reduction at the top of every iteration classifies the step as
-// ok, retryable or fatal; retryable failures (timestep collapse,
-// tangled element, non-finite field) trigger a collective rollback to a
-// rolling in-memory snapshot with a reduced timestep cap, bounded by
-// retryBudget. Communication faults poison the Comm through its
-// abort path: every blocked rank unblocks with an error matching
-// typhon.ErrAborted and the epoch ends with the root cause, not a
-// deadlock.
-//
 // Around the epochs sits the driver, the only code that touches the
 // whole world. The fleet parks between epochs for a due cadence
 // checkpoint, a preemption and the repartition; the driver gathers the
 // parked slots (gatherParked), acts, and starts the next epoch. It
 // writes the end-of-run dump after the finishing epoch.
 //
+// Every recovery runs between epochs too. Inside an epoch a failure
+// ends it: a rank whose step fails aborts the Comm, and every blocked
+// peer unblocks with an error matching typhon.ErrAborted instead of
+// deadlocking; communication faults poison the Comm the same way. The
+// driver's first rung is rollback-retry: when every rank that failed
+// on its own failed a step or remap hydro.Retryable accepts (timestep
+// collapse, tangled element, non-finite field, remap overshoot), every
+// slot reloads its rolling in-memory snapshot under a halved timestep
+// cap, bounded by retryBudget, and the next epoch replays.
+//
 // With Config.Supervise the driver also runs the supervision ladder
-// (DESIGN.md §12): epoch failures are classified transient /
+// (DESIGN.md §12) past that rung: epoch failures are classified transient /
 // rank-persistent / fatal; transients retry the epoch from every rank's
 // last healthy-point memento, persistent rank-local faults replace just
 // the offending rank from that same in-memory memento (no filesystem
-// round trip, no collective rollback), and fatal faults write a final
+// round trip, no rollback), and fatal faults write a final
 // checkpoint before aborting. At the healthy point of step repart_at
 // the driver may also repartition online, once — re-running RCB/METIS
 // on the current (moved) mesh and migrating state through the
@@ -389,15 +395,21 @@ func (d *driver) closeSlots() {
 	}
 }
 
-// run drives supervision epochs until the run completes, is preempted
-// or canceled, or fails past what the ladder may recover.
+// run drives epochs until the run completes, is preempted or canceled,
+// or fails past what the rollback rung and the ladder may recover.
+// Between epochs it takes the first rung that applies: a park's action,
+// a rollback, then the ladder (DESIGN.md §12, "Rung order").
 func (d *driver) run() (*Result, error) {
 	for {
 		runErr, err := d.runEpoch()
 		if err != nil {
 			return nil, err
 		}
-		rootErr, rank := d.rootCause(runErr)
+		rootErr, rank, retry := d.rootCause(runErr)
+		if retry && d.slots[0].budget > 0 {
+			d.rollback()
+			continue
+		}
 		if rootErr == nil {
 			// No rank failed, so every rank left at the same healthy
 			// point for the same reason.
@@ -470,11 +482,11 @@ func (d *driver) runEpoch() (error, error) {
 	// goroutines spawn, so the map is read-only while they run.
 	regs := make([]*obs.Registry, n)
 	for i, sl := range d.slots {
-		sl.err = nil
-		sl.park = parkNone
+		sl.err, sl.stepFailed, sl.park = nil, false, parkNone
 		o, ok := d.byID[sl.id]
 		if !ok {
 			o = rankObs{reg: obs.NewRegistry(), clock: obs.NewClock()}
+			o.rollbacks = o.reg.Counter("rollbacks_total")
 			if cfg.Trace != "" {
 				o.clock = obs.NewTracingClock(sl.id, d.start)
 			}
@@ -493,35 +505,69 @@ func (d *driver) runEpoch() (error, error) {
 	return runErr, nil
 }
 
-// rootCause picks the epoch's root-cause error and the rank it surfaced
-// on: prefer the rank error that is not a peer-abort echo (a timeout,
-// size mismatch, or hydro failure carries the cause; AbortError
-// wrappers on the other ranks are consequences), then the recovered
-// panic, then the first echo.
-func (d *driver) rootCause(runErr error) (error, int) {
-	var abortedErr error
-	abortedRank := -1
+// rollback is the driver's first rung. Every slot restores its rolling
+// memento, spends one retry and takes the same timestep cap: half the
+// last dt taken from the restored point, or half the lowest cap if that
+// is lower (the one the dt reduction saw); advance re-grows it via
+// DtGrowth as steps succeed. The steps past the restored one never
+// happened: their history records go, and the replay records them
+// afresh.
+func (d *driver) rollback() {
+	dtCap := math.Inf(1)
 	for _, sl := range d.slots {
-		e := sl.err
-		if e == nil {
-			continue
-		}
-		if errors.Is(e, typhon.ErrAborted) {
-			if abortedErr == nil {
-				abortedErr = e
-				var ab *typhon.AbortError
-				if errors.As(e, &ab) {
-					abortedRank = ab.Rank
-				}
-			}
-			continue
-		}
-		return e, sl.id
+		sl.s.Load(&sl.roll)
+		dtCap = math.Min(dtCap, math.Min(sl.dtCap, sl.s.DtPrev))
 	}
+	step := d.slots[0].s.StepCount
+	for _, sl := range d.slots {
+		sl.dtCap = dtCap / 2
+		sl.budget--
+		sl.rollbacks++
+		sl.lastHist = min(sl.lastHist, step)
+		o := d.byID[sl.id]
+		o.rollbacks.Inc()
+		o.clock.Instant("rollback", nil)
+	}
+	h := d.history
+	for len(h) > 0 && h[len(h)-1].Step > step {
+		h = h[:len(h)-1]
+	}
+	d.history = h
+}
+
+// rootCause picks the epoch's root-cause error and the rank it surfaced
+// on, in order of precedence: a recovered panic; a rank's own failure
+// that a rollback cannot repair (a timeout or a size mismatch, though
+// they report Transient; a non-retryable step; a cancel); a rank's own
+// failed step or remap that hydro.Retryable accepts; and last a
+// peer-abort echo, attributed to the rank that aborted. The lowest rank
+// wins a tie. retry reports that the cause is of the third kind: the
+// one the rollback rung takes, so any other failure in the same epoch
+// outranks it.
+func (d *driver) rootCause(runErr error) (cause error, rank int, retry bool) {
 	if runErr != nil {
-		return runErr, -1
+		return runErr, -1, false
 	}
-	return abortedErr, abortedRank
+	rank, worst := -1, 3
+	for _, sl := range d.slots {
+		e, id, r := sl.err, sl.id, 0
+		switch {
+		case e == nil:
+			continue
+		case errors.Is(e, typhon.ErrAborted):
+			r, id = 2, -1
+			var ab *typhon.AbortError
+			if errors.As(e, &ab) {
+				id = ab.Rank
+			}
+		case sl.stepFailed && hydro.Retryable(e):
+			r = 1
+		}
+		if r < worst {
+			cause, rank, worst = e, id, r
+		}
+	}
+	return cause, rank, worst == 1
 }
 
 // mergedObs merges the run's registries, one per rank id in id order:
@@ -561,8 +607,8 @@ func (d *driver) restoreHealthy() error {
 		}
 		sl.s.Load(&sl.stepStart)
 		if sl.budget > 0 {
-			// Re-anchor the rollback memento at the resume point so an
-			// in-epoch rollback cannot rewind past the recovery.
+			// Re-anchor the rollback memento at the resume point so a
+			// rollback cannot rewind past the recovery.
 			sl.s.Save(&sl.roll)
 		}
 		sl.err = nil

@@ -16,10 +16,10 @@ import (
 )
 
 // A rank that hits a timestep collapse mid-run must bring the whole
-// parallel run down cleanly — an error return, not a deadlock. The
-// compensation protocol in rankLoop.advance keeps the halo-exchange schedule
-// symmetric while the ranks agree to abort. Rollback-retry is off so
-// the collapse is immediately fatal.
+// parallel run down cleanly — an error return, not a deadlock: the
+// failing rank aborts the communicator, which unblocks its peers
+// wherever they wait. Rollback-retry is off so the collapse is
+// immediately fatal.
 func TestParallelFailurePropagatesCleanly(t *testing.T) {
 	cfg := Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4, testRetryBudget: -1,
@@ -34,8 +34,8 @@ func TestParallelFailurePropagatesCleanly(t *testing.T) {
 	}
 }
 
-// The same failure with the Eulerian remap active exercises the remap
-// compensation path too.
+// The same failure with the Eulerian remap active: peers blocked in a
+// remap exchange unblock too.
 func TestParallelFailureWithRemapCleanly(t *testing.T) {
 	cfg := Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 3, ALE: "eulerian", testRetryBudget: -1,
@@ -226,12 +226,13 @@ func TestInjectedPoolWorkerPanicFailsRun(t *testing.T) {
 
 // A truncated halo message is a data fault, not a crash: the receiving
 // rank reports a size mismatch, aborts the communicator, and the run
-// ends cleanly with that mismatch as the root cause.
+// ends cleanly with that mismatch as the root cause. The fault fires
+// once, so a run that rolled a communication fault back would complete.
 func TestTruncatedHaloMessageFailsCleanly(t *testing.T) {
 	err := runBounded(t, Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4,
 		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
-			{Rank: 2, Msg: 5, Kind: typhon.FaultTruncate},
+			{Rank: 2, Msg: 5, Kind: typhon.FaultTruncate, Once: true},
 		}},
 	})
 	if err == nil {
@@ -244,12 +245,14 @@ func TestTruncatedHaloMessageFailsCleanly(t *testing.T) {
 }
 
 // A dropped message is detected by the receive timeout rather than a
-// hang; the timing-out rank is the root cause.
+// hang; the timing-out rank is the root cause. A TimeoutError reports
+// Transient, yet it is never rolled back: the drop fires once, so a
+// run that rolled it back would complete.
 func TestDroppedHaloMessageTimesOut(t *testing.T) {
 	err := runBounded(t, Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4,
 		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
-			{Rank: 1, Msg: 3, Kind: typhon.FaultDrop},
+			{Rank: 1, Msg: 3, Kind: typhon.FaultDrop, Once: true},
 		}},
 		testRecvTimeout: 2 * time.Second,
 	})
@@ -279,6 +282,65 @@ func TestCorruptedHaloMessageCaught(t *testing.T) {
 	var nf *hydro.ErrNonFinite
 	if !errors.As(err, &nf) {
 		t.Fatalf("error lacks health context: %v", err)
+	}
+}
+
+// The same corruption without Once is persistent: every epoch counts
+// messages from 1 again, so it re-fires after each rollback. The run
+// must replay once per retry, then fail with the non-finite field
+// rather than hang.
+func TestCorruptedHaloMessagePersists(t *testing.T) {
+	epochs := 0 // only touched by rank 0's goroutine, one epoch at a time
+	err := runBounded(t, Config{
+		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25,
+		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
+			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt},
+		}},
+		testFault: func(rank, step int, s *hydro.State) {
+			if rank == 0 && step == 1 { // before the corrupted message lands
+				epochs++
+			}
+		},
+	})
+	var nf *hydro.ErrNonFinite
+	if !errors.As(err, &nf) {
+		t.Fatalf("want a non-finite failure once the retries are spent, got %v", err)
+	}
+	if epochs != retryBudget+1 {
+		t.Fatalf("step 1 ran %d times, want %d (the first pass and one replay per retry)", epochs, retryBudget+1)
+	}
+}
+
+// A panic outranks a retryable failure in the same epoch: rank 0 takes
+// a NaN the rollback rung alone would repair, and rank 1 then panics in
+// the same step. The run must end with the panic and replay nothing.
+func TestRollbackYieldsToPanic(t *testing.T) {
+	nanTaken := make(chan struct{})
+	passes := 0 // only touched by rank 0's goroutine
+	err := runBounded(t, Config{
+		Problem: "sod", NX: 64, NY: 4, Ranks: 2, MaxSteps: 25,
+		testFault: func(rank, step int, s *hydro.State) {
+			switch {
+			case step != 14:
+			case rank == 0:
+				if passes++; passes == 1 {
+					s.U[2] = math.NaN()
+					close(nanTaken)
+				}
+			default:
+				// Rank 0 has finished the step's exchanges and fails
+				// on its own NaN whatever this rank does next.
+				<-nanTaken
+				panic("rank fault beside a NaN")
+			}
+		},
+	})
+	var rp *typhon.RankPanicError
+	if !errors.As(err, &rp) || rp.Rank != 1 {
+		t.Fatalf("want rank 1's panic as the root cause, got %v", err)
+	}
+	if passes != 1 {
+		t.Fatalf("rank 0 passed step 14 %d times, want 1: the epoch was rolled back", passes)
 	}
 }
 

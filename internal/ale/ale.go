@@ -86,11 +86,10 @@ type Options struct {
 // operation.
 //
 // Apply performs its exchanges in a fixed order — node targets
-// (Smoothed mode only), cell fields, then exactly one velocity
-// exchange, which fires on every return path including failures — so
-// ranks mixing success and failure stay in lockstep. ExchangeScratch
-// replays the same sequence for a rank that must skip a remap its
-// peers are performing.
+// (Smoothed mode only), cell fields, then one velocity exchange after a
+// successful update. A failed Apply returns without the velocity
+// exchange: a distributed driver ends the epoch on any failure (the
+// failing rank aborts its communicator), so no peer waits on it.
 type Hooks struct {
 	// ExchangeCellFields refreshes ghost-element entries of the given
 	// element-indexed fields.
@@ -391,12 +390,12 @@ func (r *Remapper) Apply(s *hydro.State, tm *obs.Clock, hooks *Hooks) error {
 		err = r.guardFailure(s) // only the nodal flag can be up now
 	}
 	if err != nil {
-		r.exchangeUV(s, hooks)
 		tm.Stop("aleupdate")
 		return err
 	}
+	velExch := hooks != nil && hooks.ExchangeVelocities != nil
 	velN := nnd
-	if hooks != nil && hooks.ExchangeVelocities != nil {
+	if velExch {
 		// Ghost velocities come from their owners via the exchange.
 		velN = m.NOwnNd
 	}
@@ -404,7 +403,9 @@ func (r *Remapper) Apply(s *hydro.State, tm *obs.Clock, hooks *Hooks) error {
 	copy(s.X, r.xT)
 	copy(s.Y, r.yT)
 	s.GetPC(0, m.NOwnEl)
-	r.exchangeUV(s, hooks)
+	if velExch {
+		hooks.ExchangeVelocities(s.U, s.V)
+	}
 	tm.Stop("aleupdate")
 	return nil
 }
@@ -436,36 +437,6 @@ func (r *Remapper) guardFailure(s *hydro.State) error {
 		}
 	}
 	return nil
-}
-
-// exchangeUV performs the one velocity exchange Apply owes its peers.
-// Every Apply (and ExchangeScratch) fires exactly one on every path,
-// including error returns — the cross-rank remap schedule depends on
-// it.
-func (r *Remapper) exchangeUV(s *hydro.State, hooks *Hooks) {
-	if hooks != nil && hooks.ExchangeVelocities != nil {
-		hooks.ExchangeVelocities(s.U, s.V)
-	}
-}
-
-// ExchangeScratch replays Apply's full exchange sequence — node
-// targets (Smoothed mode), cell fields, velocities — with the
-// remapper's current scratch contents. Distributed drivers use it to
-// keep the communication schedule symmetric when a rank must skip a
-// remap its peers are still performing; the exchanged values are
-// scratch (a collective rollback follows), only the message pattern
-// matters.
-func (r *Remapper) ExchangeScratch(s *hydro.State, hooks *Hooks) {
-	if hooks == nil {
-		return
-	}
-	if r.Opt.Mode == Smoothed && hooks.ExchangeNodeFields != nil {
-		hooks.ExchangeNodeFields(r.xT, r.yT)
-	}
-	if hooks.ExchangeCellFields != nil {
-		hooks.ExchangeCellFields(r.cRho, r.cEin, r.gradRX, r.gradRY, r.gradEX, r.gradEY)
-	}
-	r.exchangeUV(s, hooks)
 }
 
 // --- ALEGETMESH kernels -------------------------------------------------

@@ -1,7 +1,9 @@
 // Package supervise is the rank-supervision layer between the parallel
 // driver and its goroutine ranks: it turns "a rank misbehaved" into a
-// graded, observable recovery ladder instead of the single
-// collective-rollback hammer of the original fault-tolerance design.
+// graded, observable recovery ladder. The ladder is the driver's second
+// rung: every recovery runs between epochs, and a failure reaches the
+// supervisor only when the first rung, rollback-retry of a rank's own
+// retryable step failure, does not take it.
 //
 // Every failure surfaced by the typhon/hydro/ale layers is classified
 // into one of three classes:

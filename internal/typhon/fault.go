@@ -111,8 +111,9 @@ type Fault struct {
 	// Once makes the fault fire at most once across every communicator
 	// armed with the same FaultPlan. Per-rank message counters reset
 	// with each communicator, so without Once a fault re-fires in every
-	// supervision epoch that replays the matching send — the model of a
-	// *persistent* rank fault. Once models a transient one.
+	// epoch that replays the matching send — after a rollback as after
+	// a supervision retry — the model of a *persistent* rank fault.
+	// Once models a transient one.
 	Once bool
 }
 

@@ -137,16 +137,18 @@ func TestProbeFlagsParallelCorruption(t *testing.T) {
 	}
 }
 
-// A NaN injected into a halo message (the PR-2 FaultPlan corruption)
-// is caught by the health sentinel before the next collective sample;
-// the probe records the non-finite violation on the corrupted step
-// even though rollback then repairs the state.
+// A NaN injected into a halo message (a FaultPlan corruption) is
+// caught by the health sentinel before the next collective sample; the
+// probe records the non-finite violation on the corrupted step even
+// though rollback then repairs the state. The corruption is transient
+// (Once): each epoch counts messages from 1, so without Once it would
+// return after every rollback (TestCorruptedHaloMessagePersists).
 func TestProbeRecordsHaloCorruptionBeforeRollback(t *testing.T) {
 	res, err := Run(Config{
 		Problem: "sod", NX: 64, NY: 4, Ranks: 4, MaxSteps: 25,
 		ProbeEvery: 5,
 		testFaultPlan: &typhon.FaultPlan{Faults: []typhon.Fault{
-			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt},
+			{Rank: 1, Msg: 5, Kind: typhon.FaultCorrupt, Once: true},
 		}},
 	})
 	if err != nil {

@@ -11,28 +11,16 @@ import (
 	"bookleaf/internal/typhon"
 )
 
-// Collective step-status codes, reduced with AllReduceMin at the top of
-// every loop iteration so all ranks agree on the worst rank's state.
-// Exact float values: the min of any combination is the dominant code.
-// The two control codes slot into the order so that the right action
-// dominates: a retry outranks a preempt (the failing rank's state must
-// be repaired before a resumable snapshot can be gathered — the preempt
-// request stays pending and is honoured at the next healthy point), and
-// a cancel outranks a retry (the state is being discarded either way)
-// but yields to a fatal fault.
+// Collective control codes, reduced with AllReduceMin at the top of
+// every loop iteration so all ranks act on the same request at the same
+// step. Exact float values: the min of any combination is the dominant
+// code, so a cancel outranks a preempt (the state is being discarded
+// either way). Failures do not ride this reduction: a failing rank
+// aborts the communicator and the driver judges the epoch.
 const (
 	stOK      = 1.0
 	stPreempt = 0.5
-	stRetry   = 0.0
-	stCancel  = -0.5
-	stFatal   = -1.0
-)
-
-// What the loop does after a healthy point.
-const (
-	nextStep   = iota // advance one step
-	nextStatus        // a collective failed and latched fatalErr: let the status reduction spread it
-	nextLeave         // the run reached its end, or the fleet parks (slot.park says why): leave the epoch
+	stCancel  = 0.0
 )
 
 // phaseCtrs is the per-exchange-phase attribution pair: the loop reads
@@ -44,14 +32,13 @@ type phaseCtrs struct {
 }
 
 // rankLoop is one rank's epoch: the step loop with its communication
-// schedule, the collective rollback protocol, the probe and history
-// cadences, and the healthy-point bookkeeping the recovery ladder hangs
-// off. It touches only its own rank's part of the world: whatever needs
-// the whole of it — a checkpoint, a preemption snapshot, a
-// repartition — parks the fleet and is done by the driver between
-// epochs. It lives for one epoch; what must outlive it is in the slot.
-// run walks the phases in order: reduceStatus, then rollback or
-// healthyPoint, then advance.
+// schedule, the probe and history cadences, and the healthy-point
+// bookkeeping the recovery rungs hang off. It touches only its own
+// rank's part of the world: whatever needs the whole of it — a
+// checkpoint, a preemption snapshot, a repartition, a rollback — is
+// done by the driver between epochs. It lives for one epoch; what must
+// outlive it is in the slot. run walks the phases in order:
+// reduceStatus, healthyPoint, advance.
 type rankLoop struct {
 	d    *driver
 	rk   *typhon.Rank
@@ -66,10 +53,10 @@ type rankLoop struct {
 	hooks          *hydro.Hooks
 	aleHooks       *ale.Hooks
 
-	ctrSteps, ctrRemaps, ctrRollbacks, ctrReduce *obs.Counter
-	dtCause                                      [5]*obs.Counter
-	msgsTotal, wordsTotal                        *obs.Counter
-	forcesPh, velPh, remapPh                     phaseCtrs
+	ctrSteps, ctrRemaps, ctrReduce *obs.Counter
+	dtCause                        [5]*obs.Counter
+	msgsTotal, wordsTotal          *obs.Counter
+	forcesPh, velPh, remapPh       phaseCtrs
 	// ctrWait (halo_wait_ns) is time spent blocked on halo traffic,
 	// visible in metrics.json and bleaf-trace.
 	ctrWait *obs.Counter
@@ -77,21 +64,15 @@ type rankLoop struct {
 	// Step-progress counters are held pending until the next healthy
 	// collective point confirms the step survived. A peer can
 	// "complete" a step on garbage ghosts while another rank is dying;
-	// that step is rewound by a rollback or the recovery ladder and
-	// replayed, and must not be counted twice.
+	// that step dies with the epoch, is rewound by a rollback or the
+	// recovery ladder and replayed, and must not be counted twice.
 	pendSteps, pendRemaps int64
 	pendCause             [5]int64
 
 	// commErr latches the first communication failure on this rank; all
-	// later exchanges no-op so the rank drains to the next status check
-	// instead of blocking on a poisoned Comm.
+	// later exchanges no-op so the rank drains to the end of its step
+	// instead of blocking on a poisoned Comm, and advance reports it.
 	commErr error
-	// hooksDone counts the exchange hooks run in the current step so a
-	// failing rank can compensate the ones its peers still expect.
-	hooksDone int
-	// stepErr is the last step's failure, fatalErr the fault that ends
-	// the epoch; reduceStatus turns both into the collective verdict.
-	stepErr, fatalErr error
 }
 
 // newRankLoop wires one rank for an epoch: its halos, counters and the
@@ -107,17 +88,16 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 		elHalo: typhon.NewHalo(sm.ElSend, sm.ElRecv),
 		ndHalo: typhon.NewHalo(sm.NdSend, sm.NdRecv),
 
-		ctrSteps:     reg.Counter("steps_total"),
-		ctrRemaps:    reg.Counter("remaps_total"),
-		ctrRollbacks: reg.Counter("rollbacks_total"),
-		ctrReduce:    reg.Counter("dt_reductions_total"),
-		dtCause:      dtCauseCounters(reg),
-		msgsTotal:    reg.Counter("comm_msgs_total"),
-		wordsTotal:   reg.Counter("comm_words_total"),
-		forcesPh:     phaseCtrs{reg.Counter("halo_msgs_forces"), reg.Counter("halo_words_forces")},
-		velPh:        phaseCtrs{reg.Counter("halo_msgs_velocities"), reg.Counter("halo_words_velocities")},
-		remapPh:      phaseCtrs{reg.Counter("halo_msgs_remap"), reg.Counter("halo_words_remap")},
-		ctrWait:      reg.Counter("halo_wait_ns"),
+		ctrSteps:   reg.Counter("steps_total"),
+		ctrRemaps:  reg.Counter("remaps_total"),
+		ctrReduce:  reg.Counter("dt_reductions_total"),
+		dtCause:    dtCauseCounters(reg),
+		msgsTotal:  reg.Counter("comm_msgs_total"),
+		wordsTotal: reg.Counter("comm_words_total"),
+		forcesPh:   phaseCtrs{reg.Counter("halo_msgs_forces"), reg.Counter("halo_words_forces")},
+		velPh:      phaseCtrs{reg.Counter("halo_msgs_velocities"), reg.Counter("halo_words_velocities")},
+		remapPh:    phaseCtrs{reg.Counter("halo_msgs_remap"), reg.Counter("halo_words_remap")},
+		ctrWait:    reg.Counter("halo_wait_ns"),
 	}
 	if a := d.cfg.aleOptions(); a != nil && slot.remap == nil {
 		slot.remap = ale.NewRemapper(*a, slot.s)
@@ -136,12 +116,10 @@ func (d *driver) newRankLoop(rk *typhon.Rank) *rankLoop {
 	l.hooks = &hydro.Hooks{
 		ReduceDt: l.reduceDt,
 		ExchangeForces: func(st *hydro.State) {
-			l.hooksDone++
 			ff, fw := st.ForceHalo()
 			l.exchange(l.forcesPh, l.elHalo, fw, ff...)
 		},
 		ExchangeVelocities: func(st *hydro.State) {
-			l.hooksDone++
 			l.exchange(l.velPh, l.ndHalo, 1, st.U, st.V, st.UBar, st.VBar)
 		},
 	}
@@ -191,116 +169,58 @@ func (l *rankLoop) exchange(ph phaseCtrs, h *typhon.Halo, stride int, fields ...
 	ph.words.Add(l.wordsTotal.Value() - w0)
 }
 
-// run is the loop. Every iteration opens with the status reduction, so
-// all ranks take the same branch: out, back (rollback), or through the
-// healthy point and one step on.
+// run is the loop: the status reduction, the healthy point, one step
+// on. It leaves the epoch when the run ends, the fleet parks, a cancel
+// is agreed or a fault surfaces, with the rank's error in the slot. A
+// rank whose step fails aborts the communicator, which brings its peers
+// out at their next exchange or reduction; the driver judges the epoch
+// (rollback, the supervision ladder, or the run's error).
 func (l *rankLoop) run() {
-	if l.slot.budget > 0 && !l.slot.roll.Valid() {
-		l.s.Save(&l.slot.roll) // cover steps before the first cadence point
+	sl := l.slot
+	if sl.budget > 0 && !sl.roll.Valid() {
+		l.s.Save(&sl.roll) // cover steps before the first cadence point
 	}
 	for {
-		g, live := l.reduceStatus()
-		if !live {
-			break
+		g, err := l.reduceStatus()
+		if err != nil {
+			sl.err = err
+			return
 		}
-		if g <= stRetry {
-			l.rollback()
-			continue
+		if step, err := l.healthyPoint(g); !step {
+			sl.err = err
+			return
 		}
-		next := l.healthyPoint(g)
-		if next == nextLeave {
-			break
-		}
-		if next == nextStep {
-			l.advance()
+		if err := l.advance(); err != nil {
+			sl.err = err
+			l.clock.Instant("abort", nil)
+			l.rk.Abort(err)
+			return
 		}
 	}
-	l.slot.err = l.fatalErr
 }
 
-// reduceStatus folds this rank's condition — a latched fault, a failed
-// step, a pending control request — into the collective verdict. It
-// returns the reduced code, and false when the verdict ends the epoch
-// (fatalErr then says why).
-func (l *rankLoop) reduceStatus() (g float64, live bool) {
-	id := l.rk.ID()
-	if l.fatalErr == nil && l.commErr != nil {
-		l.fatalErr = fmt.Errorf("rank %d: %w", id, l.commErr)
-	}
+// reduceStatus makes the ranks' pending control requests one collective
+// verdict. A rank that hasn't seen the request yet still obeys the
+// reduced code. It returns the reduced code, or the error that ends the
+// epoch: an agreed cancel (the same on every rank), or the fault that
+// poisoned the communicator.
+func (l *rankLoop) reduceStatus() (float64, error) {
 	code := stOK
-	switch {
-	case l.fatalErr != nil:
-		code = stFatal
-	case l.stepErr != nil:
-		if l.slot.budget > 0 && hydro.Retryable(l.stepErr) {
-			code = stRetry
-		} else {
-			l.fatalErr = l.stepErr
-			code = stFatal
-		}
-	default:
-		// Control requests ride the same reduction as failures, so
-		// every rank acts on the same verdict at the same step. A rank
-		// that hasn't seen the request yet still obeys the reduced
-		// code.
-		switch l.d.cfg.Control.poll() {
-		case ctlCancel:
-			code = stCancel
-		case ctlPreempt:
-			code = stPreempt
-		}
+	switch l.d.cfg.Control.poll() {
+	case ctlCancel:
+		code = stCancel
+	case ctlPreempt:
+		code = stPreempt
 	}
-	g, err := l.allMin(code)
+	g, err := l.rk.AllReduceMin(code)
 	switch {
 	case err != nil:
-		if l.fatalErr == nil {
-			l.fatalErr = err
-		}
-	case g <= stFatal:
-		if l.fatalErr == nil {
-			l.fatalErr = l.stepErr
-		}
-		if l.fatalErr == nil {
-			l.fatalErr = fmt.Errorf("rank %d stopped by peer failure: %w", id, typhon.ErrAborted)
-		}
-		l.clock.Instant("abort", nil)
+		err = fmt.Errorf("rank %d: %w", l.rk.ID(), err)
 	case g <= stCancel:
-		// Collective cancellation: every rank latches the same error,
-		// so fatalErr stays collectively consistent.
-		l.fatalErr = fmt.Errorf("rank %d: %w", id, ErrCanceled)
 		l.clock.Instant("cancel", nil)
-	default:
-		return g, true
+		err = fmt.Errorf("rank %d: %w", l.rk.ID(), ErrCanceled)
 	}
-	return g, false
-}
-
-// rollback is the collective retry: every rank restores its snapshot of
-// the same step and sets the shared timestep cap to half the last dt
-// taken from the restored point (or half the cap, if lower); advance
-// re-grows it via DtGrowth once steps succeed again. The lockstep values
-// stay identical across ranks because they only change at collective
-// points like this one.
-func (l *rankLoop) rollback() {
-	sl, s := l.slot, l.s
-	sl.budget--
-	sl.rollbacks++
-	l.ctrRollbacks.Inc()
-	l.clock.Instant("rollback", nil)
-	s.Load(&sl.roll)
-	sl.dtCap = math.Min(sl.dtCap, s.DtPrev) / 2
-	l.stepErr = nil
-	l.pendSteps, l.pendRemaps, l.pendCause = 0, 0, [5]int64{}
-	// The steps past the restored one never happened: their history
-	// records go, and the replay records them afresh.
-	sl.lastHist = min(sl.lastHist, s.StepCount)
-	if l.rk.ID() == 0 {
-		h := l.d.history
-		for len(h) > 0 && h[len(h)-1].Step > s.StepCount {
-			h = h[:len(h)-1]
-		}
-		l.d.history = h
-	}
+	return g, err
 }
 
 // due reports whether step is a point of the every-n cadence that has
@@ -318,10 +238,11 @@ func due(every, step int, last *int) bool {
 // refresh the memento the recovery ladder resumes from; publish
 // progress; serve the probe and history cadences; test for the end of
 // the run; park for a due checkpoint, a preemption or the repartition;
-// refresh the rollback memento. A parked fleet re-enters here at the
-// same step in the next epoch, where the cadences it already served
-// are not due again.
-func (l *rankLoop) healthyPoint(g float64) int {
+// refresh the rollback memento. It reports whether to step on, and the
+// fault of a reduction that failed. A parked, rolled-back or recovered
+// fleet re-enters here in the next epoch, where the cadences it already
+// served are not due again.
+func (l *rankLoop) healthyPoint(g float64) (bool, error) {
 	d, s, sl := l.d, l.s, l.slot
 	cfg := &d.cfg
 	step := s.StepCount
@@ -340,17 +261,17 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		}
 	}
 	if due(cfg.ProbeEvery, step, &sl.lastProbe) {
-		if l.fatalErr = l.sampleProbe(); l.fatalErr != nil {
-			return nextStatus
+		if err := l.sampleProbe(); err != nil {
+			return false, err
 		}
 	}
 	if due(cfg.HistoryEvery, step, &sl.lastHist) {
-		if l.fatalErr = l.recordHistory(); l.fatalErr != nil {
-			return nextStatus
+		if err := l.recordHistory(); err != nil {
+			return false, err
 		}
 	}
 	if s.Time >= d.tEnd-1e-12 || (cfg.MaxSteps > 0 && step >= cfg.MaxSteps) {
-		return nextLeave
+		return false, nil
 	}
 	// The park verdicts read only reduced or lockstep values, so every
 	// rank parks for the same reason or none does. The termination test
@@ -368,79 +289,70 @@ func (l *rankLoop) healthyPoint(g float64) int {
 		if sl.budget > 0 && step%cfg.rollbackCadence() == 0 {
 			s.Save(&sl.roll)
 		}
-		return nextStep
+		return true, nil
 	}
-	return nextLeave
+	return false, nil
 }
 
-// advance takes one step: the Lagrangian step, the remap when its
-// cadence falls, the fault-injection hook and the health sentinel. A
-// failure lands in stepErr — after compensating the exchanges peers
-// still expect — for the next status reduction to judge.
-func (l *rankLoop) advance() {
-	d, s, sl := l.d, l.s, l.slot
-	cfg, id := &d.cfg, l.rk.ID()
-	l.hooksDone = 0
-	// Step increments StepCount only after every failure point, so a
-	// failed step leaves it unchanged and a rolled-back step replays
-	// with the value it had on the first attempt. Capturing it here
-	// makes the remap-cadence arithmetic below explicit: a successful
-	// step lands on stepStart+1, which is the count peers consult when
-	// they decide to remap.
-	stepStart := s.StepCount
-	if _, err := s.Step(l.clock, l.hooks); err != nil {
-		l.stepErr = fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
-		// Compensate the exchanges peers will still perform this step,
-		// keeping the schedule deadlock-free.
-		if l.hooksDone < 1 {
-			ff, fw := s.ForceHalo()
-			l.exchange(l.forcesPh, l.elHalo, fw, ff...)
-		}
-		if l.hooksDone < 2 {
-			l.exchange(l.velPh, l.ndHalo, 1, s.U, s.V, s.UBar, s.VBar)
-		}
-		// Peers that completed the step sit at stepStart+1 and remap
-		// when that count hits the cadence; answer their full exchange
-		// sequence (node targets, cell fields, velocities) with scratch
-		// values — a collective rollback follows, so only the pattern
-		// matters.
-		if sl.remap != nil && (stepStart+1)%cfg.ALEFreq == 0 {
-			sl.remap.ExchangeScratch(s, l.aleHooks)
-		}
-		return
+// advance takes one step and confirms it pending: the step counts and
+// the cap's re-growth. It returns the rank's failure. A communication
+// fault latched during the step is that failure whatever the step made
+// of the ghosts that never arrived; otherwise a failed step or remap
+// marks the slot (stepFailed), the driver's evidence that the rank
+// failed on its own.
+func (l *rankLoop) advance() error {
+	s, sl := l.s, l.slot
+	err := l.step()
+	if l.commErr != nil {
+		return fmt.Errorf("rank %d: %w", l.rk.ID(), l.commErr)
 	}
-	if sl.remap != nil && s.StepCount%cfg.ALEFreq == 0 {
-		l.clock.Start(hydro.TimerALE)
-		// Apply owns the remap's halo exchanges, including the
-		// post-remap ghost-velocity refresh, which it performs on every
-		// path — even failures — so peers don't block.
-		err := sl.remap.Apply(s, l.clock, l.aleHooks)
-		l.clock.Stop(hydro.TimerALE)
-		if err != nil {
-			l.stepErr = fmt.Errorf("rank %d remap step %d: %w", id, s.StepCount, err)
-			return
-		}
-		l.pendRemaps++
-	}
-	if cfg.testFault != nil {
-		cfg.testFault(id, s.StepCount, s)
-	}
-	// Health sentinel: a NaN/Inf in the evolving fields rolls the run
-	// back rather than silently spreading through the next halo
-	// exchange. The probe records the finding first, so corruption is
-	// flagged within the step it appears even though the rollback
-	// erases the corrupted state.
-	if err := s.CheckFinite(); err != nil {
-		l.probe.NoteNonFinite(s.StepCount, s.Time)
-		l.clock.Instant("probe_violation", nil)
-		l.stepErr = fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
-		return
+	if err != nil {
+		sl.stepFailed = true
+		return err
 	}
 	l.pendSteps++
 	l.pendCause[s.DtCause]++
 	if !math.IsInf(sl.dtCap, 1) {
 		sl.dtCap *= s.Opt.DtGrowth
 	}
+	return nil
+}
+
+// step runs the Lagrangian step, the remap when its cadence falls, the
+// fault-injection hook and the health sentinel, and returns the first
+// failure with the rank and step named.
+func (l *rankLoop) step() error {
+	d, s, sl := l.d, l.s, l.slot
+	cfg, id := &d.cfg, l.rk.ID()
+	// Step increments StepCount only after its last failure point, so a
+	// failed step leaves it unchanged and a rolled-back step replays
+	// with the value it had on the first attempt.
+	if _, err := s.Step(l.clock, l.hooks); err != nil {
+		return fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
+	}
+	if sl.remap != nil && s.StepCount%cfg.ALEFreq == 0 {
+		l.clock.Start(hydro.TimerALE)
+		err := sl.remap.Apply(s, l.clock, l.aleHooks)
+		l.clock.Stop(hydro.TimerALE)
+		if err != nil {
+			return fmt.Errorf("rank %d remap step %d: %w", id, s.StepCount, err)
+		}
+		l.pendRemaps++
+	}
+	if cfg.testFault != nil {
+		cfg.testFault(id, s.StepCount, s)
+	}
+	// Health sentinel: a NaN/Inf in the evolving fields fails the step
+	// rather than silently spreading through the next halo exchange.
+	// The probe records the finding first, so corruption is flagged
+	// within the step it appears even though the rollback erases the
+	// corrupted state.
+	if err := s.CheckFinite(); err != nil {
+		l.probe.NoteNonFinite(s.StepCount, s.Time)
+		l.clock.Instant("probe_violation", nil)
+		return fmt.Errorf("rank %d step %d (t=%v): %w", id, s.StepCount, s.Time, err)
+	}
+	return nil
 }
 
 // flushPending confirms the counters of the steps that survived to a
@@ -452,15 +364,6 @@ func (l *rankLoop) flushPending() {
 		l.dtCause[c].Add(v)
 	}
 	l.pendSteps, l.pendRemaps, l.pendCause = 0, 0, [5]int64{}
-}
-
-// allMin is AllReduceMin with the rank named in the error.
-func (l *rankLoop) allMin(v float64) (float64, error) {
-	g, err := l.rk.AllReduceMin(v)
-	if err != nil {
-		return g, fmt.Errorf("rank %d: %w", l.rk.ID(), err)
-	}
-	return g, nil
 }
 
 // allSum replaces each value with its sum across ranks, one reduction

@@ -1,10 +1,13 @@
 package bookleaf_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -189,23 +192,150 @@ func TestReadmeMatchesCode(t *testing.T) {
 }
 
 // TestDocsNameRealConfigFields holds README.md and DESIGN.md to the
-// public API: every `Config.X` they name must be a field or a method of
-// bookleaf.Config, so a field deleted from the code but left in the
-// prose fails here.
+// code: every backticked `Type.Member` (or `pkg.Type.Member`) whose
+// Type is declared in the module's non-test Go outside bench/ must name
+// a field or a method of that type, so a member deleted from the code
+// but left in the prose — `Config.X`, `Remapper.Y` — fails here. An
+// unqualified Type declared in several packages passes when any of them
+// has the member; a span naming a repository file (`driver.go`) is a
+// file, not a member.
 func TestDocsNameRealConfigFields(t *testing.T) {
-	cfg := reflect.TypeOf(bookleaf.Config{})
-	named := regexp.MustCompile(`(?:bookleaf\.|[^\w.])Config\.(\w+)`)
+	members := moduleMembers(t)
+	span := regexp.MustCompile("`[^`\n]+`")
+	chain := regexp.MustCompile(`(?:^|[^\w./])(\w+(?:\.\w+)+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range named.FindAllStringSubmatch(string(src), -1) {
-			_, field := cfg.FieldByName(m[1])
-			_, method := reflect.PointerTo(cfg).MethodByName(m[1])
-			if !field && !method {
-				t.Errorf("%s names Config.%s, which is neither a field nor a method of bookleaf.Config", doc, m[1])
+		for _, sp := range span.FindAllString(string(src), -1) {
+			for _, m := range chain.FindAllStringSubmatch(strings.Trim(sp, "`"), -1) {
+				if _, err := os.Stat(m[1]); err == nil {
+					continue
+				}
+				parts := strings.Split(m[1], ".")
+				typ, member := parts[0], parts[1]
+				if len(parts) > 2 && members[parts[0]+"."+parts[1]] != nil {
+					typ, member = parts[0]+"."+parts[1], parts[2]
+				}
+				if have := members[typ]; have != nil && !have[member] {
+					t.Errorf("%s names %s.%s, which is neither a field nor a method of %s", doc, typ, member, typ)
+				}
 			}
 		}
 	}
+}
+
+// moduleMembers parses the module's non-test Go outside bench/ and
+// returns each declared type's field and method names, keyed by the
+// type's name and by "pkg.Type". A struct's embedded fields contribute
+// their own members, as Go promotes them.
+func moduleMembers(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	members := map[string]map[string]bool{}
+	embeds := map[string][]string{}
+	add := func(keys []string, names ...string) {
+		for _, k := range keys {
+			if members[k] == nil {
+				members[k] = map[string]bool{}
+			}
+			for _, n := range names {
+				members[k][n] = true
+			}
+		}
+	}
+	typeName := func(e ast.Expr) string {
+		for {
+			switch x := e.(type) {
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				e = x.Sel
+			case *ast.Ident:
+				return x.Name
+			default:
+				return ""
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		keys := func(name string) []string { return []string{name, f.Name.Name + "." + name} }
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv != nil {
+					add(keys(typeName(decl.Recv.List[0].Type)), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					add(keys(ts.Name.Name))
+					var fields *ast.FieldList
+					switch x := ts.Type.(type) {
+					case *ast.StructType:
+						fields = x.Fields
+					case *ast.InterfaceType:
+						fields = x.Methods
+					default:
+						continue
+					}
+					for _, fl := range fields.List {
+						if len(fl.Names) == 0 {
+							emb := typeName(fl.Type)
+							add(keys(ts.Name.Name), emb)
+							for _, k := range keys(ts.Name.Name) {
+								embeds[k] = append(embeds[k], emb)
+							}
+						}
+						for _, n := range fl.Names {
+							add(keys(ts.Name.Name), n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Promote embedded members, to a fixed point (embedding chains are
+	// short).
+	for changed := true; changed; {
+		changed = false
+		for k, embs := range embeds {
+			for _, e := range embs {
+				for n := range members[e] {
+					if !members[k][n] {
+						members[k][n], changed = true, true
+					}
+				}
+			}
+		}
+	}
+	return members
 }

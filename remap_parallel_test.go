@@ -1,8 +1,7 @@
 package bookleaf
 
-// Parallel ALE regression tests: lockstep recovery when a rollback
-// replays across a remap step (the cadence fix), and the remapped masses
-// a rollback restores. Rank-independence of the smoothed mode is a row of
+// Parallel ALE regression tests: recovery when a rollback replays
+// across a remap step, and the remapped masses a rollback restores. Rank-independence of the smoothed mode is a row of
 // the equivalence matrix.
 
 import (
@@ -13,16 +12,15 @@ import (
 	"bookleaf/internal/hydro"
 )
 
-// TestRollbackAcrossRemapStepStaysLockstep is the cadence-fix
-// regression: a single-rank failure inside a remap step must leave the
-// exchange schedule symmetric — the failing rank answers its peers'
-// remap exchanges with scratch values keyed on the pre-step count —
-// and the collective rollback must then replay cleanly across the same
-// remap step. The latched coordinate corruption tangles rank 1's mesh
-// during step 10 (a remap step at ALEFreq 5), so rank 1 fails mid-step
-// while rank 0 completes the step and remaps; the snapshot at step 8
-// predates the corruption, so one rollback recovers the run.
-func TestRollbackAcrossRemapStepStaysLockstep(t *testing.T) {
+// TestRollbackAcrossRemapStepRecovers: a single-rank failure inside a
+// remap step must end the epoch without a deadlock — the failing rank
+// aborts the communicator while its peer may be in the step's remap
+// exchanges — and the rollback must then replay cleanly across the
+// same remap step. The latched coordinate corruption tangles rank 1's
+// mesh during step 10 (a remap step at ALEFreq 5), so rank 1 fails
+// mid-step while rank 0 is stepping and remapping; the snapshot at
+// step 8 predates the corruption, so one rollback recovers the run.
+func TestRollbackAcrossRemapStepRecovers(t *testing.T) {
 	for _, mode := range []string{"eulerian", "smoothed"} {
 		t.Run(mode, func(t *testing.T) {
 			injected := false // only touched by rank 1's goroutine
